@@ -48,6 +48,18 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
 
 
+SparseRows = List[List[Tuple[int, Fraction]]]
+
+
+def sparse_rows(m: Mat) -> SparseRows:
+    """The nonzero (column, value) pairs of each row."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def sparse_vec(rows: SparseRows, v: Vec) -> Vec:
+    return [sum((x * v[j] for j, x in row), Fraction(0)) for row in rows]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     rows, inner, cols = len(a), len(b), len(b[0])
     out = zeros(rows, cols)
@@ -180,6 +192,11 @@ class WModel:
                     C[r - 1][r] = Fraction(-1)
         return A, B, C
 
+    def bands(self) -> Tuple[SparseRows, SparseRows, SparseRows]:
+        """A, B and C as sparse rows (A is tridiagonal, B and C bidiagonal)."""
+        A, B, C = self.matrices()
+        return sparse_rows(A), sparse_rows(B), sparse_rows(C)
+
     def block_delta(self, d: int) -> Mat:
         """The operator A + T B + T^2 C on W_d, layer-major indexing."""
         A, B, C = self.matrices()
@@ -195,6 +212,21 @@ class WModel:
                         if blk[i][j]:
                             D[t_dst * n + i][t_src * n + j] = blk[i][j]
         return D
+
+
+def apply_banded(bands: Tuple[SparseRows, SparseRows, SparseRows],
+                 layers: List[Vec]) -> List[Vec]:
+    """A + T B + T^2 C on W_d, layer by layer: output layer t is
+    A u_t + B u_{t-1} + C u_{t-2}; layers past the last input are cut off,
+    as in block_delta, and zero source layers are skipped."""
+    n = len(bands[0])
+    out = []
+    for t in range(len(layers)):
+        srcs = [(rows, layers[t - s]) for s, rows in enumerate(bands)
+                if s <= t and any(layers[t - s])]
+        out.append([sum((x * u[j] for rows, u in srcs for j, x in rows[i]), Fraction(0))
+                    for i in range(n)])
+    return out
 
 
 @dataclass
@@ -293,7 +325,12 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     w0 = build_w0(k, m, branch).layers[0]
     model = WModel(k, m, branch)
     A, B, C = model.matrices()
+    B_rows, C_rows = sparse_rows(B), sparse_rows(C)
     n = m + 1
+    # rref [A | I] = [R | P] with P A = R: A u = rhs iff R u = P rhs
+    R, pivots = rref([row + unit for row, unit in zip(A, identity(n))])
+    rank = sum(1 for c in pivots if c < n)
+    P_rows = sparse_rows([row[n:] for row in R])
 
     if branch == "L":
         def functional(v: Vec) -> Fraction:
@@ -312,17 +349,21 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
         for t in range(1, step):
             mu_t = mus[t - 1]
             rest = [a + mu_t * b for a, b in zip(rest, layers[step - t])]
-        bv = mat_vec(B, layers[step - 1])
+        bv = sparse_vec(B_rows, layers[step - 1])
         rest = [a - b for a, b in zip(rest, bv)]
         if step >= 2:
-            cv = mat_vec(C, layers[step - 2])
+            cv = sparse_vec(C_rows, layers[step - 2])
             rest = [a - b for a, b in zip(rest, cv)]
         mu = -functional(rest) / f_w0
         rhs = [mu * w + r for w, r in zip(w0, rest)]
-        u = solve_linear(A, rhs)
-        if u is None:
+        y = sparse_vec(P_rows, rhs)
+        if any(y[rank:]):
             raise DomainError("layer equation unsolvable at step %d (k=%d, m=%d, %s)"
                               % (step, k, m, branch))
+        # the solution with free variables 0, as solve_linear(A, rhs) gives
+        u = [Fraction(0)] * n
+        for i in range(rank):
+            u[pivots[i]] = y[i]
         # gauge: remove the w0 component so the v_m coordinate vanishes
         u = [x - (u[m] / w0[m]) * w for x, w in zip(u, w0)]
         layers.append(u)
@@ -334,16 +375,15 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
 
 
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
+    bands = model.bands()
     n = model.m + 1
-    D = model.block_delta(gv.d)
-    flat = [x for layer in gv.layers for x in layer]
-    img = flat
+    img = gv.layers
     for _ in range(gv.d):
-        img = mat_vec(D, img)
-    expected = [Fraction(0)] * (n * gv.d) + [gv.preimage_scale * x for x in gv.layers[0]]
+        img = apply_banded(bands, img)
+    expected = [[Fraction(0)] * n] * gv.d + [[gv.preimage_scale * x for x in gv.layers[0]]]
     if img != expected:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
-    if any(x != 0 for x in mat_vec(D, img)):
+    if any(x != 0 for layer in apply_banded(bands, img) for x in layer):
         raise AssertionError("iterative solution fails Delta^{d+1} w = 0")
 
 

@@ -556,7 +556,7 @@ def apply_mirror(f: Form) -> Form:
             if sub is None:
                 continue
             a2 = sub
-            spec_c = Scalar.pi_power(-w, (-1) ** (1 - w) * Fraction(4 * n) ** (-w))
+            spec_c = Scalar.pi_power(-w, (-1) ** ((1 - w) % 2) * Fraction(4 * n) ** (-w))
         else:
             raise DomainError("mirror is not defined for family %r" % (fam,))
         add((e2, a2), coeff * poly_c * spec_c)
@@ -639,6 +639,8 @@ def form_from_json(data: dict) -> Form:
         a = SpectralAtom(_family_from_json(sp["family"]), int(sp["weight"]),
                          Fraction(sp["point"]), int(sp["laurent"]),
                          None if pending is None else (pending["dir"], int(pending["power"])))
+        if a.laurent < vanishing_order(a.family, a.weight, a.point):
+            raise DomainError("atom is identically zero")
         acc[(e, a)] = acc.get((e, a), ZERO) + Scalar.from_json(term["coeff"])
     return Form(data["weight"], acc)
 

@@ -61,6 +61,16 @@ def test_round_trip_sample(label, k, d):
     assert lab.bk == label and lab.depth == d and lab.context.k == k
 
 
+@pytest.mark.parametrize("label,k,d,index", [
+    (label, k, d, index)
+    for label, ks in (("Ic", (-1, -2, -3)), ("IIIc", (2, 3)))
+    for k in ks for d in (1, 2) for index in (-3, -5, -6, -7)])
+def test_flip_cases_at_non_power_of_two_index(label, k, d, index):
+    # the Poincare mirror constant (4|n|)^{-w} must stay exact for every n
+    lab = classify_bk(construct_case(label, k, d, index=index))
+    assert lab.bk == label and lab.depth == d and lab.context.k == k
+
+
 def test_iiid_rejected_at_depth_zero():
     with pytest.raises(DomainError):
         construct_case("IIId", 5, 0)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from polymaass.specsolve import (GradedVector, WModel, alternating_trace,
-                                 brute_force_wd, build_w0, eisenstein_family,
-                                 emit_form, kernel, mat_pow, mat_vec,
-                                 poincare_family, solve_wd, solver_admissible)
+from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
+                                 alternating_trace, apply_banded, brute_force_wd,
+                                 build_w0, eisenstein_family, emit_form, kernel,
+                                 mat_pow, mat_vec, poincare_family, solve_wd,
+                                 solver_admissible)
 from polymaass.symcalc import (DomainError, PolyAtom, SpectralAtom, Family,
                                apply_flip, apply_laplace, apply_power, form_of,
                                forms_equal, is_zero, expand_pending)
@@ -105,10 +106,60 @@ def test_preimage_identity_R_sample(k, m, d):
     assert is_zero(apply_laplace(g))
 
 
-@pytest.mark.parametrize("k,m,d", [(0, 3, 2), (2, 2, 1), (-4, 2, 3), (4, 0, 2), (6, 4, 2)])
-def test_oracle_equivalence(k, m, d):
-    branch = "L" if k <= 0 else "R"
-    assert solve_wd(k, m, branch, d).layers == brute_force_wd(k, m, branch, d).layers
+ORACLE_CASES = [(0, 3, "L", 2), (2, 2, "R", 1), (-4, 2, "L", 3), (4, 0, "R", 2),
+                (6, 4, "R", 2), (0, 8, "L", 2), (-3, 6, "L", 3), (5, 6, "R", 2),
+                (-8, 8, "R", 2)]
+
+
+# test names keep the k-m-d form; no two cases share k, m and d
+@pytest.mark.parametrize("k,m,branch,d", ORACLE_CASES,
+                         ids=["%d-%d-%d" % (k, m, d) for k, m, _b, d in ORACLE_CASES])
+def test_oracle_equivalence(k, m, branch, d):
+    gv, oracle = solve_wd(k, m, branch, d), brute_force_wd(k, m, branch, d)
+    assert gv.layers == oracle.layers
+    assert gv.preimage_scale == oracle.preimage_scale
+
+
+def _test_vector(n, d):
+    # deterministic entries with some zeros and one all-zero layer
+    layers = [[Fraction((7 * (t * n + r)) % 11 - 5, r % 4 + 1) for r in range(n)]
+              for t in range(d + 1)]
+    if d >= 2:
+        layers[1] = [Fraction(0)] * n
+    return layers
+
+
+BANDED_GRID = ([(k, m, "L", d) for k in (-3, 0) for m in range(0, 4) for d in range(0, 4)]
+               + [(k, m, "R", d) for k in (-4, 3) for m in range(0, 4) for d in range(0, 4)])
+
+
+@pytest.mark.parametrize("k,m,branch,d", BANDED_GRID)
+def test_banded_delta_matches_block_delta(k, m, branch, d):
+    model = WModel(k, m, branch)
+    n = m + 1
+    layers = _test_vector(n, d)
+    flat = [x for layer in layers for x in layer]
+    dense = mat_vec(model.block_delta(d), flat)
+    banded = apply_banded(model.bands(), layers)
+    assert [x for layer in banded for x in layer] == dense
+
+
+@pytest.mark.parametrize("k,m,branch,d", [(0, 3, "L", 2), (2, 2, "R", 2),
+                                          (-2, 4, "L", 3), (5, 3, "R", 3)])
+def test_self_check_rejects_corrupted_layer(k, m, branch, d):
+    gv = solve_wd(k, m, branch, d)
+    model = WModel(k, m, branch)
+    _check_generalized_eigenvector(model, gv)
+    for t in range(d + 1):
+        for r in range(m + 1):
+            layers = [layer[:] for layer in gv.layers]
+            layers[t][r] += 1
+            bad = GradedVector(k, m, branch, d, layers, gv.preimage_scale)
+            with pytest.raises(AssertionError, match="Delta"):
+                _check_generalized_eigenvector(model, bad)
+    bad = GradedVector(k, m, branch, d, gv.layers, gv.preimage_scale + 1)
+    with pytest.raises(AssertionError, match="Delta"):
+        _check_generalized_eigenvector(model, bad)
 
 
 def test_exact_depth_of_emissions():

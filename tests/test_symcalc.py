@@ -212,6 +212,15 @@ def test_json_round_trip():
     assert form_from_json(form_to_json(f)) == f
 
 
+def test_json_rejects_identically_zero_atom():
+    # the incoherent weight-1 family vanishes at point 0, as atom_incoherent knows
+    f = form_of(PolyAtom(0, 0), atom_incoherent(3, 0))
+    data = form_to_json(f)
+    data["terms"][0]["spectral"]["laurent"] = 0
+    with pytest.raises(DomainError, match="identically zero"):
+        form_from_json(data)
+
+
 def test_pretty_is_deterministic():
     f = form_of(PolyAtom(0, 0), atom_E(0, 0, 1)) + form_of(PolyAtom(0, 0), atom_E(0, 0, 0))
     assert pretty(f) == "E^(1)_{0,0}  +  E^(0)_{0,0}"
