@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     qb.add_argument("--depth", required=True, type=int)
     qc = qsub.add_parser("classify", parents=[common])
     qc.add_argument("--in", dest="infile", required=True)
-    qc.add_argument("--seed", type=int, default=0)
     qh = qsub.add_parser("from-hc", parents=[common])
     qh.add_argument("--in", dest="infile", required=True)
     qh.add_argument("--second", action="store_true")
@@ -171,7 +170,7 @@ def _dispatch_quiver(args) -> int:
         return 0
     if args.qverb == "classify":
         rep = quiverrep.QuiverRep.from_json(_read_json(args.infile))
-        type_tag, case, d = quiverrep.classify_cyclic(rep, seed=args.seed)
+        type_tag, case, d = quiverrep.classify_cyclic(rep)
         data = {"type": type_tag, "case": case, "d": d}
         _emit(data, args.json, "type %s, case %s, d = %d" % (type_tag, case, d))
         return 0

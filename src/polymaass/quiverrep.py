@@ -17,14 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .specsolve import (Mat, Vec, identity, kernel, mat_mul, mat_vec, rref,
-                        solve_linear, zeros)
+from .specsolve import (Mat, Vec, identity, kernel, mat_mul, rref, solve_linear,
+                        zeros)
 from .symcalc import DomainError
 
 GELFAND = "gelfand"
 CYCLIC = "cyclic"
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
+# (name, source node, target node) of every arrow
+ARROWS = {GELFAND: (("A-", "-", "*"), ("B-", "*", "-"), ("A+", "+", "*"), ("B+", "*", "+")),
+          CYCLIC: (("a", "-", "+"), ("b", "+", "-"))}
 
 
 def compose(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
@@ -51,13 +54,7 @@ class QuiverRep:
 
     def arrows(self) -> List[Tuple[str, str, str, Mat]]:
         """(name, source node, target node, matrix) for every arrow."""
-        if self.quiver == GELFAND:
-            return [("A-", "-", "*", self.maps["A-"]),
-                    ("B-", "*", "-", self.maps["B-"]),
-                    ("A+", "+", "*", self.maps["A+"]),
-                    ("B+", "*", "+", self.maps["B+"])]
-        return [("a", "-", "+", self.maps["a"]),
-                ("b", "+", "-", self.maps["b"])]
+        return [(name, src, dst, self.maps[name]) for name, src, dst in ARROWS[self.quiver]]
 
     def check_relation(self) -> None:
         if self.quiver != GELFAND:
@@ -85,9 +82,34 @@ class QuiverRep:
 
     @staticmethod
     def from_json(data: dict) -> "QuiverRep":
-        return QuiverRep(data["quiver"], {k: int(v) for k, v in data["dims"].items()},
-                         {k: [[Fraction(x) for x in row] for row in m]
-                          for k, m in data["maps"].items()})
+        """Parse and validate: the quiver's node set with nonnegative
+        dimensions, its arrow names, every matrix shape and, for the
+        Gelfand quiver, the relation."""
+        quiver = data["quiver"]
+        if quiver not in NODES:
+            raise DomainError("unknown quiver %r" % (quiver,))
+        try:
+            dims = {k: int(v) for k, v in data["dims"].items()}
+            maps = {k: [[Fraction(x) for x in row] for row in m]
+                    for k, m in data["maps"].items()}
+        except (AttributeError, TypeError) as ex:
+            raise DomainError("malformed quiver representation: %s" % (ex,))
+        if set(dims) != set(NODES[quiver]) or min(dims.values()) < 0:
+            raise DomainError("dims must give a nonnegative dimension for exactly "
+                              "the nodes %s" % (NODES[quiver],))
+        names = [name for name, _src, _dst in ARROWS[quiver]]
+        if set(maps) != set(names):
+            raise DomainError("maps must give exactly the arrows %s" % (names,))
+        rep = QuiverRep(quiver, dims, maps)
+        for name, src, dst, m in rep.arrows():
+            _check_shape("arrow " + name, m, dims[dst], dims[src])
+        rep.check_relation()
+        return rep
+
+
+def _check_shape(what: str, m: Mat, rows: int, cols: int) -> None:
+    if m is None or len(m) != rows or any(len(row) != cols for row in m):
+        raise DomainError("%s must be a %d x %d matrix" % (what, rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -169,93 +191,54 @@ def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> Quiver
 # invariants and classification
 
 
-def _nilpotency_degree(m: Mat) -> int:
-    n = len(m)
-    if n == 0:
-        return 0
-    power = identity(n)
-    for e in range(1, n + 2):
-        power = mat_mul(power, m)
-        if all(x == 0 for row in power for x in row):
+def _nilpotency_degree(m: Mat) -> Optional[int]:
+    """Least e with m^e = 0, or None when m is not nilpotent."""
+    power = identity(len(m))
+    for e in range(len(m) + 1):
+        if not any(x for row in power for x in row):
             return e
-    raise DomainError("loop endomorphism is not nilpotent")
+        power = mat_mul(power, m)
+    return None
 
 
 def invariants_of(rep: QuiverRep):
     """(dimension vector, nilpotency degrees per node)."""
     rep.check_relation()
     degrees = {node: _nilpotency_degree(loop) for node, loop in rep.loops().items()}
+    if None in degrees.values():
+        raise DomainError("loop endomorphism is not nilpotent")
     return rep.dim_vector(), degrees
 
 
-def _orbit_spans(rep: QuiverRep, node: str, vec: Vec) -> bool:
-    """Does vec at the node generate the whole representation?"""
-    total = sum(rep.dims.values())
-    if total == 0:
-        return True
-    spans: Dict[str, List[Vec]] = {n: [] for n in NODES[rep.quiver]}
+def is_cyclic(rep: QuiverRep) -> Optional[str]:
+    """The node of a single vector generating the representation, or None.
 
-    def insert(n: str, v: Vec) -> bool:
-        # incremental exact span extension
-        rows = spans[n] + [v]
-        r, pivots = rref(rows)
-        if len(pivots) > len(spans[n]):
-            spans[n] = [row for row in r[:len(pivots)]]
-            return True
-        return False
-
-    if not any(vec):
-        return False
-    insert(node, vec)
-    changed = True
-    while changed:
-        changed = False
-        for _name, src, dst, m in rep.arrows():
-            if rep.dims[dst] == 0 or rep.dims[src] == 0:
-                continue
-            for v in list(spans[src]):
-                img = mat_vec(m, v)
-                if any(img) and insert(dst, img):
-                    changed = True
-    return sum(len(v) for v in spans.values()) == total
-
-
-def is_cyclic(rep: QuiverRep, trials: int = 32, seed: int = 0) -> Optional[str]:
-    """A node whose vector generates the representation, if any.
-
-    Tries basis vectors first, then seeded random rational combinations
-    (`trials` per node) before giving up.
+    The loops must be nilpotent (DomainError otherwise).  Then rad V is
+    the sum of the arrow images, and V is generated by one vector at one
+    node exactly when the top V/rad V has dimension 1; the generator sits
+    at the node carrying the top.  The zero module counts as generated at
+    the first node of (*, +, -), or (+, -) for the two-cyclic quiver.
     """
-    rng = random.Random(seed)
-    order = ("*", "+", "-") if rep.quiver == GELFAND else ("+", "-")
-    total = sum(rep.dims.values())
-    if total == 0:
-        return order[0]
-    for node in order:
-        n = rep.dims[node]
-        for i in range(n):
-            v = [Fraction(1 if j == i else 0) for j in range(n)]
-            if _orbit_spans(rep, node, v):
-                return node
-        for _ in range(trials):
-            v = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-            if any(v) and _orbit_spans(rep, node, v):
-                return node
-    return None
+    invariants_of(rep)
+    if not any(rep.dims.values()):
+        return "*" if rep.quiver == GELFAND else "+"
+    top = {}
+    for node, n in rep.dims.items():
+        images = [[m[i][j] for i in range(n)]
+                  for _name, src, dst, m in rep.arrows() if dst == node
+                  for j in range(rep.dims[src])]
+        top[node] = n - len(rref(images)[1])
+    if sum(top.values()) != 1:
+        return None
+    return next(node for node, t in top.items() if t)
 
 
-_GELFAND_SIDE_TABLE = {
-    # type * keyed by (n_- - d, n_+ - d) with d = n_* - 1
-    "*": {(0, 0): "a", (1, 1): "b", (0, 1): "c", (1, 0): "d"},
-}
-
-
-def classify_cyclic(rep: QuiverRep, trials: int = 32, seed: int = 0):
+def classify_cyclic(rep: QuiverRep):
     """(type, case, d) per the cyclic-module tables; errors if not cyclic."""
-    type_tag = is_cyclic(rep, trials=trials, seed=seed)
+    type_tag = is_cyclic(rep)
     if type_tag is None:
         raise DomainError("representation is not cyclic")
-    dims, degrees = invariants_of(rep)
+    dims = rep.dim_vector()
     if rep.quiver == CYCLIC:
         n_minus, n_plus = dims
         if type_tag == "+":
@@ -349,44 +332,26 @@ def endomorphism_basis(rep: QuiverRep) -> List[Dict[str, Mat]]:
     return out
 
 
-def _block_diag(rep: QuiverRep, mats: Dict[str, Mat]) -> Mat:
-    nodes = NODES[rep.quiver]
-    total = sum(rep.dims.values())
-    out = zeros(total, total)
-    pos = 0
-    for n in nodes:
-        d = rep.dims[n]
-        for i in range(d):
-            for j in range(d):
-                out[pos + i][pos + j] = mats[n][i][j]
-        pos += d
-    return out
-
-
 def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
-    """Local-endomorphism-algebra certificate.
+    """Indecomposability certificate: is End(V) local with residue field Q?
 
-    Checks that End(V) is commutative and every basis element is a
-    rational scalar plus a nilpotent; then every element is scalar plus
-    nilpotent and the only idempotents are 0 and 1.
+    Dickson's criterion (characteristic 0): rad End(V) is the kernel of the
+    trace form tr(a b), the trace taken on V, i.e. summed node by node.  So
+    dim End(V)/rad is the rank of the Gram matrix tr(a_i a_j) over a basis,
+    and the answer is True exactly when that rank is 1; then 0 and 1 are
+    the only idempotents.  False means End(V)/rad is larger than Q: V is
+    decomposable unless End(V)/rad is a division algebra larger than Q,
+    which no constructor in this module builds.  The zero module counts as
+    certified.
     """
-    total = sum(rep.dims.values())
-    if total == 0:
+    if not any(rep.dims.values()):
         return True
-    basis = [_block_diag(rep, mats) for mats in endomorphism_basis(rep)]
-    for i, a in enumerate(basis):
-        for b in basis[i + 1:]:
-            if mat_mul(a, b) != mat_mul(b, a):
-                return False
-    for e in basis:
-        lam = sum((e[i][i] for i in range(total)), Fraction(0)) / total
-        n = [[e[i][j] - (lam if i == j else 0) for j in range(total)] for i in range(total)]
-        power = identity(total)
-        for _ in range(total):
-            power = mat_mul(power, n)
-        if any(x != 0 for row in power for x in row):
-            return False
-    return True
+    nodes = NODES[rep.quiver]
+    basis = endomorphism_basis(rep)
+    flat = [[x for n in nodes for row in e[n] for x in row] for e in basis]
+    flat_t = [[x for n in nodes for col in zip(*e[n]) for x in col] for e in basis]
+    gram = [[sum(x * y for x, y in zip(a, b) if x and y) for b in flat_t] for a in flat]
+    return len(rref(gram)[1]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +418,35 @@ def _invert(m: Mat) -> Mat:
     return [row[n:] for row in r[:n]]
 
 
-def _is_nilpotent(m: Mat) -> bool:
-    n = len(m)
-    if n == 0:
-        return True
-    power = identity(n)
-    for _ in range(n):
-        power = mat_mul(power, m)
-    return all(x == 0 for row in power for x in row)
-
-
 def _validate_fragment(frag: HCFragment) -> None:
+    """Shapes that chain together, invertible interior maps and nilpotent
+    end composites."""
     if frag.l == 0:
         if frag.z_minus is None or frag.z_plus is None:
             raise DomainError("l = 0 fragment needs z_minus and z_plus")
-        if not _is_nilpotent(mat_mul(frag.z_plus, frag.z_minus)):
+        n_plus, n_minus = len(frag.z_minus), len(frag.z_plus)
+        _check_shape("z_minus", frag.z_minus, n_plus, n_minus)
+        _check_shape("z_plus", frag.z_plus, n_minus, n_plus)
+        if _nilpotency_degree(compose(frag.z_plus, frag.z_minus, n_minus, n_minus)) is None:
             raise DomainError("end composite is not nilpotent")
         return
     if len(frag.xs) != frag.l - 1 or len(frag.ys) != frag.l - 1:
         raise DomainError("fragment needs %d interior maps per direction" % (frag.l - 1,))
+    if None in (frag.x_minus, frag.y_minus, frag.x_plus, frag.y_plus):
+        raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
+    n0, n1, n2 = len(frag.y_minus), len(frag.x_minus), len(frag.x_plus)
+    if not n0 or not n1:
+        raise DomainError("fragment needs nonzero M_{-l-1} and M_{-l+1}")
+    _check_shape("x_minus", frag.x_minus, n1, n0)
+    _check_shape("y_minus", frag.y_minus, n0, n1)
+    _check_shape("x_plus", frag.x_plus, n2, n1)
+    _check_shape("y_plus", frag.y_plus, n1, n2)
     for m in list(frag.xs) + list(frag.ys):
+        _check_shape("interior map", m, n1, n1)
         _invert(m)   # raises when an interior map is singular
-    if not _is_nilpotent(mat_mul(frag.x_minus, frag.y_minus)):
+    if _nilpotency_degree(mat_mul(frag.x_minus, frag.y_minus)) is None:
         raise DomainError("lower end composite is not nilpotent")
-    if not _is_nilpotent(mat_mul(frag.x_plus, frag.y_plus)):
+    if _nilpotency_degree(mat_mul(frag.x_plus, frag.y_plus)) is None:
         raise DomainError("upper end composite is not nilpotent")
 
 
@@ -486,8 +456,7 @@ def hc_to_quiver(frag: HCFragment) -> QuiverRep:
     arrows (X_-, X_+ X_*, X_*^{-1} Y_+, Y_-)."""
     _validate_fragment(frag)
     if frag.l == 0:
-        dims = {"-": len(frag.z_minus[0]) if frag.z_minus else 0,
-                "+": len(frag.z_minus)}
+        dims = {"-": len(frag.z_plus), "+": len(frag.z_minus)}
         return QuiverRep(CYCLIC, dims, {"a": frag.z_minus, "b": frag.z_plus})
     x_star = frag.x_star()
     a_minus = frag.x_minus

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polymaass.cli import main
 from polymaass.specsolve import construct_case
 from polymaass.symcalc import form_from_json, form_to_json, forms_equal
@@ -72,6 +74,46 @@ def test_quiver_build_and_classify(capsys, tmp_path):
     code, out, _ = run(capsys, "quiver", "classify", "--in", str(path), "--json")
     assert code == 0
     assert json.loads(out) == {"type": "*", "case": "a", "d": 2}
+
+
+@pytest.mark.parametrize("data", [
+    {"quiver": "cyclic", "dims": {"-": 2, "+": 1},
+     "maps": {"a": [["1"]], "b": [["0"], ["1"]]}},
+    {"quiver": "kronecker", "dims": {"-": 1, "+": 1},
+     "maps": {"a": [["0"]], "b": [["0"]]}},
+    {"quiver": "cyclic", "dims": {"-": 1, "*": 1, "+": 1},
+     "maps": {"a": [["0"]], "b": [["0"]]}},
+    {"quiver": "cyclic", "dims": {"-": -1, "+": 1},
+     "maps": {"a": [], "b": [[]]}},
+    {"quiver": "cyclic", "dims": {"-": 1, "+": 1},
+     "maps": {"a": [["0"]], "c": [["0"]]}},
+    {"quiver": "gelfand", "dims": {"-": 1, "*": 1, "+": 1},
+     "maps": {"A-": [["1"]], "B-": [["1"]], "A+": [["0"]], "B+": [["0"]]}},
+    {"quiver": "cyclic", "dims": {"-": 1, "+": 1},
+     "maps": {"a": None, "b": [["0"]]}},
+], ids=["shape", "quiver", "nodes", "negative", "arrows", "relation", "null"])
+def test_quiver_classify_rejects_malformed_json(capsys, tmp_path, data):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "quiver", "classify", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_quiver_from_hc_rejects_mismatched_shapes(capsys, tmp_path):
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps({
+        "l": 1, "x_minus": [["0", "0"], ["0", "0"]], "xs": [], "x_plus": [["1"]],
+        "y_plus": [["0"]], "ys": [], "y_minus": [["1", "0"], ["0", "1"]]}))
+    code, _, err = run(capsys, "quiver", "from-hc", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_quiver_classify_has_no_seed_option(capsys, tmp_path):
+    code, _, _ = run(capsys, "quiver", "classify", "--in", str(tmp_path / "r.json"),
+                     "--seed", "1")
+    assert code == 1
 
 
 def test_quiver_fragment_pipeline(capsys, tmp_path):

@@ -57,12 +57,44 @@ def test_zero_module():
     assert dims == (0, 0, 0) and set(deg.values()) == {0}
 
 
-def test_direct_sum_is_not_cyclic():
-    a = build_cyclic_module(GELFAND, "*", "a", 0)
-    s = direct_sum(a, a)
+def _same_quiver_pairs(quiver, tuples):
+    small = [tc for tc in tuples if tc[2] <= 2]
+    return [pytest.param(quiver, a, b, id="%s-%s%s%d+%s%s%d" % ((quiver,) + a + b))
+            for i, a in enumerate(small) for b in small[i:]]
+
+
+@pytest.mark.parametrize("quiver,a,b", _same_quiver_pairs(GELFAND, GELFAND_TUPLES)
+                         + _same_quiver_pairs(CYCLIC, CYCLIC_TUPLES))
+def test_direct_sum_is_not_cyclic(quiver, a, b):
+    s = direct_sum(build_cyclic_module(quiver, *a), build_cyclic_module(quiver, *b))
     assert is_cyclic(s) is None
     with pytest.raises(DomainError):
         classify_cyclic(s)
+    if a[2] <= 1 and b[2] <= 1:
+        assert not has_only_trivial_idempotents(s)
+
+
+def test_glued_module_with_noncommutative_local_endomorphisms():
+    # (*, c, 1) and (+, a, 2) glued along one socle vector at node +:
+    # End(V) is local of dimension 6 but not commutative, and the top has
+    # dimension 2
+    rows = lambda *rs: [[str(x) for x in r] for r in rs]
+    rep = QuiverRep.from_json({
+        "quiver": "gelfand", "dims": {"-": 3, "*": 4, "+": 4},
+        "maps": {"A-": rows([0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0]),
+                 "B-": rows([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]),
+                 "A+": rows([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]),
+                 "B+": rows([1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1])}})
+    assert len(endomorphism_basis(rep)) == 6
+    assert has_only_trivial_idempotents(rep)
+    assert is_cyclic(rep) is None
+
+
+def test_non_nilpotent_loops_are_rejected():
+    one = [[Fraction(1)]]
+    rep = QuiverRep(CYCLIC, {"-": 1, "+": 1}, {"a": one, "b": one})
+    with pytest.raises(DomainError, match="not nilpotent"):
+        is_cyclic(rep)
 
 
 def test_one_dimensional_plus_node():
