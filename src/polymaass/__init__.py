@@ -11,7 +11,8 @@ from .symcalc import (Form, PolyAtom, SpectralAtom, Family, DomainError,
                       atom_E, atom_P, atom_incoherent, form_of)
 from .specsolve import (GradedVector, WModel, build_w0, solve_wd, brute_force_wd,
                         emit_form, preimage_constant_weight, preimage_incoherent,
-                        construct_case, eisenstein_family, poincare_family, kernel)
+                        construct_case, eisenstein_family, poincare_family)
+from .linalg import kernel
 from .classify import CaseLabel, WeightContext, classify_bk, exact_depth, \
     expected_dimension_vector
 

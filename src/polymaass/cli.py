@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import classify as classify_mod
-from . import numcheck, quiverrep, specsolve, symcalc
+from . import quiverrep, specsolve, symcalc
 from .symcalc import DomainError
 
 TYPE_TAGS = {"star": "*", "plus": "+", "minus": "-"}
@@ -141,6 +141,7 @@ def _dispatch(args) -> int:
     if args.verb == "quiver":
         return _dispatch_quiver(args)
     if args.verb == "verify":
+        from . import numcheck   # numpy is imported for this verb only
         cfg = numcheck.EvalConfig(trunc=args.n, tol=args.tol)
         names = None
         if args.suite == "eisenstein":

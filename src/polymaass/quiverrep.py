@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .specsolve import (Mat, Vec, identity, kernel, mat_mul, rref, solve_linear,
-                        zeros)
+from .linalg import (Mat, Vec, identity, kernel, mat_mul, rref, solve_linear,
+                     zeros)
 from .symcalc import DomainError
 
 GELFAND = "gelfand"
@@ -28,19 +28,6 @@ NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow
 ARROWS = {GELFAND: (("A-", "-", "*"), ("B-", "*", "-"), ("A+", "+", "*"), ("B+", "*", "+")),
           CYCLIC: (("a", "-", "+"), ("b", "+", "-"))}
-
-
-def compose(a: Mat, b: Mat, rows: int, cols: int) -> Mat:
-    """Matrix product a*b with explicit output shape (safe for dimension 0)."""
-    mid = len(b)
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for t in range(mid):
-            if a[i][t]:
-                for j in range(cols):
-                    if b[t][j]:
-                        out[i][j] += a[i][t] * b[t][j]
-    return out
 
 
 @dataclass
@@ -60,19 +47,19 @@ class QuiverRep:
         if self.quiver != GELFAND:
             return
         ns = self.dims["*"]
-        lhs = compose(self.maps["A-"], self.maps["B-"], ns, ns)
-        rhs = compose(self.maps["A+"], self.maps["B+"], ns, ns)
+        lhs = mat_mul(self.maps["A-"], self.maps["B-"], ns)
+        rhs = mat_mul(self.maps["A+"], self.maps["B+"], ns)
         if lhs != rhs:
             raise DomainError("Gelfand relation A-B- = A+B+ violated")
 
     def loops(self) -> Dict[str, Mat]:
         d = self.dims
         if self.quiver == GELFAND:
-            return {"*": compose(self.maps["A-"], self.maps["B-"], d["*"], d["*"]),
-                    "-": compose(self.maps["B-"], self.maps["A-"], d["-"], d["-"]),
-                    "+": compose(self.maps["B+"], self.maps["A+"], d["+"], d["+"])}
-        return {"-": compose(self.maps["b"], self.maps["a"], d["-"], d["-"]),
-                "+": compose(self.maps["a"], self.maps["b"], d["+"], d["+"])}
+            return {"*": mat_mul(self.maps["A-"], self.maps["B-"], d["*"]),
+                    "-": mat_mul(self.maps["B-"], self.maps["A-"], d["-"]),
+                    "+": mat_mul(self.maps["B+"], self.maps["A+"], d["+"])}
+        return {"-": mat_mul(self.maps["b"], self.maps["a"], d["-"]),
+                "+": mat_mul(self.maps["a"], self.maps["b"], d["+"])}
 
     def to_json(self) -> dict:
         return {"quiver": self.quiver,
@@ -427,7 +414,7 @@ def _validate_fragment(frag: HCFragment) -> None:
         n_plus, n_minus = len(frag.z_minus), len(frag.z_plus)
         _check_shape("z_minus", frag.z_minus, n_plus, n_minus)
         _check_shape("z_plus", frag.z_plus, n_minus, n_plus)
-        if _nilpotency_degree(compose(frag.z_plus, frag.z_minus, n_minus, n_minus)) is None:
+        if _nilpotency_degree(mat_mul(frag.z_plus, frag.z_minus, n_minus)) is None:
             raise DomainError("end composite is not nilpotent")
         return
     if len(frag.xs) != frag.l - 1 or len(frag.ys) != frag.l - 1:

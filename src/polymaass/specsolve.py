@@ -1,4 +1,4 @@
-"""Exact linear algebra and the spectral-derivative solver.
+"""The spectral-derivative solver and the ten case constructions.
 
 The solver state lives in W_d = (Q[T]/T^{d+1}) (x) V with V = Q^{m+1};
 the Laplace operator pulls back to the block operator A + T B + T^2 C,
@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+# mat_mul is not used here; the benchmark's tracer finds the linear
+# algebra functions under this module's names
+from .linalg import (Mat, SparseRows, Vec, identity, kernel, mat_mul, mat_pow,
+                     mat_vec, rref, solve_linear, sparse_rows, sparse_vec, zeros)
 from .scalars import Scalar, ZERO, ONE
 from .symcalc import (CONSTANT, EISENSTEIN, INCOHERENT, POINCARE, CONST_ATOM,
                       DomainError, Family, Form, PolyAtom, SpectralAtom,
@@ -24,125 +28,6 @@ from .symcalc import (CONSTANT, EISENSTEIN, INCOHERENT, POINCARE, CONST_ATOM,
                       expand_pending)
 
 _FACT = math.factorial
-
-
-# ---------------------------------------------------------------------------
-# dense exact linear algebra over Fraction
-
-Vec = List[Fraction]
-Mat = List[List[Fraction]]
-
-
-def zeros(rows: int, cols: int) -> Mat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Mat:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
-
-
-SparseRows = List[List[Tuple[int, Fraction]]]
-
-
-def sparse_rows(m: Mat) -> SparseRows:
-    """The nonzero (column, value) pairs of each row."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
-
-
-def sparse_vec(rows: SparseRows, v: Vec) -> Vec:
-    return [sum((x * v[j] for j, x in row), Fraction(0)) for row in rows]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
-def mat_pow(m: Mat, e: int) -> Mat:
-    out = identity(len(m))
-    for _ in range(e):
-        out = mat_mul(out, m)
-    return out
-
-
-def rref(m: Mat) -> Tuple[Mat, List[int]]:
-    """Reduced row echelon form (exact); returns (R, pivot columns)."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        pivot = None
-        for i in range(pr, rows):
-            if m[i][pc]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[pr], m[pivot] = m[pivot], m[pr]
-        inv = 1 / m[pr][pc]
-        m[pr] = [x * inv for x in m[pr]]
-        for i in range(rows):
-            if i != pr and m[i][pc]:
-                f = m[i][pc]
-                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    return m, pivots
-
-
-def kernel(m: Mat) -> List[Vec]:
-    """Exact basis of the right kernel."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(cols)]
-                for j in range(cols)]
-    r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
-
-
-def solve_linear(m: Mat, b: Vec) -> Optional[Vec]:
-    """One exact solution of m x = b (free variables set to 0), or None."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [m[i][:] + [b[i]] for i in range(rows)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
-    return x
 
 
 # ---------------------------------------------------------------------------

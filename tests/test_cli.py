@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polymaass
 from polymaass.cli import main
 from polymaass.specsolve import construct_case
 from polymaass.symcalc import form_from_json, form_to_json, forms_equal
@@ -149,3 +153,13 @@ def test_verify_fast(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "ebasis", "--n", "40")
     assert code == 0
     assert "pass" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only the verify verb needs numcheck, and with it numpy
+    src = os.path.dirname(os.path.dirname(polymaass.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, polymaass.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"

@@ -11,7 +11,7 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, HCFragment, QuiverRep,
                                  invariants_of, is_cyclic,
                                  iso_two_descriptions, random_fragment,
                                  second_description)
-from polymaass.specsolve import identity, mat_mul
+from polymaass.linalg import identity
 from polymaass.symcalc import DomainError
 
 GELFAND_TUPLES = [(t, c, d) for t in ("*", "+", "-") for c in "abcd"
@@ -106,9 +106,14 @@ def test_one_dimensional_plus_node():
 
 
 def test_cyclic_modules_have_local_endomorphisms():
-    for t, c, d in [("*", "a", 2), ("*", "b", 1), ("+", "c", 2), ("-", "d", 2),
-                    ("+", "d", 3)]:
-        rep = build_cyclic_module(GELFAND, t, c, d)
+    # every built module up to the largest depths the benchmark runs
+    modules = [(GELFAND, t, c, d) for t, top in (("*", 9), ("+", 4), ("-", 4))
+               for c in "abcd" for d in range(top + 1)
+               if not (c == "d" and t in "+-" and d == 0)]
+    modules += [(CYCLIC, t, c, d) for t in "+-" for c in "ab" for d in range(10)]
+    for quiver, t, c, d in modules:
+        rep = build_cyclic_module(quiver, t, c, d)
+        assert classify_cyclic(rep) == (t, c, d)
         assert has_only_trivial_idempotents(rep)
     assert not has_only_trivial_idempotents(
         direct_sum(build_cyclic_module(GELFAND, "*", "b", 1),

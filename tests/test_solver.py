@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from polymaass.linalg import kernel, mat_vec
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
                                  alternating_trace, apply_banded, brute_force_wd,
-                                 build_w0, eisenstein_family, emit_form, kernel,
-                                 mat_pow, mat_vec, poincare_family, solve_wd,
-                                 solver_admissible)
+                                 build_w0, eisenstein_family, emit_form, poincare_family,
+                                 solve_wd, solver_admissible)
 from polymaass.symcalc import (DomainError, PolyAtom, SpectralAtom, Family,
                                apply_flip, apply_laplace, apply_power, form_of,
                                forms_equal, is_zero, expand_pending)
