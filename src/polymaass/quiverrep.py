@@ -482,11 +482,11 @@ def _casimir_ends(frag: HCFragment) -> Tuple[Mat, Mat]:
     gamma = l * l - 1
     n0 = len(frag.x_minus[0])
     n1 = len(frag.x_minus)
-    c0 = [[(Fraction(gamma) if i == j else Fraction(0)) +
-           4 * mat_mul(frag.y_minus, frag.x_minus)[i][j]
+    yx = mat_mul(frag.y_minus, frag.x_minus)
+    xy = mat_mul(frag.x_minus, frag.y_minus)
+    c0 = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * yx[i][j]
            for j in range(n0)] for i in range(n0)]
-    c1 = [[(Fraction(gamma) if i == j else Fraction(0)) +
-           4 * mat_mul(frag.x_minus, frag.y_minus)[i][j]
+    c1 = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * xy[i][j]
            for j in range(n1)] for i in range(n1)]
     return c0, c1
 
@@ -576,9 +576,9 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
     x_minus = rand_invertible()
     nil = rand_nilpotent()
     y_minus = mat_mul(nil, _invert(x_minus))   # Y_- X_- = nil
-    c_cur = [[(Fraction(gamma) if i == j else Fraction(0)) +
-              4 * mat_mul(x_minus, y_minus)[i][j] for j in range(dim)]
-             for i in range(dim)]              # C on M_{-l+1}
+    xy = mat_mul(x_minus, y_minus)
+    c_cur = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * xy[i][j]
+              for j in range(dim)] for i in range(dim)]   # C on M_{-l+1}
     xs, ys = [], []
     for i in range(1, l):
         n_i = -l - 1 + 2 * i                    # weight below X_i

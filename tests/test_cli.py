@@ -155,6 +155,14 @@ def test_verify_fast(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_invalid_tolerance(capsys, tol):
+    code, out, err = run(capsys, "verify", "--suite", "ebasis", "--n", "10", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # only the verify verb needs numcheck, and with it numpy
     src = os.path.dirname(os.path.dirname(polymaass.__file__))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,73 @@ from polymaass.numcheck import (DEFAULT_POINTS, EvalConfig, e_basis_value,
 from polymaass.symcalc import DomainError
 
 FAST = EvalConfig(trunc=120, tol=2e-5)
+EISENSTEIN = ("laplace_eigen", "lowering", "raising", "mirror")
+
+
+def reference_coset_pairs(n):
+    """The coset loop as it stood before EvalConfig cached its result."""
+    cs = [0]
+    ds = [1]
+    d_order = [0]
+    for a in range(1, n + 1):
+        d_order.extend([a, -a])
+    d_arr = np.array(d_order, dtype=np.int64)
+    for c in range(1, n + 1):
+        mask = np.gcd(np.int64(c), np.abs(d_arr)) == 1
+        sel = d_arr[mask]
+        cs.append(np.full(len(sel), c, dtype=np.int64))
+        ds.append(sel)
+    c_all = np.concatenate([np.atleast_1d(np.int64(x)) for x in cs])
+    d_all = np.concatenate([np.atleast_1d(np.int64(x)) for x in ds])
+    return c_all, d_all
+
+
+def reference_eisenstein(k, s, tau, trunc):
+    """Coset sum that rebuilds its representatives on every call."""
+    c, d = reference_coset_pairs(trunc)
+    w = c * tau + d
+    terms = w ** (-k) * np.power(tau.imag / np.abs(w) ** 2, s)
+    return complex(np.add.reduce(terms))
+
+
+def reference_fd_operator(op, k, fn, tau, cfg):
+    """Finite differences that call fn at every stencil entry, shared or not."""
+    h = cfg.fd_step
+
+    def deriv(d):
+        return (4 * d(fn, tau, h / 2) - d(fn, tau, h)) / 3 if cfg.richardson \
+            else d(fn, tau, h)
+
+    dx = lambda f, t, h: (f(t + h) - f(t - h)) / (2 * h)
+    dy = lambda f, t, h: (f(t + 1j * h) - f(t - 1j * h)) / (2 * h)
+    dxx = lambda f, t, h: (f(t + h) - 2 * f(t) + f(t - h)) / h ** 2
+    dyy = lambda f, t, h: (f(t + 1j * h) - 2 * f(t) + f(t - 1j * h)) / h ** 2
+    y = tau.imag
+    if op == "L":
+        return -1j * y ** 2 * (deriv(dx) + 1j * deriv(dy))
+    if op == "R":
+        return 1j * (deriv(dx) - 1j * deriv(dy)) + k / y * fn(tau)
+    return (-y ** 2 * (deriv(dxx) + deriv(dyy))
+            + 1j * k * y * (deriv(dx) + 1j * deriv(dy)))
+
+
+def reference_residual(name, pt, cfg):
+    k, s, tau = pt["k"], pt["s"], pt["tau"]
+    ev = lambda k, s, t: reference_eisenstein(k, s, t, cfg.trunc)
+    fn = lambda t: ev(k, s, t)
+    if name == "laplace_eigen":
+        lhs = reference_fd_operator("Delta", k, fn, tau, cfg)
+        rhs = s * (1 - k - s) * ev(k, s, tau)
+    elif name == "lowering":
+        lhs = reference_fd_operator("L", k, fn, tau, cfg)
+        rhs = s * ev(k - 2, s + 1, tau)
+    elif name == "raising":
+        lhs = reference_fd_operator("R", k, fn, tau, cfg)
+        rhs = (s + k) * ev(k + 2, s - 1, tau)
+    else:
+        lhs = tau.imag ** k * np.conj(ev(k, s, tau))
+        rhs = ev(-k, s + k, tau)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
 def test_region_guard():
@@ -106,3 +175,70 @@ def test_incoherent_series_decay_toward_base_point():
     near = abs(eval_character_eisenstein(3, 1.05, tau, cfg))
     far = abs(eval_character_eisenstein(3, 2.5, tau, cfg))
     assert near < far
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 400])
+def test_cached_cosets_match_reference_loop(n):
+    c, d = EvalConfig(trunc=n).cosets
+    c_ref, d_ref = reference_coset_pairs(n)
+    assert c.dtype == c_ref.dtype and d.dtype == d_ref.dtype
+    assert np.array_equal(c, c_ref) and np.array_equal(d, d_ref)
+
+
+def test_cached_cosets_are_shared_and_read_only():
+    cfg = EvalConfig(trunc=7)
+    c, d = cfg.cosets
+    assert cfg.cosets[0] is c and cfg.cosets[1] is d
+    for arr in (c, d):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trunc = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tol = 1e-3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("fd_step", float("nan")), ("fd_step", float("inf")), ("fd_step", 0.0),
+    ("trunc", 0),
+])
+def test_config_rejects_invalid_values(field, value):
+    with pytest.raises(DomainError):
+        EvalConfig(**{field: value})
+
+
+@pytest.mark.parametrize("op, richardson, calls", [
+    ("Delta", True, 9), ("L", True, 8), ("R", True, 9),
+    ("Delta", False, 5), ("L", False, 4), ("R", False, 5),
+])
+def test_fd_operator_evaluates_each_stencil_point_once(op, richardson, calls):
+    seen = []
+
+    def fn(t):
+        seen.append(t)
+        return t.imag ** 2.5 + t ** 2
+
+    tau = 0.2 + 0.9j
+    cfg = EvalConfig(trunc=1, richardson=richardson)
+    got = fd_operator(op, 2, fn, tau, cfg)
+    assert len(seen) == calls and len(set(seen)) == calls
+    assert got == reference_fd_operator(op, 2, fn, tau, cfg)
+
+
+def test_suite_matches_uncached_reference():
+    rows = [(name, pt) for name in EISENSTEIN for pt in DEFAULT_POINTS[name]]
+    report = run_suite(FAST, EISENSTEIN)
+    assert len(report) == len(rows)
+    for r, (name, pt) in zip(report, rows):
+        assert r["identity"] == name
+        assert r["residual"] == reference_residual(name, pt, FAST)
+
+
+def test_eisenstein_identities_hold_term_by_term():
+    # each coset term satisfies the identities on its own, so a sum of
+    # four terms passes: the residual is finite-difference error only
+    report = run_suite(EvalConfig(trunc=1), EISENSTEIN)
+    assert len(report) == 15
+    assert all(r["pass"] for r in report)
