@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symcalc import DomainError, Form, apply_laplace, apply_power, is_zero
-
-DEFAULT_DEPTH_BOUND = 16
+from .scalars import ZERO
+from .symcalc import DomainError, Form, apply_power, is_zero, laplace_closure
 
 BK_TO_REPR = {
     "Ia": "GIa", "Ib": "GIc", "Ic": "GId", "Id": "GIb",
@@ -60,30 +59,42 @@ class CaseLabel:
                 "k": ctx.k, "l": ctx.l, "gamma": ctx.gamma}
 
 
-class DepthBoundExceeded(DomainError):
-    pass
+def _laplace_tower(f: Form) -> list[Form]:
+    """[f, Delta f, ..., Delta^d f] with Delta^{d+1} f = 0.
 
-
-def exact_depth(f: Form, d_max: int = DEFAULT_DEPTH_BOUND) -> int:
-    """Smallest d with Delta^{d+1} f = 0; errors beyond the search bound."""
-    g = f
-    for d in range(d_max + 1):
-        g = apply_laplace(g)
+    Delta maps the span of the N atoms in the Delta-closure of f's atoms
+    into itself, so its nilpotent part there has index at most N: when
+    Delta^N f is not zero, f is not polyharmonic.  Each step reuses the
+    closure's images of single atoms.
+    """
+    image = laplace_closure(key for key, _c in f.terms)
+    tower = [f]
+    steps = max(len(image), 1)
+    for _ in range(steps):
+        acc = {}
+        for key, c in tower[-1].terms:
+            for key2, c2 in image[key].terms:
+                acc[key2] = acc.get(key2, ZERO) + c * c2
+        g = Form(f.weight, acc)
         if is_zero(g):
-            return d
-    raise DepthBoundExceeded(
-        "form is not annihilated by Delta^%d; not polyharmonic within bound" % (d_max + 1))
+            return tower
+        tower.append(g)
+    raise DomainError("form is not annihilated by Delta^%d, the size of its "
+                      "Delta-closure; not polyharmonic" % steps)
 
 
-def classify_bk(f: Form, d_max: int = DEFAULT_DEPTH_BOUND) -> CaseLabel:
+def exact_depth(f: Form) -> int:
+    """Smallest d with Delta^{d+1} f = 0; DomainError when there is none."""
+    return len(_laplace_tower(f)) - 1
+
+
+def classify_bk(f: Form) -> CaseLabel:
     """The ten-case classification by iterated vanishing tests."""
     if is_zero(f):
         raise DomainError("cannot classify the zero form")
     k = f.weight
-    d = exact_depth(f, d_max)
-    top = f
-    for _ in range(d):
-        top = apply_laplace(top)
+    tower = _laplace_tower(f)
+    d, top = len(tower) - 1, tower[-1]
 
     def lowering_test(power: int, g: Form) -> bool:
         return is_zero(apply_power(g, "L", power))
@@ -96,12 +107,8 @@ def classify_bk(f: Form, d_max: int = DEFAULT_DEPTH_BOUND) -> CaseLabel:
     elif k == 1:
         bk = "IIa" if lowering_test(1, top) else "IIb"
     else:
-        if d >= 1:
-            sub = f
-            for _ in range(d - 1):
-                sub = apply_laplace(sub)
-            if lowering_test(k, sub):
-                return CaseLabel("IIId", d, WeightContext(k))
+        if d >= 1 and lowering_test(k, tower[d - 1]):
+            return CaseLabel("IIId", d, WeightContext(k))
         if lowering_test(1, top):
             bk = "IIIa"
         elif lowering_test(k, top):

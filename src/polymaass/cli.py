@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import classify as classify_mod
 from . import quiverrep, specsolve, symcalc
@@ -70,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser("classify", help="exact depth and case label", parents=[common])
     cl.add_argument("--in", dest="infile", required=True)
-    cl.add_argument("--depth-bound", type=int, default=classify_mod.DEFAULT_DEPTH_BOUND)
 
     q = sub.add_parser("quiver", help="cyclic quiver module tools", parents=[common])
     qsub = q.add_subparsers(dest="qverb", required=True)
@@ -132,7 +130,7 @@ def _dispatch(args) -> int:
         return 0
     if args.verb == "classify":
         form = symcalc.form_from_json(_read_json(args.infile))
-        label = classify_mod.classify_bk(form, args.depth_bound)
+        label = classify_mod.classify_bk(form)
         data = label.to_json()
         _emit(data, args.json,
               "case %(bk)s (%(repr)s), depth %(depth)d, weight %(k)d, "

@@ -15,7 +15,7 @@ measures finite-difference (and rounding) error only, not truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd, isfinite
 from typing import Callable, Dict, List
 
@@ -291,9 +291,9 @@ def verify_identity(name: str, points: List[Dict], cfg: EvalConfig = DEFAULT_CON
             continue
         k, s, tau = pt["k"], pt["s"], pt["tau"]
         if name == "laplace_eigen":
-            fn = lambda t: eval_eisenstein(k, s, t, cfg)
+            fn = lru_cache(maxsize=None)(lambda t: eval_eisenstein(k, s, t, cfg))
             lhs = fd_operator("Delta", k, fn, tau, cfg)
-            rhs = s * (1 - k - s) * eval_eisenstein(k, s, tau, cfg)
+            rhs = s * (1 - k - s) * fn(tau)   # the stencil has evaluated tau
         elif name == "lowering":
             fn = lambda t: eval_eisenstein(k, s, t, cfg)
             lhs = fd_operator("L", k, fn, tau, cfg)

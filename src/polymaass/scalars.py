@@ -127,7 +127,3 @@ class Scalar:
 
 ZERO = Scalar()
 ONE = Scalar.from_rational(1)
-
-
-def rat(p, q=1) -> Fraction:
-    return Fraction(p, q)

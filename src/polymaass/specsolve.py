@@ -20,12 +20,11 @@ from typing import List, Optional, Tuple
 # algebra functions under this module's names
 from .linalg import (Mat, SparseRows, Vec, identity, kernel, mat_mul, mat_pow,
                      mat_vec, rref, solve_linear, sparse_rows, sparse_vec, zeros)
-from .scalars import Scalar, ZERO, ONE
-from .symcalc import (CONSTANT, EISENSTEIN, INCOHERENT, POINCARE, CONST_ATOM,
-                      DomainError, Family, Form, PolyAtom, SpectralAtom,
-                      apply_flip, apply_laplace, apply_power, atom_incoherent,
-                      form_of, is_zero, local_eigen_poly, zero_form,
-                      expand_pending)
+from .scalars import Scalar
+from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
+                      SpectralAtom, apply_flip, apply_power, atom_incoherent,
+                      form_of, is_zero, laplace_closure, local_eigen_poly,
+                      zero_form)
 
 _FACT = math.factorial
 
@@ -336,10 +335,8 @@ class SpectralFamily:
                 "normalization for weight %d" % (self.point, self.weight))
 
 
-def eisenstein_family(weight: int, point, orientation: int = 1,
-                      character: Optional[str] = None) -> SpectralFamily:
-    return SpectralFamily(Family(EISENSTEIN, character=character), weight,
-                          Fraction(point), orientation)
+def eisenstein_family(weight: int, point, orientation: int = 1) -> SpectralFamily:
+    return SpectralFamily(Family(EISENSTEIN), weight, Fraction(point), orientation)
 
 
 def poincare_family(weight: int, index: int, point, orientation: int = 1) -> SpectralFamily:
@@ -411,33 +408,14 @@ def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]
     monomial; the returned scale list holds the per-atom scalar s_i such
     that basis member i is s_i times the raw atom.
     """
-    pool: List[Tuple[PolyAtom, SpectralAtom]] = []
-    index = {}
-    images = []
-
-    def intern(key):
-        if key not in index:
-            index[key] = len(pool)
-            pool.append(key)
-        return index[key]
-
-    for key in seed_atoms:
-        intern(key)
-    pos = 0
-    while pos < len(pool):
-        e, a = pool[pos]
-        img = apply_laplace(form_of(e, a))
-        images.append(list(img.terms))
-        for (key, _c) in img.terms:
-            intern(key)
-        pos += 1
+    images = laplace_closure(seed_atoms)
+    pool = list(images)
+    index = {key: i for i, key in enumerate(pool)}
     # pick pi scales: atom i scaled by pi^{p_i} with p_i chosen so that all
     # matrix entries are rational (a potential on the Delta coupling graph)
     edges = []
-    for i in range(len(pool)):
-        for (key, c) in images[i]:
-            if c.is_zero():
-                continue
+    for i, img in enumerate(images.values()):
+        for (key, c) in img.terms:
             exps = {e for e, _q in c.terms}
             if len(exps) > 1:
                 raise DomainError("span is not pi-graded")
@@ -463,8 +441,8 @@ def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]
     n = len(pool)
     M = zeros(n, n)
     scales = [Scalar.pi_power(scale_exp[i]) for i in range(n)]
-    for i in range(n):
-        for (key, c) in images[i]:
+    for i, img in enumerate(images.values()):
+        for (key, c) in img.terms:
             j = index[key]
             entry = c * Scalar.pi_power(scale_exp[i] - scale_exp[j])
             if not entry.is_rational():

@@ -35,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .scalars import Scalar, ZERO, ONE
 
@@ -87,7 +87,6 @@ class Family:
     kind: str
     index: Optional[int] = None       # Poincare index n != 0
     disc: Optional[int] = None        # incoherent discriminant D
-    character: Optional[str] = None   # Eisenstein character twist tag
 
     def __post_init__(self):
         if self.kind not in (EISENSTEIN, POINCARE, INCOHERENT, CONSTANT):
@@ -107,7 +106,7 @@ class Family:
             return "E-[D=%d]" % self.disc
         if self.kind == CONSTANT:
             return "const"
-        return "E" if self.character is None else "E[%s]" % self.character
+        return "E"
 
 
 CONST_FAMILY = Family(CONSTANT)
@@ -303,8 +302,8 @@ def make_e_atom(m: int, r: int) -> Form:
     return form_of(PolyAtom(m, r), CONST_ATOM)
 
 
-def atom_E(weight: int, point, laurent: int = 0, character: Optional[str] = None) -> SpectralAtom:
-    a = _mk_atom(Family(EISENSTEIN, character=character), weight, Fraction(point), laurent)
+def atom_E(weight: int, point, laurent: int = 0) -> SpectralAtom:
+    a = _mk_atom(Family(EISENSTEIN), weight, Fraction(point), laurent)
     if a is None:
         raise DomainError("atom is identically zero")
     return a
@@ -414,7 +413,7 @@ def _expand_atom(a: SpectralAtom):
 # form-level operators
 
 
-def _tensor_with_residue(e: PolyAtom, res_form: Form, coeff: Scalar, acc: dict, weight: int):
+def _tensor_with_residue(e: PolyAtom, res_form: Form, coeff: Scalar, acc: dict):
     for (e0, a0), c0 in res_form.terms:
         # residues carry trivial polynomial part, validated at load
         key = (e, a0)
@@ -464,7 +463,7 @@ def _apply_op(f: Form, direction: str) -> Form:
             for r_form, r_c in residues:
                 stepped = _apply_op(r_form, direction)
                 if not stepped.is_empty():
-                    _tensor_with_residue(e, stepped, coeff * r_c, acc, out_weight)
+                    _tensor_with_residue(e, stepped, coeff * r_c, acc)
         else:
             expanded = [(a, ONE)]
         for sub, c_sub in expanded:
@@ -472,7 +471,7 @@ def _apply_op(f: Form, direction: str) -> Form:
             for s_atom, s_c in steps:
                 add((e, s_atom), coeff * c_sub * s_c)
             for r_form, r_c in res:
-                _tensor_with_residue(e, r_form, coeff * c_sub * r_c, acc, out_weight)
+                _tensor_with_residue(e, r_form, coeff * c_sub * r_c, acc)
     return Form(out_weight, acc)
 
 
@@ -497,6 +496,24 @@ def apply_laplace(f: Form) -> Form:
     return -apply_raising(apply_lowering(f))
 
 
+def laplace_closure(seeds) -> Dict[Tuple[PolyAtom, SpectralAtom], Form]:
+    """Delta of each (PolyAtom, SpectralAtom) key in the closure of the seed
+    keys under Delta, keyed in breadth-first order from the seeds.  The
+    closure is finite: Delta keeps the polynomial degree, which with the
+    weight bounds the spectral weight; the point moves with that weight,
+    the Laurent index never rises, and residues add only tabled atoms."""
+    pool = list(dict.fromkeys(seeds))
+    seen = set(pool)
+    images: Dict[Tuple[PolyAtom, SpectralAtom], Form] = {}
+    while len(images) < len(pool):
+        key = pool[len(images)]
+        images[key] = img = apply_laplace(form_of(*key))
+        new = [key2 for key2, _c in img.terms if key2 not in seen]
+        seen.update(new)
+        pool.extend(new)
+    return images
+
+
 def expand_pending(f: Form) -> Form:
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
 
@@ -508,7 +525,7 @@ def expand_pending(f: Form) -> Form:
         for sub, c_sub in expanded:
             add((e, sub), coeff * c_sub)
         for r_form, r_c in residues:
-            _tensor_with_residue(e, r_form, coeff * r_c, acc, f.weight)
+            _tensor_with_residue(e, r_form, coeff * r_c, acc)
     return Form(f.weight, acc)
 
 
@@ -545,7 +562,7 @@ def apply_mirror(f: Form) -> Form:
         fam, w, p, t = a.family, a.weight, a.point, a.laurent
         if fam.kind == CONSTANT:
             a2, spec_c = a, ONE
-        elif fam.kind == EISENSTEIN and fam.character is None:
+        elif fam.kind == EISENSTEIN:
             sub = _mk_atom(fam, -w, p + w, t)
             if sub is None:
                 continue
@@ -602,14 +619,14 @@ def _family_to_json(fam: Family) -> dict:
         out["index"] = fam.index
     if fam.disc is not None:
         out["disc"] = fam.disc
-    if fam.character is not None:
-        out["character"] = fam.character
     return out
 
 
 def _family_from_json(data: dict) -> Family:
-    return Family(data["kind"], index=data.get("index"), disc=data.get("disc"),
-                  character=data.get("character"))
+    unknown = sorted(set(data) - {"kind", "index", "disc"})
+    if unknown:
+        raise DomainError("unknown family field(s): %s" % ", ".join(unknown))
+    return Family(data["kind"], index=data.get("index"), disc=data.get("disc"))
 
 
 def form_to_json(f: Form) -> dict:
@@ -669,8 +686,7 @@ def _pretty_spectral(a: SpectralAtom):
     elif fam.kind == INCOHERENT:
         body = "E-^(%d)_{D=%d}" % (t - 1, fam.disc)
     else:
-        name = "E" if fam.character is None else "E[%s]" % fam.character
-        body = "%s^(%d)_{%d,%s}" % (name, t, a.weight, a.point)
+        body = "E^(%d)_{%d,%s}" % (t, a.weight, a.point)
     if a.pending is not None:
         d, p = a.pending
         body = "%s%s %s" % (d, "^%d" % p if p > 1 else "", body)

@@ -1,10 +1,16 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from polymaass.classify import (BK_TO_REPR, REPR_TO_BK, CaseLabel,
-                                DepthBoundExceeded, WeightContext, classify_bk,
+                                WeightContext, _laplace_tower, classify_bk,
                                 exact_depth, expected_dimension_vector)
-from polymaass.specsolve import construct_case
-from polymaass.symcalc import DomainError, PolyAtom, atom_E, form_of, make_e_atom
+from polymaass.specsolve import construct_case, delta_matrix_on_span
+from polymaass.symcalc import (POINCARE, DomainError, Family, PolyAtom,
+                               SpectralAtom, apply_laplace, atom_E, form_of,
+                               forms_equal, laplace_closure, make_e_atom,
+                               zero_form)
 
 
 def test_weight_context():
@@ -27,10 +33,29 @@ def test_translation_table_bijection():
 def test_exact_depth_examples():
     assert exact_depth(make_e_atom(4, 4)) == 0   # e_{m,0} is harmonic
     assert exact_depth(construct_case("Ia", -3, 2)) == 2
-    # eigenform with nonzero eigenvalue is never polyharmonic
-    f = form_of(PolyAtom(0, 0), atom_E(4, -1))
-    with pytest.raises(DepthBoundExceeded):
-        exact_depth(f, d_max=6)
+    assert exact_depth(zero_form(-2)) == 0
+
+
+@pytest.mark.parametrize("weight,point", [(4, -1), (0, 2)])
+def test_eigenform_off_the_harmonic_points_is_not_polyharmonic(weight, point):
+    # a nonzero Laplace eigenvalue: Delta^n f is a nonzero multiple of f
+    # for every n, and its Delta-closure is the atom itself
+    f = form_of(PolyAtom(0, 0), atom_E(weight, point))
+    with pytest.raises(DomainError, match="not polyharmonic$"):
+        exact_depth(f)
+    with pytest.raises(DomainError, match="not polyharmonic$"):
+        classify_bk(f)
+
+
+@pytest.mark.parametrize("label,k,d", [
+    (label, k, d) for label, k in (("Ia", -1), ("Id", -1), ("IIb", 1))
+    for d in (17, 20)])
+def test_deep_constructions_classify_at_their_depth(label, k, d):
+    # depths past any fixed search bound: the Delta-closure bounds the tower
+    f = construct_case(label, k, d)
+    assert exact_depth(f) == d
+    lab = classify_bk(f)
+    assert (lab.bk, lab.depth, lab.context.k) == (label, d, k)
 
 
 def test_classify_reference_examples():
@@ -121,3 +146,54 @@ def test_implication_chain_for_large_weights():
         for k in (2, 3, 4):
             for d in (1, 2):
                 chain_holds(construct_case(label, k, d), k, d)
+
+
+@pytest.mark.parametrize("label,k,d", [
+    ("Ia", -2, 3), ("Id", -1, 2), ("IIIa", 3, 2), ("IIId", 4, 2), ("IIb", 1, 2)])
+def test_tower_matches_iterated_laplace(label, k, d):
+    f = construct_case(label, k, d)
+    images = laplace_closure(key for key, _c in f.terms)
+    assert list(images)[:len(f.terms)] == [key for key, _c in f.terms]
+    for key, img in images.items():
+        assert img == apply_laplace(form_of(*key))
+        assert all(key2 in images for key2, _c in img.terms)
+    tower = _laplace_tower(f)
+    assert len(tower) == d + 1
+    g = f
+    for level in tower:
+        assert level == g
+        g = apply_laplace(g)
+    assert forms_equal(g, zero_form(k))
+
+
+def _poincare_chain_seeds(k, d, index):
+    # the target and seed atoms of specsolve.poincare_weakly_holomorphic_chain
+    m = 2 - k
+    fam = Family(POINCARE, index=index)
+    target = [(PolyAtom(m, m), SpectralAtom(fam, 2, Fraction(1), 0))]
+    return target + [(PolyAtom(m, r), SpectralAtom(fam, 2 - 2 * (m - r), Fraction(1), t))
+                     for r in range(m + 1) for t in range(d + 1)]
+
+
+# sha256 prefixes of repr((pool, M, scales)), recorded while the closure
+# loop still lived inside delta_matrix_on_span
+SPAN_DIGESTS = {
+    (0, 1, -1): "af2af212898f6cb6",
+    (0, 1, -3): "2414128702e45752",
+    (0, 3, -1): "4d5efda4b343bf50",
+    (0, 3, -3): "f35018194f2e2dce",
+    (-1, 1, -1): "49f997b60f033732",
+    (-1, 1, -3): "59cdd7263a316f79",
+    (-1, 3, -1): "a2b8c96cf7abdcc2",
+    (-1, 3, -3): "72053b27da369ced",
+    (-3, 1, -1): "7041ef9603a115a2",
+    (-3, 1, -3): "8eac7d775b7c574b",
+    (-3, 3, -1): "043f1e80dd3268a6",
+    (-3, 3, -3): "c31c8df551164d93",
+}
+
+
+@pytest.mark.parametrize("k,d,index", sorted(SPAN_DIGESTS))
+def test_delta_matrix_on_span_unchanged_for_poincare_chain_seeds(k, d, index):
+    out = delta_matrix_on_span(_poincare_chain_seeds(k, d, index))
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == SPAN_DIGESTS[(k, d, index)]

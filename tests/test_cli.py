@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 import polymaass
 from polymaass.cli import main
 from polymaass.specsolve import construct_case
-from polymaass.symcalc import form_from_json, form_to_json, forms_equal
+from polymaass.symcalc import (PolyAtom, atom_E, form_from_json, form_of,
+                               form_to_json, forms_equal)
 
 
 def run(capsys, *argv):
@@ -53,6 +55,48 @@ def test_apply_and_classify_pipeline(capsys, tmp_path):
     assert code == 0
     assert all(t["spectral"]["pending"] is None
                for t in json.loads(out)["terms"])
+
+
+@pytest.mark.parametrize("label,k,d", [
+    (label, k, d) for label, k in (("Ia", "-1"), ("Id", "-1"), ("IIb", "1"))
+    for d in ("17", "20")])
+def test_construct_classify_pipe_at_large_depth(capsys, monkeypatch, label, k, d):
+    code, out, _ = run(capsys, "construct", "--case", label, "--k=" + k, "--d=" + d,
+                       "--json")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "classify", "--json", "--in", "-")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["bk"], data["depth"], data["k"]) == (label, int(d), int(k))
+
+
+def test_classify_rejects_non_polyharmonic_form(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(form_to_json(form_of(PolyAtom(0, 0), atom_E(0, 2)))))
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip().endswith("not polyharmonic")
+
+
+def test_classify_has_no_depth_bound_option(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(form_to_json(construct_case("Ia", -2, 1))))
+    code, _, _ = run(capsys, "classify", "--in", str(path), "--depth-bound", "5")
+    assert code == 1
+
+
+def test_form_json_with_character_field_is_rejected(capsys, tmp_path):
+    data = form_to_json(construct_case("Ia", -2, 1))
+    data["terms"][0]["spectral"]["family"]["character"] = "chi_-4"
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    for verb in (("classify",), ("expand",), ("apply", "--op", "laplace")):
+        code, out, err = run(capsys, *verb, "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert "character" in err
 
 
 def test_flip_weight_error_exit_code(capsys, tmp_path):

@@ -227,6 +227,23 @@ def test_fd_operator_evaluates_each_stencil_point_once(op, richardson, calls):
     assert got == reference_fd_operator(op, 2, fn, tau, cfg)
 
 
+def test_laplace_eigen_row_evaluates_each_point_once(monkeypatch):
+    # the right-hand side reuses the stencil's value at tau
+    import polymaass.numcheck as numcheck
+    seen = []
+
+    def counting(k, s, tau, cfg):
+        seen.append((k, s, tau))
+        return eval_eisenstein(k, s, tau, cfg)
+
+    monkeypatch.setattr(numcheck, "eval_eisenstein", counting)
+    pt = DEFAULT_POINTS["laplace_eigen"][0]
+    (row,) = verify_identity("laplace_eigen", [pt], FAST)
+    assert len(seen) == 9 and len(set(seen)) == 9
+    assert (pt["k"], pt["s"], pt["tau"]) in seen
+    assert row["residual"] == reference_residual("laplace_eigen", pt, FAST)
+
+
 def test_suite_matches_uncached_reference():
     rows = [(name, pt) for name in EISENSTEIN for pt in DEFAULT_POINTS[name]]
     report = run_suite(FAST, EISENSTEIN)
