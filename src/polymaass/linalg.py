@@ -10,6 +10,7 @@ Fraction output.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 Vec = List[Fraction]
@@ -58,10 +59,26 @@ def mat_mul(a: Mat, b: Mat, cols: Optional[int] = None) -> Mat:
 
 
 def mat_pow(m: Mat, e: int) -> Mat:
-    out = identity(len(m))
+    """m^e for a square m.  The power runs on the integer matrix den*m,
+    den the lcm of the entries' denominators, and is divided by den^e
+    once at the end."""
+    n = len(m)
+    den = lcm(*(x.denominator for row in m for x in row))
+    rows = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
+            for row in m]
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(e):
-        out = mat_mul(out, m)
-    return out
+        nxt = []
+        for oi in out:
+            acc = [0] * n
+            for oik, bk in zip(oi, rows):
+                if oik:
+                    for j, x in bk:
+                        acc[j] += oik * x
+            nxt.append(acc)
+        out = nxt
+    scale = den ** e
+    return [[Fraction(x, scale) for x in row] for row in out]
 
 
 def _row_dicts(m: Mat) -> List[Row]:

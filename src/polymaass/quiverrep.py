@@ -261,18 +261,9 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
         raise DomainError("cannot sum representations of different quivers")
     dims = {n: a.dims[n] + b.dims[n] for n in NODES[a.quiver]}
     maps = {}
-    for name, src, dst, _m in a.arrows():
-        ma, mb = a.maps[name], b.maps[name]
-        rows = dims[dst]
-        cols = dims[src]
-        m = zeros(rows, cols)
-        for i in range(a.dims[dst]):
-            for j in range(a.dims[src]):
-                m[i][j] = ma[i][j]
-        for i in range(b.dims[dst]):
-            for j in range(b.dims[src]):
-                m[a.dims[dst] + i][a.dims[src] + j] = mb[i][j]
-        maps[name] = m
+    for name, src, dst, ma in a.arrows():
+        pad_a, pad_b = [Fraction(0)] * b.dims[src], [Fraction(0)] * a.dims[src]
+        maps[name] = [row + pad_a for row in ma] + [pad_b + row for row in b.maps[name]]
     return QuiverRep(a.quiver, dims, maps)
 
 
@@ -364,7 +355,7 @@ class HCFragment:
     def x_star(self) -> Mat:
         out = None
         for x in self.xs:   # X_* = X_{l-1} ... X_1
-            out = x if out is None else mat_mul(x, out)
+            out = x if out is None else mat_mul(x, out, len(x))
         if out is None:
             out = identity(len(self.x_minus))
         return out
@@ -372,7 +363,7 @@ class HCFragment:
     def y_star(self) -> Mat:
         out = None
         for y in self.ys:   # Y_* = Y_1 ... Y_{l-1}: Y_{l-1} acts first
-            out = y if out is None else mat_mul(out, y)
+            out = y if out is None else mat_mul(out, y, len(y))
         if out is None:
             out = identity(len(self.x_minus))
         return out
@@ -422,8 +413,6 @@ def _validate_fragment(frag: HCFragment) -> None:
     if None in (frag.x_minus, frag.y_minus, frag.x_plus, frag.y_plus):
         raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
     n0, n1, n2 = len(frag.y_minus), len(frag.x_minus), len(frag.x_plus)
-    if not n0 or not n1:
-        raise DomainError("fragment needs nonzero M_{-l-1} and M_{-l+1}")
     _check_shape("x_minus", frag.x_minus, n1, n0)
     _check_shape("y_minus", frag.y_minus, n0, n1)
     _check_shape("x_plus", frag.x_plus, n2, n1)
@@ -431,10 +420,16 @@ def _validate_fragment(frag: HCFragment) -> None:
     for m in list(frag.xs) + list(frag.ys):
         _check_shape("interior map", m, n1, n1)
         _invert(m)   # raises when an interior map is singular
-    if _nilpotency_degree(mat_mul(frag.x_minus, frag.y_minus)) is None:
+    if _nilpotency_degree(mat_mul(frag.x_minus, frag.y_minus, n1)) is None:
         raise DomainError("lower end composite is not nilpotent")
-    if _nilpotency_degree(mat_mul(frag.x_plus, frag.y_plus)) is None:
+    if _nilpotency_degree(mat_mul(frag.x_plus, frag.y_plus, n2)) is None:
         raise DomainError("upper end composite is not nilpotent")
+
+
+def _fragment_dims(frag: HCFragment) -> Dict[str, int]:
+    """Gelfand node dimensions (dim M_{-l-1}, dim M_{-l+1}, dim M_{l+1}),
+    read from row counts so that a zero end block has a dimension too."""
+    return {"-": len(frag.y_minus), "*": len(frag.x_minus), "+": len(frag.x_plus)}
 
 
 def hc_to_quiver(frag: HCFragment) -> QuiverRep:
@@ -445,12 +440,12 @@ def hc_to_quiver(frag: HCFragment) -> QuiverRep:
     if frag.l == 0:
         dims = {"-": len(frag.z_plus), "+": len(frag.z_minus)}
         return QuiverRep(CYCLIC, dims, {"a": frag.z_minus, "b": frag.z_plus})
+    dims = _fragment_dims(frag)
     x_star = frag.x_star()
     a_minus = frag.x_minus
     b_minus = frag.y_minus
-    b_plus = mat_mul(frag.x_plus, x_star)
-    a_plus = mat_mul(_invert(x_star), frag.y_plus)
-    dims = {"-": len(a_minus[0]), "*": len(a_minus), "+": len(b_plus)}
+    b_plus = mat_mul(frag.x_plus, x_star, dims["*"])
+    a_plus = mat_mul(_invert(x_star), frag.y_plus, dims["+"])
     rep = QuiverRep(GELFAND, dims, {"A-": a_minus, "B-": b_minus,
                                     "A+": a_plus, "B+": b_plus})
     rep.check_relation()
@@ -463,12 +458,12 @@ def second_description(frag: HCFragment) -> QuiverRep:
     _validate_fragment(frag)
     if frag.l == 0:
         raise DomainError("second description needs l >= 1")
+    dims = _fragment_dims(frag)
     y_star = frag.y_star()
-    a_minus = mat_mul(_invert(y_star), frag.x_minus)
-    b_minus = mat_mul(frag.y_minus, y_star)
+    a_minus = mat_mul(_invert(y_star), frag.x_minus, dims["-"])
+    b_minus = mat_mul(frag.y_minus, y_star, dims["*"])
     a_plus = frag.y_plus
     b_plus = frag.x_plus
-    dims = {"-": len(a_minus[0]), "*": len(a_minus), "+": len(b_plus)}
     rep = QuiverRep(GELFAND, dims, {"A-": a_minus, "B-": b_minus,
                                     "A+": a_plus, "B+": b_plus})
     rep.check_relation()
@@ -480,10 +475,9 @@ def _casimir_ends(frag: HCFragment) -> Tuple[Mat, Mat]:
     from the H-eigenvalues and the back-and-forth composites."""
     l = frag.l
     gamma = l * l - 1
-    n0 = len(frag.x_minus[0])
-    n1 = len(frag.x_minus)
-    yx = mat_mul(frag.y_minus, frag.x_minus)
-    xy = mat_mul(frag.x_minus, frag.y_minus)
+    n0, n1 = len(frag.y_minus), len(frag.x_minus)
+    yx = mat_mul(frag.y_minus, frag.x_minus, n0)
+    xy = mat_mul(frag.x_minus, frag.y_minus, n1)
     c0 = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * yx[i][j]
            for j in range(n0)] for i in range(n0)]
     c1 = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * xy[i][j]
@@ -492,8 +486,11 @@ def _casimir_ends(frag: HCFragment) -> Tuple[Mat, Mat]:
 
 
 def _poly_in_matrix(target: Mat, base: Mat) -> List[Fraction]:
-    """Least-degree coefficients p with sum p_j base^j = target."""
+    """Least-degree coefficients p with sum p_j base^j = target.  On the
+    zero space every p matches; p = 1 is returned."""
     n = len(base)
+    if not n:
+        return [Fraction(1)]
     powers = [identity(n)]
     for deg in range(n * n + 1):
         cols = []
@@ -521,8 +518,9 @@ def iso_two_descriptions(frag: HCFragment):
     x_star = frag.x_star()
     y_star = frag.y_star()
     c0, c1 = _casimir_ends(frag)
-    p = _poly_in_matrix(mat_mul(y_star, x_star), c1)
-    n0 = len(c0)
+    n0, n1 = len(c0), len(c1)
+    yx_star = mat_mul(y_star, x_star, n1)
+    p = _poly_in_matrix(yx_star, c1)
     t = zeros(n0, n0)
     power = identity(n0)
     for coeff in p:
@@ -530,18 +528,18 @@ def iso_two_descriptions(frag: HCFragment):
             for i in range(n0):
                 for j in range(n0):
                     t[i][j] += coeff * power[i][j]
-        power = mat_mul(power, c0)
+        power = mat_mul(power, c0, n0)
     _invert(t)   # raises when T is singular
     # commuting squares of the morphism (T, X_*, I)
-    lhs = mat_mul(mat_mul(y_star, x_star), frag.x_minus)
-    rhs = mat_mul(frag.x_minus, t)
+    lhs = mat_mul(yx_star, frag.x_minus, n0)
+    rhs = mat_mul(frag.x_minus, t, n0)
     if lhs != rhs:
         raise DomainError("morphism square (A-) does not commute")
-    lhs = mat_mul(t, frag.y_minus)
-    rhs = mat_mul(mat_mul(frag.y_minus, y_star), x_star)
+    lhs = mat_mul(t, frag.y_minus, n1)
+    rhs = mat_mul(mat_mul(frag.y_minus, y_star, n1), x_star, n1)
     if lhs != rhs:
         raise DomainError("morphism square (B-) does not commute")
-    return t, x_star, identity(len(frag.y_plus))
+    return t, x_star, identity(len(frag.x_plus))
 
 
 def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:

@@ -17,17 +17,17 @@ RationalLike = Union[int, Fraction]
 class Scalar:
     """A finite sum q_0*pi^e_0 + q_1*pi^e_1 + ... with distinct integer e_i.
 
-    Instances are immutable; zero terms are never stored, so the zero
-    scalar has an empty term tuple and equality is structural.
+    Instances are immutable.  The term tuple is kept normalized: sorted by
+    exponent, exponents distinct, every coefficient a nonzero Fraction.  So
+    the zero scalar has an empty tuple and equality is structural.  The
+    public constructor normalizes whatever it is given; the arithmetic
+    builds normalized tuples directly and wraps them with ``_make``.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, RationalLike] | Iterable[Tuple[int, RationalLike]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
+        items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[int, Fraction] = {}
         for e, q in items:
             q = Fraction(q)
@@ -36,12 +36,21 @@ class Scalar:
         self._terms = tuple(sorted((e, q) for e, q in acc.items() if q))
 
     @staticmethod
+    def _make(terms: Tuple[Tuple[int, Fraction], ...]) -> "Scalar":
+        """Wrap a term tuple that is already normalized."""
+        s = object.__new__(Scalar)
+        s._terms = terms
+        return s
+
+    @staticmethod
     def from_rational(q: RationalLike) -> "Scalar":
-        return Scalar({0: Fraction(q)})
+        return Scalar.pi_power(0, q)
 
     @staticmethod
     def pi_power(e: int, q: RationalLike = 1) -> "Scalar":
-        return Scalar({e: Fraction(q)})
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return Scalar._make(((e, q),)) if q else ZERO
 
     @property
     def terms(self) -> Tuple[Tuple[int, Fraction], ...]:
@@ -64,13 +73,32 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, q in other._terms:
-            acc[e] = acc.get(e, Fraction(0)) + q
-        return Scalar(acc)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, qa = a[i]
+            eb, qb = b[j]
+            if ea < eb:
+                out.append(a[i])
+                i += 1
+            elif eb < ea:
+                out.append(b[j])
+                j += 1
+            else:
+                q = qa + qb
+                if q:
+                    out.append((ea, q))
+                i += 1
+                j += 1
+        return Scalar._make(tuple(out) + a[i:] + b[j:])
 
     def __neg__(self) -> "Scalar":
-        return Scalar({e: -q for e, q in self._terms})
+        return Scalar._make(tuple((e, -q) for e, q in self._terms))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -80,12 +108,19 @@ class Scalar:
             other = Scalar.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return ZERO
+        if len(a) == 1 and len(b) == 1:
+            ((ea, qa),), ((eb, qb),) = a, b
+            return Scalar._make(((ea + eb, qa * qb),))
         acc: dict[int, Fraction] = {}
-        for e1, q1 in self._terms:
-            for e2, q2 in other._terms:
+        for e1, q1 in a:
+            for e2, q2 in b:
                 e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + q1 * q2
-        return Scalar(acc)
+                q = q1 * q2
+                acc[e] = acc[e] + q if e in acc else q
+        return Scalar._make(tuple(sorted((e, q) for e, q in acc.items() if q)))
 
     __rmul__ = __mul__
 

@@ -179,6 +179,22 @@ def test_quiver_fragment_pipeline(capsys, tmp_path):
     assert json.loads(out)["quiver"] == "gelfand"
 
 
+def test_quiver_from_hc_with_zero_lower_end(capsys, tmp_path):
+    # the Gelfand (*, a, 0) shape: M_{-l-1} = M_{l+1} = 0, M_{-l+1} a line
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps({"l": 2, "x_minus": [[]], "xs": [["1"]], "x_plus": [],
+                                "y_plus": [[]], "ys": [["1"]], "y_minus": []}))
+    code, out, _ = run(capsys, "quiver", "from-hc", "--in", str(path), "--iso", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["iso"] == {"T": [], "X*": [["1"]]}
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(data["rep"]))
+    code, out, _ = run(capsys, "quiver", "classify", "--in", str(rep_path), "--json")
+    assert code == 0
+    assert json.loads(out) == {"type": "*", "case": "a", "d": 0}
+
+
 def test_solve_verb(capsys):
     code, out, _ = run(capsys, "solve", "--k", "0", "--m", "3", "--branch", "L",
                        "--d", "2", "--json")

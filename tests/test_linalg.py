@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymaass
-from polymaass.linalg import Mat, kernel, mat_mul, mat_vec, rref, solve_linear, zeros
+from polymaass.linalg import (Mat, identity, kernel, mat_mul, mat_pow, mat_vec, rref,
+                              solve_linear, zeros)
 
 
 # The dense Gauss-Jordan elimination the package used before elimination
@@ -140,3 +141,54 @@ def test_integer_input_gives_fractions():
     r, pivots = rref([[3, 1], [1, 2]])
     assert r == [[1, 0], [0, 1]] and pivots == [0, 1]
     assert all_fractions(x for row in r for x in row)
+
+
+def repeated_product(m: Mat, e: int) -> Mat:
+    out = identity(len(m))
+    for _ in range(e):
+        out = mat_mul(out, m, len(m))
+    return out
+
+
+# entries with the denominators the Poincare chains meet: Ic at index
+# -16384 scales by 4 * 2**15
+BIG_DENOMINATORS = st.sampled_from([Fraction(1, 4 * 2 ** 15), Fraction(-3, 4 * 2 ** 15),
+                                    Fraction(2 ** 15, 7), Fraction(5, 4 * 2 ** 14 * 3)])
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    """Square matrices of size 0-5: dense, sparse, zero, strictly upper
+    triangular (nilpotent), some with large denominators, some with int
+    entries."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "nilpotent", "big", "int"]))
+    entry = {"big": st.one_of(ENTRIES, BIG_DENOMINATORS),
+             "int": st.integers(-5, 5)}.get(kind, ENTRIES)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (kind == "zero" or (kind == "nilpotent" and j <= i)
+                    or (kind == "sparse" and draw(st.integers(0, 3)))):
+                m[i][j] = Fraction(0)
+    return m
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_mat_pow_matches_repeated_products(m):
+    for e in range(10):
+        p = mat_pow(m, e)
+        assert p == repeated_product(m, e)
+        assert all_fractions(x for row in p for x in row)
+
+
+def test_mat_pow_edge_cases():
+    assert mat_pow([], 0) == mat_pow([], 5) == []
+    assert mat_pow([[2, 1], [0, 3]], 0) == identity(2)
+    p = mat_pow([[2, 1], [0, 3]], 3)
+    assert p == [[8, 19], [0, 27]] and all_fractions(x for row in p for x in row)
+    nil = [[0, 1, 5], [0, 0, 2], [0, 0, 0]]
+    assert mat_pow(nil, 3) == zeros(3, 3) and mat_pow(nil, 2) == [[0, 0, 2], [0, 0, 0], [0, 0, 0]]
+    d = 4 * 2 ** 15
+    assert mat_pow([[Fraction(1, d)]], 9) == [[Fraction(1, d ** 9)]]

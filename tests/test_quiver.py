@@ -11,7 +11,7 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, HCFragment, QuiverRep,
                                  invariants_of, is_cyclic,
                                  iso_two_descriptions, random_fragment,
                                  second_description)
-from polymaass.linalg import identity
+from polymaass.linalg import identity, zeros
 from polymaass.symcalc import DomainError
 
 GELFAND_TUPLES = [(t, c, d) for t in ("*", "+", "-") for c in "abcd"
@@ -206,3 +206,38 @@ def test_quiver_json_round_trip():
     frag = random_fragment(2, 2, seed=1)
     again = HCFragment.from_json(frag.to_json())
     assert again.x_minus == frag.x_minus and again.ys == frag.ys
+
+
+def _ends_only_fragment(l, n0, n1, n2):
+    """A fragment with dims (n0, n1, n2) at (M_{-l-1}, M_{-l+1}, M_{l+1}),
+    zero end maps and identity interior maps."""
+    return HCFragment(l, x_minus=zeros(n1, n0), xs=(identity(n1),) * (l - 1),
+                      x_plus=zeros(n2, n1), y_plus=zeros(n1, n2),
+                      ys=(identity(n1),) * (l - 1), y_minus=zeros(n0, n1))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("dims,label", [((0, 1, 0), ("*", "a", 0)),
+                                        ((1, 0, 0), ("-", "a", 0)),
+                                        ((0, 0, 1), ("+", "a", 0))])
+def test_fragments_with_zero_end_blocks(l, dims, label):
+    frag = HCFragment.from_json(_ends_only_fragment(l, *dims).to_json())
+    r1, r2 = hc_to_quiver(frag), second_description(frag)
+    assert r1.dim_vector() == r2.dim_vector() == dims
+    assert classify_cyclic(r1) == classify_cyclic(r2) == label
+    assert classify_cyclic(r1) == classify_cyclic(build_cyclic_module(GELFAND, *label))
+    t, x_star, one = iso_two_descriptions(frag)
+    assert t == identity(dims[0]) and x_star == identity(dims[1])
+    assert one == identity(dims[2])
+
+
+def test_zero_end_blocks_must_still_chain():
+    frag = _ends_only_fragment(2, 0, 1, 0)
+    bad = HCFragment(2, x_minus=frag.x_minus, xs=frag.xs, x_plus=frag.x_plus,
+                     y_plus=frag.y_plus, ys=frag.ys, y_minus=[[]])
+    with pytest.raises(DomainError, match="x_minus must be a 1 x 1"):
+        hc_to_quiver(bad)
+    bad = HCFragment(2, x_minus=frag.x_minus, xs=frag.xs, x_plus=[[Fraction(0)]] * 2,
+                     y_plus=frag.y_plus, ys=frag.ys, y_minus=frag.y_minus)
+    with pytest.raises(DomainError, match="y_plus must be a 1 x 2"):
+        second_description(bad)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from typing import Iterable, Mapping, Tuple, Union
 
 import pytest
 from hypothesis import given, strategies as st
 
-from polymaass.scalars import Scalar, ZERO, ONE
+from polymaass.scalars import ONE, RationalLike, Scalar, ZERO
 
 
 def test_zero_is_empty():
@@ -47,3 +48,154 @@ def test_json_round_trip(a):
 def test_to_str():
     assert Scalar({-1: 3}).to_str() == "3*pi^-1"
     assert Scalar({0: Fraction(-1, 2)}).to_str() == "-1/2"
+
+
+# The Scalar the package used before its arithmetic moved to normalized
+# term tuples, kept verbatim (renamed, and without the methods that did not
+# change) as the reference: every operation of the new ring must give the
+# same terms, hash and JSON.
+class ReferenceScalar:
+    """A finite sum q_0*pi^e_0 + q_1*pi^e_1 + ... with distinct integer e_i.
+
+    Instances are immutable; zero terms are never stored, so the zero
+    scalar has an empty term tuple and equality is structural.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[int, RationalLike] | Iterable[Tuple[int, RationalLike]] = ()):
+        if isinstance(terms, Mapping):
+            items = terms.items()
+        else:
+            items = terms
+        acc: dict[int, Fraction] = {}
+        for e, q in items:
+            q = Fraction(q)
+            if q:
+                acc[e] = acc.get(e, Fraction(0)) + q
+        self._terms = tuple(sorted((e, q) for e, q in acc.items() if q))
+
+    @staticmethod
+    def from_rational(q: RationalLike) -> "ReferenceScalar":
+        return ReferenceScalar({0: Fraction(q)})
+
+    @staticmethod
+    def pi_power(e: int, q: RationalLike = 1) -> "ReferenceScalar":
+        return ReferenceScalar({e: Fraction(q)})
+
+    @property
+    def terms(self) -> Tuple[Tuple[int, Fraction], ...]:
+        return self._terms
+
+    def __add__(self, other: "ReferenceScalar") -> "ReferenceScalar":
+        if not isinstance(other, ReferenceScalar):
+            return NotImplemented
+        acc = dict(self._terms)
+        for e, q in other._terms:
+            acc[e] = acc.get(e, Fraction(0)) + q
+        return ReferenceScalar(acc)
+
+    def __neg__(self) -> "ReferenceScalar":
+        return ReferenceScalar({e: -q for e, q in self._terms})
+
+    def __sub__(self, other: "ReferenceScalar") -> "ReferenceScalar":
+        return self + (-other)
+
+    def __mul__(self, other: Union["ReferenceScalar", int, Fraction]) -> "ReferenceScalar":
+        if isinstance(other, (int, Fraction)):
+            other = ReferenceScalar.from_rational(other)
+        if not isinstance(other, ReferenceScalar):
+            return NotImplemented
+        acc: dict[int, Fraction] = {}
+        for e1, q1 in self._terms:
+            for e2, q2 in other._terms:
+                e = e1 + e2
+                acc[e] = acc.get(e, Fraction(0)) + q1 * q2
+        return ReferenceScalar(acc)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = ReferenceScalar.from_rational(other)
+        if not isinstance(other, ReferenceScalar):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(self._terms)
+
+    def to_json(self) -> list:
+        return [{"pi_exp": e, "num": str(q.numerator), "den": str(q.denominator)}
+                for e, q in self._terms]
+
+
+def assert_normalized(s: Scalar) -> None:
+    """Sorted, distinct exponents, nonzero coefficients of type Fraction
+    (an int would compare equal to its Fraction, so the type is checked)."""
+    exps = [e for e, _q in s.terms]
+    assert exps == sorted(set(exps))
+    assert all(type(e) is int for e in exps)
+    assert all(type(q) is Fraction and q for _e, q in s.terms)
+
+
+def assert_agrees(s: Scalar, ref: ReferenceScalar) -> None:
+    assert_normalized(s)
+    assert s.terms == ref.terms
+    assert hash(s) == hash(ref)
+    assert s.to_json() == ref.to_json()
+
+
+# terms that often share exponents and often cancel, and ints among the
+# coefficients as callers pass them
+coefficients = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                          max_denominator=4))
+term_lists = st.lists(st.tuples(st.integers(-2, 2), coefficients), max_size=5)
+factors = st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6))
+
+
+def both(terms):
+    return Scalar(terms), ReferenceScalar(terms)
+
+
+@given(term_lists, term_lists)
+def test_arithmetic_agrees_with_reference(ta, tb):
+    (a, ra), (b, rb) = both(ta), both(tb)
+    assert_agrees(a, ra)
+    assert_agrees(Scalar(dict(ra.terms)), ra)
+    assert_agrees(a + b, ra + rb)
+    assert_agrees(a - b, ra - rb)
+    assert_agrees(a - a, ra - ra)
+    assert_agrees(a + (-a), ra + (-ra))
+    assert_agrees(-a, -ra)
+    assert_agrees(a * b, ra * rb)
+    assert_agrees(a * ZERO, ra * ReferenceScalar())
+    assert_agrees(ZERO * a, ReferenceScalar() * ra)
+    assert (a == b) == (ra == rb)
+    assert (a == a + ZERO) and (a + b == b + a)
+
+
+@given(term_lists, factors)
+def test_scaling_agrees_with_reference(ta, q):
+    a, ra = both(ta)
+    assert_agrees(a * q, ra * q)
+    assert_agrees(q * a, q * ra)
+    assert_agrees(a * 0, ra * 0)
+    assert_agrees(a * Fraction(0), ra * Fraction(0))
+    assert (a == q) == (ra == q)
+    assert_agrees(Scalar.from_rational(q), ReferenceScalar.from_rational(q))
+    assert_agrees(Scalar.pi_power(2, q), ReferenceScalar.pi_power(2, q))
+
+
+@given(term_lists)
+def test_from_json_is_normalized(ta):
+    a, ra = both(ta)
+    assert_agrees(Scalar.from_json(ra.to_json()), ra)
+
+
+def test_public_constructor_normalizes_every_input():
+    assert_agrees(Scalar([(1, 2), (0, 1), (1, -2), (0, Fraction(1, 2))]),
+                  ReferenceScalar({0: Fraction(3, 2)}))
+    assert_agrees(Scalar(iter([(3, 1), (-1, 2)])), ReferenceScalar({-1: 2, 3: 1}))
+    assert_agrees(Scalar.pi_power(1, 0), ReferenceScalar())
+    assert_agrees(Scalar.from_rational(True), ReferenceScalar({0: 1}))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,11 @@ import pytest
 from polymaass.linalg import kernel, mat_vec
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
                                  alternating_trace, apply_banded, brute_force_wd,
-                                 build_w0, eisenstein_family, emit_form, poincare_family,
-                                 solve_wd, solver_admissible)
+                                 build_w0, construct_case, eisenstein_family, emit_form,
+                                 poincare_family, solve_wd, solver_admissible)
 from polymaass.symcalc import (DomainError, PolyAtom, SpectralAtom, Family,
                                apply_flip, apply_laplace, apply_power, form_of,
-                               forms_equal, is_zero, expand_pending)
+                               form_to_json, forms_equal, is_zero, expand_pending)
 
 
 # --- kernel ----------------------------------------------------------------
@@ -247,3 +249,49 @@ def test_graded_vector_json_round_trip():
     gv = solve_wd(0, 3, "L", 2)
     again = GradedVector.from_json(gv.to_json())
     assert again.layers == gv.layers and again.preimage_scale == gv.preimage_scale
+
+
+# --- pinned constructions ---------------------------------------------------
+
+# sha256 prefixes of the canonical form_to_json of construct_case at the
+# benchmark's shapes (all ten cases), and at variants whose Poincare
+# chains meet large denominators, recorded before the Scalar ring and
+# mat_pow moved to normalized tuples and integer powers
+PINNED_CONSTRUCTIONS = [
+    ("Ia", -2, 2, {}, "e3362873d920d4a6"),
+    ("Ia", -3, 6, {}, "8238453a3da5c1fe"),
+    ("Ia", -4, 4, {}, "7d04f4f640e98709"),
+    ("Ib", -1, 4, {}, "608b664abcf0fb06"),
+    ("Ib", -3, 6, {}, "b97f16fe609871bf"),
+    ("Ic", -1, 8, {}, "46f982a288bdd009"),
+    ("Ic", -3, 4, {}, "c71ed6f21f326564"),
+    ("Id", -1, 3, {}, "a6dd781d017bdab2"),
+    ("Id", -3, 8, {}, "0baa70d3ba444694"),
+    ("IIa", 1, 1, {}, "13fee92ed12c80c6"),
+    ("IIa", 1, 7, {}, "982cb94a1f039ad1"),
+    ("IIb", 1, 3, {}, "4450796c0f14f150"),
+    ("IIb", 1, 8, {}, "6b118c470f4d2a55"),
+    ("IIIa", 2, 5, {}, "7b12612c3b4d23a9"),
+    ("IIIa", 3, 2, {}, "f97b9c707af050aa"),
+    ("IIIb", 3, 9, {}, "e67d9b2bce121fa3"),
+    ("IIIb", 4, 8, {}, "0fabd5d17371bd02"),
+    ("IIIb", 8, 1, {}, "62a2a042f093797e"),
+    ("IIIc", 2, 6, {}, "c64767e1203f34bd"),
+    ("IIIc", 3, 3, {}, "b222f4f0b443a1dd"),
+    ("IIId", 2, 8, {}, "6c36a60f0582bb86"),
+    ("IIId", 4, 4, {}, "fb6ab6d8aed0a23a"),
+    ("Ic", -1, 8, {"index": -16384}, "e513916c80a8b557"),
+    ("IIIc", 2, 6, {"index": -32768}, "7dd64f73acf73142"),
+    ("Ib", -3, 6, {"index": -15}, "9f0000d32591c1ac"),
+    ("Ia", -3, 6, {"family": "poincare", "index": -15}, "226244663220615b"),
+    ("IIb", 1, 8, {"disc": 47}, "7e63b9d448bb0c5c"),
+]
+
+
+@pytest.mark.parametrize("case,k,d,kwargs,digest", PINNED_CONSTRUCTIONS,
+                         ids=["%s/k=%d/d=%d%s" % (c, k, d, "".join("/%s=%s" % kv for kv in kw.items()))
+                              for c, k, d, kw, _h in PINNED_CONSTRUCTIONS])
+def test_construct_case_output_is_pinned(case, k, d, kwargs, digest):
+    data = form_to_json(construct_case(case, k, d, **kwargs))
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
