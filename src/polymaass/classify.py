@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .quiverrep import CYCLIC, GELFAND, cyclic_module_dims
 from .scalars import ZERO
 from .symcalc import DomainError, Form, apply_power, is_zero, laplace_closure
 
@@ -18,6 +19,14 @@ BK_TO_REPR = {
     "IIIa": "GIIa", "IIIb": "GIIb", "IIIc": "GIIc", "IIId": "GIId",
 }
 REPR_TO_BK = {v: k for k, v in BK_TO_REPR.items()}
+# the cyclic quiver module (quiver, generator type, case) of each label
+BK_TO_MODULE = {
+    "Ia": (GELFAND, "*", "a"), "Ib": (GELFAND, "*", "c"),
+    "Ic": (GELFAND, "*", "d"), "Id": (GELFAND, "*", "b"),
+    "IIa": (CYCLIC, "+", "a"), "IIb": (CYCLIC, "+", "b"),
+    "IIIa": (GELFAND, "+", "a"), "IIIb": (GELFAND, "+", "b"),
+    "IIIc": (GELFAND, "+", "c"), "IIId": (GELFAND, "+", "d"),
+}
 
 
 @dataclass(frozen=True)
@@ -120,22 +129,4 @@ def classify_bk(f: Form) -> CaseLabel:
 
 def expected_dimension_vector(label: CaseLabel):
     """Dimension vector of the cyclic quiver module matching the label."""
-    d = label.depth
-    table3 = {
-        "GIa": (d, d + 1, d),
-        "GIb": (d + 1, d + 1, d + 1),
-        "GIc": (d, d + 1, d + 1),
-        "GId": (d + 1, d + 1, d),
-        "GIIa": (d, d, d + 1),
-        "GIIb": (d, d + 1, d + 1),
-        "GIIc": (d + 1, d + 1, d + 1),
-        "GIId": (d - 1, d, d + 1),
-    }
-    rl = label.repr_label
-    if rl == "CIa":
-        return (d, d + 1)
-    if rl == "CIb":
-        return (d + 1, d + 1)
-    if rl == "GIId" and d == 0:
-        raise DomainError("GIId exists only for d >= 1")
-    return table3[rl]
+    return cyclic_module_dims(*BK_TO_MODULE[label.bk], label.depth)

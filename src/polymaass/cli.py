@@ -204,10 +204,7 @@ def main(argv=None) -> int:
         if pole_path:
             symcalc.load_pole_table(pole_path)
         return _dispatch(args)
-    except DomainError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as ex:
+    except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
 

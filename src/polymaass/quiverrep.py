@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import (Mat, Vec, identity, kernel, mat_mul, rref, solve_linear,
                      zeros)
+from .scalars import malformed_json
 from .symcalc import DomainError
 
 GELFAND = "gelfand"
@@ -72,15 +73,13 @@ class QuiverRep:
         """Parse and validate: the quiver's node set with nonnegative
         dimensions, its arrow names, every matrix shape and, for the
         Gelfand quiver, the relation."""
-        quiver = data["quiver"]
-        if quiver not in NODES:
-            raise DomainError("unknown quiver %r" % (quiver,))
-        try:
+        with malformed_json("quiver representation"):
+            quiver = data["quiver"]
+            if quiver not in NODES:
+                raise DomainError("unknown quiver %r" % (quiver,))
             dims = {k: int(v) for k, v in data["dims"].items()}
             maps = {k: [[Fraction(x) for x in row] for row in m]
                     for k, m in data["maps"].items()}
-        except (AttributeError, TypeError) as ex:
-            raise DomainError("malformed quiver representation: %s" % (ex,))
         if set(dims) != set(NODES[quiver]) or min(dims.values()) < 0:
             raise DomainError("dims must give a nonnegative dimension for exactly "
                               "the nodes %s" % (NODES[quiver],))
@@ -117,61 +116,62 @@ def _interval_map(src: Tuple[int, int], dst: Tuple[int, int], shift: int) -> Mat
     return m
 
 
-_GELFAND_INTERVALS = {
-    ("*", "a"): lambda d: {"-": (0, d - 1), "*": (0, d), "+": (0, d - 1)},
-    ("*", "b"): lambda d: {"-": (0, d), "*": (0, d), "+": (0, d)},
-    ("*", "c"): lambda d: {"-": (0, d - 1), "*": (0, d), "+": (0, d)},
-    ("*", "d"): lambda d: {"-": (0, d), "*": (0, d), "+": (0, d - 1)},
-    ("+", "a"): lambda d: {"-": (1, d), "*": (1, d), "+": (0, d)},
-    ("+", "b"): lambda d: {"-": (1, d), "*": (1, d + 1), "+": (0, d)},
-    ("+", "c"): lambda d: {"-": (1, d + 1), "*": (1, d + 1), "+": (0, d)},
-    ("+", "d"): lambda d: {"-": (1, d - 1), "*": (1, d), "+": (0, d)},
-    ("-", "a"): lambda d: {"-": (0, d), "*": (1, d), "+": (1, d)},
-    ("-", "b"): lambda d: {"-": (0, d), "*": (1, d + 1), "+": (1, d)},
-    ("-", "c"): lambda d: {"-": (0, d), "*": (1, d + 1), "+": (1, d + 1)},
-    ("-", "d"): lambda d: {"-": (0, d), "*": (1, d), "+": (1, d - 1)},
+# closed exponent interval of t^a at each node, per quiver and (type, case),
+# as a function of the depth parameter d; an empty interval is a zero node
+_INTERVALS = {
+    GELFAND: {
+        ("*", "a"): lambda d: {"-": (0, d - 1), "*": (0, d), "+": (0, d - 1)},
+        ("*", "b"): lambda d: {"-": (0, d), "*": (0, d), "+": (0, d)},
+        ("*", "c"): lambda d: {"-": (0, d - 1), "*": (0, d), "+": (0, d)},
+        ("*", "d"): lambda d: {"-": (0, d), "*": (0, d), "+": (0, d - 1)},
+        ("+", "a"): lambda d: {"-": (1, d), "*": (1, d), "+": (0, d)},
+        ("+", "b"): lambda d: {"-": (1, d), "*": (1, d + 1), "+": (0, d)},
+        ("+", "c"): lambda d: {"-": (1, d + 1), "*": (1, d + 1), "+": (0, d)},
+        ("+", "d"): lambda d: {"-": (1, d - 1), "*": (1, d), "+": (0, d)},
+        ("-", "a"): lambda d: {"-": (0, d), "*": (1, d), "+": (1, d)},
+        ("-", "b"): lambda d: {"-": (0, d), "*": (1, d + 1), "+": (1, d)},
+        ("-", "c"): lambda d: {"-": (0, d), "*": (1, d + 1), "+": (1, d + 1)},
+        ("-", "d"): lambda d: {"-": (0, d), "*": (1, d), "+": (1, d - 1)},
+    },
+    CYCLIC: {
+        ("+", "a"): lambda d: {"-": (1, d), "+": (0, d)},
+        ("+", "b"): lambda d: {"-": (1, d + 1), "+": (0, d)},
+        ("-", "a"): lambda d: {"-": (0, d), "+": (1, d)},
+        ("-", "b"): lambda d: {"-": (0, d), "+": (1, d + 1)},
+    },
 }
 
-_CYCLIC_INTERVALS = {
-    ("+", "a"): lambda d: {"-": (1, d), "+": (0, d)},
-    ("+", "b"): lambda d: {"-": (1, d + 1), "+": (0, d)},
-    ("-", "a"): lambda d: {"-": (0, d), "+": (1, d)},
-    ("-", "b"): lambda d: {"-": (0, d), "+": (1, d + 1)},
-}
+
+def cyclic_module_dims(quiver: str, type_tag: str, case: str, d: int) -> Tuple[int, ...]:
+    """Dimension vector, in NODES order, of the cyclic module (type, case,
+    d); DomainError when no such module exists."""
+    if d < 0:
+        raise DomainError("depth parameter must be nonnegative")
+    if quiver not in _INTERVALS:
+        raise DomainError("unknown quiver %r" % (quiver,))
+    if (type_tag, case) not in _INTERVALS[quiver]:
+        raise DomainError("no %s module (%s, %s)" % (
+            "Gelfand cyclic" if quiver == GELFAND else "cyclic-quiver", type_tag, case))
+    if quiver == GELFAND and type_tag in ("+", "-") and case == "d" and d < 1:
+        raise DomainError("case (%s, d) exists only for d >= 1" % type_tag)
+    iv = _INTERVALS[quiver][(type_tag, case)](d)
+    return tuple(max(0, iv[n][1] - iv[n][0] + 1) for n in NODES[quiver])
 
 
 def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> QuiverRep:
     """Explicit matrices for the cokernel presentations of the cyclic
-    modules, keyed by generator type, case letter and depth parameter."""
-    if d < 0:
-        raise DomainError("depth parameter must be nonnegative")
-    if quiver == GELFAND:
-        if (type_tag, case) not in _GELFAND_INTERVALS:
-            raise DomainError("no Gelfand cyclic module (%s, %s)" % (type_tag, case))
-        if type_tag in ("+", "-") and case == "d" and d < 1:
-            raise DomainError("case (%s, d) exists only for d >= 1" % type_tag)
-        iv = _GELFAND_INTERVALS[(type_tag, case)](d)
-        dims = {n: max(0, iv[n][1] - iv[n][0] + 1) for n in NODES[GELFAND]}
-        maps = {"A-": _interval_map(iv["-"], iv["*"], 1),
-                "B-": _interval_map(iv["*"], iv["-"], 0),
-                "A+": _interval_map(iv["+"], iv["*"], 1),
-                "B+": _interval_map(iv["*"], iv["+"], 0)}
-        rep = QuiverRep(GELFAND, dims, maps)
-        rep.check_relation()
-        return rep
-    if quiver == CYCLIC:
-        if (type_tag, case) not in _CYCLIC_INTERVALS:
-            raise DomainError("no cyclic-quiver module (%s, %s)" % (type_tag, case))
-        iv = _CYCLIC_INTERVALS[(type_tag, case)](d)
-        dims = {n: max(0, iv[n][1] - iv[n][0] + 1) for n in NODES[CYCLIC]}
-        if type_tag == "+":
-            maps = {"a": _interval_map(iv["-"], iv["+"], 0),
-                    "b": _interval_map(iv["+"], iv["-"], 1)}
-        else:
-            maps = {"a": _interval_map(iv["-"], iv["+"], 1),
-                    "b": _interval_map(iv["+"], iv["-"], 0)}
-        return QuiverRep(CYCLIC, dims, maps)
-    raise DomainError("unknown quiver %r" % (quiver,))
+    modules, keyed by generator type, case letter and depth parameter.
+    Every arrow maps t^a to t^a, truncated, except the arrows into * on the
+    Gelfand quiver and out of the generating node on the two-cyclic
+    quiver, which multiply by t."""
+    dims = cyclic_module_dims(quiver, type_tag, case, d)
+    iv = _INTERVALS[quiver][(type_tag, case)](d)
+    maps = {name: _interval_map(iv[src], iv[dst],
+                                int(dst == "*" if quiver == GELFAND else src == type_tag))
+            for name, src, dst in ARROWS[quiver]}
+    rep = QuiverRep(quiver, dict(zip(NODES[quiver], dims)), maps)
+    rep.check_relation()
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -221,39 +221,21 @@ def is_cyclic(rep: QuiverRep) -> Optional[str]:
 
 
 def classify_cyclic(rep: QuiverRep):
-    """(type, case, d) per the cyclic-module tables; errors if not cyclic."""
+    """(type, case, d) of a cyclic module: the case whose interval table
+    gives rep's dimension vector at d = (dim at the generating node) - 1;
+    errors if rep is not cyclic or no case fits."""
     type_tag = is_cyclic(rep)
     if type_tag is None:
         raise DomainError("representation is not cyclic")
     dims = rep.dim_vector()
-    if rep.quiver == CYCLIC:
-        n_minus, n_plus = dims
-        if type_tag == "+":
-            d = n_plus - 1
-            pairs = {(d, d + 1): "a", (d + 1, d + 1): "b"}
-        else:
-            d = n_minus - 1
-            pairs = {(d + 1, d): "a", (d + 1, d + 1): "b"}
-        case = pairs.get((n_minus, n_plus))
-        if case is None or d < 0:
-            raise DomainError("cyclic module with impossible dimension vector %r" % (dims,))
-        return (type_tag, case, d)
-    n_minus, n_star, n_plus = dims
-    if type_tag == "*":
-        d = n_star - 1
-        table = {(d, d): "a", (d + 1, d + 1): "b", (d, d + 1): "c", (d + 1, d): "d"}
-        case = table.get((n_minus, n_plus))
-    elif type_tag == "+":
-        d = n_plus - 1
-        table = {(d, d): "a", (d, d + 1): "b", (d + 1, d + 1): "c", (d - 1, d): "d"}
-        case = table.get((n_minus, n_star))
-    else:
-        d = n_minus - 1
-        table = {(d, d): "a", (d + 1, d): "b", (d + 1, d + 1): "c", (d, d - 1): "d"}
-        case = table.get((n_star, n_plus))
-    if case is None or d < 0:
-        raise DomainError("cyclic module with impossible dimension vector %r" % (dims,))
-    return (type_tag, case, d)
+    d = rep.dims[type_tag] - 1
+    for t, case in _INTERVALS[rep.quiver]:
+        try:
+            if t == type_tag and cyclic_module_dims(rep.quiver, t, case, d) == dims:
+                return (type_tag, case, d)
+        except DomainError:   # no module (t, case) at this d
+            continue
+    raise DomainError("cyclic module with impossible dimension vector %r" % (dims,))
 
 
 def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
@@ -379,12 +361,13 @@ class HCFragment:
     @staticmethod
     def from_json(data: dict) -> "HCFragment":
         dec = lambda m: None if m is None else [[Fraction(x) for x in row] for row in m]
-        return HCFragment(int(data["l"]), dec(data.get("x_minus")),
-                          tuple(dec(m) for m in data.get("xs", ())),
-                          dec(data.get("x_plus")), dec(data.get("y_plus")),
-                          tuple(dec(m) for m in data.get("ys", ())),
-                          dec(data.get("y_minus")), dec(data.get("z_minus")),
-                          dec(data.get("z_plus")))
+        with malformed_json("fragment JSON"):
+            return HCFragment(int(data["l"]), dec(data.get("x_minus")),
+                              tuple(dec(m) for m in data.get("xs", ())),
+                              dec(data.get("x_plus")), dec(data.get("y_plus")),
+                              tuple(dec(m) for m in data.get("ys", ())),
+                              dec(data.get("y_minus")), dec(data.get("z_minus")),
+                              dec(data.get("z_plus")))
 
 
 def _invert(m: Mat) -> Mat:
@@ -470,19 +453,20 @@ def second_description(frag: HCFragment) -> QuiverRep:
     return rep
 
 
+def _casimir(gamma: int, composite: Mat) -> Mat:
+    """The Casimir action gamma * I + 4 * (back-and-forth composite)."""
+    n = len(composite)
+    return [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * composite[i][j]
+             for j in range(n)] for i in range(n)]
+
+
 def _casimir_ends(frag: HCFragment) -> Tuple[Mat, Mat]:
     """Casimir actions C_0 on M_{-l-1} and C_1 on M_{-l+1}, reconstructed
     from the H-eigenvalues and the back-and-forth composites."""
-    l = frag.l
-    gamma = l * l - 1
+    gamma = frag.l * frag.l - 1
     n0, n1 = len(frag.y_minus), len(frag.x_minus)
-    yx = mat_mul(frag.y_minus, frag.x_minus, n0)
-    xy = mat_mul(frag.x_minus, frag.y_minus, n1)
-    c0 = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * yx[i][j]
-           for j in range(n0)] for i in range(n0)]
-    c1 = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * xy[i][j]
-           for j in range(n1)] for i in range(n1)]
-    return c0, c1
+    return (_casimir(gamma, mat_mul(frag.y_minus, frag.x_minus, n0)),
+            _casimir(gamma, mat_mul(frag.x_minus, frag.y_minus, n1)))
 
 
 def _poly_in_matrix(target: Mat, base: Mat) -> List[Fraction]:
@@ -574,9 +558,7 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
     x_minus = rand_invertible()
     nil = rand_nilpotent()
     y_minus = mat_mul(nil, _invert(x_minus))   # Y_- X_- = nil
-    xy = mat_mul(x_minus, y_minus)
-    c_cur = [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * xy[i][j]
-              for j in range(dim)] for i in range(dim)]   # C on M_{-l+1}
+    c_cur = _casimir(gamma, mat_mul(x_minus, y_minus))   # C on M_{-l+1}
     xs, ys = [], []
     for i in range(1, l):
         n_i = -l - 1 + 2 * i                    # weight below X_i

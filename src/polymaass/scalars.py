@@ -8,10 +8,27 @@ constants like 3/pi stay exact.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 RationalLike = Union[int, Fraction]
+
+
+class DomainError(ValueError):
+    """Raised when an operation's precondition is violated."""
+
+
+@contextmanager
+def malformed_json(what: str):
+    """Raise a parsing error inside the block as DomainError("malformed
+    <what>: ..."); a DomainError passes through unchanged."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as ex:
+        raise DomainError("malformed %s: %s" % (what, ex)) from None
 
 
 class Scalar:
@@ -157,7 +174,9 @@ class Scalar:
 
     @staticmethod
     def from_json(data: list) -> "Scalar":
-        return Scalar({int(t["pi_exp"]): Fraction(int(t["num"]), int(t["den"])) for t in data})
+        with malformed_json("scalar JSON"):
+            return Scalar({int(t["pi_exp"]): Fraction(int(t["num"]), int(t["den"]))
+                           for t in data})
 
 
 ZERO = Scalar()

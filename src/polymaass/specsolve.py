@@ -11,9 +11,9 @@ emitted form reproduce the emitted w_0 exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import List, Optional, Tuple
 
 # mat_mul is not used here; the benchmark's tracer finds the linear
@@ -25,8 +25,6 @@ from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, apply_flip, apply_power, atom_incoherent,
                       form_of, is_zero, laplace_closure, local_eigen_poly,
                       zero_form)
-
-_FACT = math.factorial
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +153,23 @@ def build_w0(k: int, m: int, branch: str) -> GradedVector:
     if branch == "L":
         if m >= k:
             for r in range(0, min(m, m - k) + 1):
-                c[r] = Fraction(1, _FACT(m - r) * _FACT(m - r - k))
+                c[r] = Fraction(1, factorial(m - r) * factorial(m - r - k))
         else:
             for r in range(0, m + 1):
                 p = _pochhammer(1 - k, m - r)
                 if p == 0:
                     raise DomainError("degenerate parameters: k=%d, m=%d, L" % (k, m))
-                c[r] = Fraction(1, _FACT(m - r)) / p
+                c[r] = Fraction(1, factorial(m - r)) / p
     elif branch == "R":
         if m > -k:
             for r in range(max(0, 1 - k), m + 1):
-                c[r] = Fraction(1, _FACT(m - r) * _FACT(r + k - 1))
+                c[r] = Fraction(1, factorial(m - r) * factorial(r + k - 1))
         else:
             for r in range(0, m + 1):
                 p = _pochhammer(k, r)
                 if p == 0:
                     raise DomainError("degenerate parameters: k=%d, m=%d, R" % (k, m))
-                c[r] = Fraction(1, _FACT(m - r)) / p
+                c[r] = Fraction(1, factorial(m - r)) / p
     else:
         raise DomainError("branch must be L or R")
     if all(x == 0 for x in c):
@@ -365,7 +363,7 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
             power = (m - r) if gv.branch == "L" else r
             pending = (gv.branch, power) if power > 0 else None
             atom = SpectralAtom(fam.family, fam.weight, fam.point, order, pending)
-            q = coeff / _FACT(order) / gv.preimage_scale * (fam.orientation ** order)
+            q = coeff / factorial(order) / gv.preimage_scale * (fam.orientation ** order)
             term = form_of(PolyAtom(m, r), atom, Fraction(q))
             if not is_zero(term):
                 out = out + term
@@ -380,10 +378,10 @@ def preimage_constant_weight(k: int, d: int, fam: SpectralFamily) -> Form:
     fam.check_standard()
     if k != 1:
         order = d
-        q = Fraction(1, _FACT(d)) / Fraction(1 - k) ** d
+        q = Fraction(1, factorial(d)) / Fraction(1 - k) ** d
     else:
         order = 2 * d
-        q = Fraction((-1) ** d, _FACT(2 * d))
+        q = Fraction((-1) ** d, factorial(2 * d))
     q *= fam.orientation ** order
     atom = SpectralAtom(fam.family, fam.weight, fam.point, order)
     return form_of(PolyAtom(0, 0), atom, q)
@@ -394,7 +392,7 @@ def preimage_incoherent(disc: int, d: int) -> Form:
     if d < 0:
         raise DomainError("depth must be nonnegative")
     atom = atom_incoherent(disc, 2 * d)
-    return form_of(PolyAtom(0, 0), atom, Fraction((-1) ** d, _FACT(2 * d + 1)))
+    return form_of(PolyAtom(0, 0), atom, Fraction((-1) ** d, factorial(2 * d + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,13 @@ are structural after normalization and pole substitution.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Dict, Optional, Tuple
 
-from .scalars import Scalar, ZERO, ONE
-
-
-class DomainError(ValueError):
-    """Raised when an operation's precondition is violated."""
+from .scalars import DomainError, Scalar, ZERO, ONE, malformed_json
 
 
 class PolePointWarning(UserWarning):
@@ -174,12 +170,13 @@ def load_pole_table(path: str) -> None:
     with open(path) as fh:
         data = json.load(fh)
     table = {}
-    for entry in data:
-        fam = _family_from_json(entry["family"])
-        key = (fam, int(entry["weight"]), Fraction(entry["point"]))
-        if int(entry.get("order", 1)) != 1:
-            raise DomainError("pole order capped at 1")
-        table[key] = form_from_json(entry["residue_form"])
+    with malformed_json("pole table JSON"):
+        for entry in data:
+            fam = _family_from_json(entry["family"])
+            key = (fam, int(entry["weight"]), Fraction(entry["point"]))
+            if int(entry.get("order", 1)) != 1:
+                raise DomainError("pole order capped at 1")
+            table[key] = form_from_json(entry["residue_form"])
     set_pole_table(table)
 
 
@@ -302,27 +299,27 @@ def make_e_atom(m: int, r: int) -> Form:
     return form_of(PolyAtom(m, r), CONST_ATOM)
 
 
-def atom_E(weight: int, point, laurent: int = 0) -> SpectralAtom:
-    a = _mk_atom(Family(EISENSTEIN), weight, Fraction(point), laurent)
+def _atom(family: Family, weight: int, point, laurent: int, pending=None) -> SpectralAtom:
+    """_mk_atom for an atom named from outside: DomainError when the atom
+    is identically zero."""
+    a = _mk_atom(family, weight, Fraction(point), laurent, pending)
     if a is None:
         raise DomainError("atom is identically zero")
     return a
+
+
+def atom_E(weight: int, point, laurent: int = 0) -> SpectralAtom:
+    return _atom(Family(EISENSTEIN), weight, point, laurent)
 
 
 def atom_P(weight: int, index: int, point, laurent: int = 0) -> SpectralAtom:
-    a = _mk_atom(Family(POINCARE, index=index), weight, Fraction(point), laurent)
-    if a is None:
-        raise DomainError("atom is identically zero")
-    return a
+    return _atom(Family(POINCARE, index=index), weight, point, laurent)
 
 
 def atom_incoherent(disc: int, order: int) -> SpectralAtom:
     """The atom printed E^-(order): derivative order+1 of the incoherent
     family at the base point (the family vanishes there)."""
-    a = _mk_atom(Family(INCOHERENT, disc=disc), 1, Fraction(0), order + 1)
-    if a is None:
-        raise DomainError("atom is identically zero")
-    return a
+    return _atom(Family(INCOHERENT, disc=disc), 1, 0, order + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +540,6 @@ def forms_equal(f: Form, g: Form) -> bool:
     return (f - g).is_empty()
 
 
-_FACT = math.factorial
-
-
 def apply_mirror(f: Form) -> Form:
     """y^k conj(.) termwise; requires expanded atoms and rational points."""
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
@@ -558,7 +552,7 @@ def apply_mirror(f: Form) -> Form:
             raise DomainError("mirror needs expanded atoms; call expand_pending first")
         e2 = PolyAtom(e.m, e.m - e.r)
         poly_c = Scalar.from_rational(
-            Fraction((-1) ** e.m * _FACT(e.m - e.r), _FACT(e.r)))
+            Fraction((-1) ** e.m * factorial(e.m - e.r), factorial(e.r)))
         fam, w, p, t = a.family, a.weight, a.point, a.laurent
         if fam.kind == CONSTANT:
             a2, spec_c = a, ONE
@@ -587,7 +581,7 @@ def apply_flip(f: Form) -> Form:
         raise DomainError("flip requires weight <= 0 (got %d)" % k)
     g = expand_pending(apply_power(f, "R", -k))
     g = apply_mirror(g)
-    return g * Fraction(1, _FACT(-k))
+    return g * Fraction(1, factorial(-k))
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +643,16 @@ def form_to_json(f: Form) -> dict:
 
 def form_from_json(data: dict) -> Form:
     acc = {}
-    for term in data["terms"]:
-        e = PolyAtom(term["poly"]["m"], term["poly"]["r"])
-        sp = term["spectral"]
-        pending = sp.get("pending")
-        a = SpectralAtom(_family_from_json(sp["family"]), int(sp["weight"]),
-                         Fraction(sp["point"]), int(sp["laurent"]),
-                         None if pending is None else (pending["dir"], int(pending["power"])))
-        if a.laurent < vanishing_order(a.family, a.weight, a.point):
-            raise DomainError("atom is identically zero")
-        acc[(e, a)] = acc.get((e, a), ZERO) + Scalar.from_json(term["coeff"])
-    return Form(data["weight"], acc)
+    with malformed_json("form JSON"):
+        for term in data["terms"]:
+            e = PolyAtom(term["poly"]["m"], term["poly"]["r"])
+            sp = term["spectral"]
+            pending = sp.get("pending")
+            a = _atom(_family_from_json(sp["family"]), int(sp["weight"]), sp["point"],
+                      int(sp["laurent"]),
+                      None if pending is None else (pending["dir"], int(pending["power"])))
+            acc[(e, a)] = acc.get((e, a), ZERO) + Scalar.from_json(term["coeff"])
+        return Form(data["weight"], acc)
 
 
 # ---------------------------------------------------------------------------

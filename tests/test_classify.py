@@ -120,6 +120,34 @@ def test_expected_dimension_vectors():
         expected_dimension_vector(CaseLabel("IIId", 0, WeightContext(4)))
 
 
+def _reference_dimension_vector(repr_label, d):
+    """The hand-written table expected_dimension_vector used before it read
+    the quiver module's interval table, verbatim."""
+    table3 = {
+        "GIa": (d, d + 1, d),
+        "GIb": (d + 1, d + 1, d + 1),
+        "GIc": (d, d + 1, d + 1),
+        "GId": (d + 1, d + 1, d),
+        "GIIa": (d, d, d + 1),
+        "GIIb": (d, d + 1, d + 1),
+        "GIIc": (d + 1, d + 1, d + 1),
+        "GIId": (d - 1, d, d + 1),
+    }
+    if repr_label == "CIa":
+        return (d, d + 1)
+    if repr_label == "CIb":
+        return (d + 1, d + 1)
+    return table3[repr_label]
+
+
+@pytest.mark.parametrize("bk", sorted(BK_TO_REPR))
+def test_expected_dimension_vectors_match_reference_table(bk):
+    for d in range(1 if bk == "IIId" else 0, 13):
+        label = CaseLabel(bk, d, WeightContext(-2))
+        assert expected_dimension_vector(label) == \
+            _reference_dimension_vector(BK_TO_REPR[bk], d)
+
+
 def test_label_json():
     data = classify_bk(construct_case("IIIb", 4, 1)).to_json()
     assert data == {"bk": "IIIb", "repr": "GIIb", "depth": 1, "k": 4, "l": 3,

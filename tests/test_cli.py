@@ -148,6 +148,44 @@ def test_quiver_classify_rejects_malformed_json(capsys, tmp_path, data):
     assert err.startswith("error: ")
 
 
+def _form_json(mutate):
+    data = form_to_json(construct_case("Ia", -2, 1))
+    mutate(data)
+    return data
+
+
+@pytest.mark.parametrize("argv,data", [
+    (("classify",), _form_json(lambda d: d["terms"][0]["spectral"].update(point="1/0"))),
+    (("classify",), _form_json(lambda d: d["terms"][0]["coeff"][0].update(den="0"))),
+    (("classify",), [_form_json(lambda d: None)]),
+    (("quiver", "classify"), {"quiver": "cyclic", "dims": {"-": 1, "+": 1},
+                              "maps": {"a": [["1/0"]], "b": [["0"]]}}),
+    (("quiver", "from-hc"), {"l": 1, "x_minus": [["1/0"]], "xs": [], "x_plus": [["1"]],
+                             "y_plus": [["0"]], "ys": [], "y_minus": [["1"]]}),
+], ids=["form-point", "form-den", "form-list", "quiver-rep", "fragment"])
+def test_malformed_json_exits_2(capsys, tmp_path, argv, data):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed ")
+
+
+def test_malformed_pole_table_exits_2(capsys, tmp_path, monkeypatch):
+    form = tmp_path / "f.json"
+    form.write_text(json.dumps(form_to_json(construct_case("Ia", -2, 1))))
+    table = tmp_path / "poles.json"
+    table.write_text(json.dumps([{"family": {"kind": "eisenstein"}, "weight": 0,
+                                  "point": "1/0", "residue_form": {"weight": 0,
+                                                                   "terms": []}}]))
+    monkeypatch.setenv("POLYMAASS_POLE_TABLE", str(table))
+    code, out, err = run(capsys, "classify", "--in", str(form))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed pole table JSON")
+
+
 def test_quiver_from_hc_rejects_mismatched_shapes(capsys, tmp_path):
     path = tmp_path / "frag.json"
     path.write_text(json.dumps({

@@ -1,12 +1,17 @@
+import hashlib
+import itertools
+import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from polymaass.classify import BK_TO_REPR, CaseLabel, WeightContext, \
+from polymaass import quiverrep
+from polymaass.classify import BK_TO_MODULE, BK_TO_REPR, CaseLabel, WeightContext, \
     expected_dimension_vector
-from polymaass.quiverrep import (CYCLIC, GELFAND, HCFragment, QuiverRep,
+from polymaass.quiverrep import (CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
                                  build_cyclic_module, classify_cyclic,
-                                 direct_sum, endomorphism_basis,
+                                 cyclic_module_dims, direct_sum, endomorphism_basis,
                                  has_only_trivial_idempotents, hc_to_quiver,
                                  invariants_of, is_cyclic,
                                  iso_two_descriptions, random_fragment,
@@ -121,21 +126,114 @@ def test_cyclic_modules_have_local_endomorphisms():
 
 
 def test_expected_dimension_link():
-    # the translation table pairs each BK label with the matching module
-    repr_to_build = {
-        "GIa": (GELFAND, "*", "a"), "GIb": (GELFAND, "*", "b"),
-        "GIc": (GELFAND, "*", "c"), "GId": (GELFAND, "*", "d"),
-        "GIIa": (GELFAND, "+", "a"), "GIIb": (GELFAND, "+", "b"),
-        "GIIc": (GELFAND, "+", "c"), "GIId": (GELFAND, "+", "d"),
-        "CIa": (CYCLIC, "+", "a"), "CIb": (CYCLIC, "+", "b"),
-    }
+    # BK_TO_MODULE pairs each BK label with the module its repr label names:
+    # G/C the quiver, I the generator * (+ on the two-cyclic quiver), II +
     for bk, rp in BK_TO_REPR.items():
+        quiver, t, c = BK_TO_MODULE[bk]
+        assert rp == ("G" if quiver == GELFAND else "C") \
+            + ("II" if t == "+" and quiver == GELFAND else "I") + c
         for d in range(1, 4):
             k = {"I": -2, "II": 1, "III": 3}[bk.rstrip("abcd")]
             label = CaseLabel(bk, d, WeightContext(k))
-            quiver, t, c = repr_to_build[rp]
             dims, _ = invariants_of(build_cyclic_module(quiver, t, c, d))
             assert expected_dimension_vector(label) == dims
+
+
+# --- the interval table against the hand-inverted tables it replaced ---------
+
+
+def _reference_classify(quiver, type_tag, dims):
+    """The per-type dimension-vector tables classify_cyclic used before it
+    read the interval table, verbatim: (case, d), or None."""
+    if quiver == CYCLIC:
+        n_minus, n_plus = dims
+        if type_tag == "+":
+            d = n_plus - 1
+            pairs = {(d, d + 1): "a", (d + 1, d + 1): "b"}
+        else:
+            d = n_minus - 1
+            pairs = {(d + 1, d): "a", (d + 1, d + 1): "b"}
+        case = pairs.get((n_minus, n_plus))
+        return None if case is None or d < 0 else (case, d)
+    n_minus, n_star, n_plus = dims
+    if type_tag == "*":
+        d = n_star - 1
+        table = {(d, d): "a", (d + 1, d + 1): "b", (d, d + 1): "c", (d + 1, d): "d"}
+        case = table.get((n_minus, n_plus))
+    elif type_tag == "+":
+        d = n_plus - 1
+        table = {(d, d): "a", (d, d + 1): "b", (d + 1, d + 1): "c", (d - 1, d): "d"}
+        case = table.get((n_minus, n_star))
+    else:
+        d = n_minus - 1
+        table = {(d, d): "a", (d + 1, d): "b", (d + 1, d + 1): "c", (d, d - 1): "d"}
+        case = table.get((n_star, n_plus))
+    return None if case is None or d < 0 else (case, d)
+
+
+@pytest.mark.parametrize("quiver,type_tag", [(GELFAND, t) for t in NODES[GELFAND]]
+                         + [(CYCLIC, t) for t in NODES[CYCLIC]])
+def test_classify_cyclic_matches_reference_tables(monkeypatch, quiver, type_tag):
+    # only the dimension vector and the generating node decide the case
+    monkeypatch.setattr(quiverrep, "is_cyclic", lambda rep: type_tag)
+    for dims in itertools.product(range(9), repeat=len(NODES[quiver])):
+        rep = QuiverRep(quiver, dict(zip(NODES[quiver], dims)), {})
+        want = _reference_classify(quiver, type_tag, dims)
+        if want is None:
+            with pytest.raises(DomainError, match=re.escape(
+                    "cyclic module with impossible dimension vector %r" % (dims,))):
+                classify_cyclic(rep)
+        else:
+            assert classify_cyclic(rep) == (type_tag,) + want
+            assert cyclic_module_dims(quiver, type_tag, want[0], want[1]) == dims
+
+
+# sha256 of json.dumps(to_json()) over d = 0..9 (1..9 for the (+/-, d) cases)
+BUILD_DIGESTS = {
+    (GELFAND, "*", "a"): "d869809e5db2db6e",
+    (GELFAND, "*", "b"): "d3e5e189f2b0512c",
+    (GELFAND, "*", "c"): "c35fa145cec706f3",
+    (GELFAND, "*", "d"): "9b5f071318499f4f",
+    (GELFAND, "+", "a"): "5dac10f85070a891",
+    (GELFAND, "+", "b"): "90a22ae8c0582c5a",
+    (GELFAND, "+", "c"): "145f97651404ee2d",
+    (GELFAND, "+", "d"): "c1d0d1a772e57e72",
+    (GELFAND, "-", "a"): "88d3ded2f131192d",
+    (GELFAND, "-", "b"): "b6b9f1293ebae626",
+    (GELFAND, "-", "c"): "d7a5321c481ff098",
+    (GELFAND, "-", "d"): "b54051baf9682866",
+    (CYCLIC, "+", "a"): "92cf779a7f2872d1",
+    (CYCLIC, "+", "b"): "b4c2bb298b0a5d30",
+    (CYCLIC, "-", "a"): "da486b4c9b31661d",
+    (CYCLIC, "-", "b"): "d338cd0556a6b6c8",
+}
+
+
+@pytest.mark.parametrize("quiver,t,c", sorted(BUILD_DIGESTS))
+def test_build_cyclic_module_output_is_pinned(quiver, t, c):
+    h = hashlib.sha256()
+    for d in range(1 if (quiver, c) == (GELFAND, "d") and t != "*" else 0, 10):
+        rep = build_cyclic_module(quiver, t, c, d)
+        assert rep.dim_vector() == cyclic_module_dims(quiver, t, c, d)
+        h.update(json.dumps(rep.to_json()).encode())
+    assert h.hexdigest()[:16] == BUILD_DIGESTS[(quiver, t, c)]
+
+
+@pytest.mark.parametrize("args,message", [
+    ((GELFAND, "*", "a", -1), "depth parameter must be nonnegative"),
+    (("kronecker", "*", "a", -1), "depth parameter must be nonnegative"),
+    (("kronecker", "*", "a", 0), "unknown quiver 'kronecker'"),
+    ((GELFAND, "*", "e", 0), "no Gelfand cyclic module (*, e)"),
+    ((CYCLIC, "*", "a", 0), "no cyclic-quiver module (*, a)"),
+    ((CYCLIC, "+", "c", 3), "no cyclic-quiver module (+, c)"),
+    ((GELFAND, "+", "d", 0), "case (+, d) exists only for d >= 1"),
+    ((GELFAND, "-", "d", 0), "case (-, d) exists only for d >= 1"),
+])
+def test_build_cyclic_module_errors(args, message):
+    for f in (build_cyclic_module, cyclic_module_dims):
+        with pytest.raises(DomainError) as ex:
+            f(*args)
+        assert str(ex.value) == message
 
 
 # --- Harish-Chandra fragments ----------------------------------------------

@@ -221,6 +221,29 @@ def test_json_rejects_identically_zero_atom():
         form_from_json(data)
 
 
+def test_json_atom_at_tabled_pole_warns():
+    import warnings as _w
+    from polymaass.symcalc import PolePointWarning
+    data = form_to_json(form_of(PolyAtom(0, 0), atom_E(0, 1, 1)))
+    with _w.catch_warnings(record=True) as caught:
+        _w.simplefilter("always")
+        form_from_json(data)
+    assert any(issubclass(c.category, PolePointWarning) for c in caught)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["terms"][0]["spectral"].update(point="1/0"),
+    lambda d: d["terms"][0]["spectral"].update(weight="heavy"),
+    lambda d: d["terms"][0].pop("poly"),
+    lambda d: d["terms"][0].update(coeff=[{"pi_exp": 0, "num": "1", "den": "0"}]),
+], ids=["point", "weight", "missing", "den"])
+def test_json_parse_errors_are_domain_errors(mutate):
+    data = form_to_json(form_of(PolyAtom(0, 0), atom_E(0, 2)))
+    mutate(data)
+    with pytest.raises(DomainError, match="^malformed (form|scalar) JSON: "):
+        form_from_json(data)
+
+
 def test_pretty_is_deterministic():
     f = form_of(PolyAtom(0, 0), atom_E(0, 0, 1)) + form_of(PolyAtom(0, 0), atom_E(0, 0, 0))
     assert pretty(f) == "E^(1)_{0,0}  +  E^(0)_{0,0}"
