@@ -201,9 +201,9 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return 0 if ex.code in (0, None) else 1
     try:
-        if pole_path:
-            symcalc.load_pole_table(pole_path)
-        return _dispatch(args)
+        with symcalc.using_poles(symcalc.load_pole_table(pole_path) if pole_path
+                                 else symcalc.DEFAULT_POLES):
+            return _dispatch(args)
     except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2

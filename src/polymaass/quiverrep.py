@@ -12,6 +12,7 @@ nilpotent Jordan block.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,7 +78,7 @@ class QuiverRep:
             quiver = data["quiver"]
             if quiver not in NODES:
                 raise DomainError("unknown quiver %r" % (quiver,))
-            dims = {k: int(v) for k, v in data["dims"].items()}
+            dims = {k: operator.index(v) for k, v in data["dims"].items()}
             maps = {k: [[Fraction(x) for x in row] for row in m]
                     for k, m in data["maps"].items()}
         if set(dims) != set(NODES[quiver]) or min(dims.values()) < 0:
@@ -362,7 +363,7 @@ class HCFragment:
     def from_json(data: dict) -> "HCFragment":
         dec = lambda m: None if m is None else [[Fraction(x) for x in row] for row in m]
         with malformed_json("fragment JSON"):
-            return HCFragment(int(data["l"]), dec(data.get("x_minus")),
+            return HCFragment(operator.index(data["l"]), dec(data.get("x_minus")),
                               tuple(dec(m) for m in data.get("xs", ())),
                               dec(data.get("x_plus")), dec(data.get("y_plus")),
                               tuple(dec(m) for m in data.get("ys", ())),

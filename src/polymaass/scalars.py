@@ -8,6 +8,7 @@ constants like 3/pi stay exact.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
@@ -175,8 +176,9 @@ class Scalar:
     @staticmethod
     def from_json(data: list) -> "Scalar":
         with malformed_json("scalar JSON"):
-            return Scalar({int(t["pi_exp"]): Fraction(int(t["num"]), int(t["den"]))
-                           for t in data})
+            # the public constructor sums repeated exponents
+            return Scalar([(operator.index(t["pi_exp"]),
+                            Fraction(int(t["num"]), int(t["den"]))) for t in data])
 
 
 ZERO = Scalar()

@@ -509,6 +509,13 @@ def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:
 BK_CASES = ("Ia", "Ib", "Ic", "Id", "IIa", "IIb", "IIIa", "IIIb", "IIIc", "IIId")
 
 
+def _chain_from(anchor: SpectralFamily, m: int, branch: str, d: int) -> Form:
+    """The depth-d solver chain on the anchor, at the anchor's weight,
+    emitted and scaled back by nu (emit_form divides by it)."""
+    gv = solve_wd(anchor.weight, m, branch, d)
+    return emit_form(gv, anchor) * gv.preimage_scale
+
+
 def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
                    family: Optional[str] = None) -> Form:
     """Modular realization of a classification case in weight k, depth d.
@@ -537,8 +544,7 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
             anchor = poincare_family(0, index, Fraction(0))
         else:
             anchor = eisenstein_family(0, Fraction(0))
-        gv = solve_wd(0, -k, "L", d)
-        return emit_form(gv, anchor) * gv.preimage_scale
+        return _chain_from(anchor, -k, "L", d)
     if label == "Ib":
         return poincare_weakly_holomorphic_chain(k, d, index)
     if label == "Ic":
@@ -548,8 +554,7 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
             anchor = poincare_family(k - 2, index, 1 - Fraction(k - 2, 2), orientation=-1)
         else:
             anchor = eisenstein_family(k - 2, Fraction(3 - k), orientation=-1)
-        gv = solve_wd(k - 2, 2, "R", d)
-        return emit_form(gv, anchor) * gv.preimage_scale
+        return _chain_from(anchor, 2, "R", d)
     if label == "IIa":
         anchor = poincare_family(1, index, Fraction(1, 2), orientation=-1)
         return preimage_constant_weight(1, d, anchor)
@@ -559,9 +564,7 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
         return apply_power(construct_case("Id", 2 - k, d, index=index, family=family),
                            "R", k - 1)
     if label == "IIIb":
-        anchor = eisenstein_family(2, Fraction(0))
-        gv = solve_wd(2, k - 2, "R", d)
-        return emit_form(gv, anchor) * gv.preimage_scale
+        return _chain_from(eisenstein_family(2, Fraction(0)), k - 2, "R", d)
     if label == "IIIc":
         return apply_power(construct_case("Ic", 2 - k, d + 1, index=index), "R", k - 1)
     # IIId

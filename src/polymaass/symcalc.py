@@ -31,11 +31,15 @@ are structural after normalization and pole substitution.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from .scalars import DomainError, Scalar, ZERO, ONE, malformed_json
 
@@ -143,49 +147,7 @@ CONST_ATOM = SpectralAtom(CONST_FAMILY, 0, Fraction(0), 0)
 
 
 # ---------------------------------------------------------------------------
-# pole table and vanishing orders
-
-# keyed by (family, weight, point) -> residue Form (weight must match,
-# polynomial parts must be e_{0,0} so residues tensor into any term)
-_POLE_TABLE: Dict[Tuple[Family, int, Fraction], "Form"] = {}
-
-
-def default_pole_table() -> Dict[Tuple[Family, int, Fraction], "Form"]:
-    res = Form(0, {(E00, CONST_ATOM): Scalar.pi_power(-1, 3)})
-    return {(Family(EISENSTEIN), 0, Fraction(1)): res}
-
-
-def set_pole_table(table) -> None:
-    global _POLE_TABLE
-    for (fam, w, p), form in table.items():
-        if form.weight != w:
-            raise DomainError("pole residue weight mismatch at %r" % ((fam, w, p),))
-        for (e, _a), _c in form.terms:
-            if e != E00:
-                raise DomainError("pole residues must have trivial polynomial part")
-    _POLE_TABLE = dict(table)
-
-
-def load_pole_table(path: str) -> None:
-    with open(path) as fh:
-        data = json.load(fh)
-    table = {}
-    with malformed_json("pole table JSON"):
-        for entry in data:
-            fam = _family_from_json(entry["family"])
-            key = (fam, int(entry["weight"]), Fraction(entry["point"]))
-            if int(entry.get("order", 1)) != 1:
-                raise DomainError("pole order capped at 1")
-            table[key] = form_from_json(entry["residue_form"])
-    set_pole_table(table)
-
-
-def _residue_of(family: Family, weight: int, point: Fraction) -> Optional["Form"]:
-    return _POLE_TABLE.get((family, weight, point))
-
-
-def _is_pole_point(family: Family, weight: int, point: Fraction) -> bool:
-    return (family, weight, point) in _POLE_TABLE
+# vanishing orders
 
 
 def vanishing_order(family: Family, weight: int, point: Fraction) -> int:
@@ -200,7 +162,7 @@ def _mk_atom(family: Family, weight: int, point: Fraction, laurent: int,
     """Create an expanded atom, returning None when it is structurally zero."""
     if laurent < vanishing_order(family, weight, point):
         return None
-    if laurent >= 0 and pending is None and _is_pole_point(family, weight, point):
+    if laurent >= 0 and pending is None and (family, weight, point) in _POLES.get():
         warnings.warn(
             "atom at tabled pole point (weight %d, point %s); using Laurent "
             "coefficients of the continued family" % (weight, point),
@@ -323,6 +285,58 @@ def atom_incoherent(disc: int, order: int) -> SpectralAtom:
 
 
 # ---------------------------------------------------------------------------
+# pole table
+
+PoleTable = Mapping[Tuple[Family, int, Fraction], Form]
+
+
+def pole_table(entries) -> PoleTable:
+    """A read-only pole table from a mapping (family, weight, point) ->
+    residue Form.  The residue's weight must match and its polynomial parts
+    must be e_{0,0}, so that residues tensor into any term."""
+    for (fam, w, p), form in entries.items():
+        if form.weight != w:
+            raise DomainError("pole residue weight mismatch at %r" % ((fam, w, p),))
+        for (e, _a), _c in form.terms:
+            if e != E00:
+                raise DomainError("pole residues must have trivial polynomial part")
+    return MappingProxyType(dict(entries))
+
+
+DEFAULT_POLES = pole_table({
+    (Family(EISENSTEIN), 0, Fraction(1)): Form(0, {(E00, CONST_ATOM): Scalar.pi_power(-1, 3)}),
+})
+
+# the table in force; a new thread starts with the default
+_POLES: ContextVar[PoleTable] = ContextVar("poles", default=DEFAULT_POLES)
+
+
+@contextmanager
+def using_poles(table: PoleTable):
+    """Run the block with `table` (from pole_table or load_pole_table) in
+    force, and restore the previous table on exit."""
+    token = _POLES.set(table)
+    try:
+        yield
+    finally:
+        _POLES.reset(token)
+
+
+def load_pole_table(path: str) -> PoleTable:
+    with open(path) as fh:
+        data = json.load(fh)
+    table = {}
+    with malformed_json("pole table JSON"):
+        for entry in data:
+            fam = _family_from_json(entry["family"])
+            key = (fam, operator.index(entry["weight"]), Fraction(entry["point"]))
+            if operator.index(entry.get("order", 1)) != 1:
+                raise DomainError("pole order capped at 1")
+            table[key] = form_from_json(entry["residue_form"])
+    return pole_table(table)
+
+
+# ---------------------------------------------------------------------------
 # operator action on spectral atoms
 
 # Step rules in the global spectral parameter:
@@ -372,7 +386,7 @@ def _spectral_step(a: SpectralAtom, direction: str):
         if sub is not None:
             atoms.append((sub, Scalar.from_rational(t) * unit))
     else:  # t == 0: formal residue coefficient of the shifted family
-        res = _residue_of(fam, w2, p2)
+        res = _POLES.get().get((fam, w2, p2))
         if res is not None:
             residues.append((res, unit))
     return atoms, residues
@@ -620,7 +634,9 @@ def _family_from_json(data: dict) -> Family:
     unknown = sorted(set(data) - {"kind", "index", "disc"})
     if unknown:
         raise DomainError("unknown family field(s): %s" % ", ".join(unknown))
-    return Family(data["kind"], index=data.get("index"), disc=data.get("disc"))
+    index, disc = data.get("index"), data.get("disc")
+    return Family(data["kind"], index=None if index is None else operator.index(index),
+                  disc=None if disc is None else operator.index(disc))
 
 
 def form_to_json(f: Form) -> dict:
@@ -645,14 +661,15 @@ def form_from_json(data: dict) -> Form:
     acc = {}
     with malformed_json("form JSON"):
         for term in data["terms"]:
-            e = PolyAtom(term["poly"]["m"], term["poly"]["r"])
+            e = PolyAtom(operator.index(term["poly"]["m"]), operator.index(term["poly"]["r"]))
             sp = term["spectral"]
             pending = sp.get("pending")
-            a = _atom(_family_from_json(sp["family"]), int(sp["weight"]), sp["point"],
-                      int(sp["laurent"]),
-                      None if pending is None else (pending["dir"], int(pending["power"])))
+            a = _atom(_family_from_json(sp["family"]), operator.index(sp["weight"]),
+                      sp["point"], operator.index(sp["laurent"]),
+                      None if pending is None
+                      else (pending["dir"], operator.index(pending["power"])))
             acc[(e, a)] = acc.get((e, a), ZERO) + Scalar.from_json(term["coeff"])
-        return Form(data["weight"], acc)
+        return Form(operator.index(data["weight"]), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -701,5 +718,3 @@ def pretty(f: Form) -> str:
         parts.append("%s%s%s" % (piece, epart, body))
     return "  +  ".join(parts)
 
-
-set_pole_table(default_pole_table())

@@ -186,6 +186,30 @@ def test_malformed_pole_table_exits_2(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: malformed pole table JSON")
 
 
+def test_pole_table_applies_to_one_call(capsys, tmp_path, monkeypatch):
+    form = tmp_path / "e2.json"
+    form.write_text(json.dumps(form_to_json(form_of(PolyAtom(0, 0), atom_E(2, 0)))))
+    table = tmp_path / "poles.json"
+    table.write_text("[]")
+    monkeypatch.setenv("POLYMAASS_POLE_TABLE", str(table))
+    assert run(capsys, "apply", "--op", "lowering", "--in", str(form)) == \
+        (0, "0  (weight 0)\n", "")
+    # the empty table was in force for that call only
+    monkeypatch.delenv("POLYMAASS_POLE_TABLE")
+    assert run(capsys, "apply", "--op", "lowering", "--in", str(form)) == \
+        (0, "3*pi^-1 1\n", "")
+
+
+def test_float_laurent_exits_2(capsys, tmp_path):
+    data = form_to_json(form_of(PolyAtom(0, 0), atom_E(2, 0, 1)))
+    data["terms"][0]["spectral"]["laurent"] = 1.5
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "apply", "--op", "lowering", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed form JSON")
+
+
 def test_quiver_from_hc_rejects_mismatched_shapes(capsys, tmp_path):
     path = tmp_path / "frag.json"
     path.write_text(json.dumps({

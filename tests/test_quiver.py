@@ -306,6 +306,23 @@ def test_quiver_json_round_trip():
     assert again.x_minus == frag.x_minus and again.ys == frag.ys
 
 
+@pytest.mark.parametrize("value", [1.9, 1.0, "1"])
+def test_quiver_json_rejects_non_integer_dims(value):
+    data = build_cyclic_module(CYCLIC, "+", "a", 0).to_json()
+    assert data["dims"]["+"] == 1
+    data["dims"]["+"] = value
+    with pytest.raises(DomainError, match="^malformed quiver representation: "):
+        QuiverRep.from_json(data)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+def test_fragment_json_rejects_non_integer_l(value):
+    data = random_fragment(2, 2, seed=1).to_json()
+    data["l"] = value
+    with pytest.raises(DomainError, match="^malformed fragment JSON: "):
+        HCFragment.from_json(data)
+
+
 def _ends_only_fragment(l, n0, n1, n2):
     """A fragment with dims (n0, n1, n2) at (M_{-l-1}, M_{-l+1}, M_{l+1}),
     zero end maps and identity interior maps."""

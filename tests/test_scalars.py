@@ -199,3 +199,17 @@ def test_public_constructor_normalizes_every_input():
     assert_agrees(Scalar(iter([(3, 1), (-1, 2)])), ReferenceScalar({-1: 2, 3: 1}))
     assert_agrees(Scalar.pi_power(1, 0), ReferenceScalar())
     assert_agrees(Scalar.from_rational(True), ReferenceScalar({0: 1}))
+
+
+def test_from_json_sums_repeated_exponents():
+    data = [{"pi_exp": 0, "num": "1", "den": "1"}, {"pi_exp": -1, "num": "3", "den": "1"},
+            {"pi_exp": 0, "num": "2", "den": "1"}, {"pi_exp": -1, "num": "-3", "den": "1"}]
+    assert Scalar.from_json(data) == Scalar.from_rational(3)
+    assert Scalar.from_json(data).terms == ((0, Fraction(3)),)
+
+
+@pytest.mark.parametrize("pi_exp", [1.5, 1.0, "1"])
+def test_from_json_rejects_non_integer_exponent(pi_exp):
+    from polymaass.scalars import DomainError
+    with pytest.raises(DomainError, match="^malformed scalar JSON: "):
+        Scalar.from_json([{"pi_exp": pi_exp, "num": "1", "den": "1"}])

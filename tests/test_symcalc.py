@@ -244,6 +244,41 @@ def test_json_parse_errors_are_domain_errors(mutate):
         form_from_json(data)
 
 
+def _json_with_every_integer_field():
+    """Form JSON with a pending power, a Poincare index and an incoherent
+    discriminant, so that every integer field of the format is present;
+    also returns the Poincare and the incoherent term."""
+    f = (form_of(PolyAtom(2, 1), SpectralAtom(Family("poincare", index=-2), -3,
+                                              Fraction(1, 2), 1, ("R", 2)))
+         + form_of(PolyAtom(2, 1), atom_incoherent(3, 1)) * Scalar.pi_power(-4, 1))
+    data = form_to_json(f)
+    by_kind = {t["spectral"]["family"]["kind"]: t for t in data["terms"]}
+    return data, by_kind["poincare"], by_kind["incoherent"]
+
+
+@pytest.mark.parametrize("field", [
+    lambda d, p, i: (d, "weight"),
+    lambda d, p, i: (p["poly"], "m"),
+    lambda d, p, i: (p["poly"], "r"),
+    lambda d, p, i: (p["spectral"], "weight"),
+    lambda d, p, i: (p["spectral"], "laurent"),
+    lambda d, p, i: (p["spectral"]["pending"], "power"),
+    lambda d, p, i: (p["spectral"]["family"], "index"),
+    lambda d, p, i: (i["spectral"]["family"], "disc"),
+    lambda d, p, i: (i["coeff"][0], "pi_exp"),
+], ids=["weight", "poly.m", "poly.r", "spectral.weight", "laurent", "pending.power",
+        "index", "disc", "pi_exp"])
+@pytest.mark.parametrize("shift", [0.5, 0.0], ids=["fractional", "integral"])
+def test_json_rejects_float_integer_fields(field, shift):
+    data, poincare, incoherent = _json_with_every_integer_field()
+    form_from_json(data)
+    node, key = field(data, poincare, incoherent)
+    assert type(node[key]) is int
+    node[key] += shift
+    with pytest.raises(DomainError, match="^malformed (form|scalar) JSON: "):
+        form_from_json(data)
+
+
 def test_pretty_is_deterministic():
     f = form_of(PolyAtom(0, 0), atom_E(0, 0, 1)) + form_of(PolyAtom(0, 0), atom_E(0, 0, 0))
     assert pretty(f) == "E^(1)_{0,0}  +  E^(0)_{0,0}"
@@ -264,17 +299,67 @@ def test_pole_table_json_round_trip(tmp_path):
     }]
     path = tmp_path / "poles.json"
     path.write_text(_json.dumps(table_json))
-    try:
-        sc.load_pole_table(str(path))
+    with sc.using_poles(sc.load_pole_table(str(path))):
         got = apply_lowering(form_of(PolyAtom(0, 0), atom_E(2, 0)))
         want = form_of(PolyAtom(0, 0), CONST_ATOM, Scalar.pi_power(-1, 3))
         assert forms_equal(got, want)
         # an empty table drops the residue: L E_2 becomes structurally zero
-        sc.set_pole_table({})
-        got = apply_lowering(form_of(PolyAtom(0, 0), atom_E(2, 0)))
-        assert got.is_empty()
-    finally:
-        sc.set_pole_table(sc.default_pole_table())
+        with sc.using_poles(sc.pole_table({})):
+            got = apply_lowering(form_of(PolyAtom(0, 0), atom_E(2, 0)))
+            assert got.is_empty()
+
+
+def _lowered_e2():
+    return apply_lowering(form_of(PolyAtom(0, 0), atom_E(2, 0)))
+
+
+THREE_OVER_PI = form_of(PolyAtom(0, 0), CONST_ATOM, Scalar.pi_power(-1, 3))
+
+
+def test_default_poles_in_a_new_thread():
+    # the default lives in the ContextVar itself, so a thread that starts
+    # with an empty context still sees it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        got = pool.submit(_lowered_e2).result()   # re-raises the worker's error
+    assert forms_equal(got, THREE_OVER_PI)
+
+
+def test_using_poles_restores_the_table_after_an_exception():
+    from polymaass import symcalc as sc
+    with pytest.raises(RuntimeError):
+        with sc.using_poles(sc.pole_table({})):
+            assert _lowered_e2().is_empty()
+            raise RuntimeError
+    assert forms_equal(_lowered_e2(), THREE_OVER_PI)
+
+
+def test_pole_table_is_read_only():
+    from polymaass import symcalc as sc
+    entries = {(Family("eisenstein"), 0, Fraction(1)): THREE_OVER_PI}
+    table = sc.pole_table(entries)
+    with pytest.raises(TypeError):
+        table[(Family("eisenstein"), 2, Fraction(0))] = THREE_OVER_PI
+    with pytest.raises(TypeError):
+        sc.DEFAULT_POLES[(Family("eisenstein"), 2, Fraction(0))] = THREE_OVER_PI
+    # the table is a copy: changing the entries afterwards leaves it alone
+    entries.clear()
+    assert len(table) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weight", 0.7), ("order", 1.9), ("order", 1.0), ("weight", "0"),
+])
+def test_pole_table_json_rejects_non_integers(tmp_path, field, value):
+    import json as _json
+    from polymaass import symcalc as sc
+    entry = {"family": {"kind": "eisenstein"}, "weight": 0, "point": "1", "order": 1,
+             "residue_form": sc.form_to_json(THREE_OVER_PI)}
+    entry[field] = value
+    path = tmp_path / "poles.json"
+    path.write_text(_json.dumps([entry]))
+    with pytest.raises(DomainError, match="^malformed pole table JSON: "):
+        sc.load_pole_table(str(path))
 
 
 def test_pole_point_warning():
