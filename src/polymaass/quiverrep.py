@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import (Mat, Vec, identity, kernel, mat_mul, rref, solve_linear,
                      zeros)
-from .scalars import malformed_json
+from .scalars import json_rational, malformed_json
 from .symcalc import DomainError
 
 GELFAND = "gelfand"
@@ -79,7 +79,7 @@ class QuiverRep:
             if quiver not in NODES:
                 raise DomainError("unknown quiver %r" % (quiver,))
             dims = {k: operator.index(v) for k, v in data["dims"].items()}
-            maps = {k: [[Fraction(x) for x in row] for row in m]
+            maps = {k: [[json_rational(x) for x in row] for row in m]
                     for k, m in data["maps"].items()}
         if set(dims) != set(NODES[quiver]) or min(dims.values()) < 0:
             raise DomainError("dims must give a nonnegative dimension for exactly "
@@ -361,7 +361,7 @@ class HCFragment:
 
     @staticmethod
     def from_json(data: dict) -> "HCFragment":
-        dec = lambda m: None if m is None else [[Fraction(x) for x in row] for row in m]
+        dec = lambda m: None if m is None else [[json_rational(x) for x in row] for row in m]
         with malformed_json("fragment JSON"):
             return HCFragment(operator.index(data["l"]), dec(data.get("x_minus")),
                               tuple(dec(m) for m in data.get("xs", ())),

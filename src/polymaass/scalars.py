@@ -32,6 +32,15 @@ def malformed_json(what: str):
         raise DomainError("malformed %s: %s" % (what, ex)) from None
 
 
+def json_rational(x) -> Fraction:
+    """The exact rational a JSON field holds: an int, or a string such as
+    "-3", "5/7" or "0.1".  A float raises TypeError, so that 0.1 is never
+    read as the binary fraction nearest to it."""
+    if not isinstance(x, (int, str)):
+        raise TypeError("a rational must be an int or a string, not %r" % (x,))
+    return Fraction(x)
+
+
 class Scalar:
     """A finite sum q_0*pi^e_0 + q_1*pi^e_1 + ... with distinct integer e_i.
 
@@ -176,9 +185,14 @@ class Scalar:
     @staticmethod
     def from_json(data: list) -> "Scalar":
         with malformed_json("scalar JSON"):
+            terms = []
+            for t in data:
+                num, den = json_rational(t["num"]), json_rational(t["den"])
+                if num.denominator != 1 or den.denominator != 1:
+                    raise ValueError("num and den must be integers")
+                terms.append((operator.index(t["pi_exp"]), num / den))
             # the public constructor sums repeated exponents
-            return Scalar([(operator.index(t["pi_exp"]),
-                            Fraction(int(t["num"]), int(t["den"]))) for t in data])
+            return Scalar(terms)
 
 
 ZERO = Scalar()

@@ -11,6 +11,7 @@ emitted form reproduce the emitted w_0 exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -20,7 +21,7 @@ from typing import List, Optional, Tuple
 # algebra functions under this module's names
 from .linalg import (Mat, SparseRows, Vec, identity, kernel, mat_mul, mat_pow,
                      mat_vec, rref, solve_linear, sparse_rows, sparse_vec, zeros)
-from .scalars import Scalar
+from .scalars import Scalar, json_rational, malformed_json
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, apply_flip, apply_power, atom_incoherent,
                       form_of, is_zero, laplace_closure, local_eigen_poly,
@@ -134,10 +135,11 @@ class GradedVector:
 
     @staticmethod
     def from_json(data: dict) -> "GradedVector":
-        return GradedVector(int(data["k"]), int(data["m"]), data["branch"],
-                            int(data["d"]),
-                            [[Fraction(x) for x in layer] for layer in data["layers"]],
-                            Fraction(data.get("preimage_scale", 1)))
+        with malformed_json("graded vector JSON"):
+            return GradedVector(operator.index(data["k"]), operator.index(data["m"]),
+                                data["branch"], operator.index(data["d"]),
+                                [[json_rational(x) for x in layer] for layer in data["layers"]],
+                                json_rational(data.get("preimage_scale", 1)))
 
 
 def _pochhammer(a: int, j: int) -> Fraction:

@@ -41,7 +41,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .scalars import DomainError, Scalar, ZERO, ONE, malformed_json
+from .scalars import DomainError, Scalar, ZERO, ONE, json_rational, malformed_json
 
 
 class PolePointWarning(UserWarning):
@@ -127,6 +127,19 @@ class SpectralAtom:
             d, a = self.pending
             if d not in ("L", "R") or a < 1:
                 raise DomainError("malformed pending operator %r" % (self.pending,))
+        # atoms key every form's terms; hash the Fraction point once, not
+        # on every dict lookup
+        object.__setattr__(self, "_hash", hash(
+            (self.family, self.weight, self.point, self.laurent, self.pending)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between
+        # processes, so the cached hash must not be pickled
+        return (SpectralAtom, (self.family, self.weight, self.point, self.laurent,
+                               self.pending))
 
     @property
     def effective_weight(self) -> int:
@@ -329,7 +342,7 @@ def load_pole_table(path: str) -> PoleTable:
     with malformed_json("pole table JSON"):
         for entry in data:
             fam = _family_from_json(entry["family"])
-            key = (fam, operator.index(entry["weight"]), Fraction(entry["point"]))
+            key = (fam, operator.index(entry["weight"]), json_rational(entry["point"]))
             if operator.index(entry.get("order", 1)) != 1:
                 raise DomainError("pole order capped at 1")
             table[key] = form_from_json(entry["residue_form"])
@@ -349,86 +362,70 @@ def load_pole_table(path: str) -> PoleTable:
 # the pole-table residue of the shifted family.
 
 
-def _spectral_step(a: SpectralAtom, direction: str):
-    """One application of L or R to an expanded atom.
-
-    Returns (atom_terms, residue_forms): a list of (SpectralAtom, Scalar)
-    plus a list of (Form, Scalar) for pole-table substitutions.
-    """
+def _spectral_step(a: SpectralAtom, direction: str) -> Form:
+    """e_{0,0} (x) (L or R) a for an expanded atom a, with the pole-table
+    residue of the shifted family added as ordinary terms."""
     assert a.pending is None
     fam, w, p, t = a.family, a.weight, a.point, a.laurent
+    w2 = w - 2 if direction == "L" else w + 2
     if fam.kind == CONSTANT:
-        return [], []
+        return Form(w2)
     if fam.is_eisenstein_like():
         if direction == "L":
-            w2, p2, pref = w - 2, p + 1, Scalar.from_rational(p)
+            p2, pref = p + 1, Scalar.from_rational(p)
         else:
-            w2, p2, pref = w + 2, p - 1, Scalar.from_rational(p + w)
+            p2, pref = p - 1, Scalar.from_rational(p + w)
         unit = ONE
     else:  # Poincare
         n = abs(a.family.index)
+        p2 = p
         if direction == "L":
-            w2, p2 = w - 2, p
             pref = Scalar.from_rational(p - Fraction(w, 2))
             unit = Scalar.pi_power(-1, Fraction(1, 4 * n))
         else:
-            w2, p2 = w + 2, p
             pref = Scalar.from_rational(p + Fraction(w, 2))
             unit = Scalar.pi_power(1, 4 * n)
-    atoms = []
-    residues = []
+    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
     if not pref.is_zero():
         sub = _mk_atom(fam, w2, p2, t)
         if sub is not None:
-            atoms.append((sub, pref * unit))
+            acc[(E00, sub)] = pref * unit
     if t >= 1:
         sub = _mk_atom(fam, w2, p2, t - 1)
         if sub is not None:
-            atoms.append((sub, Scalar.from_rational(t) * unit))
+            acc[(E00, sub)] = Scalar.from_rational(t) * unit
     else:  # t == 0: formal residue coefficient of the shifted family
         res = _POLES.get().get((fam, w2, p2))
         if res is not None:
-            residues.append((res, unit))
-    return atoms, residues
+            _tensor(acc, E00, res, unit)
+    return Form(w2, acc)
 
 
-def _expand_atom(a: SpectralAtom):
-    """Expand pending operator powers; returns (atom_terms, residue_forms).
-
-    A pole residue picked up before the last step still receives the
-    remaining operator applications (zero for constant residues).
-    """
+def _expand(a: SpectralAtom) -> Form:
+    """e_{0,0} (x) a with its pending power unfolded: e_{0,0} has no L or R
+    image, so OP^p S is p passes of the operator over e_{0,0} (x) S, and a
+    residue picked up part-way gets the remaining passes."""
     if a.pending is None:
-        return [(a, ONE)], []
+        return form_of(E00, a)
     direction, power = a.pending
-    base = SpectralAtom(a.family, a.weight, a.point, a.laurent)
-    atoms = [(base, ONE)]
-    residues = []
-    for step in range(power):
-        next_atoms: Dict[SpectralAtom, Scalar] = {}
-        for sub, c in atoms:
-            steps, res = _spectral_step(sub, direction)
-            for s_atom, s_c in steps:
-                key = s_atom
-                next_atoms[key] = next_atoms.get(key, ZERO) + c * s_c
-            for r_form, r_c in res:
-                for _ in range(power - 1 - step):
-                    r_form = _apply_op(r_form, direction)
-                if not r_form.is_empty():
-                    residues.append((r_form, c * r_c))
-        atoms = [(k, v) for k, v in next_atoms.items() if not v.is_zero()]
-    return atoms, residues
+    f = form_of(E00, SpectralAtom(a.family, a.weight, a.point, a.laurent))
+    for _ in range(power):
+        f = _apply_op(f, direction)
+    return f
 
 
 # ---------------------------------------------------------------------------
 # form-level operators
 
 
-def _tensor_with_residue(e: PolyAtom, res_form: Form, coeff: Scalar, acc: dict):
-    for (e0, a0), c0 in res_form.terms:
-        # residues carry trivial polynomial part, validated at load
-        key = (e, a0)
-        acc[key] = acc.get(key, ZERO) + coeff * c0
+def _add(acc: dict, key, c: Scalar) -> None:
+    acc[key] = acc.get(key, ZERO) + c
+
+
+def _tensor(acc: dict, e: PolyAtom, g: Form, coeff: Scalar) -> None:
+    """Add coeff * e (x) g to acc, for a form g over e_{0,0}."""
+    for (_e0, a), c in g.terms:
+        _add(acc, (e, a), coeff * c)
 
 
 def _lower_poly(e: PolyAtom):
@@ -448,12 +445,7 @@ def _apply_op(f: Form, direction: str) -> Form:
     """L or R by the Leibniz rule, term by term (homogeneity is enforced
     by the Form constructor)."""
     delta = -2 if direction == "L" else 2
-    out_weight = f.weight + delta
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-
-    def add(key, c):
-        acc[key] = acc.get(key, ZERO) + c
-
     for (e, a), coeff in f.terms:
         # polynomial factor
         if direction == "L":
@@ -461,29 +453,16 @@ def _apply_op(f: Form, direction: str) -> Form:
         else:
             e2, c2 = _raise_poly(e)
         if e2 is not None:
-            add((e2, a), coeff * c2)
+            _add(acc, (e2, a), coeff * c2)
         # spectral factor
-        if a.pending is not None and a.pending[0] == direction:
-            add((e, SpectralAtom(a.family, a.weight, a.point, a.laurent,
-                                 (direction, a.pending[1] + 1))), coeff)
-            continue
-        if a.pending is not None:
-            # opposite-direction pending operator: unfold it first, then let
-            # the current operator act on everything (spectral side only)
-            expanded, residues = _expand_atom(a)
-            for r_form, r_c in residues:
-                stepped = _apply_op(r_form, direction)
-                if not stepped.is_empty():
-                    _tensor_with_residue(e, stepped, coeff * r_c, acc)
+        if a.pending is None:
+            _tensor(acc, e, _spectral_step(a, direction), coeff)
+        elif a.pending[0] == direction:
+            _add(acc, (e, SpectralAtom(a.family, a.weight, a.point, a.laurent,
+                                       (direction, a.pending[1] + 1))), coeff)
         else:
-            expanded = [(a, ONE)]
-        for sub, c_sub in expanded:
-            steps, res = _spectral_step(sub, direction)
-            for s_atom, s_c in steps:
-                add((e, s_atom), coeff * c_sub * s_c)
-            for r_form, r_c in res:
-                _tensor_with_residue(e, r_form, coeff * c_sub * r_c, acc)
-    return Form(out_weight, acc)
+            _tensor(acc, e, _apply_op(_expand(a), direction), coeff)
+    return Form(f.weight + delta, acc)
 
 
 def apply_lowering(f: Form) -> Form:
@@ -527,16 +506,8 @@ def laplace_closure(seeds) -> Dict[Tuple[PolyAtom, SpectralAtom], Form]:
 
 def expand_pending(f: Form) -> Form:
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-
-    def add(key, c):
-        acc[key] = acc.get(key, ZERO) + c
-
     for (e, a), coeff in f.terms:
-        expanded, residues = _expand_atom(a)
-        for sub, c_sub in expanded:
-            add((e, sub), coeff * c_sub)
-        for r_form, r_c in residues:
-            _tensor_with_residue(e, r_form, coeff * r_c, acc)
+        _tensor(acc, e, _expand(a), coeff)
     return Form(f.weight, acc)
 
 
@@ -557,10 +528,6 @@ def forms_equal(f: Form, g: Form) -> bool:
 def apply_mirror(f: Form) -> Form:
     """y^k conj(.) termwise; requires expanded atoms and rational points."""
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-
-    def add(key, c):
-        acc[key] = acc.get(key, ZERO) + c
-
     for (e, a), coeff in f.terms:
         if a.pending is not None:
             raise DomainError("mirror needs expanded atoms; call expand_pending first")
@@ -584,7 +551,7 @@ def apply_mirror(f: Form) -> Form:
             spec_c = Scalar.pi_power(-w, (-1) ** ((1 - w) % 2) * Fraction(4 * n) ** (-w))
         else:
             raise DomainError("mirror is not defined for family %r" % (fam,))
-        add((e2, a2), coeff * poly_c * spec_c)
+        _add(acc, (e2, a2), coeff * poly_c * spec_c)
     return Form(-f.weight, acc)
 
 
@@ -665,10 +632,10 @@ def form_from_json(data: dict) -> Form:
             sp = term["spectral"]
             pending = sp.get("pending")
             a = _atom(_family_from_json(sp["family"]), operator.index(sp["weight"]),
-                      sp["point"], operator.index(sp["laurent"]),
+                      json_rational(sp["point"]), operator.index(sp["laurent"]),
                       None if pending is None
                       else (pending["dir"], operator.index(pending["power"])))
-            acc[(e, a)] = acc.get((e, a), ZERO) + Scalar.from_json(term["coeff"])
+            _add(acc, (e, a), Scalar.from_json(term["coeff"]))
         return Form(operator.index(data["weight"]), acc)
 
 

@@ -210,6 +210,16 @@ def test_float_laurent_exits_2(capsys, tmp_path):
     assert err.startswith("error: malformed form JSON")
 
 
+def test_float_point_exits_2(capsys, tmp_path):
+    data = form_to_json(form_of(PolyAtom(0, 0), atom_E(2, 0, 1)))
+    data["terms"][0]["spectral"]["point"] = 0.1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "apply", "--op", "lowering", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed form JSON")
+
+
 def test_quiver_from_hc_rejects_mismatched_shapes(capsys, tmp_path):
     path = tmp_path / "frag.json"
     path.write_text(json.dumps({

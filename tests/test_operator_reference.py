@@ -1,0 +1,292 @@
+"""The operator path against the one it replaced.
+
+The package once stepped an atom into an (atoms, residues) pair, replayed
+that pair in an expansion loop of its own and re-stepped each residue for
+the remaining passes.  Those functions are kept below verbatim as the
+reference: L, R, their powers, Delta, expansion and the zero test of the
+one operator path must give forms equal to theirs, under the default pole
+table, an empty one, and one whose residue holds a non-constant and a
+pending atom (so that the remaining passes act on the residue).
+"""
+
+from fractions import Fraction
+from typing import Dict, Tuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polymaass.scalars import ONE, ZERO, Scalar
+from polymaass.symcalc import (CONST_ATOM, CONST_FAMILY, CONSTANT, DEFAULT_POLES, E00,
+                               EISENSTEIN, INCOHERENT, POINCARE, _POLES, Family, Form,
+                               PolyAtom, SpectralAtom, _lower_poly, _mk_atom, _raise_poly,
+                               apply_laplace, apply_lowering, apply_power, apply_raising,
+                               expand_pending, form_of, is_zero, pole_table, using_poles,
+                               vanishing_order)
+
+
+# --- the reference, verbatim ------------------------------------------------
+
+def _spectral_step(a: SpectralAtom, direction: str):
+    """One application of L or R to an expanded atom.
+
+    Returns (atom_terms, residue_forms): a list of (SpectralAtom, Scalar)
+    plus a list of (Form, Scalar) for pole-table substitutions.
+    """
+    assert a.pending is None
+    fam, w, p, t = a.family, a.weight, a.point, a.laurent
+    if fam.kind == CONSTANT:
+        return [], []
+    if fam.is_eisenstein_like():
+        if direction == "L":
+            w2, p2, pref = w - 2, p + 1, Scalar.from_rational(p)
+        else:
+            w2, p2, pref = w + 2, p - 1, Scalar.from_rational(p + w)
+        unit = ONE
+    else:  # Poincare
+        n = abs(a.family.index)
+        if direction == "L":
+            w2, p2 = w - 2, p
+            pref = Scalar.from_rational(p - Fraction(w, 2))
+            unit = Scalar.pi_power(-1, Fraction(1, 4 * n))
+        else:
+            w2, p2 = w + 2, p
+            pref = Scalar.from_rational(p + Fraction(w, 2))
+            unit = Scalar.pi_power(1, 4 * n)
+    atoms = []
+    residues = []
+    if not pref.is_zero():
+        sub = _mk_atom(fam, w2, p2, t)
+        if sub is not None:
+            atoms.append((sub, pref * unit))
+    if t >= 1:
+        sub = _mk_atom(fam, w2, p2, t - 1)
+        if sub is not None:
+            atoms.append((sub, Scalar.from_rational(t) * unit))
+    else:  # t == 0: formal residue coefficient of the shifted family
+        res = _POLES.get().get((fam, w2, p2))
+        if res is not None:
+            residues.append((res, unit))
+    return atoms, residues
+
+
+def _expand_atom(a: SpectralAtom):
+    """Expand pending operator powers; returns (atom_terms, residue_forms).
+
+    A pole residue picked up before the last step still receives the
+    remaining operator applications (zero for constant residues).
+    """
+    if a.pending is None:
+        return [(a, ONE)], []
+    direction, power = a.pending
+    base = SpectralAtom(a.family, a.weight, a.point, a.laurent)
+    atoms = [(base, ONE)]
+    residues = []
+    for step in range(power):
+        next_atoms: Dict[SpectralAtom, Scalar] = {}
+        for sub, c in atoms:
+            steps, res = _spectral_step(sub, direction)
+            for s_atom, s_c in steps:
+                key = s_atom
+                next_atoms[key] = next_atoms.get(key, ZERO) + c * s_c
+            for r_form, r_c in res:
+                for _ in range(power - 1 - step):
+                    r_form = _apply_op(r_form, direction)
+                if not r_form.is_empty():
+                    residues.append((r_form, c * r_c))
+        atoms = [(k, v) for k, v in next_atoms.items() if not v.is_zero()]
+    return atoms, residues
+
+
+def _tensor_with_residue(e: PolyAtom, res_form: Form, coeff: Scalar, acc: dict):
+    for (e0, a0), c0 in res_form.terms:
+        # residues carry trivial polynomial part, validated at load
+        key = (e, a0)
+        acc[key] = acc.get(key, ZERO) + coeff * c0
+
+
+def _apply_op(f: Form, direction: str) -> Form:
+    """L or R by the Leibniz rule, term by term (homogeneity is enforced
+    by the Form constructor)."""
+    delta = -2 if direction == "L" else 2
+    out_weight = f.weight + delta
+    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
+
+    def add(key, c):
+        acc[key] = acc.get(key, ZERO) + c
+
+    for (e, a), coeff in f.terms:
+        # polynomial factor
+        if direction == "L":
+            e2, c2 = _lower_poly(e)
+        else:
+            e2, c2 = _raise_poly(e)
+        if e2 is not None:
+            add((e2, a), coeff * c2)
+        # spectral factor
+        if a.pending is not None and a.pending[0] == direction:
+            add((e, SpectralAtom(a.family, a.weight, a.point, a.laurent,
+                                 (direction, a.pending[1] + 1))), coeff)
+            continue
+        if a.pending is not None:
+            # opposite-direction pending operator: unfold it first, then let
+            # the current operator act on everything (spectral side only)
+            expanded, residues = _expand_atom(a)
+            for r_form, r_c in residues:
+                stepped = _apply_op(r_form, direction)
+                if not stepped.is_empty():
+                    _tensor_with_residue(e, stepped, coeff * r_c, acc)
+        else:
+            expanded = [(a, ONE)]
+        for sub, c_sub in expanded:
+            steps, res = _spectral_step(sub, direction)
+            for s_atom, s_c in steps:
+                add((e, s_atom), coeff * c_sub * s_c)
+            for r_form, r_c in res:
+                _tensor_with_residue(e, r_form, coeff * c_sub * r_c, acc)
+    return Form(out_weight, acc)
+
+
+def expand_pending_reference(f: Form) -> Form:
+    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
+
+    def add(key, c):
+        acc[key] = acc.get(key, ZERO) + c
+
+    for (e, a), coeff in f.terms:
+        expanded, residues = _expand_atom(a)
+        for sub, c_sub in expanded:
+            add((e, sub), coeff * c_sub)
+        for r_form, r_c in residues:
+            _tensor_with_residue(e, r_form, coeff * r_c, acc)
+    return Form(f.weight, acc)
+
+
+def apply_power_reference(f: Form, direction: str, power: int) -> Form:
+    for _ in range(power):
+        f = _apply_op(f, direction)
+    return f
+
+
+def apply_laplace_reference(f: Form) -> Form:
+    return -_apply_op(_apply_op(f, "L"), "R")
+
+
+# --- strategies ---------------------------------------------------------------
+
+EIS = Family(EISENSTEIN)
+POINCARE_1 = Family(POINCARE, index=1)
+
+# (weight, point) spots from which one or two steps land on a point of the
+# "rich" table below, (E, 0, 1) or (P[n=1], 0, 0), and those points
+NEAR_POLE = {EIS: [(0, 1), (2, 0), (-2, 2), (4, -1), (-4, 3)],
+             POINCARE_1: [(0, 0), (-2, 0), (2, 0), (-4, 0), (4, 0)]}
+POINTS = [Fraction(p) for p in (0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2))]
+
+FAMILIES = [CONST_FAMILY, EIS, POINCARE_1, Family(POINCARE, index=-2),
+            Family(INCOHERENT, disc=3), Family(INCOHERENT, disc=-4)]
+
+
+@st.composite
+def spectral_atoms(draw):
+    pending = draw(st.none() | st.tuples(st.sampled_from("LR"), st.integers(1, 4)))
+    fam = draw(st.sampled_from(FAMILIES))
+    if fam == CONST_FAMILY:
+        return SpectralAtom(CONST_FAMILY, 0, Fraction(0), 0, pending)
+    if fam in NEAR_POLE and draw(st.booleans()):
+        w, p = draw(st.sampled_from(NEAR_POLE[fam]))
+    else:
+        w, p = draw(st.integers(-4, 4)), draw(st.sampled_from(POINTS))
+    if fam.kind == INCOHERENT and draw(st.booleans()):
+        w, p = 1, Fraction(0)       # the base point, where the family vanishes
+    t = max(draw(st.integers(0, 3)), vanishing_order(fam, w, Fraction(p)))
+    return SpectralAtom(fam, w, Fraction(p), t, pending)
+
+
+coeffs = st.builds(Scalar.pi_power, st.integers(-2, 2),
+                   st.fractions(-5, 5, max_denominator=6).filter(bool))
+
+
+@st.composite
+def forms(draw):
+    """A form of weight -4..4 with up to four terms; each term's polynomial
+    vector is chosen to make the weights match."""
+    weight = draw(st.integers(-4, 4))
+    acc = {}
+    for a in draw(st.lists(spectral_atoms(), max_size=4)):
+        need = weight - a.effective_weight
+        m = abs(need) + 2 * draw(st.integers(0, 1))
+        key = (PolyAtom(m, (m - need) // 2), a)
+        acc[key] = acc.get(key, ZERO) + draw(coeffs)
+    return Form(weight, acc)
+
+
+TABLES = {
+    "default": DEFAULT_POLES,
+    "empty": pole_table({}),
+    # residues with non-constant and pending atoms, for an Eisenstein and
+    # a Poincare family (whose steps carry a pi-power unit); the second also
+    # holds the atom that R of P_{-2,0} yields beside the residue, so the
+    # two merge
+    "rich": pole_table({
+        (EIS, 0, Fraction(1)): Form(0, {
+            (E00, CONST_ATOM): Scalar.pi_power(-1, 3),
+            (E00, SpectralAtom(EIS, 0, Fraction(1, 2), 1)): Scalar.from_rational(2),
+            (E00, SpectralAtom(EIS, 2, Fraction(-1), 0, ("L", 1))): Scalar.pi_power(1, -1),
+            (E00, SpectralAtom(POINCARE_1, -2, Fraction(0), 0, ("R", 1))): ONE}),
+        (POINCARE_1, 0, Fraction(0)): Form(0, {
+            (E00, SpectralAtom(EIS, 2, Fraction(1, 2), 0, ("L", 1))): Scalar.from_rational(-5),
+            (E00, SpectralAtom(POINCARE_1, 0, Fraction(1, 2), 2)): Scalar.pi_power(2, 1),
+            (E00, SpectralAtom(POINCARE_1, 0, Fraction(0), 0)): Scalar.from_rational(Fraction(-1, 2))}),
+    }),
+}
+
+OPERATORS = {
+    "apply_lowering": (apply_lowering, lambda f: _apply_op(f, "L")),
+    "apply_raising": (apply_raising, lambda f: _apply_op(f, "R")),
+    "apply_laplace": (apply_laplace, apply_laplace_reference),
+    "expand_pending": (expand_pending, expand_pending_reference),
+}
+
+
+# --- the checks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+@settings(deadline=None)
+@given(f=forms())
+def test_operator_matches_reference(op, table, f):
+    new, ref = OPERATORS[op]
+    with using_poles(TABLES[table]):
+        assert new(f) == ref(f)
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@settings(deadline=None)
+@given(f=forms(), direction=st.sampled_from("LR"), power=st.integers(0, 4))
+def test_apply_power_matches_reference(table, f, direction, power):
+    with using_poles(TABLES[table]):
+        assert apply_power(f, direction, power) == apply_power_reference(f, direction, power)
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@settings(deadline=None)
+@given(f=forms())
+def test_is_zero_matches_reference(table, f):
+    with using_poles(TABLES[table]):
+        # f minus its expansion is zero unless a residue left pending atoms
+        for h in (f, f - expand_pending_reference(f)):
+            assert is_zero(h) == expand_pending_reference(h).is_empty()
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_steps_onto_tabled_points_match_reference(table):
+    """Pending powers, in both directions, of atoms at and next to the
+    tabled points, on their own."""
+    near = [SpectralAtom(fam, w, Fraction(p), 0) for fam in NEAR_POLE for w, p in NEAR_POLE[fam]]
+    with using_poles(TABLES[table]):
+        for a in near:
+            for d, p in (("L", 1), ("L", 3), ("R", 2), ("R", 4)):
+                f = form_of(E00, SpectralAtom(a.family, a.weight, a.point, a.laurent, (d, p)))
+                assert expand_pending(f) == expand_pending_reference(f)
+                for op in "LR":
+                    assert apply_power(f, op, 2) == apply_power_reference(f, op, 2)

@@ -323,6 +323,22 @@ def test_fragment_json_rejects_non_integer_l(value):
         HCFragment.from_json(data)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0])
+def test_quiver_json_rejects_float_entries(value):
+    data = build_cyclic_module(CYCLIC, "+", "a", 1).to_json()
+    data["maps"]["a"][0][0] = value
+    with pytest.raises(DomainError, match="^malformed quiver representation: .*int or a string"):
+        QuiverRep.from_json(data)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0])
+def test_fragment_json_rejects_float_entries(value):
+    data = random_fragment(2, 2, seed=1).to_json()
+    data["x_minus"][0][0] = value
+    with pytest.raises(DomainError, match="^malformed fragment JSON: .*int or a string"):
+        HCFragment.from_json(data)
+
+
 def _ends_only_fragment(l, n0, n1, n2):
     """A fragment with dims (n0, n1, n2) at (M_{-l-1}, M_{-l+1}, M_{l+1}),
     zero end maps and identity interior maps."""

@@ -208,6 +208,16 @@ def test_from_json_sums_repeated_exponents():
     assert Scalar.from_json(data).terms == ((0, Fraction(3)),)
 
 
+@pytest.mark.parametrize("num, den", [(1.9, "1"), ("1", 2.7), (1.0, "1"), ("1/2", "1"),
+                                      ("1", "0.5")])
+def test_from_json_rejects_non_integer_num_den(num, den):
+    from polymaass.scalars import DomainError
+    assert Scalar.from_json([{"pi_exp": 0, "num": 3, "den": "-6"}]) == \
+        Scalar.from_rational(Fraction(-1, 2))
+    with pytest.raises(DomainError, match="^malformed scalar JSON: "):
+        Scalar.from_json([{"pi_exp": 0, "num": num, "den": den}])
+
+
 @pytest.mark.parametrize("pi_exp", [1.5, 1.0, "1"])
 def test_from_json_rejects_non_integer_exponent(pi_exp):
     from polymaass.scalars import DomainError

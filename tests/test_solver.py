@@ -251,6 +251,17 @@ def test_graded_vector_json_round_trip():
     assert again.layers == gv.layers and again.preimage_scale == gv.preimage_scale
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(k=0.0), lambda d: d.update(m=3.9), lambda d: d.update(d=2.5),
+    lambda d: d["layers"][0].__setitem__(0, 0.1), lambda d: d.update(preimage_scale=0.5),
+], ids=["k", "m", "d", "layer", "preimage_scale"])
+def test_graded_vector_json_rejects_floats(mutate):
+    data = solve_wd(0, 3, "L", 2).to_json()
+    mutate(data)
+    with pytest.raises(DomainError, match="^malformed graded vector JSON: "):
+        GradedVector.from_json(data)
+
+
 # --- pinned constructions ---------------------------------------------------
 
 # sha256 prefixes of the canonical form_to_json of construct_case at the

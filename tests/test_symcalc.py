@@ -236,7 +236,8 @@ def test_json_atom_at_tabled_pole_warns():
     lambda d: d["terms"][0]["spectral"].update(weight="heavy"),
     lambda d: d["terms"][0].pop("poly"),
     lambda d: d["terms"][0].update(coeff=[{"pi_exp": 0, "num": "1", "den": "0"}]),
-], ids=["point", "weight", "missing", "den"])
+    lambda d: d["terms"][0]["spectral"].update(point=0.1),
+], ids=["point", "weight", "missing", "den", "float point"])
 def test_json_parse_errors_are_domain_errors(mutate):
     data = form_to_json(form_of(PolyAtom(0, 0), atom_E(0, 2)))
     mutate(data)
@@ -277,6 +278,51 @@ def test_json_rejects_float_integer_fields(field, shift):
     node[key] += shift
     with pytest.raises(DomainError, match="^malformed (form|scalar) JSON: "):
         form_from_json(data)
+
+
+# --- the cached atom hash ------------------------------------------------------
+
+def _equal_atoms(point):
+    """The atom E^(1)_{2,point} built every way the package builds atoms."""
+    import dataclasses
+    fam = Family("eisenstein")
+    via_json = next(iter(form_from_json(form_to_json(
+        form_of(PolyAtom(0, 0), atom_E(2, point, 1)))).terms))[0][1]
+    return [atom_E(2, point, 1), via_json,
+            dataclasses.replace(atom_E(2, point + 7, 1), point=Fraction(point)),
+            dataclasses.replace(atom_E(2, point, 0), laurent=1),
+            SpectralAtom(fam, 2, point, 1), SpectralAtom(fam, 2, Fraction(point), 1)]
+
+
+@pytest.mark.parametrize("point", [3, Fraction(-5, 7)], ids=["int", "fraction"])
+def test_equal_atoms_hash_equal_and_share_dict_keys(point):
+    atoms = _equal_atoms(point)
+    keyed = {(PolyAtom(1, 0), a): i for i, a in enumerate(atoms)}
+    for a in atoms:
+        assert a == atoms[0] and hash(a) == hash(atoms[0])
+        assert ({atoms[0]: 1}[a], {a: 2}[atoms[0]]) == (1, 2)
+        assert keyed[(PolyAtom(1, 0), a)] == len(atoms) - 1
+    assert len(keyed) == 1 and len(set(atoms)) == 1
+
+
+def test_cached_hash_stays_out_of_repr_eq_and_json():
+    import dataclasses
+    import pickle
+    a, b = atom_E(2, Fraction(1, 3), 1), atom_E(2, Fraction(1, 3), 1)
+    object.__setattr__(b, "_hash", hash(a) + 1)     # a stale cache changes nothing else
+    assert a == b and repr(a) == repr(b) == "E^(1)_{2,1/3}"
+    assert str(hash(a)) not in repr(a)
+    assert [f.name for f in dataclasses.fields(a)] == ["family", "weight", "point",
+                                                       "laurent", "pending"]
+    assert form_to_json(form_of(PolyAtom(0, 0), a)) == form_to_json(form_of(PolyAtom(0, 0), b))
+    assert form_to_json(form_of(PolyAtom(0, 0), a))["terms"][0]["spectral"] == {
+        "family": {"kind": "eisenstein"}, "weight": 2, "point": "1/3", "laurent": 1,
+        "pending": None}
+    # string hashes differ between processes: a pickle carries the fields
+    # only, and loading it hashes afresh
+    data = pickle.dumps(b)
+    assert b"_hash" not in data
+    assert hash(pickle.loads(data)) == hash(a)
 
 
 def test_pretty_is_deterministic():
@@ -359,6 +405,17 @@ def test_pole_table_json_rejects_non_integers(tmp_path, field, value):
     path = tmp_path / "poles.json"
     path.write_text(_json.dumps([entry]))
     with pytest.raises(DomainError, match="^malformed pole table JSON: "):
+        sc.load_pole_table(str(path))
+
+
+def test_pole_table_json_rejects_float_point(tmp_path):
+    import json as _json
+    from polymaass import symcalc as sc
+    entry = {"family": {"kind": "eisenstein"}, "weight": 0, "point": 0.1, "order": 1,
+             "residue_form": sc.form_to_json(THREE_OVER_PI)}
+    path = tmp_path / "poles.json"
+    path.write_text(_json.dumps([entry]))
+    with pytest.raises(DomainError, match="^malformed pole table JSON: .*int or a string"):
         sc.load_pole_table(str(path))
 
 
