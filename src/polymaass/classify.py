@@ -1,8 +1,8 @@
 """Exact depth and Harish-Chandra case label of a symbolic form.
 
-The vanishing tests delegate to the symbolic engine's structural zero
-test after full expansion and pole substitution, so the classification
-is relative to the formal independence model documented in symcalc.
+The form is expanded once; L, R and Delta keep it expanded, so each
+vanishing test asks whether a form has no terms, relative to the formal
+independence model documented in symcalc.
 """
 
 from __future__ import annotations
@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 from .quiverrep import CYCLIC, GELFAND, cyclic_module_dims
 from .scalars import ZERO
-from .symcalc import DomainError, Form, apply_power, is_zero, laplace_closure
+from .symcalc import DomainError, Form, apply_power, expand_pending, laplace_closure
 
-BK_TO_REPR = {
-    "Ia": "GIa", "Ib": "GIc", "Ic": "GId", "Id": "GIb",
-    "IIa": "CIa", "IIb": "CIb",
-    "IIIa": "GIIa", "IIIb": "GIIb", "IIIc": "GIIc", "IIId": "GIId",
-}
-REPR_TO_BK = {v: k for k, v in BK_TO_REPR.items()}
 # the cyclic quiver module (quiver, generator type, case) of each label
 BK_TO_MODULE = {
     "Ia": (GELFAND, "*", "a"), "Ib": (GELFAND, "*", "c"),
@@ -27,6 +21,10 @@ BK_TO_MODULE = {
     "IIIa": (GELFAND, "+", "a"), "IIIb": (GELFAND, "+", "b"),
     "IIIc": (GELFAND, "+", "c"), "IIId": (GELFAND, "+", "d"),
 }
+# G(elfand) or C(yclic), II for a Gelfand + generator or I otherwise, the case
+BK_TO_REPR = {bk: ("G" + ("II" if gen == "+" else "I") if quiver == GELFAND else "CI") + case
+              for bk, (quiver, gen, case) in BK_TO_MODULE.items()}
+REPR_TO_BK = {v: k for k, v in BK_TO_REPR.items()}
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class CaseLabel:
 
 
 def _laplace_tower(f: Form) -> list[Form]:
-    """[f, Delta f, ..., Delta^d f] with Delta^{d+1} f = 0.
+    """[f, Delta f, ..., Delta^d f] with Delta^{d+1} f = 0, for an expanded f.
 
     Delta maps the span of the N atoms in the Delta-closure of f's atoms
     into itself, so its nilpotent part there has index at most N: when
@@ -85,7 +83,7 @@ def _laplace_tower(f: Form) -> list[Form]:
             for key2, c2 in image[key].terms:
                 acc[key2] = acc.get(key2, ZERO) + c * c2
         g = Form(f.weight, acc)
-        if is_zero(g):
+        if g.is_empty():
             return tower
         tower.append(g)
     raise DomainError("form is not annihilated by Delta^%d, the size of its "
@@ -94,23 +92,24 @@ def _laplace_tower(f: Form) -> list[Form]:
 
 def exact_depth(f: Form) -> int:
     """Smallest d with Delta^{d+1} f = 0; DomainError when there is none."""
-    return len(_laplace_tower(f)) - 1
+    return len(_laplace_tower(expand_pending(f))) - 1
 
 
 def classify_bk(f: Form) -> CaseLabel:
     """The ten-case classification by iterated vanishing tests."""
-    if is_zero(f):
+    f = expand_pending(f)
+    if f.is_empty():
         raise DomainError("cannot classify the zero form")
     k = f.weight
     tower = _laplace_tower(f)
     d, top = len(tower) - 1, tower[-1]
 
     def lowering_test(power: int, g: Form) -> bool:
-        return is_zero(apply_power(g, "L", power))
+        return apply_power(g, "L", power).is_empty()
 
     if k < 1:
         l_zero = lowering_test(1, top)
-        r_zero = is_zero(apply_power(top, "R", 1 - k))
+        r_zero = apply_power(top, "R", 1 - k).is_empty()
         bk = {(True, True): "Ia", (True, False): "Ib",
               (False, True): "Ic", (False, False): "Id"}[(l_zero, r_zero)]
     elif k == 1:

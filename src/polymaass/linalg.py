@@ -142,10 +142,12 @@ def rref(m: Mat) -> Tuple[Mat, List[int]]:
     return out, pivots
 
 
-def kernel(m: Mat) -> List[Vec]:
+def kernel(m: Mat, cols: Optional[int] = None) -> List[Vec]:
     """Exact basis of the right kernel: one vector per free column, 1 at
-    that column and 0 at the other free columns."""
-    cols = len(m[0]) if m else 0
+    that column and 0 at the other free columns.  The column count is read
+    from m unless given; give it when m can have no rows."""
+    if cols is None:
+        cols = len(m[0]) if m else 0
     rows, pivots = _eliminate(_row_dicts(m))
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]

@@ -281,7 +281,7 @@ def endomorphism_basis(rep: QuiverRep) -> List[Dict[str, Mat]]:
                     if m[i][t]:
                         row[entry_index(src, t, j)] -= m[i][t]
                 rows.append(row)
-    basis = kernel(rows) if rows else kernel([[Fraction(0)] * total])
+    basis = kernel(rows, total)
     out = []
     for v in basis:
         mats = {}

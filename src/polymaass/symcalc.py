@@ -210,9 +210,6 @@ class Form:
     def terms(self):
         return self._terms.items()
 
-    def coeff(self, e: PolyAtom, a: SpectralAtom) -> Scalar:
-        return self._terms.get((e, a), ZERO)
-
     def is_empty(self) -> bool:
         return not self._terms
 
@@ -305,14 +302,19 @@ PoleTable = Mapping[Tuple[Family, int, Fraction], Form]
 
 def pole_table(entries) -> PoleTable:
     """A read-only pole table from a mapping (family, weight, point) ->
-    residue Form.  The residue's weight must match and its polynomial parts
-    must be e_{0,0}, so that residues tensor into any term."""
+    residue Form.  The residue's weight must match, its polynomial parts
+    must be e_{0,0}, so that residues tensor into any term, and its atoms
+    must be expanded.  So L and R keep a form expanded, expand_pending is
+    idempotent, and an expanded form is zero exactly when it has no terms."""
     for (fam, w, p), form in entries.items():
         if form.weight != w:
             raise DomainError("pole residue weight mismatch at %r" % ((fam, w, p),))
-        for (e, _a), _c in form.terms:
+        for (e, a), _c in form.terms:
             if e != E00:
                 raise DomainError("pole residues must have trivial polynomial part")
+            if a.pending is not None:
+                raise DomainError("pole residues must be expanded (%r at (%r, %d, %s))"
+                                  % (a, fam, w, p))
     return MappingProxyType(dict(entries))
 
 
@@ -516,13 +518,7 @@ def is_zero(f: Form) -> bool:
 
 
 def forms_equal(f: Form, g: Form) -> bool:
-    f = expand_pending(f)
-    g = expand_pending(g)
-    if f.is_empty() and g.is_empty():
-        return True
-    if f.weight != g.weight:
-        return False
-    return (f - g).is_empty()
+    return expand_pending(f) == expand_pending(g)
 
 
 def apply_mirror(f: Form) -> Form:

@@ -8,8 +8,8 @@ from polymaass.classify import (BK_TO_REPR, REPR_TO_BK, CaseLabel,
                                 exact_depth, expected_dimension_vector)
 from polymaass.specsolve import construct_case, delta_matrix_on_span
 from polymaass.symcalc import (POINCARE, DomainError, Family, PolyAtom,
-                               SpectralAtom, apply_laplace, atom_E, form_of,
-                               forms_equal, laplace_closure, make_e_atom,
+                               SpectralAtom, apply_laplace, atom_E, expand_pending,
+                               form_of, forms_equal, laplace_closure, make_e_atom,
                                zero_form)
 
 
@@ -28,6 +28,16 @@ def test_translation_table_bijection():
     for bk, rp in BK_TO_REPR.items():
         assert REPR_TO_BK[rp] == bk
     assert BK_TO_REPR["Ib"] == "GIc" and BK_TO_REPR["Id"] == "GIb"
+
+
+def test_repr_labels_match_reference_table():
+    # BK_TO_REPR as it was written by hand before it was derived from
+    # BK_TO_MODULE, verbatim
+    assert BK_TO_REPR == {
+        "Ia": "GIa", "Ib": "GIc", "Ic": "GId", "Id": "GIb",
+        "IIa": "CIa", "IIb": "CIb",
+        "IIIa": "GIIa", "IIIb": "GIIb", "IIIc": "GIIc", "IIId": "GIId",
+    }
 
 
 def test_exact_depth_examples():
@@ -84,6 +94,22 @@ CASE_GRID = (
 def test_round_trip_sample(label, k, d):
     lab = classify_bk(construct_case(label, k, d))
     assert lab.bk == label and lab.depth == d and lab.context.k == k
+
+
+@pytest.mark.parametrize("label,k,d", [
+    (label, k, d) for label, k in (("Ia", -2), ("Ib", -2), ("Ic", -2), ("Id", -2),
+                                   ("IIa", 1), ("IIb", 1), ("IIIa", 3), ("IIIb", 3),
+                                   ("IIIc", 3), ("IIId", 3))
+    for d in range(1 if label == "IIId" else 0, 4)])
+def test_classification_reads_the_expanded_form(label, k, d):
+    # case forms hold pending atoms; classify_bk expands them once, and the
+    # Delta-closure of expanded atoms holds no pending atom
+    f = construct_case(label, k, d)
+    g = expand_pending(f)
+    assert classify_bk(f) == classify_bk(g) == CaseLabel(label, d, WeightContext(k))
+    images = laplace_closure(key for key, _c in g.terms)
+    assert all(a.pending is None for (_e, a) in images)
+    assert all(a.pending is None for img in images.values() for (_e, a), _c in img.terms)
 
 
 @pytest.mark.parametrize("label,k,d,index", [
@@ -179,7 +205,8 @@ def test_implication_chain_for_large_weights():
 @pytest.mark.parametrize("label,k,d", [
     ("Ia", -2, 3), ("Id", -1, 2), ("IIIa", 3, 2), ("IIId", 4, 2), ("IIb", 1, 2)])
 def test_tower_matches_iterated_laplace(label, k, d):
-    f = construct_case(label, k, d)
+    # the tower runs on the expanded form, where zero means no terms
+    f = expand_pending(construct_case(label, k, d))
     images = laplace_closure(key for key, _c in f.terms)
     assert list(images)[:len(f.terms)] == [key for key, _c in f.terms]
     for key, img in images.items():
@@ -191,7 +218,7 @@ def test_tower_matches_iterated_laplace(label, k, d):
     for level in tower:
         assert level == g
         g = apply_laplace(g)
-    assert forms_equal(g, zero_form(k))
+    assert g.is_empty() and forms_equal(g, zero_form(k))
 
 
 def _poincare_chain_seeds(k, d, index):

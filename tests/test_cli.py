@@ -3,14 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import polymaass
 from polymaass.cli import main
 from polymaass.specsolve import construct_case
-from polymaass.symcalc import (PolyAtom, atom_E, form_from_json, form_of,
-                               form_to_json, forms_equal)
+from polymaass.symcalc import (EISENSTEIN, Family, PolyAtom, SpectralAtom, atom_E,
+                               form_from_json, form_of, form_to_json, forms_equal)
 
 
 def run(capsys, *argv):
@@ -184,6 +185,21 @@ def test_malformed_pole_table_exits_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed pole table JSON")
+
+
+def test_pole_table_with_pending_residue_exits_2(capsys, tmp_path, monkeypatch):
+    form = tmp_path / "e2.json"
+    form.write_text(json.dumps(form_to_json(form_of(PolyAtom(0, 0), atom_E(2, 0)))))
+    # the residue L E_{2,-1} at (E, 0, 1) holds a pending atom
+    residue = form_to_json(form_of(PolyAtom(0, 0), SpectralAtom(
+        Family(EISENSTEIN), 2, Fraction(-1), 0, ("L", 1))))
+    table = tmp_path / "poles.json"
+    table.write_text(json.dumps([{"family": {"kind": "eisenstein"}, "weight": 0,
+                                  "point": "1", "residue_form": residue}]))
+    monkeypatch.setenv("POLYMAASS_POLE_TABLE", str(table))
+    code, out, err = run(capsys, "apply", "--op", "lowering", "--in", str(form))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: pole residues must be expanded")
 
 
 def test_pole_table_applies_to_one_call(capsys, tmp_path, monkeypatch):

@@ -79,6 +79,11 @@ def test_rref_of_empty_matrices():
     assert rref([[]]) == reference_rref([[]]) == ([[]], [])
 
 
+def test_kernel_of_a_matrix_with_no_rows_takes_the_given_width():
+    assert kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel([[0, 0, 0]]) == kernel([], 3)
+
+
 @settings(deadline=None)
 @given(matrices())
 def test_kernel_vectors_solve_the_homogeneous_system(m):

@@ -5,8 +5,8 @@ that pair in an expansion loop of its own and re-stepped each residue for
 the remaining passes.  Those functions are kept below verbatim as the
 reference: L, R, their powers, Delta, expansion and the zero test of the
 one operator path must give forms equal to theirs, under the default pole
-table, an empty one, and one whose residue holds a non-constant and a
-pending atom (so that the remaining passes act on the residue).
+table, an empty one, and one whose residues hold non-constant atoms (so
+that the remaining passes act on the residue).
 """
 
 from fractions import Fraction
@@ -15,13 +15,13 @@ from typing import Dict, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymaass.scalars import ONE, ZERO, Scalar
+from polymaass.scalars import ONE, ZERO, DomainError, Scalar
 from polymaass.symcalc import (CONST_ATOM, CONST_FAMILY, CONSTANT, DEFAULT_POLES, E00,
                                EISENSTEIN, INCOHERENT, POINCARE, _POLES, Family, Form,
                                PolyAtom, SpectralAtom, _lower_poly, _mk_atom, _raise_poly,
                                apply_laplace, apply_lowering, apply_power, apply_raising,
-                               expand_pending, form_of, is_zero, pole_table, using_poles,
-                               vanishing_order)
+                               expand_pending, form_of, forms_equal, is_zero, pole_table,
+                               using_poles, vanishing_order)
 
 
 # --- the reference, verbatim ------------------------------------------------
@@ -223,18 +223,17 @@ def forms(draw):
 TABLES = {
     "default": DEFAULT_POLES,
     "empty": pole_table({}),
-    # residues with non-constant and pending atoms, for an Eisenstein and
-    # a Poincare family (whose steps carry a pi-power unit); the second also
-    # holds the atom that R of P_{-2,0} yields beside the residue, so the
-    # two merge
+    # residues with non-constant atoms, for an Eisenstein and a Poincare
+    # family (whose steps carry a pi-power unit); the second also holds the
+    # atom that R of P_{-2,0} yields beside the residue, so the two merge
     "rich": pole_table({
         (EIS, 0, Fraction(1)): Form(0, {
             (E00, CONST_ATOM): Scalar.pi_power(-1, 3),
             (E00, SpectralAtom(EIS, 0, Fraction(1, 2), 1)): Scalar.from_rational(2),
-            (E00, SpectralAtom(EIS, 2, Fraction(-1), 0, ("L", 1))): Scalar.pi_power(1, -1),
-            (E00, SpectralAtom(POINCARE_1, -2, Fraction(0), 0, ("R", 1))): ONE}),
+            (E00, SpectralAtom(EIS, 0, Fraction(0), 0)): Scalar.pi_power(1, -1),
+            (E00, SpectralAtom(POINCARE_1, 0, Fraction(1), 0)): ONE}),
         (POINCARE_1, 0, Fraction(0)): Form(0, {
-            (E00, SpectralAtom(EIS, 2, Fraction(1, 2), 0, ("L", 1))): Scalar.from_rational(-5),
+            (E00, SpectralAtom(EIS, 0, Fraction(3, 2), 0)): Scalar.from_rational(-5),
             (E00, SpectralAtom(POINCARE_1, 0, Fraction(1, 2), 2)): Scalar.pi_power(2, 1),
             (E00, SpectralAtom(POINCARE_1, 0, Fraction(0), 0)): Scalar.from_rational(Fraction(-1, 2))}),
     }),
@@ -273,9 +272,41 @@ def test_apply_power_matches_reference(table, f, direction, power):
 @given(f=forms())
 def test_is_zero_matches_reference(table, f):
     with using_poles(TABLES[table]):
-        # f minus its expansion is zero unless a residue left pending atoms
         for h in (f, f - expand_pending_reference(f)):
             assert is_zero(h) == expand_pending_reference(h).is_empty()
+        assert is_zero(f - expand_pending_reference(f))
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@settings(deadline=None)
+@given(f=forms())
+def test_expand_pending_is_idempotent(table, f):
+    with using_poles(TABLES[table]):
+        g = expand_pending(f)
+        assert all(a.pending is None for (_e, a), _c in g.terms)
+        assert expand_pending(g) == g
+        assert forms_equal(f, g)
+
+
+def test_pole_table_rejects_pending_residues():
+    """The "rich" table before residues had to be expanded, verbatim: with
+    it, expand_pending(L E_{2,0}) kept the pending atom L E_{2,-1}."""
+    old = {
+        (EIS, 0, Fraction(1)): Form(0, {
+            (E00, CONST_ATOM): Scalar.pi_power(-1, 3),
+            (E00, SpectralAtom(EIS, 0, Fraction(1, 2), 1)): Scalar.from_rational(2),
+            (E00, SpectralAtom(EIS, 2, Fraction(-1), 0, ("L", 1))): Scalar.pi_power(1, -1),
+            (E00, SpectralAtom(POINCARE_1, -2, Fraction(0), 0, ("R", 1))): ONE}),
+        (POINCARE_1, 0, Fraction(0)): Form(0, {
+            (E00, SpectralAtom(EIS, 2, Fraction(1, 2), 0, ("L", 1))): Scalar.from_rational(-5),
+            (E00, SpectralAtom(POINCARE_1, 0, Fraction(1, 2), 2)): Scalar.pi_power(2, 1),
+            (E00, SpectralAtom(POINCARE_1, 0, Fraction(0), 0)): Scalar.from_rational(Fraction(-1, 2))}),
+    }
+    with pytest.raises(DomainError, match="pole residues must be expanded"):
+        pole_table(old)
+    for key in old:
+        with pytest.raises(DomainError, match="pole residues must be expanded"):
+            pole_table({key: old[key]})
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
