@@ -2,21 +2,24 @@
 
 Dense matrices are lists of rows.  Elimination runs on sparse rows, one
 ``{column: value}`` dict per row that stores only nonzero entries, so a
-row update costs the pivot row's nonzero count, not the column count.
-Pivots are inverted as ``Fraction(1) / p``: int and Fraction input give
-Fraction output.
+row update costs the pivot row's nonzero count (plus the updated row's,
+when it is rescaled), not the column count.  It is fraction-free: each
+row is cleared of denominators once and then updated and reduced in
+Python ints, and an entry of the result is built as a Fraction only when
+it is read off.  Int and Fraction input give Fraction output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 Vec = List[Fraction]
 Mat = List[List[Fraction]]
 SparseRows = List[List[Tuple[int, Fraction]]]
 Row = Dict[int, Fraction]
+IntRow = Dict[int, int]
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -85,17 +88,35 @@ def _row_dicts(m: Mat) -> List[Row]:
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
-def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
-    """Gauss-Jordan elimination of sparse rows (the dicts are consumed).
+def _primitive(row: IntRow) -> IntRow:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _int_row(row: Row) -> IntRow:
+    """A nonzero multiple of the row with coprime integer entries."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+
+
+def _eliminate(rows: List[Row]) -> Tuple[List[IntRow], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of sparse rows.
 
     Returns the nonzero rows of the reduced row echelon form, in pivot
-    order and scaled to 1 at their pivots, with their pivot columns.
-    Columns are taken left to right and each pivot row is the sparsest
-    candidate; the reduced form is unique, so that choice changes only
-    the cost.
+    order, with their pivot columns.  Each returned row r holds integers
+    and is the reduced row times r[pc], pc its pivot column, so the
+    reduced row is Fraction(r[j], r[pc]).  Each input row is cleared of
+    denominators once; a row update is (p/g) r - (f/g) prow in integers,
+    with p the pivot, f the row's entry in the pivot column and
+    g = gcd(p, f), and every updated row is divided by the gcd of its
+    entries.  An integer row is a nonzero multiple of the row that
+    Fraction elimination would hold, with the same support.  Columns are
+    taken left to right and each pivot row is the sparsest candidate;
+    the reduced form is unique, so that choice changes only the cost.
     """
-    rest = [r for r in rows if r]
-    done: List[Row] = []
+    rest = [_int_row(r) for r in rows if r]
+    done: List[IntRow] = []
     pivots: List[int] = []
     for c in sorted({j for r in rest for j in r}):
         best = None
@@ -107,38 +128,49 @@ def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
         prow = rest[best]
         rest[best] = rest[-1]
         rest.pop()
-        inv = Fraction(1) / prow[c]
-        prow = {j: x * inv for j, x in prow.items()}
+        p = prow[c]
         items = list(prow.items())
-        for r in done + rest:
-            f = r.get(c)
-            if f is None:
-                continue
-            for j, x in items:
-                y = r.get(j)
-                if y is None:
-                    r[j] = -f * x
-                else:
-                    y -= f * x
-                    if y:
-                        r[j] = y
+        for group in (done, rest):
+            for i, r in enumerate(group):
+                f = r.get(c)
+                if f is None:
+                    continue
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    for j in r:
+                        r[j] *= a
+                for j, x in items:
+                    y = r.get(j)
+                    if y is None:
+                        r[j] = -b * x
                     else:
-                        del r[j]
+                        y -= b * x
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
+                if r:
+                    group[i] = _primitive(r)
         done.append(prow)
         pivots.append(c)
         rest = [r for r in rest if r]
     return done, pivots
 
 
-def rref(m: Mat) -> Tuple[Mat, List[int]]:
+def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form (exact); returns (R, pivot columns).
 
-    R has the shape of m, with its zero rows at the bottom."""
-    out = zeros(len(m), len(m[0]) if m else 0)
+    R has the shape of m, with its zero rows at the bottom.  The column
+    count is read from m unless given; give it when m can have no rows."""
+    if cols is None:
+        cols = len(m[0]) if m else 0
+    out = zeros(len(m), cols)
     rows, pivots = _eliminate(_row_dicts(m))
-    for o, r in zip(out, rows):
+    for o, r, pc in zip(out, rows, pivots):
+        p = r[pc]
         for j, x in r.items():
-            o[j] = x
+            o[j] = Fraction(x, p)
     return out, pivots
 
 
@@ -156,15 +188,19 @@ def kernel(m: Mat, cols: Optional[int] = None) -> List[Vec]:
     for v, c in zip(basis, free):
         v[c] = Fraction(1)
     for r, pc in zip(rows, pivots):
+        p = r[pc]
         for j, x in r.items():
             if j != pc:
-                basis[position[j]][pc] = -x
+                basis[position[j]][pc] = Fraction(-x, p)
     return basis
 
 
-def solve_linear(m: Mat, b: Vec) -> Optional[Vec]:
-    """One exact solution of m x = b (free variables set to 0), or None."""
-    cols = len(m[0]) if m else 0
+def solve_linear(m: Mat, b: Vec, cols: Optional[int] = None) -> Optional[Vec]:
+    """One exact solution of m x = b (free variables set to 0), or None.
+    The unknown count is read from m unless given; give it when m can
+    have no rows."""
+    if cols is None:
+        cols = len(m[0]) if m else 0
     aug = _row_dicts(m)
     for r, bi in zip(aug, b):
         if bi:
@@ -174,5 +210,5 @@ def solve_linear(m: Mat, b: Vec) -> Optional[Vec]:
         return None
     x = [Fraction(0)] * cols
     for r, pc in zip(rows, pivots):
-        x[pc] = r.get(cols, Fraction(0))
+        x[pc] = Fraction(r.get(cols, 0), r[pc])
     return x

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import List, Optional, Tuple
 
 # mat_mul is not used here; the benchmark's tracer finds the linear
@@ -44,41 +44,47 @@ class WModel:
         if self.m < 0:
             raise DomainError("m must be nonnegative")
 
-    def matrices(self) -> Tuple[Mat, Mat, Mat]:
+    def _int_matrices(self) -> Tuple[List[List[int]], ...]:
+        """A, B and C with int entries."""
         k, m = self.k, self.m
         n = m + 1
-        A, B, C = zeros(n, n), zeros(n, n), zeros(n, n)
+        A, B, C = ([[0] * n for _ in range(n)] for _ in range(3))
         for r in range(n):
             if self.branch == "L":
-                A[r][r] = Fraction((m - r) * (m - 2 * r - k))
+                A[r][r] = (m - r) * (m - 2 * r - k)
                 if r >= 1:
-                    A[r - 1][r] = Fraction(-1)
+                    A[r - 1][r] = -1
                 if r + 1 <= m:
-                    A[r + 1][r] = Fraction((r + 1) * (m - r) * (m - r - 1) * (m - r - k))
-                B[r][r] = Fraction(1 - k)
+                    A[r + 1][r] = (r + 1) * (m - r) * (m - r - 1) * (m - r - k)
+                B[r][r] = 1 - k
                 if r + 1 <= m:
-                    B[r + 1][r] = Fraction((r + 1) * (m - r) * (1 - k))
-                C[r][r] = Fraction(-1)
+                    B[r + 1][r] = (r + 1) * (m - r) * (1 - k)
+                C[r][r] = -1
                 if r + 1 <= m:
-                    C[r + 1][r] = Fraction(-(r + 1) * (m - r))
+                    C[r + 1][r] = -(r + 1) * (m - r)
             else:
-                A[r][r] = Fraction(-(r * (m - 2 * r - k) + m))
+                A[r][r] = -(r * (m - 2 * r - k) + m)
                 if r >= 1:
-                    A[r - 1][r] = Fraction(r * (r - 1 + k))
+                    A[r - 1][r] = r * (r - 1 + k)
                 if r + 1 <= m:
-                    A[r + 1][r] = Fraction(-(r + 1) * (m - r))
-                B[r][r] = Fraction(1 - k)
+                    A[r + 1][r] = -(r + 1) * (m - r)
+                B[r][r] = 1 - k
                 if r >= 1:
-                    B[r - 1][r] = Fraction(1 - k)
-                C[r][r] = Fraction(-1)
+                    B[r - 1][r] = 1 - k
+                C[r][r] = -1
                 if r >= 1:
-                    C[r - 1][r] = Fraction(-1)
+                    C[r - 1][r] = -1
         return A, B, C
 
+    def matrices(self) -> Tuple[Mat, Mat, Mat]:
+        """A, B and C with Fraction entries."""
+        return tuple([[Fraction(x) for x in row] for row in M]
+                     for M in self._int_matrices())
+
     def bands(self) -> Tuple[SparseRows, SparseRows, SparseRows]:
-        """A, B and C as sparse rows (A is tridiagonal, B and C bidiagonal)."""
-        A, B, C = self.matrices()
-        return sparse_rows(A), sparse_rows(B), sparse_rows(C)
+        """A, B and C as sparse rows of ints (A is tridiagonal, B and C
+        bidiagonal)."""
+        return tuple(sparse_rows(M) for M in self._int_matrices())
 
     def block_delta(self, d: int) -> Mat:
         """The operator A + T B + T^2 C on W_d, layer-major indexing."""
@@ -101,13 +107,14 @@ def apply_banded(bands: Tuple[SparseRows, SparseRows, SparseRows],
                  layers: List[Vec]) -> List[Vec]:
     """A + T B + T^2 C on W_d, layer by layer: output layer t is
     A u_t + B u_{t-1} + C u_{t-2}; layers past the last input are cut off,
-    as in block_delta, and zero source layers are skipped."""
+    as in block_delta, and zero source layers are skipped.  Sums start
+    from 0, so int layers give int layers."""
     n = len(bands[0])
     out = []
     for t in range(len(layers)):
         srcs = [(rows, layers[t - s]) for s, rows in enumerate(bands)
                 if s <= t and any(layers[t - s])]
-        out.append([sum((x * u[j] for rows, u in srcs for j, x in rows[i]), Fraction(0))
+        out.append([sum(x * u[j] for rows, u in srcs for j, x in rows[i])
                     for i in range(n)])
     return out
 
@@ -259,12 +266,17 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
 
 
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
+    """Check Delta^d w = nu T^d w0 and Delta^{d+1} w = 0 exactly, in ints:
+    w is scaled by den, the lcm of its layers' denominators, and the
+    integer bands are applied to den * w."""
     bands = model.bands()
     n = model.m + 1
-    img = gv.layers
+    den = lcm(*(x.denominator for layer in gv.layers for x in layer))
+    img = [[x.numerator * (den // x.denominator) for x in layer] for layer in gv.layers]
     for _ in range(gv.d):
         img = apply_banded(bands, img)
-    expected = [[Fraction(0)] * n] * gv.d + [[gv.preimage_scale * x for x in gv.layers[0]]]
+    scale = den * gv.preimage_scale
+    expected = [[0] * n] * gv.d + [[scale * x for x in gv.layers[0]]]
     if img != expected:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
     if any(x != 0 for layer in apply_banded(bands, img) for x in layer):

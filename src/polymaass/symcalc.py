@@ -308,14 +308,19 @@ def pole_table(entries) -> PoleTable:
     idempotent, and an expanded form is zero exactly when it has no terms."""
     for (fam, w, p), form in entries.items():
         if form.weight != w:
-            raise DomainError("pole residue weight mismatch at %r" % ((fam, w, p),))
+            raise DomainError("pole residue weight mismatch at %s" % _pole_key_text(fam, w, p))
         for (e, a), _c in form.terms:
             if e != E00:
                 raise DomainError("pole residues must have trivial polynomial part")
             if a.pending is not None:
-                raise DomainError("pole residues must be expanded (%r at (%r, %d, %s))"
-                                  % (a, fam, w, p))
+                raise DomainError("pole residues must be expanded (%r at %s)"
+                                  % (a, _pole_key_text(fam, w, p)))
     return MappingProxyType(dict(entries))
+
+
+def _pole_key_text(fam: Family, w: int, p: Fraction) -> str:
+    """A pole-table key as a user writes it, e.g. (E, 0, 1)."""
+    return "(%r, %d, %s)" % (fam, w, p)
 
 
 DEFAULT_POLES = pole_table({

@@ -71,7 +71,7 @@ def width(m: Mat) -> int:
 @settings(deadline=None)
 @given(matrices())
 def test_rref_matches_dense_reference(m):
-    assert rref(m) == reference_rref(m)
+    assert rref(m) == rref(m, width(m)) == reference_rref(m)
 
 
 def test_rref_of_empty_matrices():
@@ -114,6 +114,68 @@ def test_solve_linear_solves_or_reports_inconsistency(system):
     x = solve_linear(m, b)
     _r, pivots = reference_rref([row + [bi] for row, bi in zip(m, b)])
     assert (x is None) == (width(m) in pivots)
+    if x is not None:
+        assert mat_vec(m, x) == b
+
+
+def test_rref_and_solve_linear_of_a_matrix_with_no_rows_take_the_given_width():
+    x = solve_linear([], [], 3)
+    assert x == [0, 0, 0] and all_fractions(x)
+    assert solve_linear([[0, 0, 0]], [0]) == x
+    assert solve_linear([], []) == []
+    assert rref([], 3) == rref([]) == ([], [])
+    r, pivots = rref([[0, 2, 4]], 3)
+    assert (r, pivots) == ([[0, 1, 2]], [1]) and all_fractions(r[0])
+
+
+# numerators and denominators up to 2^200, so that one row mixes large
+# unrelated denominators and elimination multiplies wide integers
+WIDE = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+
+
+@st.composite
+def wide_matrices(draw):
+    """0-6 rows, 1-6 columns of WIDE entries or zeros, and some rows that
+    are combinations of earlier rows with WIDE factors."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1, 6))
+    m = []
+    for _ in range(rows):
+        if m and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            p, q = draw(WIDE), draw(WIDE)
+            m.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            m.append([draw(st.one_of(st.just(Fraction(0)), WIDE)) for _ in range(cols)])
+    return m
+
+
+@settings(deadline=None)
+@given(wide_matrices())
+def test_rref_of_wide_entries_matches_dense_reference(m):
+    assert rref(m) == reference_rref(m)
+
+
+@settings(deadline=None)
+@given(wide_matrices())
+def test_kernel_of_wide_entries_solves_the_homogeneous_system(m):
+    basis = kernel(m)
+    assert len(basis) == width(m) - len(reference_rref(m)[1])
+    for v in basis:
+        assert mat_vec(m, v) == [0] * len(m)
+
+
+@settings(deadline=None)
+@given(wide_matrices(), st.booleans(), st.data())
+def test_solve_linear_of_wide_entries_solves_or_reports_inconsistency(m, consistent, data):
+    if consistent:
+        b = mat_vec(m, data.draw(st.lists(WIDE, min_size=width(m), max_size=width(m))))
+    else:
+        b = data.draw(st.lists(WIDE, min_size=len(m), max_size=len(m)))
+    x = solve_linear(m, b)
+    _r, pivots = reference_rref([row + [bi] for row, bi in zip(m, b)])
+    assert (x is None) == (width(m) in pivots)
+    assert solve_linear(m, b, width(m)) == x
     if x is not None:
         assert mat_vec(m, x) == b
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -152,16 +153,32 @@ def test_self_check_rejects_corrupted_layer(k, m, branch, d):
     gv = solve_wd(k, m, branch, d)
     model = WModel(k, m, branch)
     _check_generalized_eigenvector(model, gv)
+    # 1/p with a prime p that divides no layer denominator changes the
+    # common denominator the check scales by
+    den = math.lcm(*(x.denominator for layer in gv.layers for x in layer))
+    p = next(p for p in itertools.count(2) if den % p and all(p % q for q in range(2, p)))
     for t in range(d + 1):
         for r in range(m + 1):
-            layers = [layer[:] for layer in gv.layers]
-            layers[t][r] += 1
-            bad = GradedVector(k, m, branch, d, layers, gv.preimage_scale)
-            with pytest.raises(AssertionError, match="Delta"):
-                _check_generalized_eigenvector(model, bad)
-    bad = GradedVector(k, m, branch, d, gv.layers, gv.preimage_scale + 1)
-    with pytest.raises(AssertionError, match="Delta"):
-        _check_generalized_eigenvector(model, bad)
+            for delta in (1, Fraction(1, p)):
+                layers = [layer[:] for layer in gv.layers]
+                layers[t][r] += delta
+                bad = GradedVector(k, m, branch, d, layers, gv.preimage_scale)
+                with pytest.raises(AssertionError, match="Delta"):
+                    _check_generalized_eigenvector(model, bad)
+    for scale in (gv.preimage_scale + 1, gv.preimage_scale * (1 + Fraction(1, p))):
+        bad = GradedVector(k, m, branch, d, gv.layers, scale)
+        with pytest.raises(AssertionError, match="Delta"):
+            _check_generalized_eigenvector(model, bad)
+
+
+@pytest.mark.parametrize("k,m,branch,d", BANDED_GRID)
+def test_banded_delta_on_int_layers_matches_fraction_layers(k, m, branch, d):
+    bands = WModel(k, m, branch).bands()
+    assert all(type(x) is int for rows in bands for row in rows for _j, x in row)
+    layers = [[int(x * 12) for x in layer] for layer in _test_vector(m + 1, d)]
+    as_ints = apply_banded(bands, layers)
+    assert as_ints == apply_banded(bands, [[Fraction(x) for x in layer] for layer in layers])
+    assert all(type(x) is int for layer in as_ints for x in layer)
 
 
 def test_exact_depth_of_emissions():

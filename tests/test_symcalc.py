@@ -393,6 +393,21 @@ def test_pole_table_is_read_only():
     assert len(table) == 1
 
 
+@pytest.mark.parametrize("point, text", [(Fraction(1), "(E, 0, 1)"),
+                                         (Fraction(-1, 2), "(E, 0, -1/2)")])
+def test_pole_table_messages_write_the_key_as_a_user_would(point, text):
+    from polymaass import symcalc as sc
+    key = (Family("eisenstein"), 0, point)
+    with pytest.raises(DomainError) as err:
+        sc.pole_table({key: E(2, 0)})
+    assert str(err.value) == "pole residue weight mismatch at " + text
+    pending = form_of(PolyAtom(0, 0), SpectralAtom(Family("eisenstein"), 2, Fraction(-1), 0,
+                                                   ("L", 1)))
+    with pytest.raises(DomainError) as err:
+        sc.pole_table({key: pending})
+    assert str(err.value) == "pole residues must be expanded (L^1 E^(0)_{2,-1} at %s)" % text
+
+
 @pytest.mark.parametrize("field, value", [
     ("weight", 0.7), ("order", 1.9), ("order", 1.0), ("weight", "0"),
 ])
