@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, gcd, isfinite
-from typing import Callable, Dict, List
+from math import factorial, isfinite
+from typing import Dict, List
 
 import numpy as np
 
@@ -27,12 +27,10 @@ from .symcalc import DomainError
 @dataclass(frozen=True)
 class EvalConfig:
     trunc: int = 400          # max |c|, |d| in the coset sum
-    fd_step: float = 0.02
-    richardson: bool = True
     tol: float = 1e-5
 
     def __post_init__(self):
-        if self.trunc < 1 or not isfinite(self.fd_step) or self.fd_step <= 0:
+        if self.trunc < 1:
             raise DomainError("invalid evaluation configuration")
         if not isfinite(self.tol) or self.tol <= 0:
             raise DomainError("tolerance must be a positive finite number")
@@ -50,8 +48,8 @@ class EvalConfig:
 DEFAULT_CONFIG = EvalConfig()
 
 
-def _check_region(k: int, s: complex, margin: float = 0.0):
-    if s.real <= 1 - k / 2 + margin:
+def _check_region(k: int, s: complex):
+    if s.real <= 1 - k / 2:
         raise DomainError("s = %s violates the convergence constraint Re(s) > 1 - k/2 "
                           "for weight %d" % (s, k))
 
@@ -87,83 +85,10 @@ def eval_eisenstein(k: int, s: complex, tau: complex, cfg: EvalConfig = DEFAULT_
     return complex(np.add.reduce(terms))
 
 
-def lattice_sum(k: int, tau: complex, n: int) -> complex:
-    """Absolutely convergent sum over nonzero (m, n) of (m tau + n)^-k,
-    an independent oracle for holomorphic Eisenstein values (k >= 4 even)."""
-    if k < 3:
-        raise DomainError("lattice sum needs k >= 3 for absolute convergence")
-    total = 0j
-    for m in range(-n, n + 1):
-        for nn in range(-n, n + 1):
-            if m == 0 and nn == 0:
-                continue
-            total += (m * tau + nn) ** (-k)
-    return total
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """The Kronecker symbol (a/n)."""
-    if n == 0:
-        return 1 if abs(a) == 1 else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -1
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos:
-        if a % 2 == 0:
-            return 0
-        if twos % 2 == 1 and a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _phi_minus(disc: int, c: int, d: int) -> complex:
-    """The weight factor of the incoherent series for the coset of (c, d)."""
-    if gcd(disc, c) == 1:
-        return -1j * np.sqrt(disc) * kronecker_symbol(-disc, c)
-    # recover an admissible top-left entry a with a*d = 1 mod c; the symbol
-    # only depends on a mod disc, and disc divides c in this branch
-    if c == 0:
-        a = 1 if d == 1 else -1
-    else:
-        a = pow(d % abs(c), -1, abs(c))
-    return complex(kronecker_symbol(-disc, a))
-
-
-def eval_character_eisenstein(disc: int, s: complex, tau: complex,
-                              cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Truncated incoherent series E^-_D(tau, s) in weight 1 (conservative
-    convergence guard Re(s) > 1)."""
-    if s.real <= 1:
-        raise DomainError("guarded convergence region for the twisted series is Re(s) > 1")
-    if tau.imag <= 0:
-        raise DomainError("tau must lie in the upper half plane")
-    y = tau.imag
-    c_all, d_all = cfg.cosets
-    total = 0j
-    for c, d in zip(c_all.tolist(), d_all.tolist()):
-        w = c * tau + d
-        total += _phi_minus(disc, c, d) * w ** (-1) * (y / abs(w) ** 2) ** s
-    return total
-
-
 # ---------------------------------------------------------------------------
 # finite differences
+
+FD_STEP = 0.02   # the coarse Richardson level; the fine level is FD_STEP / 2
 
 
 def _dx(fn, tau, h):
@@ -182,19 +107,13 @@ def _dyy(fn, tau, h):
     return (fn(tau + 1j * h) - 2 * fn(tau) + fn(tau - 1j * h)) / h ** 2
 
 
-def _richardson(d: Callable, fn, tau, h):
-    return (4 * d(fn, tau, h / 2) - d(fn, tau, h)) / 3
-
-
-def fd_operator(op: str, k: int, fn, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """L_k, R_k, or Delta_k by central finite differences in x and y.
+def fd_operator(op: str, k: int, fn, tau: complex) -> complex:
+    """L_k, R_k, or Delta_k by Richardson-extrapolated central differences
+    in x and y.
 
     The stencils share points (tau itself, and tau +- h, tau +- ih at both
     Richardson levels), so fn is evaluated once per distinct point.
     """
-    h = cfg.fd_step
-    if h < 1e-12:
-        raise DomainError("finite-difference step underflow")
     values: Dict[complex, complex] = {}
 
     def at(t):
@@ -202,8 +121,9 @@ def fd_operator(op: str, k: int, fn, tau: complex, cfg: EvalConfig = DEFAULT_CON
             values[t] = fn(t)
         return values[t]
 
-    deriv = (lambda d: _richardson(d, at, tau, h)) if cfg.richardson \
-        else (lambda d: d(at, tau, h))
+    def deriv(d):
+        return (4 * d(at, tau, FD_STEP / 2) - d(at, tau, FD_STEP)) / 3
+
     y = tau.imag
     if op == "L":
         # -2i y^2 d/dtaubar = -i y^2 (d_x + i d_y)
@@ -292,15 +212,15 @@ def verify_identity(name: str, points: List[Dict], cfg: EvalConfig = DEFAULT_CON
         k, s, tau = pt["k"], pt["s"], pt["tau"]
         if name == "laplace_eigen":
             fn = lru_cache(maxsize=None)(lambda t: eval_eisenstein(k, s, t, cfg))
-            lhs = fd_operator("Delta", k, fn, tau, cfg)
+            lhs = fd_operator("Delta", k, fn, tau)
             rhs = s * (1 - k - s) * fn(tau)   # the stencil has evaluated tau
         elif name == "lowering":
             fn = lambda t: eval_eisenstein(k, s, t, cfg)
-            lhs = fd_operator("L", k, fn, tau, cfg)
+            lhs = fd_operator("L", k, fn, tau)
             rhs = s * eval_eisenstein(k - 2, s + 1, tau, cfg)
         elif name == "raising":
             fn = lambda t: eval_eisenstein(k, s, t, cfg)
-            lhs = fd_operator("R", k, fn, tau, cfg)
+            lhs = fd_operator("R", k, fn, tau)
             rhs = (s + k) * eval_eisenstein(k + 2, s - 1, tau, cfg)
         elif name == "mirror":
             if abs(complex(s).imag) > 0:

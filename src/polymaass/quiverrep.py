@@ -373,7 +373,7 @@ class HCFragment:
 
 def _invert(m: Mat) -> Mat:
     n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(m, identity(n))]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         raise DomainError("interior map is not invertible")
@@ -472,12 +472,13 @@ def _casimir_ends(frag: HCFragment) -> Tuple[Mat, Mat]:
 
 def _poly_in_matrix(target: Mat, base: Mat) -> List[Fraction]:
     """Least-degree coefficients p with sum p_j base^j = target.  On the
-    zero space every p matches; p = 1 is returned."""
+    zero space every p matches; p = 1 is returned.  By Cayley-Hamilton the
+    powers below base^n span every polynomial in base, so n solves decide."""
     n = len(base)
     if not n:
         return [Fraction(1)]
     powers = [identity(n)]
-    for deg in range(n * n + 1):
+    for deg in range(n):
         cols = []
         for p in powers:
             cols.append([p[i][j] for i in range(n) for j in range(n)])

