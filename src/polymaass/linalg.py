@@ -6,7 +6,10 @@ row update costs the pivot row's nonzero count (plus the updated row's,
 when it is rescaled), not the column count.  It is fraction-free: each
 row is cleared of denominators once and then updated and reduced in
 Python ints, and an entry of the result is built as a Fraction only when
-it is read off.  Int and Fraction input give Fraction output.
+it is read off.  Products are fraction-free too: each factor is scaled by
+the lcm of its denominators once, the product runs on sparse integer
+rows, and every output entry is one Fraction over the product of those
+scales.  Int and Fraction input give Fraction output.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ Mat = List[List[Fraction]]
 SparseRows = List[List[Tuple[int, Fraction]]]
 Row = Dict[int, Fraction]
 IntRow = Dict[int, int]
+IntSparseRows = List[List[Tuple[int, int]]]
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -46,19 +50,44 @@ def sparse_vec(rows: SparseRows, v: Vec) -> Vec:
     return [sum((x * v[j] for j, x in row), Fraction(0)) for row in rows]
 
 
+def _int_rows(m: Mat) -> Tuple[IntSparseRows, int]:
+    """(rows, den): den is the lcm of the entries' denominators, and rows
+    holds the nonzero (column, value) pairs of each row of den*m, in
+    Python ints."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    den = lcm(*(x.denominator for row in rows for _j, x in row))
+    return [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows], den
+
+
+def _int_mul(a: IntSparseRows, b: IntSparseRows, cols: int) -> IntSparseRows:
+    """The product a b of sparse integer rows, b with cols columns."""
+    out = []
+    for ai in a:
+        acc = [0] * cols
+        for k, x in ai:
+            for j, y in b[k]:
+                acc[j] += x * y
+        out.append([(j, x) for j, x in enumerate(acc) if x])
+    return out
+
+
+def _fractions(rows: IntSparseRows, den: int, cols: int) -> Mat:
+    """The dense Fraction matrix of sparse integer rows divided by den."""
+    out = zeros(len(rows), cols)
+    for o, r in zip(out, rows):
+        for j, x in r:
+            o[j] = Fraction(x, den) if den != 1 else Fraction(x)
+    return out
+
+
 def mat_mul(a: Mat, b: Mat, cols: Optional[int] = None) -> Mat:
     """The product a b.  The column count is read from b unless given;
     give it when b can have no rows (an inner dimension of 0)."""
     if cols is None:
         cols = len(b[0])
-    b_rows = sparse_rows(b)
-    out = zeros(len(a), cols)
-    for ai, oi in zip(a, out):
-        for aik, bk in zip(ai, b_rows):
-            if aik:
-                for j, x in bk:
-                    oi[j] += aik * x
-    return out
+    a_rows, da = _int_rows(a)
+    b_rows, db = _int_rows(b)
+    return _fractions(_int_mul(a_rows, b_rows, cols), da * db, cols)
 
 
 def mat_pow(m: Mat, e: int) -> Mat:
@@ -66,22 +95,25 @@ def mat_pow(m: Mat, e: int) -> Mat:
     den the lcm of the entries' denominators, and is divided by den^e
     once at the end."""
     n = len(m)
-    den = lcm(*(x.denominator for row in m for x in row))
-    rows = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
-            for row in m]
-    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows, den = _int_rows(m)
+    out = [[(i, 1)] for i in range(n)]
     for _ in range(e):
-        nxt = []
-        for oi in out:
-            acc = [0] * n
-            for oik, bk in zip(oi, rows):
-                if oik:
-                    for j, x in bk:
-                        acc[j] += oik * x
-            nxt.append(acc)
-        out = nxt
-    scale = den ** e
-    return [[Fraction(x, scale) for x in row] for row in out]
+        out = _int_mul(out, rows, n)
+    return _fractions(out, den ** e, n)
+
+
+def nilpotency_degree(m: Mat) -> Optional[int]:
+    """Least e with m^e = 0 for a square m, or None when m is not
+    nilpotent.  m^e = 0 exactly when (den*m)^e = 0, den the lcm of the
+    entries' denominators, so the powers are taken in integers."""
+    n = len(m)
+    rows, _den = _int_rows(m)
+    power = [[(i, 1)] for i in range(n)]
+    for e in range(n + 1):
+        if not any(power):
+            return e
+        power = _int_mul(power, rows, n)
+    return None
 
 
 def _row_dicts(m: Mat) -> List[Row]:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import (Mat, Vec, identity, kernel, mat_mul, rref, solve_linear,
-                     zeros)
+from .linalg import (Mat, Vec, identity, kernel, mat_mul, nilpotency_degree, rref,
+                     solve_linear, zeros)
 from .scalars import json_rational, malformed_json
 from .symcalc import DomainError
 
@@ -179,20 +179,10 @@ def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> Quiver
 # invariants and classification
 
 
-def _nilpotency_degree(m: Mat) -> Optional[int]:
-    """Least e with m^e = 0, or None when m is not nilpotent."""
-    power = identity(len(m))
-    for e in range(len(m) + 1):
-        if not any(x for row in power for x in row):
-            return e
-        power = mat_mul(power, m)
-    return None
-
-
 def invariants_of(rep: QuiverRep):
     """(dimension vector, nilpotency degrees per node)."""
     rep.check_relation()
-    degrees = {node: _nilpotency_degree(loop) for node, loop in rep.loops().items()}
+    degrees = {node: nilpotency_degree(loop) for node, loop in rep.loops().items()}
     if None in degrees.values():
         raise DomainError("loop endomorphism is not nilpotent")
     return rep.dim_vector(), degrees
@@ -311,7 +301,7 @@ def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
     basis = endomorphism_basis(rep)
     flat = [[x for n in nodes for row in e[n] for x in row] for e in basis]
     flat_t = [[x for n in nodes for col in zip(*e[n]) for x in col] for e in basis]
-    gram = [[sum(x * y for x, y in zip(a, b) if x and y) for b in flat_t] for a in flat]
+    gram = mat_mul(flat, [list(col) for col in zip(*flat_t)], len(basis))
     return len(rref(gram)[1]) == 1
 
 
@@ -389,7 +379,7 @@ def _validate_fragment(frag: HCFragment) -> None:
         n_plus, n_minus = len(frag.z_minus), len(frag.z_plus)
         _check_shape("z_minus", frag.z_minus, n_plus, n_minus)
         _check_shape("z_plus", frag.z_plus, n_minus, n_plus)
-        if _nilpotency_degree(mat_mul(frag.z_plus, frag.z_minus, n_minus)) is None:
+        if nilpotency_degree(mat_mul(frag.z_plus, frag.z_minus, n_minus)) is None:
             raise DomainError("end composite is not nilpotent")
         return
     if len(frag.xs) != frag.l - 1 or len(frag.ys) != frag.l - 1:
@@ -404,9 +394,9 @@ def _validate_fragment(frag: HCFragment) -> None:
     for m in list(frag.xs) + list(frag.ys):
         _check_shape("interior map", m, n1, n1)
         _invert(m)   # raises when an interior map is singular
-    if _nilpotency_degree(mat_mul(frag.x_minus, frag.y_minus, n1)) is None:
+    if nilpotency_degree(mat_mul(frag.x_minus, frag.y_minus, n1)) is None:
         raise DomainError("lower end composite is not nilpotent")
-    if _nilpotency_degree(mat_mul(frag.x_plus, frag.y_plus, n2)) is None:
+    if nilpotency_degree(mat_mul(frag.x_plus, frag.y_plus, n2)) is None:
         raise DomainError("upper end composite is not nilpotent")
 
 
@@ -540,12 +530,12 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
         raise DomainError("need l >= 1 and dim >= 1")
     rng = random.Random(seed)
 
-    def rand_invertible() -> Mat:
+    def rand_invertible() -> Tuple[Mat, Mat]:
+        """A random invertible matrix and its inverse."""
         while True:
             m = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
             try:
-                _invert(m)
-                return m
+                return m, _invert(m)
             except DomainError:
                 continue
 
@@ -557,24 +547,24 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
         return m
 
     gamma = l * l - 1
-    x_minus = rand_invertible()
+    x_minus, x_minus_inv = rand_invertible()
     nil = rand_nilpotent()
-    y_minus = mat_mul(nil, _invert(x_minus))   # Y_- X_- = nil
+    y_minus = mat_mul(nil, x_minus_inv)   # Y_- X_- = nil
     c_cur = _casimir(gamma, mat_mul(x_minus, y_minus))   # C on M_{-l+1}
     xs, ys = [], []
     for i in range(1, l):
         n_i = -l - 1 + 2 * i                    # weight below X_i
         const = Fraction(n_i * n_i + 2 * n_i)
-        x_i = rand_invertible()
+        x_i, x_i_inv = rand_invertible()
         y_i = mat_mul([[Fraction(c_cur[a][b] - (const if a == b else 0), 4)
                         for b in range(dim)] for a in range(dim)],
-                      _invert(x_i))
+                      x_i_inv)
         xs.append(x_i)
         ys.append(y_i)
-        c_cur = mat_mul(mat_mul(x_i, c_cur), _invert(x_i))
-    x_plus = rand_invertible()
+        c_cur = mat_mul(mat_mul(x_i, c_cur), x_i_inv)
+    x_plus, x_plus_inv = rand_invertible()
     y_plus = mat_mul([[Fraction(c_cur[a][b] - (gamma if a == b else 0), 4)
                        for b in range(dim)] for a in range(dim)],
-                     _invert(x_plus))
+                     x_plus_inv)
     return HCFragment(l, x_minus=x_minus, xs=tuple(xs), x_plus=x_plus,
                       y_plus=y_plus, ys=tuple(ys), y_minus=y_minus)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymaass
-from polymaass.linalg import (Mat, identity, kernel, mat_mul, mat_pow, mat_vec, rref,
-                              solve_linear, zeros)
+from polymaass.linalg import (Mat, identity, kernel, mat_mul, mat_pow, mat_vec,
+                              nilpotency_degree, rref, solve_linear, zeros)
 
 
 # The dense Gauss-Jordan elimination the package used before elimination
@@ -259,3 +259,115 @@ def test_mat_pow_edge_cases():
     assert mat_pow(nil, 3) == zeros(3, 3) and mat_pow(nil, 2) == [[0, 0, 2], [0, 0, 0], [0, 0, 0]]
     d = 4 * 2 ** 15
     assert mat_pow([[Fraction(1, d)]], 9) == [[Fraction(1, d ** 9)]]
+
+
+def entry_product(a: Mat, b: Mat, cols: int) -> Mat:
+    """a b by the entry formula, in Fraction arithmetic."""
+    return [[sum((Fraction(a[i][k]) * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+# WIDE entries mixed with wide ints and zeros in one matrix
+WIDE_OR_INT = st.one_of(st.just(0), st.integers(-2 ** 200, 2 ** 200), WIDE)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_mul_of_wide_entries_matches_the_entry_formula(rows, inner, cols, data):
+    # rows = 0 is an a with no rows; inner = 0 needs the given cols
+    a = [data.draw(st.lists(WIDE_OR_INT, min_size=inner, max_size=inner)) for _ in range(rows)]
+    b = [data.draw(st.lists(WIDE_OR_INT, min_size=cols, max_size=cols)) for _ in range(inner)]
+    out = mat_mul(a, b, cols)
+    assert out == entry_product(a, b, cols)
+    assert all_fractions(x for row in out for x in row)
+    if inner:
+        assert mat_mul(a, b) == out
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_mat_pow_of_wide_entries_matches_the_entry_formula(n, data):
+    m = [data.draw(st.lists(WIDE_OR_INT, min_size=n, max_size=n)) for _ in range(n)]
+    expected = identity(n)
+    for e in range(5):
+        p = mat_pow(m, e)
+        assert p == expected and all_fractions(x for row in p for x in row)
+        expected = entry_product(expected, m, n)
+
+
+# quiverrep's nilpotency loop as it stood before it moved into linalg, with
+# its Fraction products written out by the entry formula
+def reference_nilpotency_degree(m: Mat):
+    """Least e with m^e = 0, or None when m is not nilpotent."""
+    power = identity(len(m))
+    for e in range(len(m) + 1):
+        if not any(x for row in power for x in row):
+            return e
+        power = entry_product(power, m, len(m))
+    return None
+
+
+def inverse(m: Mat) -> Mat:
+    n = len(m)
+    r, pivots = rref([row + unit for row, unit in zip(m, identity(n))])
+    assert pivots == list(range(n))
+    return [row[n:] for row in r]
+
+
+@st.composite
+def conjugated_triangular(draw, max_n=5):
+    """(P T P^-1, T): T upper triangular with rational entries, P an
+    invertible rational matrix (a product of unit lower and upper
+    triangular factors with a nonzero diagonal between them)."""
+    n = draw(st.integers(1, max_n))
+    diagonal = draw(st.sampled_from(["zero", "one nonzero", "any"]))
+    t = zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            t[i][j] = draw(st.one_of(st.just(Fraction(0)), ENTRIES))
+    if diagonal == "one nonzero":
+        i = draw(st.integers(0, n - 1))
+        t[i][i] = draw(ENTRIES.filter(bool))
+    elif diagonal == "any":
+        for i in range(n):
+            t[i][i] = draw(ENTRIES)
+    lower, upper = identity(n), identity(n)
+    for i in range(n):
+        upper[i][i] = draw(ENTRIES.filter(bool))
+        for j in range(i):
+            lower[i][j] = draw(ENTRIES)
+            upper[j][i] = draw(ENTRIES)
+    p = entry_product(lower, upper, n)
+    return entry_product(entry_product(p, t, n), inverse(p), n), t
+
+
+@settings(deadline=None)
+@given(conjugated_triangular())
+def test_nilpotency_degree_of_a_conjugate_matches_the_reference(pair):
+    m, t = pair
+    degree = nilpotency_degree(m)
+    assert degree == reference_nilpotency_degree(m) == nilpotency_degree(t)
+    # nilpotent exactly when every eigenvalue, a diagonal entry of t, is 0
+    assert (degree is None) == any(t[i][i] for i in range(len(t)))
+    if degree is not None:
+        assert 1 <= degree <= len(m)
+
+
+@settings(deadline=None)
+@given(st.one_of(square_matrices(), conjugated_triangular().map(lambda pair: pair[0])),
+       st.one_of(ENTRIES.filter(bool), WIDE.filter(bool)))
+def test_nilpotency_degree_is_unchanged_by_a_nonzero_scale(m, c):
+    degree = nilpotency_degree(m)
+    assert degree == reference_nilpotency_degree(m)
+    assert nilpotency_degree([[c * x for x in row] for row in m]) == degree
+
+
+def test_nilpotency_degree_edge_cases():
+    assert nilpotency_degree([]) == reference_nilpotency_degree([]) == 0
+    for n in range(1, 5):
+        assert nilpotency_degree(zeros(n, n)) == 1
+        assert nilpotency_degree(identity(n)) is None
+    assert nilpotency_degree([[0, 1], [0, 0]]) == 2
+    assert nilpotency_degree([[Fraction(1, 2 ** 200), 0], [0, 0]]) is None
+    shift = [[Fraction(int(j == i + 1), 3) for j in range(5)] for i in range(5)]
+    assert nilpotency_degree(shift) == 5

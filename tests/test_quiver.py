@@ -16,7 +16,7 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
                                  invariants_of, is_cyclic,
                                  iso_two_descriptions, random_fragment,
                                  second_description)
-from polymaass.linalg import identity, mat_mul, solve_linear, zeros
+from polymaass.linalg import identity, mat_mul, rref, solve_linear, zeros
 from polymaass.symcalc import DomainError
 
 GELFAND_TUPLES = [(t, c, d) for t in ("*", "+", "-") for c in "abcd"
@@ -219,6 +219,23 @@ def test_build_cyclic_module_output_is_pinned(quiver, t, c):
     assert h.hexdigest()[:16] == BUILD_DIGESTS[(quiver, t, c)]
 
 
+# sha256 of json.dumps(random_fragment(l, dim, seed).to_json())
+FRAGMENT_DIGESTS = {
+    (1, 1, 0): "9c5803c443e46668",
+    (1, 3, 5): "9c13777a96cba94e",
+    (2, 2, 11): "7bd5c1eb23948ac5",
+    (3, 4, 5): "a28c6657f5bb04e9",
+    (4, 3, 2): "c73cf588063a8125",
+    (6, 4, 9): "7ce38ad3c9d528a2",
+}
+
+
+@pytest.mark.parametrize("l,dim,seed", sorted(FRAGMENT_DIGESTS))
+def test_random_fragment_output_is_pinned(l, dim, seed):
+    data = json.dumps(random_fragment(l, dim, seed).to_json()).encode()
+    assert hashlib.sha256(data).hexdigest()[:16] == FRAGMENT_DIGESTS[(l, dim, seed)]
+
+
 @pytest.mark.parametrize("args,message", [
     ((GELFAND, "*", "a", -1), "depth parameter must be nonnegative"),
     (("kronecker", "*", "a", -1), "depth parameter must be nonnegative"),
@@ -343,6 +360,33 @@ def test_fragment_rejects_singular_interior():
                      y_plus=frag.y_plus, ys=frag.ys, y_minus=frag.y_minus)
     with pytest.raises(DomainError):
         hc_to_quiver(bad)
+
+
+def reference_gram(rep: QuiverRep):
+    """has_only_trivial_idempotents' trace-form Gram matrix tr(a b) as it
+    stood, summed in Fraction arithmetic."""
+    nodes = NODES[rep.quiver]
+    basis = endomorphism_basis(rep)
+    flat = [[x for n in nodes for row in e[n] for x in row] for e in basis]
+    flat_t = [[x for n in nodes for col in zip(*e[n]) for x in col] for e in basis]
+    return [[sum(x * y for x, y in zip(a, b) if x and y) for b in flat_t] for a in flat]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_certificate_on_fragment_modules_matches_the_fraction_gram(l, dim):
+    # the interval-built modules have 0/1 entries only; the fragment
+    # modules' endomorphism bases carry denominators once dim > 1
+    answers, fractional = set(), False
+    for seed in range(8):
+        rep = hc_to_quiver(random_fragment(l, dim, seed))
+        cert = has_only_trivial_idempotents(rep)
+        assert cert == (len(rref(reference_gram(rep))[1]) == 1)
+        answers.add(cert)
+        fractional |= any(x.denominator > 1 for e in endomorphism_basis(rep)
+                          for m in e.values() for row in m for x in row)
+    assert answers == ({True} if dim == 1 else {True, False})
+    assert fractional == (dim > 1)
 
 
 def test_endomorphism_basis_dimension():
