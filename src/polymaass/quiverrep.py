@@ -8,13 +8,16 @@ with one arrow in each direction.  Cyclic modules are realized on
 monomial bases t^a with the arrows acting by multiplication by t and by
 truncation, which makes the loop at the generating node a single
 nilpotent Jordan block.
+
+A QuiverRep or HCFragment checks its invariants once, when it is built;
+the functions that take one do not check again.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +40,22 @@ class QuiverRep:
     quiver: str
     dims: Dict[str, int]
     maps: Dict[str, Mat]   # gelfand: A-, B-, A+, B+; cyclic: a (-:->+), b (+:->-)
+
+    def __post_init__(self):
+        """A known quiver, a nonnegative dimension for exactly its nodes, a
+        matrix of the right shape for exactly its arrows and, for the
+        Gelfand quiver, the relation."""
+        if self.quiver not in NODES:
+            raise DomainError("unknown quiver %r" % (self.quiver,))
+        if set(self.dims) != set(NODES[self.quiver]) or min(self.dims.values()) < 0:
+            raise DomainError("dims must give a nonnegative dimension for exactly "
+                              "the nodes %s" % (NODES[self.quiver],))
+        names = [name for name, _src, _dst in ARROWS[self.quiver]]
+        if set(self.maps) != set(names):
+            raise DomainError("maps must give exactly the arrows %s" % (names,))
+        for name, src, dst, m in self.arrows():
+            _check_shape("arrow " + name, m, self.dims[dst], self.dims[src])
+        self.check_relation()
 
     def dim_vector(self) -> Tuple[int, ...]:
         return tuple(self.dims[n] for n in NODES[self.quiver])
@@ -71,27 +90,12 @@ class QuiverRep:
 
     @staticmethod
     def from_json(data: dict) -> "QuiverRep":
-        """Parse and validate: the quiver's node set with nonnegative
-        dimensions, its arrow names, every matrix shape and, for the
-        Gelfand quiver, the relation."""
         with malformed_json("quiver representation"):
             quiver = data["quiver"]
-            if quiver not in NODES:
-                raise DomainError("unknown quiver %r" % (quiver,))
             dims = {k: operator.index(v) for k, v in data["dims"].items()}
             maps = {k: [[json_rational(x) for x in row] for row in m]
                     for k, m in data["maps"].items()}
-        if set(dims) != set(NODES[quiver]) or min(dims.values()) < 0:
-            raise DomainError("dims must give a nonnegative dimension for exactly "
-                              "the nodes %s" % (NODES[quiver],))
-        names = [name for name, _src, _dst in ARROWS[quiver]]
-        if set(maps) != set(names):
-            raise DomainError("maps must give exactly the arrows %s" % (names,))
-        rep = QuiverRep(quiver, dims, maps)
-        for name, src, dst, m in rep.arrows():
-            _check_shape("arrow " + name, m, dims[dst], dims[src])
-        rep.check_relation()
-        return rep
+            return QuiverRep(quiver, dims, maps)
 
 
 def _check_shape(what: str, m: Mat, rows: int, cols: int) -> None:
@@ -170,9 +174,7 @@ def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> Quiver
     maps = {name: _interval_map(iv[src], iv[dst],
                                 int(dst == "*" if quiver == GELFAND else src == type_tag))
             for name, src, dst in ARROWS[quiver]}
-    rep = QuiverRep(quiver, dict(zip(NODES[quiver], dims)), maps)
-    rep.check_relation()
-    return rep
+    return QuiverRep(quiver, dict(zip(NODES[quiver], dims)), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,6 @@ def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> Quiver
 
 def invariants_of(rep: QuiverRep):
     """(dimension vector, nilpotency degrees per node)."""
-    rep.check_relation()
     degrees = {node: nilpotency_degree(loop) for node, loop in rep.loops().items()}
     if None in degrees.values():
         raise DomainError("loop endomorphism is not nilpotent")
@@ -325,6 +326,44 @@ class HCFragment:
     z_minus: Mat = None   # l = 0: X restricted to M_{-1}
     z_plus: Mat = None    # l = 0: Y restricted to M_{+1}
 
+    def __post_init__(self):
+        """Exactly the maps of l, shapes that chain together, invertible
+        interior maps and nilpotent end composites."""
+        if self.l < 0:
+            raise DomainError("l must be nonnegative")
+        own = ("z_minus", "z_plus") if self.l == 0 else \
+            ("x_minus", "xs", "x_plus", "y_plus", "ys", "y_minus")
+        stray = [f.name for f in fields(self)[1:]   # None and [] are absent
+                 if f.name not in own and getattr(self, f.name) not in (None, [], ())]
+        if stray:
+            raise DomainError("an l = %d fragment takes no %s" % (self.l, ", ".join(stray)))
+        if self.l == 0:
+            if self.z_minus is None or self.z_plus is None:
+                raise DomainError("l = 0 fragment needs z_minus and z_plus")
+            n_plus, n_minus = len(self.z_minus), len(self.z_plus)
+            _check_shape("z_minus", self.z_minus, n_plus, n_minus)
+            _check_shape("z_plus", self.z_plus, n_minus, n_plus)
+            if nilpotency_degree(mat_mul(self.z_plus, self.z_minus, n_minus)) is None:
+                raise DomainError("end composite is not nilpotent")
+            return
+        if len(self.xs) != self.l - 1 or len(self.ys) != self.l - 1:
+            raise DomainError("fragment needs %d interior maps per direction" % (self.l - 1,))
+        if None in (self.x_minus, self.y_minus, self.x_plus, self.y_plus):
+            raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
+        n0, n1, n2 = len(self.y_minus), len(self.x_minus), len(self.x_plus)
+        _check_shape("x_minus", self.x_minus, n1, n0)
+        _check_shape("y_minus", self.y_minus, n0, n1)
+        _check_shape("x_plus", self.x_plus, n2, n1)
+        _check_shape("y_plus", self.y_plus, n1, n2)
+        for m in list(self.xs) + list(self.ys):
+            _check_shape("interior map", m, n1, n1)
+            if len(rref(m)[1]) != n1:
+                raise DomainError("interior map is not invertible")
+        if nilpotency_degree(mat_mul(self.x_minus, self.y_minus, n1)) is None:
+            raise DomainError("lower end composite is not nilpotent")
+        if nilpotency_degree(mat_mul(self.x_plus, self.y_plus, n2)) is None:
+            raise DomainError("upper end composite is not nilpotent")
+
     def x_star(self) -> Mat:
         out = None
         for x in self.xs:   # X_* = X_{l-1} ... X_1
@@ -353,6 +392,9 @@ class HCFragment:
     def from_json(data: dict) -> "HCFragment":
         dec = lambda m: None if m is None else [[json_rational(x) for x in row] for row in m]
         with malformed_json("fragment JSON"):
+            unknown = sorted(set(data) - {f.name for f in fields(HCFragment)})
+            if unknown:
+                raise DomainError("fragment JSON has unknown keys %s" % (unknown,))
             return HCFragment(operator.index(data["l"]), dec(data.get("x_minus")),
                               tuple(dec(m) for m in data.get("xs", ())),
                               dec(data.get("x_plus")), dec(data.get("y_plus")),
@@ -370,36 +412,6 @@ def _invert(m: Mat) -> Mat:
     return [row[n:] for row in r[:n]]
 
 
-def _validate_fragment(frag: HCFragment) -> None:
-    """Shapes that chain together, invertible interior maps and nilpotent
-    end composites."""
-    if frag.l == 0:
-        if frag.z_minus is None or frag.z_plus is None:
-            raise DomainError("l = 0 fragment needs z_minus and z_plus")
-        n_plus, n_minus = len(frag.z_minus), len(frag.z_plus)
-        _check_shape("z_minus", frag.z_minus, n_plus, n_minus)
-        _check_shape("z_plus", frag.z_plus, n_minus, n_plus)
-        if nilpotency_degree(mat_mul(frag.z_plus, frag.z_minus, n_minus)) is None:
-            raise DomainError("end composite is not nilpotent")
-        return
-    if len(frag.xs) != frag.l - 1 or len(frag.ys) != frag.l - 1:
-        raise DomainError("fragment needs %d interior maps per direction" % (frag.l - 1,))
-    if None in (frag.x_minus, frag.y_minus, frag.x_plus, frag.y_plus):
-        raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
-    n0, n1, n2 = len(frag.y_minus), len(frag.x_minus), len(frag.x_plus)
-    _check_shape("x_minus", frag.x_minus, n1, n0)
-    _check_shape("y_minus", frag.y_minus, n0, n1)
-    _check_shape("x_plus", frag.x_plus, n2, n1)
-    _check_shape("y_plus", frag.y_plus, n1, n2)
-    for m in list(frag.xs) + list(frag.ys):
-        _check_shape("interior map", m, n1, n1)
-        _invert(m)   # raises when an interior map is singular
-    if nilpotency_degree(mat_mul(frag.x_minus, frag.y_minus, n1)) is None:
-        raise DomainError("lower end composite is not nilpotent")
-    if nilpotency_degree(mat_mul(frag.x_plus, frag.y_plus, n2)) is None:
-        raise DomainError("upper end composite is not nilpotent")
-
-
 def _fragment_dims(frag: HCFragment) -> Dict[str, int]:
     """Gelfand node dimensions (dim M_{-l-1}, dim M_{-l+1}, dim M_{l+1}),
     read from row counts so that a zero end block has a dimension too."""
@@ -410,38 +422,26 @@ def hc_to_quiver(frag: HCFragment) -> QuiverRep:
     """The equivalence functor on a diagram fragment: l = 0 gives a
     two-cyclic representation, l >= 1 a Gelfand representation with
     arrows (X_-, X_+ X_*, X_*^{-1} Y_+, Y_-)."""
-    _validate_fragment(frag)
     if frag.l == 0:
         dims = {"-": len(frag.z_plus), "+": len(frag.z_minus)}
         return QuiverRep(CYCLIC, dims, {"a": frag.z_minus, "b": frag.z_plus})
     dims = _fragment_dims(frag)
     x_star = frag.x_star()
-    a_minus = frag.x_minus
-    b_minus = frag.y_minus
-    b_plus = mat_mul(frag.x_plus, x_star, dims["*"])
-    a_plus = mat_mul(_invert(x_star), frag.y_plus, dims["+"])
-    rep = QuiverRep(GELFAND, dims, {"A-": a_minus, "B-": b_minus,
-                                    "A+": a_plus, "B+": b_plus})
-    rep.check_relation()
-    return rep
+    return QuiverRep(GELFAND, dims, {"A-": frag.x_minus, "B-": frag.y_minus,
+                                     "A+": mat_mul(_invert(x_star), frag.y_plus, dims["+"]),
+                                     "B+": mat_mul(frag.x_plus, x_star, dims["*"])})
 
 
 def second_description(frag: HCFragment) -> QuiverRep:
     """Alternative realization on (M_{-l-1}, M_{l-1}, M_{l+1}) with arrows
     (Y_*^{-1} X_-, X_+, Y_+, Y_- Y_*)."""
-    _validate_fragment(frag)
     if frag.l == 0:
         raise DomainError("second description needs l >= 1")
     dims = _fragment_dims(frag)
     y_star = frag.y_star()
-    a_minus = mat_mul(_invert(y_star), frag.x_minus, dims["-"])
-    b_minus = mat_mul(frag.y_minus, y_star, dims["*"])
-    a_plus = frag.y_plus
-    b_plus = frag.x_plus
-    rep = QuiverRep(GELFAND, dims, {"A-": a_minus, "B-": b_minus,
-                                    "A+": a_plus, "B+": b_plus})
-    rep.check_relation()
-    return rep
+    return QuiverRep(GELFAND, dims, {"A-": mat_mul(_invert(y_star), frag.x_minus, dims["-"]),
+                                     "B-": mat_mul(frag.y_minus, y_star, dims["*"]),
+                                     "A+": frag.y_plus, "B+": frag.x_plus})
 
 
 def _casimir(gamma: int, composite: Mat) -> Mat:
@@ -488,7 +488,6 @@ def iso_two_descriptions(frag: HCFragment):
     T = p(C_0) where p expresses Y_* X_* as a polynomial in C_1; the
     commuting squares and invertibility are verified exactly.
     """
-    _validate_fragment(frag)
     if frag.l == 0:
         raise DomainError("two descriptions exist only for l >= 1")
     x_star = frag.x_star()

@@ -44,7 +44,7 @@ class WModel:
         if self.m < 0:
             raise DomainError("m must be nonnegative")
 
-    def _int_matrices(self) -> Tuple[List[List[int]], ...]:
+    def matrices(self) -> Tuple[List[List[int]], ...]:
         """A, B and C with int entries."""
         k, m = self.k, self.m
         n = m + 1
@@ -76,15 +76,10 @@ class WModel:
                     C[r - 1][r] = -1
         return A, B, C
 
-    def matrices(self) -> Tuple[Mat, Mat, Mat]:
-        """A, B and C with Fraction entries."""
-        return tuple([[Fraction(x) for x in row] for row in M]
-                     for M in self._int_matrices())
-
     def bands(self) -> Tuple[SparseRows, SparseRows, SparseRows]:
         """A, B and C as sparse rows of ints (A is tridiagonal, B and C
         bidiagonal)."""
-        return tuple(sparse_rows(M) for M in self._int_matrices())
+        return tuple(sparse_rows(M) for M in self.matrices())
 
     def block_delta(self, d: int) -> Mat:
         """The operator A + T B + T^2 C on W_d, layer-major indexing."""
@@ -134,6 +129,17 @@ class GradedVector:
     d: int
     layers: List[Vec]
     preimage_scale: Fraction = field(default_factory=lambda: Fraction(1))
+
+    def __post_init__(self):
+        if self.branch not in ("L", "R"):
+            raise DomainError("branch must be L or R")
+        if self.m < 0 or self.d < 0:
+            raise DomainError("m and d must be nonnegative")
+        if len(self.layers) != self.d + 1 or any(len(v) != self.m + 1 for v in self.layers):
+            raise DomainError("a graded vector needs d + 1 = %d layers of m + 1 = %d entries"
+                              % (self.d + 1, self.m + 1))
+        if self.preimage_scale == 0:
+            raise DomainError("preimage_scale must be nonzero")
 
     def to_json(self) -> dict:
         return {"k": self.k, "m": self.m, "branch": self.branch, "d": self.d,

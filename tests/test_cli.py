@@ -246,6 +246,27 @@ def test_quiver_from_hc_rejects_mismatched_shapes(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+L1_FRAGMENT = {"l": 1, "x_minus": [["0"]], "xs": [], "x_plus": [["1"]],
+               "y_plus": [["0"]], "ys": [], "y_minus": [["1"]]}
+
+
+@pytest.mark.parametrize("data,message", [
+    (dict(L1_FRAGMENT, z_minus=[["0"]]), "an l = 1 fragment takes no z_minus"),
+    (dict(L1_FRAGMENT, extra=1), "fragment JSON has unknown keys ['extra']"),
+    ({"l": 0, "z_minus": [["0"]], "z_plus": [["1"]], "x_minus": [["0"]]},
+     "an l = 0 fragment takes no x_minus"),
+    (dict(L1_FRAGMENT, l=-1), "l must be nonnegative"),
+    (dict(L1_FRAGMENT, l=2, xs=[[["0"]]], ys=[[["1"]]]), "interior map is not invertible"),
+], ids=["stray-z", "unknown-key", "stray-x", "negative-l", "singular"])
+def test_quiver_from_hc_rejects_invalid_fragments(capsys, tmp_path, data, message):
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps(L1_FRAGMENT))
+    assert run(capsys, "quiver", "from-hc", "--in", str(path))[0] == 0
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "quiver", "from-hc", "--in", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_quiver_classify_has_no_seed_option(capsys, tmp_path):
     code, _, _ = run(capsys, "quiver", "classify", "--in", str(tmp_path / "r.json"),
                      "--seed", "1")

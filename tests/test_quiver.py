@@ -177,7 +177,9 @@ def test_classify_cyclic_matches_reference_tables(monkeypatch, quiver, type_tag)
     # only the dimension vector and the generating node decide the case
     monkeypatch.setattr(quiverrep, "is_cyclic", lambda rep: type_tag)
     for dims in itertools.product(range(9), repeat=len(NODES[quiver])):
-        rep = QuiverRep(quiver, dict(zip(NODES[quiver], dims)), {})
+        node_dims = dict(zip(NODES[quiver], dims))
+        rep = QuiverRep(quiver, node_dims, {name: zeros(node_dims[dst], node_dims[src])
+                                            for name, src, dst in quiverrep.ARROWS[quiver]})
         want = _reference_classify(quiver, type_tag, dims)
         if want is None:
             with pytest.raises(DomainError, match=re.escape(
@@ -355,11 +357,10 @@ def test_poly_in_matrix_gives_up_after_n_solves(monkeypatch):
 
 def test_fragment_rejects_singular_interior():
     frag = random_fragment(2, 2, seed=3)
-    bad = HCFragment(2, x_minus=frag.x_minus,
-                     xs=([[Fraction(0)] * 2] * 2,), x_plus=frag.x_plus,
-                     y_plus=frag.y_plus, ys=frag.ys, y_minus=frag.y_minus)
-    with pytest.raises(DomainError):
-        hc_to_quiver(bad)
+    with pytest.raises(DomainError, match="interior map is not invertible"):
+        HCFragment(2, x_minus=frag.x_minus,
+                   xs=([[Fraction(0)] * 2] * 2,), x_plus=frag.x_plus,
+                   y_plus=frag.y_plus, ys=frag.ys, y_minus=frag.y_minus)
 
 
 def reference_gram(rep: QuiverRep):
@@ -463,11 +464,102 @@ def test_fragments_with_zero_end_blocks(l, dims, label):
 
 def test_zero_end_blocks_must_still_chain():
     frag = _ends_only_fragment(2, 0, 1, 0)
-    bad = HCFragment(2, x_minus=frag.x_minus, xs=frag.xs, x_plus=frag.x_plus,
-                     y_plus=frag.y_plus, ys=frag.ys, y_minus=[[]])
     with pytest.raises(DomainError, match="x_minus must be a 1 x 1"):
-        hc_to_quiver(bad)
-    bad = HCFragment(2, x_minus=frag.x_minus, xs=frag.xs, x_plus=[[Fraction(0)]] * 2,
-                     y_plus=frag.y_plus, ys=frag.ys, y_minus=frag.y_minus)
+        HCFragment(2, x_minus=frag.x_minus, xs=frag.xs, x_plus=frag.x_plus,
+                   y_plus=frag.y_plus, ys=frag.ys, y_minus=[[]])
     with pytest.raises(DomainError, match="y_plus must be a 1 x 2"):
-        second_description(bad)
+        HCFragment(2, x_minus=frag.x_minus, xs=frag.xs, x_plus=[[Fraction(0)]] * 2,
+                   y_plus=frag.y_plus, ys=frag.ys, y_minus=frag.y_minus)
+
+
+# --- representations and fragments are checked when built ---------------------
+
+
+ZERO = [[Fraction(0)]]
+ONE = [[Fraction(1)]]
+
+
+@pytest.mark.parametrize("quiver,dims,maps,message", [
+    # invariants_of once read (1, 2, 1) with degree 1 at * from this rep,
+    # and is_cyclic raised IndexError
+    (GELFAND, {"-": 1, "*": 2, "+": 1}, {"A-": ZERO, "B-": ZERO, "A+": ZERO, "B+": ZERO},
+     "arrow A- must be a 2 x 1 matrix"),
+    (GELFAND, {"-": 1, "*": 1, "+": 1}, {"A-": ONE, "B-": ONE, "A+": ZERO, "B+": ZERO},
+     "Gelfand relation A-B- = A+B+ violated"),
+    ("kronecker", {"-": 1, "+": 1}, {"a": ZERO, "b": ZERO}, "unknown quiver 'kronecker'"),
+    (CYCLIC, {"-": 1, "*": 1, "+": 1}, {"a": ZERO, "b": ZERO},
+     "dims must give a nonnegative dimension for exactly the nodes ('-', '+')"),
+    (CYCLIC, {"-": -1, "+": 1}, {"a": [], "b": [[]]},
+     "dims must give a nonnegative dimension for exactly the nodes ('-', '+')"),
+    (CYCLIC, {"-": 1, "+": 1}, {"a": ZERO}, "maps must give exactly the arrows ['a', 'b']"),
+    (CYCLIC, {"-": 1, "+": 1}, {"a": None, "b": ZERO}, "arrow a must be a 1 x 1 matrix"),
+], ids=["shape", "relation", "quiver", "nodes", "negative", "arrows", "null"])
+def test_quiver_rep_is_checked_when_built(quiver, dims, maps, message):
+    with pytest.raises(DomainError) as ex:
+        QuiverRep(quiver, dims, maps)
+    assert str(ex.value) == message
+    if None in maps.values():   # JSON null is a malformed matrix
+        return
+    data = {"quiver": quiver, "dims": dims,
+            "maps": {k: [[str(x) for x in row] for row in m] for k, m in maps.items()}}
+    with pytest.raises(DomainError) as ex:
+        QuiverRep.from_json(data)
+    assert str(ex.value) == message
+
+
+def test_relation_is_checked_once_per_rep(monkeypatch):
+    calls = []
+    check = QuiverRep.check_relation
+    monkeypatch.setattr(QuiverRep, "check_relation", lambda rep: calls.append(check(rep)))
+    rep = build_cyclic_module(GELFAND, "*", "b", 2)
+    invariants_of(rep)
+    assert classify_cyclic(rep) == ("*", "b", 2)
+    assert has_only_trivial_idempotents(rep)
+    assert len(calls) == 1
+    frag = random_fragment(2, 2, seed=4)
+    del calls[:]
+    hc_to_quiver(frag)
+    second_description(frag)
+    iso_two_descriptions(frag)
+    assert len(calls) == 2   # one per description, none in the iso witness
+
+
+def test_fragment_rejects_negative_l():
+    for build in (lambda: HCFragment(-1), lambda: HCFragment.from_json({"l": -1})):
+        with pytest.raises(DomainError) as ex:
+            build()
+        assert str(ex.value) == "l must be nonnegative"
+
+
+def _stray(data, **extra):
+    data = dict(data)
+    data.update(extra)
+    return data
+
+
+L1 = {"l": 1, "x_minus": [["0"]], "xs": [], "x_plus": [["1"]],
+      "y_plus": [["0"]], "ys": [], "y_minus": [["1"]]}
+L0 = {"l": 0, "z_minus": [["0"]], "z_plus": [["1"]]}
+
+
+@pytest.mark.parametrize("data,message", [
+    (_stray(L1, z_minus=[["0"]], z_plus=[["1"]]), "an l = 1 fragment takes no z_minus, z_plus"),
+    (_stray(L1, z_plus=[["1"]]), "an l = 1 fragment takes no z_plus"),
+    (_stray(L0, x_minus=[["0"]]), "an l = 0 fragment takes no x_minus"),
+    (_stray(L0, xs=[[["1"]]], ys=[[["1"]]]), "an l = 0 fragment takes no xs, ys"),
+    (_stray(L1, w_minus=None), "fragment JSON has unknown keys ['w_minus']"),
+], ids=["l1-z", "l1-z-plus", "l0-x-minus", "l0-interior", "unknown-key"])
+def test_fragment_takes_only_the_maps_of_l(data, message):
+    HCFragment.from_json(L1 if data["l"] == 1 else L0)
+    with pytest.raises(DomainError) as ex:
+        HCFragment.from_json(data)
+    assert str(ex.value) == message
+
+
+@pytest.mark.parametrize("frag", [HCFragment(0, z_minus=ZERO, z_plus=ONE),
+                                  random_fragment(1, 2, seed=3)], ids=["l0", "l1"])
+def test_fragment_json_absent_maps_round_trip(frag):
+    # to_json writes None and [] for the maps an l does not use
+    data = frag.to_json()
+    assert None in data.values() and [] in data.values()
+    assert HCFragment.from_json(data) == frag

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polymaass.linalg import kernel, mat_vec
+from polymaass.linalg import kernel, mat_vec, sparse_rows
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
                                  alternating_trace, apply_banded, brute_force_wd,
                                  build_w0, construct_case, eisenstein_family, emit_form,
@@ -277,6 +277,39 @@ def test_graded_vector_json_rejects_floats(mutate):
     mutate(data)
     with pytest.raises(DomainError, match="^malformed graded vector JSON: "):
         GradedVector.from_json(data)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    # once loaded, and emit_form then raised ZeroDivisionError
+    (lambda d: d.update(m=2, d=3, layers=[["1", "0"]], preimage_scale="0"),
+     "a graded vector needs d + 1 = 4 layers of m + 1 = 3 entries"),
+    (lambda d: d.update(branch="Q"), "branch must be L or R"),
+    (lambda d: d.update(m=-1), "m and d must be nonnegative"),
+    (lambda d: d.update(d=-1), "m and d must be nonnegative"),
+    (lambda d: d["layers"].pop(), "a graded vector needs d + 1 = 3 layers of m + 1 = 4 entries"),
+    (lambda d: d["layers"][1].append("0"),
+     "a graded vector needs d + 1 = 3 layers of m + 1 = 4 entries"),
+    (lambda d: d.update(preimage_scale="0"), "preimage_scale must be nonzero"),
+], ids=["issue-example", "branch", "m", "d", "layer-count", "layer-length", "scale"])
+def test_graded_vector_is_checked_when_built(mutate, message):
+    gv = solve_wd(0, 3, "L", 2)
+    data = gv.to_json()
+    mutate(data)
+    with pytest.raises(DomainError) as ex:
+        GradedVector.from_json(data)
+    assert str(ex.value) == message
+    with pytest.raises(DomainError) as ex:
+        GradedVector(data["k"], data["m"], data["branch"], data["d"],
+                     [[Fraction(x) for x in v] for v in data["layers"]],
+                     Fraction(data["preimage_scale"]))
+    assert str(ex.value) == message
+
+
+def test_solver_matrices_are_ints():
+    for branch in "LR":
+        model = WModel(-3 if branch == "L" else 3, 4, branch)
+        assert all(type(x) is int for M in model.matrices() for row in M for x in row)
+        assert model.bands() == tuple(sparse_rows(M) for M in model.matrices())
 
 
 # --- pinned constructions ---------------------------------------------------
