@@ -3,13 +3,15 @@
 Dense matrices are lists of rows.  Elimination runs on sparse rows, one
 ``{column: value}`` dict per row that stores only nonzero entries, so a
 row update costs the pivot row's nonzero count (plus the updated row's,
-when it is rescaled), not the column count.  It is fraction-free: each
-row is cleared of denominators once and then updated and reduced in
-Python ints, and an entry of the result is built as a Fraction only when
-it is read off.  Products are fraction-free too: each factor is scaled by
-the lcm of its denominators once, the product runs on sparse integer
-rows, and every output entry is one Fraction over the product of those
-scales.  Int and Fraction input give Fraction output.
+when it is rescaled), not the column count.  It is fraction-free: one
+pass over each dense row clears it of denominators into a sparse integer
+row, which is then updated and reduced in Python ints, and an entry of
+the result is built as a Fraction only when it is read off.  Products
+are fraction-free too: each factor is scaled by the lcm of its
+denominators once, the product runs on sparse integer rows, and every
+output entry is one Fraction over the product of those scales; a
+matrix-vector product is the product with a one-column matrix.  Int and
+Fraction input give Fraction output.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 Vec = List[Fraction]
 Mat = List[List[Fraction]]
-SparseRows = List[List[Tuple[int, Fraction]]]
-Row = Dict[int, Fraction]
 IntRow = Dict[int, int]
 IntSparseRows = List[List[Tuple[int, int]]]
 
@@ -37,17 +37,9 @@ def identity(n: int) -> Mat:
     return m
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
-
-
-def sparse_rows(m: Mat) -> SparseRows:
-    """The nonzero (column, value) pairs of each row."""
+def sparse_rows(m: List[List[int]]) -> IntSparseRows:
+    """The nonzero (column, value) pairs of each row of an int matrix."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
-
-
-def sparse_vec(rows: SparseRows, v: Vec) -> Vec:
-    return [sum((x * v[j] for j, x in row), Fraction(0)) for row in rows]
 
 
 def _int_rows(m: Mat) -> Tuple[IntSparseRows, int]:
@@ -90,6 +82,11 @@ def mat_mul(a: Mat, b: Mat, cols: Optional[int] = None) -> Mat:
     return _fractions(_int_mul(a_rows, b_rows, cols), da * db, cols)
 
 
+def mat_vec(m: Mat, v: Vec) -> Vec:
+    """The product m v, through mat_mul on the one-column matrix of v."""
+    return [row[0] for row in mat_mul(m, [[x] for x in v], 1)]
+
+
 def mat_pow(m: Mat, e: int) -> Mat:
     """m^e for a square m.  The power runs on the integer matrix den*m,
     den the lcm of the entries' denominators, and is divided by den^e
@@ -116,38 +113,37 @@ def nilpotency_degree(m: Mat) -> Optional[int]:
     return None
 
 
-def _row_dicts(m: Mat) -> List[Row]:
-    return [{j: x for j, x in enumerate(row) if x} for row in m]
-
-
 def _primitive(row: IntRow) -> IntRow:
     """The row divided by the gcd of its entries."""
     g = gcd(*row.values())
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _int_row(row: Row) -> IntRow:
-    """A nonzero multiple of the row with coprime integer entries."""
-    den = lcm(*(x.denominator for x in row.values()))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+def _int_row(row: Vec) -> IntRow:
+    """The nonzero entries of a dense row, as {column: value}, times a
+    nonzero rational that makes them coprime integers."""
+    items = [(j, x) for j, x in enumerate(row) if x]
+    den = lcm(*(x.denominator for _j, x in items))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in items})
 
 
-def _eliminate(rows: List[Row]) -> Tuple[List[IntRow], List[int]]:
-    """Fraction-free Gauss-Jordan elimination of sparse rows.
+def _eliminate(rows: Mat) -> Tuple[List[IntRow], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of dense rows.
 
     Returns the nonzero rows of the reduced row echelon form, in pivot
-    order, with their pivot columns.  Each returned row r holds integers
-    and is the reduced row times r[pc], pc its pivot column, so the
-    reduced row is Fraction(r[j], r[pc]).  Each input row is cleared of
-    denominators once; a row update is (p/g) r - (f/g) prow in integers,
-    with p the pivot, f the row's entry in the pivot column and
-    g = gcd(p, f), and every updated row is divided by the gcd of its
-    entries.  An integer row is a nonzero multiple of the row that
-    Fraction elimination would hold, with the same support.  Columns are
-    taken left to right and each pivot row is the sparsest candidate;
-    the reduced form is unique, so that choice changes only the cost.
+    order, with their pivot columns.  Each returned row r is sparse, holds
+    integers and is the reduced row times r[pc], pc its pivot column, so
+    the reduced row is Fraction(r[j], r[pc]).  Each input row is read into
+    a sparse row and cleared of denominators in one pass; a row update is
+    (p/g) r - (f/g) prow in integers, with p the pivot, f the row's entry
+    in the pivot column and g = gcd(p, f), and every updated row is
+    divided by the gcd of its entries.  An integer row is a nonzero
+    multiple of the row that Fraction elimination would hold, with the
+    same support.  Columns are taken left to right and each pivot row is
+    the sparsest candidate; the reduced form is unique, so that choice
+    changes only the cost.
     """
-    rest = [_int_row(r) for r in rows if r]
+    rest = [r for r in map(_int_row, rows) if r]
     done: List[IntRow] = []
     pivots: List[int] = []
     for c in sorted({j for r in rest for j in r}):
@@ -198,7 +194,7 @@ def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
     if cols is None:
         cols = len(m[0]) if m else 0
     out = zeros(len(m), cols)
-    rows, pivots = _eliminate(_row_dicts(m))
+    rows, pivots = _eliminate(m)
     for o, r, pc in zip(out, rows, pivots):
         p = r[pc]
         for j, x in r.items():
@@ -212,7 +208,7 @@ def kernel(m: Mat, cols: Optional[int] = None) -> List[Vec]:
     from m unless given; give it when m can have no rows."""
     if cols is None:
         cols = len(m[0]) if m else 0
-    rows, pivots = _eliminate(_row_dicts(m))
+    rows, pivots = _eliminate(m)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     position = {c: i for i, c in enumerate(free)}
@@ -233,11 +229,7 @@ def solve_linear(m: Mat, b: Vec, cols: Optional[int] = None) -> Optional[Vec]:
     have no rows."""
     if cols is None:
         cols = len(m[0]) if m else 0
-    aug = _row_dicts(m)
-    for r, bi in zip(aug, b):
-        if bi:
-            r[cols] = bi
-    rows, pivots = _eliminate(aug)
+    rows, pivots = _eliminate([row + [bi] for row, bi in zip(m, b)])
     if cols in set(pivots):
         return None
     x = [Fraction(0)] * cols

@@ -93,9 +93,15 @@ class QuiverRep:
         with malformed_json("quiver representation"):
             quiver = data["quiver"]
             dims = {k: operator.index(v) for k, v in data["dims"].items()}
-            maps = {k: [[json_rational(x) for x in row] for row in m]
-                    for k, m in data["maps"].items()}
+            maps = {k: _matrix_from_json(m) for k, m in data["maps"].items()}
             return QuiverRep(quiver, dims, maps)
+
+
+def _matrix_from_json(m) -> Mat:
+    """A matrix read from JSON: a list of rows, each a list of rationals."""
+    if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
+        raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
+    return [[json_rational(x) for x in row] for row in m]
 
 
 def _check_shape(what: str, m: Mat, rows: int, cols: int) -> None:
@@ -390,7 +396,7 @@ class HCFragment:
 
     @staticmethod
     def from_json(data: dict) -> "HCFragment":
-        dec = lambda m: None if m is None else [[json_rational(x) for x in row] for row in m]
+        dec = lambda m: None if m is None else _matrix_from_json(m)
         with malformed_json("fragment JSON"):
             unknown = sorted(set(data) - {f.name for f in fields(HCFragment)})
             if unknown:
@@ -486,7 +492,12 @@ def iso_two_descriptions(frag: HCFragment):
     """Isomorphism witness (T, X_*, I) between the two descriptions.
 
     T = p(C_0) where p expresses Y_* X_* as a polynomial in C_1; the
-    commuting squares and invertibility are verified exactly.
+    commuting squares and the invertibility of T are verified exactly.
+    Once p is found, the singularity check cannot fail on a fragment
+    that passed construction: X_- Y_- is nilpotent, so C_0 and C_1 have
+    the single eigenvalue gamma, and T = p(C_0) has the single eigenvalue
+    p(gamma), which is the one eigenvalue of Y_* X_* = p(C_1), a product
+    of invertible interior maps.  It stays as a self-check.
     """
     if frag.l == 0:
         raise DomainError("two descriptions exist only for l >= 1")
@@ -504,7 +515,8 @@ def iso_two_descriptions(frag: HCFragment):
                 for j in range(n0):
                     t[i][j] += coeff * power[i][j]
         power = mat_mul(power, c0, n0)
-    _invert(t)   # raises when T is singular
+    if len(rref(t, n0)[1]) != n0:
+        raise DomainError("isomorphism witness T is singular")
     # commuting squares of the morphism (T, X_*, I)
     lhs = mat_mul(yx_star, frag.x_minus, n0)
     rhs = mat_mul(frag.x_minus, t, n0)

@@ -17,10 +17,10 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import List, Optional, Tuple
 
-# mat_mul is not used here; the benchmark's tracer finds the linear
-# algebra functions under this module's names
-from .linalg import (Mat, SparseRows, Vec, identity, kernel, mat_mul, mat_pow,
-                     mat_vec, rref, solve_linear, sparse_rows, sparse_vec, zeros)
+# rref is not used here; the benchmark's tracer finds the linear algebra
+# functions, rref among them, under this module's names
+from .linalg import (IntSparseRows, Mat, Vec, kernel, mat_mul, mat_pow, mat_vec,
+                     rref, solve_linear, sparse_rows, zeros)
 from .scalars import Scalar, json_rational, malformed_json
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, apply_flip, apply_power, atom_incoherent,
@@ -76,7 +76,7 @@ class WModel:
                     C[r - 1][r] = -1
         return A, B, C
 
-    def bands(self) -> Tuple[SparseRows, SparseRows, SparseRows]:
+    def bands(self) -> Tuple[IntSparseRows, IntSparseRows, IntSparseRows]:
         """A, B and C as sparse rows of ints (A is tridiagonal, B and C
         bidiagonal)."""
         return tuple(sparse_rows(M) for M in self.matrices())
@@ -98,7 +98,7 @@ class WModel:
         return D
 
 
-def apply_banded(bands: Tuple[SparseRows, SparseRows, SparseRows],
+def apply_banded(bands: Tuple[IntSparseRows, IntSparseRows, IntSparseRows],
                  layers: List[Vec]) -> List[Vec]:
     """A + T B + T^2 C on W_d, layer by layer: output layer t is
     A u_t + B u_{t-1} + C u_{t-2}; layers past the last input are cut off,
@@ -222,12 +222,7 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     w0 = build_w0(k, m, branch).layers[0]
     model = WModel(k, m, branch)
     A, B, C = model.matrices()
-    B_rows, C_rows = sparse_rows(B), sparse_rows(C)
     n = m + 1
-    # rref [A | I] = [R | P] with P A = R: A u = rhs iff R u = P rhs
-    R, pivots = rref([row + unit for row, unit in zip(A, identity(n))])
-    rank = sum(1 for c in pivots if c < n)
-    P_rows = sparse_rows([row[n:] for row in R])
 
     if branch == "L":
         def functional(v: Vec) -> Fraction:
@@ -246,21 +241,17 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
         for t in range(1, step):
             mu_t = mus[t - 1]
             rest = [a + mu_t * b for a, b in zip(rest, layers[step - t])]
-        bv = sparse_vec(B_rows, layers[step - 1])
+        bv = mat_vec(B, layers[step - 1])
         rest = [a - b for a, b in zip(rest, bv)]
         if step >= 2:
-            cv = sparse_vec(C_rows, layers[step - 2])
+            cv = mat_vec(C, layers[step - 2])
             rest = [a - b for a, b in zip(rest, cv)]
         mu = -functional(rest) / f_w0
         rhs = [mu * w + r for w, r in zip(w0, rest)]
-        y = sparse_vec(P_rows, rhs)
-        if any(y[rank:]):
+        u = solve_linear(A, rhs)
+        if u is None:
             raise DomainError("layer equation unsolvable at step %d (k=%d, m=%d, %s)"
                               % (step, k, m, branch))
-        # the solution with free variables 0, as solve_linear(A, rhs) gives
-        u = [Fraction(0)] * n
-        for i in range(rank):
-            u[pivots[i]] = y[i]
         # gauge: remove the w0 component so the v_m coordinate vanishes
         u = [x - (u[m] / w0[m]) * w for x, w in zip(u, w0)]
         layers.append(u)
@@ -296,7 +287,8 @@ def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     model = WModel(k, m, branch)
     n = m + 1
     D = model.block_delta(d)
-    K = kernel(mat_pow(D, d + 1))
+    Dd = mat_pow(D, d)
+    K = kernel(mat_mul(D, Dd))
     # solve for the combination with layer 0 = w0 and zero v_m on layers >= 1
     rows = []
     rhs = []
@@ -310,12 +302,9 @@ def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     if coeffs is None:
         raise DomainError("oracle: no pinned kernel element (k=%d, m=%d, %s, d=%d)"
                           % (k, m, branch, d))
-    flat = [sum((coeffs[j] * K[j][i] for j in range(len(K))), Fraction(0))
-            for i in range(n * (d + 1))]
+    flat = mat_mul([coeffs], K, n * (d + 1))[0]
     layers = [flat[t * n:(t + 1) * n] for t in range(d + 1)]
-    img = flat
-    for _ in range(d):
-        img = mat_vec(D, img)
+    img = mat_vec(Dd, flat)
     top = img[d * n:]
     pivot = next(i for i, x in enumerate(w0) if x)
     nu = top[pivot] / w0[pivot]

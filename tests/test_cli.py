@@ -161,9 +161,12 @@ def _form_json(mutate):
     (("classify",), [_form_json(lambda d: None)]),
     (("quiver", "classify"), {"quiver": "cyclic", "dims": {"-": 1, "+": 1},
                               "maps": {"a": [["1/0"]], "b": [["0"]]}}),
+    (("quiver", "classify"), {"quiver": "cyclic", "dims": {"-": 2, "+": 1},
+                              "maps": {"a": ["00"], "b": ["0", "1"]}}),
     (("quiver", "from-hc"), {"l": 1, "x_minus": [["1/0"]], "xs": [], "x_plus": [["1"]],
                              "y_plus": [["0"]], "ys": [], "y_minus": [["1"]]}),
-], ids=["form-point", "form-den", "form-list", "quiver-rep", "fragment"])
+], ids=["form-point", "form-den", "form-list", "quiver-rep", "quiver-rep-string-row",
+        "fragment"])
 def test_malformed_json_exits_2(capsys, tmp_path, argv, data):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))
@@ -257,7 +260,12 @@ L1_FRAGMENT = {"l": 1, "x_minus": [["0"]], "xs": [], "x_plus": [["1"]],
      "an l = 0 fragment takes no x_minus"),
     (dict(L1_FRAGMENT, l=-1), "l must be nonnegative"),
     (dict(L1_FRAGMENT, l=2, xs=[[["0"]]], ys=[[["1"]]]), "interior map is not invertible"),
-], ids=["stray-z", "unknown-key", "stray-x", "negative-l", "singular"])
+    (dict(L1_FRAGMENT, l=2, xs=[["1"]], ys=[["1"]]),
+     "malformed fragment JSON: a matrix must be a list of row lists, not ['1']"),
+    (dict(L1_FRAGMENT, x_minus=["0"]),
+     "malformed fragment JSON: a matrix must be a list of row lists, not ['0']"),
+], ids=["stray-z", "unknown-key", "stray-x", "negative-l", "singular", "string-interior-row",
+        "string-end-row"])
 def test_quiver_from_hc_rejects_invalid_fragments(capsys, tmp_path, data, message):
     path = tmp_path / "frag.json"
     path.write_text(json.dumps(L1_FRAGMENT))
@@ -291,8 +299,8 @@ def test_quiver_fragment_pipeline(capsys, tmp_path):
 def test_quiver_from_hc_with_zero_lower_end(capsys, tmp_path):
     # the Gelfand (*, a, 0) shape: M_{-l-1} = M_{l+1} = 0, M_{-l+1} a line
     path = tmp_path / "frag.json"
-    path.write_text(json.dumps({"l": 2, "x_minus": [[]], "xs": [["1"]], "x_plus": [],
-                                "y_plus": [[]], "ys": [["1"]], "y_minus": []}))
+    path.write_text(json.dumps({"l": 2, "x_minus": [[]], "xs": [[["1"]]], "x_plus": [],
+                                "y_plus": [[]], "ys": [[["1"]]], "y_minus": []}))
     code, out, _ = run(capsys, "quiver", "from-hc", "--in", str(path), "--iso", "--json")
     assert code == 0
     data = json.loads(out)

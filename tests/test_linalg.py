@@ -285,6 +285,19 @@ def test_mat_mul_of_wide_entries_matches_the_entry_formula(rows, inner, cols, da
 
 
 @settings(deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from([st.integers(-5, 5), ENTRIES, WIDE_OR_INT]), st.data())
+def test_mat_vec_matches_the_entry_formula(rows, cols, entries, data):
+    # rows = 0 is a matrix with no rows, cols = 0 a zero-width v; int
+    # entries still give Fractions
+    m = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    v = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+    out = mat_vec(m, v)
+    assert out == [row[0] for row in entry_product(m, [[x] for x in v], 1)]
+    assert len(out) == rows and all_fractions(out)
+
+
+@settings(deadline=None)
 @given(st.integers(0, 4), st.data())
 def test_mat_pow_of_wide_entries_matches_the_entry_formula(n, data):
     m = [data.draw(st.lists(WIDE_OR_INT, min_size=n, max_size=n)) for _ in range(n)]

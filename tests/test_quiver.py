@@ -300,6 +300,17 @@ def test_perturbed_fragment_fails_iso():
         iso_two_descriptions(bad)
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_singular_iso_witness_is_reported(monkeypatch, l):
+    # cannot happen on a valid fragment (T shares the one eigenvalue of the
+    # invertible Y_* X_*), so force p = 0 to reach the self-check
+    frag = random_fragment(l, 2, seed=3)
+    monkeypatch.setattr(quiverrep, "_poly_in_matrix", lambda target, base: [Fraction(0)])
+    with pytest.raises(DomainError) as ex:
+        iso_two_descriptions(frag)
+    assert str(ex.value) == "isomorphism witness T is singular"
+
+
 def reference_poly_in_matrix(target, base):
     """_poly_in_matrix as it stood with an n^2 + 1 degree bound."""
     n = len(base)

@@ -356,3 +356,25 @@ def test_construct_case_output_is_pinned(case, k, d, kwargs, digest):
     data = form_to_json(construct_case(case, k, d, **kwargs))
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# sha256 prefixes of the canonical to_json of solve_wd at m = 16, d = 8
+# (a block of n(d+1) = 153, far past the sizes the oracle checks), on both
+# branches, recorded while each layer was still solved through an
+# [A | I] inverse
+PINNED_SOLUTIONS = [
+    (-3, "L", "324f48980b5e188b"),
+    (0, "L", "25a8175056cadb09"),
+    (19, "L", "420c92e7e9e959c5"),
+    (2, "R", "97660e4198d7ccee"),
+    (5, "R", "e868a37d531a2c60"),
+    (-20, "R", "b7af6abf5751eb54"),
+]
+
+
+@pytest.mark.parametrize("k,branch,digest", PINNED_SOLUTIONS,
+                         ids=["%s/k=%d" % (b, k) for k, b, _h in PINNED_SOLUTIONS])
+def test_solve_wd_output_is_pinned(k, branch, digest):
+    text = json.dumps(solve_wd(k, 16, branch, 8).to_json(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
