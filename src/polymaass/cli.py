@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Each verb imports only the modules it runs: the parser and the error
+handling need the standard library, the package's case labels and
+``scalars.DomainError``, and each branch of ``_dispatch`` imports its own
+engine module (numpy comes in with ``verify`` alone).  A pole table named
+by ``POLYMAASS_POLE_TABLE`` is loaded, with symcalc, for every verb.
+
 Exit codes: 0 success, 1 usage error, 2 domain error (precondition or
 malformed input), 3 verification failure.
 """
@@ -7,13 +13,13 @@ malformed input), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
-from . import classify as classify_mod
-from . import quiverrep, specsolve, symcalc
-from .symcalc import DomainError
+from . import BK_CASES
+from .scalars import DomainError
 
 TYPE_TAGS = {"star": "*", "plus": "+", "minus": "-"}
 
@@ -33,6 +39,7 @@ def _emit(data, as_json: bool, pretty_text: str):
 
 
 def _form_out(form, as_json: bool):
+    from . import symcalc
     _emit(symcalc.form_to_json(form), as_json, symcalc.pretty(form))
 
 
@@ -45,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     c = sub.add_parser("construct", help="build a case realization", parents=[common])
-    c.add_argument("--case", required=True, choices=specsolve.BK_CASES)
+    c.add_argument("--case", required=True, choices=BK_CASES)
     c.add_argument("--k", required=True, type=int)
     c.add_argument("--d", required=True, type=int)
     c.add_argument("--family", choices=("eisenstein", "poincare"))
@@ -98,12 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.verb == "construct":
+        from . import specsolve
         form = specsolve.construct_case(args.case, args.k, args.d,
                                         index=args.index, disc=args.disc,
                                         family=args.family)
         _form_out(form, args.json)
         return 0
     if args.verb == "solve":
+        from . import specsolve
         gv = specsolve.solve_wd(args.k, args.m, args.branch, args.d)
         _emit(gv.to_json(), args.json,
               "\n".join("T^%d: %s" % (t, [str(x) for x in layer])
@@ -111,6 +120,7 @@ def _dispatch(args) -> int:
               + "\npreimage scale: %s" % gv.preimage_scale)
         return 0
     if args.verb == "apply":
+        from . import symcalc
         form = symcalc.form_from_json(_read_json(args.infile))
         op = args.op
         if op in ("raising", "lowering"):
@@ -125,12 +135,14 @@ def _dispatch(args) -> int:
         _form_out(form, args.json)
         return 0
     if args.verb == "expand":
+        from . import symcalc
         form = symcalc.expand_pending(symcalc.form_from_json(_read_json(args.infile)))
         _form_out(form, args.json)
         return 0
     if args.verb == "classify":
+        from . import classify, symcalc
         form = symcalc.form_from_json(_read_json(args.infile))
-        label = classify_mod.classify_bk(form)
+        label = classify.classify_bk(form)
         data = label.to_json()
         _emit(data, args.json,
               "case %(bk)s (%(repr)s), depth %(depth)d, weight %(k)d, "
@@ -139,7 +151,7 @@ def _dispatch(args) -> int:
     if args.verb == "quiver":
         return _dispatch_quiver(args)
     if args.verb == "verify":
-        from . import numcheck   # numpy is imported for this verb only
+        from . import numcheck
         cfg = numcheck.EvalConfig(trunc=args.n, tol=args.tol)
         names = None
         if args.suite == "eisenstein":
@@ -160,6 +172,7 @@ def _dispatch(args) -> int:
 
 
 def _dispatch_quiver(args) -> int:
+    from . import quiverrep
     if args.qverb == "build":
         rep = quiverrep.build_cyclic_module(args.quiver, TYPE_TAGS[args.type],
                                             args.case, args.depth)
@@ -201,8 +214,11 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return 0 if ex.code in (0, None) else 1
     try:
-        with symcalc.using_poles(symcalc.load_pole_table(pole_path) if pole_path
-                                 else symcalc.DEFAULT_POLES):
+        poles = contextlib.nullcontext()
+        if pole_path:   # unset, symcalc's default table is in force
+            from . import symcalc
+            poles = symcalc.using_poles(symcalc.load_pole_table(pole_path))
+        with poles:
             return _dispatch(args)
     except (DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
         print("error: %s" % ex, file=sys.stderr)

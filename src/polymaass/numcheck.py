@@ -21,7 +21,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .symcalc import DomainError
+from .scalars import DomainError
 
 
 @dataclass(frozen=True)

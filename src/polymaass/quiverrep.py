@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import (Mat, Vec, identity, kernel, mat_mul, nilpotency_degree, rref,
                      solve_linear, zeros)
-from .scalars import json_rational, malformed_json
-from .symcalc import DomainError
+from .scalars import DomainError, json_rational, malformed_json
 
 GELFAND = "gelfand"
 CYCLIC = "cyclic"
@@ -270,7 +269,7 @@ def endomorphism_basis(rep: QuiverRep) -> List[Dict[str, Mat]]:
         # E_dst M - M E_src = 0, entrywise
         for i in range(nd):
             for j in range(ns):
-                row = [Fraction(0)] * total
+                row = [0] * total   # int zeros, which _int_row's scan skips fast
                 for t in range(nd):
                     if m[t][j]:
                         row[entry_index(dst, i, t)] += m[t][j]

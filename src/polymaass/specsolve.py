@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import List, Optional, Tuple
 
+from . import BK_CASES
+
 # rref is not used here; the benchmark's tracer finds the linear algebra
 # functions, rref among them, under this module's names
 from .linalg import (IntSparseRows, Mat, Vec, kernel, mat_mul, mat_pow, mat_vec,
@@ -513,9 +515,6 @@ def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:
 
 # ---------------------------------------------------------------------------
 # the ten case constructions
-
-
-BK_CASES = ("Ia", "Ib", "Ic", "Id", "IIa", "IIb", "IIIa", "IIIb", "IIIc", "IIId")
 
 
 def _chain_from(anchor: SpectralFamily, m: int, branch: str, d: int) -> Form:

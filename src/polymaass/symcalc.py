@@ -63,6 +63,11 @@ class PolyAtom:
     def __post_init__(self):
         if self.m < 0 or not (0 <= self.r <= self.m):
             raise DomainError("e-atom index out of range: m=%d, r=%d" % (self.m, self.r))
+        # atoms key every form's terms; hash once, not on every dict lookup
+        object.__setattr__(self, "_hash", hash((self.m, self.r)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def weight(self) -> int:

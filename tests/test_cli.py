@@ -10,8 +10,9 @@ import pytest
 import polymaass
 from polymaass.cli import main
 from polymaass.specsolve import construct_case
-from polymaass.symcalc import (EISENSTEIN, Family, PolyAtom, SpectralAtom, atom_E,
-                               form_from_json, form_of, form_to_json, forms_equal)
+from polymaass.symcalc import (EISENSTEIN, Family, PolyAtom, SpectralAtom, apply_mirror,
+                               apply_power, atom_E, expand_pending, form_from_json, form_of,
+                               form_to_json, forms_equal)
 
 
 def run(capsys, *argv):
@@ -56,6 +57,19 @@ def test_apply_and_classify_pipeline(capsys, tmp_path):
     assert code == 0
     assert all(t["spectral"]["pending"] is None
                for t in json.loads(out)["terms"])
+
+
+@pytest.mark.parametrize("argv,op", [
+    (("--op", "raising", "--power", "2"), lambda f: apply_power(f, "R", 2)),
+    (("--op", "mirror"), lambda f: apply_mirror(expand_pending(f))),
+], ids=["raising", "mirror"])
+def test_apply_matches_the_library(capsys, tmp_path, argv, op):
+    form = construct_case("Ia", -2, 1)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(form_to_json(form)))
+    code, out, _ = run(capsys, "apply", *argv, "--in", str(path), "--json")
+    assert code == 0
+    assert forms_equal(form_from_json(json.loads(out)), op(form))
 
 
 @pytest.mark.parametrize("label,k,d", [
@@ -188,6 +202,12 @@ def test_malformed_pole_table_exits_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed pole table JSON")
+    # the table is loaded for every verb, also those that never read it
+    for argv in (("construct", "--case", "Ia", "--k", "-2", "--d", "1"),
+                 ("solve", "--k", "0", "--m", "3", "--branch", "L", "--d", "2"),
+                 ("apply", "--op", "raising", "--in", str(form)), ("expand", "--in", str(form)),
+                 ("quiver", "fragment", "--l", "1"), ("verify", "--suite", "ebasis", "--n", "1")):
+        assert run(capsys, *argv) == (2, "", err)
 
 
 def test_pole_table_with_pending_residue_exits_2(capsys, tmp_path, monkeypatch):
@@ -340,11 +360,37 @@ def test_verify_rejects_invalid_tolerance(capsys, tol):
     assert err.startswith("error:")
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only the verify verb needs numcheck, and with it numpy
+ENGINE = {"symcalc", "specsolve", "linalg", "classify", "quiverrep", "numcheck", "numpy"}
+HELP_ARGV = [(), ("construct",), ("solve",), ("apply",), ("expand",), ("classify",),
+             ("quiver",), ("quiver", "build"), ("quiver", "classify"), ("quiver", "from-hc"),
+             ("quiver", "fragment"), ("verify",)]
+# runs main(argv) and prints the package modules it loaded, and numpy if it did
+LOADED = """import contextlib, io, json, sys
+from polymaass.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = {m.partition(".")[2] for m in sys.modules if m.startswith("polymaass.")}
+if "numpy" in sys.modules:
+    loaded.add("numpy")
+print(json.dumps([code, sorted(loaded)]))
+"""
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    pytest.param(argv + ("--help",), ENGINE, id="-".join(argv + ("help",)))
+    for argv in HELP_ARGV] + [
+    pytest.param(("quiver", "build", "--quiver", "gelfand", "--type", "star", "--case", "a",
+                  "--depth", "2"), {"symcalc", "specsolve", "classify", "numcheck", "numpy"},
+                 id="quiver-build"),
+    pytest.param(("solve", "--k", "0", "--m", "3", "--branch", "L", "--d", "2"),
+                 {"classify", "quiverrep", "numcheck", "numpy"}, id="solve"),
+])
+def test_cli_imports_only_what_the_verb_runs(argv, unloaded):
     src = os.path.dirname(os.path.dirname(polymaass.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, polymaass.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "False"
+    code, loaded = json.loads(out)
+    assert code == 0
+    assert "cli" in loaded and "scalars" in loaded
+    assert not unloaded & set(loaded), loaded

@@ -316,15 +316,23 @@ def test_cached_hash_stays_out_of_repr_eq_and_json():
     import dataclasses
     import pickle
     a, b = atom_E(2, Fraction(1, 3), 1), atom_E(2, Fraction(1, 3), 1)
+    p, q = PolyAtom(3, 1), PolyAtom(3, 1)
     object.__setattr__(b, "_hash", hash(a) + 1)     # a stale cache changes nothing else
+    object.__setattr__(q, "_hash", hash(p) + 1)
     assert a == b and repr(a) == repr(b) == "E^(1)_{2,1/3}"
+    assert p == q and repr(p) == repr(q) == "e_{1,2}"
     assert str(hash(a)) not in repr(a)
+    # the generated hash of the fields, so dict order and digests are unchanged
+    assert hash(p) == hash((3, 1)) == hash(dataclasses.replace(q))
     assert [f.name for f in dataclasses.fields(a)] == ["family", "weight", "point",
                                                        "laurent", "pending"]
-    assert form_to_json(form_of(PolyAtom(0, 0), a)) == form_to_json(form_of(PolyAtom(0, 0), b))
-    assert form_to_json(form_of(PolyAtom(0, 0), a))["terms"][0]["spectral"] == {
-        "family": {"kind": "eisenstein"}, "weight": 2, "point": "1/3", "laurent": 1,
-        "pending": None}
+    assert [f.name for f in dataclasses.fields(p)] == ["m", "r"]
+    assert form_to_json(form_of(p, a)) == form_to_json(form_of(q, b))
+    assert form_to_json(form_of(p, a))["terms"][0] == {
+        "poly": {"m": 3, "r": 1},
+        "spectral": {"family": {"kind": "eisenstein"}, "weight": 2, "point": "1/3",
+                     "laurent": 1, "pending": None},
+        "coeff": [{"pi_exp": 0, "num": "1", "den": "1"}]}
     # string hashes differ between processes: a pickle carries the fields
     # only, and loading it hashes afresh
     data = pickle.dumps(b)
