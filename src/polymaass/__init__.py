@@ -17,6 +17,10 @@ __version__ = "0.1.0"
 # the ten Harish-Chandra case labels, here so that the CLI parser can
 # offer them without loading the solver
 BK_CASES = ("Ia", "Ib", "Ic", "Id", "IIa", "IIb", "IIIa", "IIIb", "IIIc", "IIId")
+# the two quivers, here so that classify can name a case's module
+# without loading the quiver code
+GELFAND = "gelfand"
+CYCLIC = "cyclic"
 
 _EXPORTS = {   # module: the names it exports here
     "scalars": ("Scalar", "DomainError"),

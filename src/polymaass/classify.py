@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiverrep import CYCLIC, GELFAND, cyclic_module_dims
+from . import CYCLIC, GELFAND
 from .scalars import ZERO
 from .symcalc import DomainError, Form, apply_power, expand_pending, laplace_closure
 
@@ -82,7 +82,7 @@ def _laplace_tower(f: Form) -> list[Form]:
         for key, c in tower[-1].terms:
             for key2, c2 in image[key].terms:
                 acc[key2] = acc.get(key2, ZERO) + c * c2
-        g = Form(f.weight, acc)
+        g = Form._make(f.weight, acc)
         if g.is_empty():
             return tower
         tower.append(g)
@@ -128,4 +128,5 @@ def classify_bk(f: Form) -> CaseLabel:
 
 def expected_dimension_vector(label: CaseLabel):
     """Dimension vector of the cyclic quiver module matching the label."""
+    from .quiverrep import cyclic_module_dims   # classify_bk alone needs no quiver code
     return cyclic_module_dims(*BK_TO_MODULE[label.bk], label.depth)

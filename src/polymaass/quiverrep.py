@@ -21,12 +21,10 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from . import CYCLIC, GELFAND
 from .linalg import (Mat, Vec, identity, kernel, mat_mul, nilpotency_degree, rref,
                      solve_linear, zeros)
 from .scalars import DomainError, json_rational, malformed_json
-
-GELFAND = "gelfand"
-CYCLIC = "cyclic"
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow

@@ -46,7 +46,9 @@ from .scalars import DomainError, Scalar, ZERO, ONE, json_rational, malformed_js
 
 class PolePointWarning(UserWarning):
     """A shifted atom landed on a tabled pole point (Laurent coefficients
-    of the continued family are used formally)."""
+    of the continued family are used formally).  A Laplace closure, or one
+    apply_laplace call, warns once per distinct spectral step that lands
+    there, however many keys share the step."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,15 @@ class Form:
             clean[key] = coeff
         self._terms = clean
 
+    @staticmethod
+    def _make(weight: int, terms: Dict[Tuple[PolyAtom, SpectralAtom], Scalar]) -> "Form":
+        """Wrap terms whose weights are known to match; only zero
+        coefficients are dropped."""
+        f = object.__new__(Form)
+        f.weight = weight
+        f._terms = {key: c for key, c in terms.items() if c}
+        return f
+
     @property
     def terms(self):
         return self._terms.items()
@@ -228,10 +239,10 @@ class Form:
         acc = dict(self._terms)
         for key, c in other._terms.items():
             acc[key] = acc.get(key, ZERO) + c
-        return Form(self.weight, acc)
+        return Form._make(self.weight, acc)
 
     def __neg__(self) -> "Form":
-        return Form(self.weight, {k: -c for k, c in self._terms.items()})
+        return Form._make(self.weight, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -241,7 +252,7 @@ class Form:
             s = Scalar.from_rational(s)
         if not isinstance(s, Scalar):
             return NotImplemented
-        return Form(self.weight, {k: c * s for k, c in self._terms.items()})
+        return Form._make(self.weight, {k: c * s for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -381,7 +392,7 @@ def _spectral_step(a: SpectralAtom, direction: str) -> Form:
     fam, w, p, t = a.family, a.weight, a.point, a.laurent
     w2 = w - 2 if direction == "L" else w + 2
     if fam.kind == CONSTANT:
-        return Form(w2)
+        return Form._make(w2, {})
     if fam.is_eisenstein_like():
         if direction == "L":
             p2, pref = p + 1, Scalar.from_rational(p)
@@ -410,7 +421,7 @@ def _spectral_step(a: SpectralAtom, direction: str) -> Form:
         res = _POLES.get().get((fam, w2, p2))
         if res is not None:
             _tensor(acc, E00, res, unit)
-    return Form(w2, acc)
+    return Form._make(w2, acc)
 
 
 def _expand(a: SpectralAtom) -> Form:
@@ -454,8 +465,8 @@ def _raise_poly(e: PolyAtom):
 
 
 def _apply_op(f: Form, direction: str) -> Form:
-    """L or R by the Leibniz rule, term by term (homogeneity is enforced
-    by the Form constructor)."""
+    """L or R by the Leibniz rule, term by term; each term moves the
+    weight by the same -2 or +2."""
     delta = -2 if direction == "L" else 2
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
     for (e, a), coeff in f.terms:
@@ -474,7 +485,7 @@ def _apply_op(f: Form, direction: str) -> Form:
                                        (direction, a.pending[1] + 1))), coeff)
         else:
             _tensor(acc, e, _apply_op(_expand(a), direction), coeff)
-    return Form(f.weight + delta, acc)
+    return Form._make(f.weight + delta, acc)
 
 
 def apply_lowering(f: Form) -> Form:
@@ -493,23 +504,81 @@ def apply_power(f: Form, direction: str, power: int) -> Form:
     return f
 
 
+def _laplace_of_key(e: PolyAtom, a: SpectralAtom, steps: dict) -> Form:
+    """Delta (e (x) a) by the four-term rule of apply_laplace, in its term
+    order.  `steps` caches the spectral steps of one call, keyed by atom
+    and direction (so by the pole table in force): steps[a, "L"] holds the
+    terms of -L a and steps[b, "R"] those of R b, the signs Delta needs.
+    A key with a pending atom goes through L and R as they stand.
+    """
+    if a.pending is not None:
+        return -_apply_op(_apply_op(form_of(e, a), "L"), "R")
+    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
+    e_up, c = _lower_poly(e)
+    if e_up is not None:
+        neg_c = Scalar.from_rational(-c)
+        acc[(e, a)] = neg_c
+        for b, g in _cached_step(steps, a, "R"):
+            _add(acc, (e_up, b), neg_c * g)
+    e_down, _one = _raise_poly(e)
+    for b, neg_beta in _cached_step(steps, a, "L"):
+        if e_down is not None:
+            _add(acc, (e_down, b), neg_beta)
+        for b2, g in _cached_step(steps, b, "R"):
+            _add(acc, (e, b2), neg_beta * g)
+    return Form._make(e.weight + a.weight, acc)
+
+
+def _cached_step(steps: dict, a: SpectralAtom, direction: str):
+    """(atom, coefficient) pairs of -L a or of R a, from `steps` or computed
+    into it."""
+    key = (a, direction)
+    pairs = steps.get(key)
+    if pairs is None:
+        step = _spectral_step(a, direction)
+        if direction == "L":
+            step = -step
+        steps[key] = pairs = [(b, g) for (_e0, b), g in step.terms]
+    return pairs
+
+
 def apply_laplace(f: Form) -> Form:
-    """Delta_k = -R_{k-2} L_k."""
-    return -apply_raising(apply_lowering(f))
+    """Delta_k = -R_{k-2} L_k, key by key.
+
+    For an expanded atom a and e = e_{r,m-r}, with c = (r+1)(m-r), the
+    Leibniz rule gives the four terms
+
+        Delta (e (x) a) = -c e_r (x) a - c e_{r+1} (x) R a
+                          - e_{r-1} (x) L a - e_r (x) R L a,
+
+    added in the order -R(L(.)) adds them: the first two, then for each
+    term b of L a in turn its e_{r-1} term and its e_r (x) R b terms.  A
+    key with a pending atom goes through L and R.
+    """
+    steps: dict = {}
+    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
+    for (e, a), coeff in f.terms:
+        for key, c in _laplace_of_key(e, a, steps).terms:
+            _add(acc, key, coeff * c)
+    return Form._make(f.weight, acc)
 
 
 def laplace_closure(seeds) -> Dict[Tuple[PolyAtom, SpectralAtom], Form]:
     """Delta of each (PolyAtom, SpectralAtom) key in the closure of the seed
-    keys under Delta, keyed in breadth-first order from the seeds.  The
-    closure is finite: Delta keeps the polynomial degree, which with the
-    weight bounds the spectral weight; the point moves with that weight,
-    the Laurent index never rises, and residues add only tabled atoms."""
+    keys under Delta, keyed in breadth-first order from the seeds.  Each
+    image is the four-term rule of apply_laplace, its terms in the order
+    -R(L(.)) adds them, and new keys join the closure in that order; so
+    that order fixes the basis order of delta_matrix_on_span.  The closure
+    is finite: Delta keeps the polynomial degree, which with the weight
+    bounds the spectral weight; the point moves with that weight, the
+    Laurent index never rises, and residues add only tabled atoms."""
     pool = list(dict.fromkeys(seeds))
     seen = set(pool)
+    steps: dict = {}
     images: Dict[Tuple[PolyAtom, SpectralAtom], Form] = {}
     while len(images) < len(pool):
         key = pool[len(images)]
-        images[key] = img = apply_laplace(form_of(*key))
+        images[key] = img = _laplace_of_key(*key, steps)
         new = [key2 for key2, _c in img.terms if key2 not in seen]
         seen.update(new)
         pool.extend(new)
@@ -520,7 +589,7 @@ def expand_pending(f: Form) -> Form:
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
     for (e, a), coeff in f.terms:
         _tensor(acc, e, _expand(a), coeff)
-    return Form(f.weight, acc)
+    return Form._make(f.weight, acc)
 
 
 def is_zero(f: Form) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,11 @@ from polymaass.classify import (BK_TO_REPR, REPR_TO_BK, CaseLabel,
                                 WeightContext, _laplace_tower, classify_bk,
                                 exact_depth, expected_dimension_vector)
 from polymaass.specsolve import construct_case, delta_matrix_on_span
-from polymaass.symcalc import (POINCARE, DomainError, Family, PolyAtom,
-                               SpectralAtom, apply_laplace, atom_E, expand_pending,
+from polymaass.symcalc import (DEFAULT_POLES, EISENSTEIN, POINCARE, DomainError, Family,
+                               PolePointWarning, PolyAtom, SpectralAtom, apply_laplace,
+                               apply_lowering, apply_raising, atom_E, expand_pending,
                                form_of, forms_equal, laplace_closure, make_e_atom,
-                               zero_form)
+                               pole_table, using_poles, zero_form)
 
 
 def test_weight_context():
@@ -210,7 +212,7 @@ def test_tower_matches_iterated_laplace(label, k, d):
     images = laplace_closure(key for key, _c in f.terms)
     assert list(images)[:len(f.terms)] == [key for key, _c in f.terms]
     for key, img in images.items():
-        assert img == apply_laplace(form_of(*key))
+        assert img == -apply_raising(apply_lowering(form_of(*key)))
         assert all(key2 in images for key2, _c in img.terms)
     tower = _laplace_tower(f)
     assert len(tower) == d + 1
@@ -252,3 +254,69 @@ SPAN_DIGESTS = {
 def test_delta_matrix_on_span_unchanged_for_poincare_chain_seeds(k, d, index):
     out = delta_matrix_on_span(_poincare_chain_seeds(k, d, index))
     assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == SPAN_DIGESTS[(k, d, index)]
+
+
+# every case at d <= 3, the flip cases also at Poincare indices -3 and -5
+CLOSURE_CASES = [
+    (label, k, d, index)
+    for label, k in (("Ia", -2), ("Ib", -2), ("Ic", -2), ("Id", -2), ("IIa", 1), ("IIb", 1),
+                     ("IIIa", 3), ("IIIb", 3), ("IIIc", 3), ("IIId", 3))
+    for d in range(1 if label == "IIId" else 0, 4)
+    for index in ((-1, -3, -5) if label in ("Ic", "IIIc") else (-1,))]
+POLE_TABLES = {"default": DEFAULT_POLES, "empty": pole_table({})}
+
+
+def _assert_oracle_term_order(seeds, poles):
+    """Each image of the closure of the seeds holds its terms in the order
+    -R(L(.)) adds them; that order fixes the closure's basis order."""
+    with warnings.catch_warnings(), using_poles(POLE_TABLES[poles]):
+        warnings.simplefilter("ignore", PolePointWarning)
+        images = laplace_closure(seeds)
+        oracle = {key: -apply_raising(apply_lowering(form_of(*key))) for key in images}
+    for key, img in images.items():
+        assert list(img.terms) == list(oracle[key].terms), key
+
+
+@pytest.mark.parametrize("poles", sorted(POLE_TABLES))
+@pytest.mark.parametrize("label,k,d,index", CLOSURE_CASES)
+def test_closure_of_a_case_keeps_the_oracle_term_order(label, k, d, index, poles):
+    f = construct_case(label, k, d, index=index)
+    for g in (f, expand_pending(f)):
+        _assert_oracle_term_order([key for key, _c in g.terms], poles)
+
+
+@pytest.mark.parametrize("poles", sorted(POLE_TABLES))
+@pytest.mark.parametrize("k,d,index", sorted(SPAN_DIGESTS))
+def test_closure_of_poincare_chain_seeds_keeps_the_oracle_term_order(k, d, index, poles):
+    _assert_oracle_term_order(_poincare_chain_seeds(k, d, index), poles)
+
+
+@pytest.mark.parametrize("poles", sorted(POLE_TABLES))
+@pytest.mark.parametrize("pending", [("L", 1), ("L", 2), ("R", 1)])
+def test_closure_of_a_pending_key_keeps_the_oracle_term_order(pending, poles):
+    atom = SpectralAtom(Family(EISENSTEIN), 2, Fraction(0), 1, pending)
+    _assert_oracle_term_order([(PolyAtom(2, 1), atom)], poles)
+
+
+def test_classify_still_warns_at_pole_points():
+    # two distinct L steps of the Delta-closure and one step of the
+    # lowering test land on the tabled pole (E, 0, 1)
+    f = construct_case("IIIb", 3, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert classify_bk(f) == CaseLabel("IIIb", 2, WeightContext(3))
+    assert [c.category for c in caught] == [PolePointWarning] * 3
+
+
+def test_closure_warns_once_per_distinct_spectral_step():
+    # three keys share one atom, whose L step lands on the tabled pole
+    seeds = [(PolyAtom(2, r), atom_E(2, 0, 1)) for r in range(3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        laplace_closure(seeds)
+    assert [c.category for c in caught] == [PolePointWarning]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for key in seeds:
+            apply_laplace(form_of(*key))
+    assert [c.category for c in caught] == [PolePointWarning] * 3

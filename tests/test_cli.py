@@ -374,6 +374,7 @@ if "numpy" in sys.modules:
     loaded.add("numpy")
 print(json.dumps([code, sorted(loaded)]))
 """
+FORM_FILE = "<form file>"   # replaced by the path of a case form's JSON
 
 
 @pytest.mark.parametrize("argv,unloaded", [
@@ -384,8 +385,14 @@ print(json.dumps([code, sorted(loaded)]))
                  id="quiver-build"),
     pytest.param(("solve", "--k", "0", "--m", "3", "--branch", "L", "--d", "2"),
                  {"classify", "quiverrep", "numcheck", "numpy"}, id="solve"),
+    pytest.param(("classify", "--in", FORM_FILE),
+                 {"quiverrep", "linalg", "specsolve", "numcheck", "numpy"}, id="classify"),
 ])
-def test_cli_imports_only_what_the_verb_runs(argv, unloaded):
+def test_cli_imports_only_what_the_verb_runs(argv, unloaded, tmp_path):
+    if FORM_FILE in argv:
+        form_file = tmp_path / "f.json"
+        form_file.write_text(json.dumps(form_to_json(construct_case("IIIb", 4, 2))))
+        argv = [str(form_file) if arg == FORM_FILE else arg for arg in argv]
     src = os.path.dirname(os.path.dirname(polymaass.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, capture_output=True,

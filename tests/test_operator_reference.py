@@ -288,6 +288,29 @@ def test_expand_pending_is_idempotent(table, f):
         assert forms_equal(f, g)
 
 
+def _assert_well_formed(g: Form, weight: int):
+    """The checks the public Form constructor runs and Form._make skips: no
+    zero coefficient, and every term of the form's weight."""
+    assert g.weight == weight
+    for (e, a), c in g.terms:
+        assert not c.is_zero()
+        assert e.weight + a.effective_weight == weight
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@settings(deadline=None)
+@given(f=forms(), s=coeffs)
+def test_laplace_is_minus_raising_after_lowering(table, f, s):
+    with using_poles(TABLES[table]):
+        lap = apply_laplace(f)
+        assert lap == -apply_raising(apply_lowering(f))
+        k = f.weight
+        _assert_well_formed(apply_lowering(f), k - 2)
+        _assert_well_formed(apply_raising(f), k + 2)
+        for g in (lap, expand_pending(f), -f, f * s, f * 0, f + lap, f + f * s, f - f):
+            _assert_well_formed(g, k)
+
+
 def test_pole_table_rejects_pending_residues():
     """The "rich" table before residues had to be expanded, verbatim: with
     it, expand_pending(L E_{2,0}) kept the pending atom L E_{2,-1}."""
