@@ -126,6 +126,8 @@ def _dispatch(args) -> int:
         if op in ("raising", "lowering"):
             form = symcalc.apply_power(form, "R" if op == "raising" else "L", args.power)
         elif op == "laplace":
+            if args.power < 0:
+                raise DomainError("operator power must be nonnegative")
             for _ in range(args.power):
                 form = symcalc.apply_laplace(form)
         elif op == "flip":

@@ -202,6 +202,22 @@ def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
     return out, pivots
 
 
+def rank(m: Mat) -> int:
+    """The rank of m: its pivot count, with no reduced form built."""
+    return len(_eliminate(m)[1])
+
+
+def inverse(m: Mat) -> Optional[Mat]:
+    """The inverse of a square m, or None when m is singular: m is
+    invertible exactly when the pivots of [m | I] are the columns of m,
+    and the reduced form is then [I | m^-1]."""
+    n = len(m)
+    rows, pivots = _eliminate([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        return None
+    return [[Fraction(r.get(n + j, 0), r[i]) for j in range(n)] for i, r in enumerate(rows)]
+
+
 def kernel(m: Mat, cols: Optional[int] = None) -> List[Vec]:
     """Exact basis of the right kernel: one vector per free column, 1 at
     that column and 0 at the other free columns.  The column count is read

@@ -15,16 +15,15 @@ the functions that take one do not check again.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import CYCLIC, GELFAND
-from .linalg import (Mat, Vec, identity, kernel, mat_mul, nilpotency_degree, rref,
-                     solve_linear, zeros)
-from .scalars import DomainError, json_rational, malformed_json
+from .linalg import (Mat, Vec, identity, inverse, kernel, mat_mul, nilpotency_degree,
+                     rank, solve_linear, zeros)
+from .scalars import DomainError, json_int, json_rational, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow
@@ -89,7 +88,7 @@ class QuiverRep:
     def from_json(data: dict) -> "QuiverRep":
         with malformed_json("quiver representation"):
             quiver = data["quiver"]
-            dims = {k: operator.index(v) for k, v in data["dims"].items()}
+            dims = {k: json_int(v) for k, v in data["dims"].items()}
             maps = {k: _matrix_from_json(m) for k, m in data["maps"].items()}
             return QuiverRep(quiver, dims, maps)
 
@@ -209,7 +208,7 @@ def is_cyclic(rep: QuiverRep) -> Optional[str]:
         images = [[m[i][j] for i in range(n)]
                   for _name, src, dst, m in rep.arrows() if dst == node
                   for j in range(rep.dims[src])]
-        top[node] = n - len(rref(images)[1])
+        top[node] = n - rank(images)
     if sum(top.values()) != 1:
         return None
     return next(node for node, t in top.items() if t)
@@ -306,7 +305,7 @@ def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
     flat = [[x for n in nodes for row in e[n] for x in row] for e in basis]
     flat_t = [[x for n in nodes for col in zip(*e[n]) for x in col] for e in basis]
     gram = mat_mul(flat, [list(col) for col in zip(*flat_t)], len(basis))
-    return len(rref(gram)[1]) == 1
+    return rank(gram) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +359,7 @@ class HCFragment:
         _check_shape("y_plus", self.y_plus, n1, n2)
         for m in list(self.xs) + list(self.ys):
             _check_shape("interior map", m, n1, n1)
-            if len(rref(m)[1]) != n1:
+            if rank(m) != n1:
                 raise DomainError("interior map is not invertible")
         if nilpotency_degree(mat_mul(self.x_minus, self.y_minus, n1)) is None:
             raise DomainError("lower end composite is not nilpotent")
@@ -398,21 +397,12 @@ class HCFragment:
             unknown = sorted(set(data) - {f.name for f in fields(HCFragment)})
             if unknown:
                 raise DomainError("fragment JSON has unknown keys %s" % (unknown,))
-            return HCFragment(operator.index(data["l"]), dec(data.get("x_minus")),
+            return HCFragment(json_int(data["l"]), dec(data.get("x_minus")),
                               tuple(dec(m) for m in data.get("xs", ())),
                               dec(data.get("x_plus")), dec(data.get("y_plus")),
                               tuple(dec(m) for m in data.get("ys", ())),
                               dec(data.get("y_minus")), dec(data.get("z_minus")),
                               dec(data.get("z_plus")))
-
-
-def _invert(m: Mat) -> Mat:
-    n = len(m)
-    aug = [row + unit for row, unit in zip(m, identity(n))]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise DomainError("interior map is not invertible")
-    return [row[n:] for row in r[:n]]
 
 
 def _fragment_dims(frag: HCFragment) -> Dict[str, int]:
@@ -431,7 +421,7 @@ def hc_to_quiver(frag: HCFragment) -> QuiverRep:
     dims = _fragment_dims(frag)
     x_star = frag.x_star()
     return QuiverRep(GELFAND, dims, {"A-": frag.x_minus, "B-": frag.y_minus,
-                                     "A+": mat_mul(_invert(x_star), frag.y_plus, dims["+"]),
+                                     "A+": mat_mul(inverse(x_star), frag.y_plus, dims["+"]),
                                      "B+": mat_mul(frag.x_plus, x_star, dims["*"])})
 
 
@@ -442,7 +432,7 @@ def second_description(frag: HCFragment) -> QuiverRep:
         raise DomainError("second description needs l >= 1")
     dims = _fragment_dims(frag)
     y_star = frag.y_star()
-    return QuiverRep(GELFAND, dims, {"A-": mat_mul(_invert(y_star), frag.x_minus, dims["-"]),
+    return QuiverRep(GELFAND, dims, {"A-": mat_mul(inverse(y_star), frag.x_minus, dims["-"]),
                                      "B-": mat_mul(frag.y_minus, y_star, dims["*"]),
                                      "A+": frag.y_plus, "B+": frag.x_plus})
 
@@ -512,7 +502,7 @@ def iso_two_descriptions(frag: HCFragment):
                 for j in range(n0):
                     t[i][j] += coeff * power[i][j]
         power = mat_mul(power, c0, n0)
-    if len(rref(t, n0)[1]) != n0:
+    if rank(t) != n0:
         raise DomainError("isomorphism witness T is singular")
     # commuting squares of the morphism (T, X_*, I)
     lhs = mat_mul(yx_star, frag.x_minus, n0)
@@ -542,10 +532,8 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
         """A random invertible matrix and its inverse."""
         while True:
             m = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
-            try:
-                return m, _invert(m)
-            except DomainError:
-                continue
+            if (m_inv := inverse(m)) is not None:
+                return m, m_inv
 
     def rand_nilpotent() -> Mat:
         m = zeros(dim, dim)

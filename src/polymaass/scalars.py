@@ -8,7 +8,6 @@ constants like 3/pi stay exact.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
@@ -32,11 +31,18 @@ def malformed_json(what: str):
         raise DomainError("malformed %s: %s" % (what, ex)) from None
 
 
+def json_int(x) -> int:
+    """The integer a JSON field holds; true and false raise TypeError."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError("an integer field must be a JSON integer, not %r" % (x,))
+    return x
+
+
 def json_rational(x) -> Fraction:
     """The exact rational a JSON field holds: an int, or a string such as
-    "-3", "5/7" or "0.1".  A float raises TypeError, so that 0.1 is never
-    read as the binary fraction nearest to it."""
-    if not isinstance(x, (int, str)):
+    "-3", "5/7" or "0.1".  A float or a bool raises TypeError, so that 0.1
+    is never read as the binary fraction nearest to it, nor true as 1."""
+    if not isinstance(x, (int, str)) or isinstance(x, bool):
         raise TypeError("a rational must be an int or a string, not %r" % (x,))
     return Fraction(x)
 
@@ -190,7 +196,7 @@ class Scalar:
                 num, den = json_rational(t["num"]), json_rational(t["den"])
                 if num.denominator != 1 or den.denominator != 1:
                     raise ValueError("num and den must be integers")
-                terms.append((operator.index(t["pi_exp"]), num / den))
+                terms.append((json_int(t["pi_exp"]), num / den))
             # the public constructor sums repeated exponents
             return Scalar(terms)
 

@@ -11,19 +11,18 @@ emitted form reproduce the emitted w_0 exactly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from typing import List, Optional, Tuple
 
 from . import BK_CASES
 
 # rref is not used here; the benchmark's tracer finds the linear algebra
 # functions, rref among them, under this module's names
-from .linalg import (IntSparseRows, Mat, Vec, kernel, mat_mul, mat_pow, mat_vec,
-                     rref, solve_linear, sparse_rows, zeros)
-from .scalars import Scalar, json_rational, malformed_json
+from .linalg import (IntSparseRows, Mat, Vec, inverse, kernel, mat_mul, mat_pow,
+                     mat_vec, rref, solve_linear, sparse_rows, zeros)
+from .scalars import Scalar, json_int, json_rational, malformed_json
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, apply_flip, apply_power, atom_incoherent,
                       form_of, is_zero, laplace_closure, local_eigen_poly,
@@ -151,8 +150,8 @@ class GradedVector:
     @staticmethod
     def from_json(data: dict) -> "GradedVector":
         with malformed_json("graded vector JSON"):
-            return GradedVector(operator.index(data["k"]), operator.index(data["m"]),
-                                data["branch"], operator.index(data["d"]),
+            return GradedVector(json_int(data["k"]), json_int(data["m"]),
+                                data["branch"], json_int(data["d"]),
                                 [[json_rational(x) for x in layer] for layer in data["layers"]],
                                 json_rational(data.get("preimage_scale", 1)))
 
@@ -211,11 +210,16 @@ def solver_admissible(k: int, m: int, branch: str) -> bool:
 def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     """Iterative construction of the generalized eigenvector w_d.
 
-    At each step the new top layer u solves A u = mu * w_0 + sum_t mu_t
-    u_{d-t} - B u_{d-1} - C u_{d-2}, with mu fixed by solvability (the
-    image of A misses the top coordinate on the L branch and the
-    alternating trace functional on the R branch), and the gauge taking
-    the zero v_m component.
+    Each step solves for the new top layer u and the scalar mu at once:
+    A u - mu w_0 = rest, with rest = sum_t mu_t u_{d-t} - B u_{d-1} -
+    C u_{d-2}, and u_m = 0 form the square system
+    [[A, -w_0], [e_m^T, 0]] (u, mu) = (rest, 0), whose inverse is taken
+    once per call.  It is nonsingular exactly when w_0 is not in the image
+    of A: rank A = n - 1, since every superdiagonal entry of A is -1 on the
+    L branch and every subdiagonal entry is -(r+1)(m-r) != 0 on the R
+    branch; so ker A = span(w_0), and w_0[m] != 0.  The image of A is the
+    kernel of v -> v[m] (L; row m of A is zero) or of alternating_trace
+    (R), so that functional decides.
     """
     if not solver_admissible(k, m, branch):
         raise DomainError(
@@ -225,37 +229,19 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     model = WModel(k, m, branch)
     A, B, C = model.matrices()
     n = m + 1
+    inv = inverse([row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]])
+    if inv is None:
+        raise DomainError("w0 lies in the image of A, so no layer is solvable "
+                          "(k=%d, m=%d, %s)" % (k, m, branch))
 
-    if branch == "L":
-        def functional(v: Vec) -> Fraction:
-            return v[m]
-    else:
-        functional = alternating_trace
-    f_w0 = functional(w0)
-    if f_w0 == 0:
-        raise DomainError("solvability functional vanishes on w0 (k=%d, m=%d, %s)"
-                          % (k, m, branch))
-
+    minus_bc = [[-x for x in b + c] for b, c in zip(B, C)]   # -[B | C]
     layers: List[Vec] = [w0]
     mus: List[Fraction] = []
     for step in range(1, d + 1):
-        rest = [Fraction(0)] * n
+        rest = mat_vec(minus_bc, layers[-1] + (layers[-2] if step >= 2 else [0] * n))
         for t in range(1, step):
-            mu_t = mus[t - 1]
-            rest = [a + mu_t * b for a, b in zip(rest, layers[step - t])]
-        bv = mat_vec(B, layers[step - 1])
-        rest = [a - b for a, b in zip(rest, bv)]
-        if step >= 2:
-            cv = mat_vec(C, layers[step - 2])
-            rest = [a - b for a, b in zip(rest, cv)]
-        mu = -functional(rest) / f_w0
-        rhs = [mu * w + r for w, r in zip(w0, rest)]
-        u = solve_linear(A, rhs)
-        if u is None:
-            raise DomainError("layer equation unsolvable at step %d (k=%d, m=%d, %s)"
-                              % (step, k, m, branch))
-        # gauge: remove the w0 component so the v_m coordinate vanishes
-        u = [x - (u[m] / w0[m]) * w for x, w in zip(u, w0)]
+            rest = [a + mus[t - 1] * b for a, b in zip(rest, layers[step - t])]
+        *u, mu = mat_vec(inv, rest + [0])
         layers.append(u)
         mus.append(mu)
     nu = mus[0] ** d if d > 0 else Fraction(1)
@@ -292,15 +278,8 @@ def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     Dd = mat_pow(D, d)
     K = kernel(mat_mul(D, Dd))
     # solve for the combination with layer 0 = w0 and zero v_m on layers >= 1
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append([K[j][i] for j in range(len(K))])
-        rhs.append(w0[i])
-    for t in range(1, d + 1):
-        rows.append([K[j][t * n + m] for j in range(len(K))])
-        rhs.append(Fraction(0))
-    coeffs = solve_linear(rows, rhs)
+    pinned = list(range(n)) + [t * n + m for t in range(1, d + 1)]
+    coeffs = solve_linear([[v[i] for v in K] for i in pinned], w0 + [0] * d)
     if coeffs is None:
         raise DomainError("oracle: no pinned kernel element (k=%d, m=%d, %s, d=%d)"
                           % (k, m, branch, d))
@@ -399,9 +378,15 @@ def preimage_constant_weight(k: int, d: int, fam: SpectralFamily) -> Form:
 
 
 def preimage_incoherent(disc: int, d: int) -> Form:
-    """((-1)^d/(2d+1)!) E^-(2d), a Delta^d preimage of E^-(0)."""
+    """((-1)^d/(2d+1)!) E^-(2d), a Delta^d preimage of E^-(0).  -disc must be
+    fundamental: disc is 3 mod 4, or 4 D' with D' 1 or 2 mod 4, and
+    disc or D' is squarefree."""
     if d < 0:
         raise DomainError("depth must be nonnegative")
+    core, classes = (disc // 4, (1, 2)) if disc % 4 == 0 else (disc, (3,))
+    if disc <= 0 or core % 4 not in classes \
+            or any(core % (p * p) == 0 for p in range(2, isqrt(core) + 1)):
+        raise DomainError("-D must be a fundamental discriminant; got D = %d" % disc)
     atom = atom_incoherent(disc, 2 * d)
     return form_of(PolyAtom(0, 0), atom, Fraction((-1) ** d, factorial(2 * d + 1)))
 

@@ -31,7 +31,6 @@ are structural after normalization and pole substitution.
 from __future__ import annotations
 
 import json
-import operator
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -41,7 +40,7 @@ from math import factorial
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .scalars import DomainError, Scalar, ZERO, ONE, json_rational, malformed_json
+from .scalars import DomainError, Scalar, ZERO, ONE, json_int, json_rational, malformed_json
 
 
 class PolePointWarning(UserWarning):
@@ -365,8 +364,8 @@ def load_pole_table(path: str) -> PoleTable:
     with malformed_json("pole table JSON"):
         for entry in data:
             fam = _family_from_json(entry["family"])
-            key = (fam, operator.index(entry["weight"]), json_rational(entry["point"]))
-            if operator.index(entry.get("order", 1)) != 1:
+            key = (fam, json_int(entry["weight"]), json_rational(entry["point"]))
+            if json_int(entry.get("order", 1)) != 1:
                 raise DomainError("pole order capped at 1")
             table[key] = form_from_json(entry["residue_form"])
     return pole_table(table)
@@ -677,8 +676,8 @@ def _family_from_json(data: dict) -> Family:
     if unknown:
         raise DomainError("unknown family field(s): %s" % ", ".join(unknown))
     index, disc = data.get("index"), data.get("disc")
-    return Family(data["kind"], index=None if index is None else operator.index(index),
-                  disc=None if disc is None else operator.index(disc))
+    return Family(data["kind"], index=None if index is None else json_int(index),
+                  disc=None if disc is None else json_int(disc))
 
 
 def form_to_json(f: Form) -> dict:
@@ -703,15 +702,15 @@ def form_from_json(data: dict) -> Form:
     acc = {}
     with malformed_json("form JSON"):
         for term in data["terms"]:
-            e = PolyAtom(operator.index(term["poly"]["m"]), operator.index(term["poly"]["r"]))
+            e = PolyAtom(json_int(term["poly"]["m"]), json_int(term["poly"]["r"]))
             sp = term["spectral"]
             pending = sp.get("pending")
-            a = _atom(_family_from_json(sp["family"]), operator.index(sp["weight"]),
-                      json_rational(sp["point"]), operator.index(sp["laurent"]),
+            a = _atom(_family_from_json(sp["family"]), json_int(sp["weight"]),
+                      json_rational(sp["point"]), json_int(sp["laurent"]),
                       None if pending is None
-                      else (pending["dir"], operator.index(pending["power"])))
+                      else (pending["dir"], json_int(pending["power"])))
             _add(acc, (e, a), Scalar.from_json(term["coeff"]))
-        return Form(operator.index(data["weight"]), acc)
+        return Form(json_int(data["weight"]), acc)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,71 @@ def test_float_point_exits_2(capsys, tmp_path):
     assert err.startswith("error: malformed form JSON")
 
 
+def _with_true(data, path):
+    """A copy of data with the field at path set to JSON true."""
+    data = json.loads(json.dumps(data))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = True
+    return data
+
+
+FORM_TERM = ("terms", 0)
+SPECTRAL = FORM_TERM + ("spectral",)
+POLE_ENTRY = {"family": {"kind": "eisenstein"}, "weight": 0, "point": "1", "order": 1,
+              "residue_form": {"weight": 0, "terms": []}}
+
+
+# JSON true and false load as Python bools, which are ints too; every
+# integer and rational field must refuse them
+@pytest.mark.parametrize("case,path", [
+    (("Ia", -2, 1), ("weight",)),
+    (("Ia", -2, 1), FORM_TERM + ("poly", "m")),
+    (("Ia", -2, 1), FORM_TERM + ("poly", "r")),
+    (("Ia", -2, 1), SPECTRAL + ("weight",)),
+    (("Ia", -2, 1), SPECTRAL + ("point",)),
+    (("Ia", -2, 1), SPECTRAL + ("laurent",)),
+    (("Ia", -2, 1), SPECTRAL + ("pending", "power")),
+    (("Ib", -2, 1), SPECTRAL + ("family", "index")),
+    (("IIb", 1, 1), SPECTRAL + ("family", "disc")),
+    (("Ia", -2, 1), FORM_TERM + ("coeff", 0, "pi_exp")),
+    (("Ia", -2, 1), FORM_TERM + ("coeff", 0, "num")),
+    (("Ia", -2, 1), FORM_TERM + ("coeff", 0, "den")),
+], ids=lambda x: "-".join(map(str, x)))
+def test_form_json_with_true_for_a_number_exits_2(capsys, tmp_path, case, path):
+    data = form_to_json(construct_case(*case))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(data))
+    assert run(capsys, "expand", "--in", str(f))[0] == 0
+    f.write_text(json.dumps(_with_true(data, path)))
+    code, out, err = run(capsys, "expand", "--in", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed ")   # form JSON, or scalar JSON for a coeff
+
+
+@pytest.mark.parametrize("field", ["weight", "point", "order"])
+def test_pole_table_with_true_for_a_number_exits_2(capsys, tmp_path, monkeypatch, field):
+    form = tmp_path / "f.json"
+    form.write_text(json.dumps(form_to_json(construct_case("Ia", -2, 1))))
+    table = tmp_path / "poles.json"
+    monkeypatch.setenv("POLYMAASS_POLE_TABLE", str(table))
+    table.write_text(json.dumps([POLE_ENTRY]))
+    assert run(capsys, "expand", "--in", str(form))[0] == 0
+    table.write_text(json.dumps([_with_true(POLE_ENTRY, (field,))]))
+    code, out, err = run(capsys, "expand", "--in", str(form))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed pole table JSON: ")
+
+
+def test_apply_rejects_a_negative_power_for_every_power_operator(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(form_to_json(construct_case("Ia", -2, 1))))
+    for op in ("raising", "lowering", "laplace"):
+        assert run(capsys, "apply", "--op", op, "--power", "-1", "--in", str(path)) == \
+            (2, "", "error: operator power must be nonnegative\n")
+
+
 def test_quiver_from_hc_rejects_mismatched_shapes(capsys, tmp_path):
     path = tmp_path / "frag.json"
     path.write_text(json.dumps({
@@ -293,6 +358,22 @@ def test_quiver_from_hc_rejects_invalid_fragments(capsys, tmp_path, data, messag
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "quiver", "from-hc", "--in", str(path))
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv,data,path,what", [
+    (("quiver", "classify"), {"quiver": "cyclic", "dims": {"-": 1, "+": 0},
+                              "maps": {"a": [], "b": [[]]}}, ("dims", "-"),
+     "quiver representation"),
+    (("quiver", "from-hc"), L1_FRAGMENT, ("l",), "fragment JSON"),
+], ids=["quiver-dims", "fragment-l"])
+def test_quiver_json_with_true_for_a_number_exits_2(capsys, tmp_path, argv, data, path, what):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(data))
+    assert run(capsys, *argv, "--in", str(f))[0] == 0
+    f.write_text(json.dumps(_with_true(data, path)))
+    code, out, err = run(capsys, *argv, "--in", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed %s: " % what)
 
 
 def test_quiver_classify_has_no_seed_option(capsys, tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymaass
-from polymaass.linalg import (Mat, identity, kernel, mat_mul, mat_pow, mat_vec,
-                              nilpotency_degree, rref, solve_linear, zeros)
+from polymaass.linalg import (Mat, identity, inverse, kernel, mat_mul, mat_pow, mat_vec,
+                              nilpotency_degree, rank, rref, solve_linear, zeros)
 
 
 # The dense Gauss-Jordan elimination the package used before elimination
@@ -320,7 +320,7 @@ def reference_nilpotency_degree(m: Mat):
     return None
 
 
-def inverse(m: Mat) -> Mat:
+def reference_inverse(m: Mat) -> Mat:
     n = len(m)
     r, pivots = rref([row + unit for row, unit in zip(m, identity(n))])
     assert pivots == list(range(n))
@@ -351,7 +351,7 @@ def conjugated_triangular(draw, max_n=5):
             lower[i][j] = draw(ENTRIES)
             upper[j][i] = draw(ENTRIES)
     p = entry_product(lower, upper, n)
-    return entry_product(entry_product(p, t, n), inverse(p), n), t
+    return entry_product(entry_product(p, t, n), reference_inverse(p), n), t
 
 
 @settings(deadline=None)
@@ -384,3 +384,33 @@ def test_nilpotency_degree_edge_cases():
     assert nilpotency_degree([[Fraction(1, 2 ** 200), 0], [0, 0]]) is None
     shift = [[Fraction(int(j == i + 1), 3) for j in range(5)] for i in range(5)]
     assert nilpotency_degree(shift) == 5
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(), wide_matrices(), square_matrices()))
+def test_rank_is_the_pivot_count_of_the_reference(m):
+    assert rank(m) == len(reference_rref([[Fraction(x) for x in row] for row in m])[1])
+
+
+@settings(deadline=None)
+@given(st.one_of(square_matrices(), conjugated_triangular().map(lambda pair: pair[0])))
+def test_inverse_matches_the_reference_or_reports_a_singular_matrix(m):
+    n = len(m)
+    # Fraction entries: the reference would divide int entries to floats
+    r, pivots = reference_rref([[Fraction(x) for x in row] + unit
+                                for row, unit in zip(m, identity(n))])
+    inv = inverse(m)
+    if pivots != list(range(n)):
+        assert inv is None and rank(m) < n
+        return
+    assert inv == [row[n:] for row in r]
+    assert entry_product(inv, m, n) == entry_product(m, inv, n) == identity(n)
+    assert all_fractions(x for row in inv for x in row)
+
+
+def test_rank_and_inverse_edge_cases():
+    assert rank([]) == rank([[]]) == rank([[0, 0]]) == 0
+    assert inverse([]) == []
+    assert inverse([[0]]) is None and inverse([[1, 2], [2, 4]]) is None
+    assert inverse([[Fraction(2, 3)]]) == [[Fraction(3, 2)]]
+    assert rank([[1, 2, 3], [2, 4, 6]]) == 1 and rank([[1, 2], [3, 4], [5, 6]]) == 2

@@ -1,12 +1,13 @@
 """Constant-weight and incoherent preimages against derived oracles."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from polymaass.specsolve import (eisenstein_family, poincare_family,
+from polymaass.specsolve import (construct_case, eisenstein_family, poincare_family,
                                  preimage_constant_weight, preimage_incoherent)
-from polymaass.symcalc import (Family, PolyAtom, SpectralAtom, apply_laplace,
+from polymaass.symcalc import (DomainError, Family, PolyAtom, SpectralAtom, apply_laplace,
                                atom_incoherent, form_of, forms_equal, is_zero)
 
 
@@ -83,3 +84,32 @@ def test_incoherent_preimage_oracle(d):
     base = form_of(PolyAtom(0, 0), atom_incoherent(3, 0))
     assert forms_equal(_delta_power(f, d), base)
     assert is_zero(_delta_power(f, d + 1))
+
+
+def squarefree(n: int) -> bool:
+    return all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+
+# -D for D > 0 is a fundamental discriminant exactly when it is the
+# discriminant of an imaginary quadratic field Q(sqrt(-s)), s squarefree:
+# -s when s = 3 mod 4, -4s otherwise
+FIELD_DISCS = {s if s % 4 == 3 else 4 * s for s in range(1, 400) if squarefree(s)}
+# the discriminants the benchmark's cases workload feeds case IIb
+BENCH_DISCS = (3, 4, 7, 8, 11, 15, 19, 20, 23, 24, 31, 35, 39, 40, 43, 47)
+
+
+@pytest.mark.parametrize("disc", [-3, 0, 1, 2, 5, 12, 16, 27])
+def test_incoherent_case_rejects_a_disc_that_is_not_fundamental(disc):
+    with pytest.raises(DomainError, match="fundamental discriminant; got D = %d$" % disc):
+        construct_case("IIb", 1, 1, disc=disc)
+
+
+def test_incoherent_preimage_accepts_exactly_the_fundamental_discs():
+    assert set(BENCH_DISCS) <= FIELD_DISCS
+    for disc in range(-8, 400):
+        try:
+            preimage_incoherent(disc, 1)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == (disc in FIELD_DISCS), disc

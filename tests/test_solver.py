@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polymaass.linalg import kernel, mat_vec, sparse_rows
+from polymaass.linalg import kernel, mat_vec, rank, sparse_rows
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
                                  alternating_trace, apply_banded, brute_force_wd,
                                  build_w0, construct_case, eisenstein_family, emit_form,
@@ -239,6 +239,24 @@ def test_alternating_trace_nonzero():
             assert alternating_trace(build_w0(k, m, "R").layers[0]) != 0
 
 
+def test_square_layer_system_is_nonsingular_wherever_the_solver_runs():
+    # the argument of solve_wd's docstring: rank A = n - 1, w0[m] != 0 and
+    # w0 outside the image of A, so [[A, -w0], [e_m^T, 0]] is invertible
+    count = 0
+    for k in range(-12, 13):
+        for m in range(20):
+            for branch in "LR":
+                if not solver_admissible(k, m, branch):
+                    continue
+                A, _B, _C = WModel(k, m, branch).matrices()
+                w0 = build_w0(k, m, branch).layers[0]
+                square = [row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]]
+                assert rank(A) == m and w0[m] != 0, (k, m, branch)
+                assert rank(square) == m + 2, (k, m, branch)
+                count += 1
+    assert count == 637
+
+
 # --- emission validation ----------------------------------------------------
 
 def test_emit_rejects_nonstandard_anchor():
@@ -274,6 +292,17 @@ def test_graded_vector_json_round_trip():
 ], ids=["k", "m", "d", "layer", "preimage_scale"])
 def test_graded_vector_json_rejects_floats(mutate):
     data = solve_wd(0, 3, "L", 2).to_json()
+    mutate(data)
+    with pytest.raises(DomainError, match="^malformed graded vector JSON: "):
+        GradedVector.from_json(data)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(k=True), lambda d: d.update(m=True), lambda d: d.update(d=True),
+    lambda d: d["layers"][0].__setitem__(0, True), lambda d: d.update(preimage_scale=True),
+], ids=["k", "m", "d", "layer", "preimage_scale"])
+def test_graded_vector_json_rejects_booleans(mutate):
+    data = solve_wd(0, 1, "L", 1).to_json()
     mutate(data)
     with pytest.raises(DomainError, match="^malformed graded vector JSON: "):
         GradedVector.from_json(data)
