@@ -165,6 +165,9 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a rational scalar equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash(self._terms)
 
     def __bool__(self) -> bool:

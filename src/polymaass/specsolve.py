@@ -24,9 +24,8 @@ from .linalg import (IntSparseRows, Mat, Vec, inverse, kernel, mat_mul, mat_pow,
                      mat_vec, rref, solve_linear, sparse_rows, zeros)
 from .scalars import Scalar, json_int, json_rational, malformed_json
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, apply_flip, apply_power, atom_incoherent,
-                      form_of, is_zero, laplace_closure, local_eigen_poly,
-                      zero_form)
+                      SpectralAtom, _expand, apply_flip, apply_power, atom_incoherent,
+                      form_of, laplace_closure, local_eigen_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +164,7 @@ def _pochhammer(a: int, j: int) -> Fraction:
 
 def build_w0(k: int, m: int, branch: str) -> GradedVector:
     """The depth-0 kernel vector, with the closed coefficient formulas."""
+    model = WModel(k, m, branch)
     c = [Fraction(0)] * (m + 1)
     if branch == "L":
         if m >= k:
@@ -176,21 +176,17 @@ def build_w0(k: int, m: int, branch: str) -> GradedVector:
                 if p == 0:
                     raise DomainError("degenerate parameters: k=%d, m=%d, L" % (k, m))
                 c[r] = Fraction(1, factorial(m - r)) / p
-    elif branch == "R":
-        if m > -k:
-            for r in range(max(0, 1 - k), m + 1):
-                c[r] = Fraction(1, factorial(m - r) * factorial(r + k - 1))
-        else:
-            for r in range(0, m + 1):
-                p = _pochhammer(k, r)
-                if p == 0:
-                    raise DomainError("degenerate parameters: k=%d, m=%d, R" % (k, m))
-                c[r] = Fraction(1, factorial(m - r)) / p
+    elif m > -k:
+        for r in range(max(0, 1 - k), m + 1):
+            c[r] = Fraction(1, factorial(m - r) * factorial(r + k - 1))
     else:
-        raise DomainError("branch must be L or R")
+        for r in range(0, m + 1):
+            p = _pochhammer(k, r)
+            if p == 0:
+                raise DomainError("degenerate parameters: k=%d, m=%d, R" % (k, m))
+            c[r] = Fraction(1, factorial(m - r)) / p
     if all(x == 0 for x in c):
         raise DomainError("no kernel formula for k=%d, m=%d, %s" % (k, m, branch))
-    model = WModel(k, m, branch)
     A, _, _ = model.matrices()
     if any(x != 0 for x in mat_vec(A, c)):
         raise AssertionError("w0 formula does not lie in ker A (k=%d, m=%d, %s)" % (k, m, branch))
@@ -221,12 +217,14 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     kernel of v -> v[m] (L; row m of A is zero) or of alternating_trace
     (R), so that functional decides.
     """
+    model = WModel(k, m, branch)
+    if d < 0:
+        raise DomainError("m and d must be nonnegative")
     if not solver_admissible(k, m, branch):
         raise DomainError(
             "solver requires k<=0 or k-m>1 (L) / k>1 or k+m<1 (R); got k=%d, m=%d, %s"
             % (k, m, branch))
     w0 = build_w0(k, m, branch).layers[0]
-    model = WModel(k, m, branch)
     A, B, C = model.matrices()
     n = m + 1
     inv = inverse([row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]])
@@ -271,8 +269,10 @@ def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
 def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     """Independent oracle: exact kernel of the stacked Delta^{d+1} matrix
     on W_d, pinned to layer 0 = w_0 and the zero-v_m gauge."""
-    w0 = build_w0(k, m, branch).layers[0]
     model = WModel(k, m, branch)
+    if d < 0:
+        raise DomainError("m and d must be nonnegative")
+    w0 = build_w0(k, m, branch).layers[0]
     n = m + 1
     D = model.block_delta(d)
     Dd = mat_pow(D, d)
@@ -344,7 +344,7 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
                           % (fam.weight, gv.k))
     fam.check_standard()
     m, d = gv.m, gv.d
-    out = zero_form(gv.k - m if gv.branch == "L" else gv.k + m)
+    terms = {}
     for t, layer in enumerate(gv.layers):
         order = d - t
         for r, coeff in enumerate(layer):
@@ -353,11 +353,11 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
             power = (m - r) if gv.branch == "L" else r
             pending = (gv.branch, power) if power > 0 else None
             atom = SpectralAtom(fam.family, fam.weight, fam.point, order, pending)
+            if pending is not None and _expand(atom).is_empty():
+                continue
             q = coeff / factorial(order) / gv.preimage_scale * (fam.orientation ** order)
-            term = form_of(PolyAtom(m, r), atom, Fraction(q))
-            if not is_zero(term):
-                out = out + term
-    return out
+            terms[(PolyAtom(m, r), atom)] = Scalar.from_rational(q)
+    return Form(gv.k - m if gv.branch == "L" else gv.k + m, terms)
 
 
 def preimage_constant_weight(k: int, d: int, fam: SpectralFamily) -> Form:
@@ -395,54 +395,46 @@ def preimage_incoherent(disc: int, d: int) -> Form:
 # direct preimage chains over a Delta-stable atom span
 
 
-def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]], Mat, List[Scalar]]:
+def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]], Mat, List[int]]:
     """Close the seed atoms under the Laplacian and return the exact matrix.
 
-    Matrix entries must be rational after rescaling each atom by a pi
-    monomial; the returned scale list holds the per-atom scalar s_i such
-    that basis member i is s_i times the raw atom.
+    Basis member i is pi^{p_i} times the raw atom, and the returned list
+    holds the exponents p_i.  They form a potential on the Delta coupling
+    graph: a coefficient q pi^e of atom j in Delta of atom i asks for
+    p_j = p_i + e, so that the entry M[j][i] is the rational q.  Each
+    component of the graph is searched once, from its first atom, at
+    p = 0.
     """
     images = laplace_closure(seed_atoms)
     pool = list(images)
     index = {key: i for i, key in enumerate(pool)}
-    # pick pi scales: atom i scaled by pi^{p_i} with p_i chosen so that all
-    # matrix entries are rational (a potential on the Delta coupling graph)
-    edges = []
-    for i, img in enumerate(images.values()):
-        for (key, c) in img.terms:
-            exps = {e for e, _q in c.terms}
-            if len(exps) > 1:
-                raise DomainError("span is not pi-graded")
-            edges.append((i, index[key], exps.pop()))
-    scale_exp: dict = {}
-    for seed in range(len(pool)):
-        if seed in scale_exp:
-            continue
-        scale_exp[seed] = 0
-        changed = True
-        while changed:
-            changed = False
-            for i, j, off in edges:
-                if i in scale_exp and j in scale_exp:
-                    if scale_exp[j] != scale_exp[i] + off:
-                        raise DomainError("span is not pi-graded")
-                elif i in scale_exp:
-                    scale_exp[j] = scale_exp[i] + off
-                    changed = True
-                elif j in scale_exp:
-                    scale_exp[i] = scale_exp[j] - off
-                    changed = True
     n = len(pool)
     M = zeros(n, n)
-    scales = [Scalar.pi_power(scale_exp[i]) for i in range(n)]
+    edges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for i, img in enumerate(images.values()):
         for (key, c) in img.terms:
+            if len(c.terms) != 1:
+                raise DomainError("span is not pi-graded")
+            (e, q), = c.terms
             j = index[key]
-            entry = c * Scalar.pi_power(scale_exp[i] - scale_exp[j])
-            if not entry.is_rational():
-                raise DomainError("Laplacian is not rational on the scaled span")
-            M[j][i] += entry.rational_value()
-    return pool, M, scales
+            M[j][i] = q
+            edges[i].append((j, e))
+            edges[j].append((i, -e))
+    exps: List[Optional[int]] = [None] * n
+    for root in range(n):
+        if exps[root] is not None:
+            continue
+        exps[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j, e in edges[i]:
+                if exps[j] is None:
+                    exps[j] = exps[i] + e
+                    stack.append(j)
+                elif exps[j] != exps[i] + e:
+                    raise DomainError("span is not pi-graded")
+    return pool, M, exps
 
 
 def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
@@ -451,32 +443,19 @@ def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
     The particular solution takes free variables zero under a fixed
     deterministic basis order, so output is reproducible.
     """
-    pool, M, scales = delta_matrix_on_span([key for key, _c in target.terms] + list(seed_atoms))
+    pool, M, exps = delta_matrix_on_span([key for key, _c in target.terms] + list(seed_atoms))
     index = {key: i for i, key in enumerate(pool)}
     b = [Fraction(0)] * len(pool)
     for (key, c) in target.terms:
         i = index[key]
-        entry = c * Scalar.pi_power(-_single_exp(scales[i]))
-        if not entry.is_rational():
+        if [e for e, _q in c.terms] != [exps[i]]:
             raise DomainError("target does not live in the scaled span")
-        b[i] = entry.rational_value()
+        b[i] = c.terms[0][1]
     x = solve_linear(mat_pow(M, d), b)
     if x is None:
         raise DomainError("no Delta^%d preimage in the span" % d)
-    acc = zero_form(target.weight)
-    for i, q in enumerate(x):
-        if q == 0:
-            continue
-        e, a = pool[i]
-        acc = acc + form_of(e, a, Scalar.pi_power(_single_exp(scales[i]), q))
-    return acc
-
-
-def _single_exp(s: Scalar) -> int:
-    terms = s.terms
-    if len(terms) != 1:
-        raise DomainError("expected a pi monomial")
-    return terms[0][0]
+    return Form(target.weight, {pool[i]: Scalar.pi_power(exps[i], q)
+                                for i, q in enumerate(x) if q})
 
 
 def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:

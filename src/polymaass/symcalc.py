@@ -263,7 +263,8 @@ class Form:
         return self.weight == other.weight and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.weight, frozenset(self._terms.items())))
+        # the terms fix the weight, and empty forms of any weight are equal
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         if self.is_empty():

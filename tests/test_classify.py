@@ -7,10 +7,11 @@ import pytest
 from polymaass.classify import (BK_TO_REPR, REPR_TO_BK, CaseLabel,
                                 WeightContext, _laplace_tower, classify_bk,
                                 exact_depth, expected_dimension_vector)
-from polymaass.specsolve import construct_case, delta_matrix_on_span
+from polymaass.scalars import Scalar
+from polymaass.specsolve import construct_case, delta_matrix_on_span, delta_preimage_on_span
 from polymaass.symcalc import (DEFAULT_POLES, EISENSTEIN, POINCARE, DomainError, Family,
                                PolePointWarning, PolyAtom, SpectralAtom, apply_laplace,
-                               apply_lowering, apply_raising, atom_E, expand_pending,
+                               apply_lowering, apply_raising, atom_E, atom_P, expand_pending,
                                form_of, forms_equal, laplace_closure, make_e_atom,
                                pole_table, using_poles, zero_form)
 
@@ -233,7 +234,8 @@ def _poincare_chain_seeds(k, d, index):
 
 
 # sha256 prefixes of repr((pool, M, scales)), recorded while the closure
-# loop still lived inside delta_matrix_on_span
+# loop still lived inside delta_matrix_on_span and the scales were the
+# Scalars pi^{p_i}; the exponents p_i are mapped back to those Scalars
 SPAN_DIGESTS = {
     (0, 1, -1): "af2af212898f6cb6",
     (0, 1, -3): "2414128702e45752",
@@ -252,8 +254,55 @@ SPAN_DIGESTS = {
 
 @pytest.mark.parametrize("k,d,index", sorted(SPAN_DIGESTS))
 def test_delta_matrix_on_span_unchanged_for_poincare_chain_seeds(k, d, index):
-    out = delta_matrix_on_span(_poincare_chain_seeds(k, d, index))
+    pool, M, exps = delta_matrix_on_span(_poincare_chain_seeds(k, d, index))
+    assert all(type(e) is int for e in exps)
+    out = (pool, M, [Scalar.pi_power(e) for e in exps])
     assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == SPAN_DIGESTS[(k, d, index)]
+
+
+P1 = Family(POINCARE, index=-1)
+
+
+def _poles_at_p1(atom, coeff):
+    # a residue for (P[-1], 0, 1), which L steps the chain's P_{2,1}^(0) to
+    return pole_table({(P1, 0, Fraction(1)): form_of(PolyAtom(0, 0), atom, coeff)})
+
+
+def _has_two_term_coefficient(seeds):
+    return any(len(c.terms) > 1 for img in laplace_closure(seeds).values()
+               for _key, c in img.terms)
+
+
+@pytest.mark.parametrize("atom,coeff,two_term", [
+    # 1 + pi on P_{0,1} puts two pi powers into one matrix entry
+    (atom_P(0, -1, 1), Scalar({0: 1, 1: 1}), True),
+    # every entry of pi P^(2)_{0,1} is a pi monomial, but two paths to that
+    # atom ask for different exponents
+    (atom_P(0, -1, 1, 2), Scalar.pi_power(1), False),
+], ids=["two-term", "conflicting-power"])
+def test_span_that_is_not_pi_graded_is_rejected(atom, coeff, two_term):
+    seeds = _poincare_chain_seeds(0, 1, -1)
+    with warnings.catch_warnings(), using_poles(_poles_at_p1(atom, coeff)):
+        warnings.simplefilter("ignore", PolePointWarning)
+        assert _has_two_term_coefficient(seeds) == two_term
+        with pytest.raises(DomainError, match="^span is not pi-graded$"):
+            delta_matrix_on_span(seeds)
+        with pytest.raises(DomainError, match="^span is not pi-graded$"):
+            construct_case("Ib", 0, 1)
+    # a rational residue keeps the span graded
+    with warnings.catch_warnings(), using_poles(_poles_at_p1(atom, Scalar.pi_power(0))):
+        warnings.simplefilter("ignore", PolePointWarning)
+        delta_matrix_on_span(seeds)
+
+
+@pytest.mark.parametrize("coeff", [Scalar({0: 1, 1: 1}), Scalar.pi_power(1)],
+                         ids=["two-term", "other-power"])
+def test_target_outside_the_scaled_span_is_rejected(coeff):
+    # the chain's target e_{2,0} (x) P_{2,1}^(0) sits at pi^0 in its span
+    target, *seeds = _poincare_chain_seeds(0, 1, -1)
+    with pytest.raises(DomainError, match="^target does not live in the scaled span$"):
+        delta_preimage_on_span(form_of(*target, coeff), seeds, 1)
+    assert delta_preimage_on_span(form_of(*target), seeds, 1) == construct_case("Ib", 0, 1)
 
 
 # every case at d <= 3, the flip cases also at Poincare indices -3 and -5

@@ -422,6 +422,13 @@ def test_solve_verb(capsys):
     assert data["preimage_scale"] == "16"
 
 
+@pytest.mark.parametrize("m,d,message", [
+    ("-5", "1", "m must be nonnegative"), ("2", "-1", "m and d must be nonnegative")])
+def test_solve_rejects_negative_m_and_d(capsys, m, d, message):
+    code, out, err = run(capsys, "solve", "--k", "3", "--m", m, "--branch", "R", "--d", d)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["construct", "--case", "bogus"]) == 1
     assert main(["--definitely-not-a-flag"]) == 1

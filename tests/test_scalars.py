@@ -45,6 +45,27 @@ def test_json_round_trip(a):
     assert Scalar.from_json(a.to_json()) == a
 
 
+@given(scalars)
+def test_hash_agrees_with_eq(a):
+    # a rational scalar equals its int or Fraction, so it hashes as one
+    b = Scalar(a.terms)
+    assert a == b and hash(a) == hash(b)
+    if a.is_rational():
+        q = a.rational_value()
+        assert a == q and hash(a) == hash(q)
+        if q.denominator == 1:
+            assert a == q.numerator and hash(a) == hash(q.numerator)
+
+
+def test_rational_scalars_are_found_by_their_value():
+    assert 5 in {Scalar.from_rational(5)}
+    assert Scalar.from_rational(5) in {5}
+    assert Fraction(1, 2) in {Scalar.from_rational(Fraction(1, 2))}
+    assert 0 in {ZERO} and hash(ZERO) == hash(0)
+    assert len({Scalar.from_rational(5), 5, Fraction(5)}) == 1
+    assert Scalar.pi_power(1, 5) not in {5}
+
+
 def test_to_str():
     assert Scalar({-1: 3}).to_str() == "3*pi^-1"
     assert Scalar({0: Fraction(-1, 2)}).to_str() == "-1/2"
@@ -53,7 +74,9 @@ def test_to_str():
 # The Scalar the package used before its arithmetic moved to normalized
 # term tuples, kept verbatim (renamed, and without the methods that did not
 # change) as the reference: every operation of the new ring must give the
-# same terms, hash and JSON.
+# same terms, hash and JSON.  Its __hash__ alone was changed: a rational
+# scalar now hashes as its Fraction, as Scalar's does, so that the hash
+# agrees with == against ints and Fractions.
 class ReferenceScalar:
     """A finite sum q_0*pi^e_0 + q_1*pi^e_1 + ... with distinct integer e_i.
 
@@ -123,6 +146,8 @@ class ReferenceScalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if all(e == 0 for e, _q in self._terms):
+            return hash(sum((q for _e, q in self._terms), Fraction(0)))
         return hash(self._terms)
 
     def to_json(self) -> list:

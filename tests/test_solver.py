@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polymaass import specsolve
 from polymaass.linalg import kernel, mat_vec, rank, sparse_rows
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
                                  alternating_trace, apply_banded, brute_force_wd,
@@ -13,7 +14,7 @@ from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenv
                                  poincare_family, solve_wd, solver_admissible)
 from polymaass.symcalc import (DomainError, PolyAtom, SpectralAtom, Family,
                                apply_flip, apply_laplace, apply_power, form_of,
-                               form_to_json, forms_equal, is_zero, expand_pending)
+                               form_to_json, forms_equal, is_zero, expand_pending, zero_form)
 
 
 # --- kernel ----------------------------------------------------------------
@@ -278,6 +279,79 @@ def test_emitted_flip_involution():
             assert forms_equal(apply_flip(apply_flip(f)), f)
             count += 1
     assert count >= 10
+
+
+def emit_form_reference(gv, fam):
+    """emit_form as it summed one Form per term, with the number of pending
+    terms it dropped because they expand to zero."""
+    if fam.weight != gv.k:
+        raise DomainError("family weight %d does not match solver weight %d"
+                          % (fam.weight, gv.k))
+    fam.check_standard()
+    m, d = gv.m, gv.d
+    out = zero_form(gv.k - m if gv.branch == "L" else gv.k + m)
+    dropped = 0
+    for t, layer in enumerate(gv.layers):
+        order = d - t
+        for r, coeff in enumerate(layer):
+            if coeff == 0:
+                continue
+            power = (m - r) if gv.branch == "L" else r
+            pending = (gv.branch, power) if power > 0 else None
+            atom = SpectralAtom(fam.family, fam.weight, fam.point, order, pending)
+            q = coeff / math.factorial(order) / gv.preimage_scale * (fam.orientation ** order)
+            term = form_of(PolyAtom(m, r), atom, Fraction(q))
+            if not is_zero(term):
+                out = out + term
+            else:
+                dropped += 1
+    return out, dropped
+
+
+# the standard anchors of weight k: both points where the local eigenvalue
+# is (1 - k) u - u^2, each with its orientation
+EMIT_ANCHORS = {
+    "eisenstein+": lambda k: eisenstein_family(k, 0),
+    "eisenstein-": lambda k: eisenstein_family(k, 1 - k, orientation=-1),
+    "poincare+": lambda k: poincare_family(k, -1, Fraction(k, 2)),
+    "poincare-": lambda k: poincare_family(k, -1, 1 - Fraction(k, 2), orientation=-1),
+}
+
+
+@pytest.mark.parametrize("branch", ["L", "R"])
+def test_emit_form_matches_the_per_term_sum(branch):
+    dropped = 0
+    for k, m in itertools.product(range(-2, 4), range(4)):
+        if not solver_admissible(k, m, branch):
+            continue
+        for d in range(5):
+            gv = solve_wd(k, m, branch, d)
+            for anchor in EMIT_ANCHORS.values():
+                got = emit_form(gv, anchor(k))
+                want, n = emit_form_reference(gv, anchor(k))
+                assert got == want and got.weight == want.weight, (k, m, d, anchor(k))
+                assert list(got.terms) == list(want.terms)
+                dropped += n
+    # L^p meets a zero prefactor at every standard anchor; on the R branch
+    # step j of R^p has prefactor j or k + j - 1, and admissibility gives
+    # k > 1 or j <= m < 1 - k, so none is zero
+    assert (dropped > 0) == (branch == "L")
+
+
+@pytest.mark.parametrize("solver", [solve_wd, brute_force_wd])
+def test_negative_m_and_d_are_rejected_before_any_work(solver, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("linear algebra ran")
+    for name in ("inverse", "kernel", "mat_pow"):
+        monkeypatch.setattr(specsolve, name, no_work)
+    with pytest.raises(DomainError, match="^m must be nonnegative$"):
+        solver(3, -5, "R", 1)
+    with pytest.raises(DomainError, match="^m must be nonnegative$"):
+        build_w0(3, -5, "R")
+    with pytest.raises(DomainError, match="^m and d must be nonnegative$"):
+        solver(3, 2, "R", -1)
+    with pytest.raises(DomainError, match="^branch must be L or R$"):
+        solver(3, 2, "Q", 1)
 
 
 def test_graded_vector_json_round_trip():

@@ -340,6 +340,16 @@ def test_cached_hash_stays_out_of_repr_eq_and_json():
     assert hash(pickle.loads(data)) == hash(a)
 
 
+def test_empty_forms_of_any_weight_hash_alike():
+    assert zero_form(0) == zero_form(2)
+    assert hash(zero_form(0)) == hash(zero_form(2))
+    assert len({zero_form(0), zero_form(2)}) == 1
+    f = form_of(PolyAtom(0, 0), atom_E(0, 0, 1))
+    assert f - f == zero_form(4) and (f - f) in {zero_form(-2)}
+    assert f in {form_of(PolyAtom(0, 0), atom_E(0, 0, 1))}
+    assert len({f, zero_form(0), 2 * f}) == 3
+
+
 def test_pretty_is_deterministic():
     f = form_of(PolyAtom(0, 0), atom_E(0, 0, 1)) + form_of(PolyAtom(0, 0), atom_E(0, 0, 0))
     assert pretty(f) == "E^(1)_{0,0}  +  E^(0)_{0,0}"
