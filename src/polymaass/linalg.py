@@ -1,24 +1,30 @@
 """Exact linear algebra over Fraction.
 
-Dense matrices are lists of rows.  Elimination runs on sparse rows, one
-``{column: value}`` dict per row that stores only nonzero entries, so a
-row update costs the pivot row's nonzero count (plus the updated row's,
-when it is rescaled), not the column count.  It is fraction-free: one
-pass over each dense row clears it of denominators into a sparse integer
-row, which is then updated and reduced in Python ints, and an entry of
-the result is built as a Fraction only when it is read off.  Products
-are fraction-free too: each factor is scaled by the lcm of its
-denominators once, the product runs on sparse integer rows, and every
-output entry is one Fraction over the product of those scales; a
-matrix-vector product is the product with a one-column matrix.  Int and
-Fraction input give Fraction output.
+Dense matrices are lists of rows.  The work runs on IntMat, an exact
+rational matrix held as sparse integer rows (the nonzero (column, value)
+pairs of each row) over one positive denominator, in lowest terms.  A
+product is one integer product over the product of the denominators; a
+power, a nilpotency check, a rank, a kernel and an inverse run in
+integers too, so a chain of them builds no Fraction.  The public
+functions take and return dense matrices and are thin wrappers over
+IntMat: a dense matrix is cleared of denominators once on the way in (its
+lcm), and an entry becomes a Fraction only when the result is read off.
+Int and Fraction input give Fraction output; a matrix-vector product is
+the product with a one-column matrix.
+
+Elimination runs on sparse rows, one ``{column: value}`` dict per row
+that stores only nonzero entries, so a row update costs the pivot row's
+nonzero count (plus the updated row's, when it is rescaled), not the
+column count.  It is fraction-free: rows are updated and reduced in
+Python ints.  rref and solve_linear read dense rows, each cleared of
+denominators on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 Vec = List[Fraction]
 Mat = List[List[Fraction]]
@@ -42,15 +48,6 @@ def sparse_rows(m: List[List[int]]) -> IntSparseRows:
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
-def _int_rows(m: Mat) -> Tuple[IntSparseRows, int]:
-    """(rows, den): den is the lcm of the entries' denominators, and rows
-    holds the nonzero (column, value) pairs of each row of den*m, in
-    Python ints."""
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
-    den = lcm(*(x.denominator for row in rows for _j, x in row))
-    return [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows], den
-
-
 def _int_mul(a: IntSparseRows, b: IntSparseRows, cols: int) -> IntSparseRows:
     """The product a b of sparse integer rows, b with cols columns."""
     out = []
@@ -63,23 +60,167 @@ def _int_mul(a: IntSparseRows, b: IntSparseRows, cols: int) -> IntSparseRows:
     return out
 
 
-def _fractions(rows: IntSparseRows, den: int, cols: int) -> Mat:
-    """The dense Fraction matrix of sparse integer rows divided by den."""
-    out = zeros(len(rows), cols)
-    for o, r in zip(out, rows):
-        for j, x in r:
-            o[j] = Fraction(x, den) if den != 1 else Fraction(x)
-    return out
+def _reduced(rows: IntSparseRows, den: int, cols: int) -> "IntMat":
+    """The IntMat of rows/den, divided through by the gcd of den and the
+    entries."""
+    if den != 1:
+        g = gcd(den, *(x for row in rows for _j, x in row))
+        if g != 1:
+            rows = [[(j, x // g) for j, x in row] for row in rows]
+            den //= g
+    return IntMat(rows, den, cols)
+
+
+class IntMat:
+    """An exact rational matrix as sparse integer rows over one denominator.
+
+    ``rows[i]`` holds the nonzero (column, value) pairs of row i of den*M,
+    by increasing column; ``den`` is positive and ``cols`` is the column
+    count.  The value is kept in lowest terms (den and the entries share
+    no factor, and the zero matrix has den 1), so two values are equal
+    exactly when their matrices are and ``==`` compares the fields.  A
+    chain of products, inverses, ranks and nilpotency checks runs on it
+    without building a Fraction; the package builds one with from_dense
+    and reads it back with to_dense.  It is not part of the package API.
+    """
+
+    __slots__ = ("rows", "den", "cols")
+
+    def __init__(self, rows: IntSparseRows, den: int, cols: int):
+        """Takes rows in lowest terms over den; see _reduced otherwise."""
+        self.rows, self.den, self.cols = rows, den, cols
+
+    @staticmethod
+    def from_dense(m: Mat, cols: Optional[int] = None) -> "IntMat":
+        """The value of a dense matrix of ints and Fractions.  den is the
+        lcm of the entries' denominators, which leaves den*m in lowest
+        terms.  The column count is read from m unless given."""
+        if cols is None:
+            cols = len(m[0]) if m else 0
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+        den = lcm(*(x.denominator for row in rows for _j, x in row))
+        return IntMat([[(j, x.numerator * (den // x.denominator)) for j, x in row]
+                       for row in rows], den, cols)
+
+    @staticmethod
+    def identity(n: int) -> "IntMat":
+        return IntMat([[(i, 1)] for i in range(n)], 1, n)
+
+    @staticmethod
+    def beside(mats: List["IntMat"]) -> "IntMat":
+        """The block row [M_1 | M_2 | ...] of matrices with one row count:
+        each block is scaled to the lcm of the denominators, which keeps
+        the result in lowest terms."""
+        den = lcm(*(m.den for m in mats))
+        rows: IntSparseRows = [[] for _ in mats[0].rows]
+        offset = 0
+        for m in mats:
+            scale = den // m.den
+            for out, row in zip(rows, m.rows):
+                out.extend((offset + j, scale * x) for j, x in row)
+            offset += m.cols
+        return IntMat(rows, den, offset)
+
+    def to_dense(self) -> Mat:
+        """The dense Fraction matrix."""
+        out = zeros(len(self.rows), self.cols)
+        den = self.den
+        for o, row in zip(out, self.rows):
+            for j, x in row:
+                o[j] = Fraction(x, den)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMat):
+            return NotImplemented
+        return self.rows == other.rows and self.den == other.den and self.cols == other.cols
+
+    def __repr__(self) -> str:
+        return "IntMat(%r, %r, %r)" % (self.rows, self.den, self.cols)
+
+    def __matmul__(self, other: "IntMat") -> "IntMat":
+        """The product: one integer product over den_a * den_b."""
+        return _reduced(_int_mul(self.rows, other.rows, other.cols),
+                        self.den * other.den, other.cols)
+
+    def power(self, e: int) -> "IntMat":
+        """M^e for a square M: the integer powers of den*M over den^e."""
+        out = IntMat.identity(self.cols).rows
+        for _ in range(e):
+            out = _int_mul(out, self.rows, self.cols)
+        return _reduced(out, self.den ** e, self.cols)
+
+    def affine(self, a, b) -> "IntMat":
+        """a*I + b*M for a square M and ints or Fractions a, b."""
+        a, b = Fraction(a), Fraction(b)
+        den = a.denominator * b.denominator * self.den
+        diagonal = a.numerator * b.denominator * self.den
+        scale = b.numerator * a.denominator
+        rows = []
+        for i, row in enumerate(self.rows):
+            entries = {j: scale * x for j, x in row} if scale else {}
+            entries[i] = entries.get(i, 0) + diagonal
+            rows.append(sorted((j, x) for j, x in entries.items() if x))
+        return _reduced(rows, den, self.cols)
+
+    def nilpotency_degree(self) -> Optional[int]:
+        """Least e with M^e = 0 for a square M, or None when M is not
+        nilpotent.  M^e = 0 exactly when (den*M)^e = 0, so the powers are
+        taken in integers."""
+        n = self.cols
+        power = IntMat.identity(n).rows
+        for e in range(n + 1):
+            if not any(power):
+                return e
+            power = _int_mul(power, self.rows, n)
+        return None
+
+    def rank(self) -> int:
+        """The pivot count of the elimination, with no reduced form built."""
+        return len(_eliminate(map(dict, self.rows))[1])
+
+    def kernel(self) -> List[Tuple[int, IntRow]]:
+        """Basis of the right kernel: for each free column c, the vector
+        with 1 at c and 0 at the other free columns, times the least
+        positive integer that clears it, as (c, {column: value})."""
+        rows, pivots = _eliminate(map(dict, self.rows))
+        pivot_set = set(pivots)
+        hits: Dict[int, List[Tuple[int, int, int]]] = {
+            c: [] for c in range(self.cols) if c not in pivot_set}
+        for row, pc in zip(rows, pivots):
+            p = row[pc]
+            for j, x in row.items():
+                if j != pc:
+                    hits[j].append((pc, x, p))
+        basis = []
+        for c, column in hits.items():
+            scale = lcm(*(p for _pc, _x, p in column))
+            v = {c: scale}
+            for pc, x, p in column:
+                v[pc] = -x * (scale // p)
+            basis.append((c, _primitive(v)))
+        return basis
+
+    def inverse(self) -> Optional["IntMat"]:
+        """The inverse of a square M, or None when M is singular.  The
+        elimination of [den*M | I] has pivots at the columns of M exactly
+        when M is invertible, and then row i is p_i times row i of
+        [I | (den*M)^-1]; M^-1 is den times that block, over the lcm of the
+        p_i."""
+        n = self.cols
+        rows, pivots = _eliminate(dict(row + [(n + i, 1)]) for i, row in enumerate(self.rows))
+        if pivots != list(range(n)):
+            return None
+        den = lcm(*(row[i] for i, row in enumerate(rows)))
+        return _reduced([sorted((j - n, x * (den // row[i]) * self.den)
+                                for j, x in row.items() if j >= n)
+                         for i, row in enumerate(rows)], den, n)
 
 
 def mat_mul(a: Mat, b: Mat, cols: Optional[int] = None) -> Mat:
     """The product a b.  The column count is read from b unless given;
     give it when b can have no rows (an inner dimension of 0)."""
-    if cols is None:
-        cols = len(b[0])
-    a_rows, da = _int_rows(a)
-    b_rows, db = _int_rows(b)
-    return _fractions(_int_mul(a_rows, b_rows, cols), da * db, cols)
+    return (IntMat.from_dense(a, len(b)) @ IntMat.from_dense(b, cols)).to_dense()
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -88,29 +229,14 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 
 def mat_pow(m: Mat, e: int) -> Mat:
-    """m^e for a square m.  The power runs on the integer matrix den*m,
-    den the lcm of the entries' denominators, and is divided by den^e
-    once at the end."""
-    n = len(m)
-    rows, den = _int_rows(m)
-    out = [[(i, 1)] for i in range(n)]
-    for _ in range(e):
-        out = _int_mul(out, rows, n)
-    return _fractions(out, den ** e, n)
+    """m^e for a square m."""
+    return IntMat.from_dense(m, len(m)).power(e).to_dense()
 
 
 def nilpotency_degree(m: Mat) -> Optional[int]:
     """Least e with m^e = 0 for a square m, or None when m is not
-    nilpotent.  m^e = 0 exactly when (den*m)^e = 0, den the lcm of the
-    entries' denominators, so the powers are taken in integers."""
-    n = len(m)
-    rows, _den = _int_rows(m)
-    power = [[(i, 1)] for i in range(n)]
-    for e in range(n + 1):
-        if not any(power):
-            return e
-        power = _int_mul(power, rows, n)
-    return None
+    nilpotent."""
+    return IntMat.from_dense(m, len(m)).nilpotency_degree()
 
 
 def _primitive(row: IntRow) -> IntRow:
@@ -120,30 +246,30 @@ def _primitive(row: IntRow) -> IntRow:
 
 
 def _int_row(row: Vec) -> IntRow:
-    """The nonzero entries of a dense row, as {column: value}, times a
-    nonzero rational that makes them coprime integers."""
+    """The nonzero entries of a dense row, as {column: value}, times the
+    lcm of their denominators."""
     items = [(j, x) for j, x in enumerate(row) if x]
     den = lcm(*(x.denominator for _j, x in items))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in items})
+    return {j: x.numerator * (den // x.denominator) for j, x in items}
 
 
-def _eliminate(rows: Mat) -> Tuple[List[IntRow], List[int]]:
-    """Fraction-free Gauss-Jordan elimination of dense rows.
+def _eliminate(rows: Iterable[IntRow]) -> Tuple[List[IntRow], List[int]]:
+    """Fraction-free Gauss-Jordan elimination of sparse integer rows.
 
-    Returns the nonzero rows of the reduced row echelon form, in pivot
-    order, with their pivot columns.  Each returned row r is sparse, holds
-    integers and is the reduced row times r[pc], pc its pivot column, so
-    the reduced row is Fraction(r[j], r[pc]).  Each input row is read into
-    a sparse row and cleared of denominators in one pass; a row update is
-    (p/g) r - (f/g) prow in integers, with p the pivot, f the row's entry
-    in the pivot column and g = gcd(p, f), and every updated row is
-    divided by the gcd of its entries.  An integer row is a nonzero
-    multiple of the row that Fraction elimination would hold, with the
-    same support.  Columns are taken left to right and each pivot row is
-    the sparsest candidate; the reduced form is unique, so that choice
-    changes only the cost.
+    Takes ownership of the row dicts.  Returns the nonzero rows of the
+    reduced row echelon form, in pivot order, with their pivot columns.
+    Each returned row r is sparse, holds integers and is the reduced row
+    times r[pc], pc its pivot column, so the reduced row is
+    Fraction(r[j], r[pc]).  Each input row is first divided by the gcd of
+    its entries; a row update is (p/g) r - (f/g) prow in integers, with p
+    the pivot, f the row's entry in the pivot column and g = gcd(p, f),
+    and every updated row is divided by the gcd of its entries.  An
+    integer row is a nonzero multiple of the row that Fraction elimination
+    would hold, with the same support.  Columns are taken left to right
+    and each pivot row is the sparsest candidate; the reduced form is
+    unique, so that choice changes only the cost.
     """
-    rest = [r for r in map(_int_row, rows) if r]
+    rest = [_primitive(r) for r in rows if r]
     done: List[IntRow] = []
     pivots: List[int] = []
     for c in sorted({j for r in rest for j in r}):
@@ -186,6 +312,11 @@ def _eliminate(rows: Mat) -> Tuple[List[IntRow], List[int]]:
     return done, pivots
 
 
+def _eliminate_dense(m: Mat) -> Tuple[List[IntRow], List[int]]:
+    """_eliminate on dense rows, each cleared of denominators on its own."""
+    return _eliminate(map(_int_row, m))
+
+
 def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form (exact); returns (R, pivot columns).
 
@@ -194,7 +325,7 @@ def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
     if cols is None:
         cols = len(m[0]) if m else 0
     out = zeros(len(m), cols)
-    rows, pivots = _eliminate(m)
+    rows, pivots = _eliminate_dense(m)
     for o, r, pc in zip(out, rows, pivots):
         p = r[pc]
         for j, x in r.items():
@@ -204,38 +335,26 @@ def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
 
 def rank(m: Mat) -> int:
     """The rank of m: its pivot count, with no reduced form built."""
-    return len(_eliminate(m)[1])
+    return IntMat.from_dense(m).rank()
 
 
 def inverse(m: Mat) -> Optional[Mat]:
-    """The inverse of a square m, or None when m is singular: m is
-    invertible exactly when the pivots of [m | I] are the columns of m,
-    and the reduced form is then [I | m^-1]."""
-    n = len(m)
-    rows, pivots = _eliminate([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    if pivots != list(range(n)):
-        return None
-    return [[Fraction(r.get(n + j, 0), r[i]) for j in range(n)] for i, r in enumerate(rows)]
+    """The inverse of a square m, or None when m is singular."""
+    inv = IntMat.from_dense(m, len(m)).inverse()
+    return None if inv is None else inv.to_dense()
 
 
 def kernel(m: Mat, cols: Optional[int] = None) -> List[Vec]:
     """Exact basis of the right kernel: one vector per free column, 1 at
     that column and 0 at the other free columns.  The column count is read
     from m unless given; give it when m can have no rows."""
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    rows, pivots = _eliminate(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    position = {c: i for i, c in enumerate(free)}
-    basis = [[Fraction(0)] * cols for _ in free]
-    for v, c in zip(basis, free):
-        v[c] = Fraction(1)
-    for r, pc in zip(rows, pivots):
-        p = r[pc]
-        for j, x in r.items():
-            if j != pc:
-                basis[position[j]][pc] = Fraction(-x, p)
+    value = IntMat.from_dense(m, cols)
+    basis = []
+    for c, v in value.kernel():
+        vec = [Fraction(0)] * value.cols
+        for j, x in v.items():
+            vec[j] = Fraction(x, v[c])
+        basis.append(vec)
     return basis
 
 
@@ -245,7 +364,7 @@ def solve_linear(m: Mat, b: Vec, cols: Optional[int] = None) -> Optional[Vec]:
     have no rows."""
     if cols is None:
         cols = len(m[0]) if m else 0
-    rows, pivots = _eliminate([row + [bi] for row, bi in zip(m, b)])
+    rows, pivots = _eliminate_dense([row + [bi] for row, bi in zip(m, b)])
     if cols in set(pivots):
         return None
     x = [Fraction(0)] * cols

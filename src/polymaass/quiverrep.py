@@ -10,7 +10,11 @@ truncation, which makes the loop at the generating node a single
 nilpotent Jordan block.
 
 A QuiverRep or HCFragment checks its invariants once, when it is built;
-the functions that take one do not check again.
+the functions that take one do not check again.  Building one also reads
+each map once into an integer matrix (linalg.IntMat), kept in the plain
+attribute ``int_maps``; every product, inverse, rank and nilpotency check
+below runs on those, and Fractions are built only for the public fields
+and return values.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import CYCLIC, GELFAND
-from .linalg import (Mat, Vec, identity, inverse, kernel, mat_mul, nilpotency_degree,
-                     rank, solve_linear, zeros)
+from .linalg import IntMat, Mat, identity, mat_mul, rank, solve_linear, sparse_rows, zeros
 from .scalars import DomainError, json_int, json_rational, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
@@ -39,8 +42,8 @@ class QuiverRep:
 
     def __post_init__(self):
         """A known quiver, a nonnegative dimension for exactly its nodes, a
-        matrix of the right shape for exactly its arrows and, for the
-        Gelfand quiver, the relation."""
+        matrix of the right shape with exact entries for exactly its arrows
+        and, for the Gelfand quiver, the relation."""
         if self.quiver not in NODES:
             raise DomainError("unknown quiver %r" % (self.quiver,))
         if set(self.dims) != set(NODES[self.quiver]) or min(self.dims.values()) < 0:
@@ -49,8 +52,8 @@ class QuiverRep:
         names = [name for name, _src, _dst in ARROWS[self.quiver]]
         if set(self.maps) != set(names):
             raise DomainError("maps must give exactly the arrows %s" % (names,))
-        for name, src, dst, m in self.arrows():
-            _check_shape("arrow " + name, m, self.dims[dst], self.dims[src])
+        self.int_maps = {name: _int_matrix("arrow " + name, m, self.dims[dst], self.dims[src])
+                         for name, src, dst, m in self.arrows()}
         self.check_relation()
 
     def dim_vector(self) -> Tuple[int, ...]:
@@ -63,20 +66,19 @@ class QuiverRep:
     def check_relation(self) -> None:
         if self.quiver != GELFAND:
             return
-        ns = self.dims["*"]
-        lhs = mat_mul(self.maps["A-"], self.maps["B-"], ns)
-        rhs = mat_mul(self.maps["A+"], self.maps["B+"], ns)
-        if lhs != rhs:
+        m = self.int_maps
+        if m["A-"] @ m["B-"] != m["A+"] @ m["B+"]:
             raise DomainError("Gelfand relation A-B- = A+B+ violated")
 
-    def loops(self) -> Dict[str, Mat]:
-        d = self.dims
+    def _int_loops(self) -> Dict[str, IntMat]:
+        """The loop endomorphism at every node, as integer matrices."""
+        m = self.int_maps
         if self.quiver == GELFAND:
-            return {"*": mat_mul(self.maps["A-"], self.maps["B-"], d["*"]),
-                    "-": mat_mul(self.maps["B-"], self.maps["A-"], d["-"]),
-                    "+": mat_mul(self.maps["B+"], self.maps["A+"], d["+"])}
-        return {"-": mat_mul(self.maps["b"], self.maps["a"], d["-"]),
-                "+": mat_mul(self.maps["a"], self.maps["b"], d["+"])}
+            return {"*": m["A-"] @ m["B-"], "-": m["B-"] @ m["A-"], "+": m["B+"] @ m["A+"]}
+        return {"-": m["b"] @ m["a"], "+": m["a"] @ m["b"]}
+
+    def loops(self) -> Dict[str, Mat]:
+        return {node: loop.to_dense() for node, loop in self._int_loops().items()}
 
     def to_json(self) -> dict:
         return {"quiver": self.quiver,
@@ -100,9 +102,22 @@ def _matrix_from_json(m) -> Mat:
     return [[json_rational(x) for x in row] for row in m]
 
 
-def _check_shape(what: str, m: Mat, rows: int, cols: int) -> None:
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _int_matrix(what: str, m: Mat, rows: int, cols: int, name: Optional[str] = None) -> IntMat:
+    """The integer matrix of m, which must be a rows x cols matrix whose
+    entries are ints or Fractions (not bools); an entry error names the
+    map as name, or as what when no name is given."""
     if m is None or len(m) != rows or any(len(row) != cols for row in m):
         raise DomainError("%s must be a %d x %d matrix" % (what, rows, cols))
+    if not {type(x) for row in m for x in row} <= _EXACT_TYPES:
+        for row in m:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise DomainError("%s has the entry %r; entries must be ints or Fractions"
+                                      % (name or what, x))
+    return IntMat.from_dense(m, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +198,31 @@ def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> Quiver
 # invariants and classification
 
 
+def _nilpotency_degrees(rep: QuiverRep) -> Dict[str, Optional[int]]:
+    """The nilpotency degree of the loop at every node, None where the
+    loop is not nilpotent."""
+    return {node: loop.nilpotency_degree() for node, loop in rep._int_loops().items()}
+
+
 def invariants_of(rep: QuiverRep):
     """(dimension vector, nilpotency degrees per node)."""
-    degrees = {node: nilpotency_degree(loop) for node, loop in rep.loops().items()}
+    degrees = _nilpotency_degrees(rep)
     if None in degrees.values():
         raise DomainError("loop endomorphism is not nilpotent")
     return rep.dim_vector(), degrees
+
+
+def _top_node(rep: QuiverRep) -> Optional[str]:
+    """The node carrying V / (sum of the arrow images) when that quotient
+    has dimension 1, or None."""
+    top = {}
+    for node, n in rep.dims.items():
+        images = IntMat.beside([rep.int_maps[name] for name, _src, dst in ARROWS[rep.quiver]
+                                if dst == node])
+        top[node] = n - images.rank()
+    if sum(top.values()) != 1:
+        return None
+    return next(node for node, t in top.items() if t)
 
 
 def is_cyclic(rep: QuiverRep) -> Optional[str]:
@@ -203,15 +237,7 @@ def is_cyclic(rep: QuiverRep) -> Optional[str]:
     invariants_of(rep)
     if not any(rep.dims.values()):
         return "*" if rep.quiver == GELFAND else "+"
-    top = {}
-    for node, n in rep.dims.items():
-        images = [[m[i][j] for i in range(n)]
-                  for _name, src, dst, m in rep.arrows() if dst == node
-                  for j in range(rep.dims[src])]
-        top[node] = n - rank(images)
-    if sum(top.values()) != 1:
-        return None
-    return next(node for node, t in top.items() if t)
+    return _top_node(rep)
 
 
 def classify_cyclic(rep: QuiverRep):
@@ -247,65 +273,92 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
 # endomorphism algebra and indecomposability
 
 
+def _endomorphism_kernel(rep: QuiverRep) -> Tuple[Dict[str, int], List[Tuple[int, Dict[int, int]]]]:
+    """The endomorphism algebra as integer vectors: (offset of each node's
+    block, kernel vectors of the commutation equations as IntMat.kernel
+    returns them).  An endomorphism (E_node) is flattened node by node,
+    each E row-major.  The equation E_dst M - M E_src = 0 of an arrow
+    M = R/den is read as E_dst R - R E_src = 0, one sparse integer row per
+    entry."""
+    offsets = {}
+    total = 0
+    for n in NODES[rep.quiver]:
+        offsets[n] = total
+        total += rep.dims[n] ** 2
+    rows = []
+    for name, src, dst in ARROWS[rep.quiver]:
+        m = rep.int_maps[name]
+        ns, nd = rep.dims[src], rep.dims[dst]
+        columns = [[] for _ in range(ns)]   # column j of R: its (row, value) pairs
+        for t, row in enumerate(m.rows):
+            for j, x in row:
+                columns[j].append((t, x))
+        for i, row_i in enumerate(m.rows):
+            for j, column in enumerate(columns):
+                # the arrows join distinct nodes, so the two sums share no index
+                eq = {offsets[dst] + i * nd + t: x for t, x in column}
+                eq.update((offsets[src] + t * ns + j, -x) for t, x in row_i)
+                if eq:
+                    rows.append(sorted(eq.items()))
+    return offsets, IntMat(rows, 1, total).kernel()
+
+
 def endomorphism_basis(rep: QuiverRep) -> List[Dict[str, Mat]]:
     """Exact basis of tuples (E_node) commuting with all arrows."""
-    nodes = NODES[rep.quiver]
-    offsets = {}
-    pos = 0
-    for n in nodes:
-        offsets[n] = pos
-        pos += rep.dims[n] ** 2
-    total = pos
-    rows: List[Vec] = []
-
-    def entry_index(node, i, j):
-        return offsets[node] + i * rep.dims[node] + j
-
-    for _name, src, dst, m in rep.arrows():
-        ns, nd = rep.dims[src], rep.dims[dst]
-        # E_dst M - M E_src = 0, entrywise
-        for i in range(nd):
-            for j in range(ns):
-                row = [0] * total   # int zeros, which _int_row's scan skips fast
-                for t in range(nd):
-                    if m[t][j]:
-                        row[entry_index(dst, i, t)] += m[t][j]
-                for t in range(ns):
-                    if m[i][t]:
-                        row[entry_index(src, t, j)] -= m[i][t]
-                rows.append(row)
-    basis = kernel(rows, total)
+    offsets, kernel = _endomorphism_kernel(rep)
     out = []
-    for v in basis:
+    for c, v in kernel:
         mats = {}
-        for n in nodes:
+        for n, offset in offsets.items():
             dim = rep.dims[n]
-            mats[n] = [[v[offsets[n] + i * dim + j] for j in range(dim)]
+            mats[n] = [[Fraction(v.get(offset + i * dim + j, 0), v[c]) for j in range(dim)]
                        for i in range(dim)]
         out.append(mats)
     return out
 
 
+def _dickson_certificate(rep: QuiverRep) -> bool:
+    """Dickson's criterion (characteristic 0): rad End(V) is the kernel of
+    the trace form tr(a b), the trace taken on V, i.e. summed node by node.
+    So dim End(V)/rad is the rank of the Gram matrix tr(a_i a_j) over a
+    basis, and End(V) is local with residue field Q exactly when that rank
+    is 1.  The Gram matrix is taken over the integer kernel vectors, which
+    are positive multiples of a basis, so its rank is unchanged."""
+    offsets, kernel = _endomorphism_kernel(rep)
+    swap = {}   # flat index of E[i][j] -> flat index of E[j][i]
+    for n, offset in offsets.items():
+        dim = rep.dims[n]
+        for i in range(dim):
+            for j in range(dim):
+                swap[offset + i * dim + j] = offset + j * dim + i
+    transposed = [{swap[k]: x for k, x in v.items()} for _c, v in kernel]
+    gram = [[sum(x * u.get(k, 0) for k, x in v.items()) for u in transposed]
+            for _c, v in kernel]
+    return rank(gram) == 1
+
+
 def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
     """Indecomposability certificate: is End(V) local with residue field Q?
 
-    Dickson's criterion (characteristic 0): rad End(V) is the kernel of the
-    trace form tr(a b), the trace taken on V, i.e. summed node by node.  So
-    dim End(V)/rad is the rank of the Gram matrix tr(a_i a_j) over a basis,
-    and the answer is True exactly when that rank is 1; then 0 and 1 are
-    the only idempotents.  False means End(V)/rad is larger than Q: V is
-    decomposable unless End(V)/rad is a division algebra larger than Q,
-    which no constructor in this module builds.  The zero module counts as
-    certified.
+    When every loop is nilpotent and the top V/rad V has dimension 1 (what
+    is_cyclic tests), the answer is True without building End(V): rad V is
+    the sum of the arrow images, so V is generated by any vector outside
+    it (Nakayama) and is local, an endomorphism is invertible or maps V
+    into rad V and is then nilpotent, and End(V)/rad embeds in End of the
+    one-dimensional top, which is Q.
+
+    Otherwise Dickson's criterion decides (see _dickson_certificate): True
+    exactly when the trace-form Gram matrix over a basis of End(V) has rank
+    1; then 0 and 1 are the only idempotents.  False means End(V)/rad is
+    larger than Q: V is decomposable unless End(V)/rad is a division
+    algebra larger than Q, which no constructor in this module builds.
+    The zero module counts as certified.
     """
     if not any(rep.dims.values()):
         return True
-    nodes = NODES[rep.quiver]
-    basis = endomorphism_basis(rep)
-    flat = [[x for n in nodes for row in e[n] for x in row] for e in basis]
-    flat_t = [[x for n in nodes for col in zip(*e[n]) for x in col] for e in basis]
-    gram = mat_mul(flat, [list(col) for col in zip(*flat_t)], len(basis))
-    return rank(gram) == 1
+    if _top_node(rep) is not None and None not in _nilpotency_degrees(rep).values():
+        return True
+    return _dickson_certificate(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +382,8 @@ class HCFragment:
     z_plus: Mat = None    # l = 0: Y restricted to M_{+1}
 
     def __post_init__(self):
-        """Exactly the maps of l, shapes that chain together, invertible
-        interior maps and nilpotent end composites."""
+        """Exactly the maps of l, shapes that chain together, exact entries,
+        invertible interior maps and nilpotent end composites."""
         if self.l < 0:
             raise DomainError("l must be nonnegative")
         own = ("z_minus", "z_plus") if self.l == 0 else \
@@ -343,9 +396,9 @@ class HCFragment:
             if self.z_minus is None or self.z_plus is None:
                 raise DomainError("l = 0 fragment needs z_minus and z_plus")
             n_plus, n_minus = len(self.z_minus), len(self.z_plus)
-            _check_shape("z_minus", self.z_minus, n_plus, n_minus)
-            _check_shape("z_plus", self.z_plus, n_minus, n_plus)
-            if nilpotency_degree(mat_mul(self.z_plus, self.z_minus, n_minus)) is None:
+            m = self.int_maps = {"z_minus": _int_matrix("z_minus", self.z_minus, n_plus, n_minus),
+                                 "z_plus": _int_matrix("z_plus", self.z_plus, n_minus, n_plus)}
+            if (m["z_plus"] @ m["z_minus"]).nilpotency_degree() is None:
                 raise DomainError("end composite is not nilpotent")
             return
         if len(self.xs) != self.l - 1 or len(self.ys) != self.l - 1:
@@ -353,34 +406,43 @@ class HCFragment:
         if None in (self.x_minus, self.y_minus, self.x_plus, self.y_plus):
             raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
         n0, n1, n2 = len(self.y_minus), len(self.x_minus), len(self.x_plus)
-        _check_shape("x_minus", self.x_minus, n1, n0)
-        _check_shape("y_minus", self.y_minus, n0, n1)
-        _check_shape("x_plus", self.x_plus, n2, n1)
-        _check_shape("y_plus", self.y_plus, n1, n2)
-        for m in list(self.xs) + list(self.ys):
-            _check_shape("interior map", m, n1, n1)
-            if rank(m) != n1:
-                raise DomainError("interior map is not invertible")
-        if nilpotency_degree(mat_mul(self.x_minus, self.y_minus, n1)) is None:
+        m = self.int_maps = {"x_minus": _int_matrix("x_minus", self.x_minus, n1, n0),
+                             "y_minus": _int_matrix("y_minus", self.y_minus, n0, n1),
+                             "x_plus": _int_matrix("x_plus", self.x_plus, n2, n1),
+                             "y_plus": _int_matrix("y_plus", self.y_plus, n1, n2)}
+        for key in ("xs", "ys"):
+            interior = []
+            for i, x in enumerate(getattr(self, key)):
+                x = _int_matrix("interior map", x, n1, n1, "%s[%d]" % (key, i))
+                if x.rank() != n1:
+                    raise DomainError("interior map is not invertible")
+                interior.append(x)
+            m[key] = tuple(interior)
+        if (m["x_minus"] @ m["y_minus"]).nilpotency_degree() is None:
             raise DomainError("lower end composite is not nilpotent")
-        if nilpotency_degree(mat_mul(self.x_plus, self.y_plus, n2)) is None:
+        if (m["x_plus"] @ m["y_plus"]).nilpotency_degree() is None:
             raise DomainError("upper end composite is not nilpotent")
 
-    def x_star(self) -> Mat:
-        out = None
-        for x in self.xs:   # X_* = X_{l-1} ... X_1
-            out = x if out is None else mat_mul(x, out, len(x))
-        if out is None:
-            out = identity(len(self.x_minus))
+    def _int_x_star(self) -> IntMat:
+        """X_* = X_{l-1} ... X_1, the identity for l = 1."""
+        out = IntMat.identity(len(self.x_minus))
+        for x in self.int_maps["xs"]:
+            out = x @ out
         return out
 
-    def y_star(self) -> Mat:
-        out = None
-        for y in self.ys:   # Y_* = Y_1 ... Y_{l-1}: Y_{l-1} acts first
-            out = y if out is None else mat_mul(out, y, len(y))
-        if out is None:
-            out = identity(len(self.x_minus))
+    def _int_y_star(self) -> IntMat:
+        """Y_* = Y_1 ... Y_{l-1} (Y_{l-1} acts first), the identity for
+        l = 1."""
+        out = IntMat.identity(len(self.x_minus))
+        for y in self.int_maps["ys"]:
+            out = out @ y
         return out
+
+    def x_star(self) -> Mat:
+        return self._int_x_star().to_dense()
+
+    def y_star(self) -> Mat:
+        return self._int_y_star().to_dense()
 
     def to_json(self) -> dict:
         enc = lambda m: None if m is None else [[str(x) for x in row] for row in m]
@@ -418,11 +480,12 @@ def hc_to_quiver(frag: HCFragment) -> QuiverRep:
     if frag.l == 0:
         dims = {"-": len(frag.z_plus), "+": len(frag.z_minus)}
         return QuiverRep(CYCLIC, dims, {"a": frag.z_minus, "b": frag.z_plus})
-    dims = _fragment_dims(frag)
-    x_star = frag.x_star()
-    return QuiverRep(GELFAND, dims, {"A-": frag.x_minus, "B-": frag.y_minus,
-                                     "A+": mat_mul(inverse(x_star), frag.y_plus, dims["+"]),
-                                     "B+": mat_mul(frag.x_plus, x_star, dims["*"])})
+    m = frag.int_maps
+    x_star = frag._int_x_star()
+    return QuiverRep(GELFAND, _fragment_dims(frag),
+                     {"A-": frag.x_minus, "B-": frag.y_minus,
+                      "A+": (x_star.inverse() @ m["y_plus"]).to_dense(),
+                      "B+": (m["x_plus"] @ x_star).to_dense()})
 
 
 def second_description(frag: HCFragment) -> QuiverRep:
@@ -430,27 +493,26 @@ def second_description(frag: HCFragment) -> QuiverRep:
     (Y_*^{-1} X_-, X_+, Y_+, Y_- Y_*)."""
     if frag.l == 0:
         raise DomainError("second description needs l >= 1")
-    dims = _fragment_dims(frag)
-    y_star = frag.y_star()
-    return QuiverRep(GELFAND, dims, {"A-": mat_mul(inverse(y_star), frag.x_minus, dims["-"]),
-                                     "B-": mat_mul(frag.y_minus, y_star, dims["*"]),
-                                     "A+": frag.y_plus, "B+": frag.x_plus})
+    m = frag.int_maps
+    y_star = frag._int_y_star()
+    return QuiverRep(GELFAND, _fragment_dims(frag),
+                     {"A-": (y_star.inverse() @ m["x_minus"]).to_dense(),
+                      "B-": (m["y_minus"] @ y_star).to_dense(),
+                      "A+": frag.y_plus, "B+": frag.x_plus})
 
 
-def _casimir(gamma: int, composite: Mat) -> Mat:
+def _casimir(gamma: int, composite: IntMat) -> IntMat:
     """The Casimir action gamma * I + 4 * (back-and-forth composite)."""
-    n = len(composite)
-    return [[(Fraction(gamma) if i == j else Fraction(0)) + 4 * composite[i][j]
-             for j in range(n)] for i in range(n)]
+    return composite.affine(gamma, 4)
 
 
-def _casimir_ends(frag: HCFragment) -> Tuple[Mat, Mat]:
+def _casimir_ends(frag: HCFragment) -> Tuple[IntMat, IntMat]:
     """Casimir actions C_0 on M_{-l-1} and C_1 on M_{-l+1}, reconstructed
     from the H-eigenvalues and the back-and-forth composites."""
     gamma = frag.l * frag.l - 1
-    n0, n1 = len(frag.y_minus), len(frag.x_minus)
-    return (_casimir(gamma, mat_mul(frag.y_minus, frag.x_minus, n0)),
-            _casimir(gamma, mat_mul(frag.x_minus, frag.y_minus, n1)))
+    m = frag.int_maps
+    return (_casimir(gamma, m["y_minus"] @ m["x_minus"]),
+            _casimir(gamma, m["x_minus"] @ m["y_minus"]))
 
 
 def _poly_in_matrix(target: Mat, base: Mat) -> List[Fraction]:
@@ -488,32 +550,23 @@ def iso_two_descriptions(frag: HCFragment):
     """
     if frag.l == 0:
         raise DomainError("two descriptions exist only for l >= 1")
-    x_star = frag.x_star()
-    y_star = frag.y_star()
+    m = frag.int_maps
+    x_star = frag._int_x_star()
+    y_star = frag._int_y_star()
     c0, c1 = _casimir_ends(frag)
-    n0, n1 = len(c0), len(c1)
-    yx_star = mat_mul(y_star, x_star, n1)
-    p = _poly_in_matrix(yx_star, c1)
-    t = zeros(n0, n0)
-    power = identity(n0)
-    for coeff in p:
-        if coeff:
-            for i in range(n0):
-                for j in range(n0):
-                    t[i][j] += coeff * power[i][j]
-        power = mat_mul(power, c0, n0)
-    if rank(t) != n0:
+    yx_star = y_star @ x_star
+    p = _poly_in_matrix(yx_star.to_dense(), c1.to_dense())
+    t = IntMat([[] for _ in c0.rows], 1, c0.cols)
+    for coeff in reversed(p):   # T = p(C_0) by Horner's rule
+        t = (c0 @ t).affine(coeff, 1)
+    if t.rank() != c0.cols:
         raise DomainError("isomorphism witness T is singular")
     # commuting squares of the morphism (T, X_*, I)
-    lhs = mat_mul(yx_star, frag.x_minus, n0)
-    rhs = mat_mul(frag.x_minus, t, n0)
-    if lhs != rhs:
+    if yx_star @ m["x_minus"] != m["x_minus"] @ t:
         raise DomainError("morphism square (A-) does not commute")
-    lhs = mat_mul(t, frag.y_minus, n1)
-    rhs = mat_mul(mat_mul(frag.y_minus, y_star, n1), x_star, n1)
-    if lhs != rhs:
+    if t @ m["y_minus"] != m["y_minus"] @ y_star @ x_star:
         raise DomainError("morphism square (B-) does not commute")
-    return t, x_star, identity(len(frag.x_plus))
+    return t.to_dense(), x_star.to_dense(), identity(len(frag.x_plus))
 
 
 def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
@@ -528,39 +581,33 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
         raise DomainError("need l >= 1 and dim >= 1")
     rng = random.Random(seed)
 
-    def rand_invertible() -> Tuple[Mat, Mat]:
-        """A random invertible matrix and its inverse."""
+    def rand_invertible() -> Tuple[IntMat, IntMat]:
+        """A random invertible integer matrix and its inverse."""
         while True:
-            m = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
-            if (m_inv := inverse(m)) is not None:
+            m = IntMat(sparse_rows([[rng.randint(-3, 3) for _ in range(dim)]
+                                    for _ in range(dim)]), 1, dim)
+            if (m_inv := m.inverse()) is not None:
                 return m, m_inv
 
-    def rand_nilpotent() -> Mat:
-        m = zeros(dim, dim)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                m[i][j] = Fraction(rng.randint(-2, 2))
-        return m
+    def rand_nilpotent() -> IntMat:
+        """A random strictly upper triangular integer matrix."""
+        return IntMat(sparse_rows([[rng.randint(-2, 2) if j > i else 0 for j in range(dim)]
+                                   for i in range(dim)]), 1, dim)
 
     gamma = l * l - 1
     x_minus, x_minus_inv = rand_invertible()
-    nil = rand_nilpotent()
-    y_minus = mat_mul(nil, x_minus_inv)   # Y_- X_- = nil
-    c_cur = _casimir(gamma, mat_mul(x_minus, y_minus))   # C on M_{-l+1}
+    y_minus = rand_nilpotent() @ x_minus_inv   # Y_- X_- = nil
+    c_cur = _casimir(gamma, x_minus @ y_minus)   # C on M_{-l+1}
     xs, ys = [], []
     for i in range(1, l):
         n_i = -l - 1 + 2 * i                    # weight below X_i
-        const = Fraction(n_i * n_i + 2 * n_i)
+        const = n_i * n_i + 2 * n_i
         x_i, x_i_inv = rand_invertible()
-        y_i = mat_mul([[Fraction(c_cur[a][b] - (const if a == b else 0), 4)
-                        for b in range(dim)] for a in range(dim)],
-                      x_i_inv)
         xs.append(x_i)
-        ys.append(y_i)
-        c_cur = mat_mul(mat_mul(x_i, c_cur), x_i_inv)
+        ys.append(c_cur.affine(Fraction(-const, 4), Fraction(1, 4)) @ x_i_inv)
+        c_cur = x_i @ c_cur @ x_i_inv
     x_plus, x_plus_inv = rand_invertible()
-    y_plus = mat_mul([[Fraction(c_cur[a][b] - (gamma if a == b else 0), 4)
-                       for b in range(dim)] for a in range(dim)],
-                     x_plus_inv)
-    return HCFragment(l, x_minus=x_minus, xs=tuple(xs), x_plus=x_plus,
-                      y_plus=y_plus, ys=tuple(ys), y_minus=y_minus)
+    y_plus = c_cur.affine(Fraction(-gamma, 4), Fraction(1, 4)) @ x_plus_inv
+    return HCFragment(l, x_minus=x_minus.to_dense(), xs=tuple(x.to_dense() for x in xs),
+                      x_plus=x_plus.to_dense(), y_plus=y_plus.to_dense(),
+                      ys=tuple(y.to_dense() for y in ys), y_minus=y_minus.to_dense())

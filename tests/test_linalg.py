@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd
 from typing import List, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymaass
-from polymaass.linalg import (Mat, identity, inverse, kernel, mat_mul, mat_pow, mat_vec,
-                              nilpotency_degree, rank, rref, solve_linear, zeros)
+from polymaass.linalg import (IntMat, Mat, identity, inverse, kernel, mat_mul, mat_pow,
+                              mat_vec, nilpotency_degree, rank, rref, solve_linear, zeros)
 
 
 # The dense Gauss-Jordan elimination the package used before elimination
@@ -414,3 +415,133 @@ def test_rank_and_inverse_edge_cases():
     assert inverse([[0]]) is None and inverse([[1, 2], [2, 4]]) is None
     assert inverse([[Fraction(2, 3)]]) == [[Fraction(3, 2)]]
     assert rank([[1, 2, 3], [2, 4, 6]]) == 1 and rank([[1, 2], [3, 4], [5, 6]]) == 2
+
+
+# --- IntMat, the integer matrix value the public functions wrap ---------------
+
+
+def in_lowest_terms(v: IntMat) -> bool:
+    """Sorted nonzero entries, a positive den sharing no factor with them,
+    and den 1 for the zero matrix."""
+    entries = [x for row in v.rows for _j, x in row]
+    return (v.den > 0 and gcd(v.den, *entries) == 1
+            and all(x for x in entries)
+            and all([j for j, _x in row] == sorted({j for j, _x in row}) for row in v.rows)
+            and all(0 <= j < v.cols for row in v.rows for j, _x in row))
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(), wide_matrices(), square_matrices()))
+def test_int_mat_round_trips_a_dense_matrix(m):
+    v = IntMat.from_dense(m)
+    assert in_lowest_terms(v) and v.cols == width(m) and len(v.rows) == len(m)
+    back = v.to_dense()
+    assert back == m and all_fractions(x for row in back for x in row)
+    assert IntMat.from_dense(back) == v
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_int_mat_product_matches_the_entry_formula(rows, inner, cols, data):
+    entries = data.draw(st.sampled_from([ENTRIES, WIDE_OR_INT]))
+    a = [data.draw(st.lists(entries, min_size=inner, max_size=inner)) for _ in range(rows)]
+    b = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(inner)]
+    product = IntMat.from_dense(a, inner) @ IntMat.from_dense(b, cols)
+    # equal to the value of the reference, so in lowest terms as well
+    assert product == IntMat.from_dense(entry_product(a, b, cols), cols)
+    assert in_lowest_terms(product)
+
+
+@settings(deadline=None)
+@given(st.one_of(square_matrices(), conjugated_triangular().map(lambda pair: pair[0])))
+def test_int_mat_inverse_matches_the_reference(m):
+    n = len(m)
+    inv = IntMat.from_dense(m, n).inverse()
+    _r, pivots = reference_rref([[Fraction(x) for x in row] + unit
+                                 for row, unit in zip(m, identity(n))])
+    if pivots != list(range(n)):
+        assert inv is None
+    else:
+        assert inv == IntMat.from_dense(reference_inverse([[Fraction(x) for x in row]
+                                                           for row in m]), n)
+        assert in_lowest_terms(inv)
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(), wide_matrices(), square_matrices()))
+def test_int_mat_rank_is_the_pivot_count_of_the_reference(m):
+    assert IntMat.from_dense(m).rank() == len(reference_rref([[Fraction(x) for x in row]
+                                                              for row in m])[1])
+
+
+@settings(deadline=None)
+@given(st.one_of(square_matrices(), conjugated_triangular().map(lambda pair: pair[0])))
+def test_int_mat_nilpotency_and_powers_match_the_reference(m):
+    v = IntMat.from_dense(m, len(m))
+    assert v.nilpotency_degree() == reference_nilpotency_degree(m)
+    for e in range(4):
+        assert v.power(e) == IntMat.from_dense(repeated_product(m, e), len(m))
+
+
+@settings(deadline=None)
+@given(square_matrices(), st.one_of(st.integers(-3, 3), ENTRIES, WIDE),
+       st.one_of(st.integers(-3, 3), ENTRIES, WIDE))
+def test_int_mat_affine_matches_the_entry_formula(m, a, b):
+    n = len(m)
+    expected = [[(a if i == j else 0) + b * Fraction(m[i][j]) for j in range(n)]
+                for i in range(n)]
+    assert IntMat.from_dense(m, n).affine(a, b) == IntMat.from_dense(expected, n)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=1, max_size=3), st.data())
+def test_int_mat_beside_is_the_block_row(rows, widths, data):
+    entries = data.draw(st.sampled_from([ENTRIES, WIDE_OR_INT]))
+    blocks = [[data.draw(st.lists(entries, min_size=w, max_size=w)) for _ in range(rows)]
+              for w in widths]
+    together = IntMat.beside([IntMat.from_dense(b, w) for b, w in zip(blocks, widths)])
+    expected = [[x for b in blocks for x in b[i]] for i in range(rows)]
+    assert together == IntMat.from_dense(expected, sum(widths))
+    assert in_lowest_terms(together)
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_int_mat_equality_is_equality_of_the_dense_matrices(a, data):
+    # b is a, a in another entry type, a with one entry changed, or
+    # another matrix
+    kind = data.draw(st.sampled_from(["same", "ints", "changed", "other"]))
+    b = [list(row) for row in a]
+    if kind == "ints":
+        b = [[x.numerator if x.denominator == 1 else x for x in row] for row in a]
+    elif kind == "changed" and a:
+        i, j = data.draw(st.integers(0, len(a) - 1)), data.draw(st.integers(0, width(a) - 1))
+        b[i][j] = data.draw(ENTRIES)
+    elif kind == "other":
+        b = data.draw(matrices())
+    assert (IntMat.from_dense(a) == IntMat.from_dense(b)) == (a == b)
+
+
+def test_int_mat_equality_of_zero_and_empty_shapes():
+    assert IntMat.from_dense([]) == IntMat.from_dense([]) == IntMat([], 1, 0)
+    assert IntMat.from_dense([[]]) != IntMat.from_dense([[], []])
+    assert IntMat.from_dense(zeros(2, 3)) != IntMat.from_dense(zeros(3, 2))
+    assert IntMat.from_dense(zeros(2, 3)) != IntMat.from_dense(zeros(2, 2))
+    assert IntMat.from_dense(zeros(2, 3)) == IntMat([[], []], 1, 3)
+    assert IntMat.from_dense([[Fraction(1, 2)]]).affine(0, 0) == IntMat.from_dense([[0]])
+    half = IntMat.from_dense([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    assert half @ half.inverse() == IntMat.identity(2) == IntMat.from_dense(identity(2))
+    assert (IntMat.from_dense([[1, 0]]) == [[1, 0]]) is False
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(), wide_matrices()))
+def test_int_mat_kernel_vectors_are_cleared_public_kernel_vectors(m):
+    v = IntMat.from_dense(m)
+    pairs = v.kernel()
+    assert len(pairs) == len(kernel(m))
+    for (c, w), public in zip(pairs, kernel(m)):
+        assert w[c] > 0 and all(type(x) is int for x in w.values())
+        assert [Fraction(w.get(j, 0), w[c]) for j in range(width(m))] == public
+        # the least positive integer multiple: its entries share no factor
+        assert gcd(*w.values()) == 1

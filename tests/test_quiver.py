@@ -110,16 +110,20 @@ def test_one_dimensional_plus_node():
     assert is_cyclic(rep) == "+"
 
 
+# every built module up to the largest depths the benchmark runs
+BENCH_MODULES = [(GELFAND, t, c, d) for t, top in (("*", 9), ("+", 4), ("-", 4))
+                 for c in "abcd" for d in range(top + 1)
+                 if not (c == "d" and t in "+-" and d == 0)] \
+    + [(CYCLIC, t, c, d) for t in "+-" for c in "ab" for d in range(10)]
+
+
 def test_cyclic_modules_have_local_endomorphisms():
-    # every built module up to the largest depths the benchmark runs
-    modules = [(GELFAND, t, c, d) for t, top in (("*", 9), ("+", 4), ("-", 4))
-               for c in "abcd" for d in range(top + 1)
-               if not (c == "d" and t in "+-" and d == 0)]
-    modules += [(CYCLIC, t, c, d) for t in "+-" for c in "ab" for d in range(10)]
-    for quiver, t, c, d in modules:
+    # the certificate answers from the top; Dickson's criterion agrees
+    for quiver, t, c, d in BENCH_MODULES:
         rep = build_cyclic_module(quiver, t, c, d)
         assert classify_cyclic(rep) == (t, c, d)
         assert has_only_trivial_idempotents(rep)
+        assert quiverrep._dickson_certificate(rep)
     assert not has_only_trivial_idempotents(
         direct_sum(build_cyclic_module(GELFAND, "*", "b", 1),
                    build_cyclic_module(GELFAND, "*", "a", 1)))
@@ -238,6 +242,48 @@ def test_random_fragment_output_is_pinned(l, dim, seed):
     assert hashlib.sha256(data).hexdigest()[:16] == FRAGMENT_DIGESTS[(l, dim, seed)]
 
 
+# sha256 over json.dumps of hc_to_quiver(f).to_json() and
+# second_description(f).to_json(), then str(iso_two_descriptions(f)), for
+# f = random_fragment(l, dim, seed), seeds 0..3 in turn
+DESCRIPTION_DIGESTS = {
+    (1, 1): "2d44377d8d954a92",
+    (1, 2): "ee9d9248e87aa176",
+    (1, 3): "dad395694758b91a",
+    (1, 4): "1be36fa212c52252",
+    (2, 1): "5cc7579f38a53ab7",
+    (2, 2): "eb586a48317bb436",
+    (2, 3): "d9e6895b60522651",
+    (2, 4): "9b90a103928450bd",
+    (3, 1): "7f2c5d7bca5a2d52",
+    (3, 2): "9fae3152adbdc30f",
+    (3, 3): "20c5690d971fb8a7",
+    (3, 4): "15e54006f640bee4",
+    (4, 1): "c1ae3db0f4d52685",
+    (4, 2): "1f1737c4e1f0d327",
+    (4, 3): "0cf66fbdec7ef8ff",
+    (4, 4): "7af9b570a4ce6b21",
+    (5, 1): "11b666cc613be6cf",
+    (5, 2): "75edc7288dbe2f9c",
+    (5, 3): "2538f3fd42bd08c4",
+    (5, 4): "58d457dd0ede1837",
+    (6, 1): "7bf1e380f8c00ff4",
+    (6, 2): "9dc59a25847e05fa",
+    (6, 3): "b9e8c005b569dc34",
+    (6, 4): "c9e0280154520bdd",
+}
+
+
+@pytest.mark.parametrize("l,dim", sorted(DESCRIPTION_DIGESTS))
+def test_descriptions_and_witness_are_pinned(l, dim):
+    h = hashlib.sha256()
+    for seed in range(4):
+        frag = random_fragment(l, dim, seed)
+        h.update(json.dumps(hc_to_quiver(frag).to_json()).encode())
+        h.update(json.dumps(second_description(frag).to_json()).encode())
+        h.update(str(iso_two_descriptions(frag)).encode())
+    assert h.hexdigest()[:16] == DESCRIPTION_DIGESTS[(l, dim)]
+
+
 @pytest.mark.parametrize("args,message", [
     ((GELFAND, "*", "a", -1), "depth parameter must be nonnegative"),
     (("kronecker", "*", "a", -1), "depth parameter must be nonnegative"),
@@ -339,7 +385,7 @@ def test_poly_in_matrix_matches_reference_loop(l, dim):
     for seed in range(40):
         frag = random_fragment(l, dim, seed=seed)
         target = mat_mul(frag.y_star(), frag.x_star(), dim)
-        base = quiverrep._casimir_ends(frag)[1]
+        base = quiverrep._casimir_ends(frag)[1].to_dense()
         p = quiverrep._poly_in_matrix(target, base)
         assert p == reference_poly_in_matrix(target, base)
         degrees.add(len(p))
@@ -399,6 +445,41 @@ def test_certificate_on_fragment_modules_matches_the_fraction_gram(l, dim):
                           for m in e.values() for row in m for x in row)
     assert answers == ({True} if dim == 1 else {True, False})
     assert fractional == (dim > 1)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_top_certificate_matches_dickson_on_fragment_modules(l, dim):
+    cyclic = 0
+    for seed in range(8):
+        frag = random_fragment(l, dim, seed)
+        for rep in (hc_to_quiver(frag), second_description(frag)):
+            assert has_only_trivial_idempotents(rep) == quiverrep._dickson_certificate(rep)
+            cyclic += is_cyclic(rep) is not None
+    assert cyclic > 0
+
+
+def test_cyclic_modules_are_certified_without_end(monkeypatch):
+    def no_end(rep):
+        raise AssertionError("End(V) built")
+
+    monkeypatch.setattr(quiverrep, "_endomorphism_kernel", no_end)
+    for spec in BENCH_MODULES[::7]:
+        assert has_only_trivial_idempotents(build_cyclic_module(*spec))
+    with pytest.raises(AssertionError, match="End"):
+        has_only_trivial_idempotents(direct_sum(build_cyclic_module(GELFAND, "*", "a", 1),
+                                                build_cyclic_module(GELFAND, "*", "b", 1)))
+
+
+def test_certificate_on_non_nilpotent_loops_falls_back_to_dickson():
+    # is_cyclic raises on this rep; the certificate does not, as before
+    one = [[Fraction(1)]]
+    rep = QuiverRep(CYCLIC, {"-": 1, "+": 1}, {"a": one, "b": one})
+    with pytest.raises(DomainError, match="not nilpotent"):
+        is_cyclic(rep)
+    assert has_only_trivial_idempotents(rep) is quiverrep._dickson_certificate(rep) is True
+    rep = QuiverRep(CYCLIC, {"-": 2, "+": 2}, {"a": identity(2), "b": identity(2)})
+    assert has_only_trivial_idempotents(rep) is quiverrep._dickson_certificate(rep) is False
 
 
 def test_endomorphism_basis_dimension():
@@ -574,3 +655,44 @@ def test_fragment_json_absent_maps_round_trip(frag):
     data = frag.to_json()
     assert None in data.values() and [] in data.values()
     assert HCFragment.from_json(data) == frag
+
+
+# --- matrix entries must be exact ---------------------------------------------
+
+
+NON_EXACT = [0.5, 1.0, True, False, "1", None]
+
+
+@pytest.mark.parametrize("value", NON_EXACT)
+def test_quiver_rep_rejects_non_exact_entries(value):
+    with pytest.raises(DomainError) as ex:
+        QuiverRep(CYCLIC, {"-": 1, "+": 1}, {"a": [[value]], "b": [[0]]})
+    assert str(ex.value) == ("arrow a has the entry %r; entries must be ints or Fractions"
+                             % (value,))
+
+
+@pytest.mark.parametrize("value", NON_EXACT)
+def test_fragment_rejects_non_exact_entries(value):
+    with pytest.raises(DomainError, match=r"^z_minus has the entry "):
+        HCFragment(0, z_minus=[[value]], z_plus=[[1]])
+    frag = random_fragment(3, 2, seed=1)
+    for name in ("x_minus", "y_minus", "x_plus", "y_plus"):
+        bad = [list(row) for row in getattr(frag, name)]
+        bad[1][0] = value
+        with pytest.raises(DomainError, match="^%s has the entry " % name):
+            HCFragment(3, **{**{k: getattr(frag, k) for k in ("x_minus", "xs", "x_plus",
+                                                             "y_plus", "ys", "y_minus")},
+                             name: bad})
+    bad = [list(row) for row in frag.ys[1]]
+    bad[0][1] = value
+    with pytest.raises(DomainError, match=r"^ys\[1\] has the entry "):
+        HCFragment(3, x_minus=frag.x_minus, xs=frag.xs, x_plus=frag.x_plus,
+                   y_plus=frag.y_plus, ys=(frag.ys[0], bad), y_minus=frag.y_minus)
+
+
+def test_int_and_fraction_entries_are_accepted_alike():
+    fractions = build_cyclic_module(GELFAND, "+", "c", 2)
+    ints = QuiverRep(GELFAND, fractions.dims, {k: [[int(x) for x in row] for row in m]
+                                               for k, m in fractions.maps.items()})
+    assert ints.to_json() == fractions.to_json() and ints.int_maps == fractions.int_maps
+    assert classify_cyclic(ints) == classify_cyclic(fractions) == ("+", "c", 2)
