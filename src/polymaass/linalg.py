@@ -16,8 +16,7 @@ Elimination runs on sparse rows, one ``{column: value}`` dict per row
 that stores only nonzero entries, so a row update costs the pivot row's
 nonzero count (plus the updated row's, when it is rescaled), not the
 column count.  It is fraction-free: rows are updated and reduced in
-Python ints.  rref and solve_linear read dense rows, each cleared of
-denominators on its own.
+Python ints.
 """
 
 from __future__ import annotations
@@ -245,14 +244,6 @@ def _primitive(row: IntRow) -> IntRow:
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _int_row(row: Vec) -> IntRow:
-    """The nonzero entries of a dense row, as {column: value}, times the
-    lcm of their denominators."""
-    items = [(j, x) for j, x in enumerate(row) if x]
-    den = lcm(*(x.denominator for _j, x in items))
-    return {j: x.numerator * (den // x.denominator) for j, x in items}
-
-
 def _eliminate(rows: Iterable[IntRow]) -> Tuple[List[IntRow], List[int]]:
     """Fraction-free Gauss-Jordan elimination of sparse integer rows.
 
@@ -312,20 +303,14 @@ def _eliminate(rows: Iterable[IntRow]) -> Tuple[List[IntRow], List[int]]:
     return done, pivots
 
 
-def _eliminate_dense(m: Mat) -> Tuple[List[IntRow], List[int]]:
-    """_eliminate on dense rows, each cleared of denominators on its own."""
-    return _eliminate(map(_int_row, m))
-
-
 def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
     """Reduced row echelon form (exact); returns (R, pivot columns).
 
     R has the shape of m, with its zero rows at the bottom.  The column
     count is read from m unless given; give it when m can have no rows."""
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    out = zeros(len(m), cols)
-    rows, pivots = _eliminate_dense(m)
+    value = IntMat.from_dense(m, cols)
+    out = zeros(len(m), value.cols)
+    rows, pivots = _eliminate(map(dict, value.rows))
     for o, r, pc in zip(out, rows, pivots):
         p = r[pc]
         for j, x in r.items():
@@ -364,7 +349,8 @@ def solve_linear(m: Mat, b: Vec, cols: Optional[int] = None) -> Optional[Vec]:
     have no rows."""
     if cols is None:
         cols = len(m[0]) if m else 0
-    rows, pivots = _eliminate_dense([row + [bi] for row, bi in zip(m, b)])
+    augmented = IntMat.from_dense([row + [bi] for row, bi in zip(m, b)], cols + 1)
+    rows, pivots = _eliminate(map(dict, augmented.rows))
     if cols in set(pivots):
         return None
     x = [Fraction(0)] * cols

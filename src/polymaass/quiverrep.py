@@ -9,8 +9,9 @@ monomial bases t^a with the arrows acting by multiplication by t and by
 truncation, which makes the loop at the generating node a single
 nilpotent Jordan block.
 
-A QuiverRep or HCFragment checks its invariants once, when it is built;
-the functions that take one do not check again.  Building one also reads
+A QuiverRep or HCFragment is frozen and checks its invariants once, when
+it is built; the functions that take one do not check again.  A QuiverRep
+holds its dims and maps as read-only mappings.  Building one also reads
 each map once into an integer matrix (linalg.IntMat), kept in the plain
 attribute ``int_maps``; every product, inverse, rank and nilpotency check
 below runs on those, and Fractions are built only for the public fields
@@ -22,11 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import CYCLIC, GELFAND
-from .linalg import IntMat, Mat, identity, mat_mul, rank, solve_linear, sparse_rows, zeros
-from .scalars import DomainError, json_int, json_rational, malformed_json
+from .linalg import IntMat, Mat, identity, solve_linear, sparse_rows, zeros
+from .scalars import DomainError, check_exact, json_int, json_rational, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow
@@ -34,11 +36,11 @@ ARROWS = {GELFAND: (("A-", "-", "*"), ("B-", "*", "-"), ("A+", "+", "*"), ("B+",
           CYCLIC: (("a", "-", "+"), ("b", "+", "-"))}
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuiverRep:
     quiver: str
-    dims: Dict[str, int]
-    maps: Dict[str, Mat]   # gelfand: A-, B-, A+, B+; cyclic: a (-:->+), b (+:->-)
+    dims: Mapping[str, int]
+    maps: Mapping[str, Mat]   # gelfand: A-, B-, A+, B+; cyclic: a (-:->+), b (+:->-)
 
     def __post_init__(self):
         """A known quiver, a nonnegative dimension for exactly its nodes, a
@@ -52,8 +54,11 @@ class QuiverRep:
         names = [name for name, _src, _dst in ARROWS[self.quiver]]
         if set(self.maps) != set(names):
             raise DomainError("maps must give exactly the arrows %s" % (names,))
-        self.int_maps = {name: _int_matrix("arrow " + name, m, self.dims[dst], self.dims[src])
-                         for name, src, dst, m in self.arrows()}
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
+        object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
+        object.__setattr__(self, "int_maps", {
+            name: _int_matrix("arrow " + name, m, self.dims[dst], self.dims[src])
+            for name, src, dst, m in self.arrows()})
         self.check_relation()
 
     def dim_vector(self) -> Tuple[int, ...]:
@@ -102,21 +107,13 @@ def _matrix_from_json(m) -> Mat:
     return [[json_rational(x) for x in row] for row in m]
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
 def _int_matrix(what: str, m: Mat, rows: int, cols: int, name: Optional[str] = None) -> IntMat:
     """The integer matrix of m, which must be a rows x cols matrix whose
     entries are ints or Fractions (not bools); an entry error names the
     map as name, or as what when no name is given."""
     if m is None or len(m) != rows or any(len(row) != cols for row in m):
         raise DomainError("%s must be a %d x %d matrix" % (what, rows, cols))
-    if not {type(x) for row in m for x in row} <= _EXACT_TYPES:
-        for row in m:
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                    raise DomainError("%s has the entry %r; entries must be ints or Fractions"
-                                      % (name or what, x))
+    check_exact(name or what, m)
     return IntMat.from_dense(m, cols)
 
 
@@ -334,7 +331,7 @@ def _dickson_certificate(rep: QuiverRep) -> bool:
     transposed = [{swap[k]: x for k, x in v.items()} for _c, v in kernel]
     gram = [[sum(x * u.get(k, 0) for k, x in v.items()) for u in transposed]
             for _c, v in kernel]
-    return rank(gram) == 1
+    return IntMat(sparse_rows(gram), 1, len(gram)).rank() == 1
 
 
 def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
@@ -365,7 +362,7 @@ def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
 # Harish-Chandra diagram fragments
 
 
-@dataclass
+@dataclass(frozen=True)
 class HCFragment:
     """The finite fragment M_{-l-1}, M_{-l+1}, ..., M_{l-1}, M_{l+1} with
     raising steps X and lowering steps Y; for l = 0 just the pair
@@ -396,8 +393,9 @@ class HCFragment:
             if self.z_minus is None or self.z_plus is None:
                 raise DomainError("l = 0 fragment needs z_minus and z_plus")
             n_plus, n_minus = len(self.z_minus), len(self.z_plus)
-            m = self.int_maps = {"z_minus": _int_matrix("z_minus", self.z_minus, n_plus, n_minus),
-                                 "z_plus": _int_matrix("z_plus", self.z_plus, n_minus, n_plus)}
+            m = {"z_minus": _int_matrix("z_minus", self.z_minus, n_plus, n_minus),
+                 "z_plus": _int_matrix("z_plus", self.z_plus, n_minus, n_plus)}
+            object.__setattr__(self, "int_maps", m)
             if (m["z_plus"] @ m["z_minus"]).nilpotency_degree() is None:
                 raise DomainError("end composite is not nilpotent")
             return
@@ -406,10 +404,11 @@ class HCFragment:
         if None in (self.x_minus, self.y_minus, self.x_plus, self.y_plus):
             raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
         n0, n1, n2 = len(self.y_minus), len(self.x_minus), len(self.x_plus)
-        m = self.int_maps = {"x_minus": _int_matrix("x_minus", self.x_minus, n1, n0),
-                             "y_minus": _int_matrix("y_minus", self.y_minus, n0, n1),
-                             "x_plus": _int_matrix("x_plus", self.x_plus, n2, n1),
-                             "y_plus": _int_matrix("y_plus", self.y_plus, n1, n2)}
+        m = {"x_minus": _int_matrix("x_minus", self.x_minus, n1, n0),
+             "y_minus": _int_matrix("y_minus", self.y_minus, n0, n1),
+             "x_plus": _int_matrix("x_plus", self.x_plus, n2, n1),
+             "y_plus": _int_matrix("y_plus", self.y_plus, n1, n2)}
+        object.__setattr__(self, "int_maps", m)
         for key in ("xs", "ys"):
             interior = []
             for i, x in enumerate(getattr(self, key)):
@@ -437,12 +436,6 @@ class HCFragment:
         for y in self.int_maps["ys"]:
             out = out @ y
         return out
-
-    def x_star(self) -> Mat:
-        return self._int_x_star().to_dense()
-
-    def y_star(self) -> Mat:
-        return self._int_y_star().to_dense()
 
     def to_json(self) -> dict:
         enc = lambda m: None if m is None else [[str(x) for x in row] for row in m]
@@ -515,26 +508,27 @@ def _casimir_ends(frag: HCFragment) -> Tuple[IntMat, IntMat]:
             _casimir(gamma, m["x_minus"] @ m["y_minus"]))
 
 
-def _poly_in_matrix(target: Mat, base: Mat) -> List[Fraction]:
+def _poly_in_matrix(target: IntMat, base: IntMat) -> List[Fraction]:
     """Least-degree coefficients p with sum p_j base^j = target.  On the
     zero space every p matches; p = 1 is returned.  By Cayley-Hamilton the
-    powers below base^n span every polynomial in base, so n solves decide."""
-    n = len(base)
+    powers below base^n span every polynomial in base, so one solve over
+    them decides: its pivots run left to right, so its solution is the
+    unique one on the first independent powers, cut of trailing zeros."""
+    n = base.cols
     if not n:
         return [Fraction(1)]
-    powers = [identity(n)]
-    for deg in range(n):
-        cols = []
-        for p in powers:
-            cols.append([p[i][j] for i in range(n) for j in range(n)])
-        rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
-        b = [target[i][j] for i in range(n) for j in range(n)]
-        sol = solve_linear(rows, b)
-        if sol is not None:
-            return sol
-        powers.append(mat_mul(powers[-1], base))
-    raise DomainError("matrix is not polynomial in the Casimir action "
-                      "(fragment not Casimir-consistent)")
+    powers = [IntMat.identity(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ base)
+    flat = [[x for row in power.to_dense() for x in row] for power in powers]
+    p = solve_linear([list(entry) for entry in zip(*flat)],
+                     [x for row in target.to_dense() for x in row])
+    if p is None:
+        raise DomainError("matrix is not polynomial in the Casimir action "
+                          "(fragment not Casimir-consistent)")
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    return p
 
 
 def iso_two_descriptions(frag: HCFragment):
@@ -555,7 +549,7 @@ def iso_two_descriptions(frag: HCFragment):
     y_star = frag._int_y_star()
     c0, c1 = _casimir_ends(frag)
     yx_star = y_star @ x_star
-    p = _poly_in_matrix(yx_star.to_dense(), c1.to_dense())
+    p = _poly_in_matrix(yx_star, c1)
     t = IntMat([[] for _ in c0.rows], 1, c0.cols)
     for coeff in reversed(p):   # T = p(C_0) by Horner's rule
         t = (c0 @ t).affine(coeff, 1)

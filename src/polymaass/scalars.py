@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -45,6 +45,17 @@ def json_rational(x) -> Fraction:
     if not isinstance(x, (int, str)) or isinstance(x, bool):
         raise TypeError("a rational must be an int or a string, not %r" % (x,))
     return Fraction(x)
+
+
+def check_exact(what: str, rows: Sequence[Sequence]) -> None:
+    """Raise DomainError, naming what, unless every entry of the rows is an
+    int or a Fraction; a bool, a float or a string is refused."""
+    if not {type(x) for row in rows for x in row} <= {int, Fraction}:
+        for row in rows:
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise DomainError("%s has the entry %r; entries must be ints or Fractions"
+                                      % (what, x))
 
 
 class Scalar:

@@ -11,18 +11,18 @@ emitted form reproduce the emitted w_0 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 from typing import List, Optional, Tuple
 
 from . import BK_CASES
 
-# rref is not used here; the benchmark's tracer finds the linear algebra
-# functions, rref among them, under this module's names
-from .linalg import (IntSparseRows, Mat, Vec, inverse, kernel, mat_mul, mat_pow,
-                     mat_vec, rref, solve_linear, sparse_rows, zeros)
-from .scalars import Scalar, json_int, json_rational, malformed_json
+# rref is not used here; the benchmark's tracer finds rref, kernel,
+# solve_linear, mat_mul and mat_vec under this module's names
+from .linalg import (IntMat, IntSparseRows, Mat, Vec, kernel, mat_mul, mat_pow, mat_vec,
+                     rref, solve_linear, sparse_rows, zeros)
+from .scalars import Scalar, check_exact, json_int, json_rational, malformed_json
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, _expand, apply_flip, apply_power, atom_incoherent,
                       form_of, laplace_closure, local_eigen_poly)
@@ -81,21 +81,18 @@ class WModel:
         bidiagonal)."""
         return tuple(sparse_rows(M) for M in self.matrices())
 
+    def _int_block_delta(self, d: int) -> IntMat:
+        """block_delta as an IntMat: row t n + i is row i of C, B, A at
+        source layers t - 2, t - 1, t."""
+        bands = self.bands()
+        n = self.m + 1
+        rows = [[((t - s) * n + j, x) for s in range(min(t, 2), -1, -1) for j, x in bands[s][i]]
+                for t in range(d + 1) for i in range(n)]
+        return IntMat(rows, 1, n * (d + 1))
+
     def block_delta(self, d: int) -> Mat:
         """The operator A + T B + T^2 C on W_d, layer-major indexing."""
-        A, B, C = self.matrices()
-        n = self.m + 1
-        size = n * (d + 1)
-        D = zeros(size, size)
-        for t_src in range(d + 1):
-            for t_dst, blk in ((t_src, A), (t_src + 1, B), (t_src + 2, C)):
-                if t_dst > d:
-                    continue
-                for i in range(n):
-                    for j in range(n):
-                        if blk[i][j]:
-                            D[t_dst * n + i][t_src * n + j] = blk[i][j]
-        return D
+        return self._int_block_delta(d).to_dense()
 
 
 def apply_banded(bands: Tuple[IntSparseRows, IntSparseRows, IntSparseRows],
@@ -128,7 +125,7 @@ class GradedVector:
     branch: str
     d: int
     layers: List[Vec]
-    preimage_scale: Fraction = field(default_factory=lambda: Fraction(1))
+    preimage_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.branch not in ("L", "R"):
@@ -138,6 +135,10 @@ class GradedVector:
         if len(self.layers) != self.d + 1 or any(len(v) != self.m + 1 for v in self.layers):
             raise DomainError("a graded vector needs d + 1 = %d layers of m + 1 = %d entries"
                               % (self.d + 1, self.m + 1))
+        check_exact("layers", self.layers)
+        check_exact("preimage_scale", [[self.preimage_scale]])
+        self.layers = [[Fraction(x) for x in layer] for layer in self.layers]
+        self.preimage_scale = Fraction(self.preimage_scale)
         if self.preimage_scale == 0:
             raise DomainError("preimage_scale must be nonzero")
 
@@ -210,12 +211,12 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     A u - mu w_0 = rest, with rest = sum_t mu_t u_{d-t} - B u_{d-1} -
     C u_{d-2}, and u_m = 0 form the square system
     [[A, -w_0], [e_m^T, 0]] (u, mu) = (rest, 0), whose inverse is taken
-    once per call.  It is nonsingular exactly when w_0 is not in the image
-    of A: rank A = n - 1, since every superdiagonal entry of A is -1 on the
-    L branch and every subdiagonal entry is -(r+1)(m-r) != 0 on the R
-    branch; so ker A = span(w_0), and w_0[m] != 0.  The image of A is the
-    kernel of v -> v[m] (L; row m of A is zero) or of alternating_trace
-    (R), so that functional decides.
+    once per call as an IntMat.  It is nonsingular exactly when w_0 is not
+    in the image of A: rank A = n - 1, since every superdiagonal entry of A
+    is -1 on the L branch and every subdiagonal entry is -(r+1)(m-r) != 0
+    on the R branch; so ker A = span(w_0), and w_0[m] != 0.  The image of A
+    is the kernel of v -> v[m] (L; row m of A is zero) or of
+    alternating_trace (R), so that functional decides.
     """
     model = WModel(k, m, branch)
     if d < 0:
@@ -227,25 +228,30 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     w0 = build_w0(k, m, branch).layers[0]
     A, B, C = model.matrices()
     n = m + 1
-    inv = inverse([row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]])
+    inv = IntMat.from_dense([row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]]).inverse()
     if inv is None:
         raise DomainError("w0 lies in the image of A, so no layer is solvable "
                           "(k=%d, m=%d, %s)" % (k, m, branch))
 
-    minus_bc = [[-x for x in b + c] for b, c in zip(B, C)]   # -[B | C]
+    minus_bc = IntMat.from_dense([[-x for x in b + c] for b, c in zip(B, C)])   # -[B | C]
     layers: List[Vec] = [w0]
     mus: List[Fraction] = []
     for step in range(1, d + 1):
-        rest = mat_vec(minus_bc, layers[-1] + (layers[-2] if step >= 2 else [0] * n))
+        rest = _times(minus_bc, layers[-1] + (layers[-2] if step >= 2 else [0] * n))
         for t in range(1, step):
             rest = [a + mus[t - 1] * b for a, b in zip(rest, layers[step - t])]
-        *u, mu = mat_vec(inv, rest + [0])
+        *u, mu = _times(inv, rest + [0])
         layers.append(u)
         mus.append(mu)
     nu = mus[0] ** d if d > 0 else Fraction(1)
     gv = GradedVector(k, m, branch, d, layers, nu)
     _check_generalized_eigenvector(model, gv)
     return gv
+
+
+def _times(m: IntMat, v: Vec) -> Vec:
+    """The product m v, as Fractions, through the one-column IntMat of v."""
+    return [row[0] for row in (m @ IntMat.from_dense([[x] for x in v], 1)).to_dense()]
 
 
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
@@ -274,9 +280,9 @@ def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
         raise DomainError("m and d must be nonnegative")
     w0 = build_w0(k, m, branch).layers[0]
     n = m + 1
-    D = model.block_delta(d)
-    Dd = mat_pow(D, d)
-    K = kernel(mat_mul(D, Dd))
+    D = model._int_block_delta(d)
+    Dd = D.power(d)
+    K = kernel((D @ Dd).to_dense())
     # solve for the combination with layer 0 = w0 and zero v_m on layers >= 1
     pinned = list(range(n)) + [t * n + m for t in range(1, d + 1)]
     coeffs = solve_linear([[v[i] for v in K] for i in pinned], w0 + [0] * d)
@@ -285,7 +291,7 @@ def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
                           % (k, m, branch, d))
     flat = mat_mul([coeffs], K, n * (d + 1))[0]
     layers = [flat[t * n:(t + 1) * n] for t in range(d + 1)]
-    img = mat_vec(Dd, flat)
+    img = _times(Dd, flat)
     top = img[d * n:]
     pivot = next(i for i, x in enumerate(w0) if x)
     nu = top[pivot] / w0[pivot]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,7 +17,7 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
                                  invariants_of, is_cyclic,
                                  iso_two_descriptions, random_fragment,
                                  second_description)
-from polymaass.linalg import identity, mat_mul, rref, solve_linear, zeros
+from polymaass.linalg import IntMat, identity, mat_mul, rref, solve_linear, zeros
 from polymaass.symcalc import DomainError
 
 GELFAND_TUPLES = [(t, c, d) for t in ("*", "+", "-") for c in "abcd"
@@ -377,25 +378,41 @@ def reference_poly_in_matrix(target, base):
                       "(fragment not Casimir-consistent)")
 
 
-@pytest.mark.parametrize("l", [1, 2, 3])
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_poly_in_matrix_matches_reference_loop(l, dim):
     # the (Y_* X_*, C_1) pair that iso_two_descriptions solves
     degrees = set()
     for seed in range(40):
         frag = random_fragment(l, dim, seed=seed)
-        target = mat_mul(frag.y_star(), frag.x_star(), dim)
-        base = quiverrep._casimir_ends(frag)[1].to_dense()
+        target = frag._int_y_star() @ frag._int_x_star()
+        base = quiverrep._casimir_ends(frag)[1]
         p = quiverrep._poly_in_matrix(target, base)
-        assert p == reference_poly_in_matrix(target, base)
+        assert p == reference_poly_in_matrix(target.to_dense(), base.to_dense())
         degrees.add(len(p))
     # at l = 1 or dim = 1 every target is a scalar; otherwise some seed
     # needs a power of the base
     assert (max(degrees) > 1) == (l > 1 and dim > 1)
 
 
+@pytest.mark.parametrize("target,base,p", [
+    ([[0, 0], [0, 0]], [[1, 1], [0, 1]], [0]),
+    ([[5, 0], [0, 5]], [[1, 1], [0, 1]], [5]),
+    ([[2, 3], [0, 2]], [[1, 1], [0, 1]], [-1, 3]),
+    ([[0, 0, 1], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [0, 0, 1]),
+    ([[7, 0, 0], [0, 7, 0], [0, 0, 7]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]], [Fraction(7)]),
+    ([], [], [1]),
+], ids=["zero", "scalar", "linear", "square", "scalar-base", "zero-space"])
+def test_poly_in_matrix_hand_made(target, base, p):
+    got = quiverrep._poly_in_matrix(IntMat.from_dense(target, len(target)),
+                                    IntMat.from_dense(base, len(base)))
+    assert got == p == reference_poly_in_matrix(target, base)
+    assert all(type(x) is Fraction for x in got)
+
+
 def test_poly_in_matrix_gives_up_after_n_solves(monkeypatch):
-    # diagonal entries 1 and 2 are no polynomial in a scalar base
+    # diagonal entries 1 and 2 are no polynomial in a scalar base; one
+    # solve over the n = 2 powers base^0, base^1 decides
     solves = []
 
     def counting(rows, b):
@@ -406,8 +423,8 @@ def test_poly_in_matrix_gives_up_after_n_solves(monkeypatch):
     base = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3)]]
     target = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
     with pytest.raises(DomainError, match="not Casimir-consistent"):
-        quiverrep._poly_in_matrix(target, base)
-    assert solves == [1, 2]
+        quiverrep._poly_in_matrix(IntMat.from_dense(target), IntMat.from_dense(base))
+    assert solves == [2]
     with pytest.raises(DomainError, match="not Casimir-consistent"):
         reference_poly_in_matrix(target, base)
 
@@ -487,6 +504,27 @@ def test_endomorphism_basis_dimension():
     basis = endomorphism_basis(rep)
     # local algebra Q[t]/t^2 expected for P_*-truncations
     assert len(basis) == 2
+
+
+def test_quiver_values_are_frozen():
+    rep = build_cyclic_module(CYCLIC, "+", "a", 1)
+    with pytest.raises(TypeError):
+        rep.maps["a"] = [[Fraction(0)], [Fraction(0)]]
+    with pytest.raises(TypeError):
+        rep.dims["-"] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.maps = {}
+    assert classify_cyclic(rep) == ("+", "a", 1)
+    # the rep keeps its own copy of the dicts it was built from
+    dims, maps = dict(rep.dims), dict(rep.maps)
+    copy = QuiverRep(CYCLIC, dims, maps)
+    maps["a"], dims["-"] = [[Fraction(0)], [Fraction(0)]], 5
+    assert copy == rep and copy.to_json() == rep.to_json()
+    assert rep.to_json()["dims"] == {"-": 1, "+": 2}
+    frag = random_fragment(2, 2, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frag.x_minus = frag.x_plus
+    assert frag == HCFragment.from_json(frag.to_json())
 
 
 def test_quiver_json_round_trip():

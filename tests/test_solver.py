@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from polymaass import specsolve
-from polymaass.linalg import kernel, mat_vec, rank, sparse_rows
+from polymaass.linalg import IntMat, kernel, mat_vec, rank, sparse_rows
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
                                  alternating_trace, apply_banded, brute_force_wd,
                                  build_w0, construct_case, eisenstein_family, emit_form,
@@ -342,8 +342,10 @@ def test_emit_form_matches_the_per_term_sum(branch):
 def test_negative_m_and_d_are_rejected_before_any_work(solver, monkeypatch):
     def no_work(*args):
         raise AssertionError("linear algebra ran")
-    for name in ("inverse", "kernel", "mat_pow"):
+    for name in ("kernel", "mat_mul", "mat_pow", "mat_vec", "solve_linear"):
         monkeypatch.setattr(specsolve, name, no_work)
+    for name in ("from_dense", "inverse", "power", "__matmul__"):
+        monkeypatch.setattr(IntMat, name, no_work)
     with pytest.raises(DomainError, match="^m must be nonnegative$"):
         solver(3, -5, "R", 1)
     with pytest.raises(DomainError, match="^m must be nonnegative$"):
@@ -352,6 +354,26 @@ def test_negative_m_and_d_are_rejected_before_any_work(solver, monkeypatch):
         solver(3, 2, "R", -1)
     with pytest.raises(DomainError, match="^branch must be L or R$"):
         solver(3, 2, "Q", 1)
+
+
+@pytest.mark.parametrize("layers,scale,message", [
+    ([[0.5]], 1, "layers has the entry 0.5"), ([[True]], 1, "layers has the entry True"),
+    ([["1"]], 1, "layers has the entry '1'"), ([[1]], 0.5, "preimage_scale has the entry 0.5"),
+    ([[1]], True, "preimage_scale has the entry True"),
+], ids=["float", "bool", "str", "scale-float", "scale-bool"])
+def test_graded_vector_rejects_inexact_entries(layers, scale, message):
+    with pytest.raises(DomainError) as ex:
+        GradedVector(0, 0, "L", 0, layers, scale)
+    assert str(ex.value) == message + "; entries must be ints or Fractions"
+
+
+def test_graded_vector_stores_ints_as_fractions():
+    gv = GradedVector(0, 0, "L", 3, [[1], [0], [0], [0]], 2)
+    assert all(type(x) is Fraction for layer in gv.layers for x in layer)
+    assert type(gv.preimage_scale) is Fraction
+    # an int layer once met int / int in emit_form and emitted the float 1/6
+    form = emit_form(GradedVector(0, 0, "L", 3, [[1], [0], [0], [0]]), eisenstein_family(0, 0))
+    assert [c.terms for _key, c in form.terms] == [((0, Fraction(1, 6)),)]
 
 
 def test_graded_vector_json_round_trip():
