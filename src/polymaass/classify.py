@@ -2,16 +2,23 @@
 
 The form is expanded once; L, R and Delta keep it expanded, so each
 vanishing test asks whether a form has no terms, relative to the formal
-independence model documented in symcalc.
+independence model documented in symcalc.  The Laplace tower runs in
+integers: Delta of each key of the form's Delta-closure is read once into
+sparse integer rows, each level Delta^j f is an integer vector over (key,
+pi exponent) with one denominator, and a Form is rebuilt only for the
+levels that the L and R tests read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Tuple
 
 from . import CYCLIC, GELFAND
-from .scalars import ZERO
-from .symcalc import DomainError, Form, apply_power, expand_pending, laplace_closure
+from .scalars import Scalar
+from .symcalc import DomainError, Form, _laplace_rows, apply_power, expand_pending
 
 # the cyclic quiver module (quiver, generator type, case) of each label
 BK_TO_MODULE = {
@@ -66,33 +73,51 @@ class CaseLabel:
                 "k": ctx.k, "l": ctx.l, "gamma": ctx.gamma}
 
 
-def _laplace_tower(f: Form) -> list[Form]:
-    """[f, Delta f, ..., Delta^d f] with Delta^{d+1} f = 0, for an expanded f.
+def _laplace_tower(f: Form) -> Tuple[list, list]:
+    """The Delta-closure's key pool of an expanded f, and the levels f,
+    Delta f, ..., Delta^d f with Delta^{d+1} f = 0.
 
-    Delta maps the span of the N atoms in the Delta-closure of f's atoms
-    into itself, so its nilpotent part there has index at most N: when
-    Delta^N f is not zero, f is not polyharmonic.  Each step reuses the
-    closure's images of single atoms.
+    A level (vec, den) is the integer vector vec over (key index, pi
+    exponent), without zeros, over the positive den, in lowest terms; it
+    vanishes when vec is empty.  Delta maps the span of the N keys of the
+    closure into itself, so its nilpotent part there has index at most N:
+    when Delta^N f is not zero, f is not polyharmonic.
     """
-    image = laplace_closure(key for key, _c in f.terms)
-    tower = [f]
-    steps = max(len(image), 1)
+    pool, rows, delta_den = _laplace_rows(key for key, _c in f.terms)
+    den = lcm(*(q.denominator for _key, c in f.terms for _e, q in c.terms))
+    # f's keys open the pool, in order
+    levels = [({(i, e): q.numerator * (den // q.denominator)
+                for i, (_key, c) in enumerate(f.terms) for e, q in c.terms}, den)]
+    steps = max(len(pool), 1)
     for _ in range(steps):
+        vec, den = levels[-1]
         acc = {}
-        for key, c in tower[-1].terms:
-            for key2, c2 in image[key].terms:
-                acc[key2] = acc.get(key2, ZERO) + c * c2
-        g = Form._make(f.weight, acc)
-        if g.is_empty():
-            return tower
-        tower.append(g)
+        for (i, e), x in vec.items():
+            for j, s, y in rows[i]:
+                key = (j, e + s)
+                acc[key] = acc.get(key, 0) + x * y
+        acc = {key: x for key, x in acc.items() if x}
+        if not acc:
+            return pool, levels
+        den *= delta_den
+        g = gcd(den, *acc.values())
+        levels.append(({key: x // g for key, x in acc.items()}, den // g))
     raise DomainError("form is not annihilated by Delta^%d, the size of its "
                       "Delta-closure; not polyharmonic" % steps)
 
 
+def _level_form(pool: list, weight: int, level) -> Form:
+    """The Form of a level of the tower over the key pool."""
+    vec, den = level
+    terms = {}
+    for (i, e), x in sorted(vec.items()):
+        terms.setdefault(pool[i], []).append((e, Fraction(x, den)))
+    return Form._make(weight, {key: Scalar._make(tuple(t)) for key, t in terms.items()})
+
+
 def exact_depth(f: Form) -> int:
     """Smallest d with Delta^{d+1} f = 0; DomainError when there is none."""
-    return len(_laplace_tower(expand_pending(f))) - 1
+    return len(_laplace_tower(expand_pending(f))[1]) - 1
 
 
 def classify_bk(f: Form) -> CaseLabel:
@@ -101,8 +126,8 @@ def classify_bk(f: Form) -> CaseLabel:
     if f.is_empty():
         raise DomainError("cannot classify the zero form")
     k = f.weight
-    tower = _laplace_tower(f)
-    d, top = len(tower) - 1, tower[-1]
+    pool, levels = _laplace_tower(f)
+    d, top = len(levels) - 1, _level_form(pool, k, levels[-1])
 
     def lowering_test(power: int, g: Form) -> bool:
         return apply_power(g, "L", power).is_empty()
@@ -115,7 +140,7 @@ def classify_bk(f: Form) -> CaseLabel:
     elif k == 1:
         bk = "IIa" if lowering_test(1, top) else "IIb"
     else:
-        if d >= 1 and lowering_test(k, tower[d - 1]):
+        if d >= 1 and lowering_test(k, _level_form(pool, k, levels[d - 1])):
             return CaseLabel("IIId", d, WeightContext(k))
         if lowering_test(1, top):
             bk = "IIIa"

@@ -5,12 +5,14 @@ rational matrix held as sparse integer rows (the nonzero (column, value)
 pairs of each row) over one positive denominator, in lowest terms.  A
 product is one integer product over the product of the denominators; a
 power, a nilpotency check, a rank, a kernel and an inverse run in
-integers too, so a chain of them builds no Fraction.  The public
-functions take and return dense matrices and are thin wrappers over
-IntMat: a dense matrix is cleared of denominators once on the way in (its
-lcm), and an entry becomes a Fraction only when the result is read off.
-Int and Fraction input give Fraction output; a matrix-vector product is
-the product with a one-column matrix.
+integers too, so a chain of them builds no Fraction; ``solve`` takes a
+rational right-hand side and returns the solution as Fractions.  The
+public functions take and return dense matrices and are thin wrappers
+over IntMat: a dense matrix is cleared of denominators once on the way in
+(its lcm), and an entry becomes a Fraction only when the result is read
+off.  Int and Fraction input give Fraction output; a matrix-vector product
+is the product with a one-column matrix, and solve_linear is
+IntMat.solve.
 
 Elimination runs on sparse rows, one ``{column: value}`` dict per row
 that stores only nonzero entries, so a row update costs the pivot row's
@@ -215,6 +217,20 @@ class IntMat:
                                 for j, x in row.items() if j >= n)
                          for i, row in enumerate(rows)], den, n)
 
+    def solve(self, rhs: Vec) -> Optional[Vec]:
+        """One exact solution x of M x = rhs, with the free variables set
+        to 0, or None when there is none; rhs holds ints and Fractions.
+        The elimination runs on the integer rows of [M | rhs]."""
+        n = self.cols
+        augmented = IntMat.beside([self, IntMat.from_dense([[b] for b in rhs], 1)])
+        rows, pivots = _eliminate(map(dict, augmented.rows))
+        if n in pivots:
+            return None
+        x = [Fraction(0)] * n
+        for r, pc in zip(rows, pivots):
+            x[pc] = Fraction(r.get(n, 0), r[pc])
+        return x
+
 
 def mat_mul(a: Mat, b: Mat, cols: Optional[int] = None) -> Mat:
     """The product a b.  The column count is read from b unless given;
@@ -347,13 +363,4 @@ def solve_linear(m: Mat, b: Vec, cols: Optional[int] = None) -> Optional[Vec]:
     """One exact solution of m x = b (free variables set to 0), or None.
     The unknown count is read from m unless given; give it when m can
     have no rows."""
-    if cols is None:
-        cols = len(m[0]) if m else 0
-    augmented = IntMat.from_dense([row + [bi] for row, bi in zip(m, b)], cols + 1)
-    rows, pivots = _eliminate(map(dict, augmented.rows))
-    if cols in set(pivots):
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in zip(rows, pivots):
-        x[pc] = Fraction(r.get(cols, 0), r[pc])
-    return x
+    return IntMat.from_dense(m, cols).solve(b)

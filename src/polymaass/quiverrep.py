@@ -11,11 +11,12 @@ nilpotent Jordan block.
 
 A QuiverRep or HCFragment is frozen and checks its invariants once, when
 it is built; the functions that take one do not check again.  A QuiverRep
-holds its dims and maps as read-only mappings.  Building one also reads
-each map once into an integer matrix (linalg.IntMat), kept in the plain
-attribute ``int_maps``; every product, inverse, rank and nilpotency check
-below runs on those, and Fractions are built only for the public fields
-and return values.
+holds its dims and maps as read-only mappings, and both hold every matrix
+as a tuple of row tuples, so that no entry changes in place.  Building one
+also reads each map once into an integer matrix (linalg.IntMat), kept in
+the plain attribute ``int_maps``; every product, inverse, rank and
+nilpotency check below runs on those, and Fractions are built only for the
+public fields and return values.
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ class QuiverRep:
         names = [name for name, _src, _dst in ARROWS[self.quiver]]
         if set(self.maps) != set(names):
             raise DomainError("maps must give exactly the arrows %s" % (names,))
-        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
-        object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
         object.__setattr__(self, "int_maps", {
             name: _int_matrix("arrow " + name, m, self.dims[dst], self.dims[src])
             for name, src, dst, m in self.arrows()})
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
+        object.__setattr__(self, "maps", MappingProxyType(
+            {name: _frozen(m) for name, m in self.maps.items()}))
         self.check_relation()
 
     def dim_vector(self) -> Tuple[int, ...]:
@@ -105,6 +107,11 @@ def _matrix_from_json(m) -> Mat:
     if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
         raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
     return [[json_rational(x) for x in row] for row in m]
+
+
+def _frozen(m: Mat) -> Mat:
+    """m as a tuple of row tuples, so that no entry can be changed in place."""
+    return tuple(map(tuple, m))
 
 
 def _int_matrix(what: str, m: Mat, rows: int, cols: int, name: Optional[str] = None) -> IntMat:
@@ -261,7 +268,7 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     dims = {n: a.dims[n] + b.dims[n] for n in NODES[a.quiver]}
     maps = {}
     for name, src, dst, ma in a.arrows():
-        pad_a, pad_b = [Fraction(0)] * b.dims[src], [Fraction(0)] * a.dims[src]
+        pad_a, pad_b = (Fraction(0),) * b.dims[src], (Fraction(0),) * a.dims[src]
         maps[name] = [row + pad_a for row in ma] + [pad_b + row for row in b.maps[name]]
     return QuiverRep(a.quiver, dims, maps)
 
@@ -396,6 +403,7 @@ class HCFragment:
             m = {"z_minus": _int_matrix("z_minus", self.z_minus, n_plus, n_minus),
                  "z_plus": _int_matrix("z_plus", self.z_plus, n_minus, n_plus)}
             object.__setattr__(self, "int_maps", m)
+            self._freeze(own)
             if (m["z_plus"] @ m["z_minus"]).nilpotency_degree() is None:
                 raise DomainError("end composite is not nilpotent")
             return
@@ -417,10 +425,18 @@ class HCFragment:
                     raise DomainError("interior map is not invertible")
                 interior.append(x)
             m[key] = tuple(interior)
+        self._freeze(own)
         if (m["x_minus"] @ m["y_minus"]).nilpotency_degree() is None:
             raise DomainError("lower end composite is not nilpotent")
         if (m["x_plus"] @ m["y_plus"]).nilpotency_degree() is None:
             raise DomainError("upper end composite is not nilpotent")
+
+    def _freeze(self, names) -> None:
+        """Hold the named maps, once checked, as tuples of row tuples."""
+        for name in names:
+            m = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(_frozen, m)) if name in ("xs", "ys")
+                               else _frozen(m))
 
     def _int_x_star(self) -> IntMat:
         """X_* = X_{l-1} ... X_1, the identity for l = 1."""

@@ -58,6 +58,22 @@ def check_exact(what: str, rows: Sequence[Sequence]) -> None:
                                       % (what, x))
 
 
+def exact_int(what: str, x) -> int:
+    """x when it is an int; DomainError, naming what, for a bool or any
+    other type."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError("%s must be an int, not %r" % (what, x))
+    return x
+
+
+def exact_rational(what: str, q) -> Fraction:
+    """q as a Fraction when it is an int or a Fraction; DomainError, naming
+    what, for a bool, a float, a string or any other type."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise DomainError("%s must be an int or a Fraction, not %r" % (what, q))
+    return Fraction(q)
+
+
 class Scalar:
     """A finite sum q_0*pi^e_0 + q_1*pi^e_1 + ... with distinct integer e_i.
 
@@ -74,7 +90,8 @@ class Scalar:
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[int, Fraction] = {}
         for e, q in items:
-            q = Fraction(q)
+            if type(q) is not Fraction:
+                q = exact_rational("a scalar coefficient", q)
             if q:
                 acc[e] = acc.get(e, Fraction(0)) + q
         self._terms = tuple(sorted((e, q) for e, q in acc.items() if q))
@@ -93,7 +110,7 @@ class Scalar:
     @staticmethod
     def pi_power(e: int, q: RationalLike = 1) -> "Scalar":
         if type(q) is not Fraction:
-            q = Fraction(q)
+            q = exact_rational("a scalar coefficient", q)
         return Scalar._make(((e, q),)) if q else ZERO
 
     @property
@@ -170,7 +187,8 @@ class Scalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
+            # a comparison never raises: a bool compares as its int
+            other = Scalar.pi_power(0, Fraction(other))
         if not isinstance(other, Scalar):
             return NotImplemented
         return self._terms == other._terms

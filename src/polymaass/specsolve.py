@@ -14,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt, lcm
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import BK_CASES
 
 # rref is not used here; the benchmark's tracer finds rref, kernel,
 # solve_linear, mat_mul and mat_vec under this module's names
-from .linalg import (IntMat, IntSparseRows, Mat, Vec, kernel, mat_mul, mat_pow, mat_vec,
-                     rref, solve_linear, sparse_rows, zeros)
-from .scalars import Scalar, check_exact, json_int, json_rational, malformed_json
+from .linalg import (IntMat, IntSparseRows, Mat, Vec, kernel, mat_mul, mat_vec, rref,
+                     solve_linear, sparse_rows)
+from .scalars import Scalar, check_exact, exact_int, json_int, json_rational, malformed_json
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, _expand, apply_flip, apply_power, atom_incoherent,
-                      form_of, laplace_closure, local_eigen_poly)
+                      SpectralAtom, _expand, _laplace_rows, apply_flip, apply_power,
+                      atom_incoherent, form_of, local_eigen_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,8 @@ class GradedVector:
     def __post_init__(self):
         if self.branch not in ("L", "R"):
             raise DomainError("branch must be L or R")
+        for name in ("k", "m", "d"):
+            exact_int(name, getattr(self, name))
         if self.m < 0 or self.d < 0:
             raise DomainError("m and d must be nonnegative")
         if len(self.layers) != self.d + 1 or any(len(v) != self.m + 1 for v in self.layers):
@@ -401,8 +403,10 @@ def preimage_incoherent(disc: int, d: int) -> Form:
 # direct preimage chains over a Delta-stable atom span
 
 
-def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]], Mat, List[int]]:
-    """Close the seed atoms under the Laplacian and return the exact matrix.
+def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]], IntMat,
+                                               List[int]]:
+    """Close the seed atoms under the Laplacian and return the exact matrix,
+    as an IntMat.
 
     Basis member i is pi^{p_i} times the raw atom, and the returned list
     holds the exponents p_i.  They form a potential on the Delta coupling
@@ -411,19 +415,15 @@ def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]
     component of the graph is searched once, from its first atom, at
     p = 0.
     """
-    images = laplace_closure(seed_atoms)
-    pool = list(images)
-    index = {key: i for i, key in enumerate(pool)}
+    pool, rows, den = _laplace_rows(seed_atoms)
     n = len(pool)
-    M = zeros(n, n)
+    M: List[Dict[int, int]] = [{} for _ in range(n)]   # filled by increasing column i
     edges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for i, img in enumerate(images.values()):
-        for (key, c) in img.terms:
-            if len(c.terms) != 1:
+    for i, row in enumerate(rows):
+        for j, e, x in row:
+            if i in M[j]:   # a coefficient with two pi powers
                 raise DomainError("span is not pi-graded")
-            (e, q), = c.terms
-            j = index[key]
-            M[j][i] = q
+            M[j][i] = x
             edges[i].append((j, e))
             edges[j].append((i, -e))
     exps: List[Optional[int]] = [None] * n
@@ -440,7 +440,7 @@ def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]
                     stack.append(j)
                 elif exps[j] != exps[i] + e:
                     raise DomainError("span is not pi-graded")
-    return pool, M, exps
+    return pool, IntMat([list(r.items()) for r in M], den, n), exps
 
 
 def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
@@ -457,7 +457,7 @@ def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
         if [e for e, _q in c.terms] != [exps[i]]:
             raise DomainError("target does not live in the scaled span")
         b[i] = c.terms[0][1]
-    x = solve_linear(mat_pow(M, d), b)
+    x = M.power(d).solve(b)
     if x is None:
         raise DomainError("no Delta^%d preimage in the span" % d)
     return Form(target.weight, {pool[i]: Scalar.pi_power(exps[i], q)

@@ -36,11 +36,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .scalars import DomainError, Scalar, ZERO, ONE, json_int, json_rational, malformed_json
+from .scalars import (DomainError, Scalar, ZERO, ONE, exact_int, exact_rational, json_int,
+                      json_rational, malformed_json)
 
 
 class PolePointWarning(UserWarning):
@@ -288,9 +289,11 @@ def make_e_atom(m: int, r: int) -> Form:
 
 
 def _atom(family: Family, weight: int, point, laurent: int, pending=None) -> SpectralAtom:
-    """_mk_atom for an atom named from outside: DomainError when the atom
-    is identically zero."""
-    a = _mk_atom(family, weight, Fraction(point), laurent, pending)
+    """_mk_atom for an atom named from outside: DomainError when the weight
+    or the Laurent index is not an int, the point is not an int or a
+    Fraction, or the atom is identically zero."""
+    a = _mk_atom(family, exact_int("weight", weight), exact_rational("point", point),
+                 exact_int("laurent", laurent), pending)
     if a is None:
         raise DomainError("atom is identically zero")
     return a
@@ -301,13 +304,14 @@ def atom_E(weight: int, point, laurent: int = 0) -> SpectralAtom:
 
 
 def atom_P(weight: int, index: int, point, laurent: int = 0) -> SpectralAtom:
-    return _atom(Family(POINCARE, index=index), weight, point, laurent)
+    return _atom(Family(POINCARE, index=exact_int("index", index)), weight, point, laurent)
 
 
 def atom_incoherent(disc: int, order: int) -> SpectralAtom:
     """The atom printed E^-(order): derivative order+1 of the incoherent
     family at the base point (the family vanishes there)."""
-    return _atom(Family(INCOHERENT, disc=disc), 1, 0, order + 1)
+    return _atom(Family(INCOHERENT, disc=exact_int("disc", disc)), 1, 0,
+                 exact_int("order", order) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +587,23 @@ def laplace_closure(seeds) -> Dict[Tuple[PolyAtom, SpectralAtom], Form]:
         seen.update(new)
         pool.extend(new)
     return images
+
+
+def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
+    """Delta on the Delta-closure of the seeds, in integers, as (pool, rows,
+    den).  pool holds the closure's keys in laplace_closure's order, so the
+    seeds open it; rows[i] holds Delta of pool[i] as one (j, s, x) for each
+    term q pi^s of the coefficient of pool[j], with x = q * den, and den > 0
+    is the lcm of the denominators of every q.  Delta is Q-linear on
+    Q[pi^+-1] (x) atoms, so integer vectors over (key index, pi exponent)
+    carry every form of the span exactly, pi-graded or not."""
+    images = laplace_closure(seeds)
+    index = {key: j for j, key in enumerate(images)}
+    terms = [[(index[key], s, q) for key, c in img.terms for s, q in c.terms]
+             for img in images.values()]
+    den = lcm(*(q.denominator for row in terms for _j, _s, q in row))
+    return list(images), [[(j, s, q.numerator * (den // q.denominator)) for j, s, q in row]
+                          for row in terms], den
 
 
 def expand_pending(f: Form) -> Form:

@@ -1,19 +1,20 @@
 import hashlib
 import warnings
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from polymaass.classify import (BK_TO_REPR, REPR_TO_BK, CaseLabel,
-                                WeightContext, _laplace_tower, classify_bk,
+                                WeightContext, _laplace_tower, _level_form, classify_bk,
                                 exact_depth, expected_dimension_vector)
-from polymaass.scalars import Scalar
+from polymaass.scalars import ZERO, Scalar
 from polymaass.specsolve import construct_case, delta_matrix_on_span, delta_preimage_on_span
-from polymaass.symcalc import (DEFAULT_POLES, EISENSTEIN, POINCARE, DomainError, Family,
-                               PolePointWarning, PolyAtom, SpectralAtom, apply_laplace,
-                               apply_lowering, apply_raising, atom_E, atom_P, expand_pending,
-                               form_of, forms_equal, laplace_closure, make_e_atom,
-                               pole_table, using_poles, zero_form)
+from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, EISENSTEIN, POINCARE, DomainError,
+                               Family, Form, PolePointWarning, PolyAtom, SpectralAtom,
+                               apply_laplace, apply_lowering, apply_raising, atom_E, atom_P,
+                               expand_pending, form_of, forms_equal, laplace_closure,
+                               make_e_atom, pole_table, using_poles, zero_form)
 
 
 def test_weight_context():
@@ -215,13 +216,112 @@ def test_tower_matches_iterated_laplace(label, k, d):
     for key, img in images.items():
         assert img == -apply_raising(apply_lowering(form_of(*key)))
         assert all(key2 in images for key2, _c in img.terms)
-    tower = _laplace_tower(f)
-    assert len(tower) == d + 1
+    pool, levels = _laplace_tower(f)
+    assert len(levels) == d + 1
     g = f
-    for level in tower:
-        assert level == g
+    for level in levels:
+        assert _level_form(pool, k, level) == g
         g = apply_laplace(g)
     assert g.is_empty() and forms_equal(g, zero_form(k))
+
+
+def _reference_tower(f):
+    """The Scalar-arithmetic body of _laplace_tower before the tower ran in
+    integers, verbatim: [f, Delta f, ..., Delta^d f]."""
+    image = laplace_closure(key for key, _c in f.terms)
+    tower = [f]
+    steps = max(len(image), 1)
+    for _ in range(steps):
+        acc = {}
+        for key, c in tower[-1].terms:
+            for key2, c2 in image[key].terms:
+                acc[key2] = acc.get(key2, ZERO) + c * c2
+        g = Form._make(f.weight, acc)
+        if g.is_empty():
+            return tower
+        tower.append(g)
+    raise DomainError("form is not annihilated by Delta^%d, the size of its "
+                      "Delta-closure; not polyharmonic" % steps)
+
+
+def _assert_tower_matches_reference(f):
+    """The integer tower of an expanded f has the reference's level count,
+    levels in lowest terms that rebuild to the reference's levels, and the
+    reference's error."""
+    try:
+        want = _reference_tower(f)
+    except DomainError as ex:
+        with pytest.raises(DomainError) as got:
+            _laplace_tower(f)
+        assert str(got.value) == str(ex)
+        return None
+    pool, levels = _laplace_tower(f)
+    assert len(levels) == len(want)
+    for level, form in zip(levels, want):
+        vec, den = level
+        assert den > 0 and 0 not in vec.values() and gcd(den, *vec.values()) == 1
+        assert _level_form(pool, f.weight, level) == form
+    return len(levels) - 1
+
+
+# (case, k, deepest d) of the benchmark's case forms
+BENCH_SHAPES = (("Ia", -2, 2), ("Ia", -3, 6), ("Ia", -4, 4), ("Ib", -1, 4), ("Ib", -3, 6),
+                ("Ic", -1, 8), ("Ic", -3, 4), ("Id", -1, 3), ("Id", -3, 8), ("IIa", 1, 7),
+                ("IIb", 1, 8), ("IIIa", 2, 5), ("IIIa", 3, 2), ("IIIb", 3, 9), ("IIIb", 4, 8),
+                ("IIIb", 5, 5), ("IIIb", 6, 3), ("IIIb", 7, 2), ("IIIb", 8, 1), ("IIIc", 2, 6),
+                ("IIIc", 3, 3), ("IIId", 2, 8), ("IIId", 4, 4))
+
+
+@pytest.mark.parametrize("label,k,depth", BENCH_SHAPES)
+def test_integer_tower_matches_reference_on_case_forms(label, k, depth):
+    for d in range(1 if label == "IIId" else 0, depth + 1):
+        f = expand_pending(construct_case(label, k, d))
+        assert _assert_tower_matches_reference(f) == d
+
+
+@pytest.mark.parametrize("coeff", [Scalar({0: 1, 1: 1}), Scalar({-2: Fraction(1, 3), 1: -7}),
+                                   Scalar.pi_power(5, Fraction(-4, 9))],
+                         ids=["1+pi", "pi^-2/3-7pi", "pi^5"])
+@pytest.mark.parametrize("label,k,d", [("Ia", -2, 3), ("Ib", -1, 2), ("Id", -3, 2),
+                                       ("IIb", 1, 3), ("IIIb", 3, 2), ("IIId", 2, 3)])
+def test_integer_tower_matches_reference_on_pi_combinations(label, k, d, coeff):
+    f = expand_pending(construct_case(label, k, d))
+    assert _assert_tower_matches_reference(f * coeff) == d
+    # two terms per coefficient, mixed with a lower level at another pi power
+    g = f * coeff + apply_laplace(f) * Scalar.pi_power(-1)
+    assert _assert_tower_matches_reference(g) == d
+    lab = classify_bk(f * coeff)
+    assert (lab.bk, lab.depth) == (label, d)
+
+
+@pytest.mark.parametrize("weight,point", [(4, -1), (0, 2)])
+def test_integer_tower_matches_reference_off_the_harmonic_points(weight, point):
+    f = form_of(PolyAtom(0, 0), atom_E(weight, point))
+    assert _assert_tower_matches_reference(f) is None
+    assert _assert_tower_matches_reference(f * Scalar({0: 1, 1: 1})) is None
+
+
+ONE_PLUS_PI = Scalar({0: 1, 1: 1})
+
+
+@pytest.mark.parametrize("label,k,d", [("IIIb", 3, 2), ("IIIb", 2, 3), ("IIIa", 2, 2),
+                                       ("Ib", 0, 2), ("IIId", 2, 2)])
+def test_integer_tower_matches_reference_under_a_one_plus_pi_residue(label, k, d):
+    # the default pole (E, 0, 1), and the Ib chain's (P[-1], 0, 1), with the
+    # residue (1 + pi) times the constant function
+    table = pole_table({(Family(EISENSTEIN), 0, Fraction(1)):
+                        form_of(PolyAtom(0, 0), CONST_ATOM, ONE_PLUS_PI),
+                        (P1, 0, Fraction(1)): form_of(PolyAtom(0, 0), CONST_ATOM, ONE_PLUS_PI)})
+    f = construct_case(label, k, d)
+    with warnings.catch_warnings(), using_poles(table):
+        warnings.simplefilter("ignore", PolePointWarning)
+        g = expand_pending(f)
+        # Delta meets the residue on the Poincare chains; on the Eisenstein
+        # forms the residue's R image is zero
+        seeds = [key for key, _c in g.terms]
+        assert _has_two_term_coefficient(seeds) == (label in ("Ib", "IIId"))
+        assert _assert_tower_matches_reference(g) == d
+        assert _assert_tower_matches_reference(g * ONE_PLUS_PI) == d
 
 
 def _poincare_chain_seeds(k, d, index):
@@ -256,7 +356,7 @@ SPAN_DIGESTS = {
 def test_delta_matrix_on_span_unchanged_for_poincare_chain_seeds(k, d, index):
     pool, M, exps = delta_matrix_on_span(_poincare_chain_seeds(k, d, index))
     assert all(type(e) is int for e in exps)
-    out = (pool, M, [Scalar.pi_power(e) for e in exps])
+    out = (pool, M.to_dense(), [Scalar.pi_power(e) for e in exps])
     assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == SPAN_DIGESTS[(k, d, index)]
 
 

@@ -181,6 +181,40 @@ def test_solve_linear_of_wide_entries_solves_or_reports_inconsistency(m, consist
         assert mat_vec(m, x) == b
 
 
+def reference_solve(m: Mat, b: List[Fraction], cols: int):
+    """The solution of m x = b with the free variables 0, read off the
+    reference rref of [m | b], or None when the last column is a pivot."""
+    r, pivots = reference_rref([list(row) + [bi] for row, bi in zip(m, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row, pc in zip(r, pivots):
+        x[pc] = row[cols]
+    return x
+
+
+@settings(deadline=None)
+@given(st.one_of(st.tuples(matrices(), st.just(ENTRIES)),
+                 st.tuples(wide_matrices(), st.just(WIDE))), st.booleans(), st.data())
+def test_intmat_solve_matches_the_fraction_reference(case, consistent, data):
+    m, entries = case
+    # a matrix with no rows takes its width as given
+    cols = width(m) if m else data.draw(st.integers(0, 8))
+    if consistent:
+        b = mat_vec(m, data.draw(st.lists(entries, min_size=cols, max_size=cols)))
+    else:
+        b = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
+    if not consistent and data.draw(st.booleans()):
+        b = [x.numerator for x in b]   # an int right-hand side
+    x = IntMat.from_dense(m, cols).solve(b)
+    assert x == reference_solve(m, b, cols)
+    if consistent:
+        assert x is not None
+    if x is not None:
+        assert len(x) == cols and all_fractions(x) and mat_vec(m, x) == b
+    assert solve_linear(m, b, cols) == x
+
+
 @settings(deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
 def test_mat_mul_matches_the_entry_formula(rows, inner, cols, data):

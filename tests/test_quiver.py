@@ -527,6 +527,35 @@ def test_quiver_values_are_frozen():
     assert frag == HCFragment.from_json(frag.to_json())
 
 
+def test_quiver_matrices_cannot_be_edited_in_place():
+    rep = build_cyclic_module(CYCLIC, "+", "a", 1)
+    with pytest.raises(TypeError):
+        rep.maps["a"][1][0] = Fraction(0)
+    with pytest.raises(AttributeError):
+        rep.maps["a"].append([Fraction(0)])
+    assert classify_cyclic(rep) == ("+", "a", 1)
+    # a rep built from lists holds tuples, and equals one built from them
+    lists = {name: [list(row) for row in m] for name, m in rep.maps.items()}
+    again = QuiverRep(CYCLIC, dict(rep.dims), lists)
+    assert again == rep and again.to_json() == rep.to_json()
+    assert all(type(m) is tuple and all(type(row) is tuple for row in m)
+               for m in again.maps.values())
+    lists["a"][1][0] = Fraction(0)
+    assert again == rep
+    for frag in (random_fragment(3, 2, seed=1),
+                 HCFragment(0, z_minus=[[Fraction(0)]], z_plus=[[Fraction(1)]])):
+        for name in ("x_minus", "x_plus", "y_plus", "y_minus", "z_minus", "z_plus"):
+            m = getattr(frag, name)
+            if m is not None:
+                with pytest.raises(TypeError):
+                    m[0][0] = Fraction(5)
+        for m in frag.xs + frag.ys:
+            with pytest.raises(TypeError):
+                m[0][0] = Fraction(5)
+        assert frag == HCFragment.from_json(frag.to_json())
+        assert HCFragment.from_json(frag.to_json()).to_json() == frag.to_json()
+
+
 def test_quiver_json_round_trip():
     rep = build_cyclic_module(GELFAND, "+", "b", 2)
     again = QuiverRep.from_json(rep.to_json())

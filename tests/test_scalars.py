@@ -4,7 +4,7 @@ from typing import Iterable, Mapping, Tuple, Union
 import pytest
 from hypothesis import given, strategies as st
 
-from polymaass.scalars import ONE, RationalLike, Scalar, ZERO
+from polymaass.scalars import ONE, DomainError, RationalLike, Scalar, ZERO
 
 
 def test_zero_is_empty():
@@ -223,7 +223,22 @@ def test_public_constructor_normalizes_every_input():
                   ReferenceScalar({0: Fraction(3, 2)}))
     assert_agrees(Scalar(iter([(3, 1), (-1, 2)])), ReferenceScalar({-1: 2, 3: 1}))
     assert_agrees(Scalar.pi_power(1, 0), ReferenceScalar())
-    assert_agrees(Scalar.from_rational(True), ReferenceScalar({0: 1}))
+    with pytest.raises(DomainError, match="^a scalar coefficient must be an int or a "
+                                          "Fraction, not True$"):
+        Scalar.from_rational(True)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.1, 1.0, "1", "1/2", None])
+def test_constructors_reject_inexact_coefficients(value):
+    builds = [lambda: Scalar({0: value}), lambda: Scalar([(1, value)]),
+              lambda: Scalar.from_rational(value), lambda: Scalar.pi_power(2, value)]
+    for build in builds:
+        with pytest.raises(DomainError) as ex:
+            build()
+        assert str(ex.value) == "a scalar coefficient must be an int or a Fraction, not %r" \
+            % (value,)
+    # a comparison never raises; a bool compares as its int
+    assert (Scalar.from_rational(1) == True) and not (Scalar.from_rational(2) == True)  # noqa: E712
 
 
 def test_from_json_sums_repeated_exponents():

@@ -342,9 +342,9 @@ def test_emit_form_matches_the_per_term_sum(branch):
 def test_negative_m_and_d_are_rejected_before_any_work(solver, monkeypatch):
     def no_work(*args):
         raise AssertionError("linear algebra ran")
-    for name in ("kernel", "mat_mul", "mat_pow", "mat_vec", "solve_linear"):
+    for name in ("kernel", "mat_mul", "mat_vec", "solve_linear"):
         monkeypatch.setattr(specsolve, name, no_work)
-    for name in ("from_dense", "inverse", "power", "__matmul__"):
+    for name in ("from_dense", "inverse", "power", "__matmul__", "solve"):
         monkeypatch.setattr(IntMat, name, no_work)
     with pytest.raises(DomainError, match="^m must be nonnegative$"):
         solver(3, -5, "R", 1)
@@ -365,6 +365,16 @@ def test_graded_vector_rejects_inexact_entries(layers, scale, message):
     with pytest.raises(DomainError) as ex:
         GradedVector(0, 0, "L", 0, layers, scale)
     assert str(ex.value) == message + "; entries must be ints or Fractions"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", 0.0), ("k", True), ("m", 0.0), ("m", False), ("m", "0"), ("d", True), ("d", 0.0)])
+def test_graded_vector_rejects_non_int_fields(field, value):
+    args = dict(k=0, m=0, branch="L", d=0, layers=[[1]])
+    args[field] = value
+    with pytest.raises(DomainError) as ex:
+        GradedVector(**args)
+    assert str(ex.value) == "%s must be an int, not %r" % (field, value)
 
 
 def test_graded_vector_stores_ints_as_fractions():

@@ -221,6 +221,26 @@ def test_json_rejects_identically_zero_atom():
         form_from_json(data)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: atom_P(0, 1.5, 1), "index must be an int, not 1.5"),
+    (lambda: atom_P(0, True, 1), "index must be an int, not True"),
+    (lambda: atom_E(0.0, 1), "weight must be an int, not 0.0"),
+    (lambda: atom_E(False, 1), "weight must be an int, not False"),
+    (lambda: atom_E(0, 0.1), "point must be an int or a Fraction, not 0.1"),
+    (lambda: atom_E(0, "1/2"), "point must be an int or a Fraction, not '1/2'"),
+    (lambda: atom_E(0, True), "point must be an int or a Fraction, not True"),
+    (lambda: atom_P(2, -1, 1, 1.0), "laurent must be an int, not 1.0"),
+    (lambda: atom_E(2, 0, True), "laurent must be an int, not True"),
+    (lambda: atom_incoherent(3.0, 0), "disc must be an int, not 3.0"),
+    (lambda: atom_incoherent(3, True), "order must be an int, not True"),
+    (lambda: atom_incoherent(3, 0.5), "order must be an int, not 0.5"),
+])
+def test_named_atoms_reject_inexact_values(build, message):
+    with pytest.raises(DomainError) as ex:
+        build()
+    assert str(ex.value) == message
+
+
 def test_spectral_atom_rejects_negative_laurent_index():
     # an operator step at t = 0 reads the pole table itself, so no atom
     # stands for a residue coefficient
