@@ -31,7 +31,6 @@ BK_TO_MODULE = {
 # G(elfand) or C(yclic), II for a Gelfand + generator or I otherwise, the case
 BK_TO_REPR = {bk: ("G" + ("II" if gen == "+" else "I") if quiver == GELFAND else "CI") + case
               for bk, (quiver, gen, case) in BK_TO_MODULE.items()}
-REPR_TO_BK = {v: k for k, v in BK_TO_REPR.items()}
 
 
 @dataclass(frozen=True)

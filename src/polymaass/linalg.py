@@ -1,18 +1,18 @@
 """Exact linear algebra over Fraction.
 
-Dense matrices are lists of rows.  The work runs on IntMat, an exact
-rational matrix held as sparse integer rows (the nonzero (column, value)
-pairs of each row) over one positive denominator, in lowest terms.  A
-product is one integer product over the product of the denominators; a
-power, a nilpotency check, a rank, a kernel and an inverse run in
-integers too, so a chain of them builds no Fraction; ``solve`` takes a
-rational right-hand side and returns the solution as Fractions.  The
-public functions take and return dense matrices and are thin wrappers
-over IntMat: a dense matrix is cleared of denominators once on the way in
-(its lcm), and an entry becomes a Fraction only when the result is read
-off.  Int and Fraction input give Fraction output; a matrix-vector product
-is the product with a one-column matrix, and solve_linear is
-IntMat.solve.
+The package's own code runs on IntMat, an exact rational matrix held as
+sparse integer rows (the nonzero (column, value) pairs of each row) over
+one positive denominator, in lowest terms.  A product is one integer
+product over the product of the denominators; a power, a nilpotency
+check, a rank, a kernel and an inverse run in integers too, so a chain
+of them builds no Fraction; ``solve`` takes a rational right-hand side
+and returns the solution as Fractions.
+
+Dense matrices are lists of rows.  Five thin wrappers over IntMat take
+and return them: kernel, the package's export, and solve_linear, mat_mul,
+mat_vec and rref, which the solver's oracle and quiverrep's witness call
+or the benchmark traces under specsolve's names.  Each clears its input
+of denominators once (its lcm); int and Fraction input give Fractions.
 
 Elimination runs on sparse rows, one ``{column: value}`` dict per row
 that stores only nonzero entries, so a row update costs the pivot row's
@@ -42,11 +42,6 @@ def identity(n: int) -> Mat:
     for i in range(n):
         m[i][i] = Fraction(1)
     return m
-
-
-def sparse_rows(m: List[List[int]]) -> IntSparseRows:
-    """The nonzero (column, value) pairs of each row of an int matrix."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
 def _int_mul(a: IntSparseRows, b: IntSparseRows, cols: int) -> IntSparseRows:
@@ -219,8 +214,13 @@ class IntMat:
 
     def solve(self, rhs: Vec) -> Optional[Vec]:
         """One exact solution x of M x = rhs, with the free variables set
-        to 0, or None when there is none; rhs holds ints and Fractions.
-        The elimination runs on the integer rows of [M | rhs]."""
+        to 0, or None when there is none; rhs holds ints and Fractions,
+        one per row (DomainError otherwise).  The elimination runs on the
+        integer rows of [M | rhs]."""
+        if len(rhs) != len(self.rows):
+            from .scalars import DomainError   # only here: linalg imports no package module
+            raise DomainError("right-hand side has %d entries for %d rows"
+                              % (len(rhs), len(self.rows)))
         n = self.cols
         augmented = IntMat.beside([self, IntMat.from_dense([[b] for b in rhs], 1)])
         rows, pivots = _eliminate(map(dict, augmented.rows))
@@ -241,17 +241,6 @@ def mat_mul(a: Mat, b: Mat, cols: Optional[int] = None) -> Mat:
 def mat_vec(m: Mat, v: Vec) -> Vec:
     """The product m v, through mat_mul on the one-column matrix of v."""
     return [row[0] for row in mat_mul(m, [[x] for x in v], 1)]
-
-
-def mat_pow(m: Mat, e: int) -> Mat:
-    """m^e for a square m."""
-    return IntMat.from_dense(m, len(m)).power(e).to_dense()
-
-
-def nilpotency_degree(m: Mat) -> Optional[int]:
-    """Least e with m^e = 0 for a square m, or None when m is not
-    nilpotent."""
-    return IntMat.from_dense(m, len(m)).nilpotency_degree()
 
 
 def _primitive(row: IntRow) -> IntRow:
@@ -332,17 +321,6 @@ def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
         for j, x in r.items():
             o[j] = Fraction(x, p)
     return out, pivots
-
-
-def rank(m: Mat) -> int:
-    """The rank of m: its pivot count, with no reduced form built."""
-    return IntMat.from_dense(m).rank()
-
-
-def inverse(m: Mat) -> Optional[Mat]:
-    """The inverse of a square m, or None when m is singular."""
-    inv = IntMat.from_dense(m, len(m)).inverse()
-    return None if inv is None else inv.to_dense()
 
 
 def kernel(m: Mat, cols: Optional[int] = None) -> List[Vec]:

@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import CYCLIC, GELFAND
-from .linalg import IntMat, Mat, identity, solve_linear, sparse_rows, zeros
+from .linalg import IntMat, Mat, identity, solve_linear, zeros
 from .scalars import DomainError, check_exact, json_int, json_rational, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
@@ -338,7 +338,7 @@ def _dickson_certificate(rep: QuiverRep) -> bool:
     transposed = [{swap[k]: x for k, x in v.items()} for _c, v in kernel]
     gram = [[sum(x * u.get(k, 0) for k, x in v.items()) for u in transposed]
             for _c, v in kernel]
-    return IntMat(sparse_rows(gram), 1, len(gram)).rank() == 1
+    return IntMat.from_dense(gram, len(gram)).rank() == 1
 
 
 def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
@@ -594,15 +594,15 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
     def rand_invertible() -> Tuple[IntMat, IntMat]:
         """A random invertible integer matrix and its inverse."""
         while True:
-            m = IntMat(sparse_rows([[rng.randint(-3, 3) for _ in range(dim)]
-                                    for _ in range(dim)]), 1, dim)
+            m = IntMat.from_dense([[rng.randint(-3, 3) for _ in range(dim)]
+                                   for _ in range(dim)], dim)
             if (m_inv := m.inverse()) is not None:
                 return m, m_inv
 
     def rand_nilpotent() -> IntMat:
         """A random strictly upper triangular integer matrix."""
-        return IntMat(sparse_rows([[rng.randint(-2, 2) if j > i else 0 for j in range(dim)]
-                                   for i in range(dim)]), 1, dim)
+        return IntMat.from_dense([[rng.randint(-2, 2) if j > i else 0 for j in range(dim)]
+                                  for i in range(dim)], dim)
 
     gamma = l * l - 1
     x_minus, x_minus_inv = rand_invertible()

@@ -20,9 +20,9 @@ from . import BK_CASES
 
 # rref is not used here; the benchmark's tracer finds rref, kernel,
 # solve_linear, mat_mul and mat_vec under this module's names
-from .linalg import (IntMat, IntSparseRows, Mat, Vec, kernel, mat_mul, mat_vec, rref,
-                     solve_linear, sparse_rows)
-from .scalars import Scalar, check_exact, exact_int, json_int, json_rational, malformed_json
+from .linalg import IntMat, Vec, kernel, mat_mul, mat_vec, rref, solve_linear
+from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
+                      malformed_json)
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, _expand, _laplace_rows, apply_flip, apply_power,
                       atom_incoherent, form_of, local_eigen_poly)
@@ -76,39 +76,14 @@ class WModel:
                     C[r - 1][r] = -1
         return A, B, C
 
-    def bands(self) -> Tuple[IntSparseRows, IntSparseRows, IntSparseRows]:
-        """A, B and C as sparse rows of ints (A is tridiagonal, B and C
-        bidiagonal)."""
-        return tuple(sparse_rows(M) for M in self.matrices())
-
     def _int_block_delta(self, d: int) -> IntMat:
-        """block_delta as an IntMat: row t n + i is row i of C, B, A at
-        source layers t - 2, t - 1, t."""
-        bands = self.bands()
+        """The operator A + T B + T^2 C on W_d, layer-major: row t n + i is
+        row i of C, B, A at source layers t - 2, t - 1, t."""
+        bands = [[[(j, x) for j, x in enumerate(row) if x] for row in M] for M in self.matrices()]
         n = self.m + 1
         rows = [[((t - s) * n + j, x) for s in range(min(t, 2), -1, -1) for j, x in bands[s][i]]
                 for t in range(d + 1) for i in range(n)]
         return IntMat(rows, 1, n * (d + 1))
-
-    def block_delta(self, d: int) -> Mat:
-        """The operator A + T B + T^2 C on W_d, layer-major indexing."""
-        return self._int_block_delta(d).to_dense()
-
-
-def apply_banded(bands: Tuple[IntSparseRows, IntSparseRows, IntSparseRows],
-                 layers: List[Vec]) -> List[Vec]:
-    """A + T B + T^2 C on W_d, layer by layer: output layer t is
-    A u_t + B u_{t-1} + C u_{t-2}; layers past the last input are cut off,
-    as in block_delta, and zero source layers are skipped.  Sums start
-    from 0, so int layers give int layers."""
-    n = len(bands[0])
-    out = []
-    for t in range(len(layers)):
-        srcs = [(rows, layers[t - s]) for s, rows in enumerate(bands)
-                if s <= t and any(layers[t - s])]
-        out.append([sum(x * u[j] for rows, u in srcs for j, x in rows[i])
-                    for i in range(n)])
-    return out
 
 
 @dataclass
@@ -259,18 +234,19 @@ def _times(m: IntMat, v: Vec) -> Vec:
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
     """Check Delta^d w = nu T^d w0 and Delta^{d+1} w = 0 exactly, in ints:
     w is scaled by den, the lcm of its layers' denominators, and the
-    integer bands are applied to den * w."""
-    bands = model.bands()
+    integer rows of the block operator A + T B + T^2 C are applied to
+    den * w, d times and then once more."""
+    # the block operator's denominator is 1: A, B and C have int entries
+    rows = model._int_block_delta(gv.d).rows
     n = model.m + 1
     den = lcm(*(x.denominator for layer in gv.layers for x in layer))
-    img = [[x.numerator * (den // x.denominator) for x in layer] for layer in gv.layers]
+    img = [x.numerator * (den // x.denominator) for layer in gv.layers for x in layer]
     for _ in range(gv.d):
-        img = apply_banded(bands, img)
+        img = [sum(x * img[j] for j, x in row) for row in rows]
     scale = den * gv.preimage_scale
-    expected = [[0] * n] * gv.d + [[scale * x for x in gv.layers[0]]]
-    if img != expected:
+    if img != [0] * (gv.d * n) + [scale * x for x in gv.layers[0]]:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
-    if any(x != 0 for layer in apply_banded(bands, img) for x in layer):
+    if any(sum(x * img[j] for j, x in row) for row in rows):
         raise AssertionError("iterative solution fails Delta^{d+1} w = 0")
 
 
@@ -317,7 +293,8 @@ class SpectralFamily:
     orientation: int = 1
 
     def __post_init__(self):
-        if self.orientation not in (1, -1):
+        object.__setattr__(self, "point", exact_rational("point", self.point))
+        if type(self.orientation) is not int or self.orientation not in (1, -1):
             raise DomainError("orientation must be +1 or -1")
 
     def local_eigen(self) -> Tuple[Fraction, Fraction, Fraction]:
@@ -332,11 +309,11 @@ class SpectralFamily:
 
 
 def eisenstein_family(weight: int, point, orientation: int = 1) -> SpectralFamily:
-    return SpectralFamily(Family(EISENSTEIN), weight, Fraction(point), orientation)
+    return SpectralFamily(Family(EISENSTEIN), weight, point, orientation)
 
 
 def poincare_family(weight: int, index: int, point, orientation: int = 1) -> SpectralFamily:
-    return SpectralFamily(Family(POINCARE, index=index), weight, Fraction(point), orientation)
+    return SpectralFamily(Family(POINCARE, index=index), weight, point, orientation)
 
 
 def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:

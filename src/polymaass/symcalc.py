@@ -63,6 +63,9 @@ class PolyAtom:
     r: int
 
     def __post_init__(self):
+        if type(self.m) is not int or type(self.r) is not int:
+            exact_int("m", self.m)
+            exact_int("r", self.r)
         if self.m < 0 or not (0 <= self.r <= self.m):
             raise DomainError("e-atom index out of range: m=%d, r=%d" % (self.m, self.r))
         # atoms key every form's terms; hash once, not on every dict lookup
@@ -98,6 +101,9 @@ class Family:
     def __post_init__(self):
         if self.kind not in (EISENSTEIN, POINCARE, INCOHERENT, CONSTANT):
             raise DomainError("unknown family kind %r" % (self.kind,))
+        for name in ("index", "disc"):
+            if getattr(self, name) is not None:
+                exact_int(name, getattr(self, name))
         if self.kind == POINCARE and (self.index is None or self.index == 0):
             raise DomainError("Poincare family needs a nonzero index")
         if self.kind == INCOHERENT and self.disc is None:
@@ -128,11 +134,16 @@ class SpectralAtom:
     pending: Optional[Tuple[str, int]] = None   # ("L", a) or ("R", a), a >= 1
 
     def __post_init__(self):
+        if type(self.weight) is not int or type(self.laurent) is not int:
+            exact_int("weight", self.weight)
+            exact_int("laurent", self.laurent)
+        if type(self.point) is not Fraction:
+            object.__setattr__(self, "point", exact_rational("point", self.point))
         if self.laurent < 0:
             raise DomainError("laurent index must be nonnegative, got %d" % self.laurent)
         if self.pending is not None:
             d, a = self.pending
-            if d not in ("L", "R") or a < 1:
+            if d not in ("L", "R") or type(a) is not int or a < 1:
                 raise DomainError("malformed pending operator %r" % (self.pending,))
         # atoms key every form's terms; hash the Fraction point once, not
         # on every dict lookup
@@ -278,7 +289,7 @@ def zero_form(weight: int) -> Form:
 
 
 def form_of(e: PolyAtom, a: SpectralAtom, coeff=ONE) -> Form:
-    if isinstance(coeff, (int, Fraction)):
+    if not isinstance(coeff, Scalar):
         coeff = Scalar.from_rational(coeff)
     return Form(e.weight + a.effective_weight, {(e, a): coeff})
 
@@ -304,13 +315,13 @@ def atom_E(weight: int, point, laurent: int = 0) -> SpectralAtom:
 
 
 def atom_P(weight: int, index: int, point, laurent: int = 0) -> SpectralAtom:
-    return _atom(Family(POINCARE, index=exact_int("index", index)), weight, point, laurent)
+    return _atom(Family(POINCARE, index=index), weight, point, laurent)
 
 
 def atom_incoherent(disc: int, order: int) -> SpectralAtom:
     """The atom printed E^-(order): derivative order+1 of the incoherent
     family at the base point (the family vanishes there)."""
-    return _atom(Family(INCOHERENT, disc=exact_int("disc", disc)), 1, 0,
+    return _atom(Family(INCOHERENT, disc=disc), 1, 0,
                  exact_int("order", order) + 1)
 
 

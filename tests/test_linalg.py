@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymaass
-from polymaass.linalg import (IntMat, Mat, identity, inverse, kernel, mat_mul, mat_pow,
-                              mat_vec, nilpotency_degree, rank, rref, solve_linear, zeros)
+from polymaass.linalg import (IntMat, Mat, identity, kernel, mat_mul, mat_vec, rref,
+                              solve_linear, zeros)
+from polymaass.scalars import DomainError
 
 
 # The dense Gauss-Jordan elimination the package used before elimination
@@ -127,6 +129,19 @@ def test_rref_and_solve_linear_of_a_matrix_with_no_rows_take_the_given_width():
     assert rref([], 3) == rref([]) == ([], [])
     r, pivots = rref([[0, 2, 4]], 3)
     assert (r, pivots) == ([[0, 1, 2]], [1]) and all_fractions(r[0])
+
+
+@pytest.mark.parametrize("m,b,cols", [([[1, 0]], [1, 2], 2), ([[1, 0], [0, 1]], [1], 2),
+                                      ([], [1], 3), ([], [0, 0], 2)],
+                         ids=["extra-entry", "missing-entry", "no-rows", "no-rows-zeros"])
+def test_solve_refuses_a_right_hand_side_of_the_wrong_length(m, b, cols):
+    # pairing rows with entries would drop the inconsistent 0 = 2 of [[1, 0]] x = (1, 2)
+    message = "^right-hand side has %d entries for %d rows$" % (len(b), len(m))
+    with pytest.raises(DomainError, match=message):
+        solve_linear(m, b, cols)
+    with pytest.raises(DomainError, match=message):
+        IntMat.from_dense(m, cols).solve(b)
+    assert IntMat.from_dense(m, cols).solve([0] * len(m)) == [0] * cols
 
 
 # numerators and denominators up to 2^200, so that one row mixes large
@@ -278,22 +293,25 @@ def square_matrices(draw, max_n=5):
 
 @settings(deadline=None)
 @given(square_matrices())
-def test_mat_pow_matches_repeated_products(m):
+def test_int_mat_power_matches_repeated_products(m):
+    v = IntMat.from_dense(m, len(m))
     for e in range(10):
-        p = mat_pow(m, e)
-        assert p == repeated_product(m, e)
-        assert all_fractions(x for row in p for x in row)
+        p = v.power(e)
+        assert p == IntMat.from_dense(repeated_product(m, e), len(m))
+        assert in_lowest_terms(p)
 
 
-def test_mat_pow_edge_cases():
-    assert mat_pow([], 0) == mat_pow([], 5) == []
-    assert mat_pow([[2, 1], [0, 3]], 0) == identity(2)
-    p = mat_pow([[2, 1], [0, 3]], 3)
-    assert p == [[8, 19], [0, 27]] and all_fractions(x for row in p for x in row)
-    nil = [[0, 1, 5], [0, 0, 2], [0, 0, 0]]
-    assert mat_pow(nil, 3) == zeros(3, 3) and mat_pow(nil, 2) == [[0, 0, 2], [0, 0, 0], [0, 0, 0]]
+def test_int_mat_power_edge_cases():
+    empty = IntMat.from_dense([])
+    assert empty.power(0) == empty.power(5) == empty == IntMat([], 1, 0)
+    m = IntMat.from_dense([[2, 1], [0, 3]])
+    assert m.power(0) == IntMat.identity(2)
+    assert m.power(3) == IntMat.from_dense([[8, 19], [0, 27]])
+    nil = IntMat.from_dense([[0, 1, 5], [0, 0, 2], [0, 0, 0]])
+    assert nil.power(3) == IntMat.from_dense(zeros(3, 3))
+    assert nil.power(2) == IntMat.from_dense([[0, 0, 2], [0, 0, 0], [0, 0, 0]])
     d = 4 * 2 ** 15
-    assert mat_pow([[Fraction(1, d)]], 9) == [[Fraction(1, d ** 9)]]
+    assert IntMat.from_dense([[Fraction(1, d)]]).power(9) == IntMat([[(0, 1)]], d ** 9, 1)
 
 
 def entry_product(a: Mat, b: Mat, cols: int) -> Mat:
@@ -334,12 +352,12 @@ def test_mat_vec_matches_the_entry_formula(rows, cols, entries, data):
 
 @settings(deadline=None)
 @given(st.integers(0, 4), st.data())
-def test_mat_pow_of_wide_entries_matches_the_entry_formula(n, data):
+def test_int_mat_power_of_wide_entries_matches_the_entry_formula(n, data):
     m = [data.draw(st.lists(WIDE_OR_INT, min_size=n, max_size=n)) for _ in range(n)]
+    v = IntMat.from_dense(m, n)
     expected = identity(n)
     for e in range(5):
-        p = mat_pow(m, e)
-        assert p == expected and all_fractions(x for row in p for x in row)
+        assert v.power(e) == IntMat.from_dense(expected, n)
         expected = entry_product(expected, m, n)
 
 
@@ -393,8 +411,8 @@ def conjugated_triangular(draw, max_n=5):
 @given(conjugated_triangular())
 def test_nilpotency_degree_of_a_conjugate_matches_the_reference(pair):
     m, t = pair
-    degree = nilpotency_degree(m)
-    assert degree == reference_nilpotency_degree(m) == nilpotency_degree(t)
+    degree = IntMat.from_dense(m).nilpotency_degree()
+    assert degree == reference_nilpotency_degree(m) == IntMat.from_dense(t).nilpotency_degree()
     # nilpotent exactly when every eigenvalue, a diagonal entry of t, is 0
     assert (degree is None) == any(t[i][i] for i in range(len(t)))
     if degree is not None:
@@ -405,26 +423,21 @@ def test_nilpotency_degree_of_a_conjugate_matches_the_reference(pair):
 @given(st.one_of(square_matrices(), conjugated_triangular().map(lambda pair: pair[0])),
        st.one_of(ENTRIES.filter(bool), WIDE.filter(bool)))
 def test_nilpotency_degree_is_unchanged_by_a_nonzero_scale(m, c):
-    degree = nilpotency_degree(m)
+    degree = IntMat.from_dense(m, len(m)).nilpotency_degree()
     assert degree == reference_nilpotency_degree(m)
-    assert nilpotency_degree([[c * x for x in row] for row in m]) == degree
+    scaled = [[c * x for x in row] for row in m]
+    assert IntMat.from_dense(scaled, len(m)).nilpotency_degree() == degree
 
 
 def test_nilpotency_degree_edge_cases():
-    assert nilpotency_degree([]) == reference_nilpotency_degree([]) == 0
+    assert IntMat.from_dense([]).nilpotency_degree() == reference_nilpotency_degree([]) == 0
     for n in range(1, 5):
-        assert nilpotency_degree(zeros(n, n)) == 1
-        assert nilpotency_degree(identity(n)) is None
-    assert nilpotency_degree([[0, 1], [0, 0]]) == 2
-    assert nilpotency_degree([[Fraction(1, 2 ** 200), 0], [0, 0]]) is None
+        assert IntMat.from_dense(zeros(n, n)).nilpotency_degree() == 1
+        assert IntMat.identity(n).nilpotency_degree() is None
+    assert IntMat.from_dense([[0, 1], [0, 0]]).nilpotency_degree() == 2
+    assert IntMat.from_dense([[Fraction(1, 2 ** 200), 0], [0, 0]]).nilpotency_degree() is None
     shift = [[Fraction(int(j == i + 1), 3) for j in range(5)] for i in range(5)]
-    assert nilpotency_degree(shift) == 5
-
-
-@settings(deadline=None)
-@given(st.one_of(matrices(), wide_matrices(), square_matrices()))
-def test_rank_is_the_pivot_count_of_the_reference(m):
-    assert rank(m) == len(reference_rref([[Fraction(x) for x in row] for row in m])[1])
+    assert IntMat.from_dense(shift).nilpotency_degree() == 5
 
 
 @settings(deadline=None)
@@ -434,24 +447,27 @@ def test_inverse_matches_the_reference_or_reports_a_singular_matrix(m):
     # Fraction entries: the reference would divide int entries to floats
     r, pivots = reference_rref([[Fraction(x) for x in row] + unit
                                 for row, unit in zip(m, identity(n))])
-    inv = inverse(m)
+    v = IntMat.from_dense(m, n)
+    inv = v.inverse()
     if pivots != list(range(n)):
-        assert inv is None and rank(m) < n
+        assert inv is None and v.rank() < n
         return
-    assert inv == [row[n:] for row in r]
-    assert entry_product(inv, m, n) == entry_product(m, inv, n) == identity(n)
-    assert all_fractions(x for row in inv for x in row)
+    dense = inv.to_dense()
+    assert dense == [row[n:] for row in r]
+    assert entry_product(dense, m, n) == entry_product(m, dense, n) == identity(n)
 
 
 def test_rank_and_inverse_edge_cases():
-    assert rank([]) == rank([[]]) == rank([[0, 0]]) == 0
-    assert inverse([]) == []
-    assert inverse([[0]]) is None and inverse([[1, 2], [2, 4]]) is None
-    assert inverse([[Fraction(2, 3)]]) == [[Fraction(3, 2)]]
-    assert rank([[1, 2, 3], [2, 4, 6]]) == 1 and rank([[1, 2], [3, 4], [5, 6]]) == 2
+    assert [IntMat.from_dense(m).rank() for m in ([], [[]], [[0, 0]])] == [0, 0, 0]
+    assert IntMat.from_dense([]).inverse() == IntMat([], 1, 0)
+    assert IntMat.from_dense([[0]]).inverse() is None
+    assert IntMat.from_dense([[1, 2], [2, 4]]).inverse() is None
+    assert IntMat.from_dense([[Fraction(2, 3)]]).inverse() == IntMat([[(0, 3)]], 2, 1)
+    assert IntMat.from_dense([[1, 2, 3], [2, 4, 6]]).rank() == 1
+    assert IntMat.from_dense([[1, 2], [3, 4], [5, 6]]).rank() == 2
 
 
-# --- IntMat, the integer matrix value the public functions wrap ---------------
+# --- IntMat, the integer matrix value the dense functions wrap ----------------
 
 
 def in_lowest_terms(v: IntMat) -> bool:

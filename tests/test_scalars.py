@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polymaass.scalars import ONE, DomainError, RationalLike, Scalar, ZERO
+from polymaass.symcalc import CONST_ATOM, E00, form_of
 
 
 def test_zero_is_empty():
@@ -231,7 +232,8 @@ def test_public_constructor_normalizes_every_input():
 @pytest.mark.parametrize("value", [True, False, 0.1, 1.0, "1", "1/2", None])
 def test_constructors_reject_inexact_coefficients(value):
     builds = [lambda: Scalar({0: value}), lambda: Scalar([(1, value)]),
-              lambda: Scalar.from_rational(value), lambda: Scalar.pi_power(2, value)]
+              lambda: Scalar.from_rational(value), lambda: Scalar.pi_power(2, value),
+              lambda: form_of(E00, CONST_ATOM, value)]
     for build in builds:
         with pytest.raises(DomainError) as ex:
             build()

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from polymaass import specsolve
-from polymaass.linalg import IntMat, kernel, mat_vec, rank, sparse_rows
+from polymaass.linalg import IntMat, kernel, mat_vec
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
-                                 alternating_trace, apply_banded, brute_force_wd,
-                                 build_w0, construct_case, eisenstein_family, emit_form,
-                                 poincare_family, solve_wd, solver_admissible)
+                                 alternating_trace, brute_force_wd, build_w0, construct_case,
+                                 eisenstein_family, emit_form, poincare_family, solve_wd,
+                                 solver_admissible)
 from polymaass.symcalc import (DomainError, PolyAtom, SpectralAtom, Family,
                                apply_flip, apply_laplace, apply_power, form_of,
                                form_to_json, forms_equal, is_zero, expand_pending, zero_form)
@@ -137,15 +137,27 @@ BANDED_GRID = ([(k, m, "L", d) for k in (-3, 0) for m in range(0, 4) for d in ra
                + [(k, m, "R", d) for k in (-4, 3) for m in range(0, 4) for d in range(0, 4)])
 
 
+def banded_delta(model, layers):
+    """A + T B + T^2 C on W_d layer by layer, in Fractions from matrices():
+    output layer t is A u_t + B u_{t-1} + C u_{t-2}, and layers past the
+    last input are cut off."""
+    mats = model.matrices()
+    out = []
+    for t in range(len(layers)):
+        acc = [Fraction(0)] * (model.m + 1)
+        for s, M in enumerate(mats[:t + 1]):
+            acc = [a + b for a, b in zip(acc, mat_vec(M, layers[t - s]))]
+        out += acc
+    return out
+
+
 @pytest.mark.parametrize("k,m,branch,d", BANDED_GRID)
 def test_banded_delta_matches_block_delta(k, m, branch, d):
     model = WModel(k, m, branch)
-    n = m + 1
-    layers = _test_vector(n, d)
-    flat = [x for layer in layers for x in layer]
-    dense = mat_vec(model.block_delta(d), flat)
-    banded = apply_banded(model.bands(), layers)
-    assert [x for layer in banded for x in layer] == dense
+    layers = _test_vector(m + 1, d)
+    flat = IntMat.from_dense([[x] for layer in layers for x in layer], 1)
+    block = (model._int_block_delta(d) @ flat).to_dense()
+    assert [row[0] for row in block] == banded_delta(model, layers)
 
 
 @pytest.mark.parametrize("k,m,branch,d", [(0, 3, "L", 2), (2, 2, "R", 2),
@@ -174,12 +186,15 @@ def test_self_check_rejects_corrupted_layer(k, m, branch, d):
 
 @pytest.mark.parametrize("k,m,branch,d", BANDED_GRID)
 def test_banded_delta_on_int_layers_matches_fraction_layers(k, m, branch, d):
-    bands = WModel(k, m, branch).bands()
-    assert all(type(x) is int for rows in bands for row in rows for _j, x in row)
+    # the self-check applies the block operator's integer rows to int layers
+    model = WModel(k, m, branch)
+    block = model._int_block_delta(d)
+    assert block.den == 1 and all(type(x) is int for row in block.rows for _j, x in row)
     layers = [[int(x * 12) for x in layer] for layer in _test_vector(m + 1, d)]
-    as_ints = apply_banded(bands, layers)
-    assert as_ints == apply_banded(bands, [[Fraction(x) for x in layer] for layer in layers])
-    assert all(type(x) is int for layer in as_ints for x in layer)
+    flat = [x for layer in layers for x in layer]
+    as_ints = [sum(x * flat[j] for j, x in row) for row in block.rows]
+    assert as_ints == banded_delta(model, layers)
+    assert all(type(x) is int for x in as_ints)
 
 
 def test_exact_depth_of_emissions():
@@ -252,8 +267,8 @@ def test_square_layer_system_is_nonsingular_wherever_the_solver_runs():
                 A, _B, _C = WModel(k, m, branch).matrices()
                 w0 = build_w0(k, m, branch).layers[0]
                 square = [row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]]
-                assert rank(A) == m and w0[m] != 0, (k, m, branch)
-                assert rank(square) == m + 2, (k, m, branch)
+                assert IntMat.from_dense(A).rank() == m and w0[m] != 0, (k, m, branch)
+                assert IntMat.from_dense(square).rank() == m + 2, (k, m, branch)
                 count += 1
     assert count == 637
 
@@ -444,7 +459,6 @@ def test_solver_matrices_are_ints():
     for branch in "LR":
         model = WModel(-3 if branch == "L" else 3, 4, branch)
         assert all(type(x) is int for M in model.matrices() for row in M for x in row)
-        assert model.bands() == tuple(sparse_rows(M) for M in model.matrices())
 
 
 # --- pinned constructions ---------------------------------------------------
@@ -452,7 +466,7 @@ def test_solver_matrices_are_ints():
 # sha256 prefixes of the canonical form_to_json of construct_case at the
 # benchmark's shapes (all ten cases), and at variants whose Poincare
 # chains meet large denominators, recorded before the Scalar ring and
-# mat_pow moved to normalized tuples and integer powers
+# matrix powers moved to normalized tuples and integer powers
 PINNED_CONSTRUCTIONS = [
     ("Ia", -2, 2, {}, "e3362873d920d4a6"),
     ("Ia", -3, 6, {}, "8238453a3da5c1fe"),

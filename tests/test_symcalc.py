@@ -10,6 +10,7 @@ from polymaass.symcalc import (CONST_ATOM, DomainError, Family, Form, PolyAtom,
                                form_from_json, form_of, form_to_json,
                                forms_equal, is_zero, make_e_atom, pretty,
                                zero_form, SpectralAtom)
+from polymaass.specsolve import eisenstein_family, poincare_family
 
 
 def E(w, p, t=0):
@@ -234,6 +235,17 @@ def test_json_rejects_identically_zero_atom():
     (lambda: atom_incoherent(3.0, 0), "disc must be an int, not 3.0"),
     (lambda: atom_incoherent(3, True), "order must be an int, not True"),
     (lambda: atom_incoherent(3, 0.5), "order must be an int, not 0.5"),
+    (lambda: PolyAtom(1.5, 0), "m must be an int, not 1.5"),
+    (lambda: PolyAtom(2, True), "r must be an int, not True"),
+    (lambda: Family("poincare", index=-1.0), "index must be an int, not -1.0"),
+    (lambda: Family("incoherent", disc="3"), "disc must be an int, not '3'"),
+    (lambda: SpectralAtom(Family("eisenstein"), 2.0, 0.5, 0), "weight must be an int, not 2.0"),
+    (lambda: SpectralAtom(Family("eisenstein"), 0, 0.5, 0),
+     "point must be an int or a Fraction, not 0.5"),
+    (lambda: SpectralAtom(Family("eisenstein"), 2, 0, "1"), "laurent must be an int, not '1'"),
+    (lambda: eisenstein_family(0, 0.3), "point must be an int or a Fraction, not 0.3"),
+    (lambda: poincare_family(0, -2.0, 0), "index must be an int, not -2.0"),
+    (lambda: eisenstein_family(0, 0, orientation=1.0), "orientation must be +1 or -1"),
 ])
 def test_named_atoms_reject_inexact_values(build, message):
     with pytest.raises(DomainError) as ex:
