@@ -16,7 +16,8 @@ as a tuple of row tuples, so that no entry changes in place.  Building one
 also reads each map once into an integer matrix (linalg.IntMat), kept in
 the plain attribute ``int_maps``; every product, inverse, rank and
 nilpotency check below runs on those, and Fractions are built only for the
-public fields and return values.
+public fields and return values.  A QuiverRep computes its loops, their
+nilpotency degrees and its top once, when first asked, and keeps them.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import CYCLIC, GELFAND
 from .linalg import IntMat, Mat, identity, solve_linear, zeros
-from .scalars import DomainError, check_exact, json_int, json_rational, malformed_json
+from .scalars import DomainError, check_exact, exact_int, json_int, json_rational, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow
@@ -49,7 +51,8 @@ class QuiverRep:
         and, for the Gelfand quiver, the relation."""
         if self.quiver not in NODES:
             raise DomainError("unknown quiver %r" % (self.quiver,))
-        if set(self.dims) != set(NODES[self.quiver]) or min(self.dims.values()) < 0:
+        if set(self.dims) != set(NODES[self.quiver]) \
+                or min(exact_int("a dimension", n) for n in self.dims.values()) < 0:
             raise DomainError("dims must give a nonnegative dimension for exactly "
                               "the nodes %s" % (NODES[self.quiver],))
         names = [name for name, _src, _dst in ARROWS[self.quiver]]
@@ -77,6 +80,7 @@ class QuiverRep:
         if m["A-"] @ m["B-"] != m["A+"] @ m["B+"]:
             raise DomainError("Gelfand relation A-B- = A+B+ violated")
 
+    @cached_property
     def _int_loops(self) -> Dict[str, IntMat]:
         """The loop endomorphism at every node, as integer matrices."""
         m = self.int_maps
@@ -84,8 +88,23 @@ class QuiverRep:
             return {"*": m["A-"] @ m["B-"], "-": m["B-"] @ m["A-"], "+": m["B+"] @ m["A+"]}
         return {"-": m["b"] @ m["a"], "+": m["a"] @ m["b"]}
 
+    @cached_property
+    def _degrees(self) -> Dict[str, Optional[int]]:
+        """Each loop's nilpotency degree, None where it is not nilpotent."""
+        return {node: loop.nilpotency_degree() for node, loop in self._int_loops.items()}
+
+    @cached_property
+    def _top(self) -> Optional[str]:
+        """The node of V / (sum of the arrow images) when that has dimension 1, or None."""
+        top = {node: n - IntMat.beside([self.int_maps[name] for name, _src, dst
+                                        in ARROWS[self.quiver] if dst == node]).rank()
+               for node, n in self.dims.items()}
+        if sum(top.values()) != 1:
+            return None
+        return next(node for node, t in top.items() if t)
+
     def loops(self) -> Dict[str, Mat]:
-        return {node: loop.to_dense() for node, loop in self._int_loops().items()}
+        return {node: loop.to_dense() for node, loop in self._int_loops.items()}
 
     def to_json(self) -> dict:
         return {"quiver": self.quiver,
@@ -202,31 +221,11 @@ def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> Quiver
 # invariants and classification
 
 
-def _nilpotency_degrees(rep: QuiverRep) -> Dict[str, Optional[int]]:
-    """The nilpotency degree of the loop at every node, None where the
-    loop is not nilpotent."""
-    return {node: loop.nilpotency_degree() for node, loop in rep._int_loops().items()}
-
-
 def invariants_of(rep: QuiverRep):
     """(dimension vector, nilpotency degrees per node)."""
-    degrees = _nilpotency_degrees(rep)
-    if None in degrees.values():
+    if None in rep._degrees.values():
         raise DomainError("loop endomorphism is not nilpotent")
-    return rep.dim_vector(), degrees
-
-
-def _top_node(rep: QuiverRep) -> Optional[str]:
-    """The node carrying V / (sum of the arrow images) when that quotient
-    has dimension 1, or None."""
-    top = {}
-    for node, n in rep.dims.items():
-        images = IntMat.beside([rep.int_maps[name] for name, _src, dst in ARROWS[rep.quiver]
-                                if dst == node])
-        top[node] = n - images.rank()
-    if sum(top.values()) != 1:
-        return None
-    return next(node for node, t in top.items() if t)
+    return rep.dim_vector(), dict(rep._degrees)
 
 
 def is_cyclic(rep: QuiverRep) -> Optional[str]:
@@ -241,7 +240,7 @@ def is_cyclic(rep: QuiverRep) -> Optional[str]:
     invariants_of(rep)
     if not any(rep.dims.values()):
         return "*" if rep.quiver == GELFAND else "+"
-    return _top_node(rep)
+    return rep._top
 
 
 def classify_cyclic(rep: QuiverRep):
@@ -360,7 +359,7 @@ def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
     """
     if not any(rep.dims.values()):
         return True
-    if _top_node(rep) is not None and None not in _nilpotency_degrees(rep).values():
+    if rep._top is not None and None not in rep._degrees.values():
         return True
     return _dickson_certificate(rep)
 
@@ -388,7 +387,7 @@ class HCFragment:
     def __post_init__(self):
         """Exactly the maps of l, shapes that chain together, exact entries,
         invertible interior maps and nilpotent end composites."""
-        if self.l < 0:
+        if exact_int("l", self.l) < 0:
             raise DomainError("l must be nonnegative")
         own = ("z_minus", "z_plus") if self.l == 0 else \
             ("x_minus", "xs", "x_plus", "y_plus", "ys", "y_minus")

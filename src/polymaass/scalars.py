@@ -90,6 +90,7 @@ class Scalar:
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[int, Fraction] = {}
         for e, q in items:
+            exact_int("a pi exponent", e)
             if type(q) is not Fraction:
                 q = exact_rational("a scalar coefficient", q)
             if q:
@@ -109,8 +110,9 @@ class Scalar:
 
     @staticmethod
     def pi_power(e: int, q: RationalLike = 1) -> "Scalar":
-        if type(q) is not Fraction:
+        if type(q) is not Fraction or type(e) is not int:
             q = exact_rational("a scalar coefficient", q)
+            exact_int("a pi exponent", e)
         return Scalar._make(((e, q),)) if q else ZERO
 
     @property

@@ -235,18 +235,25 @@ def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
     """Check Delta^d w = nu T^d w0 and Delta^{d+1} w = 0 exactly, in ints:
     w is scaled by den, the lcm of its layers' denominators, and the
     integer rows of the block operator A + T B + T^2 C are applied to
-    den * w, d times and then once more."""
+    den * w, d times and then once more, each output layer only when one of
+    its source layers t, t-1, t-2 is seen to be nonzero."""
     # the block operator's denominator is 1: A, B and C have int entries
     rows = model._int_block_delta(gv.d).rows
     n = model.m + 1
+
+    def apply(v):
+        live = [any(v[t * n:(t + 1) * n]) for t in range(gv.d + 1)]
+        on = [f for t in range(gv.d + 1) for f in [any(live[max(t - 2, 0):t + 1])] * n]
+        return [sum(x * v[j] for j, x in row) if f else 0 for f, row in zip(on, rows)]
+
     den = lcm(*(x.denominator for layer in gv.layers for x in layer))
     img = [x.numerator * (den // x.denominator) for layer in gv.layers for x in layer]
     for _ in range(gv.d):
-        img = [sum(x * img[j] for j, x in row) for row in rows]
+        img = apply(img)
     scale = den * gv.preimage_scale
     if img != [0] * (gv.d * n) + [scale * x for x in gv.layers[0]]:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
-    if any(sum(x * img[j] for j, x in row) for row in rows):
+    if any(apply(img)):
         raise AssertionError("iterative solution fails Delta^{d+1} w = 0")
 
 
@@ -293,6 +300,7 @@ class SpectralFamily:
     orientation: int = 1
 
     def __post_init__(self):
+        exact_int("weight", self.weight)
         object.__setattr__(self, "point", exact_rational("point", self.point))
         if type(self.orientation) is not int or self.orientation not in (1, -1):
             raise DomainError("orientation must be +1 or -1")

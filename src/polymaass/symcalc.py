@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -400,43 +400,40 @@ def load_pole_table(path: str) -> PoleTable:
 # the pole-table residue of the shifted family.
 
 
-def _spectral_step(a: SpectralAtom, direction: str) -> Form:
-    """e_{0,0} (x) (L or R) a for an expanded atom a, with the pole-table
-    residue of the shifted family added as ordinary terms."""
+def _spectral_step(a: SpectralAtom, direction: str) -> Tuple[int, list]:
+    """(L or R) a for an expanded atom a by the rules above, in integers:
+    (den, [(atom, pi shift, x)]) for the terms x/den pi^shift, by atom in
+    the order the step names them, shifts rising.  At the point P/Q the
+    order-t and order-(t-1) atoms get x and t u, with the unit u/den pi^s;
+    a residue, at t = 0, is summed in Scalars."""
     assert a.pending is None
     fam, w, p, t = a.family, a.weight, a.point, a.laurent
+    P, Q = p.numerator, p.denominator
     w2 = w - 2 if direction == "L" else w + 2
     if fam.kind == CONSTANT:
-        return Form._make(w2, {})
+        return 1, []
     if fam.is_eisenstein_like():
-        if direction == "L":
-            p2, pref = p + 1, Scalar.from_rational(p)
-        else:
-            p2, pref = p - 1, Scalar.from_rational(p + w)
-        unit = ONE
+        p2, s, den, u = (p + 1 if direction == "L" else p - 1), 0, Q, Q
+        x = P if direction == "L" else P + w * Q
     else:  # Poincare
-        n = abs(a.family.index)
-        p2 = p
+        n, p2 = abs(fam.index), p
         if direction == "L":
-            pref = Scalar.from_rational(p - Fraction(w, 2))
-            unit = Scalar.pi_power(-1, Fraction(1, 4 * n))
+            s, den, u, x = -1, 8 * n * Q, 2 * Q, 2 * P - w * Q
         else:
-            pref = Scalar.from_rational(p + Fraction(w, 2))
-            unit = Scalar.pi_power(1, 4 * n)
-    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-    if not pref.is_zero():
-        sub = _mk_atom(fam, w2, p2, t)
-        if sub is not None:
-            acc[(E00, sub)] = pref * unit
-    if t >= 1:
-        sub = _mk_atom(fam, w2, p2, t - 1)
-        if sub is not None:
-            acc[(E00, sub)] = Scalar.from_rational(t) * unit
-    else:  # t == 0: formal residue coefficient of the shifted family
-        res = _POLES.get().get((fam, w2, p2))
-        if res is not None:
-            _tensor(acc, E00, res, unit)
-    return Form._make(w2, acc)
+            s, den, u, x = 1, Q, 4 * n * Q, 2 * n * (2 * P + w * Q)
+    terms = []
+    for c, order in ((x, t), (t * u, t - 1)):
+        if c and (sub := _mk_atom(fam, w2, p2, order)) is not None:
+            terms.append((sub, s, c))
+    res = _POLES.get().get((fam, w2, p2)) if t == 0 else None
+    if res is None:
+        return den, terms
+    acc = {b: Scalar.pi_power(s, Fraction(c, den)) for b, _s, c in terms}
+    for (_e0, b), c in res.terms:
+        acc[b] = acc.get(b, ZERO) + c * Scalar.pi_power(s, Fraction(u, den))
+    out = [(b, e, q) for b, c in acc.items() for e, q in c.terms]
+    den = lcm(*(q.denominator for _b, _e, q in out))
+    return den, [(b, e, q.numerator * (den // q.denominator)) for b, e, q in out]
 
 
 def _expand(a: SpectralAtom) -> Form:
@@ -494,7 +491,9 @@ def _apply_op(f: Form, direction: str) -> Form:
             _add(acc, (e2, a), coeff * c2)
         # spectral factor
         if a.pending is None:
-            _tensor(acc, e, _spectral_step(a, direction), coeff)
+            den, terms = _spectral_step(a, direction)
+            for b, s, x in terms:
+                _add(acc, (e, b), coeff * Scalar.pi_power(s, Fraction(x, den)))
         elif a.pending[0] == direction:
             _add(acc, (e, SpectralAtom(a.family, a.weight, a.point, a.laurent,
                                        (direction, a.pending[1] + 1))), coeff)
@@ -519,102 +518,118 @@ def apply_power(f: Form, direction: str, power: int) -> Form:
     return f
 
 
-def _laplace_of_key(e: PolyAtom, a: SpectralAtom, steps: dict) -> Form:
-    """Delta (e (x) a) by the four-term rule of apply_laplace, in its term
-    order.  `steps` caches the spectral steps of one call, keyed by atom
-    and direction (so by the pole table in force): steps[a, "L"] holds the
-    terms of -L a and steps[b, "R"] those of R b, the signs Delta needs.
-    A key with a pending atom goes through L and R as they stand.
-    """
-    if a.pending is not None:
-        return -_apply_op(_apply_op(form_of(e, a), "L"), "R")
-    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-    e_up, c = _lower_poly(e)
-    if e_up is not None:
-        neg_c = Scalar.from_rational(-c)
-        acc[(e, a)] = neg_c
-        for b, g in _cached_step(steps, a, "R"):
-            _add(acc, (e_up, b), neg_c * g)
-    e_down, _one = _raise_poly(e)
-    for b, neg_beta in _cached_step(steps, a, "L"):
-        if e_down is not None:
-            _add(acc, (e_down, b), neg_beta)
-        for b2, g in _cached_step(steps, b, "R"):
-            _add(acc, (e, b2), neg_beta * g)
-    return Form._make(e.weight + a.weight, acc)
+class _Atoms:
+    """The atoms of one Laplace closure or apply_laplace call, each under a
+    small int id, and their integer spectral steps, cached by (atom id,
+    direction) for the call: it warns once per distinct step onto a pole."""
 
+    def __init__(self):
+        self.ids, self.atoms, self.steps = {}, [], {}
 
-def _cached_step(steps: dict, a: SpectralAtom, direction: str):
-    """(atom, coefficient) pairs of -L a or of R a, from `steps` or computed
-    into it."""
-    key = (a, direction)
-    pairs = steps.get(key)
-    if pairs is None:
-        step = _spectral_step(a, direction)
-        if direction == "L":
-            step = -step
-        steps[key] = pairs = [(b, g) for (_e0, b), g in step.terms]
-    return pairs
+    def id(self, a: SpectralAtom) -> int:
+        i = self.ids.setdefault(a, len(self.atoms))
+        if i == len(self.atoms):
+            self.atoms.append(a)
+        return i
+
+    def step(self, i: int, direction: str) -> Tuple[int, list]:
+        if (i, direction) not in self.steps:
+            den, terms = _spectral_step(self.atoms[i], direction)
+            self.steps[i, direction] = (den, [(self.id(b), s, x) for b, s, x in terms])
+        return self.steps[i, direction]
+
+    def laplace(self, m: int, r: int, i: int) -> Tuple[int, list]:
+        """Delta (e_{r,m-r} (x) atom i) as (den, [((r', atom id, pi shift),
+        x)]) for its terms x/den pi^shift.  For an expanded atom a, with
+        c = (r+1)(m-r), the Leibniz rule gives -c e_r (x) a - c e_{r+1} (x)
+        R a - e_{r-1} (x) L a - e_r (x) R L a over the lcm of the denominators
+        of 1, R a, L a and each L a R b, in the order -R(L(.)) adds them: the
+        first two, then per term b of L a its e_{r-1} and e_r (x) R b terms.
+        A key with a pending atom goes through L and R."""
+        a, acc = self.atoms[i], {}
+        if a.pending is not None:
+            img = _apply_op(_apply_op(form_of(PolyAtom(m, r), a), "L"), "R")
+            acc = {(e.r, self.id(b), s): -q for (e, b), c in img.terms for s, q in c.terms}
+            den = lcm(*(q.denominator for q in acc.values()))
+            acc = {key: q.numerator * (den // q.denominator) for key, q in acc.items()}
+        else:
+            c = (r + 1) * (m - r)
+            d_r, R = self.step(i, "R") if c else (1, [])
+            d_l, L = self.step(i, "L")
+            RL = [self.step(b, "R") for b, _s, _x in L]
+            den = lcm(d_r, d_l, *(d_l * d_b for d_b, _t in RL))
+            if c:
+                acc[r, i, 0] = -c * den
+                for b, s, x in R:
+                    acc[r + 1, b, s] = acc.get((r + 1, b, s), 0) - c * (den // d_r) * x
+            for (b, s, x), (d_b, Rb) in zip(L, RL):
+                if r:
+                    acc[r - 1, b, s] = acc.get((r - 1, b, s), 0) - x * (den // d_l)
+                for b2, s2, y in Rb:
+                    acc[r, b2, s + s2] = acc.get((r, b2, s + s2), 0) - x * (den // (d_l * d_b)) * y
+        terms, rank = list(acc.items()), dict.fromkeys(key[:2] for key in acc)
+        if len(rank) < len(terms):   # a key with several pi shifts: at its first place
+            rank = {key: n for n, key in enumerate(rank)}
+            terms.sort(key=lambda kx: (rank[kx[0][:2]], kx[0][2]))
+        return den, [(key, x) for key, x in terms if x]
 
 
 def apply_laplace(f: Form) -> Form:
-    """Delta_k = -R_{k-2} L_k, key by key.
-
-    For an expanded atom a and e = e_{r,m-r}, with c = (r+1)(m-r), the
-    Leibniz rule gives the four terms
-
-        Delta (e (x) a) = -c e_r (x) a - c e_{r+1} (x) R a
-                          - e_{r-1} (x) L a - e_r (x) R L a,
-
-    added in the order -R(L(.)) adds them: the first two, then for each
-    term b of L a in turn its e_{r-1} term and its e_r (x) R b terms.  A
-    key with a pending atom goes through L and R.
-    """
-    steps: dict = {}
-    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
+    """Delta_k = -R_{k-2} L_k, key by key, by the integer rule of
+    _Atoms.laplace; Scalars are built only for the result."""
+    atoms, acc = _Atoms(), {}
     for (e, a), coeff in f.terms:
-        for key, c in _laplace_of_key(e, a, steps).terms:
-            _add(acc, key, coeff * c)
-    return Form._make(f.weight, acc)
+        den, img = atoms.laplace(e.m, e.r, atoms.id(a))
+        for (r, b, s), x in img:
+            part = acc.setdefault((e.m, r, b), {})
+            for s0, q0 in coeff.terms:
+                part[s + s0] = part.get(s + s0, 0) + q0 * Fraction(x, den)
+    return Form._make(f.weight, {(PolyAtom(m, r), atoms.atoms[b]): Scalar(part)
+                                 for (m, r, b), part in acc.items()})
 
 
 def laplace_closure(seeds) -> Dict[Tuple[PolyAtom, SpectralAtom], Form]:
-    """Delta of each (PolyAtom, SpectralAtom) key in the closure of the seed
-    keys under Delta, keyed in breadth-first order from the seeds.  Each
-    image is the four-term rule of apply_laplace, its terms in the order
-    -R(L(.)) adds them, and new keys join the closure in that order; so
-    that order fixes the basis order of delta_matrix_on_span.  The closure
-    is finite: Delta keeps the polynomial degree, which with the weight
-    bounds the spectral weight; the point moves with that weight, the
-    Laurent index never rises, and residues add only tabled atoms."""
-    pool = list(dict.fromkeys(seeds))
-    seen = set(pool)
-    steps: dict = {}
-    images: Dict[Tuple[PolyAtom, SpectralAtom], Form] = {}
-    while len(images) < len(pool):
-        key = pool[len(images)]
-        images[key] = img = _laplace_of_key(*key, steps)
-        new = [key2 for key2, _c in img.terms if key2 not in seen]
-        seen.update(new)
-        pool.extend(new)
+    """The Form view of _laplace_rows: Delta of each key of the closure of
+    the seed keys, keyed in breadth-first order from the seeds."""
+    pool, rows, den = _laplace_rows(seeds)
+    images = {}
+    for (e, a), row in zip(pool, rows):
+        terms: dict = {}
+        for j, s, x in row:
+            terms[pool[j]] = terms.get(pool[j], ZERO) + Scalar.pi_power(s, Fraction(x, den))
+        images[e, a] = Form._make(e.weight + a.effective_weight, terms)
     return images
 
 
 def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
-    """Delta on the Delta-closure of the seeds, in integers, as (pool, rows,
-    den).  pool holds the closure's keys in laplace_closure's order, so the
-    seeds open it; rows[i] holds Delta of pool[i] as one (j, s, x) for each
-    term q pi^s of the coefficient of pool[j], with x = q * den, and den > 0
-    is the lcm of the denominators of every q.  Delta is Q-linear on
-    Q[pi^+-1] (x) atoms, so integer vectors over (key index, pi exponent)
-    carry every form of the span exactly, pi-graded or not."""
-    images = laplace_closure(seeds)
-    index = {key: j for j, key in enumerate(images)}
-    terms = [[(index[key], s, q) for key, c in img.terms for s, q in c.terms]
-             for img in images.values()]
-    den = lcm(*(q.denominator for row in terms for _j, _s, q in row))
-    return list(images), [[(j, s, q.numerator * (den // q.denominator)) for j, s, q in row]
-                          for row in terms], den
+    """Delta on the Delta-closure of the seed keys, in integers, as (pool,
+    rows, den).  pool holds the closure's (PolyAtom, SpectralAtom) keys in
+    breadth-first order from the seeds; rows[i] holds Delta of pool[i] as
+    one (j, s, x) per term q pi^s of the coefficient of pool[j], in the
+    order of _Atoms.laplace, which fixes the basis order of
+    delta_matrix_on_span, with x = q * den; den > 0 is the lcm of every q's
+    denominator.  The work runs on keys (m, r, atom id).  The closure is
+    finite: Delta keeps the polynomial degree, hence the spectral weight
+    bounded; the point moves with it, Laurent indices never rise, and
+    residues add only tabled atoms."""
+    atoms = _Atoms()
+    pool = list(dict.fromkeys((e.m, e.r, atoms.id(a)) for e, a in seeds))
+    index = {key: j for j, key in enumerate(pool)}
+    rows, dens = [], []
+    while len(rows) < len(pool):
+        m, r, i = pool[len(rows)]
+        den, img = atoms.laplace(m, r, i)
+        rows.append([])
+        dens.append(den)
+        for (r2, b, s), x in img:
+            j = index.setdefault((m, r2, b), len(pool))
+            if j == len(pool):
+                pool.append((m, r2, b))
+            rows[-1].append((j, s, x))
+    den = lcm(*dens)
+    g = gcd(den, *(x * (den // d) for row, d in zip(rows, dens) for _j, _s, x in row))
+    rows = [[(j, s, x * (den // d) // g) for j, s, x in row] for row, d in zip(rows, dens)]
+    return [(PolyAtom(m, r), atoms.atoms[i]) for m, r, i in pool], rows, den // g
 
 
 def expand_pending(f: Form) -> Form:

@@ -6,22 +6,24 @@ the remaining passes.  Those functions are kept below verbatim as the
 reference: L, R, their powers, Delta, expansion and the zero test of the
 one operator path must give forms equal to theirs, under the default pole
 table, an empty one, and one whose residues hold non-constant atoms (so
-that the remaining passes act on the residue).
+that the remaining passes act on the residue).  The integer Delta-closure
+must give the rows read off the reference's Delta images.
 """
 
+import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polymaass.scalars import ONE, ZERO, DomainError, Scalar
 from polymaass.symcalc import (CONST_ATOM, CONST_FAMILY, CONSTANT, DEFAULT_POLES, E00,
                                EISENSTEIN, INCOHERENT, POINCARE, _POLES, Family, Form,
-                               PolyAtom, SpectralAtom, _lower_poly, _mk_atom, _raise_poly,
-                               apply_laplace, apply_lowering, apply_power, apply_raising,
-                               expand_pending, form_of, forms_equal, is_zero, pole_table,
-                               using_poles, vanishing_order)
+                               PolyAtom, SpectralAtom, _laplace_rows, _lower_poly, _mk_atom,
+                               _raise_poly, apply_laplace, apply_lowering, apply_power,
+                               apply_raising, expand_pending, form_of, forms_equal, is_zero,
+                               pole_table, using_poles, vanishing_order, zero_form)
 
 
 # --- the reference, verbatim ------------------------------------------------
@@ -344,3 +346,84 @@ def test_steps_onto_tabled_points_match_reference(table):
                 assert expand_pending(f) == expand_pending_reference(f)
                 for op in "LR":
                     assert apply_power(f, op, 2) == apply_power_reference(f, op, 2)
+
+
+# --- the integer Delta-closure against the reference ---------------------------
+
+def reference_rows(seeds):
+    """(pool, rows, den) of the Delta-closure of the seed keys, each image
+    taken from apply_laplace_reference and new keys added breadth-first in
+    the order of its terms."""
+    pool = list(dict.fromkeys(seeds))
+    images = []
+    while len(images) < len(pool):
+        images.append(apply_laplace_reference(form_of(*pool[len(images)])))
+        pool += [key for key, _c in images[-1].terms if key not in pool]
+    index = {key: j for j, key in enumerate(pool)}
+    terms = [[(index[key], s, q) for key, c in img.terms for s, q in c.terms] for img in images]
+    den = math.lcm(*(q.denominator for row in terms for _j, _s, q in row))
+    return pool, [[(j, s, q.numerator * (den // q.denominator)) for j, s, q in row]
+                  for row in terms], den
+
+
+POINCARE_ODD = [Family(POINCARE, index=n) for n in (1, -2, 3)]
+
+
+@st.composite
+def closure_keys(draw):
+    """A key whose atom is an Eisenstein atom at an integer or a
+    non-integer point, a Poincare atom at odd weight (so w/2 is a
+    half-integer) for several |n|, an incoherent atom at or above its
+    vanishing order or the constant atom, expanded or pending."""
+    kind = draw(st.sampled_from(["E", "P", "incoherent", "constant"]))
+    t = draw(st.integers(0, 2))
+    if kind == "E":
+        fam, w = EIS, draw(st.integers(-3, 3))
+        p = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2),
+                                  Fraction(-5, 3)]))
+        if draw(st.booleans()):
+            w, p = draw(st.sampled_from(NEAR_POLE[EIS]))
+    elif kind == "P":
+        fam, w = draw(st.sampled_from(POINCARE_ODD)), 2 * draw(st.integers(-2, 1)) + 1
+        p = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(2)]))
+        if fam == POINCARE_1 and draw(st.booleans()):
+            w, p = draw(st.sampled_from(NEAR_POLE[POINCARE_1]))
+    elif kind == "incoherent":
+        fam, w, p = Family(INCOHERENT, disc=draw(st.sampled_from([3, 4]))), 1, Fraction(0)
+        t += 1
+    else:
+        fam, w, p, t = CONST_FAMILY, 0, Fraction(0), 0
+    pending = draw(st.none() | st.tuples(st.sampled_from("LR"), st.integers(1, 2)))
+    m = draw(st.integers(0, 3))
+    return PolyAtom(m, draw(st.integers(0, m))), SpectralAtom(fam, w, Fraction(p), t, pending)
+
+
+CLOSURE_TABLES = {
+    "default": DEFAULT_POLES,
+    "empty": pole_table({}),
+    # two pi powers in the coefficient of a residue atom that R moves on, at
+    # the Poincare pole that L of P_{2,0} and R of P_{-2,0} land on: a key
+    # of a Delta image then takes two pi shifts, apart in the order of the
+    # rule
+    "two-power": pole_table({(POINCARE_1, 0, Fraction(0)): Form(0, {
+        (E00, SpectralAtom(EIS, 0, Fraction(1, 2), 1)): Scalar({0: Fraction(1, 3), 1: 2}),
+        (E00, CONST_ATOM): Scalar.pi_power(-1, 5)})}),
+}
+
+
+@pytest.mark.parametrize("table", sorted(CLOSURE_TABLES))
+@settings(deadline=None, max_examples=60)
+@given(seeds=st.lists(closure_keys(), min_size=1, max_size=3), coeff=coeffs)
+@example(seeds=[(PolyAtom(2, 1), SpectralAtom(POINCARE_1, 2, Fraction(0), 0))],
+         coeff=Scalar.pi_power(1, Fraction(-2, 3)))
+def test_laplace_rows_match_reference(table, seeds, coeff):
+    with using_poles(CLOSURE_TABLES[table]):
+        assert _laplace_rows(seeds) == reference_rows(seeds)
+        for key in seeds:
+            f = form_of(*key, coeff)
+            assert apply_laplace(f) == apply_laplace_reference(f)
+        # a form of several terms, from the seeds of the first one's weight
+        weight = form_of(*seeds[0]).weight
+        f = sum((form_of(*key, coeff) for key in seeds if form_of(*key).weight == weight),
+                zero_form(weight))
+        assert apply_laplace(f) == apply_laplace_reference(f)

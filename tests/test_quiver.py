@@ -683,6 +683,20 @@ def test_relation_is_checked_once_per_rep(monkeypatch):
     assert len(calls) == 2   # one per description, none in the iso witness
 
 
+@pytest.mark.parametrize("quiver,spec", [(GELFAND, ("+", "c", 3)), (CYCLIC, ("-", "b", 2))])
+def test_rep_invariants_are_computed_once(monkeypatch, quiver, spec):
+    calls, ranks = [], []
+    degree, rank = IntMat.nilpotency_degree, IntMat.rank
+    monkeypatch.setattr(IntMat, "nilpotency_degree", lambda m: calls.append(m) or degree(m))
+    rep = build_cyclic_module(quiver, *spec)
+    monkeypatch.setattr(IntMat, "rank", lambda m: ranks.append(m) or rank(m))
+    assert classify_cyclic(rep) == spec
+    dims, degrees = invariants_of(rep)
+    degrees.clear()   # the caller's copy, not the rep's
+    assert invariants_of(rep)[1] and has_only_trivial_idempotents(rep)
+    assert len(calls) == len(NODES[quiver]) and len(ranks) == len(NODES[quiver])
+
+
 def test_fragment_rejects_negative_l():
     for build in (lambda: HCFragment(-1), lambda: HCFragment.from_json({"l": -1})):
         with pytest.raises(DomainError) as ex:

@@ -184,6 +184,23 @@ def test_self_check_rejects_corrupted_layer(k, m, branch, d):
             _check_generalized_eigenvector(model, bad)
 
 
+@pytest.mark.parametrize("k,m,branch,d", [(0, 3, "L", 2), (-2, 4, "L", 3), (5, 3, "R", 3),
+                                          (-3, 6, "L", 4)])
+def test_self_check_sees_a_corrupted_layer_zero(k, m, branch, d):
+    # after j passes the layers below j of a correct w are zero, but not
+    # those of a w with a wrong layer 0; the check reads them and reports
+    # the first identity
+    gv = solve_wd(k, m, branch, d)
+    model = WModel(k, m, branch)
+    for r in range(m + 1):
+        layers = [layer[:] for layer in gv.layers]
+        layers[0][r] += 1
+        bad = GradedVector(k, m, branch, d, layers, gv.preimage_scale)
+        with pytest.raises(AssertionError,
+                           match=r"^iterative solution fails Delta\^d w = nu T\^d w0$"):
+            _check_generalized_eigenvector(model, bad)
+
+
 @pytest.mark.parametrize("k,m,branch,d", BANDED_GRID)
 def test_banded_delta_on_int_layers_matches_fraction_layers(k, m, branch, d):
     # the self-check applies the block operator's integer rows to int layers
