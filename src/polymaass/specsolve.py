@@ -24,7 +24,7 @@ from .linalg import IntMat, Vec, kernel, mat_mul, mat_vec, rref, solve_linear
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, _expand, _laplace_rows, apply_flip, apply_power,
+                      SpectralAtom, _Atoms, _laplace_rows, apply_flip, apply_power,
                       atom_incoherent, form_of, local_eigen_poly)
 
 
@@ -337,7 +337,7 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
                           % (fam.weight, gv.k))
     fam.check_standard()
     m, d = gv.m, gv.d
-    terms = {}
+    terms, atoms = {}, _Atoms()
     for t, layer in enumerate(gv.layers):
         order = d - t
         for r, coeff in enumerate(layer):
@@ -346,7 +346,7 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
             power = (m - r) if gv.branch == "L" else r
             pending = (gv.branch, power) if power > 0 else None
             atom = SpectralAtom(fam.family, fam.weight, fam.point, order, pending)
-            if pending is not None and _expand(atom).is_empty():
+            if pending is not None and not atoms.image(0, 0, atoms.id(atom), "E")[1]:
                 continue
             q = coeff / factorial(order) / gv.preimage_scale * (fam.orientation ** order)
             terms[(PolyAtom(m, r), atom)] = Scalar.from_rational(q)

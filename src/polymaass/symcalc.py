@@ -46,9 +46,10 @@ from .scalars import (DomainError, Scalar, ZERO, ONE, exact_int, exact_rational,
 
 class PolePointWarning(UserWarning):
     """A shifted atom landed on a tabled pole point (Laurent coefficients
-    of the continued family are used formally).  A Laplace closure, or one
-    apply_laplace call, warns once per distinct spectral step that lands
-    there, however many keys share the step."""
+    of the continued family are used formally).  One operator call (one
+    pass of apply_power), Laplace closure or emit_form warns once per
+    distinct spectral step that lands there, however many keys share the
+    step."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ class Form:
     __slots__ = ("weight", "_terms")
 
     def __init__(self, weight: int, terms: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] | None = None):
-        self.weight = int(weight)
+        self.weight = exact_int("weight", weight)
         clean: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
         for key, coeff in (terms or {}).items():
             if coeff.is_zero():
@@ -436,19 +437,6 @@ def _spectral_step(a: SpectralAtom, direction: str) -> Tuple[int, list]:
     return den, [(b, e, q.numerator * (den // q.denominator)) for b, e, q in out]
 
 
-def _expand(a: SpectralAtom) -> Form:
-    """e_{0,0} (x) a with its pending power unfolded: e_{0,0} has no L or R
-    image, so OP^p S is p passes of the operator over e_{0,0} (x) S, and a
-    residue picked up part-way gets the remaining passes."""
-    if a.pending is None:
-        return form_of(E00, a)
-    direction, power = a.pending
-    f = form_of(E00, SpectralAtom(a.family, a.weight, a.point, a.laurent))
-    for _ in range(power):
-        f = _apply_op(f, direction)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # form-level operators
 
@@ -457,71 +445,12 @@ def _add(acc: dict, key, c: Scalar) -> None:
     acc[key] = acc.get(key, ZERO) + c
 
 
-def _tensor(acc: dict, e: PolyAtom, g: Form, coeff: Scalar) -> None:
-    """Add coeff * e (x) g to acc, for a form g over e_{0,0}."""
-    for (_e0, a), c in g.terms:
-        _add(acc, (e, a), coeff * c)
-
-
-def _lower_poly(e: PolyAtom):
-    c = (e.r + 1) * (e.m - e.r)
-    if c == 0:
-        return None, 0
-    return PolyAtom(e.m, e.r + 1), c
-
-
-def _raise_poly(e: PolyAtom):
-    if e.r == 0:
-        return None, 0
-    return PolyAtom(e.m, e.r - 1), 1
-
-
-def _apply_op(f: Form, direction: str) -> Form:
-    """L or R by the Leibniz rule, term by term; each term moves the
-    weight by the same -2 or +2."""
-    delta = -2 if direction == "L" else 2
-    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-    for (e, a), coeff in f.terms:
-        # polynomial factor
-        if direction == "L":
-            e2, c2 = _lower_poly(e)
-        else:
-            e2, c2 = _raise_poly(e)
-        if e2 is not None:
-            _add(acc, (e2, a), coeff * c2)
-        # spectral factor
-        if a.pending is None:
-            den, terms = _spectral_step(a, direction)
-            for b, s, x in terms:
-                _add(acc, (e, b), coeff * Scalar.pi_power(s, Fraction(x, den)))
-        elif a.pending[0] == direction:
-            _add(acc, (e, SpectralAtom(a.family, a.weight, a.point, a.laurent,
-                                       (direction, a.pending[1] + 1))), coeff)
-        else:
-            _tensor(acc, e, _apply_op(_expand(a), direction), coeff)
-    return Form._make(f.weight + delta, acc)
-
-
-def apply_lowering(f: Form) -> Form:
-    return _apply_op(f, "L")
-
-
-def apply_raising(f: Form) -> Form:
-    return _apply_op(f, "R")
-
-
-def apply_power(f: Form, direction: str, power: int) -> Form:
-    if power < 0:
-        raise DomainError("operator power must be nonnegative")
-    for _ in range(power):
-        f = _apply_op(f, direction)
-    return f
-
-
 class _Atoms:
-    """The atoms of one Laplace closure or apply_laplace call, each under a
-    small int id, and their integer spectral steps, cached by (atom id,
-    direction) for the call: it warns once per distinct step onto a pole."""
+    """The atoms of one operator call or Laplace closure, each under a small
+    int id, and the one integer rule for L, R, Delta and the unfolding of
+    pending powers on keys (m, r, atom id).  Spectral steps are cached by
+    (atom id, direction) for the call: it warns once per distinct step onto
+    a pole."""
 
     def __init__(self):
         self.ids, self.atoms, self.steps = {}, [], {}
@@ -532,73 +461,102 @@ class _Atoms:
             self.atoms.append(a)
         return i
 
-    def step(self, i: int, direction: str) -> Tuple[int, list]:
-        if (i, direction) not in self.steps:
-            den, terms = _spectral_step(self.atoms[i], direction)
-            self.steps[i, direction] = (den, [(self.id(b), s, x) for b, s, x in terms])
-        return self.steps[i, direction]
-
-    def laplace(self, m: int, r: int, i: int) -> Tuple[int, list]:
-        """Delta (e_{r,m-r} (x) atom i) as (den, [((r', atom id, pi shift),
-        x)]) for its terms x/den pi^shift.  For an expanded atom a, with
-        c = (r+1)(m-r), the Leibniz rule gives -c e_r (x) a - c e_{r+1} (x)
-        R a - e_{r-1} (x) L a - e_r (x) R L a over the lcm of the denominators
-        of 1, R a, L a and each L a R b, in the order -R(L(.)) adds them: the
-        first two, then per term b of L a its e_{r-1} and e_r (x) R b terms.
-        A key with a pending atom goes through L and R."""
-        a, acc = self.atoms[i], {}
-        if a.pending is not None:
-            img = _apply_op(_apply_op(form_of(PolyAtom(m, r), a), "L"), "R")
-            acc = {(e.r, self.id(b), s): -q for (e, b), c in img.terms for s, q in c.terms}
-            den = lcm(*(q.denominator for q in acc.values()))
-            acc = {key: q.numerator * (den // q.denominator) for key, q in acc.items()}
+    def image(self, m: int, r: int, i: int, op: str) -> Tuple[int, list]:
+        """op (e_{r,m-r} (x) atom i), for op one of L, R, D (Delta) and E
+        (unfold a pending power), as (den, [((r', atom id, pi shift), x)])
+        for its terms x/den pi^shift.  L and R give the polynomial factor's
+        term, then the spectral factor's: an expanded atom takes its step,
+        a pending atom in the same direction one more power, and one in the
+        other direction is unfolded first.  OP^p S unfolds as p passes of OP
+        over e_{0,0} (x) S, which has no L or R image, so a residue picked
+        up part-way gets the remaining passes.  D is -R of the image of L,
+        composed by _then."""
+        if op == "D":
+            return self._then(self.image(m, r, i, "L"), m, "R", -1)
+        a = self.atoms[i]
+        if a.pending is not None and a.pending[0] != op:
+            d, p = a.pending
+            img = (1, [((0, self.id(SpectralAtom(a.family, a.weight, a.point, a.laurent)), 0), 1)])
+            for _ in range(p):
+                img = self._then(img, 0, d)
+            den, terms = img if op == "E" else self._then(img, 0, op)
+        elif op == "E":
+            den, terms = 1, [((0, i, 0), 1)]
+        elif a.pending is not None:
+            den, terms = 1, [((0, self.id(SpectralAtom(a.family, a.weight, a.point, a.laurent,
+                                                       (op, a.pending[1] + 1))), 0), 1)]
         else:
-            c = (r + 1) * (m - r)
-            d_r, R = self.step(i, "R") if c else (1, [])
-            d_l, L = self.step(i, "L")
-            RL = [self.step(b, "R") for b, _s, _x in L]
-            den = lcm(d_r, d_l, *(d_l * d_b for d_b, _t in RL))
-            if c:
-                acc[r, i, 0] = -c * den
-                for b, s, x in R:
-                    acc[r + 1, b, s] = acc.get((r + 1, b, s), 0) - c * (den // d_r) * x
-            for (b, s, x), (d_b, Rb) in zip(L, RL):
-                if r:
-                    acc[r - 1, b, s] = acc.get((r - 1, b, s), 0) - x * (den // d_l)
-                for b2, s2, y in Rb:
-                    acc[r, b2, s + s2] = acc.get((r, b2, s + s2), 0) - x * (den // (d_l * d_b)) * y
+            if (i, op) not in self.steps:
+                d_s, step = _spectral_step(a, op)
+                self.steps[i, op] = (d_s, [((0, self.id(b), s), x) for b, s, x in step])
+            den, terms = self.steps[i, op]
+        if r:
+            terms = [((r, b, s), x) for (_r, b, s), x in terms]
+        if op == "L" and (c := (r + 1) * (m - r)):
+            terms = [((r + 1, i, 0), c * den)] + terms
+        elif op == "R" and r:
+            terms = [((r - 1, i, 0), den)] + terms
+        return den, terms
+
+    def _then(self, img: Tuple[int, list], m: int, op: str, sign: int = 1) -> Tuple[int, list]:
+        """sign * op on each term of the image img at polynomial degree m,
+        over img's den times the lcm of the denominators of op's images, in
+        the order op adds the terms; a key with several pi shifts keeps them
+        together at its first place, shifts rising."""
+        den, parts = img[0], [(s, x, self.image(m, r, b, op)) for (r, b, s), x in img[1]]
+        d_op = lcm(*(d for _s, _x, (d, _t) in parts))
+        acc = {}
+        for s, x, (d, terms) in parts:
+            x *= sign * (d_op // d)
+            for (r2, b, s2), y in terms:
+                acc[r2, b, s + s2] = acc.get((r2, b, s + s2), 0) + x * y
         terms, rank = list(acc.items()), dict.fromkeys(key[:2] for key in acc)
-        if len(rank) < len(terms):   # a key with several pi shifts: at its first place
+        if len(rank) < len(terms):
             rank = {key: n for n, key in enumerate(rank)}
             terms.sort(key=lambda kx: (rank[kx[0][:2]], kx[0][2]))
-        return den, [(key, x) for key, x in terms if x]
+        return den * d_op, [(key, x) for key, x in terms if x]
+
+
+def _apply(f: Form, op: str, weight: int) -> Form:
+    """The Form of op (one of L, R, D, E) on f, key by key, by
+    _Atoms.image; Scalars are built only for the result."""
+    atoms, acc = _Atoms(), {}
+    for (e, a), coeff in f.terms:
+        den, img = atoms.image(e.m, e.r, atoms.id(a), op)
+        for (r, b, s), x in img:
+            part, q = acc.setdefault((e.m, r, b), {}), Fraction(x, den)
+            for s0, q0 in coeff.terms:
+                part[s + s0] = part.get(s + s0, 0) + q0 * q
+    return Form._make(weight, {
+        (PolyAtom(m, r), atoms.atoms[b]): Scalar._make(tuple(sorted(
+            (s, q) for s, q in part.items() if q))) for (m, r, b), part in acc.items()})
+
+
+def apply_lowering(f: Form) -> Form:
+    return _apply(f, "L", f.weight - 2)
+
+
+def apply_raising(f: Form) -> Form:
+    return _apply(f, "R", f.weight + 2)
+
+
+def apply_power(f: Form, direction: str, power: int) -> Form:
+    if direction not in ("L", "R"):
+        raise DomainError("operator direction must be L or R, not %r" % (direction,))
+    if exact_int("operator power", power) < 0:
+        raise DomainError("operator power must be nonnegative")
+    for _ in range(power):
+        f = _apply(f, direction, f.weight - 2 if direction == "L" else f.weight + 2)
+    return f
 
 
 def apply_laplace(f: Form) -> Form:
-    """Delta_k = -R_{k-2} L_k, key by key, by the integer rule of
-    _Atoms.laplace; Scalars are built only for the result."""
-    atoms, acc = _Atoms(), {}
-    for (e, a), coeff in f.terms:
-        den, img = atoms.laplace(e.m, e.r, atoms.id(a))
-        for (r, b, s), x in img:
-            part = acc.setdefault((e.m, r, b), {})
-            for s0, q0 in coeff.terms:
-                part[s + s0] = part.get(s + s0, 0) + q0 * Fraction(x, den)
-    return Form._make(f.weight, {(PolyAtom(m, r), atoms.atoms[b]): Scalar(part)
-                                 for (m, r, b), part in acc.items()})
+    """Delta_k = -R_{k-2} L_k, key by key."""
+    return _apply(f, "D", f.weight)
 
 
-def laplace_closure(seeds) -> Dict[Tuple[PolyAtom, SpectralAtom], Form]:
-    """The Form view of _laplace_rows: Delta of each key of the closure of
-    the seed keys, keyed in breadth-first order from the seeds."""
-    pool, rows, den = _laplace_rows(seeds)
-    images = {}
-    for (e, a), row in zip(pool, rows):
-        terms: dict = {}
-        for j, s, x in row:
-            terms[pool[j]] = terms.get(pool[j], ZERO) + Scalar.pi_power(s, Fraction(x, den))
-        images[e, a] = Form._make(e.weight + a.effective_weight, terms)
-    return images
+def expand_pending(f: Form) -> Form:
+    return _apply(f, "E", f.weight)
 
 
 def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
@@ -606,7 +564,7 @@ def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
     rows, den).  pool holds the closure's (PolyAtom, SpectralAtom) keys in
     breadth-first order from the seeds; rows[i] holds Delta of pool[i] as
     one (j, s, x) per term q pi^s of the coefficient of pool[j], in the
-    order of _Atoms.laplace, which fixes the basis order of
+    order of _Atoms.image, which fixes the basis order of
     delta_matrix_on_span, with x = q * den; den > 0 is the lcm of every q's
     denominator.  The work runs on keys (m, r, atom id).  The closure is
     finite: Delta keeps the polynomial degree, hence the spectral weight
@@ -618,7 +576,7 @@ def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
     rows, dens = [], []
     while len(rows) < len(pool):
         m, r, i = pool[len(rows)]
-        den, img = atoms.laplace(m, r, i)
+        den, img = atoms.image(m, r, i, "D")
         rows.append([])
         dens.append(den)
         for (r2, b, s), x in img:
@@ -630,13 +588,6 @@ def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
     g = gcd(den, *(x * (den // d) for row, d in zip(rows, dens) for _j, _s, x in row))
     rows = [[(j, s, x * (den // d) // g) for j, s, x in row] for row, d in zip(rows, dens)]
     return [(PolyAtom(m, r), atoms.atoms[i]) for m, r, i in pool], rows, den // g
-
-
-def expand_pending(f: Form) -> Form:
-    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-    for (e, a), coeff in f.terms:
-        _tensor(acc, e, _expand(a), coeff)
-    return Form._make(f.weight, acc)
 
 
 def is_zero(f: Form) -> bool:

@@ -10,11 +10,24 @@ from polymaass.classify import (BK_TO_REPR, CaseLabel, WeightContext, _laplace_t
                                 expected_dimension_vector)
 from polymaass.scalars import ZERO, Scalar
 from polymaass.specsolve import construct_case, delta_matrix_on_span, delta_preimage_on_span
-from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, EISENSTEIN, POINCARE, DomainError,
-                               Family, Form, PolePointWarning, PolyAtom, SpectralAtom,
-                               apply_laplace, apply_lowering, apply_raising, atom_E, atom_P,
-                               expand_pending, form_of, forms_equal, laplace_closure,
-                               make_e_atom, pole_table, using_poles, zero_form)
+from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, POINCARE,
+                               DomainError, Family, Form, PolePointWarning, PolyAtom,
+                               SpectralAtom, _laplace_rows, apply_laplace, apply_lowering,
+                               apply_raising, atom_E, atom_P, expand_pending, form_of,
+                               forms_equal, make_e_atom, pole_table, using_poles, zero_form)
+
+
+def laplace_closure(seeds):
+    """The Form view of _laplace_rows: Delta of each key of the closure of
+    the seed keys, keyed in breadth-first order from the seeds."""
+    pool, rows, den = _laplace_rows(seeds)
+    images = {}
+    for (e, a), row in zip(pool, rows):
+        terms = {}
+        for j, s, x in row:
+            terms[pool[j]] = terms.get(pool[j], ZERO) + Scalar.pi_power(s, Fraction(x, den))
+        images[e, a] = Form._make(e.weight + a.effective_weight, terms)
+    return images
 
 
 def test_weight_context():
@@ -467,3 +480,13 @@ def test_closure_warns_once_per_distinct_spectral_step():
         for key in seeds:
             apply_laplace(form_of(*key))
     assert [c.category for c in caught] == [PolePointWarning] * 3
+    # one operator call on a form whose keys share that atom, and one whose
+    # keys share a pending atom whose unfolding steps onto the pole
+    lowered = sum((form_of(PolyAtom(2 * r, r), atom_E(2, 0, 1)) for r in range(3)), zero_form(2))
+    pending = SpectralAtom(Family(EISENSTEIN), 4, Fraction(-1), 1, ("L", 2))
+    unfolded = form_of(E00, pending) + form_of(PolyAtom(2, 1), pending)
+    for op, f in ((apply_lowering, lowered), (expand_pending, unfolded)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            op(f)
+        assert [c.category for c in caught] == [PolePointWarning], op

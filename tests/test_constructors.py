@@ -1,6 +1,7 @@
-"""Every public constructor refuses a bool, a float or a string where it
-takes an int or a rational, with DomainError; and every value that a
-constructor accepts comes back unchanged from its JSON."""
+"""Every public constructor, and apply_power, refuses a bool, a float or a
+string where it takes an int or a rational, with DomainError, as
+apply_power does for a direction other than L and R; and every value that
+a constructor accepts comes back unchanged from its JSON."""
 
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from polymaass.quiverrep import CYCLIC, GELFAND, HCFragment, QuiverRep, random_f
 from polymaass.scalars import DomainError, Scalar
 from polymaass.specsolve import GradedVector, eisenstein_family, poincare_family
 from polymaass.symcalc import (CONST_ATOM, E00, EISENSTEIN, INCOHERENT, POINCARE, Family,
-                               Form, PolyAtom, SpectralAtom, atom_E, atom_incoherent, atom_P,
-                               form_from_json, form_of, form_to_json, vanishing_order)
+                               Form, PolyAtom, SpectralAtom, apply_power, atom_E,
+                               atom_incoherent, atom_P, form_from_json, form_of, form_to_json,
+                               vanishing_order)
 
 E = Family(EISENSTEIN)
 ONE = [[Fraction(1)]]
@@ -39,6 +41,11 @@ SLOTS = {
     "atom_incoherent.disc": lambda v: atom_incoherent(v, 0),
     "atom_incoherent.order": lambda v: atom_incoherent(3, v),
     "form_of.coeff": lambda v: form_of(E00, CONST_ATOM, v),
+    "Form.weight": lambda v: Form(v),
+    "apply_power.power": lambda v: apply_power(form_of(E00, CONST_ATOM), "L", v),
+    # an int picks L or R; any other value names a direction by its repr
+    "apply_power.direction": lambda v: apply_power(form_of(E00, CONST_ATOM),
+                                                   "LR"[v] if type(v) is int else repr(v), 1),
     "Scalar.coefficient": lambda v: Scalar({0: v}),
     "Scalar.exponent": lambda v: Scalar({v: 1}),
     "Scalar.from_rational": lambda v: Scalar.from_rational(v),

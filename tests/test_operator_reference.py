@@ -1,13 +1,15 @@
 """The operator path against the one it replaced.
 
-The package once stepped an atom into an (atoms, residues) pair, replayed
-that pair in an expansion loop of its own and re-stepped each residue for
-the remaining passes.  Those functions are kept below verbatim as the
-reference: L, R, their powers, Delta, expansion and the zero test of the
-one operator path must give forms equal to theirs, under the default pole
-table, an empty one, and one whose residues hold non-constant atoms (so
-that the remaining passes act on the residue).  The integer Delta-closure
-must give the rows read off the reference's Delta images.
+The package once stepped an atom in Scalars into an (atoms, residues)
+pair and applied L and R by the Leibniz rule term by term.  That step and
+that rule are kept below as the reference; its unfolding of a pending power
+OP^p S is p passes of its own L or R over e_{0,0} (x) S, so that it adds
+each pass's terms in the order the package does.  L, R, their powers,
+Delta, expansion and the zero test of the package's integer rule must give
+forms equal to the reference's, under the default pole table, an empty
+one, and one whose residues hold non-constant atoms (so that the remaining
+passes act on the residue).  The integer Delta-closure must give the rows,
+in the same order, read off the reference's Delta images.
 """
 
 import math
@@ -20,13 +22,13 @@ from hypothesis import example, given, settings, strategies as st
 from polymaass.scalars import ONE, ZERO, DomainError, Scalar
 from polymaass.symcalc import (CONST_ATOM, CONST_FAMILY, CONSTANT, DEFAULT_POLES, E00,
                                EISENSTEIN, INCOHERENT, POINCARE, _POLES, Family, Form,
-                               PolyAtom, SpectralAtom, _laplace_rows, _lower_poly, _mk_atom,
-                               _raise_poly, apply_laplace, apply_lowering, apply_power,
-                               apply_raising, expand_pending, form_of, forms_equal, is_zero,
-                               pole_table, using_poles, vanishing_order, zero_form)
+                               PolyAtom, SpectralAtom, _laplace_rows, _mk_atom, apply_laplace,
+                               apply_lowering, apply_power, apply_raising, expand_pending,
+                               form_of, forms_equal, is_zero, pole_table, using_poles,
+                               vanishing_order, zero_form)
 
 
-# --- the reference, verbatim ------------------------------------------------
+# --- the reference ----------------------------------------------------------
 
 def _spectral_step(a: SpectralAtom, direction: str):
     """One application of L or R to an expanded atom.
@@ -71,39 +73,34 @@ def _spectral_step(a: SpectralAtom, direction: str):
     return atoms, residues
 
 
-def _expand_atom(a: SpectralAtom):
-    """Expand pending operator powers; returns (atom_terms, residue_forms).
-
-    A pole residue picked up before the last step still receives the
-    remaining operator applications (zero for constant residues).
-    """
-    if a.pending is None:
-        return [(a, ONE)], []
-    direction, power = a.pending
-    base = SpectralAtom(a.family, a.weight, a.point, a.laurent)
-    atoms = [(base, ONE)]
-    residues = []
-    for step in range(power):
-        next_atoms: Dict[SpectralAtom, Scalar] = {}
-        for sub, c in atoms:
-            steps, res = _spectral_step(sub, direction)
-            for s_atom, s_c in steps:
-                key = s_atom
-                next_atoms[key] = next_atoms.get(key, ZERO) + c * s_c
-            for r_form, r_c in res:
-                for _ in range(power - 1 - step):
-                    r_form = _apply_op(r_form, direction)
-                if not r_form.is_empty():
-                    residues.append((r_form, c * r_c))
-        atoms = [(k, v) for k, v in next_atoms.items() if not v.is_zero()]
-    return atoms, residues
+def _expand_atom(a: SpectralAtom) -> Form:
+    """e_{0,0} (x) a with its pending power unfolded: p passes of the
+    operator over e_{0,0} (x) the expanded atom, which has no polynomial
+    image, so a residue picked up part-way gets the remaining passes."""
+    f = form_of(E00, SpectralAtom(a.family, a.weight, a.point, a.laurent))
+    for _ in range(a.pending[1] if a.pending else 0):
+        f = _apply_op(f, a.pending[0])
+    return f
 
 
-def _tensor_with_residue(e: PolyAtom, res_form: Form, coeff: Scalar, acc: dict):
-    for (e0, a0), c0 in res_form.terms:
-        # residues carry trivial polynomial part, validated at load
+def _tensor(e: PolyAtom, g: Form, coeff: Scalar, acc: dict):
+    """Add coeff * e (x) g to acc, for a form g over e_{0,0}."""
+    for (_e0, a0), c0 in g.terms:
         key = (e, a0)
         acc[key] = acc.get(key, ZERO) + coeff * c0
+
+
+def _lower_poly(e: PolyAtom):
+    c = (e.r + 1) * (e.m - e.r)
+    if c == 0:
+        return None, 0
+    return PolyAtom(e.m, e.r + 1), c
+
+
+def _raise_poly(e: PolyAtom):
+    if e.r == 0:
+        return None, 0
+    return PolyAtom(e.m, e.r - 1), 1
 
 
 def _apply_op(f: Form, direction: str) -> Form:
@@ -128,38 +125,23 @@ def _apply_op(f: Form, direction: str) -> Form:
         if a.pending is not None and a.pending[0] == direction:
             add((e, SpectralAtom(a.family, a.weight, a.point, a.laurent,
                                  (direction, a.pending[1] + 1))), coeff)
-            continue
-        if a.pending is not None:
+        elif a.pending is not None:
             # opposite-direction pending operator: unfold it first, then let
             # the current operator act on everything (spectral side only)
-            expanded, residues = _expand_atom(a)
-            for r_form, r_c in residues:
-                stepped = _apply_op(r_form, direction)
-                if not stepped.is_empty():
-                    _tensor_with_residue(e, stepped, coeff * r_c, acc)
+            _tensor(e, _apply_op(_expand_atom(a), direction), coeff, acc)
         else:
-            expanded = [(a, ONE)]
-        for sub, c_sub in expanded:
-            steps, res = _spectral_step(sub, direction)
+            steps, res = _spectral_step(a, direction)
             for s_atom, s_c in steps:
-                add((e, s_atom), coeff * c_sub * s_c)
+                add((e, s_atom), coeff * s_c)
             for r_form, r_c in res:
-                _tensor_with_residue(e, r_form, coeff * c_sub * r_c, acc)
+                _tensor(e, r_form, coeff * r_c, acc)
     return Form(out_weight, acc)
 
 
 def expand_pending_reference(f: Form) -> Form:
     acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
-
-    def add(key, c):
-        acc[key] = acc.get(key, ZERO) + c
-
     for (e, a), coeff in f.terms:
-        expanded, residues = _expand_atom(a)
-        for sub, c_sub in expanded:
-            add((e, sub), coeff * c_sub)
-        for r_form, r_c in residues:
-            _tensor_with_residue(e, r_form, coeff * r_c, acc)
+        _tensor(e, _expand_atom(a), coeff, acc)
     return Form(f.weight, acc)
 
 
@@ -416,6 +398,12 @@ CLOSURE_TABLES = {
 @given(seeds=st.lists(closure_keys(), min_size=1, max_size=3), coeff=coeffs)
 @example(seeds=[(PolyAtom(2, 1), SpectralAtom(POINCARE_1, 2, Fraction(0), 0))],
          coeff=Scalar.pi_power(1, Fraction(-2, 3)))
+# a residue picked up by the second pass of an unfolding: its terms come
+# after that pass's step terms
+@example(seeds=[(E00, SpectralAtom(EIS, 0, Fraction(0), 0)),
+                (E00, SpectralAtom(Family(INCOHERENT, disc=3), 1, Fraction(0), 1)),
+                (E00, SpectralAtom(POINCARE_1, 4, Fraction(0), 1, ("L", 1)))],
+         coeff=ONE)
 def test_laplace_rows_match_reference(table, seeds, coeff):
     with using_poles(CLOSURE_TABLES[table]):
         assert _laplace_rows(seeds) == reference_rows(seeds)
