@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Dict, List, Optional, Tuple
 
 from . import BK_CASES
 
-# rref is not used here; the benchmark's tracer finds rref, kernel,
-# solve_linear, mat_mul and mat_vec under this module's names
+# rref and mat_vec are not used here; the benchmark's tracer finds rref,
+# kernel, solve_linear, mat_mul and mat_vec under this module's names
 from .linalg import IntMat, Vec, kernel, mat_mul, mat_vec, rref, solve_linear
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
@@ -166,7 +166,8 @@ def build_w0(k: int, m: int, branch: str) -> GradedVector:
     if all(x == 0 for x in c):
         raise DomainError("no kernel formula for k=%d, m=%d, %s" % (k, m, branch))
     A, _, _ = model.matrices()
-    if any(x != 0 for x in mat_vec(A, c)):
+    _den, ints = _cleared(c)
+    if any(sum(a * x for a, x in zip(row, ints) if a) for row in A):
         raise AssertionError("w0 formula does not lie in ker A (k=%d, m=%d, %s)" % (k, m, branch))
     return GradedVector(k, m, branch, 0, [c])
 
@@ -184,16 +185,15 @@ def solver_admissible(k: int, m: int, branch: str) -> bool:
 def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     """Iterative construction of the generalized eigenvector w_d.
 
-    Each step solves for the new top layer u and the scalar mu at once:
-    A u - mu w_0 = rest, with rest = sum_t mu_t u_{d-t} - B u_{d-1} -
-    C u_{d-2}, and u_m = 0 form the square system
-    [[A, -w_0], [e_m^T, 0]] (u, mu) = (rest, 0), whose inverse is taken
-    once per call as an IntMat.  It is nonsingular exactly when w_0 is not
-    in the image of A: rank A = n - 1, since every superdiagonal entry of A
-    is -1 on the L branch and every subdiagonal entry is -(r+1)(m-r) != 0
-    on the R branch; so ker A = span(w_0), and w_0[m] != 0.  The image of A
-    is the kernel of v -> v[m] (L; row m of A is zero) or of
-    alternating_trace (R), so that functional decides.
+    Step t solves A u - mu w_0 = rest, u_m = 0 for the new top layer u and
+    the scalar mu, where rest = sum_s mu_s u_{t-s} - B u_{t-1} - C u_{t-2},
+    by one O(n) integer sweep.  The system is nonsingular exactly when w_0
+    is not in the image of A (the kernel of v -> v[m] on L, of
+    alternating_trace on R): every superdiagonal entry of A is -1 on L and
+    every subdiagonal entry -(r+1)(m-r) != 0 on R, so ker A = span(w_0).
+    Layers are int vectors over one positive denominator, in lowest terms,
+    and rest is summed over the lcm of the denominators it involves;
+    Fractions are built once, for the result.
     """
     model = WModel(k, m, branch)
     if d < 0:
@@ -202,33 +202,77 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
         raise DomainError(
             "solver requires k<=0 or k-m>1 (L) / k>1 or k+m<1 (R); got k=%d, m=%d, %s"
             % (k, m, branch))
-    w0 = build_w0(k, m, branch).layers[0]
+    den0, w0 = _cleared(build_w0(k, m, branch).layers[0])
     A, B, C = model.matrices()
-    n = m + 1
-    inv = IntMat.from_dense([row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]]).inverse()
-    if inv is None:
+    sweep = _layer_sweep(A, w0, branch)
+    if sweep is None:
         raise DomainError("w0 lies in the image of A, so no layer is solvable "
                           "(k=%d, m=%d, %s)" % (k, m, branch))
-
-    minus_bc = IntMat.from_dense([[-x for x in b + c] for b, c in zip(B, C)])   # -[B | C]
-    layers: List[Vec] = [w0]
-    mus: List[Fraction] = []
+    minus_bc = [[(j, -x) for j, x in enumerate(b + c) if x] for b, c in zip(B, C)]
+    layers = [(den0, w0)]   # (den, ints) of u_0, u_1, ...
+    mus = []                # (den, [num]) of mu_1, mu_2, ...
     for step in range(1, d + 1):
-        rest = _times(minus_bc, layers[-1] + (layers[-2] if step >= 2 else [0] * n))
-        for t in range(1, step):
-            rest = [a + mus[t - 1] * b for a, b in zip(rest, layers[step - t])]
-        *u, mu = _times(inv, rest + [0])
-        layers.append(u)
-        mus.append(mu)
-    nu = mus[0] ** d if d > 0 else Fraction(1)
-    gv = GradedVector(k, m, branch, d, layers, nu)
+        (e1, v1), (e2, v2) = layers[-1], layers[-2] if step >= 2 else (1, [0] * (m + 1))
+        sums = list(zip(mus, layers[:0:-1]))   # mu_s with u_{step-s}
+        den = lcm(e1, e2, *(e * f for (e, _), (f, _) in sums))
+        both = [x * (den // e1) for x in v1] + [x * (den // e2) for x in v2]
+        rest = [sum(x * both[j] for j, x in row) for row in minus_bc]
+        for (e, (mu,)), (f, v) in sums:
+            scale = mu * (den // (e * f))
+            rest = [r + scale * x for r, x in zip(rest, v)]
+        u, mu, e = sweep(rest)
+        layers.append(_lowest(e * den, u))
+        mus.append(_lowest(e * den, [mu * den0]))
+    nu = Fraction(mus[0][1][0], mus[0][0]) ** d if d > 0 else Fraction(1)
+    gv = GradedVector(k, m, branch, d, [[Fraction(x, e) for x in v] for e, v in layers], nu)
     _check_generalized_eigenvector(model, gv)
     return gv
 
 
-def _times(m: IntMat, v: Vec) -> Vec:
-    """The product m v, as Fractions, through the one-column IntMat of v."""
-    return [row[0] for row in (m @ IntMat.from_dense([[x] for x in v], 1)).to_dense()]
+def _cleared(v: Vec) -> Tuple[int, List[int]]:
+    """(den, ints) with v = ints / den, den the lcm of v's denominators."""
+    den = lcm(*(x.denominator for x in v))
+    return den, [x.numerator * (den // x.denominator) for x in v]
+
+
+def _lowest(den: int, v: List[int]) -> Tuple[int, List[int]]:
+    """(den, ints) of v / den, with den > 0 and no common factor."""
+    g = gcd(den, *v) if den > 0 else -gcd(den, *v)
+    return den // g, [x // g for x in v]
+
+
+def _layer_sweep(A: List[List[int]], w0: List[int], branch: str):
+    """The solver of A u - mu w0 = rest, u_m = 0 for the branch's int A and
+    an int w0 spanning ker A: a function of int rest giving ints (u, mu,
+    den), the solution over den; None when w0 is in the image of A.  A's
+    off-diagonal A[r][r+o] (o = 1 on L, -1 on R) has no zero, so from u_s = 0
+    at its start s each row r gives u_{r+o}, held as S_{r+o} u_{r+o} with S
+    the running pivot product so that no step divides; the last row e = m - s
+    leaves S_e times its residual.  The sweep is linear in g = rest + mu w0:
+    the response to w0, taken once, fixes mu, and a multiple of w0 sets
+    u_m = 0 (0 already on R)."""
+    m = len(A) - 1
+    o, s = (1, 0) if branch == "L" else (-1, m)
+    e, S, back = m - s, [1] * (m + 1), [0] * (m + 1)   # back[j] = A[j][j-o] A[j-o][j]
+    for r in range(s, e, o):
+        S[r + o], back[r + o] = S[r] * A[r][r + o], A[r + o][r] * A[r][r + o]
+
+    def sweep(g):
+        U = [0] * (m + 2)   # U[m + 1] = U[s - o] is 0, then S_e times the residual
+        for r in range(s, e + o, o):
+            U[r + o] = g[r] * S[r] - A[r][r] * U[r] - back[r] * U[r - o]
+        return [x * (S[e] // y) for x, y in zip(U, S)], U[m + 1]   # both over S_e
+
+    H, h = sweep(w0)
+    if h == 0:
+        return None
+    last = w0[m]
+
+    def solve(rest):
+        X, x = sweep(rest)
+        u = [a * h - x * b for a, b in zip(X, H)]   # h (X + mu H) for mu = -x / h
+        return [a * last - u[m] * w for a, w in zip(u, w0)], -x * S[e] * last, h * S[e] * last
+    return solve
 
 
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
@@ -276,7 +320,7 @@ def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
                           % (k, m, branch, d))
     flat = mat_mul([coeffs], K, n * (d + 1))[0]
     layers = [flat[t * n:(t + 1) * n] for t in range(d + 1)]
-    img = _times(Dd, flat)
+    img = [row[0] for row in (Dd @ IntMat.from_dense([[x] for x in flat], 1)).to_dense()]
     top = img[d * n:]
     pivot = next(i for i, x in enumerate(w0) if x)
     nu = top[pivot] / w0[pivot]

@@ -556,6 +556,10 @@ def apply_laplace(f: Form) -> Form:
 
 
 def expand_pending(f: Form) -> Form:
+    """f with every pending operator power unfolded; f itself when no
+    term holds one (E is the identity on expanded atoms)."""
+    if all(a.pending is None for (_e, a), _c in f.terms):
+        return f
     return _apply(f, "E", f.weight)
 
 

@@ -272,6 +272,15 @@ def test_expand_pending_is_idempotent(table, f):
         assert forms_equal(f, g)
 
 
+@settings(deadline=None)
+@given(f=forms())
+def test_expand_pending_returns_an_expanded_form_as_it_is(f):
+    # E is the identity on expanded atoms, so such a form is not rebuilt
+    g = expand_pending(f)
+    assert expand_pending(g) is g
+    assert (g is f) == all(a.pending is None for (_e, a), _c in f.terms)
+
+
 def _assert_well_formed(g: Form, weight: int):
     """The checks the public Form constructor runs and Form._make skips: no
     zero coefficient, and every term of the form's weight."""

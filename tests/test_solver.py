@@ -5,13 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymaass import specsolve
 from polymaass.linalg import IntMat, kernel, mat_vec
 from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
-                                 alternating_trace, brute_force_wd, build_w0, construct_case,
-                                 eisenstein_family, emit_form, poincare_family, solve_wd,
-                                 solver_admissible)
+                                 _layer_sweep, alternating_trace, brute_force_wd, build_w0,
+                                 construct_case, eisenstein_family, emit_form, poincare_family,
+                                 solve_wd, solver_admissible)
 from polymaass.symcalc import (DomainError, PolyAtom, SpectralAtom, Family,
                                apply_flip, apply_laplace, apply_power, form_of,
                                form_to_json, forms_equal, is_zero, expand_pending, zero_form)
@@ -288,6 +289,59 @@ def test_square_layer_system_is_nonsingular_wherever_the_solver_runs():
                 assert IntMat.from_dense(square).rank() == m + 2, (k, m, branch)
                 count += 1
     assert count == 637
+
+
+def _bordered_reference(A, w0, rest):
+    """(u, mu) from the inverse of [[A, -w0], [e_m^T, 0]] times rest + [0],
+    as solve_wd once took them."""
+    m = len(A) - 1
+    inv = IntMat.from_dense([row + [-w] for row, w in zip(A, w0)] + [[0] * m + [1, 0]]).inverse()
+    *u, mu = [row[0] for row in (inv @ IntMat.from_dense([[x] for x in rest + [0]], 1)).to_dense()]
+    return u, mu
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), branch=st.sampled_from("LR"), m=st.integers(0, 16),
+       scale=st.integers(-6, 6).filter(bool))
+def test_layer_sweep_matches_the_inverse_of_the_bordered_system(data, branch, m, scale):
+    k = data.draw(st.sampled_from([k for k in range(-20, 21) if solver_admissible(k, m, branch)]))
+    A, _B, _C = WModel(k, m, branch).matrices()
+    w0 = build_w0(k, m, branch).layers[0]
+    den = math.lcm(*(x.denominator for x in w0))
+    w0 = [int(x * den) * scale for x in w0]   # any int vector spanning ker A
+    rest = data.draw(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=m + 1, max_size=m + 1))
+    u, mu, den = _layer_sweep(A, w0, branch)(rest)
+    assert all(type(x) is int for x in u + [mu, den])
+    assert ([Fraction(x, den) for x in u], Fraction(mu, den)) == _bordered_reference(A, w0, rest)
+    assert [sum(a * x for a, x in zip(row, u)) - mu * w for row, w in zip(A, w0)] \
+        == [den * x for x in rest]
+    assert u[m] == 0
+
+
+def test_layer_sweep_refuses_a_vector_in_the_image_of_A():
+    # L: the image of A is v_m = 0; R: the image of A is where
+    # alternating_trace vanishes
+    A, _B, _C = WModel(0, 3, "L").matrices()
+    assert _layer_sweep(A, [1, 2, 3, 0], "L") is None
+    A, _B, _C = WModel(2, 3, "R").matrices()
+    assert alternating_trace([Fraction(x) for x in (1, 1, 1, 1)]) == 0
+    assert _layer_sweep(A, [1, 1, 1, 1], "R") is None
+    assert _layer_sweep(A, [1, 1, 1, 2], "R") is not None
+
+
+# sha256 prefix over solve_wd on k -8..8 x m 0..12 x {L, R} x d 0..6 (3094
+# points), one line per point: its to_json with sorted keys, or
+# "DomainError: " and the message; recorded while each layer was still
+# solved through the inverse of the bordered system [[A, -w0], [e_m^T, 0]]
+def test_solve_wd_grid_is_pinned():
+    h = hashlib.sha256()
+    for k, m, branch, d in itertools.product(range(-8, 9), range(13), "LR", range(7)):
+        try:
+            line = json.dumps(solve_wd(k, m, branch, d).to_json(), sort_keys=True)
+        except DomainError as e:
+            line = "DomainError: " + str(e)
+        h.update((line + "\n").encode())
+    assert h.hexdigest()[:16] == "605c28f85ad0fd46"
 
 
 # --- emission validation ----------------------------------------------------
