@@ -10,9 +10,10 @@ and returns the solution as Fractions.
 
 Dense matrices are lists of rows.  Five thin wrappers over IntMat take
 and return them: kernel, the package's export, and solve_linear, mat_mul,
-mat_vec and rref, which the solver's oracle and quiverrep's witness call
-or the benchmark traces under specsolve's names.  Each clears its input
-of denominators once (its lcm); int and Fraction input give Fractions.
+mat_vec and rref.  Only quiverrep's witness still calls one (solve_linear);
+the benchmark traces all five under specsolve's names.  Each clears its
+input of denominators once (its lcm); int and Fraction input give
+Fractions.
 
 Elimination runs on sparse rows, one ``{column: value}`` dict per row
 that stores only nonzero entries, so a row update costs the pivot row's

@@ -21,7 +21,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .scalars import DomainError
+from .scalars import DomainError, exact_int
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class EvalConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        if self.trunc < 1:
+        if exact_int("trunc", self.trunc) < 1:
             raise DomainError("invalid evaluation configuration")
         if not isfinite(self.tol) or self.tol <= 0:
             raise DomainError("tolerance must be a positive finite number")

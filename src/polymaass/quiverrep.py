@@ -190,7 +190,7 @@ _INTERVALS = {
 def cyclic_module_dims(quiver: str, type_tag: str, case: str, d: int) -> Tuple[int, ...]:
     """Dimension vector, in NODES order, of the cyclic module (type, case,
     d); DomainError when no such module exists."""
-    if d < 0:
+    if exact_int("d", d) < 0:
         raise DomainError("depth parameter must be nonnegative")
     if quiver not in _INTERVALS:
         raise DomainError("unknown quiver %r" % (quiver,))
@@ -586,7 +586,7 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
     solved from the key identities, so the Lemma hypotheses hold by
     construction.
     """
-    if l < 1 or dim < 1:
+    if exact_int("l", l) < 1 or exact_int("dim", dim) < 1:
         raise DomainError("need l >= 1 and dim >= 1")
     rng = random.Random(seed)
 

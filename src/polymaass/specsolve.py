@@ -13,19 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 from typing import Dict, List, Optional, Tuple
 
 from . import BK_CASES
 
-# rref and mat_vec are not used here; the benchmark's tracer finds rref,
-# kernel, solve_linear, mat_mul and mat_vec under this module's names
+# none of kernel, mat_mul, mat_vec, rref and solve_linear is called here: the
+# names are kept for the benchmark's tracer alone, which finds them here
 from .linalg import IntMat, Vec, kernel, mat_mul, mat_vec, rref, solve_linear
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
-from .symcalc import (EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
+from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, _Atoms, _laplace_rows, apply_flip, apply_power,
-                      atom_incoherent, form_of, local_eigen_poly)
+                      atom_incoherent, form_of)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,8 @@ class WModel:
     def __post_init__(self):
         if self.branch not in ("L", "R"):
             raise DomainError("branch must be L or R")
-        if self.m < 0:
+        exact_int("k", self.k)
+        if exact_int("m", self.m) < 0:
             raise DomainError("m must be nonnegative")
 
     def matrices(self) -> Tuple[List[List[int]], ...]:
@@ -114,7 +115,8 @@ class GradedVector:
                               % (self.d + 1, self.m + 1))
         check_exact("layers", self.layers)
         check_exact("preimage_scale", [[self.preimage_scale]])
-        self.layers = [[Fraction(x) for x in layer] for layer in self.layers]
+        self.layers = [[x if type(x) is Fraction else Fraction(x) for x in layer]
+                       for layer in self.layers]
         self.preimage_scale = Fraction(self.preimage_scale)
         if self.preimage_scale == 0:
             raise DomainError("preimage_scale must be nonzero")
@@ -133,43 +135,36 @@ class GradedVector:
                                 json_rational(data.get("preimage_scale", 1)))
 
 
-def _pochhammer(a: int, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(j):
-        out *= a + i
-    return out
+def _kernel_vector(model: WModel) -> Tuple[int, List[int]]:
+    """The depth-0 kernel vector w_0 of A, with the closed coefficient
+    formulas, as (den, ints) with w_0 = ints / den in lowest terms: each
+    nonzero entry is 1/D_r for an int D_r, so den is the lcm of the |D_r|.
+    With the rising factorial (a)_j, D_r is (m-r)! (m-r-k)! (L, m >= k),
+    (m-r)! (1-k)_{m-r} (L, m < k), (m-r)! (r+k-1)! (R, m > -k) or
+    (m-r)! (k)_r (R, m <= -k); no rising factorial there has a zero factor,
+    and no index range is empty."""
+    k, m = model.k, model.m
+    if model.branch == "L" and m >= k:
+        D = {r: factorial(m - r) * factorial(m - r - k) for r in range(min(m, m - k) + 1)}
+    elif model.branch == "L":
+        D = {r: factorial(m - r) * prod(range(1 - k, m - r + 1 - k)) for r in range(m + 1)}
+    elif m > -k:
+        D = {r: factorial(m - r) * factorial(r + k - 1) for r in range(max(0, 1 - k), m + 1)}
+    else:
+        D = {r: factorial(m - r) * prod(range(k, k + r)) for r in range(m + 1)}
+    den = lcm(*D.values())
+    ints = [den // D[r] if r in D else 0 for r in range(m + 1)]
+    A, _, _ = model.matrices()
+    if any(sum(a * x for a, x in zip(row, ints) if a) for row in A):
+        raise AssertionError("w0 formula does not lie in ker A (k=%d, m=%d, %s)"
+                             % (k, m, model.branch))
+    return den, ints
 
 
 def build_w0(k: int, m: int, branch: str) -> GradedVector:
     """The depth-0 kernel vector, with the closed coefficient formulas."""
-    model = WModel(k, m, branch)
-    c = [Fraction(0)] * (m + 1)
-    if branch == "L":
-        if m >= k:
-            for r in range(0, min(m, m - k) + 1):
-                c[r] = Fraction(1, factorial(m - r) * factorial(m - r - k))
-        else:
-            for r in range(0, m + 1):
-                p = _pochhammer(1 - k, m - r)
-                if p == 0:
-                    raise DomainError("degenerate parameters: k=%d, m=%d, L" % (k, m))
-                c[r] = Fraction(1, factorial(m - r)) / p
-    elif m > -k:
-        for r in range(max(0, 1 - k), m + 1):
-            c[r] = Fraction(1, factorial(m - r) * factorial(r + k - 1))
-    else:
-        for r in range(0, m + 1):
-            p = _pochhammer(k, r)
-            if p == 0:
-                raise DomainError("degenerate parameters: k=%d, m=%d, R" % (k, m))
-            c[r] = Fraction(1, factorial(m - r)) / p
-    if all(x == 0 for x in c):
-        raise DomainError("no kernel formula for k=%d, m=%d, %s" % (k, m, branch))
-    A, _, _ = model.matrices()
-    _den, ints = _cleared(c)
-    if any(sum(a * x for a, x in zip(row, ints) if a) for row in A):
-        raise AssertionError("w0 formula does not lie in ker A (k=%d, m=%d, %s)" % (k, m, branch))
-    return GradedVector(k, m, branch, 0, [c])
+    den, ints = _kernel_vector(WModel(k, m, branch))
+    return GradedVector(k, m, branch, 0, [[Fraction(x, den) for x in ints]])
 
 
 def alternating_trace(v: Vec) -> Fraction:
@@ -196,13 +191,13 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     Fractions are built once, for the result.
     """
     model = WModel(k, m, branch)
-    if d < 0:
+    if exact_int("d", d) < 0:
         raise DomainError("m and d must be nonnegative")
     if not solver_admissible(k, m, branch):
         raise DomainError(
             "solver requires k<=0 or k-m>1 (L) / k>1 or k+m<1 (R); got k=%d, m=%d, %s"
             % (k, m, branch))
-    den0, w0 = _cleared(build_w0(k, m, branch).layers[0])
+    den0, w0 = _kernel_vector(model)
     A, B, C = model.matrices()
     sweep = _layer_sweep(A, w0, branch)
     if sweep is None:
@@ -227,12 +222,6 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     gv = GradedVector(k, m, branch, d, [[Fraction(x, e) for x in v] for e, v in layers], nu)
     _check_generalized_eigenvector(model, gv)
     return gv
-
-
-def _cleared(v: Vec) -> Tuple[int, List[int]]:
-    """(den, ints) with v = ints / den, den the lcm of v's denominators."""
-    den = lcm(*(x.denominator for x in v))
-    return den, [x.numerator * (den // x.denominator) for x in v]
 
 
 def _lowest(den: int, v: List[int]) -> Tuple[int, List[int]]:
@@ -305,20 +294,21 @@ def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     """Independent oracle: exact kernel of the stacked Delta^{d+1} matrix
     on W_d, pinned to layer 0 = w_0 and the zero-v_m gauge."""
     model = WModel(k, m, branch)
-    if d < 0:
+    if exact_int("d", d) < 0:
         raise DomainError("m and d must be nonnegative")
     w0 = build_w0(k, m, branch).layers[0]
     n = m + 1
     D = model._int_block_delta(d)
     Dd = D.power(d)
-    K = kernel((D @ Dd).to_dense())
+    K = [v for _c, v in (D @ Dd).kernel()]
     # solve for the combination with layer 0 = w0 and zero v_m on layers >= 1
     pinned = list(range(n)) + [t * n + m for t in range(1, d + 1)]
-    coeffs = solve_linear([[v[i] for v in K] for i in pinned], w0 + [0] * d)
+    coeffs = IntMat([[(j, v[i]) for j, v in enumerate(K) if i in v] for i in pinned], 1,
+                    len(K)).solve(w0 + [0] * d)
     if coeffs is None:
         raise DomainError("oracle: no pinned kernel element (k=%d, m=%d, %s, d=%d)"
                           % (k, m, branch, d))
-    flat = mat_mul([coeffs], K, n * (d + 1))[0]
+    flat = [sum(q * v.get(i, 0) for q, v in zip(coeffs, K)) for i in range(n * (d + 1))]
     layers = [flat[t * n:(t + 1) * n] for t in range(d + 1)]
     img = [row[0] for row in (Dd @ IntMat.from_dense([[x] for x in flat], 1)).to_dense()]
     top = img[d * n:]
@@ -349,12 +339,17 @@ class SpectralFamily:
         if type(self.orientation) is not int or self.orientation not in (1, -1):
             raise DomainError("orientation must be +1 or -1")
 
-    def local_eigen(self) -> Tuple[Fraction, Fraction, Fraction]:
-        a0, a1, a2 = local_eigen_poly(self.family, self.weight, self.point)
-        return (a0, self.orientation * a1, a2)
-
     def check_standard(self):
-        if self.local_eigen() != (Fraction(0), Fraction(1 - self.weight), Fraction(-1)):
+        """The local Laplace eigenvalue a0 + a1 u - u^2 of the member at
+        s = point + u must be (1 - weight) u in the oriented variable:
+        a0 = 0 and orientation a1 = 1 - weight.  A constant family has
+        eigenvalue 0, with no u^2 term, so it never is."""
+        w, p = self.weight, self.point
+        if self.family.is_eisenstein_like():   # s (1 - w - s)
+            a0, a1 = p * (1 - w - p), 1 - w - 2 * p
+        else:   # Poincare: -(s - w/2)(s - 1 + w/2)
+            a0, a1 = (p - Fraction(w, 2)) * (1 - p - Fraction(w, 2)), 1 - 2 * p
+        if self.family.kind == CONSTANT or a0 != 0 or self.orientation * a1 != 1 - w:
             raise DomainError(
                 "family at point %s is not in the standard eigenvalue "
                 "normalization for weight %d" % (self.point, self.weight))
@@ -400,7 +395,9 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
 def preimage_constant_weight(k: int, d: int, fam: SpectralFamily) -> Form:
     """Minimal constant-weight preimage of the family value under Delta^d:
     f^(d)/(d! (1-k)^d) for k != 1 and (-1)^d f^(2d)/(2d)! for k = 1."""
-    if fam.weight != k:
+    if exact_int("d", d) < 0:
+        raise DomainError("depth must be nonnegative")
+    if fam.weight != exact_int("k", k):
         raise DomainError("family weight %d does not match k=%d" % (fam.weight, k))
     fam.check_standard()
     if k != 1:
@@ -534,7 +531,9 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
     """
     if label not in BK_CASES:
         raise DomainError("unknown case label %r" % (label,))
-    if d < 0:
+    for name, x in (("k", k), ("index", index), ("disc", disc)):
+        exact_int(name, x)
+    if exact_int("d", d) < 0:
         raise DomainError("depth must be nonnegative")
     if label.startswith("III"):
         if k <= 1:

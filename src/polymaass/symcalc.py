@@ -643,25 +643,6 @@ def apply_flip(f: Form) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# local eigenvalue data (used by the solver and for the Lemma-route Laplacian)
-
-
-def local_eigen_poly(family: Family, weight: int, point: Fraction):
-    """Coefficients (a0, a1, a2) of the local Laplace eigenvalue
-    a0 + a1*u + a2*u^2 of the family member at the point."""
-    if family.kind == CONSTANT:
-        return (Fraction(0), Fraction(0), Fraction(0))
-    if family.is_eisenstein_like():
-        a0 = point * (1 - weight - point)
-        a1 = Fraction(1 - weight - 2 * point)
-        return (a0, a1, Fraction(-1))
-    # Poincare: -(s - w/2)(s - 1 + w/2) at s = point + u
-    x = point - Fraction(weight, 2)
-    y = point - 1 + Fraction(weight, 2)
-    return (-x * y, -(x + y), Fraction(-1))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 

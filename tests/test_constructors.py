@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymaass.quiverrep import CYCLIC, GELFAND, HCFragment, QuiverRep, random_fragment
+from polymaass.numcheck import EvalConfig
+from polymaass.quiverrep import (CYCLIC, GELFAND, HCFragment, QuiverRep, build_cyclic_module,
+                                 cyclic_module_dims, random_fragment)
 from polymaass.scalars import DomainError, Scalar
-from polymaass.specsolve import GradedVector, eisenstein_family, poincare_family
+from polymaass.specsolve import (GradedVector, WModel, construct_case, eisenstein_family,
+                                 poincare_family, preimage_constant_weight, solve_wd)
 from polymaass.symcalc import (CONST_ATOM, E00, EISENSTEIN, INCOHERENT, POINCARE, Family,
                                Form, PolyAtom, SpectralAtom, apply_power, atom_E,
                                atom_incoherent, atom_P, form_from_json, form_of, form_to_json,
@@ -19,6 +22,7 @@ from polymaass.symcalc import (CONST_ATOM, E00, EISENSTEIN, INCOHERENT, POINCARE
 E = Family(EISENSTEIN)
 ONE = [[Fraction(1)]]
 FRAGMENT = random_fragment(2, 2, seed=3)
+ANCHOR = eisenstein_family(0, 0)
 
 # one entry per int or rational argument: the constructor call with that
 # argument replaced by the value drawn
@@ -66,6 +70,20 @@ SLOTS = {
                                                {"a": [[0]], "b": [[0]]}),
     "QuiverRep.entry": lambda v: QuiverRep(CYCLIC, {"-": 1, "+": 1},
                                            {"a": [[v]], "b": [[0]]}),
+    "WModel.k": lambda v: WModel(v, 0, "L"),
+    "WModel.m": lambda v: WModel(0, v, "L"),
+    "solve_wd.d": lambda v: solve_wd(0, 2, "L", v),
+    "construct_case.k": lambda v: construct_case("Ia", v, 1),
+    "construct_case.d": lambda v: construct_case("Ia", 0, v),
+    "construct_case.index": lambda v: construct_case("Ia", 0, 1, index=v),
+    "construct_case.disc": lambda v: construct_case("IIb", 1, 1, disc=v),
+    "preimage_constant_weight.k": lambda v: preimage_constant_weight(v, 1, ANCHOR),
+    "preimage_constant_weight.d": lambda v: preimage_constant_weight(0, v, ANCHOR),
+    "cyclic_module_dims.d": lambda v: cyclic_module_dims(GELFAND, "*", "a", v),
+    "build_cyclic_module.d": lambda v: build_cyclic_module(GELFAND, "*", "a", v),
+    "random_fragment.l": lambda v: random_fragment(v, 2),
+    "random_fragment.dim": lambda v: random_fragment(2, v),
+    "EvalConfig.trunc": lambda v: EvalConfig(trunc=v),
     "HCFragment.l": lambda v: HCFragment(v, z_minus=[[0]], z_plus=[[0]]),
     "HCFragment.entry": lambda v: HCFragment(
         2, x_minus=FRAGMENT.x_minus, xs=FRAGMENT.xs, x_plus=FRAGMENT.x_plus,
@@ -82,7 +100,9 @@ def test_every_slot_accepts_an_exact_value():
              "poincare_family.index": -1, "Family.index": 2, "Family.disc": 3,
              "PolyAtom.m": 2, "QuiverRep.dimension": 1, "eisenstein_family.orientation": 1,
              "GradedVector.preimage_scale": 1, "Scalar.coefficient": 1,
-             "Scalar.from_rational": 1, "Scalar.pi_power.coefficient": 1}
+             "Scalar.from_rational": 1, "Scalar.pi_power.coefficient": 1,
+             "construct_case.index": -1, "construct_case.disc": 3, "random_fragment.l": 2,
+             "random_fragment.dim": 2, "EvalConfig.trunc": 1}
     for slot, build in SLOTS.items():
         build(exact.get(slot, 0))
 

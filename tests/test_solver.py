@@ -7,13 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymaass import specsolve
+from polymaass import BK_CASES, specsolve
 from polymaass.linalg import IntMat, kernel, mat_vec
-from polymaass.specsolve import (GradedVector, WModel, _check_generalized_eigenvector,
-                                 _layer_sweep, alternating_trace, brute_force_wd, build_w0,
-                                 construct_case, eisenstein_family, emit_form, poincare_family,
-                                 solve_wd, solver_admissible)
-from polymaass.symcalc import (DomainError, PolyAtom, SpectralAtom, Family,
+from polymaass.specsolve import (GradedVector, SpectralFamily, WModel,
+                                 _check_generalized_eigenvector, _layer_sweep, alternating_trace,
+                                 brute_force_wd, build_w0, construct_case, eisenstein_family,
+                                 emit_form, poincare_family, preimage_constant_weight, solve_wd,
+                                 solver_admissible)
+from polymaass.symcalc import (CONSTANT, EISENSTEIN, INCOHERENT, POINCARE, DomainError,
+                               PolyAtom, SpectralAtom, Family,
                                apply_flip, apply_laplace, apply_power, form_of,
                                form_to_json, forms_equal, is_zero, expand_pending, zero_form)
 
@@ -329,19 +331,52 @@ def test_layer_sweep_refuses_a_vector_in_the_image_of_A():
     assert _layer_sweep(A, [1, 1, 1, 2], "R") is not None
 
 
-# sha256 prefix over solve_wd on k -8..8 x m 0..12 x {L, R} x d 0..6 (3094
-# points), one line per point: its to_json with sorted keys, or
-# "DomainError: " and the message; recorded while each layer was still
-# solved through the inverse of the bordered system [[A, -w0], [e_m^T, 0]]
-def test_solve_wd_grid_is_pinned():
-    h = hashlib.sha256()
-    for k, m, branch, d in itertools.product(range(-8, 9), range(13), "LR", range(7)):
+def grid_digest(solver, points):
+    """(sha256 prefix, line count, error count) over one line per point: the
+    solver's to_json with sorted keys, or "DomainError: " and the message."""
+    h, count, errors = hashlib.sha256(), 0, 0
+    for point in points:
         try:
-            line = json.dumps(solve_wd(k, m, branch, d).to_json(), sort_keys=True)
+            line = json.dumps(solver(*point).to_json(), sort_keys=True)
         except DomainError as e:
-            line = "DomainError: " + str(e)
+            line, errors = "DomainError: " + str(e), errors + 1
         h.update((line + "\n").encode())
-    assert h.hexdigest()[:16] == "605c28f85ad0fd46"
+        count += 1
+    return h.hexdigest()[:16], count, errors
+
+
+# sha256 prefix over solve_wd on k -8..8 x m 0..12 x {L, R} x d 0..6 (3094
+# points), recorded while each layer was still solved through the inverse
+# of the bordered system [[A, -w0], [e_m^T, 0]]
+def test_solve_wd_grid_is_pinned():
+    points = itertools.product(range(-8, 9), range(13), "LR", range(7))
+    assert grid_digest(solve_wd, points)[0] == "605c28f85ad0fd46"
+
+
+# build_w0 on k -12..12 x m 0..16 x {L, R}, recorded while w_0 was built as
+# Fractions and cleared of its denominators afterwards
+def test_build_w0_grid_is_pinned():
+    points = itertools.product(range(-12, 13), range(17), "LR")
+    assert grid_digest(build_w0, points) == ("1f4222a11ce845da", 850, 0)
+
+
+# brute_force_wd on k -5..5 x m 0..5 x {L, R} x d 0..3, recorded while the
+# oracle solved its pinned system through the dense kernel, solve_linear
+# and mat_mul
+def test_brute_force_wd_grid_is_pinned():
+    points = itertools.product(range(-5, 6), range(6), "LR", range(4))
+    assert grid_digest(brute_force_wd, points) == ("41a2fd6bbc7ccc3b", 528, 75)
+
+
+def test_solver_and_cases_call_no_dense_wrapper(monkeypatch):
+    def dense(*args):
+        raise AssertionError("a dense linalg wrapper ran")
+    for name in ("kernel", "mat_mul", "mat_vec", "rref", "solve_linear"):
+        monkeypatch.setattr(specsolve, name, dense)
+    assert brute_force_wd(0, 2, "L", 2) == solve_wd(0, 2, "L", 2)
+    for label in BK_CASES:
+        k = {"I": -2, "II": 1, "III": 3}[label.rstrip("abcd")]
+        construct_case(label, k, 1)
 
 
 # --- emission validation ----------------------------------------------------
@@ -352,6 +387,25 @@ def test_emit_rejects_nonstandard_anchor():
         emit_form(gv, eisenstein_family(0, 2))   # wrong spectral point
     with pytest.raises(DomainError):
         emit_form(gv, eisenstein_family(2, 0))   # wrong weight
+
+
+# check_standard over Eisenstein, Poincare (n = -1), incoherent (D = 3) and
+# constant families, weights -4..4, points a/2 for a in -8..8, both
+# orientations (1224 anchors, 52 standard): one line per anchor, "ok" or the
+# message; recorded while the check compared symcalc's local eigenvalue
+# polynomial (a0, orientation a1, a2) with (0, 1 - weight, -1)
+def test_standard_anchor_check_is_pinned():
+    families = [Family(EISENSTEIN), Family(POINCARE, index=-1), Family(INCOHERENT, disc=3),
+                Family(CONSTANT)]
+    h, standard = hashlib.sha256(), 0
+    for fam, w, a, o in itertools.product(families, range(-4, 5), range(-8, 9), (1, -1)):
+        try:
+            SpectralFamily(fam, w, Fraction(a, 2), o).check_standard()
+            line, standard = "ok", standard + 1
+        except DomainError as e:
+            line = str(e)
+        h.update((line + "\n").encode())
+    assert (h.hexdigest()[:16], standard) == ("5f3557a113e6d948", 52)
 
 
 def test_emitted_flip_involution():
@@ -430,7 +484,7 @@ def test_negative_m_and_d_are_rejected_before_any_work(solver, monkeypatch):
         raise AssertionError("linear algebra ran")
     for name in ("kernel", "mat_mul", "mat_vec", "solve_linear"):
         monkeypatch.setattr(specsolve, name, no_work)
-    for name in ("from_dense", "inverse", "power", "__matmul__", "solve"):
+    for name in ("from_dense", "inverse", "power", "__matmul__", "solve", "kernel"):
         monkeypatch.setattr(IntMat, name, no_work)
     with pytest.raises(DomainError, match="^m must be nonnegative$"):
         solver(3, -5, "R", 1)
@@ -440,6 +494,11 @@ def test_negative_m_and_d_are_rejected_before_any_work(solver, monkeypatch):
         solver(3, 2, "R", -1)
     with pytest.raises(DomainError, match="^branch must be L or R$"):
         solver(3, 2, "Q", 1)
+
+
+def test_negative_depth_of_a_constant_weight_preimage_is_rejected():
+    with pytest.raises(DomainError, match="^depth must be nonnegative$"):
+        preimage_constant_weight(1, -1, poincare_family(1, -1, Fraction(1, 2), orientation=-1))
 
 
 @pytest.mark.parametrize("layers,scale,message", [
@@ -461,6 +520,11 @@ def test_graded_vector_rejects_non_int_fields(field, value):
     with pytest.raises(DomainError) as ex:
         GradedVector(**args)
     assert str(ex.value) == "%s must be an int, not %r" % (field, value)
+
+
+def test_graded_vector_keeps_its_fraction_entries():
+    q = Fraction(1, 3)
+    assert GradedVector(0, 1, "L", 0, [[q, 1]]).layers[0][0] is q
 
 
 def test_graded_vector_stores_ints_as_fractions():
