@@ -10,10 +10,10 @@ and returns the solution as Fractions.
 
 Dense matrices are lists of rows.  Five thin wrappers over IntMat take
 and return them: kernel, the package's export, and solve_linear, mat_mul,
-mat_vec and rref.  Only quiverrep's witness still calls one (solve_linear);
-the benchmark traces all five under specsolve's names.  Each clears its
-input of denominators once (its lcm); int and Fraction input give
-Fractions.
+mat_vec and rref.  No package code calls one; they remain as the kernel
+export and as the names the benchmark traces under specsolve.  Each
+clears its input of denominators once (its lcm); int and Fraction input
+give Fractions.
 
 Elimination runs on sparse rows, one ``{column: value}`` dict per row
 that stores only nonzero entries, so a row update costs the pivot row's
@@ -32,17 +32,6 @@ Vec = List[Fraction]
 Mat = List[List[Fraction]]
 IntRow = Dict[int, int]
 IntSparseRows = List[List[Tuple[int, int]]]
-
-
-def zeros(rows: int, cols: int) -> Mat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Mat:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
 
 
 def _int_mul(a: IntSparseRows, b: IntSparseRows, cols: int) -> IntSparseRows:
@@ -120,7 +109,7 @@ class IntMat:
 
     def to_dense(self) -> Mat:
         """The dense Fraction matrix."""
-        out = zeros(len(self.rows), self.cols)
+        out = [[Fraction(0)] * self.cols for _ in self.rows]
         den = self.den
         for o, row in zip(out, self.rows):
             for j, x in row:
@@ -315,7 +304,7 @@ def rref(m: Mat, cols: Optional[int] = None) -> Tuple[Mat, List[int]]:
     R has the shape of m, with its zero rows at the bottom.  The column
     count is read from m unless given; give it when m can have no rows."""
     value = IntMat.from_dense(m, cols)
-    out = zeros(len(m), value.cols)
+    out = [[Fraction(0)] * value.cols for _ in m]
     rows, pivots = _eliminate(map(dict, value.rows))
     for o, r, pc in zip(out, rows, pivots):
         p = r[pc]

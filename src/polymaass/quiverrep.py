@@ -17,7 +17,8 @@ also reads each map once into an integer matrix (linalg.IntMat), kept in
 the plain attribute ``int_maps``; every product, inverse, rank and
 nilpotency check below runs on those, and Fractions are built only for the
 public fields and return values.  A QuiverRep computes its loops, their
-nilpotency degrees and its top once, when first asked, and keeps them.
+nilpotency degrees and its top once, when first asked, and keeps them; an
+HCFragment forms X_*, Y_* and their inverses once, when built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import CYCLIC, GELFAND
-from .linalg import IntMat, Mat, identity, solve_linear, zeros
+from .linalg import IntMat, Mat
 from .scalars import DomainError, check_exact, exact_int, json_int, json_rational, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
@@ -153,7 +154,7 @@ def _interval_map(src: Tuple[int, int], dst: Tuple[int, int], shift: int) -> Mat
     d_lo, d_hi = dst
     rows = max(0, d_hi - d_lo + 1)
     cols = max(0, s_hi - s_lo + 1)
-    m = zeros(rows, cols) if rows and cols else [[] for _ in range(rows)]
+    m = [[Fraction(0)] * cols for _ in range(rows)]
     for j in range(cols):
         a = s_lo + j + shift
         if d_lo <= a <= d_hi:
@@ -372,7 +373,9 @@ def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
 class HCFragment:
     """The finite fragment M_{-l-1}, M_{-l+1}, ..., M_{l-1}, M_{l+1} with
     raising steps X and lowering steps Y; for l = 0 just the pair
-    (M_{-1}, M_{+1}) with the two restrictions."""
+    (M_{-1}, M_{+1}) with the two restrictions.  For l >= 1, int_maps also
+    holds X_* = X_{l-1} ... X_1, Y_* = Y_1 ... Y_{l-1} (the identity for
+    l = 1) and their inverses, as x_star, y_star, x_star_inv, y_star_inv."""
 
     l: int
     x_minus: Mat = None   # M_{-l-1} -> M_{-l+1}
@@ -415,15 +418,18 @@ class HCFragment:
              "y_minus": _int_matrix("y_minus", self.y_minus, n0, n1),
              "x_plus": _int_matrix("x_plus", self.x_plus, n2, n1),
              "y_plus": _int_matrix("y_plus", self.y_plus, n1, n2)}
-        object.__setattr__(self, "int_maps", m)
         for key in ("xs", "ys"):
-            interior = []
-            for i, x in enumerate(getattr(self, key)):
-                x = _int_matrix("interior map", x, n1, n1, "%s[%d]" % (key, i))
-                if x.rank() != n1:
-                    raise DomainError("interior map is not invertible")
-                interior.append(x)
-            m[key] = tuple(interior)
+            m[key] = tuple(_int_matrix("interior map", x, n1, n1, "%s[%d]" % (key, i))
+                           for i, x in enumerate(getattr(self, key)))
+        x_star = y_star = IntMat.identity(n1)
+        for x, y in zip(m["xs"], m["ys"]):
+            x_star, y_star = x @ x_star, y_star @ y
+        m.update(x_star=x_star, y_star=y_star,
+                 x_star_inv=x_star.inverse(), y_star_inv=y_star.inverse())
+        # the factors are square, so a star is invertible exactly when each is
+        if m["x_star_inv"] is None or m["y_star_inv"] is None:
+            raise DomainError("interior map is not invertible")
+        object.__setattr__(self, "int_maps", m)
         self._freeze(own)
         if (m["x_minus"] @ m["y_minus"]).nilpotency_degree() is None:
             raise DomainError("lower end composite is not nilpotent")
@@ -436,21 +442,6 @@ class HCFragment:
             m = getattr(self, name)
             object.__setattr__(self, name, tuple(map(_frozen, m)) if name in ("xs", "ys")
                                else _frozen(m))
-
-    def _int_x_star(self) -> IntMat:
-        """X_* = X_{l-1} ... X_1, the identity for l = 1."""
-        out = IntMat.identity(len(self.x_minus))
-        for x in self.int_maps["xs"]:
-            out = x @ out
-        return out
-
-    def _int_y_star(self) -> IntMat:
-        """Y_* = Y_1 ... Y_{l-1} (Y_{l-1} acts first), the identity for
-        l = 1."""
-        out = IntMat.identity(len(self.x_minus))
-        for y in self.int_maps["ys"]:
-            out = out @ y
-        return out
 
     def to_json(self) -> dict:
         enc = lambda m: None if m is None else [[str(x) for x in row] for row in m]
@@ -489,11 +480,10 @@ def hc_to_quiver(frag: HCFragment) -> QuiverRep:
         dims = {"-": len(frag.z_plus), "+": len(frag.z_minus)}
         return QuiverRep(CYCLIC, dims, {"a": frag.z_minus, "b": frag.z_plus})
     m = frag.int_maps
-    x_star = frag._int_x_star()
     return QuiverRep(GELFAND, _fragment_dims(frag),
                      {"A-": frag.x_minus, "B-": frag.y_minus,
-                      "A+": (x_star.inverse() @ m["y_plus"]).to_dense(),
-                      "B+": (m["x_plus"] @ x_star).to_dense()})
+                      "A+": (m["x_star_inv"] @ m["y_plus"]).to_dense(),
+                      "B+": (m["x_plus"] @ m["x_star"]).to_dense()})
 
 
 def second_description(frag: HCFragment) -> QuiverRep:
@@ -502,10 +492,9 @@ def second_description(frag: HCFragment) -> QuiverRep:
     if frag.l == 0:
         raise DomainError("second description needs l >= 1")
     m = frag.int_maps
-    y_star = frag._int_y_star()
     return QuiverRep(GELFAND, _fragment_dims(frag),
-                     {"A-": (y_star.inverse() @ m["x_minus"]).to_dense(),
-                      "B-": (m["y_minus"] @ y_star).to_dense(),
+                     {"A-": (m["y_star_inv"] @ m["x_minus"]).to_dense(),
+                      "B-": (m["y_minus"] @ m["y_star"]).to_dense(),
                       "A+": frag.y_plus, "B+": frag.x_plus})
 
 
@@ -514,13 +503,13 @@ def _casimir(gamma: int, composite: IntMat) -> IntMat:
     return composite.affine(gamma, 4)
 
 
-def _casimir_ends(frag: HCFragment) -> Tuple[IntMat, IntMat]:
-    """Casimir actions C_0 on M_{-l-1} and C_1 on M_{-l+1}, reconstructed
-    from the H-eigenvalues and the back-and-forth composites."""
-    gamma = frag.l * frag.l - 1
-    m = frag.int_maps
-    return (_casimir(gamma, m["y_minus"] @ m["x_minus"]),
-            _casimir(gamma, m["x_minus"] @ m["y_minus"]))
+def _column(m: IntMat) -> IntMat:
+    """m flattened row-major into one column."""
+    rows = [[] for _ in range(len(m.rows) * m.cols)]
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            rows[i * m.cols + j] = [(0, x)]
+    return IntMat(rows, m.den, 1)
 
 
 def _poly_in_matrix(target: IntMat, base: IntMat) -> List[Fraction]:
@@ -535,9 +524,9 @@ def _poly_in_matrix(target: IntMat, base: IntMat) -> List[Fraction]:
     powers = [IntMat.identity(n)]
     for _ in range(n - 1):
         powers.append(powers[-1] @ base)
-    flat = [[x for row in power.to_dense() for x in row] for power in powers]
-    p = solve_linear([list(entry) for entry in zip(*flat)],
-                     [x for row in target.to_dense() for x in row])
+    flat = _column(target)
+    p = IntMat.beside([_column(power) for power in powers]).solve(
+        [Fraction(row[0][1], flat.den) if row else 0 for row in flat.rows])
     if p is None:
         raise DomainError("matrix is not polynomial in the Casimir action "
                           "(fragment not Casimir-consistent)")
@@ -560,11 +549,11 @@ def iso_two_descriptions(frag: HCFragment):
     if frag.l == 0:
         raise DomainError("two descriptions exist only for l >= 1")
     m = frag.int_maps
-    x_star = frag._int_x_star()
-    y_star = frag._int_y_star()
-    c0, c1 = _casimir_ends(frag)
-    yx_star = y_star @ x_star
-    p = _poly_in_matrix(yx_star, c1)
+    # the Casimir actions C_0 on M_{-l-1} and C_1 on M_{-l+1}
+    gamma = frag.l * frag.l - 1
+    c0 = _casimir(gamma, m["y_minus"] @ m["x_minus"])
+    yx_star = m["y_star"] @ m["x_star"]
+    p = _poly_in_matrix(yx_star, _casimir(gamma, m["x_minus"] @ m["y_minus"]))
     t = IntMat([[] for _ in c0.rows], 1, c0.cols)
     for coeff in reversed(p):   # T = p(C_0) by Horner's rule
         t = (c0 @ t).affine(coeff, 1)
@@ -573,9 +562,9 @@ def iso_two_descriptions(frag: HCFragment):
     # commuting squares of the morphism (T, X_*, I)
     if yx_star @ m["x_minus"] != m["x_minus"] @ t:
         raise DomainError("morphism square (A-) does not commute")
-    if t @ m["y_minus"] != m["y_minus"] @ y_star @ x_star:
+    if t @ m["y_minus"] != m["y_minus"] @ yx_star:
         raise DomainError("morphism square (B-) does not commute")
-    return t.to_dense(), x_star.to_dense(), identity(len(frag.x_plus))
+    return t.to_dense(), m["x_star"].to_dense(), IntMat.identity(len(frag.x_plus)).to_dense()
 
 
 def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:

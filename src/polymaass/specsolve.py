@@ -415,8 +415,9 @@ def preimage_incoherent(disc: int, d: int) -> Form:
     """((-1)^d/(2d+1)!) E^-(2d), a Delta^d preimage of E^-(0).  -disc must be
     fundamental: disc is 3 mod 4, or 4 D' with D' 1 or 2 mod 4, and
     disc or D' is squarefree."""
-    if d < 0:
+    if exact_int("d", d) < 0:
         raise DomainError("depth must be nonnegative")
+    exact_int("disc", disc)
     core, classes = (disc // 4, (1, 2)) if disc % 4 == 0 else (disc, (3,))
     if disc <= 0 or core % 4 not in classes \
             or any(core % (p * p) == 0 for p in range(2, isqrt(core) + 1)):
@@ -526,11 +527,15 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
 
     index: Poincare index (cases Ib/Ic/IIa and their raisings);
     disc: positive D with -D a fundamental discriminant (case IIb);
-    family: optional override 'eisenstein' or 'poincare' where both anchor
-    the same case.
+    family: optional override 'eisenstein' or 'poincare' for the cases
+    that both anchor (Ia, Id, IIIa); DomainError otherwise.
     """
     if label not in BK_CASES:
         raise DomainError("unknown case label %r" % (label,))
+    if family not in (None, "eisenstein", "poincare"):
+        raise DomainError("unknown family %r" % (family,))
+    if family is not None and label not in ("Ia", "Id", "IIIa"):
+        raise DomainError("case %s has one anchor and takes no family" % label)
     for name, x in (("k", k), ("index", index), ("disc", disc)):
         exact_int(name, x)
     if exact_int("d", d) < 0:

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from polymaass import BK_CASES
 from polymaass.classify import (BK_TO_REPR, CaseLabel, WeightContext, _laplace_tower,
                                 _level_form, classify_bk, exact_depth,
                                 expected_dimension_vector)
@@ -151,6 +152,28 @@ def test_label_weight_compatibility():
         construct_case("IIa", 0, 0)
     with pytest.raises(DomainError):
         construct_case("IIIb", 1, 0)
+
+
+ANCHORED = ("Ia", "Id", "IIIa")   # Eisenstein or Poincare anchor
+CASE_WEIGHT = {"I": -2, "II": 1, "III": 3}
+
+
+@pytest.mark.parametrize("label", BK_CASES)
+def test_construct_case_refuses_a_family_it_cannot_honour(label):
+    k = CASE_WEIGHT[label.rstrip("abcd")]
+    default = construct_case(label, k, 1)
+    for family in ("eisenstein", "poincare"):
+        if label in ANCHORED:
+            construct_case(label, k, 1, family=family)
+        else:
+            with pytest.raises(DomainError) as ex:
+                construct_case(label, k, 1, family=family)
+            assert str(ex.value) == "case %s has one anchor and takes no family" % label
+    for family in ("bogus", "Poincare", "", 0):
+        with pytest.raises(DomainError) as ex:
+            construct_case(label, k, 1, family=family)
+        assert str(ex.value) == "unknown family %r" % (family,)
+    assert forms_equal(construct_case(label, k, 1, family=None), default)
 
 
 def test_expected_dimension_vectors():

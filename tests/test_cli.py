@@ -122,6 +122,15 @@ def test_flip_weight_error_exit_code(capsys, tmp_path):
     assert "weight" in err
 
 
+@pytest.mark.parametrize("case", ["IIIb --k=3", "Ib --k=-1", "IIb --k=1"])
+def test_construct_with_a_family_for_a_one_anchor_case_exits_2(capsys, case):
+    label, k = case.split()
+    code, out, err = run(capsys, "construct", "--case", label, k, "--d=1", "--family=poincare")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: case %s has one anchor and takes no family" % label
+    assert run(capsys, "construct", "--case", label, k, "--d=1")[0] == 0
+
+
 def test_quiver_build_error_exit_code(capsys):
     code, _, err = run(capsys, "quiver", "build", "--quiver", "gelfand",
                        "--type", "plus", "--case", "d", "--depth", "0")

@@ -13,7 +13,8 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, HCFragment, QuiverRep, build_c
                                  cyclic_module_dims, random_fragment)
 from polymaass.scalars import DomainError, Scalar
 from polymaass.specsolve import (GradedVector, WModel, construct_case, eisenstein_family,
-                                 poincare_family, preimage_constant_weight, solve_wd)
+                                 poincare_family, preimage_constant_weight, preimage_incoherent,
+                                 solve_wd)
 from polymaass.symcalc import (CONST_ATOM, E00, EISENSTEIN, INCOHERENT, POINCARE, Family,
                                Form, PolyAtom, SpectralAtom, apply_power, atom_E,
                                atom_incoherent, atom_P, form_from_json, form_of, form_to_json,
@@ -79,6 +80,8 @@ SLOTS = {
     "construct_case.disc": lambda v: construct_case("IIb", 1, 1, disc=v),
     "preimage_constant_weight.k": lambda v: preimage_constant_weight(v, 1, ANCHOR),
     "preimage_constant_weight.d": lambda v: preimage_constant_weight(0, v, ANCHOR),
+    "preimage_incoherent.disc": lambda v: preimage_incoherent(v, 0),
+    "preimage_incoherent.d": lambda v: preimage_incoherent(3, v),
     "cyclic_module_dims.d": lambda v: cyclic_module_dims(GELFAND, "*", "a", v),
     "build_cyclic_module.d": lambda v: build_cyclic_module(GELFAND, "*", "a", v),
     "random_fragment.l": lambda v: random_fragment(v, 2),
@@ -101,7 +104,8 @@ def test_every_slot_accepts_an_exact_value():
              "PolyAtom.m": 2, "QuiverRep.dimension": 1, "eisenstein_family.orientation": 1,
              "GradedVector.preimage_scale": 1, "Scalar.coefficient": 1,
              "Scalar.from_rational": 1, "Scalar.pi_power.coefficient": 1,
-             "construct_case.index": -1, "construct_case.disc": 3, "random_fragment.l": 2,
+             "construct_case.index": -1, "construct_case.disc": 3,
+             "preimage_incoherent.disc": 3, "random_fragment.l": 2,
              "random_fragment.dim": 2, "EvalConfig.trunc": 1}
     for slot, build in SLOTS.items():
         build(exact.get(slot, 0))

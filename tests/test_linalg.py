@@ -7,9 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymaass
-from polymaass.linalg import (IntMat, Mat, identity, kernel, mat_mul, mat_vec, rref,
-                              solve_linear, zeros)
+from polymaass.linalg import IntMat, Mat, kernel, mat_mul, mat_vec, rref, solve_linear
 from polymaass.scalars import DomainError
+
+
+def zeros(rows: int, cols: int) -> Mat:
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def identity(n: int) -> Mat:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 # The dense Gauss-Jordan elimination the package used before elimination

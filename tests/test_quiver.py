@@ -17,8 +17,16 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
                                  invariants_of, is_cyclic,
                                  iso_two_descriptions, random_fragment,
                                  second_description)
-from polymaass.linalg import IntMat, identity, mat_mul, rref, solve_linear, zeros
+from polymaass.linalg import IntMat, Mat, mat_mul, rref, solve_linear
 from polymaass.symcalc import DomainError
+
+
+def zeros(rows: int, cols: int) -> Mat:
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def identity(n: int) -> Mat:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 GELFAND_TUPLES = [(t, c, d) for t in ("*", "+", "-") for c in "abcd"
                   for d in range(6) if not (c == "d" and t in "+-" and d == 0)]
@@ -385,8 +393,9 @@ def test_poly_in_matrix_matches_reference_loop(l, dim):
     degrees = set()
     for seed in range(40):
         frag = random_fragment(l, dim, seed=seed)
-        target = frag._int_y_star() @ frag._int_x_star()
-        base = quiverrep._casimir_ends(frag)[1]
+        m = frag.int_maps
+        target = m["y_star"] @ m["x_star"]
+        base = quiverrep._casimir(l * l - 1, m["x_minus"] @ m["y_minus"])
         p = quiverrep._poly_in_matrix(target, base)
         assert p == reference_poly_in_matrix(target.to_dense(), base.to_dense())
         degrees.add(len(p))
@@ -414,12 +423,13 @@ def test_poly_in_matrix_gives_up_after_n_solves(monkeypatch):
     # diagonal entries 1 and 2 are no polynomial in a scalar base; one
     # solve over the n = 2 powers base^0, base^1 decides
     solves = []
+    solve = IntMat.solve
 
-    def counting(rows, b):
-        solves.append(len(rows[0]))
-        return solve_linear(rows, b)
+    def counting(m, b):
+        solves.append(m.cols)
+        return solve(m, b)
 
-    monkeypatch.setattr(quiverrep, "solve_linear", counting)
+    monkeypatch.setattr(IntMat, "solve", counting)
     base = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(3)]]
     target = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
     with pytest.raises(DomainError, match="not Casimir-consistent"):
@@ -435,6 +445,42 @@ def test_fragment_rejects_singular_interior():
         HCFragment(2, x_minus=frag.x_minus,
                    xs=([[Fraction(0)] * 2] * 2,), x_plus=frag.x_plus,
                    y_plus=frag.y_plus, ys=frag.ys, y_minus=frag.y_minus)
+
+
+@pytest.mark.parametrize("key", ["xs", "ys"])
+@pytest.mark.parametrize("i", range(3))
+def test_fragment_rejects_a_singular_interior_map_at_each_position(key, i):
+    # a singular map anywhere in X_* or Y_* leaves that star without an
+    # inverse; rank 1 of 2, so the map is neither zero nor invertible
+    data = random_fragment(4, 2, seed=5).to_json()
+    data[key][i] = [["1", "2"], ["2", "4"]]
+    with pytest.raises(DomainError) as ex:
+        HCFragment.from_json(data)
+    assert str(ex.value) == "interior map is not invertible"
+
+
+def test_a_malformed_interior_map_is_reported_before_a_singular_one():
+    # every interior map is read before the stars are inverted
+    data = random_fragment(3, 2, seed=5).to_json()
+    data["xs"] = [[["0", "0"], ["0", "0"]], [["1"]]]
+    with pytest.raises(DomainError) as ex:
+        HCFragment.from_json(data)
+    assert str(ex.value) == "interior map must be a 2 x 2 matrix"
+
+
+def test_descriptions_and_witness_invert_nothing(monkeypatch):
+    # a fragment inverts X_* and Y_* once, when built; the two descriptions
+    # and the witness read the stored inverses
+    frag = random_fragment(3, 3, seed=2)
+    calls = []
+    inverse = IntMat.inverse
+    monkeypatch.setattr(IntMat, "inverse", lambda m: calls.append(m) or inverse(m))
+    hc_to_quiver(frag)
+    second_description(frag)
+    iso_two_descriptions(frag)
+    assert calls == []
+    HCFragment.from_json(frag.to_json())
+    assert len(calls) == 2
 
 
 def reference_gram(rep: QuiverRep):
