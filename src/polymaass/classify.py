@@ -4,9 +4,9 @@ The form is expanded once; L, R and Delta keep it expanded, so each
 vanishing test asks whether a form has no terms, relative to the formal
 independence model documented in symcalc.  The Laplace tower runs in
 integers: Delta of each key of the form's Delta-closure is read once into
-sparse integer rows, each level Delta^j f is an integer vector over (key,
-pi exponent) with one denominator, and a Form is rebuilt only for the
-levels that the L and R tests read.
+sparse integer rows, and each level Delta^j f is an integer vector over
+(key, pi exponent) with one denominator, which the L and R tests pass to
+symcalc._apply as it is: no Form is built after the one expansion.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from math import gcd, lcm
 from typing import Tuple
 
 from . import CYCLIC, GELFAND
-from .scalars import Scalar
-from .symcalc import DomainError, Form, _laplace_rows, apply_power, expand_pending
+from .symcalc import DomainError, Form, _apply, _laplace_rows, expand_pending
 
 # the cyclic quiver module (quiver, generator type, case) of each label
 BK_TO_MODULE = {
@@ -105,15 +104,6 @@ def _laplace_tower(f: Form) -> Tuple[list, list]:
                       "Delta-closure; not polyharmonic" % steps)
 
 
-def _level_form(pool: list, weight: int, level) -> Form:
-    """The Form of a level of the tower over the key pool."""
-    vec, den = level
-    terms = {}
-    for (i, e), x in sorted(vec.items()):
-        terms.setdefault(pool[i], []).append((e, Fraction(x, den)))
-    return Form._make(weight, {key: Scalar._make(tuple(t)) for key, t in terms.items()})
-
-
 def exact_depth(f: Form) -> int:
     """Smallest d with Delta^{d+1} f = 0; DomainError when there is none."""
     return len(_laplace_tower(expand_pending(f))[1]) - 1
@@ -126,24 +116,26 @@ def classify_bk(f: Form) -> CaseLabel:
         raise DomainError("cannot classify the zero form")
     k = f.weight
     pool, levels = _laplace_tower(f)
-    d, top = len(levels) - 1, _level_form(pool, k, levels[-1])
+    d, top = len(levels) - 1, levels[-1]
 
-    def lowering_test(power: int, g: Form) -> bool:
-        return apply_power(g, "L", power).is_empty()
+    def vanishes(level, op: str, power: int) -> bool:
+        vec, den = level
+        return _apply(((pool[i], e, Fraction(x, den)) for (i, e), x in vec.items()),
+                      k - 2 * power if op == "L" else k + 2 * power, op, power).is_empty()
 
     if k < 1:
-        l_zero = lowering_test(1, top)
-        r_zero = apply_power(top, "R", 1 - k).is_empty()
+        l_zero = vanishes(top, "L", 1)
+        r_zero = vanishes(top, "R", 1 - k)
         bk = {(True, True): "Ia", (True, False): "Ib",
               (False, True): "Ic", (False, False): "Id"}[(l_zero, r_zero)]
     elif k == 1:
-        bk = "IIa" if lowering_test(1, top) else "IIb"
+        bk = "IIa" if vanishes(top, "L", 1) else "IIb"
     else:
-        if d >= 1 and lowering_test(k, _level_form(pool, k, levels[d - 1])):
+        if d >= 1 and vanishes(levels[d - 1], "L", k):
             return CaseLabel("IIId", d, WeightContext(k))
-        if lowering_test(1, top):
+        if vanishes(top, "L", 1):
             bk = "IIIa"
-        elif lowering_test(k, top):
+        elif vanishes(top, "L", k):
             bk = "IIIb"
         else:
             bk = "IIIc"

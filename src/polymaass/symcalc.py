@@ -46,10 +46,10 @@ from .scalars import (DomainError, Scalar, ZERO, ONE, exact_int, exact_rational,
 
 class PolePointWarning(UserWarning):
     """A shifted atom landed on a tabled pole point (Laurent coefficients
-    of the continued family are used formally).  One operator call (one
-    pass of apply_power), Laplace closure or emit_form warns once per
-    distinct spectral step that lands there, however many keys share the
-    step."""
+    of the continued family are used formally).  One operator call (an
+    apply_power call of any power is one), Laplace closure or emit_form
+    warns once per distinct spectral step that lands there, however many
+    keys or passes share the step."""
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +517,36 @@ class _Atoms:
         return den * d_op, [(key, x) for key, x in terms if x]
 
 
-def _apply(f: Form, op: str, weight: int) -> Form:
-    """The Form of op (one of L, R, D, E) on f, key by key, by
-    _Atoms.image; Scalars are built only for the result."""
-    atoms, acc = _Atoms(), {}
-    for (e, a), coeff in f.terms:
-        den, img = atoms.image(e.m, e.r, atoms.id(a), op)
-        for (r, b, s), x in img:
-            part, q = acc.setdefault((e.m, r, b), {}), Fraction(x, den)
-            for s0, q0 in coeff.terms:
-                part[s + s0] = part.get(s + s0, 0) + q0 * q
-    return Form._make(weight, {
-        (PolyAtom(m, r), atoms.atoms[b]): Scalar._make(tuple(sorted(
-            (s, q) for s, q in part.items() if q))) for (m, r, b), part in acc.items()})
+def _apply(triples, weight: int, op: str, power: int = 1) -> Form:
+    """The Form of the given weight of op^power (op one of L, R, D, E as in
+    _Atoms.image) on the sum of q pi^e key over (key, e, q) triples (at
+    power 0, each (key, e) once, e rising): read into one integer image per
+    degree m, composed by _Atoms._then, made Scalars only for the result."""
+    atoms, groups, acc = _Atoms(), {}, {}
+    for (e, a), s, q in triples:
+        groups.setdefault(e.m, []).append(((e.r, atoms.id(a), s), q))
+    for m, terms in groups.items():
+        den = lcm(*(q.denominator for _key, q in terms))
+        img = (den, [(key, q.numerator * (den // q.denominator)) for key, q in terms])
+        for _ in range(power):
+            img = atoms._then(img, m, op)
+        for (r, b, s), x in img[1]:
+            acc.setdefault((m, r, b), []).append((s, Fraction(x, img[0])))
+    return Form._make(weight, {(PolyAtom(m, r), atoms.atoms[b]): Scalar._make(tuple(t))
+                               for (m, r, b), t in acc.items()})
+
+
+def _triples(f: Form):
+    """f's terms as the (key, pi exponent, Fraction) triples _apply reads."""
+    return ((key, e, q) for key, c in f.terms for e, q in c.terms)
 
 
 def apply_lowering(f: Form) -> Form:
-    return _apply(f, "L", f.weight - 2)
+    return _apply(_triples(f), f.weight - 2, "L")
 
 
 def apply_raising(f: Form) -> Form:
-    return _apply(f, "R", f.weight + 2)
+    return _apply(_triples(f), f.weight + 2, "R")
 
 
 def apply_power(f: Form, direction: str, power: int) -> Form:
@@ -545,14 +554,13 @@ def apply_power(f: Form, direction: str, power: int) -> Form:
         raise DomainError("operator direction must be L or R, not %r" % (direction,))
     if exact_int("operator power", power) < 0:
         raise DomainError("operator power must be nonnegative")
-    for _ in range(power):
-        f = _apply(f, direction, f.weight - 2 if direction == "L" else f.weight + 2)
-    return f
+    return _apply(_triples(f), f.weight + (2 if direction == "R" else -2) * power,
+                  direction, power)
 
 
 def apply_laplace(f: Form) -> Form:
     """Delta_k = -R_{k-2} L_k, key by key."""
-    return _apply(f, "D", f.weight)
+    return _apply(_triples(f), f.weight, "D")
 
 
 def expand_pending(f: Form) -> Form:
@@ -560,7 +568,7 @@ def expand_pending(f: Form) -> Form:
     term holds one (E is the identity on expanded atoms)."""
     if all(a.pending is None for (_e, a), _c in f.terms):
         return f
-    return _apply(f, "E", f.weight)
+    return _apply(_triples(f), f.weight, "E")
 
 
 def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
@@ -615,16 +623,10 @@ def apply_mirror(f: Form) -> Form:
         if fam.kind == CONSTANT:
             a2, spec_c = a, ONE
         elif fam.kind == EISENSTEIN:
-            sub = _mk_atom(fam, -w, p + w, t)
-            if sub is None:
-                continue
-            a2, spec_c = sub, ONE
+            a2, spec_c = _mk_atom(fam, -w, p + w, t), ONE
         elif fam.kind == POINCARE:
             n = abs(fam.index)
-            sub = _mk_atom(Family(POINCARE, index=-fam.index), -w, p, t)
-            if sub is None:
-                continue
-            a2 = sub
+            a2 = _mk_atom(Family(POINCARE, index=-fam.index), -w, p, t)
             spec_c = Scalar.pi_power(-w, (-1) ** ((1 - w) % 2) * Fraction(4 * n) ** (-w))
         else:
             raise DomainError("mirror is not defined for family %r" % (fam,))

@@ -7,15 +7,15 @@ import pytest
 
 from polymaass import BK_CASES
 from polymaass.classify import (BK_TO_REPR, CaseLabel, WeightContext, _laplace_tower,
-                                _level_form, classify_bk, exact_depth,
-                                expected_dimension_vector)
+                                classify_bk, exact_depth, expected_dimension_vector)
 from polymaass.scalars import ZERO, Scalar
 from polymaass.specsolve import construct_case, delta_matrix_on_span, delta_preimage_on_span
 from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, POINCARE,
                                DomainError, Family, Form, PolePointWarning, PolyAtom,
-                               SpectralAtom, _laplace_rows, apply_laplace, apply_lowering,
-                               apply_raising, atom_E, atom_P, expand_pending, form_of,
-                               forms_equal, make_e_atom, pole_table, using_poles, zero_form)
+                               SpectralAtom, _apply, _laplace_rows, apply_laplace,
+                               apply_lowering, apply_power, apply_raising, atom_E, atom_P,
+                               expand_pending, form_of, forms_equal, make_e_atom, pole_table,
+                               using_poles, zero_form)
 
 
 def laplace_closure(seeds):
@@ -29,6 +29,14 @@ def laplace_closure(seeds):
             terms[pool[j]] = terms.get(pool[j], ZERO) + Scalar.pi_power(s, Fraction(x, den))
         images[e, a] = Form._make(e.weight + a.effective_weight, terms)
     return images
+
+
+def level_form(pool, weight, level):
+    """The Form of a level (vec, den) of the tower over the key pool: the
+    level's triples through _apply at power 0."""
+    vec, den = level
+    return _apply(((pool[i], e, Fraction(x, den)) for (i, e), x in sorted(vec.items())),
+                  weight, "L", power=0)
 
 
 def test_weight_context():
@@ -254,7 +262,7 @@ def test_tower_matches_iterated_laplace(label, k, d):
     assert len(levels) == d + 1
     g = f
     for level in levels:
-        assert _level_form(pool, k, level) == g
+        assert level_form(pool, k, level) == g
         g = apply_laplace(g)
     assert g.is_empty() and forms_equal(g, zero_form(k))
 
@@ -294,7 +302,7 @@ def _assert_tower_matches_reference(f):
     for level, form in zip(levels, want):
         vec, den = level
         assert den > 0 and 0 not in vec.values() and gcd(den, *vec.values()) == 1
-        assert _level_form(pool, f.weight, level) == form
+        assert level_form(pool, f.weight, level) == form
     return len(levels) - 1
 
 
@@ -439,6 +447,13 @@ def test_target_outside_the_scaled_span_is_rejected(coeff):
     assert delta_preimage_on_span(form_of(*target), seeds, 1) == construct_case("Ib", 0, 1)
 
 
+def test_target_without_a_preimage_in_the_span_is_rejected():
+    # Delta E_{2,0} = 0, so the span of E_{2,0} holds no Delta-preimage of it
+    with pytest.raises(DomainError) as err:
+        delta_preimage_on_span(form_of(E00, atom_E(2, 0)), [], 1)
+    assert str(err.value) == "no Delta^1 preimage in the span"
+
+
 # every case at d <= 3, the flip cases also at Poincare indices -3 and -5
 CLOSURE_CASES = [
     (label, k, d, index)
@@ -489,6 +504,22 @@ def test_classify_still_warns_at_pole_points():
         warnings.simplefilter("always")
         assert classify_bk(f) == CaseLabel("IIIb", 2, WeightContext(3))
     assert [c.category for c in caught] == [PolePointWarning] * 3
+
+
+@pytest.mark.parametrize("k, d, power, count", [(3, 2, 2, 2), (4, 3, 3, 3)])
+def test_apply_power_warns_once_per_distinct_step_over_all_passes(k, d, power, count):
+    # a step that several passes of L^power take onto the pole warns once
+    f = construct_case("IIIb", k, d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        apply_power(f, "L", power)
+    assert [c.category for c in caught] == [PolePointWarning] * count
+
+
+def test_classify_refuses_the_zero_form():
+    with pytest.raises(DomainError) as err:
+        classify_bk(zero_form(0))
+    assert str(err.value) == "cannot classify the zero form"
 
 
 def test_closure_warns_once_per_distinct_spectral_step():

@@ -10,9 +10,9 @@ import pytest
 import polymaass
 from polymaass.cli import main
 from polymaass.specsolve import construct_case
-from polymaass.symcalc import (EISENSTEIN, Family, PolyAtom, SpectralAtom, apply_mirror,
-                               apply_power, atom_E, expand_pending, form_from_json, form_of,
-                               form_to_json, forms_equal)
+from polymaass.symcalc import (EISENSTEIN, DomainError, Family, PolyAtom, SpectralAtom,
+                               apply_mirror, apply_power, atom_E, expand_pending, form_from_json,
+                               form_of, form_to_json, forms_equal)
 
 
 def run(capsys, *argv):
@@ -129,6 +129,15 @@ def test_construct_with_a_family_for_a_one_anchor_case_exits_2(capsys, case):
     assert code == 2 and out == ""
     assert err.strip() == "error: case %s has one anchor and takes no family" % label
     assert run(capsys, "construct", "--case", label, k, "--d=1")[0] == 0
+
+
+def test_construct_refuses_a_positive_poincare_index(capsys):
+    with pytest.raises(DomainError) as err:
+        construct_case("Ib", -1, 1, index=2)
+    assert str(err.value) == "Poincare index must be negative (principal part)"
+    code, out, err = run(capsys, "construct", "--case", "Ib", "--k=-1", "--d=1", "--index=2")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: Poincare index must be negative (principal part)"
 
 
 def test_quiver_build_error_exit_code(capsys):

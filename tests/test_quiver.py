@@ -126,6 +126,13 @@ BENCH_MODULES = [(GELFAND, t, c, d) for t, top in (("*", 9), ("+", 4), ("-", 4))
     + [(CYCLIC, t, c, d) for t in "+-" for c in "ab" for d in range(10)]
 
 
+def test_direct_sum_refuses_modules_of_different_quivers():
+    with pytest.raises(DomainError) as err:
+        direct_sum(build_cyclic_module(GELFAND, "*", "a", 1),
+                   build_cyclic_module(CYCLIC, "+", "a", 1))
+    assert str(err.value) == "cannot sum representations of different quivers"
+
+
 def test_cyclic_modules_have_local_endomorphisms():
     # the certificate answers from the top; Dickson's criterion agrees
     for quiver, t, c, d in BENCH_MODULES:

@@ -387,6 +387,41 @@ def test_pretty_is_deterministic():
     assert pretty(f) == "E^(1)_{0,0}  +  E^(0)_{0,0}"
 
 
+@pytest.mark.parametrize("coeff, text", [({0: 1, 1: 1}, "(1 + pi) E^(0)_{2,0}"),
+                                         ({0: 1, 1: -2}, "(1 - 2*pi) E^(0)_{2,0}")])
+def test_pretty_parenthesizes_a_coefficient_of_several_terms(coeff, text):
+    assert pretty(form_of(PolyAtom(0, 0), atom_E(2, 0), Scalar(coeff))) == text
+
+
+def test_form_repr_counts_terms():
+    assert repr(zero_form(3)) == "Form<0 @ wt 3>"
+    assert repr(make_e_atom(0, 0)) == "Form<1 terms @ wt 0>"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Family("bogus"), "unknown family kind 'bogus'"),
+    (lambda: Family("poincare"), "Poincare family needs a nonzero index"),
+    (lambda: Family("incoherent"), "incoherent family needs a discriminant"),
+])
+def test_family_refuses_an_incomplete_identity(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("direction, weight", [("L", -4), ("R", 8)])
+def test_apply_power_is_one_apply_call(monkeypatch, direction, weight):
+    # all three passes run inside one call, on one integer image
+    from polymaass import symcalc as sc
+    f = form_of(PolyAtom(2, 1), atom_E(2, 0, 1))
+    step = apply_lowering if direction == "L" else apply_raising
+    want = step(step(step(f)))
+    calls, apply = [], sc._apply
+    monkeypatch.setattr(sc, "_apply", lambda *args: calls.append(args[1:]) or apply(*args))
+    assert apply_power(f, direction, 3) == want
+    assert calls == [(weight, direction, 3)]
+
+
 # --- pole table loading ------------------------------------------------------
 
 def test_pole_table_json_round_trip(tmp_path):
@@ -478,6 +513,26 @@ def test_pole_table_json_rejects_non_integers(tmp_path, field, value):
     path.write_text(_json.dumps([entry]))
     with pytest.raises(DomainError, match="^malformed pole table JSON: "):
         sc.load_pole_table(str(path))
+
+
+def test_pole_table_json_refuses_a_pole_of_order_two(tmp_path):
+    import json as _json
+    from polymaass import symcalc as sc
+    entry = {"family": {"kind": "eisenstein"}, "weight": 0, "point": "1", "order": 2,
+             "residue_form": sc.form_to_json(THREE_OVER_PI)}
+    path = tmp_path / "poles.json"
+    path.write_text(_json.dumps([entry]))
+    with pytest.raises(DomainError) as err:
+        sc.load_pole_table(str(path))
+    assert str(err.value) == "pole order capped at 1"
+
+
+def test_pole_table_refuses_a_residue_with_a_polynomial_part():
+    from polymaass import symcalc as sc
+    residue = form_of(PolyAtom(2, 1), CONST_ATOM, Scalar.pi_power(-1, 3))
+    with pytest.raises(DomainError) as err:
+        sc.pole_table({(Family("eisenstein"), 0, Fraction(1)): residue})
+    assert str(err.value) == "pole residues must have trivial polynomial part"
 
 
 def test_pole_table_json_rejects_float_point(tmp_path):
