@@ -126,10 +126,7 @@ def _dispatch(args) -> int:
         if op in ("raising", "lowering"):
             form = symcalc.apply_power(form, "R" if op == "raising" else "L", args.power)
         elif op == "laplace":
-            if args.power < 0:
-                raise DomainError("operator power must be nonnegative")
-            for _ in range(args.power):
-                form = symcalc.apply_laplace(form)
+            form = symcalc.apply_laplace(form, args.power)
         elif op == "flip":
             form = symcalc.apply_flip(form)
         else:

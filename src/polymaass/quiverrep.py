@@ -10,25 +10,28 @@ truncation, which makes the loop at the generating node a single
 nilpotent Jordan block.
 
 A QuiverRep or HCFragment is frozen and checks its invariants once, when
-it is built; the functions that take one do not check again.  A QuiverRep
-holds its dims and maps as read-only mappings, and both hold every matrix
-as a tuple of row tuples, so that no entry changes in place.  Building one
-also reads each map once into an integer matrix (linalg.IntMat), kept in
-the plain attribute ``int_maps``; every product, inverse, rank and
-nilpotency check below runs on those, and Fractions are built only for the
-public fields and return values.  A QuiverRep computes its loops, their
-nilpotency degrees and its top once, when first asked, and keeps them; an
-HCFragment forms X_*, Y_* and their inverses once, when built.
+it is built; the functions that take one do not check again.  It holds
+every map once, as a linalg.IntMat in the read-only mapping ``int_maps``:
+every product, inverse, rank and nilpotency check runs on those, and
+to_json writes their integers.  Its dense fields are read-only views
+(tuples of Fraction row tuples), built on first access and kept.  The
+public constructors read dense matrices, and from_json hands them what it
+reads, a plain integer string as an int; the functions below that build
+one pass IntMats to the private ``_make``, which skips only the shape and
+entry checks.  A QuiverRep computes its loops, their nilpotency degrees
+and its top once, when first asked; an HCFragment forms X_*, Y_* and
+their inverses once, when built.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import CYCLIC, GELFAND
 from .linalg import IntMat, Mat
@@ -40,39 +43,46 @@ ARROWS = {GELFAND: (("A-", "-", "*"), ("B-", "*", "-"), ("A+", "+", "*"), ("B+",
           CYCLIC: (("a", "-", "+"), ("b", "+", "-"))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuiverRep:
     quiver: str
     dims: Mapping[str, int]
-    maps: Mapping[str, Mat]   # gelfand: A-, B-, A+, B+; cyclic: a (-:->+), b (+:->-)
+    int_maps: Mapping[str, IntMat]   # gelfand: A-, B-, A+, B+; cyclic: a (-:->+), b (+:->-)
 
-    def __post_init__(self):
+    def __init__(self, quiver: str, dims: Mapping[str, int], maps: Mapping[str, Mat]):
         """A known quiver, a nonnegative dimension for exactly its nodes, a
         matrix of the right shape with exact entries for exactly its arrows
         and, for the Gelfand quiver, the relation."""
-        if self.quiver not in NODES:
-            raise DomainError("unknown quiver %r" % (self.quiver,))
-        if set(self.dims) != set(NODES[self.quiver]) \
-                or min(exact_int("a dimension", n) for n in self.dims.values()) < 0:
+        if quiver not in NODES:
+            raise DomainError("unknown quiver %r" % (quiver,))
+        if set(dims) != set(NODES[quiver]) \
+                or min(exact_int("a dimension", n) for n in dims.values()) < 0:
             raise DomainError("dims must give a nonnegative dimension for exactly "
-                              "the nodes %s" % (NODES[self.quiver],))
-        names = [name for name, _src, _dst in ARROWS[self.quiver]]
-        if set(self.maps) != set(names):
+                              "the nodes %s" % (NODES[quiver],))
+        names = [name for name, _src, _dst in ARROWS[quiver]]
+        if set(maps) != set(names):
             raise DomainError("maps must give exactly the arrows %s" % (names,))
-        object.__setattr__(self, "int_maps", {
-            name: _int_matrix("arrow " + name, m, self.dims[dst], self.dims[src])
-            for name, src, dst, m in self.arrows()})
-        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
-        object.__setattr__(self, "maps", MappingProxyType(
-            {name: _frozen(m) for name, m in self.maps.items()}))
-        self.check_relation()
+        checked = {name: _int_matrix("arrow " + name, maps[name], dims[dst], dims[src])
+                   for name, src, dst in ARROWS[quiver]}
+        vars(self).update(vars(QuiverRep._make(quiver, dims,
+                                               {name: checked[name] for name in maps})))
+
+    @classmethod
+    def _make(cls, quiver: str, dims: Mapping[str, int], int_maps: dict) -> "QuiverRep":
+        """The rep of IntMats of the shapes dims gives; only the relation is checked."""
+        rep = object.__new__(cls)
+        vars(rep).update(quiver=quiver, dims=MappingProxyType(dict(dims)),
+                         int_maps=MappingProxyType(int_maps))
+        rep.check_relation()
+        return rep
+
+    @cached_property
+    def maps(self) -> Mapping[str, Mat]:
+        """Each arrow's matrix as a tuple of Fraction row tuples."""
+        return MappingProxyType({name: _view(m) for name, m in self.int_maps.items()})
 
     def dim_vector(self) -> Tuple[int, ...]:
         return tuple(self.dims[n] for n in NODES[self.quiver])
-
-    def arrows(self) -> List[Tuple[str, str, str, Mat]]:
-        """(name, source node, target node, matrix) for every arrow."""
-        return [(name, src, dst, self.maps[name]) for name, src, dst in ARROWS[self.quiver]]
 
     def check_relation(self) -> None:
         if self.quiver != GELFAND:
@@ -110,8 +120,7 @@ class QuiverRep:
     def to_json(self) -> dict:
         return {"quiver": self.quiver,
                 "dims": dict(self.dims),
-                "maps": {k: [[str(x) for x in row] for row in m]
-                         for k, m in self.maps.items()}}
+                "maps": {k: _json_rows(m) for k, m in self.int_maps.items()}}
 
     @staticmethod
     def from_json(data: dict) -> "QuiverRep":
@@ -123,15 +132,28 @@ class QuiverRep:
 
 
 def _matrix_from_json(m) -> Mat:
-    """A matrix read from JSON: a list of rows, each a list of rationals."""
+    """A matrix read from JSON: a list of rows, each a list of rationals.
+    A plain ASCII integer string ("0", "-3") is read by int, to the value
+    json_rational gives; every other entry goes through json_rational."""
     if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
         raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
-    return [[json_rational(x) for x in row] for row in m]
+    return [[int(x) if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit()
+             else json_rational(x) for x in row] for row in m]
 
 
-def _frozen(m: Mat) -> Mat:
-    """m as a tuple of row tuples, so that no entry can be changed in place."""
-    return tuple(map(tuple, m))
+def _json_rows(m: IntMat) -> List[List[str]]:
+    """m's entries as str(Fraction) writes them, read off its integers."""
+    out = [["0"] * m.cols for _ in m.rows]
+    for text, row in zip(out, m.rows):
+        for j, x in row:
+            g = gcd(x, m.den)
+            text[j] = str(x // g) if g == m.den else "%d/%d" % (x // g, m.den // g)
+    return out
+
+
+def _view(m: IntMat) -> Mat:
+    """m as a tuple of Fraction row tuples, which no one can edit in place."""
+    return tuple(map(tuple, m.to_dense()))
 
 
 def _int_matrix(what: str, m: Mat, rows: int, cols: int, name: Optional[str] = None) -> IntMat:
@@ -148,18 +170,15 @@ def _int_matrix(what: str, m: Mat, rows: int, cols: int, name: Optional[str] = N
 # interval models of the cyclic modules
 
 
-def _interval_map(src: Tuple[int, int], dst: Tuple[int, int], shift: int) -> Mat:
-    """Monomial map t^a -> t^{a+shift}, truncated to the target interval."""
+def _interval_map(src: Tuple[int, int], dst: Tuple[int, int], shift: int) -> IntMat:
+    """Monomial map t^a -> t^{a+shift}, truncated to the target interval:
+    the row of t^a holds a 1 in the column of t^{a-shift}, if the source
+    has one."""
     s_lo, s_hi = src
     d_lo, d_hi = dst
-    rows = max(0, d_hi - d_lo + 1)
     cols = max(0, s_hi - s_lo + 1)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    for j in range(cols):
-        a = s_lo + j + shift
-        if d_lo <= a <= d_hi:
-            m[a - d_lo][j] = Fraction(1)
-    return m
+    return IntMat([[(j, 1)] if 0 <= (j := a - shift - s_lo) < cols else []
+                   for a in range(d_lo, d_hi + 1)], 1, cols)
 
 
 # closed exponent interval of t^a at each node, per quiver and (type, case),
@@ -215,7 +234,7 @@ def build_cyclic_module(quiver: str, type_tag: str, case: str, d: int) -> Quiver
     maps = {name: _interval_map(iv[src], iv[dst],
                                 int(dst == "*" if quiver == GELFAND else src == type_tag))
             for name, src, dst in ARROWS[quiver]}
-    return QuiverRep(quiver, dict(zip(NODES[quiver], dims)), maps)
+    return QuiverRep._make(quiver, dict(zip(NODES[quiver], dims)), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +286,13 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
         raise DomainError("cannot sum representations of different quivers")
     dims = {n: a.dims[n] + b.dims[n] for n in NODES[a.quiver]}
     maps = {}
-    for name, src, dst, ma in a.arrows():
-        pad_a, pad_b = (Fraction(0),) * b.dims[src], (Fraction(0),) * a.dims[src]
-        maps[name] = [row + pad_a for row in ma] + [pad_b + row for row in b.maps[name]]
-    return QuiverRep(a.quiver, dims, maps)
+    for name, _src, _dst in ARROWS[a.quiver]:
+        ma, mb = a.int_maps[name], b.int_maps[name]
+        den = lcm(ma.den, mb.den)   # each block scaled to it stays in lowest terms
+        maps[name] = IntMat([[(j, den // ma.den * x) for j, x in row] for row in ma.rows]
+                            + [[(ma.cols + j, den // mb.den * x) for j, x in row]
+                               for row in mb.rows], den, ma.cols + mb.cols)
+    return QuiverRep._make(a.quiver, dims, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -369,121 +391,131 @@ def has_only_trivial_idempotents(rep: QuiverRep) -> bool:
 # Harish-Chandra diagram fragments
 
 
-@dataclass(frozen=True)
+# the maps of a fragment, in field order: l >= 1 uses the first six, l = 0 the last two
+_FRAGMENT_MAPS = ("x_minus", "xs", "x_plus", "y_plus", "ys", "y_minus", "z_minus", "z_plus")
+
+
+@dataclass(frozen=True, init=False)
 class HCFragment:
     """The finite fragment M_{-l-1}, M_{-l+1}, ..., M_{l-1}, M_{l+1} with
     raising steps X and lowering steps Y; for l = 0 just the pair
-    (M_{-1}, M_{+1}) with the two restrictions.  For l >= 1, int_maps also
-    holds X_* = X_{l-1} ... X_1, Y_* = Y_1 ... Y_{l-1} (the identity for
-    l = 1) and their inverses, as x_star, y_star, x_star_inv, y_star_inv."""
+    (M_{-1}, M_{+1}) with the two restrictions:
+    x_minus: M_{-l-1} -> M_{-l+1}    y_minus: M_{-l+1} -> M_{-l-1}
+    xs: X_1 .. X_{l-1}, interior     ys: Y_1 .. Y_{l-1}, interior
+    x_plus: M_{l-1} -> M_{l+1}       y_plus: M_{l+1} -> M_{l-1}
+    z_minus: l = 0, X on M_{-1}      z_plus: l = 0, Y on M_{+1}
+    int_maps holds each map of l as an IntMat (xs and ys as tuples of
+    them) and, for l >= 1, X_* = X_{l-1} ... X_1, Y_* = Y_1 ... Y_{l-1}
+    (the identity for l = 1) and their inverses, as x_star, y_star,
+    x_star_inv, y_star_inv.  Each map reads back as a dense view, and one
+    that l does not use as None, or () for xs and ys."""
 
     l: int
-    x_minus: Mat = None   # M_{-l-1} -> M_{-l+1}
-    xs: Tuple[Mat, ...] = ()   # X_1 .. X_{l-1}, interior raising
-    x_plus: Mat = None    # M_{l-1} -> M_{l+1}
-    y_plus: Mat = None    # M_{l+1} -> M_{l-1}
-    ys: Tuple[Mat, ...] = ()   # Y_1 .. Y_{l-1}, interior lowering
-    y_minus: Mat = None   # M_{-l+1} -> M_{-l-1}
-    z_minus: Mat = None   # l = 0: X restricted to M_{-1}
-    z_plus: Mat = None    # l = 0: Y restricted to M_{+1}
+    int_maps: Mapping[str, object]
 
-    def __post_init__(self):
+    def __init__(self, l: int, x_minus: Mat = None, xs: Sequence[Mat] = (),
+                 x_plus: Mat = None, y_plus: Mat = None, ys: Sequence[Mat] = (),
+                 y_minus: Mat = None, z_minus: Mat = None, z_plus: Mat = None):
         """Exactly the maps of l, shapes that chain together, exact entries,
         invertible interior maps and nilpotent end composites."""
-        if exact_int("l", self.l) < 0:
+        if exact_int("l", l) < 0:
             raise DomainError("l must be nonnegative")
-        own = ("z_minus", "z_plus") if self.l == 0 else \
-            ("x_minus", "xs", "x_plus", "y_plus", "ys", "y_minus")
-        stray = [f.name for f in fields(self)[1:]   # None and [] are absent
-                 if f.name not in own and getattr(self, f.name) not in (None, [], ())]
+        given = zip(_FRAGMENT_MAPS, (x_minus, xs, x_plus, y_plus, ys, y_minus, z_minus, z_plus))
+        own = _FRAGMENT_MAPS[6:] if l == 0 else _FRAGMENT_MAPS[:6]
+        stray = [name for name, m in given   # None and [] are absent
+                 if name not in own and m not in (None, [], ())]
         if stray:
-            raise DomainError("an l = %d fragment takes no %s" % (self.l, ", ".join(stray)))
-        if self.l == 0:
-            if self.z_minus is None or self.z_plus is None:
+            raise DomainError("an l = %d fragment takes no %s" % (l, ", ".join(stray)))
+        if l == 0:
+            if z_minus is None or z_plus is None:
                 raise DomainError("l = 0 fragment needs z_minus and z_plus")
-            n_plus, n_minus = len(self.z_minus), len(self.z_plus)
-            m = {"z_minus": _int_matrix("z_minus", self.z_minus, n_plus, n_minus),
-                 "z_plus": _int_matrix("z_plus", self.z_plus, n_minus, n_plus)}
-            object.__setattr__(self, "int_maps", m)
-            self._freeze(own)
-            if (m["z_plus"] @ m["z_minus"]).nilpotency_degree() is None:
-                raise DomainError("end composite is not nilpotent")
-            return
-        if len(self.xs) != self.l - 1 or len(self.ys) != self.l - 1:
-            raise DomainError("fragment needs %d interior maps per direction" % (self.l - 1,))
-        if None in (self.x_minus, self.y_minus, self.x_plus, self.y_plus):
-            raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
-        n0, n1, n2 = len(self.y_minus), len(self.x_minus), len(self.x_plus)
-        m = {"x_minus": _int_matrix("x_minus", self.x_minus, n1, n0),
-             "y_minus": _int_matrix("y_minus", self.y_minus, n0, n1),
-             "x_plus": _int_matrix("x_plus", self.x_plus, n2, n1),
-             "y_plus": _int_matrix("y_plus", self.y_plus, n1, n2)}
-        for key in ("xs", "ys"):
-            m[key] = tuple(_int_matrix("interior map", x, n1, n1, "%s[%d]" % (key, i))
-                           for i, x in enumerate(getattr(self, key)))
-        x_star = y_star = IntMat.identity(n1)
-        for x, y in zip(m["xs"], m["ys"]):
-            x_star, y_star = x @ x_star, y_star @ y
-        m.update(x_star=x_star, y_star=y_star,
-                 x_star_inv=x_star.inverse(), y_star_inv=y_star.inverse())
-        # the factors are square, so a star is invertible exactly when each is
-        if m["x_star_inv"] is None or m["y_star_inv"] is None:
-            raise DomainError("interior map is not invertible")
-        object.__setattr__(self, "int_maps", m)
-        self._freeze(own)
-        if (m["x_minus"] @ m["y_minus"]).nilpotency_degree() is None:
-            raise DomainError("lower end composite is not nilpotent")
-        if (m["x_plus"] @ m["y_plus"]).nilpotency_degree() is None:
-            raise DomainError("upper end composite is not nilpotent")
+            n_plus, n_minus = len(z_minus), len(z_plus)
+            m = {"z_minus": _int_matrix("z_minus", z_minus, n_plus, n_minus),
+                 "z_plus": _int_matrix("z_plus", z_plus, n_minus, n_plus)}
+        else:
+            if len(xs) != l - 1 or len(ys) != l - 1:
+                raise DomainError("fragment needs %d interior maps per direction" % (l - 1,))
+            if None in (x_minus, y_minus, x_plus, y_plus):
+                raise DomainError("fragment needs x_minus, y_minus, x_plus and y_plus")
+            n0, n1, n2 = len(y_minus), len(x_minus), len(x_plus)
+            m = {"x_minus": _int_matrix("x_minus", x_minus, n1, n0),
+                 "y_minus": _int_matrix("y_minus", y_minus, n0, n1),
+                 "x_plus": _int_matrix("x_plus", x_plus, n2, n1),
+                 "y_plus": _int_matrix("y_plus", y_plus, n1, n2)}
+            for key, interior in (("xs", xs), ("ys", ys)):
+                m[key] = tuple(_int_matrix("interior map", x, n1, n1, "%s[%d]" % (key, i))
+                               for i, x in enumerate(interior))
+        vars(self).update(vars(HCFragment._make(l, m)))
 
-    def _freeze(self, names) -> None:
-        """Hold the named maps, once checked, as tuples of row tuples."""
-        for name in names:
-            m = getattr(self, name)
-            object.__setattr__(self, name, tuple(map(_frozen, m)) if name in ("xs", "ys")
-                               else _frozen(m))
+    @classmethod
+    def _make(cls, l: int, m: dict, x_star_inv: Optional[IntMat] = None) -> "HCFragment":
+        """The fragment of IntMats m of chaining shapes, with the stars and
+        their inverses added for l >= 1 (X_*^-1 inverted here unless given);
+        only the stars' invertibility and the end composites are checked."""
+        frag = object.__new__(cls)
+        vars(frag).update(l=l, int_maps=MappingProxyType(m))
+        ends = {"end": ("z_plus", "z_minus")}
+        if l:
+            x_star = y_star = IntMat.identity(len(m["x_minus"].rows))
+            for x, y in zip(m["xs"], m["ys"]):
+                x_star, y_star = x @ x_star, y_star @ y
+            m.update(x_star=x_star, y_star=y_star, y_star_inv=y_star.inverse(),
+                     x_star_inv=x_star.inverse() if x_star_inv is None else x_star_inv)
+            # the factors are square, so a star is invertible exactly when each is
+            if m["x_star_inv"] is None or m["y_star_inv"] is None:
+                raise DomainError("interior map is not invertible")
+            ends = {"lower end": ("x_minus", "y_minus"), "upper end": ("x_plus", "y_plus")}
+        for end, (a, b) in ends.items():
+            if (m[a] @ m[b]).nilpotency_degree() is None:
+                raise DomainError(end + " composite is not nilpotent")
+        return frag
+
+    def __getattr__(self, name: str):
+        """The dense views of the maps, built on first access and kept."""
+        if name not in _FRAGMENT_MAPS:
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        vars(self).update(self._each_map(_view, tuple))
+        return vars(self)[name]
+
+    def _each_map(self, f, seq) -> dict:
+        """f of each map by name (seq of them for xs and ys; None if unused)."""
+        m = self.int_maps
+        return {name: seq(map(f, m.get(name, ()))) if name in ("xs", "ys")
+                else f(m[name]) if name in m else None for name in _FRAGMENT_MAPS}
 
     def to_json(self) -> dict:
-        enc = lambda m: None if m is None else [[str(x) for x in row] for row in m]
-        return {"l": self.l, "x_minus": enc(self.x_minus),
-                "xs": [enc(m) for m in self.xs], "x_plus": enc(self.x_plus),
-                "y_plus": enc(self.y_plus), "ys": [enc(m) for m in self.ys],
-                "y_minus": enc(self.y_minus), "z_minus": enc(self.z_minus),
-                "z_plus": enc(self.z_plus)}
+        return {"l": self.l, **self._each_map(_json_rows, list)}
 
     @staticmethod
     def from_json(data: dict) -> "HCFragment":
         dec = lambda m: None if m is None else _matrix_from_json(m)
         with malformed_json("fragment JSON"):
-            unknown = sorted(set(data) - {f.name for f in fields(HCFragment)})
+            unknown = sorted(set(data) - {"l", *_FRAGMENT_MAPS})
             if unknown:
                 raise DomainError("fragment JSON has unknown keys %s" % (unknown,))
-            return HCFragment(json_int(data["l"]), dec(data.get("x_minus")),
-                              tuple(dec(m) for m in data.get("xs", ())),
-                              dec(data.get("x_plus")), dec(data.get("y_plus")),
-                              tuple(dec(m) for m in data.get("ys", ())),
-                              dec(data.get("y_minus")), dec(data.get("z_minus")),
-                              dec(data.get("z_plus")))
+            return HCFragment(json_int(data["l"]), **{
+                name: tuple(map(dec, data.get(name, ()))) if name in ("xs", "ys")
+                else dec(data.get(name)) for name in _FRAGMENT_MAPS})
 
 
-def _fragment_dims(frag: HCFragment) -> Dict[str, int]:
-    """Gelfand node dimensions (dim M_{-l-1}, dim M_{-l+1}, dim M_{l+1}),
-    read from row counts so that a zero end block has a dimension too."""
-    return {"-": len(frag.y_minus), "*": len(frag.x_minus), "+": len(frag.x_plus)}
+def _fragment_dims(m: Mapping[str, object]) -> Dict[str, int]:
+    """Gelfand node dimensions (dim M_{-l-1}, dim M_{-l+1}, dim M_{l+1}) of
+    a fragment's int_maps, read from row counts so that a zero end block
+    has a dimension too."""
+    return {"-": len(m["y_minus"].rows), "*": len(m["x_minus"].rows), "+": len(m["x_plus"].rows)}
 
 
 def hc_to_quiver(frag: HCFragment) -> QuiverRep:
     """The equivalence functor on a diagram fragment: l = 0 gives a
     two-cyclic representation, l >= 1 a Gelfand representation with
     arrows (X_-, X_+ X_*, X_*^{-1} Y_+, Y_-)."""
-    if frag.l == 0:
-        dims = {"-": len(frag.z_plus), "+": len(frag.z_minus)}
-        return QuiverRep(CYCLIC, dims, {"a": frag.z_minus, "b": frag.z_plus})
     m = frag.int_maps
-    return QuiverRep(GELFAND, _fragment_dims(frag),
-                     {"A-": frag.x_minus, "B-": frag.y_minus,
-                      "A+": (m["x_star_inv"] @ m["y_plus"]).to_dense(),
-                      "B+": (m["x_plus"] @ m["x_star"]).to_dense()})
+    if frag.l == 0:
+        dims = {"-": len(m["z_plus"].rows), "+": len(m["z_minus"].rows)}
+        return QuiverRep._make(CYCLIC, dims, {"a": m["z_minus"], "b": m["z_plus"]})
+    return QuiverRep._make(GELFAND, _fragment_dims(m),
+                           {"A-": m["x_minus"], "B-": m["y_minus"],
+                            "A+": m["x_star_inv"] @ m["y_plus"], "B+": m["x_plus"] @ m["x_star"]})
 
 
 def second_description(frag: HCFragment) -> QuiverRep:
@@ -492,10 +524,9 @@ def second_description(frag: HCFragment) -> QuiverRep:
     if frag.l == 0:
         raise DomainError("second description needs l >= 1")
     m = frag.int_maps
-    return QuiverRep(GELFAND, _fragment_dims(frag),
-                     {"A-": (m["y_star_inv"] @ m["x_minus"]).to_dense(),
-                      "B-": (m["y_minus"] @ m["y_star"]).to_dense(),
-                      "A+": frag.y_plus, "B+": frag.x_plus})
+    return QuiverRep._make(GELFAND, _fragment_dims(m),
+                           {"A-": m["y_star_inv"] @ m["x_minus"], "B-": m["y_minus"] @ m["y_star"],
+                            "A+": m["y_plus"], "B+": m["x_plus"]})
 
 
 def _casimir(gamma: int, composite: IntMat) -> IntMat:
@@ -564,7 +595,7 @@ def iso_two_descriptions(frag: HCFragment):
         raise DomainError("morphism square (A-) does not commute")
     if t @ m["y_minus"] != m["y_minus"] @ yx_star:
         raise DomainError("morphism square (B-) does not commute")
-    return t.to_dense(), m["x_star"].to_dense(), IntMat.identity(len(frag.x_plus)).to_dense()
+    return t.to_dense(), m["x_star"].to_dense(), IntMat.identity(len(m["x_plus"].rows)).to_dense()
 
 
 def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
@@ -579,24 +610,24 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
         raise DomainError("need l >= 1 and dim >= 1")
     rng = random.Random(seed)
 
+    def draw(k: int, upper: bool) -> IntMat:
+        """Random entries in [-k, k], row by row; strictly upper triangular when upper."""
+        return IntMat([[(j, x) for j in range(i + 1 if upper else 0, dim)
+                        if (x := rng.randint(-k, k))] for i in range(dim)], 1, dim)
+
     def rand_invertible() -> Tuple[IntMat, IntMat]:
         """A random invertible integer matrix and its inverse."""
         while True:
-            m = IntMat.from_dense([[rng.randint(-3, 3) for _ in range(dim)]
-                                   for _ in range(dim)], dim)
+            m = draw(3, False)
             if (m_inv := m.inverse()) is not None:
                 return m, m_inv
 
-    def rand_nilpotent() -> IntMat:
-        """A random strictly upper triangular integer matrix."""
-        return IntMat.from_dense([[rng.randint(-2, 2) if j > i else 0 for j in range(dim)]
-                                  for i in range(dim)], dim)
-
     gamma = l * l - 1
     x_minus, x_minus_inv = rand_invertible()
-    y_minus = rand_nilpotent() @ x_minus_inv   # Y_- X_- = nil
+    y_minus = draw(2, True) @ x_minus_inv   # Y_- X_- = nil
     c_cur = _casimir(gamma, x_minus @ y_minus)   # C on M_{-l+1}
     xs, ys = [], []
+    x_star_inv = IntMat.identity(dim)   # X_1^-1 ... X_i^-1
     for i in range(1, l):
         n_i = -l - 1 + 2 * i                    # weight below X_i
         const = n_i * n_i + 2 * n_i
@@ -604,8 +635,8 @@ def random_fragment(l: int, dim: int, seed: int = 0) -> HCFragment:
         xs.append(x_i)
         ys.append(c_cur.affine(Fraction(-const, 4), Fraction(1, 4)) @ x_i_inv)
         c_cur = x_i @ c_cur @ x_i_inv
+        x_star_inv = x_star_inv @ x_i_inv
     x_plus, x_plus_inv = rand_invertible()
     y_plus = c_cur.affine(Fraction(-gamma, 4), Fraction(1, 4)) @ x_plus_inv
-    return HCFragment(l, x_minus=x_minus.to_dense(), xs=tuple(x.to_dense() for x in xs),
-                      x_plus=x_plus.to_dense(), y_plus=y_plus.to_dense(),
-                      ys=tuple(y.to_dense() for y in ys), y_minus=y_minus.to_dense())
+    return HCFragment._make(l, {"x_minus": x_minus, "y_minus": y_minus, "x_plus": x_plus,
+                                "y_plus": y_plus, "xs": tuple(xs), "ys": tuple(ys)}, x_star_inv)

@@ -558,9 +558,11 @@ def apply_power(f: Form, direction: str, power: int) -> Form:
                   direction, power)
 
 
-def apply_laplace(f: Form) -> Form:
-    """Delta_k = -R_{k-2} L_k, key by key."""
-    return _apply(_triples(f), f.weight, "D")
+def apply_laplace(f: Form, power: int = 1) -> Form:
+    """Delta_k^power, Delta_k = -R_{k-2} L_k, key by key, in one call."""
+    if exact_int("operator power", power) < 0:
+        raise DomainError("operator power must be nonnegative")
+    return _apply(_triples(f), f.weight, "D", power)
 
 
 def expand_pending(f: Form) -> Form:

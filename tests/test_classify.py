@@ -516,6 +516,26 @@ def test_apply_power_warns_once_per_distinct_step_over_all_passes(k, d, power, c
     assert [c.category for c in caught] == [PolePointWarning] * count
 
 
+def test_apply_laplace_composes_its_power_in_one_call():
+    # one call of Delta^3 warns once per distinct step onto the pole (7),
+    # where three calls of Delta warned once per call and step (12)
+    f = construct_case("IIIb", 4, 8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cubed = apply_laplace(f, 3)
+    assert [c.category for c in caught] == [PolePointWarning] * 7
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert apply_laplace(apply_laplace(apply_laplace(f))) == cubed
+    assert len(caught) == 12
+    assert apply_laplace(f, 0) == f and apply_laplace(f, 1) == apply_laplace(f)
+    for power, message in ((-1, "operator power must be nonnegative"),
+                           (True, "operator power must be an int, not True")):
+        with pytest.raises(DomainError) as err:
+            apply_laplace(f, power)
+        assert str(err.value) == message
+
+
 def test_classify_refuses_the_zero_form():
     with pytest.raises(DomainError) as err:
         classify_bk(zero_form(0))

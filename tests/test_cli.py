@@ -342,6 +342,23 @@ def test_apply_rejects_a_negative_power_for_every_power_operator(capsys, tmp_pat
             (2, "", "error: operator power must be nonnegative\n")
 
 
+def test_apply_laplace_power_is_one_call(capsys, tmp_path, monkeypatch):
+    from polymaass import symcalc
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(form_to_json(construct_case("IIIb", 3, 2))))
+    calls = []
+    laplace = symcalc.apply_laplace
+    monkeypatch.setattr(symcalc, "apply_laplace", lambda f, p: calls.append(p) or laplace(f, p))
+    code, out, _ = run(capsys, "apply", "--op", "laplace", "--power", "3", "--json",
+                       "--in", str(path))
+    assert (code, calls) == (0, [3])
+    monkeypatch.undo()
+    form = construct_case("IIIb", 3, 2)
+    for _ in range(3):
+        form = symcalc.apply_laplace(form)
+    assert form_from_json(json.loads(out)) == form
+
+
 def test_quiver_from_hc_rejects_mismatched_shapes(capsys, tmp_path):
     path = tmp_path / "frag.json"
     path.write_text(json.dumps({

@@ -1,8 +1,9 @@
-"""Every public constructor, and apply_power, refuses a bool, a float or a
-string where it takes an int or a rational, with DomainError, as
-apply_power does for a direction other than L and R; and every value that
-a constructor accepts comes back unchanged from its JSON."""
+"""Every public constructor, and apply_power and apply_laplace, refuses a
+bool, a float or a string where it takes an int or a rational, with
+DomainError, as apply_power does for a direction other than L and R; and
+every value that a constructor accepts comes back unchanged from its JSON."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from polymaass.specsolve import (GradedVector, WModel, construct_case, eisenstei
                                  poincare_family, preimage_constant_weight, preimage_incoherent,
                                  solve_wd)
 from polymaass.symcalc import (CONST_ATOM, E00, EISENSTEIN, INCOHERENT, POINCARE, Family,
-                               Form, PolyAtom, SpectralAtom, apply_power, atom_E,
+                               Form, PolyAtom, SpectralAtom, apply_laplace, apply_power, atom_E,
                                atom_incoherent, atom_P, form_from_json, form_of, form_to_json,
                                vanishing_order)
 
@@ -48,6 +49,7 @@ SLOTS = {
     "form_of.coeff": lambda v: form_of(E00, CONST_ATOM, v),
     "Form.weight": lambda v: Form(v),
     "apply_power.power": lambda v: apply_power(form_of(E00, CONST_ATOM), "L", v),
+    "apply_laplace.power": lambda v: apply_laplace(form_of(E00, CONST_ATOM), v),
     # an int picks L or R; any other value names a direction by its repr
     "apply_power.direction": lambda v: apply_power(form_of(E00, CONST_ATOM),
                                                    "LR"[v] if type(v) is int else repr(v), 1),
@@ -207,3 +209,28 @@ def test_quiver_rep_json_round_trip(rep):
 @given(frag=fragments())
 def test_fragment_json_round_trip(frag):
     assert HCFragment.from_json(frag.to_json()) == frag
+
+
+@st.composite
+def spelled(draw, x):
+    """A JSON string of the rational x: str(x), or both terms times k, or
+    either with a leading + when x >= 0."""
+    k = draw(st.integers(1, 3))
+    text = str(x) if k == 1 else "%d/%d" % (x.numerator * k, x.denominator * k)
+    return ("+" if x >= 0 and draw(st.booleans()) else "") + text
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_quiver_rep_reads_alike_from_dense_rows_and_from_json(data):
+    # JSON entries are read to integers (a plain integer string by int,
+    # the rest by Fraction): the value is the one the public constructor
+    # builds from the same Fraction matrices
+    lo, hi = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    maps = {"a": data.draw(matrices(hi, lo)), "b": data.draw(matrices(lo, hi))}
+    dense = QuiverRep(CYCLIC, {"-": lo, "+": hi}, maps)
+    read = QuiverRep.from_json({"quiver": CYCLIC, "dims": {"-": lo, "+": hi}, "maps": {
+        name: [[data.draw(spelled(x)) for x in row] for row in m] for name, m in maps.items()}})
+    assert read.int_maps == dense.int_maps and read == dense
+    assert json.dumps(read.to_json()) == json.dumps(dense.to_json())
+    assert read.maps == dense.maps == {name: tuple(map(tuple, m)) for name, m in maps.items()}

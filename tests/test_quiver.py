@@ -18,6 +18,7 @@ from polymaass.quiverrep import (CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
                                  iso_two_descriptions, random_fragment,
                                  second_description)
 from polymaass.linalg import IntMat, Mat, mat_mul, rref, solve_linear
+from polymaass.scalars import json_rational
 from polymaass.symcalc import DomainError
 
 
@@ -830,3 +831,128 @@ def test_int_and_fraction_entries_are_accepted_alike():
                                                for k, m in fractions.maps.items()})
     assert ints.to_json() == fractions.to_json() and ints.int_maps == fractions.int_maps
     assert classify_cyclic(ints) == classify_cyclic(fractions) == ("+", "c", 2)
+
+
+# --- one IntMat per map: values are built from integers, the dense fields are views
+
+
+# a digit string past int's default limit is refused by int and Fraction alike
+JSON_ENTRIES = ["0", "-3", "2/4", "+3", " 5 ", "0.5", "1e1", "-0", "007", "1_0", "١٢",
+                "1/0", "x", "-", "", "--5", "9" * 5000, 7, 1.5, True]
+
+
+def _outcome(read, x):
+    """read(x), or the type and text of what it raises."""
+    try:
+        return read(x)
+    except Exception as ex:   # compared, not swallowed
+        return type(ex), str(ex)
+
+
+@pytest.mark.parametrize("entry", JSON_ENTRIES, ids=lambda x: repr(x)[:12])
+def test_json_entries_read_as_fraction_does(entry):
+    # json_rational reads a string or an int as Fraction does, and returns
+    # a Fraction; the quiver matrix reader reads a plain integer string by
+    # int, to the same value, and refuses every other entry with the
+    # message json_rational gives
+    if isinstance(entry, (str, int)) and not isinstance(entry, bool):
+        want = _outcome(Fraction, entry)
+    else:
+        want = (TypeError, "a rational must be an int or a string, not %r" % (entry,))
+    got = _outcome(json_rational, entry)
+    assert got == want and type(got) is type(want)
+    data = {"quiver": CYCLIC, "dims": {"-": 1, "+": 1}, "maps": {"a": [[entry]], "b": [["0"]]}}
+    rep = _outcome(QuiverRep.from_json, data)
+    if type(want) is Fraction:
+        assert rep == QuiverRep(CYCLIC, {"-": 1, "+": 1}, {"a": [[want]], "b": [[0]]})
+        assert rep.to_json()["maps"]["a"] == [[str(want)]]
+    else:
+        assert rep == (DomainError, "malformed quiver representation: %s" % (want[1],))
+
+
+def test_cli_reads_spelled_out_entries_and_refuses_a_zero_denominator(capsys, tmp_path):
+    from polymaass.cli import main
+    path = tmp_path / "rep.json"
+    maps = {"a": [["2/4"], ["+3"]], "b": [["0.5", "-1/12"]]}
+    path.write_text(json.dumps({"quiver": "cyclic", "dims": {"-": 1, "+": 2}, "maps": maps}))
+    assert main(["quiver", "classify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "type +, case a, d = 1\n"
+    maps["b"][0][0] = "1/0"
+    path.write_text(json.dumps({"quiver": "cyclic", "dims": {"-": 1, "+": 2}, "maps": maps}))
+    assert main(["quiver", "classify", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed quiver representation: Fraction(1, 0)\n"
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of IntMat.<name>, each with its result."""
+    calls = []
+    method = getattr(IntMat, name)
+    monkeypatch.setattr(IntMat, name, lambda *a: calls.append(method(*a)) or calls[-1])
+    return calls
+
+
+@pytest.mark.parametrize("l,dim,seed", [(1, 1, 0), (2, 1, 10), (3, 2, 5), (4, 3, 2), (6, 4, 7)])
+def test_random_fragment_passes_its_draws_straight_through(monkeypatch, l, dim, seed):
+    # each draw of an invertible map is inverted once and Y_* once more;
+    # X_*^-1 is the product of the drawn inverses, and nothing is read
+    # from or written to dense matrices
+    from_dense, to_dense = _counting(monkeypatch, "from_dense"), _counting(monkeypatch, "to_dense")
+    inverses = _counting(monkeypatch, "inverse")
+    frag = random_fragment(l, dim, seed)
+    monkeypatch.undo()
+    singular = inverses.count(None)
+    assert from_dense == to_dense == [] and len(inverses) == (l + 1 + singular) + 1
+    assert singular == 2 or (dim, seed) != (1, 10)   # singular draws count too
+    m = frag.int_maps
+    assert m["x_star_inv"] == m["x_star"].inverse() and m["y_star_inv"] == m["y_star"].inverse()
+    assert frag == HCFragment.from_json(frag.to_json())
+
+
+def test_descriptions_build_no_dense_matrix(monkeypatch):
+    frags = [random_fragment(3, 3, seed=2), HCFragment(0, z_minus=ZERO, z_plus=ONE)]
+    to_dense, from_dense = _counting(monkeypatch, "to_dense"), _counting(monkeypatch, "from_dense")
+    for frag in frags:
+        hc_to_quiver(frag).to_json()
+        if frag.l:
+            second_description(frag).to_json()
+    assert to_dense == from_dense == []
+
+
+def _dense_round_trip(value):
+    """value rebuilt by its public constructor from its dense views."""
+    if isinstance(value, QuiverRep):
+        return QuiverRep(value.quiver, value.dims, value.maps)
+    return HCFragment(value.l, **{name: getattr(value, name) for name in
+                                  ("x_minus", "xs", "x_plus", "y_plus", "ys", "y_minus",
+                                   "z_minus", "z_plus")})
+
+
+def test_integer_built_values_equal_their_public_construction():
+    # build_cyclic_module, direct_sum, hc_to_quiver, second_description and
+    # random_fragment hand _make integer matrices in lowest terms, so each
+    # value equals the one the public constructor reads from its views
+    frags = [random_fragment(l, dim, seed) for l, dim, seed in
+             ((1, 2, 0), (2, 3, 4), (4, 2, 9))] + [HCFragment(0, z_minus=ZERO, z_plus=ONE)]
+    reps = [build_cyclic_module(*spec) for spec in BENCH_MODULES[::5]]
+    reps += [hc_to_quiver(f) for f in frags] + [second_description(f) for f in frags[:3]]
+    reps += [direct_sum(hc_to_quiver(frags[1]), hc_to_quiver(frags[2])),
+             direct_sum(build_cyclic_module(GELFAND, "+", "c", 2), hc_to_quiver(frags[0]))]
+    for value in reps + frags:
+        again = _dense_round_trip(value)
+        assert again == value and again.to_json() == value.to_json()
+
+
+def test_dense_views_are_built_on_first_access_and_kept():
+    rep = build_cyclic_module(GELFAND, "-", "b", 2)
+    frag = random_fragment(3, 2, seed=1)
+    rep.to_json()
+    frag.to_json()
+    classify_cyclic(rep)
+    iso_two_descriptions(frag)
+    assert "maps" not in vars(rep) and "x_minus" not in vars(frag)
+    assert rep.maps is rep.maps and frag.xs is frag.xs and frag.z_minus is None
+    assert frag.x_minus == tuple(map(tuple, frag.int_maps["x_minus"].to_dense()))
+    with pytest.raises(AttributeError):
+        getattr(frag, "w_minus")
+    l0 = HCFragment(0, z_minus=ZERO, z_plus=ONE)
+    assert (l0.x_minus, l0.xs, l0.ys, l0.z_plus) == (None, (), (), ((Fraction(1),),))
