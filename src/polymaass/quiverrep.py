@@ -134,11 +134,21 @@ class QuiverRep:
 def _matrix_from_json(m) -> Mat:
     """A matrix read from JSON: a list of rows, each a list of rationals.
     A plain ASCII integer string ("0", "-3") is read by int, to the value
-    json_rational gives; every other entry goes through json_rational."""
+    json_rational gives; every other entry goes through _json_ratio."""
     if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
         raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
     return [[int(x) if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit()
-             else json_rational(x) for x in row] for row in m]
+             else _json_ratio(x) for x in row] for row in m]
+
+
+def _json_ratio(x) -> Fraction:
+    """json_rational(x), with an ASCII "p/q" ("-1/12") read as Fraction(int p,
+    int q): the value and the errors ("1/0") that Fraction(str) gives."""
+    if type(x) is str and x.isascii():
+        num, slash, den = x.partition("/")
+        if slash and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))
+    return json_rational(x)
 
 
 def _json_rows(m: IntMat) -> List[List[str]]:

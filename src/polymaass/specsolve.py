@@ -77,13 +77,19 @@ class WModel:
                     C[r - 1][r] = -1
         return A, B, C
 
+    def _diagonals(self) -> List[List[Tuple[int, List[int]]]]:
+        """The nonzero diagonals (o, c), c[i] = M[i][i + o], of A, B and C."""
+        n = self.m + 1
+        return [[(o, [M[i][i + o] if 0 <= i + o < n else 0 for i in range(n)])
+                 for o in sorted({j - i for i, row in enumerate(M) for j, x in enumerate(row)
+                                  if x})] for M in self.matrices()]
+
     def _int_block_delta(self, d: int) -> IntMat:
         """The operator A + T B + T^2 C on W_d, layer-major: row t n + i is
         row i of C, B, A at source layers t - 2, t - 1, t."""
-        bands = [[[(j, x) for j, x in enumerate(row) if x] for row in M] for M in self.matrices()]
-        n = self.m + 1
-        rows = [[((t - s) * n + j, x) for s in range(min(t, 2), -1, -1) for j, x in bands[s][i]]
-                for t in range(d + 1) for i in range(n)]
+        diags, n = self._diagonals(), self.m + 1
+        rows = [[((t - s) * n + i + o, c[i]) for s in range(min(t, 2), -1, -1)
+                 for o, c in diags[s] if c[i]] for t in range(d + 1) for i in range(n)]
         return IntMat(rows, 1, n * (d + 1))
 
 
@@ -188,8 +194,10 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     every subdiagonal entry -(r+1)(m-r) != 0 on R, so ker A = span(w_0).
     Layers are int vectors over one positive denominator, in lowest terms,
     and rest is summed over the lcm of the denominators it involves;
-    Fractions are built once, for the result.
-    """
+    Fractions are built once, for the result, which one Delta pass certifies
+    from w and nu alone: Delta w = p(T) w with p(0) = 0 and nu = mu_1^d, mu_1
+    p's T coefficient; Delta commutes with T, so Delta^d w = mu_1^d T^d w0 and
+    Delta^{d+1} w = 0 mod T^{d+1} (_check_generalized_eigenvector)."""
     model = WModel(k, m, branch)
     if exact_int("d", d) < 0:
         raise DomainError("m and d must be nonnegative")
@@ -264,29 +272,52 @@ def _layer_sweep(A: List[List[int]], w0: List[int], branch: str):
     return solve
 
 
+def _delta_layers(diags, layers: List[List[int]]) -> List[List[int]]:
+    """A u_t + B u_{t-1} + C u_{t-2} in each layer t, from WModel._diagonals()."""
+    out, pad = [], [0] * len(layers[0])
+    for t in range(len(layers)):
+        acc = pad
+        for band, u in zip(diags, layers[t::-1]):
+            u = pad + u + pad
+            for o, c in band:
+                acc = [a + x * y for a, x, y in zip(acc, c, u[len(pad) + o:])]
+        out.append(acc)
+    return out
+
+
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
-    """Check Delta^d w = nu T^d w0 and Delta^{d+1} w = 0 exactly, in ints:
-    w is scaled by den, the lcm of its layers' denominators, and the
-    integer rows of the block operator A + T B + T^2 C are applied to
-    den * w, d times and then once more, each output layer only when one of
-    its source layers t, t-1, t-2 is seen to be nonzero."""
-    # the block operator's denominator is 1: A, B and C have int entries
-    rows = model._int_block_delta(gv.d).rows
-    n = model.m + 1
-
-    def apply(v):
-        live = [any(v[t * n:(t + 1) * n]) for t in range(gv.d + 1)]
-        on = [f for t in range(gv.d + 1) for f in [any(live[max(t - 2, 0):t + 1])] * n]
-        return [sum(x * v[j] for j, x in row) if f else 0 for f, row in zip(on, rows)]
-
+    """Check w0 != 0, Delta^d w = nu T^d w0 and Delta^{d+1} w = 0 exactly, in
+    ints, on w scaled by the lcm den of its layers' denominators.  One pass
+    gives v = Delta w, which must be p(T) w with p(0) = 0: v_0 = 0, and for
+    t = 1..d v_t - sum_{s<t} mu_s w_{t-s} = mu_t w0, mu_t read at w0's first
+    nonzero entry; and nu = mu_1^d.  As Delta commutes with T, Delta^j w =
+    p(T)^j w, and mod T^{d+1} p(T)^d = mu_1^d T^d and p(T)^{d+1} = 0.  Where
+    the solver runs, ker A = span(w0) and w0 is not in the image of A, so every
+    w with both identities has such a p; else d + 1 passes name the one that fails."""
+    if not any(gv.layers[0]):
+        raise AssertionError("iterative solution has w0 = 0")
+    diags = model._diagonals()
     den = lcm(*(x.denominator for layer in gv.layers for x in layer))
-    img = [x.numerator * (den // x.denominator) for layer in gv.layers for x in layer]
+    w = [[x.numerator * (den // x.denominator) for x in layer] for layer in gv.layers]
+    v, w0 = _delta_layers(diags, w), w[0]
+    r = next(i for i, x in enumerate(w0) if x)
+    D, mus = 1, []   # mu_s = mus[s - 1] / D
+    for t in range(1, gv.d + 1):
+        rest = [D * y for y in v[t]]
+        for mu, u in zip(mus, w[t - 1:0:-1]):
+            rest = [a - mu * z for a, z in zip(rest, u)]
+        if any(a * w0[r] != b * rest[r] for a, b in zip(rest, w0)):
+            break
+        q = w0[r] // gcd(rest[r], w0[r])
+        D, mus = D * q, [mu * q for mu in mus] + [rest[r] * q // w0[r]]
+    else:
+        if not any(v[0]) and gv.preimage_scale == (Fraction(mus[0], D) ** gv.d if mus else 1):
+            return
     for _ in range(gv.d):
-        img = apply(img)
-    scale = den * gv.preimage_scale
-    if img != [0] * (gv.d * n) + [scale * x for x in gv.layers[0]]:
+        w = _delta_layers(diags, w)
+    if w != [[0] * (model.m + 1)] * gv.d + [[den * gv.preimage_scale * x for x in gv.layers[0]]]:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
-    if any(apply(img)):
+    if any(map(any, _delta_layers(diags, w))):
         raise AssertionError("iterative solution fails Delta^{d+1} w = 0")
 
 

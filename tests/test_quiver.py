@@ -838,7 +838,8 @@ def test_int_and_fraction_entries_are_accepted_alike():
 
 # a digit string past int's default limit is refused by int and Fraction alike
 JSON_ENTRIES = ["0", "-3", "2/4", "+3", " 5 ", "0.5", "1e1", "-0", "007", "1_0", "١٢",
-                "1/0", "x", "-", "", "--5", "9" * 5000, 7, 1.5, True]
+                "1/0", "-0/5", "007/3", "6/-4", "1/00", "x", "-", "", "--5", "9" * 5000, 7, 1.5,
+                True]
 
 
 def _outcome(read, x):
@@ -853,8 +854,8 @@ def _outcome(read, x):
 def test_json_entries_read_as_fraction_does(entry):
     # json_rational reads a string or an int as Fraction does, and returns
     # a Fraction; the quiver matrix reader reads a plain integer string by
-    # int, to the same value, and refuses every other entry with the
-    # message json_rational gives
+    # int and an ASCII p/q by two ints, to the same value or the same error,
+    # and refuses every other entry with the message json_rational gives
     if isinstance(entry, (str, int)) and not isinstance(entry, bool):
         want = _outcome(Fraction, entry)
     else:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polymaass import BK_CASES, specsolve
 from polymaass.linalg import IntMat, kernel, mat_vec
@@ -206,7 +206,7 @@ def test_self_check_sees_a_corrupted_layer_zero(k, m, branch, d):
 
 @pytest.mark.parametrize("k,m,branch,d", BANDED_GRID)
 def test_banded_delta_on_int_layers_matches_fraction_layers(k, m, branch, d):
-    # the self-check applies the block operator's integer rows to int layers
+    # the oracle's block operator has integer rows, which act on int layers
     model = WModel(k, m, branch)
     block = model._int_block_delta(d)
     assert block.den == 1 and all(type(x) is int for row in block.rows for _j, x in row)
@@ -215,6 +215,98 @@ def test_banded_delta_on_int_layers_matches_fraction_layers(k, m, branch, d):
     as_ints = [sum(x * flat[j] for j, x in row) for row in block.rows]
     assert as_ints == banded_delta(model, layers)
     assert all(type(x) is int for x in as_ints)
+
+
+@pytest.mark.parametrize("k,m,branch,d", BANDED_GRID)
+def test_delta_layers_matches_banded_delta(k, m, branch, d):
+    # the self-check applies A, B and C by their diagonals to int layers
+    model = WModel(k, m, branch)
+    layers = [[int(x * 12) for x in layer] for layer in _test_vector(m + 1, d)]
+    out = specsolve._delta_layers(model._diagonals(), layers)
+    assert [x for layer in out for x in layer] == banded_delta(model, layers)
+    assert all(type(x) is int for layer in out for x in layer)
+
+
+def reference_check(model, gv):
+    """The message of the first of Delta^d w = nu T^d w0 and Delta^{d+1} w =
+    0 that fails, by d + 1 passes of banded_delta in Fractions; None when
+    both hold."""
+    n, d = model.m + 1, gv.d
+    img = [x for layer in gv.layers for x in layer]
+    for _ in range(d):
+        img = banded_delta(model, [img[t * n:(t + 1) * n] for t in range(d + 1)])
+    if img != [0] * (d * n) + [gv.preimage_scale * x for x in gv.layers[0]]:
+        return "iterative solution fails Delta^d w = nu T^d w0"
+    if any(banded_delta(model, [img[t * n:(t + 1) * n] for t in range(d + 1)])):
+        return "iterative solution fails Delta^{d+1} w = 0"
+    return None
+
+
+SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), branch=st.sampled_from("LR"), k=st.integers(-5, 7), m=st.integers(0, 5),
+       d=st.integers(0, 4), edit=st.sampled_from(["none", "rescale", "nu", "entry"]))
+def test_self_check_agrees_with_the_pass_by_pass_reference(data, branch, k, m, d, edit):
+    # the one-pass certificate accepts exactly what d + 1 passes accept, and
+    # otherwise names the identity they find failing; a zero w0 is refused
+    assume(solver_admissible(k, m, branch))
+    model, gv = WModel(k, m, branch), solve_wd(k, m, branch, d)
+    layers, nu = gv.layers, gv.preimage_scale
+    if edit == "rescale":   # q(T) w with q(0) = q[0]: the same chain, accepted
+        q = [data.draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(-1, 3)]))]
+        q += [data.draw(SMALL_RATIONALS) for _ in range(d)]
+        layers = [[sum(q[s] * layers[t - s][i] for s in range(t + 1)) for i in range(m + 1)]
+                  for t in range(d + 1)]
+    elif edit == "nu":
+        nu = data.draw(SMALL_RATIONALS.filter(bool))
+    elif edit == "entry":
+        t, i = data.draw(st.integers(0, d)), data.draw(st.integers(0, m))
+        layers = [layer[:] for layer in layers]
+        layers[t][i] += data.draw(SMALL_RATIONALS.filter(bool))
+    chain = GradedVector(k, m, branch, d, layers, nu)
+    want = reference_check(model, chain)
+    if not any(layers[0]):
+        want = "iterative solution has w0 = 0"
+    elif edit in ("none", "rescale"):
+        assert want is None
+    if want is None:
+        _check_generalized_eigenvector(model, chain)
+    else:
+        with pytest.raises(AssertionError) as err:
+            _check_generalized_eigenvector(model, chain)
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_self_check_refuses_a_zero_w0(d):
+    model = WModel(0, 3, "L")
+    zero = GradedVector(0, 3, "L", d, [[0] * 4] * (d + 1), Fraction(5))
+    with pytest.raises(AssertionError, match=r"^iterative solution has w0 = 0$"):
+        _check_generalized_eigenvector(model, zero)
+    # upper layers of a solved chain over a zero w0, at its own nu
+    gv = solve_wd(0, 3, "L", d)
+    bad = GradedVector(0, 3, "L", d, [[0] * 4] + gv.layers[1:], gv.preimage_scale)
+    with pytest.raises(AssertionError, match=r"^iterative solution has w0 = 0$"):
+        _check_generalized_eigenvector(model, bad)
+
+
+@pytest.mark.parametrize("k,m,branch,d", [(0, 0, "L", 0), (-3, 4, "L", 4), (3, 8, "R", 1),
+                                          (-16, 16, "R", 8), (4, 6, "R", 6)])
+def test_self_check_of_a_solve_is_one_pass(k, m, branch, d, monkeypatch):
+    def block(*args):
+        raise AssertionError("the block operator was built")
+    passes = []
+
+    def counted(diags, layers):
+        passes.append(len(layers))
+        return delta_layers(diags, layers)
+    delta_layers = specsolve._delta_layers
+    monkeypatch.setattr(WModel, "_int_block_delta", block)
+    monkeypatch.setattr(specsolve, "_delta_layers", counted)
+    solve_wd(k, m, branch, d)
+    assert passes == [d + 1]
 
 
 def test_exact_depth_of_emissions():
