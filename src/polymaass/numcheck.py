@@ -10,14 +10,24 @@ The Eisenstein identities (Delta-eigen, L, R, mirror) hold coset term by
 coset term: each term y^s |_k gamma satisfies them on its own.  A truncated
 sum therefore satisfies them exactly, at every trunc, and their residual
 measures finite-difference (and rounding) error only, not truncation error.
+
+A config builds its coset table once, from one prime sieve.  The coset sums
+of one verify row run in place in buffers that the row sets up for itself:
+at trunc 400 a fresh array per ufunc is 1.5-3 MB, which the allocator hands
+back to the kernel when freed and faults in again on the next call, at a
+cost above that of the arithmetic.  The values are those of the plain numpy
+expression, bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial, isfinite
-from typing import Dict, List
+from numbers import Number, Real
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +42,8 @@ class EvalConfig:
     def __post_init__(self):
         if exact_int("trunc", self.trunc) < 1:
             raise DomainError("invalid evaluation configuration")
-        if not isfinite(self.tol) or self.tol <= 0:
+        if isinstance(self.tol, bool) or not isinstance(self.tol, Real) \
+                or not isfinite(self.tol) or self.tol <= 0:
             raise DomainError("tolerance must be a positive finite number")
 
     @cached_property
@@ -49,6 +60,8 @@ DEFAULT_CONFIG = EvalConfig()
 
 
 def _check_region(k: int, s: complex):
+    if isinstance(s, bool) or not isinstance(s, Number):
+        raise DomainError("spectral point s must be a number, not %r" % (s,))
     if s.real <= 1 - k / 2:
         raise DomainError("s = %s violates the convergence constraint Re(s) > 1 - k/2 "
                           "for weight %d" % (s, k))
@@ -56,32 +69,66 @@ def _check_region(k: int, s: complex):
 
 def _coset_pairs(n: int):
     """Deterministic coprime (c, d) representatives: (0,1), then c = 1..N
-    with d ordered by |d| (positive before negative)."""
-    cs = [0]
-    ds = [1]
-    d_order = [0]
-    for a in range(1, n + 1):
-        d_order.extend([a, -a])
-    d_arr = np.array(d_order, dtype=np.int64)
-    for c in range(1, n + 1):
-        mask = np.gcd(np.int64(c), np.abs(d_arr)) == 1
-        sel = d_arr[mask]
-        cs.append(np.full(len(sel), c, dtype=np.int64))
-        ds.append(sel)
-    c_all = np.concatenate([np.atleast_1d(np.int64(x)) for x in cs])
-    d_all = np.concatenate([np.atleast_1d(np.int64(x)) for x in ds])
+    with d ordered by |d| (positive before negative).
+
+    The coprime mask is one prime sieve over c = 0..N and |d| = 0..N: a
+    prime p clears the rows of its multiples at the columns of its multiples,
+    |d| = 0 among them, so d = 0 stays beside c = 1 alone."""
+    d_order = np.zeros(2 * n + 1, dtype=np.int64)
+    d_order[1::2] = np.arange(1, n + 1)
+    d_order[2::2] = -d_order[1::2]
+    coprime = np.ones((n + 1, n + 1), dtype=bool)
+    composite = np.zeros(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p * p::p] = True
+            coprime[p::p, ::p] = False
+    mask = coprime[:, np.abs(d_order)]
+    mask[0] = False
+    mask[0, 1] = True   # c = 0 takes d = 1 alone
+    c_all = np.repeat(np.arange(n + 1, dtype=np.int64), np.count_nonzero(mask, axis=1))
+    d_all = np.broadcast_to(d_order, mask.shape)[mask]
     return c_all, d_all
 
 
+# The buffers of the Eisenstein row being verified, sized to its cosets: w
+# (complex), r (float) and, for a complex s, p (complex) for the power; None
+# outside a row.  A ContextVar, so that each thread has its own.
+_ROW: ContextVar[Optional[Tuple]] = ContextVar("row_buffers", default=None)
+
+
+@contextmanager
+def _row_buffers(cfg: EvalConfig, s):
+    n = len(cfg.cosets[0])
+    p = np.empty(n, dtype=complex) if isinstance(s, complex) else None
+    token = _ROW.set((np.empty(n, dtype=complex), np.empty(n), p))
+    try:
+        yield
+    finally:
+        _ROW.reset(token)
+
+
 def eval_eisenstein(k: int, s: complex, tau: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Truncated E_k(tau, s) = sum over Gamma_infty \\ SL2(Z) of y^s |_k gamma."""
-    _check_region(k, s)
+    """Truncated E_k(tau, s) = sum over Gamma_infty \\ SL2(Z) of y^s |_k gamma.
+
+    The terms are w^-k (y/|w|^2)^s over w = c tau + d, computed by the
+    ufuncs of that expression, written into the row's buffers (or fresh
+    ones) in place.  A spectral point whose power numpy does not compute
+    in float64 or complex128, such as a Fraction, gets fresh arrays."""
+    _check_region(exact_int("weight k", k), s)
     if tau.imag <= 0:
         raise DomainError("tau must lie in the upper half plane")
     c, d = cfg.cosets
-    w = c * tau + d
-    y = tau.imag
-    terms = w ** (-k) * np.power(y / np.abs(w) ** 2, s)
+    w, r, p = _ROW.get() or (np.empty(len(c), dtype=complex), np.empty(len(c)), None)
+    np.multiply(c, tau, out=w)
+    np.add(w, d, out=w)
+    np.absolute(w, out=r)
+    r **= 2   # `**=` takes the fast paths of `**` (square, reciprocal); np.power does not
+    np.divide(tau.imag, r, out=r)
+    w **= -k
+    native = isinstance(s, (int, float, complex, np.integer))   # a float64 or complex128 power
+    out = (p if isinstance(s, complex) else r) if native else None
+    terms = np.multiply(w, np.power(r, s, out=out), out=w if native else None)
     return complex(np.add.reduce(terms))
 
 
@@ -210,26 +257,27 @@ def verify_identity(name: str, points: List[Dict], cfg: EvalConfig = DEFAULT_CON
                            "tolerance": 1e-12, "pass": res < 1e-12})
             continue
         k, s, tau = pt["k"], pt["s"], pt["tau"]
-        if name == "laplace_eigen":
-            fn = lru_cache(maxsize=None)(lambda t: eval_eisenstein(k, s, t, cfg))
-            lhs = fd_operator("Delta", k, fn, tau)
-            rhs = s * (1 - k - s) * fn(tau)   # the stencil has evaluated tau
-        elif name == "lowering":
-            fn = lambda t: eval_eisenstein(k, s, t, cfg)
-            lhs = fd_operator("L", k, fn, tau)
-            rhs = s * eval_eisenstein(k - 2, s + 1, tau, cfg)
-        elif name == "raising":
-            fn = lambda t: eval_eisenstein(k, s, t, cfg)
-            lhs = fd_operator("R", k, fn, tau)
-            rhs = (s + k) * eval_eisenstein(k + 2, s - 1, tau, cfg)
-        elif name == "mirror":
-            if abs(complex(s).imag) > 0:
-                raise DomainError("mirror check needs a real spectral point")
-            y = tau.imag
-            lhs = y ** k * np.conj(eval_eisenstein(k, s, tau, cfg))
-            rhs = eval_eisenstein(-k, s + k, tau, cfg)
-        else:
-            raise DomainError("unknown identity %r" % (name,))
+        with _row_buffers(cfg, s):
+            if name == "laplace_eigen":
+                fn = lru_cache(maxsize=None)(lambda t: eval_eisenstein(k, s, t, cfg))
+                lhs = fd_operator("Delta", k, fn, tau)
+                rhs = s * (1 - k - s) * fn(tau)   # the stencil has evaluated tau
+            elif name == "lowering":
+                fn = lambda t: eval_eisenstein(k, s, t, cfg)
+                lhs = fd_operator("L", k, fn, tau)
+                rhs = s * eval_eisenstein(k - 2, s + 1, tau, cfg)
+            elif name == "raising":
+                fn = lambda t: eval_eisenstein(k, s, t, cfg)
+                lhs = fd_operator("R", k, fn, tau)
+                rhs = (s + k) * eval_eisenstein(k + 2, s - 1, tau, cfg)
+            elif name == "mirror":
+                if abs(complex(s).imag) > 0:
+                    raise DomainError("mirror check needs a real spectral point")
+                y = tau.imag
+                lhs = y ** k * np.conj(eval_eisenstein(k, s, tau, cfg))
+                rhs = eval_eisenstein(-k, s + k, tau, cfg)
+            else:
+                raise DomainError("unknown identity %r" % (name,))
         res = _residual(lhs, rhs)
         report.append({"identity": name,
                        "point": {"k": k, "s": repr(s), "tau": repr(tau)},

@@ -1,4 +1,8 @@
 import dataclasses
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +100,29 @@ def test_region_guard():
         eval_eisenstein(0, 0.5, 1j)
 
 
+@pytest.mark.parametrize("k, s", [(2.5, 0), (np.int64(4), 1.0), (4, True), (4, np.True_),
+                                  (0, "3")])
+def test_weight_must_be_an_int_and_s_a_number(k, s):
+    with pytest.raises(DomainError):
+        eval_eisenstein(k, s, 0.1 + 1j, FAST)
+
+
+# every type a spectral point may have, with weights on both sides of 0
+SPECTRAL_POINTS = [(0, 3), (-4, 4), (2, 2.0), (4, 1.5 + 0.25j), (-2, np.float64(2.75)),
+                   (2, np.complex128(2 - 0.5j)), (-2, Fraction(5, 2)), (0, Fraction(3))]
+
+
+@pytest.mark.parametrize("k, s", SPECTRAL_POINTS)
+def test_spectral_point_types_match_reference_bit_for_bit(k, s):
+    tau = 0.13 + 0.82j
+    assert eval_eisenstein(k, s, tau, FAST) == reference_eisenstein(k, s, tau, FAST.trunc)
+    pt = {"k": k, "s": s, "tau": tau}
+    names = EISENSTEIN if complex(s).imag == 0 else EISENSTEIN[:3]
+    for name in names:
+        (row,) = verify_identity(name, [pt], FAST)
+        assert row["residual"] == reference_residual(name, pt, FAST)
+
+
 def test_identity_coset_term():
     # representatives at N = 1: (0,1) gives y^s, plus (1,0), (1,1), (1,-1)
     v = eval_eisenstein(0, 3.0, 2j, EvalConfig(trunc=1))
@@ -162,7 +189,7 @@ def test_ebasis_identities_machine_precision():
     assert all(r["residual"] < 1e-12 for r in report)
 
 
-@pytest.mark.parametrize("n", [1, 7, 100, 400])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 97, 100, 250, 400])
 def test_cached_cosets_match_reference_loop(n):
     c, d = EvalConfig(trunc=n).cosets
     c_ref, d_ref = reference_coset_pairs(n)
@@ -186,7 +213,7 @@ def test_cached_cosets_are_shared_and_read_only():
 
 @pytest.mark.parametrize("field, value", [
     ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
-    ("trunc", 0),
+    ("tol", True), ("tol", "1e-3"), ("tol", 1e-3 + 0j), ("trunc", 0),
 ])
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(DomainError):
@@ -239,3 +266,40 @@ def test_eisenstein_identities_hold_term_by_term():
     report = run_suite(EvalConfig(trunc=1), EISENSTEIN)
     assert len(report) == 15
     assert all(r["pass"] for r in report)
+
+
+def test_one_call_over_complex_and_real_points_matches_a_call_per_point():
+    # a complex s adds a power buffer to its row; the next row must not see it
+    points = [{"k": k, "s": s, "tau": 0.21 + 1.13j} for k, s in SPECTRAL_POINTS]
+    for name in EISENSTEIN[:3]:
+        one_call = verify_identity(name, points, FAST)
+        assert one_call == [verify_identity(name, [pt], FAST)[0] for pt in points]
+
+
+def test_rows_in_four_threads_match_a_sequential_run():
+    rows = [(name, pt) for name in EISENSTEIN for pt in DEFAULT_POINTS[name]]
+    rows += [("lowering", {"k": k, "s": s, "tau": 0.13 + 0.82j}) for k, s in SPECTRAL_POINTS]
+    want = [verify_identity(name, [pt], FAST) for name, pt in rows]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(verify_identity, name, [pt], FAST) for name, pt in rows * 3]
+            got = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3
+
+
+def test_real_row_peaks_below_two_complex_arrays():
+    # the row's buffers are one complex and one float array, 1.5 complex
+    # arrays; a fresh array per ufunc, as a plain expression makes, is 3.0
+    cfg = EvalConfig(trunc=400)
+    c, _ = cfg.cosets
+    tracemalloc.start()
+    try:
+        verify_identity("laplace_eigen", [DEFAULT_POINTS["laplace_eigen"][0]], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * len(c)
