@@ -116,6 +116,8 @@ def eval_eisenstein(k: int, s: complex, tau: complex, cfg: EvalConfig = DEFAULT_
     ones) in place.  A spectral point whose power numpy does not compute
     in float64 or complex128, such as a Fraction, gets fresh arrays."""
     _check_region(exact_int("weight k", k), s)
+    if isinstance(tau, bool) or not isinstance(tau, Number):
+        raise DomainError("tau must be a number, not %r" % (tau,))
     if tau.imag <= 0:
         raise DomainError("tau must lie in the upper half plane")
     c, d = cfg.cosets

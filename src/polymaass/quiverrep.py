@@ -35,7 +35,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import CYCLIC, GELFAND
 from .linalg import IntMat, Mat
-from .scalars import DomainError, check_exact, exact_int, json_int, json_rational, malformed_json
+from .scalars import (DomainError, check_exact, exact_int, json_int, json_rational,
+                      malformed_json, plain_int)
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow
@@ -132,22 +133,26 @@ class QuiverRep:
 
 
 def _matrix_from_json(m) -> Mat:
-    """A matrix read from JSON: a list of rows, each a list of rationals.
-    A plain ASCII integer string ("0", "-3") is read by int, to the value
-    json_rational gives; every other entry goes through _json_ratio."""
+    """A matrix read from JSON: a list of rows, each a list of rationals,
+    read by _json_entry."""
     if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
         raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
-    return [[int(x) if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit()
-             else _json_ratio(x) for x in row] for row in m]
+    return [[_json_entry(x) for x in row] for row in m]
 
 
-def _json_ratio(x) -> Fraction:
-    """json_rational(x), with an ASCII "p/q" ("-1/12") read as Fraction(int p,
-    int q): the value and the errors ("1/0") that Fraction(str) gives."""
-    if type(x) is str and x.isascii():
+def _json_entry(x):
+    """json_rational(x)'s value: a plain integer string (plain_int) as an
+    int, an ASCII "p/q" ("-1/12") as Fraction(int p, int q), with the
+    errors ("1/0") that Fraction(str) gives, and any other x through
+    json_rational."""
+    v = plain_int(x)
+    if v is not None:
+        return v
+    if type(x) is str:
         num, slash, den = x.partition("/")
-        if slash and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit():
-            return Fraction(int(num), int(den))
+        p = plain_int(num)
+        if slash and p is not None and den.isascii() and den.isdigit():
+            return Fraction(p, int(den))
     return json_rational(x)
 
 

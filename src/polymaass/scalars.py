@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -45,6 +45,16 @@ def json_rational(x) -> Fraction:
     if not isinstance(x, (int, str)) or isinstance(x, bool):
         raise TypeError("a rational must be an int or a string, not %r" % (x,))
     return Fraction(x)
+
+
+def plain_int(x) -> Optional[int]:
+    """The int that x spells when x is a plain ASCII integer string, digits
+    after an optional "-" ("0", "-3"), which json_rational reads to the same
+    value; None for any other x ("+3", " 3", "3_0", "1/2", non-ASCII
+    digits, an int), which the caller reads as json_rational does."""
+    if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
+        return int(x)
+    return None
 
 
 def check_exact(what: str, rows: Sequence[Sequence]) -> None:
@@ -227,10 +237,15 @@ class Scalar:
         with malformed_json("scalar JSON"):
             terms = []
             for t in data:
-                num, den = json_rational(t["num"]), json_rational(t["den"])
-                if num.denominator != 1 or den.denominator != 1:
-                    raise ValueError("num and den must be integers")
-                terms.append((json_int(t["pi_exp"]), num / den))
+                # plain integer strings are read by int (den nonzero: a zero
+                # den is divided as a Fraction, for that division's error)
+                num, den = plain_int(t["num"]), plain_int(t["den"])
+                if num is None or not den:
+                    num, den = json_rational(t["num"]), json_rational(t["den"])
+                    if num.denominator != 1 or den.denominator != 1:
+                        raise ValueError("num and den must be integers")
+                e = json_int(t["pi_exp"])
+                terms.append((e, Fraction(num, den) if type(num) is int else num / den))
             # the public constructor sums repeated exponents
             return Scalar(terms)
 

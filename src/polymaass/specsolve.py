@@ -6,7 +6,9 @@ whose matrices depend on the branch (products with lowering powers of
 the spectral family, or with raising powers).  The iterative algorithm
 extends a kernel vector w_0 of A layer by layer to a generalized
 eigenvector w_d, normalized so that d Laplace applications of the
-emitted form reproduce the emitted w_0 exactly.
+emitted form reproduce the emitted w_0 exactly.  The span of a Poincare
+chain has the same shape in the Laurent order, Lambda = A + S B + S^2 C
+with S lowering it, and delta_preimage_on_span solves there.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from . import BK_CASES
 
 # none of kernel, mat_mul, mat_vec, rref and solve_linear is called here: the
 # names are kept for the benchmark's tracer alone, which finds them here
-from .linalg import IntMat, Vec, kernel, mat_mul, mat_vec, rref, solve_linear
+from .linalg import IntMat, Vec, _eliminate, kernel, mat_mul, mat_vec, rref, solve_linear
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
@@ -504,8 +507,13 @@ def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]
 def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
     """Solve Delta^d g = target inside the Delta-stable span of the seeds.
 
-    The particular solution takes free variables zero under a fixed
-    deterministic basis order, so output is reproducible.
+    The solution is the one whose entries at the free columns of M^d, M the
+    span's matrix in pool order, are zero, so output is reproducible.  A
+    span in the W_d shape (_span_shape) with the target in layer t = 0 and
+    d >= 1 is solved in that shape by _layered_preimage, which forms no
+    M^d and certifies its answer; a negative answer is confirmed by the
+    general path.  Every other span (a pole table can break the shape)
+    takes the general path, M.power(d).solve(b).
     """
     pool, M, exps = delta_matrix_on_span([key for key, _c in target.terms] + list(seed_atoms))
     index = {key: i for i, key in enumerate(pool)}
@@ -515,11 +523,186 @@ def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
         if [e for e, _q in c.terms] != [exps[i]]:
             raise DomainError("target does not live in the scaled span")
         b[i] = c.terms[0][1]
-    x = M.power(d).solve(b)
+    shape = _span_shape(pool, M, exps) if d >= 1 else None
+    if shape is None or any(q and p >= shape[0] for q, p in zip(b, shape[2])):
+        x = M.power(d).solve(b)
+    else:
+        E, blocks, pos, scale = shape
+        b0 = [Fraction(0)] * E
+        for q, p, (num, den) in zip(b, pos, scale):
+            if q:
+                b0[p] = q * den / num
+        found = _layered_preimage(blocks, len(pool) // E - 1, d, b0, pos)
+        if found is None and M.power(d).solve(b) is not None:
+            raise AssertionError("span solve in the W_d shape missed a preimage")
+        x = None if found is None else [Fraction(found[1][p] * num, found[0] * den)
+                                        for p, (num, den) in zip(pos, scale)]
     if x is None:
         raise DomainError("no Delta^%d preimage in the span" % d)
     return Form(target.weight, {pool[i]: Scalar.pi_power(exps[i], q)
                                 for i, q in enumerate(x) if q})
+
+
+def _span_shape(pool, M: IntMat, exps: List[int]):
+    """The W_d shape of a span, as (E, blocks, pos, scale), or None.
+
+    A span has it when its pool holds the expanded atoms e_{m,r} (x) F^(t)
+    of one Poincare family F on the full grid r <= m, t <= T, and scaling
+    atom i by scale[i] = num / den = (4|n|)^{p_i} / t_i! turns M into the
+    block Toeplitz operator Lambda = A + S B + S^2 C on layers of size
+    E = m + 1, S lowering t by one: each entry is an int in the block
+    s = t_col - t_row, one of 0, 1, 2, equal to that block's entry at
+    (r_row, r_col), and the entry counts show every block entry in every
+    layer.  pos[i] = t_i E + r_i, and blocks holds A, B and C as int rows.
+    """
+    if not pool:
+        return None
+    fam, m = pool[0][1].family, pool[0][0].m
+    E = m + 1
+    pos = [a.laurent * E + e.r for e, a in pool]
+    if fam.kind != POINCARE or len(pool) % E or sorted(pos) != list(range(len(pool))) \
+            or any(e.m != m or a.family != fam or a.pending is not None for e, a in pool):
+        return None
+    # with ints c_i = N^(p_i - lo) T! / t_i!, the entry x / den of M at
+    # (j, i) scales to x c_i / (den c_j)
+    N, lo, T = 4 * abs(fam.index), min(exps), len(pool) // E - 1
+    f = [factorial(a.laurent) for _e, a in pool]
+    c = [N ** (p - lo) * (factorial(T) // g) for p, g in zip(exps, f)]
+    tr = [divmod(p, E) for p in pos]
+    found: List[Dict[int, int]] = [{}, {}, {}]
+    for j, row in enumerate(M.rows):
+        (tj, rj), dc = tr[j], M.den * c[j]
+        for i, x in row:
+            ti, ri = tr[i]
+            q, rest = divmod(x * c[i], dc)
+            if rest or not 0 <= ti - tj <= 2 or found[ti - tj].setdefault(rj * E + ri, q) != q:
+                return None
+    if sum(map(len, M.rows)) != sum((T + 1 - s) * len(blk) for s, blk in enumerate(found)):
+        return None
+    blocks = [[[blk.get(r * E + k, 0) for k in range(E)] for r in range(E)] for blk in found]
+    return E, blocks, pos, [(N ** p, g) if p >= 0 else (1, g * N ** -p) for p, g in zip(exps, f)]
+
+
+def _power_rows(blocks, T: int, d: int) -> List[List[int]]:
+    """The E rows of [P_0 | P_1 | ... | P_T], P_j the S^j block of Lambda^d,
+    Lambda = A + S B + S^2 C for the E x E int blocks, P_j[i][k] at j E + k.
+
+    Each row is held as one int with a w-bit slot per entry (Kronecker
+    substitution): sums of rows times ints act slot by slot, and S^s is a
+    shift by s E slots, while no slot reaches 2^(w-1) in size; none does,
+    as an entry of Lambda^a is at most N^a, N the largest row sum of
+    |A| + |B| + |C|.  So each row of Lambda^(a+1) = Lambda Lambda^a is one
+    int sum, cut back to its (T + 1) E slots.  The rows are read out once,
+    2^(w-1) added to each slot so that it reads as an unsigned field."""
+    E = len(blocks[0])
+    N = max(sum(map(abs, a + b + c)) for a, b, c in zip(*blocks))
+    w = 8 * ((d * max(N, 1).bit_length() + 9) // 8)   # whole bytes, two spare bits
+    slots = (T + 1) * E
+    top, half = 1 << (w * slots), 1 << (w * slots - 1)
+    terms = [[(x, s, r) for s, blk in enumerate(blocks) for r, x in enumerate(blk[i]) if x]
+             for i in range(E)]
+    rows = [1 << (w * i) for i in range(E)]   # the identity block, j = 0
+    for _ in range(d):
+        moved = [rows] + [[v << (s * w * E) for v in rows] for s in (1, 2)]
+        rows = [(sum(x * moved[s][r] for x, s, r in t) + half) % top - half for t in terms]
+    bias, size = sum(1 << (w * k + w - 1) for k in range(slots)), w // 8
+    out = []
+    for v in rows:
+        raw = (v + bias).to_bytes(size * slots, "little")
+        out.append([int.from_bytes(raw[k:k + size], "little") - (1 << (w - 1))
+                    for k in range(0, size * slots, size)])
+    return out
+
+
+def _layered_preimage(blocks, T: int, d: int, b0: Vec,
+                      pos: List[int]) -> Optional[Tuple[int, List[int]]]:
+    """The solution x of K x = b, K = Lambda^d on layers t <= T and b = b0
+    in layer 0, whose entries at the free columns of K in pool order are
+    zero (atom i is at layer-major position pos[i]), as (den, ints) with
+    x = ints / den; None when there is none.
+
+    With P_j the blocks of Lambda^d (_power_rows), (K x)_0 = P_0 x_0 + r(S x)
+    for r(g) = sum_{j>=1} P_j g_{j-1}, S moving layer t + 1 to t.  S commutes
+    with K, so x is in ker K exactly when S x is, below layer T, and
+    P_0 x_0 = -r(S x): ker K is ker P_0 in layer 0 and one lift (w, g) of
+    each g in ker K below layer T whose r(g) meets the left kernel
+    conditions of P_0 (at most its corank), its own less those of the
+    kernel vectors before it that did not lift.  Likewise x = (w, g) solves
+    K x = b when P_0 w = b0 - r(g).  Each solution of P_0 is an int vector
+    over one D0.  The kernel basis reduced with columns from the last pool
+    entry to the first has the free columns as its pivots, which turns x
+    into the answer; d passes of Lambda certify it."""
+    E = len(blocks[0])
+    n = (T + 1) * E
+    rows = _power_rows(blocks, T, d)
+    tail = [row[E:] for row in rows]   # r(g) = tail g
+    P0 = IntMat([[(k, x) for k, x in enumerate(row[:E]) if x] for row in rows], 1, E)
+    elim, pivots = _eliminate(dict(row + [(E + i, 1)]) for i, row in enumerate(P0.rows))
+    D0 = lcm(*(row[pc] for row, pc in zip(elim, pivots) if pc < E))
+    solver = [(pc, [(j - E, x * (D0 // row[pc])) for j, x in row.items() if j >= E])
+              for row, pc in zip(elim, pivots) if pc < E]
+    left = [[(j - E, x) for j, x in row.items()] for row, pc in zip(elim, pivots) if pc >= E]
+
+    def solve(v):   # D0 times a solution of P_0 w = v, for v that meets the conditions
+        w = [0] * E
+        for pc, row in solver:
+            w[pc] = sum(x * v[j] for j, x in row)
+        return w
+
+    def reduce(g, r, s=1):
+        """(g, r) less multiples of the stored ones, so that the conditions
+        of r vanish at their pivots; the factor s it was scaled by, and the
+        conditions."""
+        c = [sum(x * r[j] for j, x in row) for row in left]
+        for k, (gk, rk, ck) in stored:
+            if c[k]:
+                q = gcd(ck[k], c[k])
+                p, f = ck[k] // q, c[k] // q
+                g = [p * a - f * z for a, z in zip(g, gk)]
+                r = [p * a - f * z for a, z in zip(r, rk)]
+                c = [p * a - f * z for a, z in zip(c, ck)]
+                s *= p
+        return g, r, c, s
+
+    basis = [[v.get(i, 0) for i in range(E)] + [0] * (n - E) for _k, v in P0.kernel()]
+    stored = []   # (pivot, (g, r(g), conditions)) of the kernel vectors that do not lift
+    for y in basis:   # which grows by the lifts as it is walked
+        if not any(y[n - E:]):   # room above layer T to lift y into
+            g = y[:n - E]
+            g, r, c, _s = reduce(g, [sum(map(mul, row, g)) for row in tail])
+            if any(c):
+                stored.append((next(k for k, x in enumerate(c) if x), (g, r, c)))
+            else:
+                basis.append(solve([-x for x in r]) + [D0 * x for x in g])
+    bden = lcm(*(q.denominator for q in b0))
+    B0 = [q.numerator * (bden // q.denominator) for q in b0]
+    g, r, c, s = reduce([0] * (n - E), B0)   # r = s B0 - r(-g)
+    if any(c):
+        return None
+    X = solve(r) + [-D0 * x for x in g]
+    # X / (D0 s) solves K x = B0; less X[f] times the reduced basis vector
+    # of each pivot f it is the answer
+    col = [0] * n
+    for i, p in enumerate(pos):
+        col[p] = n - 1 - i
+    at = sorted(range(n), key=col.__getitem__)
+    reduced, free = _eliminate({col[p]: x for p, x in enumerate(y) if x} for y in basis)
+    L = lcm(*(row[pc] for row, pc in zip(reduced, free)))
+    x = [L * v for v in X]
+    for row, pc in zip(reduced, free):
+        f = X[at[pc]] * (L // row[pc])
+        for j, v in row.items():
+            x[at[j]] -= f * v
+    den = D0 * s * L
+    # d passes of Lambda, (Lambda y)_t = [A | B | C] (y_t, y_t+1, y_t+2)
+    ABC = [a + b + c for a, b, c in zip(*blocks)]
+    y, pad = x, [0] * (2 * E)
+    for _ in range(d):
+        y = y + pad
+        y = [sum(map(mul, row, y[t:t + 3 * E])) for t in range(0, n, E) for row in ABC]
+    if y[E:] != [0] * (n - E) or y[:E] != [den * v for v in B0]:
+        raise AssertionError("span preimage fails Delta^d x = target")
+    return den * bden, x
 
 
 def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:

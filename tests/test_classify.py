@@ -8,8 +8,10 @@ import pytest
 from polymaass import BK_CASES
 from polymaass.classify import (BK_TO_REPR, CaseLabel, WeightContext, _laplace_tower,
                                 classify_bk, exact_depth, expected_dimension_vector)
+from polymaass.linalg import IntMat
 from polymaass.scalars import ZERO, Scalar
-from polymaass.specsolve import construct_case, delta_matrix_on_span, delta_preimage_on_span
+from polymaass.specsolve import (_span_shape, construct_case, delta_matrix_on_span,
+                                 delta_preimage_on_span)
 from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, POINCARE,
                                DomainError, Family, Form, PolePointWarning, PolyAtom,
                                SpectralAtom, _apply, _laplace_rows, apply_laplace,
@@ -431,10 +433,17 @@ def test_span_that_is_not_pi_graded_is_rejected(atom, coeff, two_term):
             delta_matrix_on_span(seeds)
         with pytest.raises(DomainError, match="^span is not pi-graded$"):
             construct_case("Ib", 0, 1)
-    # a rational residue keeps the span graded
+    # a rational residue keeps the span graded, but breaks its W_d shape: the
+    # preimage takes the general path, to the general answer
     with warnings.catch_warnings(), using_poles(_poles_at_p1(atom, Scalar.pi_power(0))):
         warnings.simplefilter("ignore", PolePointWarning)
-        delta_matrix_on_span(seeds)
+        assert _span_shape(*delta_matrix_on_span(seeds)) is None
+        want = _general_preimage(form_of(*seeds[0]), seeds[1:], 1)
+        calls, power = [], IntMat.power
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntMat, "power", lambda self, e: calls.append(e) or power(self, e))
+            assert construct_case("Ib", 0, 1) == want
+        assert calls == [1]
 
 
 @pytest.mark.parametrize("coeff", [Scalar({0: 1, 1: 1}), Scalar.pi_power(1)],
@@ -452,6 +461,137 @@ def test_target_without_a_preimage_in_the_span_is_rejected():
     with pytest.raises(DomainError) as err:
         delta_preimage_on_span(form_of(E00, atom_E(2, 0)), [], 1)
     assert str(err.value) == "no Delta^1 preimage in the span"
+
+
+def _general_preimage(target, seeds, d):
+    """delta_preimage_on_span by its general path alone: M^d through
+    IntMat.power, then IntMat.solve with the free variables zero; None when
+    there is no preimage.  The target lives in the scaled span."""
+    pool, M, exps = delta_matrix_on_span([key for key, _c in target.terms] + list(seeds))
+    index = {key: i for i, key in enumerate(pool)}
+    b = [Fraction(0)] * len(pool)
+    for key, c in target.terms:
+        b[index[key]] = c.terms[0][1]
+    x = M.power(d).solve(b)
+    return None if x is None else Form(target.weight, {
+        pool[i]: Scalar.pi_power(exps[i], q) for i, q in enumerate(x) if q})
+
+
+def _grid_seeds(k, top, index):
+    # _poincare_chain_seeds with Laurent orders up to top in place of d
+    return _poincare_chain_seeds(k, top, index)[1:]
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """The exponents of every IntMat.power call, as they are made."""
+    calls, power = [], IntMat.power
+    monkeypatch.setattr(IntMat, "power", lambda self, e: calls.append(e) or power(self, e))
+    return calls
+
+
+@pytest.mark.parametrize("d", range(9))
+@pytest.mark.parametrize("k", [0, -1, -2, -3, -4])
+def test_span_solve_in_the_wd_shape_matches_the_general_path(k, d, power_calls):
+    # E = m + 1 = 7 (k = -4) and the indices that are not powers of two are
+    # shapes no benchmark job reaches; d = 0 takes the general path
+    for index in (-1, -2, -3, -5, -6, -12, -16):
+        target, *seeds = _poincare_chain_seeds(k, d, index)
+        got = delta_preimage_on_span(form_of(*target), seeds, d)
+        assert power_calls == ([] if d else [0])
+        assert list(got.terms) == list(_general_preimage(form_of(*target), seeds, d).terms)
+        power_calls.clear()
+
+
+@pytest.mark.parametrize("k,d,top", [(0, 2, 3), (-1, 3, 5), (-2, 1, 4), (-3, 2, 2)])
+def test_span_solve_in_the_wd_shape_takes_any_layer_zero_target(k, d, top, power_calls):
+    # every layer-0 atom, and a sum of two at their pi scales, on grids with
+    # more Laurent orders than d
+    seeds = _grid_seeds(k, top, -3)
+    bottom = [key for key in seeds if key[1].laurent == 0]
+    targets = [form_of(*key) for key in bottom]
+    # the scales of a span are pi powers relative to the target's first atom
+    pool, _M, exps = delta_matrix_on_span([bottom[0]] + seeds)
+    targets.append(form_of(*bottom[0], Fraction(-3, 7))
+                   + form_of(*bottom[-1], Scalar.pi_power(exps[pool.index(bottom[-1])], 5)))
+    for target in targets:
+        got = delta_preimage_on_span(target, seeds, d)
+        assert power_calls == []
+        assert list(got.terms) == list(_general_preimage(target, seeds, d).terms)
+        power_calls.clear()
+
+
+@pytest.mark.parametrize("k,d", [(0, 1), (-1, 3), (-3, 4)])
+def test_span_in_the_wd_shape_without_a_preimage_is_rejected(k, d, power_calls):
+    # with Laurent orders below d the grid holds no preimage of its chain
+    # target; the general path, run once to confirm, agrees
+    target, *seeds = _poincare_chain_seeds(k, d - 1, -1)
+    assert _general_preimage(form_of(*target), seeds, d) is None
+    power_calls.clear()
+    with pytest.raises(DomainError) as err:
+        delta_preimage_on_span(form_of(*target), seeds, d)
+    assert str(err.value) == "no Delta^%d preimage in the span" % d
+    assert power_calls == [d]
+
+
+def test_span_target_above_layer_zero_takes_the_general_path(power_calls):
+    # e_{2,0} (x) P^(1)_{-2,1} sits in layer t = 1 of the k = 0 chain's grid
+    _target, *seeds = _poincare_chain_seeds(0, 2, -1)
+    upper = seeds[1]
+    assert upper[1].laurent == 1
+    f = form_of(*upper)
+    assert list(delta_preimage_on_span(f, seeds, 1).terms) == \
+        list(_general_preimage(f, seeds, 1).terms)
+    assert power_calls == [1, 1]
+
+
+def test_span_with_a_partial_top_layer_takes_the_general_path(power_calls):
+    # the k = -1 grid up to t = 1 and e_{3,0} (x) P^(2): the closure adds
+    # r = 1 at t = 2 and no more, so the top layer is r = 0, 1 of E = 4
+    target, *seeds = _poincare_chain_seeds(-1, 1, -1)
+    seeds.append((seeds[0][0], SpectralAtom(seeds[0][1].family, -4, Fraction(1), 2)))
+    pool, M, exps = delta_matrix_on_span([target] + seeds)
+    assert sorted((e.r, a.laurent) for e, a in pool if a.laurent == 2) == [(0, 2), (1, 2)]
+    assert _span_shape(pool, M, exps) is None
+    f = form_of(*target)
+    assert list(delta_preimage_on_span(f, seeds, 1).terms) == \
+        list(_general_preimage(f, seeds, 1).terms)
+    assert power_calls == [1, 1]
+
+
+def test_zero_target_has_the_zero_preimage(power_calls):
+    # an empty span takes the general path, and a zero target in the W_d
+    # shape the structured one
+    assert delta_preimage_on_span(zero_form(0), [], 1).is_empty()
+    assert power_calls == [1]
+    target, *seeds = _poincare_chain_seeds(-1, 3, -2)
+    zero = zero_form(form_of(*target).weight)
+    assert delta_preimage_on_span(zero, [target] + seeds, 3).is_empty()
+    assert power_calls == [1]
+
+
+def test_ib_chain_forms_no_matrix_power(monkeypatch):
+    def refuse(self, e):
+        raise AssertionError("IntMat.power called")
+    target, *seeds = _poincare_chain_seeds(-3, 6, -1)
+    want = _general_preimage(form_of(*target), seeds, 6)
+    monkeypatch.setattr(IntMat, "power", refuse)
+    assert list(construct_case("Ib", -3, 6).terms) == list(want.terms)
+
+
+def test_span_self_check_refuses_a_wrong_answer(monkeypatch):
+    # a wrong S^2 block entry of Lambda^d leads the structured solve to a
+    # vector that d passes of the blocks do not take to the target
+    from polymaass import specsolve
+    power_rows = specsolve._power_rows
+
+    def wrong(blocks, top, d):
+        rows = power_rows(blocks, top, d)
+        rows[2][2 * len(blocks[0]) + 2] += 1
+        return rows
+    monkeypatch.setattr(specsolve, "_power_rows", wrong)
+    with pytest.raises(AssertionError, match="^span preimage fails Delta\\^d x = target$"):
+        construct_case("Ib", -1, 3)
 
 
 # every case at d <= 3, the flip cases also at Poincare indices -3 and -5

@@ -107,6 +107,12 @@ def test_weight_must_be_an_int_and_s_a_number(k, s):
         eval_eisenstein(k, s, 0.1 + 1j, FAST)
 
 
+@pytest.mark.parametrize("tau", ["1j", True, np.True_, None, [1j]], ids=repr)
+def test_tau_must_be_a_number(tau):
+    with pytest.raises(DomainError, match="^tau must be a number, not "):
+        eval_eisenstein(0, 2.5, tau, FAST)
+
+
 # every type a spectral point may have, with weights on both sides of 0
 SPECTRAL_POINTS = [(0, 3), (-4, 4), (2, 2.0), (4, 1.5 + 0.25j), (-2, np.float64(2.75)),
                    (2, np.complex128(2 - 0.5j)), (-2, Fraction(5, 2)), (0, Fraction(3))]

@@ -260,6 +260,56 @@ def test_from_json_rejects_non_integer_num_den(num, den):
         Scalar.from_json([{"pi_exp": 0, "num": num, "den": den}])
 
 
+def _reference_from_json(data):
+    """Scalar.from_json as it read num and den before plain_int: through
+    json_rational alone."""
+    from polymaass.scalars import json_int, json_rational, malformed_json
+    with malformed_json("scalar JSON"):
+        terms = []
+        for t in data:
+            num, den = json_rational(t["num"]), json_rational(t["den"])
+            if num.denominator != 1 or den.denominator != 1:
+                raise ValueError("num and den must be integers")
+            terms.append((json_int(t["pi_exp"]), num / den))
+        return Scalar(terms)
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except Exception as ex:   # compared, not swallowed
+        return type(ex), str(ex)
+
+
+# spellings of num and den: plain ASCII integers, which plain_int reads by
+# int, and every other string, which goes through json_rational
+SPELLINGS = ["3", "-3", "0", "-0", "007", "+3", " 3", "3 ", "3_0", "1/0", "2/4", "0.5", "1e1",
+             "\u0663", "-", "", "--3", 7, True, 1.5]
+
+
+@pytest.mark.parametrize("den", ["1", "-6", "0", "+2", " 2", "2_0", "\u0662", "1/0"])
+@pytest.mark.parametrize("num", SPELLINGS, ids=repr)
+def test_from_json_reads_num_and_den_as_fraction_does(num, den):
+    for data in ([{"pi_exp": 1, "num": num, "den": den}],
+                 [{"pi_exp": True, "num": num, "den": den}]):
+        got, want = _outcome(Scalar.from_json, data), _outcome(_reference_from_json, data)
+        assert got == want and type(got) is type(want)
+
+
+def test_plain_int_reads_only_plain_ascii_integers(monkeypatch):
+    from polymaass import scalars
+    from polymaass.scalars import plain_int
+    for x in ("0", "-3", "007", "-0", "9" * 300):
+        assert plain_int(x) == int(x) and type(plain_int(x)) is int
+    for x in SPELLINGS[5:]:
+        assert plain_int(x) is None
+    # plain integer strings never reach json_rational
+    monkeypatch.setattr(scalars, "json_rational", None)
+    assert Scalar.from_json([{"pi_exp": 2, "num": "-3", "den": "6"}]) == \
+        Scalar.pi_power(2, Fraction(-1, 2))
+
+
 @pytest.mark.parametrize("pi_exp", [1.5, 1.0, "1"])
 def test_from_json_rejects_non_integer_exponent(pi_exp):
     from polymaass.scalars import DomainError
