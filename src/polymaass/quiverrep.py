@@ -35,8 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import CYCLIC, GELFAND
 from .linalg import IntMat, Mat
-from .scalars import (DomainError, check_exact, exact_int, json_int, json_rational,
-                      malformed_json, plain_int)
+from .scalars import DomainError, check_exact, exact_int, json_int, json_number, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow
@@ -134,26 +133,10 @@ class QuiverRep:
 
 def _matrix_from_json(m) -> Mat:
     """A matrix read from JSON: a list of rows, each a list of rationals,
-    read by _json_entry."""
+    read by json_number."""
     if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
         raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
-    return [[_json_entry(x) for x in row] for row in m]
-
-
-def _json_entry(x):
-    """json_rational(x)'s value: a plain integer string (plain_int) as an
-    int, an ASCII "p/q" ("-1/12") as Fraction(int p, int q), with the
-    errors ("1/0") that Fraction(str) gives, and any other x through
-    json_rational."""
-    v = plain_int(x)
-    if v is not None:
-        return v
-    if type(x) is str:
-        num, slash, den = x.partition("/")
-        p = plain_int(num)
-        if slash and p is not None and den.isascii() and den.isdigit():
-            return Fraction(p, int(den))
-    return json_rational(x)
+    return [[json_number(x) for x in row] for row in m]
 
 
 def _json_rows(m: IntMat) -> List[List[str]]:

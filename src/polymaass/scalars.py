@@ -57,6 +57,22 @@ def plain_int(x) -> Optional[int]:
     return None
 
 
+def json_number(x) -> Union[int, Fraction]:
+    """json_rational(x)'s value, read without Fraction(str) where it can be:
+    a plain integer string (plain_int) as an int, an ASCII "p/q" ("-1/12")
+    as Fraction(int p, int q), with the errors ("1/0") that Fraction(str)
+    gives, and any other x through json_rational."""
+    v = plain_int(x)
+    if v is not None:
+        return v
+    if type(x) is str:
+        num, slash, den = x.partition("/")
+        p = plain_int(num)
+        if slash and p is not None and den.isascii() and den.isdigit():
+            return Fraction(p, int(den))
+    return json_rational(x)
+
+
 def check_exact(what: str, rows: Sequence[Sequence]) -> None:
     """Raise DomainError, naming what, unless every entry of the rows is an
     int or a Fraction; a bool, a float or a string is refused."""
@@ -235,7 +251,7 @@ class Scalar:
     @staticmethod
     def from_json(data: list) -> "Scalar":
         with malformed_json("scalar JSON"):
-            terms = []
+            acc: dict[int, Fraction] = {}
             for t in data:
                 # plain integer strings are read by int (den nonzero: a zero
                 # den is divided as a Fraction, for that division's error)
@@ -245,9 +261,9 @@ class Scalar:
                     if num.denominator != 1 or den.denominator != 1:
                         raise ValueError("num and den must be integers")
                 e = json_int(t["pi_exp"])
-                terms.append((e, Fraction(num, den) if type(num) is int else num / den))
-            # the public constructor sums repeated exponents
-            return Scalar(terms)
+                q = Fraction(num, den) if type(num) is int else num / den
+                acc[e] = acc[e] + q if e in acc else q
+            return Scalar._make(tuple(sorted((e, q) for e, q in acc.items() if q)))
 
 
 ZERO = Scalar()

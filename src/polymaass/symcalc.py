@@ -41,7 +41,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .scalars import (DomainError, Scalar, ZERO, ONE, exact_int, exact_rational, json_int,
-                      json_rational, malformed_json)
+                      json_number, json_rational, malformed_json)
 
 
 class PolePointWarning(UserWarning):
@@ -142,6 +142,10 @@ class SpectralAtom:
             object.__setattr__(self, "point", exact_rational("point", self.point))
         if self.laurent < 0:
             raise DomainError("laurent index must be nonnegative, got %d" % self.laurent)
+        if self.family == CONST_FAMILY and (self.weight, self.point, self.laurent) != (0, 0, 0):
+            # the constant function has no other weight, point or derivative
+            raise DomainError("a constant atom has weight 0, point 0 and laurent index 0, "
+                              "not %d, %s and %d" % (self.weight, self.point, self.laurent))
         if self.pending is not None:
             d, a = self.pending
             if d not in ("L", "R") or type(a) is not int or a < 1:
@@ -150,6 +154,15 @@ class SpectralAtom:
         # on every dict lookup
         object.__setattr__(self, "_hash", hash(
             (self.family, self.weight, self.point, self.laurent, self.pending)))
+
+    @staticmethod
+    def _make(family: Family, weight: int, point: Fraction, laurent: int) -> "SpectralAtom":
+        """An expanded atom from parts known to be valid, such as a step
+        result of a checked atom, with the hash __post_init__ caches."""
+        a = object.__new__(SpectralAtom)
+        a.__dict__.update(family=family, weight=weight, point=point, laurent=laurent,
+                          pending=None, _hash=hash((family, weight, point, laurent, None)))
+        return a
 
     def __hash__(self):
         return self._hash
@@ -401,40 +414,19 @@ def load_pole_table(path: str) -> PoleTable:
 # the pole-table residue of the shifted family.
 
 
-def _spectral_step(a: SpectralAtom, direction: str) -> Tuple[int, list]:
-    """(L or R) a for an expanded atom a by the rules above, in integers:
-    (den, [(atom, pi shift, x)]) for the terms x/den pi^shift, by atom in
-    the order the step names them, shifts rising.  At the point P/Q the
-    order-t and order-(t-1) atoms get x and t u, with the unit u/den pi^s;
-    a residue, at t = 0, is summed in Scalars."""
-    assert a.pending is None
-    fam, w, p, t = a.family, a.weight, a.point, a.laurent
-    P, Q = p.numerator, p.denominator
-    w2 = w - 2 if direction == "L" else w + 2
-    if fam.kind == CONSTANT:
-        return 1, []
+def _step_rule(fam: Family, w: int, P: int, Q: int, direction: str) -> tuple:
+    """The rule above for a non-constant family at weight w and the point
+    P/Q, in integers: (w2, P2, s, den, u, x) for the step onto weight w2 at
+    the point P2/Q, which gives the order-t and order-(t-1) atoms x and t u,
+    with the unit u/den pi^s."""
     if fam.is_eisenstein_like():
-        p2, s, den, u = (p + 1 if direction == "L" else p - 1), 0, Q, Q
-        x = P if direction == "L" else P + w * Q
-    else:  # Poincare
-        n, p2 = abs(fam.index), p
         if direction == "L":
-            s, den, u, x = -1, 8 * n * Q, 2 * Q, 2 * P - w * Q
-        else:
-            s, den, u, x = 1, Q, 4 * n * Q, 2 * n * (2 * P + w * Q)
-    terms = []
-    for c, order in ((x, t), (t * u, t - 1)):
-        if c and (sub := _mk_atom(fam, w2, p2, order)) is not None:
-            terms.append((sub, s, c))
-    res = _POLES.get().get((fam, w2, p2)) if t == 0 else None
-    if res is None:
-        return den, terms
-    acc = {b: Scalar.pi_power(s, Fraction(c, den)) for b, _s, c in terms}
-    for (_e0, b), c in res.terms:
-        acc[b] = acc.get(b, ZERO) + c * Scalar.pi_power(s, Fraction(u, den))
-    out = [(b, e, q) for b, c in acc.items() for e, q in c.terms]
-    den = lcm(*(q.denominator for _b, _e, q in out))
-    return den, [(b, e, q.numerator * (den // q.denominator)) for b, e, q in out]
+            return w - 2, P + Q, 0, Q, Q, P
+        return w + 2, P - Q, 0, Q, Q, P + w * Q
+    n = abs(fam.index)
+    if direction == "L":
+        return w - 2, P, -1, 8 * n * Q, 2 * Q, 2 * P - w * Q
+    return w + 2, P, 1, Q, 4 * n * Q, 2 * n * (2 * P + w * Q)
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +440,68 @@ def _add(acc: dict, key, c: Scalar) -> None:
 class _Atoms:
     """The atoms of one operator call or Laplace closure, each under a small
     int id, and the one integer rule for L, R, Delta and the unfolding of
-    pending powers on keys (m, r, atom id).  Spectral steps are cached by
-    (atom id, direction) for the call: it warns once per distinct step onto
-    a pole."""
+    pending powers on keys (m, r, atom id).  An expanded atom is interned
+    under its integer coordinates (family, weight, P, Q, t) at the point
+    P/Q, and a step builds its atoms from them without the checked
+    constructor.  Spectral steps are cached by (atom id, direction) for the
+    call: it warns once per distinct step onto a pole."""
 
     def __init__(self):
-        self.ids, self.atoms, self.steps = {}, [], {}
+        self.ids, self.atoms, self.steps, self.columns = {}, [], {}, {}
+
+    def column(self, fam: Family, w: int, P: int, Q: int) -> Tuple[Fraction, bool]:
+        """The point P/Q (in lowest terms) of the family member of weight w,
+        and whether the member is plain there: it has no pole-table entry and
+        no vanishing order, so a step onto it warns of nothing, adds no
+        residue and drops no atom."""
+        key = (fam, w, P, Q)
+        if key not in self.columns:
+            p = Fraction(P, Q)
+            self.columns[key] = p, (fam, w, p) not in _POLES.get() and not vanishing_order(fam, w, p)
+        return self.columns[key]
 
     def id(self, a: SpectralAtom) -> int:
-        i = self.ids.setdefault(a, len(self.atoms))
+        key = a if a.pending is not None else \
+            (a.family, a.weight, a.point.numerator, a.point.denominator, a.laurent)
+        i = self.ids.setdefault(key, len(self.atoms))
         if i == len(self.atoms):
             self.atoms.append(a)
         return i
+
+    def at(self, fam: Family, w: int, P: int, Q: int, t: int) -> int:
+        """The id of the expanded atom of weight w at the point P/Q (in
+        lowest terms) and order t, built unchecked when it is new: its
+        coordinates come from a step of a checked atom."""
+        i = self.ids.setdefault((fam, w, P, Q, t), len(self.atoms))
+        if i == len(self.atoms):
+            self.atoms.append(SpectralAtom._make(fam, w, self.column(fam, w, P, Q)[0], t))
+        return i
+
+    def _step(self, a: SpectralAtom, op: str) -> Tuple[int, list]:
+        """(L or R) a for an expanded atom a by the rules above, in integers:
+        (den, [((0, atom id, pi shift), x)]) for the terms x/den pi^shift, by
+        atom in the order the step names them, shifts rising.  A residue, at
+        t = 0, is summed in Scalars."""
+        fam, t = a.family, a.laurent
+        if fam.kind == CONSTANT:
+            return 1, []
+        P, Q = a.point.numerator, a.point.denominator
+        w2, P2, s, den, u, x = _step_rule(fam, a.weight, P, Q, op)
+        p2, plain = self.column(fam, w2, P2, Q)
+        # off a plain column, _mk_atom warns at a tabled point and drops an
+        # atom below the vanishing order
+        terms = [((0, self.at(fam, w2, P2, Q, order), s), c)
+                 for c, order in ((x, t), (t * u, t - 1))
+                 if c and (plain or _mk_atom(fam, w2, p2, order) is not None)]
+        res = None if plain or t else _POLES.get().get((fam, w2, p2))
+        if res is None:
+            return den, terms
+        acc = {b: Scalar.pi_power(s, Fraction(c, den)) for (_r, b, _s), c in terms}
+        for (_e0, b), c in res.terms:
+            _add(acc, self.id(b), c * Scalar.pi_power(s, Fraction(u, den)))
+        out = [(b, e, q) for b, c in acc.items() for e, q in c.terms]
+        den = lcm(*(q.denominator for _b, _e, q in out))
+        return den, [((0, b, e), q.numerator * (den // q.denominator)) for b, e, q in out]
 
     def image(self, m: int, r: int, i: int, op: str) -> Tuple[int, list]:
         """op (e_{r,m-r} (x) atom i), for op one of L, R, D (Delta) and E
@@ -469,10 +511,14 @@ class _Atoms:
         a pending atom in the same direction one more power, and one in the
         other direction is unfolded first.  OP^p S unfolds as p passes of OP
         over e_{0,0} (x) S, which has no L or R image, so a residue picked
-        up part-way gets the remaining passes.  D is -R of the image of L,
-        composed by _then."""
+        up part-way gets the remaining passes.  D is -R of the image of L:
+        read off atom i's own column in one pass (_delta) when the atom is
+        expanded and not constant and neither its column nor that of its L
+        step has a pole-table entry or a vanishing order, else composed by
+        _then."""
         if op == "D":
-            return self._then(self.image(m, r, i, "L"), m, "R", -1)
+            img = self._delta(m, r, i)
+            return img if img is not None else self._then(self.image(m, r, i, "L"), m, "R", -1)
         a = self.atoms[i]
         if a.pending is not None and a.pending[0] != op:
             d, p = a.pending
@@ -487,8 +533,7 @@ class _Atoms:
                                                        (op, a.pending[1] + 1))), 0), 1)]
         else:
             if (i, op) not in self.steps:
-                d_s, step = _spectral_step(a, op)
-                self.steps[i, op] = (d_s, [((0, self.id(b), s), x) for b, s, x in step])
+                self.steps[i, op] = self._step(a, op)
             den, terms = self.steps[i, op]
         if r:
             terms = [((r, b, s), x) for (_r, b, s), x in terms]
@@ -497,6 +542,42 @@ class _Atoms:
         elif op == "R" and r:
             terms = [((r - 1, i, 0), den)] + terms
         return den, terms
+
+    def _delta(self, m: int, r: int, i: int) -> Optional[Tuple[int, list]]:
+        """Delta of the key (m, r, i) in one pass, or None when _then must
+        compose it (see image).  The terms come in the order _then(image L,
+        m, R, -1) gives: R of L's polynomial term, then for each term b of
+        L's spectral part (order t_b = t, t-1 on the L column) R's
+        polynomial term and the spectral terms of R b, which land on atom
+        i's own column at orders t_b and t_b-1.  Those take the shift s + s2
+        = 0 of R's polynomial term (r, i), and the other keys differ from
+        them in r, so no key holds two shifts out of order."""
+        a = self.atoms[i]
+        fam, w, p, t = a.family, a.weight, a.point, a.laurent
+        if a.pending is not None or fam.kind == CONSTANT:
+            return None
+        P, Q = p.numerator, p.denominator
+        w2, P2, s, den, u, x = _step_rule(fam, w, P, Q, "L")
+        if not (self.column(fam, w, P, Q)[1] and self.column(fam, w2, P2, Q)[1]):
+            return None
+        _w, _P, s2, d_b, u2, x2 = _step_rule(fam, w2, P2, Q, "R")
+        c, d_a, img = (r + 1) * (m - r), 1, ()
+        if c:
+            d_a, img = self.image(m, r + 1, i, "R")
+        bs = [(y, tb) for y, tb in ((x, t), (t * u, t - 1)) if y]
+        d_op = lcm(d_a, d_b if bs else 1)
+        f = -c * den * (d_op // d_a)
+        acc = {key: f * y for key, y in img}
+        for y, tb in bs:
+            f = -y * (d_op // d_b)
+            if r:
+                key = (r - 1, self.at(fam, w2, P2, Q, tb), s)
+                acc[key] = acc.get(key, 0) + f * d_b
+            for z, o in ((x2, tb), (tb * u2, tb - 1)):
+                if z:
+                    key = (r, i if o == t else self.at(fam, w, P, Q, o), s + s2)
+                    acc[key] = acc.get(key, 0) + f * z
+        return den * d_op, [(key, x) for key, x in acc.items() if x]
 
     def _then(self, img: Tuple[int, list], m: int, op: str, sign: int = 1) -> Tuple[int, list]:
         """sign * op on each term of the image img at polynomial degree m,
@@ -580,7 +661,9 @@ def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
     one (j, s, x) per term q pi^s of the coefficient of pool[j], in the
     order of _Atoms.image, which fixes the basis order of
     delta_matrix_on_span, with x = q * den; den > 0 is the lcm of every q's
-    denominator.  The work runs on keys (m, r, atom id).  The closure is
+    denominator.  The work runs on keys (m, r, atom id); a key off the pole
+    table and vanishing orders takes Delta in one pass on its own column,
+    any other key -R of its L image, in the same order.  The closure is
     finite: Delta keeps the polynomial degree, hence the spectral weight
     bounded; the point moves with it, Laurent indices never rise, and
     residues add only tabled atoms."""
@@ -694,10 +777,12 @@ def form_from_json(data: dict) -> Form:
             sp = term["spectral"]
             pending = sp.get("pending")
             a = _atom(_family_from_json(sp["family"]), json_int(sp["weight"]),
-                      json_rational(sp["point"]), json_int(sp["laurent"]),
+                      json_number(sp["point"]), json_int(sp["laurent"]),
                       None if pending is None
                       else (pending["dir"], json_int(pending["power"])))
-            _add(acc, (e, a), Scalar.from_json(term["coeff"]))
+            c = Scalar.from_json(term["coeff"])
+            # a key repeats only in JSON written by hand
+            acc[e, a] = acc[e, a] + c if (e, a) in acc else c
         return Form(json_int(data["weight"]), acc)
 
 

@@ -208,6 +208,22 @@ def test_malformed_json_exits_2(capsys, tmp_path, argv, data):
     assert err.startswith("error: malformed ")
 
 
+@pytest.mark.parametrize("weight, laurent", [(0, 2), (2, 0)])
+def test_constant_atom_off_the_constant_function_exits_2(capsys, tmp_path, weight, laurent):
+    # once read as the depth-0 case Ia (the second derivative of a
+    # constant) and as IIIa (a weight-2 constant)
+    const = {"poly": {"m": 0, "r": 0},
+             "spectral": {"family": {"kind": "constant"}, "weight": weight, "point": "0",
+                          "laurent": laurent, "pending": None},
+             "coeff": [{"pi_exp": 0, "num": "1", "den": "1"}]}
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"weight": weight, "terms": [const]}))
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a constant atom has weight 0, point 0 and laurent index 0, " \
+                  "not %d, 0 and %d\n" % (weight, laurent)
+
+
 def test_malformed_pole_table_exits_2(capsys, tmp_path, monkeypatch):
     form = tmp_path / "f.json"
     form.write_text(json.dumps(form_to_json(construct_case("Ia", -2, 1))))

@@ -413,6 +413,18 @@ CLOSURE_TABLES = {
                 (E00, SpectralAtom(Family(INCOHERENT, disc=3), 1, Fraction(0), 1)),
                 (E00, SpectralAtom(POINCARE_1, 4, Fraction(0), 1, ("L", 1)))],
          coeff=ONE)
+# Delta is composed by _then, not read off the key's own column, when L steps
+# onto the tabled (E, 0, 1), when the key's own column is tabled, and when L
+# steps onto the column where the incoherent family vanishes
+@example(seeds=[(PolyAtom(2, 1), SpectralAtom(EIS, 2, Fraction(0), 1)),
+                (PolyAtom(1, 0), SpectralAtom(EIS, 2, Fraction(0), 2))],
+         coeff=ONE)
+@example(seeds=[(PolyAtom(2, 1), SpectralAtom(EIS, 0, Fraction(1), 1)),
+                (E00, SpectralAtom(EIS, 0, Fraction(1), 0))],
+         coeff=ONE)
+@example(seeds=[(PolyAtom(2, 1), SpectralAtom(Family(INCOHERENT, disc=3), 3, Fraction(-1), 1)),
+                (E00, SpectralAtom(Family(INCOHERENT, disc=4), 3, Fraction(-1), 2))],
+         coeff=ONE)
 def test_laplace_rows_match_reference(table, seeds, coeff):
     with using_poles(CLOSURE_TABLES[table]):
         assert _laplace_rows(seeds) == reference_rows(seeds)
@@ -424,3 +436,30 @@ def test_laplace_rows_match_reference(table, seeds, coeff):
         f = sum((form_of(*key, coeff) for key in seeds if form_of(*key).weight == weight),
                 zero_form(weight))
         assert apply_laplace(f) == apply_laplace_reference(f)
+
+
+# (case, k, construct_case keywords): every case, both anchors where a case
+# has two, and the Poincare indices -1 and -3
+CASE_VARIANTS = ([(case, k, {}) for case, k in (("Ia", -2), ("Id", -1), ("IIb", 1),
+                                                ("IIIa", 3), ("IIIb", 3))]
+                 + [(case, k, dict(family="poincare", index=n) if case in ("Ia", "Id", "IIIa")
+                     else dict(index=n))
+                    for case, k in (("Ia", -2), ("Ib", -1), ("Ic", -2), ("Id", -2), ("IIa", 1),
+                                    ("IIIa", 2), ("IIIc", 2), ("IIId", 3))
+                    for n in (-1, -3)])
+
+
+@pytest.mark.parametrize("table", ["default", "empty"])
+@pytest.mark.parametrize("case, k, kwargs", CASE_VARIANTS,
+                         ids=["%s-%d-%s" % (c, k, "-".join(map(str, kw.values())))
+                              for c, k, kw in CASE_VARIANTS])
+def test_laplace_rows_of_case_forms_match_reference(case, k, kwargs, table):
+    """The closures the classifier and the span solver take: of every case
+    form up to depth 4, pending keys and all, and of its expansion."""
+    from polymaass.specsolve import construct_case
+    with using_poles(CLOSURE_TABLES[table]):
+        for d in range(1 if case == "IIId" else 0, 5):
+            f = construct_case(case, k, d, **kwargs)
+            for g in (f, expand_pending(f)):
+                seeds = [key for key, _c in g.terms]
+                assert _laplace_rows(seeds) == reference_rows(seeds), (case, d)

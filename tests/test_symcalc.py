@@ -260,6 +260,42 @@ def test_spectral_atom_rejects_negative_laurent_index():
         SpectralAtom(Family("eisenstein"), 2, Fraction(0), -1)
 
 
+CONST_MESSAGE = "a constant atom has weight 0, point 0 and laurent index 0, not %d, %s and %d"
+
+
+@pytest.mark.parametrize("weight, point, laurent", [(0, 0, 2), (2, 0, 0), (0, 1, 0),
+                                                    (-2, Fraction(1, 2), 1)])
+def test_constant_atoms_are_only_the_constant_function(weight, point, laurent):
+    # the calculus treats a constant atom as the constant function, which L
+    # and R kill: a derivative of it is 0, and it has weight 0 alone
+    const = Family("constant")
+    with pytest.raises(DomainError) as err:
+        SpectralAtom(const, weight, point, laurent)
+    assert str(err.value) == CONST_MESSAGE % (weight, point, laurent)
+    data = form_to_json(form_of(PolyAtom(0, 0), CONST_ATOM))
+    data["weight"] = weight
+    data["terms"][0]["spectral"].update(weight=weight, point=str(point), laurent=laurent)
+    with pytest.raises(DomainError) as err:
+        form_from_json(data)
+    assert str(err.value) == CONST_MESSAGE % (weight, point, laurent)
+    # pending powers of the constant function stay, and unfold to zero
+    assert is_zero(form_of(PolyAtom(0, 0), SpectralAtom(const, 0, 0, 0, ("R", 2))))
+
+
+def test_pole_table_json_refuses_a_constant_residue_atom_of_weight_two(tmp_path):
+    import json as _json
+    from polymaass import symcalc as sc
+    residue = sc.form_to_json(form_of(PolyAtom(0, 0), CONST_ATOM))
+    residue["weight"] = 2
+    residue["terms"][0]["spectral"]["weight"] = 2
+    path = tmp_path / "poles.json"
+    path.write_text(_json.dumps([{"family": {"kind": "eisenstein"}, "weight": 2, "point": "0",
+                                  "residue_form": residue}]))
+    with pytest.raises(DomainError) as err:
+        sc.load_pole_table(str(path))
+    assert str(err.value) == CONST_MESSAGE % (2, 0, 0)
+
+
 def test_json_atom_at_tabled_pole_warns():
     import warnings as _w
     from polymaass.symcalc import PolePointWarning
@@ -282,6 +318,73 @@ def test_json_parse_errors_are_domain_errors(mutate):
     mutate(data)
     with pytest.raises(DomainError, match="^malformed (form|scalar) JSON: "):
         form_from_json(data)
+
+
+def _form_from_json_reference(data):
+    """form_from_json as it read a form before it built each coefficient
+    once: the point by json_rational, each coefficient by the public Scalar
+    constructor, and every key added to ZERO."""
+    from polymaass.scalars import ZERO, json_int, json_rational, malformed_json
+    from polymaass.symcalc import _atom, _family_from_json
+    acc = {}
+    with malformed_json("form JSON"):
+        for term in data["terms"]:
+            e = PolyAtom(json_int(term["poly"]["m"]), json_int(term["poly"]["r"]))
+            sp = term["spectral"]
+            pending = sp.get("pending")
+            a = _atom(_family_from_json(sp["family"]), json_int(sp["weight"]),
+                      json_rational(sp["point"]), json_int(sp["laurent"]),
+                      None if pending is None else (pending["dir"], json_int(pending["power"])))
+            with malformed_json("scalar JSON"):
+                terms = []
+                for t in term["coeff"]:
+                    num, den = json_rational(t["num"]), json_rational(t["den"])
+                    if num.denominator != 1 or den.denominator != 1:
+                        raise ValueError("num and den must be integers")
+                    terms.append((json_int(t["pi_exp"]), num / den))
+                c = Scalar(terms)
+            acc[e, a] = acc.get((e, a), ZERO) + c
+        return Form(json_int(data["weight"]), acc)
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except Exception as ex:   # compared, not swallowed
+        return type(ex), str(ex)
+
+
+# a digit string past int's default limit is refused by int and Fraction alike
+POINT_SPELLINGS = ["0", "-3", "2/4", "+3", " 5 ", "0.5", "1e1", "-0", "007", "1_0", "\u0661",
+                   "1/0", "-0/5", "007/3", "6/-4", "1/00", "-1/12", "x", "-", "", "--5",
+                   "9" * 5000, 7, -2, 1.5, True, None]
+
+
+@pytest.mark.parametrize("point", POINT_SPELLINGS, ids=lambda x: repr(x)[:12])
+def test_form_json_reads_points_and_coefficients_as_before(point):
+    coeff = [{"pi_exp": 1, "num": "2", "den": "-6"}, {"pi_exp": 0, "num": "5", "den": "1"},
+             {"pi_exp": 1, "num": "1", "den": "3"}, {"pi_exp": -1, "num": "0", "den": "4"}]
+    term = {"poly": {"m": 2, "r": 1},
+            "spectral": {"family": {"kind": "eisenstein"}, "weight": 2, "point": point,
+                         "laurent": 1, "pending": None}, "coeff": coeff}
+    other = dict(term, poly={"m": 0, "r": 0}, coeff=coeff[:1])
+    for terms in ([term], [term, other], [term, other, term], [other, dict(term, coeff=[])]):
+        data = {"weight": 2, "terms": terms}
+        got, want = _outcome(form_from_json, data), _outcome(_form_from_json_reference, data)
+        assert got == want and type(got) is type(want)
+        if type(got) is Form:
+            assert [(key, c.terms) for key, c in got.terms] == \
+                [(key, c.terms) for key, c in want.terms]
+
+
+@pytest.mark.parametrize("case, k, d", [("Ia", -3, 3), ("Ic", -2, 3), ("IIb", 1, 2),
+                                        ("IIIb", 4, 2), ("IIId", 3, 2)])
+def test_case_forms_read_back_as_before(case, k, d):
+    from polymaass.specsolve import construct_case
+    data = form_to_json(construct_case(case, k, d))
+    got, want = form_from_json(data), _form_from_json_reference(data)
+    assert [(key, c.terms) for key, c in got.terms] == [(key, c.terms) for key, c in want.terms]
 
 
 def _json_with_every_integer_field():
@@ -330,7 +433,8 @@ def _equal_atoms(point):
     return [atom_E(2, point, 1), via_json,
             dataclasses.replace(atom_E(2, point + 7, 1), point=Fraction(point)),
             dataclasses.replace(atom_E(2, point, 0), laurent=1),
-            SpectralAtom(fam, 2, point, 1), SpectralAtom(fam, 2, Fraction(point), 1)]
+            SpectralAtom(fam, 2, point, 1), SpectralAtom(fam, 2, Fraction(point), 1),
+            SpectralAtom._make(Family("eisenstein"), 2, Fraction(point), 1)]
 
 
 @pytest.mark.parametrize("point", [3, Fraction(-5, 7)], ids=["int", "fraction"])
@@ -342,6 +446,25 @@ def test_equal_atoms_hash_equal_and_share_dict_keys(point):
         assert ({atoms[0]: 1}[a], {a: 2}[atoms[0]]) == (1, 2)
         assert keyed[(PolyAtom(1, 0), a)] == len(atoms) - 1
     assert len(keyed) == 1 and len(set(atoms)) == 1
+
+
+@pytest.mark.parametrize("point", [3, Fraction(-5, 7)], ids=["int", "fraction"])
+def test_unchecked_atoms_pickle_and_intern_as_checked_ones(point):
+    import pickle
+    from polymaass.symcalc import _Atoms
+    for fam in (Family("eisenstein"), Family("poincare", index=-2), Family("incoherent", disc=3)):
+        made, checked = SpectralAtom._make(fam, 2, Fraction(point), 1), SpectralAtom(fam, 2, point, 1)
+        again = pickle.loads(pickle.dumps(made))
+        assert made == checked == again and hash(made) == hash(checked) == hash(again)
+        assert type(again.point) is Fraction and again.pending is None
+        # an atom gets one id, whether it comes in from a form or is built
+        # from its coordinates by a step
+        P, Q = Fraction(point).numerator, Fraction(point).denominator
+        atoms = _Atoms()
+        assert atoms.id(checked) == atoms.at(fam, 2, P, Q, 1) == 0
+        assert atoms.at(fam, 2, P, Q, 0) == atoms.id(SpectralAtom(fam, 2, point, 0)) == 1
+        assert atoms.id(SpectralAtom(fam, 2, point, 1, ("L", 1))) == 2
+        assert atoms.atoms[1] == SpectralAtom(fam, 2, point, 0) and len(atoms.atoms) == 3
 
 
 def test_cached_hash_stays_out_of_repr_eq_and_json():
