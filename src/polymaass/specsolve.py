@@ -8,7 +8,8 @@ extends a kernel vector w_0 of A layer by layer to a generalized
 eigenvector w_d, normalized so that d Laplace applications of the
 emitted form reproduce the emitted w_0 exactly.  The span of a Poincare
 chain has the same shape in the Laurent order, Lambda = A + S B + S^2 C
-with S lowering it, and delta_preimage_on_span solves there.
+with S lowering it and blocks fixed by k (_poincare_blocks); the chain
+solves there, and delta_preimage_on_span in any Delta-stable span.
 """
 
 from __future__ import annotations
@@ -505,16 +506,12 @@ def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]
 
 
 def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
-    """Solve Delta^d g = target inside the Delta-stable span of the seeds.
-
-    The solution is the one whose entries at the free columns of M^d, M the
-    span's matrix in pool order, are zero, so output is reproducible.  A
-    span in the W_d shape (_span_shape) with the target in layer t = 0 and
-    d >= 1 is solved in that shape by _layered_preimage, which forms no
-    M^d and certifies its answer; a negative answer is confirmed by the
-    general path.  Every other span (a pole table can break the shape)
-    takes the general path, M.power(d).solve(b).
-    """
+    """Solve Delta^d g = target inside the Delta-stable span of the seeds,
+    by M.power(d).solve(b), M the span's matrix in pool order: the solution
+    whose entries at the free columns of M^d are zero, so output is
+    reproducible."""
+    if exact_int("d", d) < 0:
+        raise DomainError("depth must be nonnegative")
     pool, M, exps = delta_matrix_on_span([key for key, _c in target.terms] + list(seed_atoms))
     index = {key: i for i, key in enumerate(pool)}
     b = [Fraction(0)] * len(pool)
@@ -523,64 +520,27 @@ def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
         if [e for e, _q in c.terms] != [exps[i]]:
             raise DomainError("target does not live in the scaled span")
         b[i] = c.terms[0][1]
-    shape = _span_shape(pool, M, exps) if d >= 1 else None
-    if shape is None or any(q and p >= shape[0] for q, p in zip(b, shape[2])):
-        x = M.power(d).solve(b)
-    else:
-        E, blocks, pos, scale = shape
-        b0 = [Fraction(0)] * E
-        for q, p, (num, den) in zip(b, pos, scale):
-            if q:
-                b0[p] = q * den / num
-        found = _layered_preimage(blocks, len(pool) // E - 1, d, b0, pos)
-        if found is None and M.power(d).solve(b) is not None:
-            raise AssertionError("span solve in the W_d shape missed a preimage")
-        x = None if found is None else [Fraction(found[1][p] * num, found[0] * den)
-                                        for p, (num, den) in zip(pos, scale)]
+    x = M.power(d).solve(b)
     if x is None:
         raise DomainError("no Delta^%d preimage in the span" % d)
     return Form(target.weight, {pool[i]: Scalar.pi_power(exps[i], q)
                                 for i, q in enumerate(x) if q})
 
 
-def _span_shape(pool, M: IntMat, exps: List[int]):
-    """The W_d shape of a span, as (E, blocks, pos, scale), or None.
-
-    A span has it when its pool holds the expanded atoms e_{m,r} (x) F^(t)
-    of one Poincare family F on the full grid r <= m, t <= T, and scaling
-    atom i by scale[i] = num / den = (4|n|)^{p_i} / t_i! turns M into the
-    block Toeplitz operator Lambda = A + S B + S^2 C on layers of size
-    E = m + 1, S lowering t by one: each entry is an int in the block
-    s = t_col - t_row, one of 0, 1, 2, equal to that block's entry at
-    (r_row, r_col), and the entry counts show every block entry in every
-    layer.  pos[i] = t_i E + r_i, and blocks holds A, B and C as int rows.
-    """
-    if not pool:
-        return None
-    fam, m = pool[0][1].family, pool[0][0].m
-    E = m + 1
-    pos = [a.laurent * E + e.r for e, a in pool]
-    if fam.kind != POINCARE or len(pool) % E or sorted(pos) != list(range(len(pool))) \
-            or any(e.m != m or a.family != fam or a.pending is not None for e, a in pool):
-        return None
-    # with ints c_i = N^(p_i - lo) T! / t_i!, the entry x / den of M at
-    # (j, i) scales to x c_i / (den c_j)
-    N, lo, T = 4 * abs(fam.index), min(exps), len(pool) // E - 1
-    f = [factorial(a.laurent) for _e, a in pool]
-    c = [N ** (p - lo) * (factorial(T) // g) for p, g in zip(exps, f)]
-    tr = [divmod(p, E) for p in pos]
-    found: List[Dict[int, int]] = [{}, {}, {}]
-    for j, row in enumerate(M.rows):
-        (tj, rj), dc = tr[j], M.den * c[j]
-        for i, x in row:
-            ti, ri = tr[i]
-            q, rest = divmod(x * c[i], dc)
-            if rest or not 0 <= ti - tj <= 2 or found[ti - tj].setdefault(rj * E + ri, q) != q:
-                return None
-    if sum(map(len, M.rows)) != sum((T + 1 - s) * len(blk) for s, blk in enumerate(found)):
-        return None
-    blocks = [[[blk.get(r * E + k, 0) for k in range(E)] for r in range(E)] for blk in found]
-    return E, blocks, pos, [(N ** p, g) if p >= 0 else (1, g * N ** -p) for p, g in zip(exps, f)]
+def _poincare_blocks(m: int) -> Tuple[List[List[int]], ...]:
+    """A, B and C of Lambda = A + S B + S^2 C, Delta on the span of the
+    Poincare chain of weight k = 2 - m, with int entries: [r][c] is the
+    coefficient of atom r in Delta of atom c.  Atom (r, t) is
+    (4 pi |n|)^{r-m} e_{m,r} (x) F^(t)/t!, F the family of weight
+    2 - 2(m - r) at s = 1, and S lowers t; so the blocks depend on k alone."""
+    n = m + 1
+    A, B, C = ([[0] * n for _ in range(n)] for _ in range(3))
+    for r in range(n):
+        A[r][r], B[r][r], C[r][r] = (r - m) * (2 * r - m + 2), -1, -1
+        if r < m:
+            A[r][r + 1], A[r + 1][r] = r + 1 - m, (r + 1) * (m - r) * (m - 2 - r)
+            B[r][r + 1], B[r + 1][r] = -1, -(r + 1) * (m - r)
+    return A, B, C
 
 
 def _power_rows(blocks, T: int, d: int) -> List[List[int]]:
@@ -614,18 +574,17 @@ def _power_rows(blocks, T: int, d: int) -> List[List[int]]:
     return out
 
 
-def _layered_preimage(blocks, T: int, d: int, b0: Vec,
-                      pos: List[int]) -> Optional[Tuple[int, List[int]]]:
-    """The solution x of K x = b, K = Lambda^d on layers t <= T and b = b0
+def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[int, List[int]]:
+    """The solution x of K x = b, K = Lambda^d on layers t <= d and b = b0
     in layer 0, whose entries at the free columns of K in pool order are
     zero (atom i is at layer-major position pos[i]), as (den, ints) with
-    x = ints / den; None when there is none.
+    x = ints / den.
 
     With P_j the blocks of Lambda^d (_power_rows), (K x)_0 = P_0 x_0 + r(S x)
     for r(g) = sum_{j>=1} P_j g_{j-1}, S moving layer t + 1 to t.  S commutes
-    with K, so x is in ker K exactly when S x is, below layer T, and
+    with K, so x is in ker K exactly when S x is, below layer d, and
     P_0 x_0 = -r(S x): ker K is ker P_0 in layer 0 and one lift (w, g) of
-    each g in ker K below layer T whose r(g) meets the left kernel
+    each g in ker K below layer d whose r(g) meets the left kernel
     conditions of P_0 (at most its corank), its own less those of the
     kernel vectors before it that did not lift.  Likewise x = (w, g) solves
     K x = b when P_0 w = b0 - r(g).  Each solution of P_0 is an int vector
@@ -633,8 +592,8 @@ def _layered_preimage(blocks, T: int, d: int, b0: Vec,
     entry to the first has the free columns as its pivots, which turns x
     into the answer; d passes of Lambda certify it."""
     E = len(blocks[0])
-    n = (T + 1) * E
-    rows = _power_rows(blocks, T, d)
+    n = (d + 1) * E
+    rows = _power_rows(blocks, d, d)
     tail = [row[E:] for row in rows]   # r(g) = tail g
     P0 = IntMat([[(k, x) for k, x in enumerate(row[:E]) if x] for row in rows], 1, E)
     elim, pivots = _eliminate(dict(row + [(E + i, 1)]) for i, row in enumerate(P0.rows))
@@ -667,20 +626,18 @@ def _layered_preimage(blocks, T: int, d: int, b0: Vec,
     basis = [[v.get(i, 0) for i in range(E)] + [0] * (n - E) for _k, v in P0.kernel()]
     stored = []   # (pivot, (g, r(g), conditions)) of the kernel vectors that do not lift
     for y in basis:   # which grows by the lifts as it is walked
-        if not any(y[n - E:]):   # room above layer T to lift y into
+        if not any(y[n - E:]):   # room above layer d to lift y into
             g = y[:n - E]
             g, r, c, _s = reduce(g, [sum(map(mul, row, g)) for row in tail])
             if any(c):
                 stored.append((next(k for k, x in enumerate(c) if x), (g, r, c)))
             else:
                 basis.append(solve([-x for x in r]) + [D0 * x for x in g])
-    bden = lcm(*(q.denominator for q in b0))
-    B0 = [q.numerator * (bden // q.denominator) for q in b0]
-    g, r, c, s = reduce([0] * (n - E), B0)   # r = s B0 - r(-g)
+    g, r, c, s = reduce([0] * (n - E), b0)   # r = s b0 - r(-g)
     if any(c):
-        return None
+        raise AssertionError("span holds no Delta^%d preimage of the chain's top" % d)
     X = solve(r) + [-D0 * x for x in g]
-    # X / (D0 s) solves K x = B0; less X[f] times the reduced basis vector
+    # X / (D0 s) solves K x = b0; less X[f] times the reduced basis vector
     # of each pivot f it is the answer
     col = [0] * n
     for i, p in enumerate(pos):
@@ -700,28 +657,38 @@ def _layered_preimage(blocks, T: int, d: int, b0: Vec,
     for _ in range(d):
         y = y + pad
         y = [sum(map(mul, row, y[t:t + 3 * E])) for t in range(0, n, E) for row in ABC]
-    if y[E:] != [0] * (n - E) or y[:E] != [den * v for v in B0]:
+    if y[E:] != [0] * (n - E) or y[:E] != [den * v for v in b0]:
         raise AssertionError("span preimage fails Delta^d x = target")
-    return den * bden, x
+    return den, x
 
 
 def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:
     """Depth-d preimage chain over e_{r,m-r} (x) Poincare atoms anchored at
     the lowering-killed spectral point of the weight-2 family; the top of
-    the chain is e_{m,0} (x) P^(0), the formal weakly holomorphic seed."""
+    the chain is e_{m,0} (x) P^(0), the formal weakly holomorphic seed.
+
+    The span holds the top atom, then (r, t) = e_{m,r} (x) F^(t) for r <= m,
+    t <= d, r-major, at pi^{r-m} and layer-major pos = t (m + 1) + r.  When
+    every column it visits, (P[n], w, 1) for w = -2m, ..., 2, is plain, Delta
+    there is Lambda (_poincare_blocks); else delta_preimage_on_span solves."""
+    for name, x in (("k", k), ("index", index)):
+        exact_int(name, x)
+    if exact_int("d", d) < 0:
+        raise DomainError("depth must be nonnegative")
     if k > 0:
         raise DomainError("chain defined for weights k <= 0")
     if index >= 0:
         raise DomainError("Poincare index must be negative (principal part)")
-    m = 2 - k
-    fam = Family(POINCARE, index=index)
-    target = form_of(PolyAtom(m, m), SpectralAtom(fam, 2, Fraction(1), 0))
-    seeds = []
-    for r in range(m + 1):
-        w_r = 2 - 2 * (m - r)
-        for t in range(d + 1):
-            seeds.append((PolyAtom(m, r), SpectralAtom(fam, w_r, Fraction(1), t)))
-    return delta_preimage_on_span(target, seeds, d)
+    m, fam, one = 2 - k, Family(POINCARE, index=index), Fraction(1)
+    grid = [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d + 1) if (r, t) != (m, 0)]
+    keys = [(PolyAtom(m, r), SpectralAtom(fam, 2 - 2 * (m - r), one, t)) for r, t in grid]
+    if not all(_Atoms().column(fam, w, 1, 1)[1] for w in range(-2 * m, 3, 2)):
+        return delta_preimage_on_span(form_of(*keys[0]), keys[1:], d)
+    pos = [t * (m + 1) + r for r, t in grid]
+    den, x = _layered_preimage(_poincare_blocks(m), d, [0] * m + [1], pos)
+    N = 4 * abs(index)
+    return Form(k, {key: Scalar.pi_power(r - m, Fraction(x[p], den * factorial(t) * N ** (m - r)))
+                    for key, (r, t), p in zip(keys, grid, pos) if x[p]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import hashlib
 import warnings
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -10,8 +10,8 @@ from polymaass.classify import (BK_TO_REPR, CaseLabel, WeightContext, _laplace_t
                                 classify_bk, exact_depth, expected_dimension_vector)
 from polymaass.linalg import IntMat
 from polymaass.scalars import ZERO, Scalar
-from polymaass.specsolve import (_span_shape, construct_case, delta_matrix_on_span,
-                                 delta_preimage_on_span)
+from polymaass.specsolve import (_poincare_blocks, construct_case, delta_matrix_on_span,
+                                 delta_preimage_on_span, poincare_weakly_holomorphic_chain)
 from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, POINCARE,
                                DomainError, Family, Form, PolePointWarning, PolyAtom,
                                SpectralAtom, _apply, _laplace_rows, apply_laplace,
@@ -405,6 +405,7 @@ def test_delta_matrix_on_span_unchanged_for_poincare_chain_seeds(k, d, index):
 
 
 P1 = Family(POINCARE, index=-1)
+POLE_TABLES = {"default": DEFAULT_POLES, "empty": pole_table({})}
 
 
 def _poles_at_p1(atom, coeff):
@@ -437,7 +438,6 @@ def test_span_that_is_not_pi_graded_is_rejected(atom, coeff, two_term):
     # preimage takes the general path, to the general answer
     with warnings.catch_warnings(), using_poles(_poles_at_p1(atom, Scalar.pi_power(0))):
         warnings.simplefilter("ignore", PolePointWarning)
-        assert _span_shape(*delta_matrix_on_span(seeds)) is None
         want = _general_preimage(form_of(*seeds[0]), seeds[1:], 1)
         calls, power = [], IntMat.power
         with pytest.MonkeyPatch.context() as mp:
@@ -477,11 +477,6 @@ def _general_preimage(target, seeds, d):
         pool[i]: Scalar.pi_power(exps[i], q) for i, q in enumerate(x) if q})
 
 
-def _grid_seeds(k, top, index):
-    # _poincare_chain_seeds with Laurent orders up to top in place of d
-    return _poincare_chain_seeds(k, top, index)[1:]
-
-
 @pytest.fixture
 def power_calls(monkeypatch):
     """The exponents of every IntMat.power call, as they are made."""
@@ -494,37 +489,77 @@ def power_calls(monkeypatch):
 @pytest.mark.parametrize("k", [0, -1, -2, -3, -4])
 def test_span_solve_in_the_wd_shape_matches_the_general_path(k, d, power_calls):
     # E = m + 1 = 7 (k = -4) and the indices that are not powers of two are
-    # shapes no benchmark job reaches; d = 0 takes the general path
+    # shapes no benchmark job reaches; the chain forms no M^d, also at d = 0
     for index in (-1, -2, -3, -5, -6, -12, -16):
         target, *seeds = _poincare_chain_seeds(k, d, index)
-        got = delta_preimage_on_span(form_of(*target), seeds, d)
-        assert power_calls == ([] if d else [0])
+        got = poincare_weakly_holomorphic_chain(k, d, index)
+        assert power_calls == []
         assert list(got.terms) == list(_general_preimage(form_of(*target), seeds, d).terms)
         power_calls.clear()
 
 
-@pytest.mark.parametrize("k,d,top", [(0, 2, 3), (-1, 3, 5), (-2, 1, 4), (-3, 2, 2)])
-def test_span_solve_in_the_wd_shape_takes_any_layer_zero_target(k, d, top, power_calls):
-    # every layer-0 atom, and a sum of two at their pi scales, on grids with
-    # more Laurent orders than d
-    seeds = _grid_seeds(k, top, -3)
-    bottom = [key for key in seeds if key[1].laurent == 0]
-    targets = [form_of(*key) for key in bottom]
-    # the scales of a span are pi powers relative to the target's first atom
-    pool, _M, exps = delta_matrix_on_span([bottom[0]] + seeds)
-    targets.append(form_of(*bottom[0], Fraction(-3, 7))
-                   + form_of(*bottom[-1], Scalar.pi_power(exps[pool.index(bottom[-1])], 5)))
-    for target in targets:
-        got = delta_preimage_on_span(target, seeds, d)
-        assert power_calls == []
-        assert list(got.terms) == list(_general_preimage(target, seeds, d).terms)
+@pytest.mark.parametrize("poles", sorted(POLE_TABLES))
+@pytest.mark.parametrize("k", range(0, -13, -1))
+def test_poincare_blocks_are_delta_on_the_chain_span(k, poles):
+    # Lambda from the closed-form blocks, scaled back from the atoms
+    # (4 |n|)^{r-m} e_{m,r} (x) F^(t)/t!, is the closure's matrix in pool
+    # order: the top atom, then r-major with t <= d; atom (r, t) at pi^{r-m}
+    m, blocks = 2 - k, _poincare_blocks(2 - k)
+    with using_poles(POLE_TABLES[poles]):
+        for index in (-1, -2, -3, -5, -12, -16):
+            for d in ((2, 3, 5) if k >= -8 else (2,)):
+                pool, M, exps = delta_matrix_on_span(_poincare_chain_seeds(k, d, index))
+                grid = [(e.r, a.laurent) for e, a in pool]
+                assert grid == [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d + 1)
+                                           if (r, t) != (m, 0)]
+                assert exps == [r - m for r, _t in grid]
+                scale = [Fraction(4 * abs(index)) ** (r - m) / factorial(t) for r, t in grid]
+                assert M.to_dense() == [
+                    [blocks[ti - tj][rj][ri] * scale[j] / scale[i] if 0 <= ti - tj <= 2 else 0
+                     for i, (ri, ti) in enumerate(grid)] for j, (rj, tj) in enumerate(grid)]
+
+
+def _chain_pole(w, index=-1):
+    # a rational residue at (P[index], w, 1), of its own family at order 0
+    fam = Family(POINCARE, index=index)
+    return pole_table({(fam, w, Fraction(1)): form_of(E00, atom_P(w, index, 1), Fraction(3, 7))})
+
+
+@pytest.mark.parametrize("w", [-6, 0, 2])
+def test_a_pole_on_the_chain_span_takes_the_general_path(w, power_calls):
+    # the k = -1 chain (m = 3) visits the columns (P[-1], w, 1), w = -6..2
+    target, *seeds = _poincare_chain_seeds(-1, 2, -1)
+    with warnings.catch_warnings(), using_poles(_chain_pole(w)):
+        warnings.simplefilter("ignore", PolePointWarning)
+        want = _general_preimage(form_of(*target), seeds, 2)
         power_calls.clear()
+        assert list(construct_case("Ib", -1, 2).terms) == list(want.terms)
+    assert power_calls == [2]
+
+
+@pytest.mark.parametrize("w,index", [(4, -1), (0, -2), (-6, -3)])
+def test_a_pole_off_the_chain_span_keeps_the_structured_path(w, index, power_calls):
+    want = construct_case("Ib", -1, 2)
+    with using_poles(_chain_pole(w, index)):
+        assert construct_case("Ib", -1, 2) == want
+    assert power_calls == []
+
+
+@pytest.mark.parametrize("d,message", [(-1, "depth must be nonnegative"),
+                                       (True, "d must be an int, not True"),
+                                       (1.0, "d must be an int, not 1.0")])
+def test_span_solvers_check_the_depth(d, message):
+    target, *seeds = _poincare_chain_seeds(0, 1, -1)
+    with pytest.raises(DomainError, match="^%s$" % message):
+        poincare_weakly_holomorphic_chain(0, d)
+    with pytest.raises(DomainError, match="^%s$" % message):
+        delta_preimage_on_span(form_of(*target), seeds, d)
 
 
 @pytest.mark.parametrize("k,d", [(0, 1), (-1, 3), (-3, 4)])
 def test_span_in_the_wd_shape_without_a_preimage_is_rejected(k, d, power_calls):
     # with Laurent orders below d the grid holds no preimage of its chain
-    # target; the general path, run once to confirm, agrees
+    # target, which the general path finds by one M^d
     target, *seeds = _poincare_chain_seeds(k, d - 1, -1)
     assert _general_preimage(form_of(*target), seeds, d) is None
     power_calls.clear()
@@ -550,9 +585,8 @@ def test_span_with_a_partial_top_layer_takes_the_general_path(power_calls):
     # r = 1 at t = 2 and no more, so the top layer is r = 0, 1 of E = 4
     target, *seeds = _poincare_chain_seeds(-1, 1, -1)
     seeds.append((seeds[0][0], SpectralAtom(seeds[0][1].family, -4, Fraction(1), 2)))
-    pool, M, exps = delta_matrix_on_span([target] + seeds)
+    pool, _M, _exps = delta_matrix_on_span([target] + seeds)
     assert sorted((e.r, a.laurent) for e, a in pool if a.laurent == 2) == [(0, 2), (1, 2)]
-    assert _span_shape(pool, M, exps) is None
     f = form_of(*target)
     assert list(delta_preimage_on_span(f, seeds, 1).terms) == \
         list(_general_preimage(f, seeds, 1).terms)
@@ -560,14 +594,13 @@ def test_span_with_a_partial_top_layer_takes_the_general_path(power_calls):
 
 
 def test_zero_target_has_the_zero_preimage(power_calls):
-    # an empty span takes the general path, and a zero target in the W_d
-    # shape the structured one
+    # an empty span, and a zero target on a Poincare chain's span
     assert delta_preimage_on_span(zero_form(0), [], 1).is_empty()
     assert power_calls == [1]
     target, *seeds = _poincare_chain_seeds(-1, 3, -2)
     zero = zero_form(form_of(*target).weight)
     assert delta_preimage_on_span(zero, [target] + seeds, 3).is_empty()
-    assert power_calls == [1]
+    assert power_calls == [1, 3]
 
 
 def test_ib_chain_forms_no_matrix_power(monkeypatch):
@@ -601,7 +634,6 @@ CLOSURE_CASES = [
                      ("IIIa", 3), ("IIIb", 3), ("IIIc", 3), ("IIId", 3))
     for d in range(1 if label == "IIId" else 0, 4)
     for index in ((-1, -3, -5) if label in ("Ic", "IIIc") else (-1,))]
-POLE_TABLES = {"default": DEFAULT_POLES, "empty": pole_table({})}
 
 
 def _assert_oracle_term_order(seeds, poles):
