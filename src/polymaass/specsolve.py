@@ -50,43 +50,28 @@ class WModel:
             raise DomainError("m must be nonnegative")
 
     def matrices(self) -> Tuple[List[List[int]], ...]:
-        """A, B and C with int entries."""
-        k, m = self.k, self.m
-        n = m + 1
-        A, B, C = ([[0] * n for _ in range(n)] for _ in range(3))
-        for r in range(n):
-            if self.branch == "L":
-                A[r][r] = (m - r) * (m - 2 * r - k)
-                if r >= 1:
-                    A[r - 1][r] = -1
-                if r + 1 <= m:
-                    A[r + 1][r] = (r + 1) * (m - r) * (m - r - 1) * (m - r - k)
-                B[r][r] = 1 - k
-                if r + 1 <= m:
-                    B[r + 1][r] = (r + 1) * (m - r) * (1 - k)
-                C[r][r] = -1
-                if r + 1 <= m:
-                    C[r + 1][r] = -(r + 1) * (m - r)
-            else:
-                A[r][r] = -(r * (m - 2 * r - k) + m)
-                if r >= 1:
-                    A[r - 1][r] = r * (r - 1 + k)
-                if r + 1 <= m:
-                    A[r + 1][r] = -(r + 1) * (m - r)
-                B[r][r] = 1 - k
-                if r >= 1:
-                    B[r - 1][r] = 1 - k
-                C[r][r] = -1
-                if r >= 1:
-                    C[r - 1][r] = -1
-        return A, B, C
+        """A, B and C with int entries, dense, from _diagonals()."""
+        n, zero = self.m + 1, [0] * (self.m + 1)
+        return tuple([[M.get(j - i, zero)[i] for j in range(n)] for i in range(n)]
+                     for M in map(dict, self._diagonals()))
 
     def _diagonals(self) -> List[List[Tuple[int, List[int]]]]:
-        """The nonzero diagonals (o, c), c[i] = M[i][i + o], of A, B and C."""
-        n = self.m + 1
-        return [[(o, [M[i][i + o] if 0 <= i + o < n else 0 for i in range(n)])
-                 for o in sorted({j - i for i, row in enumerate(M) for j, x in enumerate(row)
-                                  if x})] for M in self.matrices()]
+        """The nonzero diagonals (o, c), c[i] = M[i][i + o] (0 off the matrix),
+        of A, B and C by increasing o, from the closed formulas of the branch."""
+        k, m, I = self.k, self.m, range(self.m + 1)
+        up = [int(i < m) for i in I]   # 1 where M[i][i + 1] is on the matrix
+        if self.branch == "L":
+            bands = ([(-1, [i * (m + 1 - i) * (m - i) * (m + 1 - i - k) for i in I]),
+                      (0, [(m - i) * (m - 2 * i - k) for i in I]), (1, [-u for u in up])],
+                     [(-1, [i * (m + 1 - i) * (1 - k) for i in I]), (0, [1 - k] * (m + 1))],
+                     [(-1, [-i * (m + 1 - i) for i in I]), (0, [-1] * (m + 1))])
+        else:
+            bands = ([(-1, [-i * (m + 1 - i) for i in I]),
+                      (0, [-(i * (m - 2 * i - k) + m) for i in I]),
+                      (1, [u * (i + 1) * (i + k) for i, u in zip(I, up)])],
+                     [(0, [1 - k] * (m + 1)), (1, [(1 - k) * u for u in up])],
+                     [(0, [-1] * (m + 1)), (1, [-u for u in up])])
+        return [[(o, c) for o, c in band if any(c)] for band in bands]
 
     def _int_block_delta(self, d: int) -> IntMat:
         """The operator A + T B + T^2 C on W_d, layer-major: row t n + i is
@@ -164,8 +149,8 @@ def _kernel_vector(model: WModel) -> Tuple[int, List[int]]:
         D = {r: factorial(m - r) * prod(range(k, k + r)) for r in range(m + 1)}
     den = lcm(*D.values())
     ints = [den // D[r] if r in D else 0 for r in range(m + 1)]
-    A, _, _ = model.matrices()
-    if any(sum(a * x for a, x in zip(row, ints) if a) for row in A):
+    A = model._diagonals()[0]   # A w_0 = 0; c[i] is 0 where i + o leaves the matrix
+    if any(sum(c[i] * ints[i + o] for o, c in A if c[i]) for i in range(m + 1)):
         raise AssertionError("w0 formula does not lie in ker A (k=%d, m=%d, %s)"
                              % (k, m, model.branch))
     return den, ints
@@ -198,10 +183,10 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
     every subdiagonal entry -(r+1)(m-r) != 0 on R, so ker A = span(w_0).
     Layers are int vectors over one positive denominator, in lowest terms,
     and rest is summed over the lcm of the denominators it involves;
-    Fractions are built once, for the result, which one Delta pass certifies
-    from w and nu alone: Delta w = p(T) w with p(0) = 0 and nu = mu_1^d, mu_1
-    p's T coefficient; Delta commutes with T, so Delta^d w = mu_1^d T^d w0 and
-    Delta^{d+1} w = 0 mod T^{d+1} (_check_generalized_eigenvector)."""
+    Fractions are built once, for the result; one Delta pass on the int layers
+    and nu alone certifies it: Delta w = p(T) w with p(0) = 0 and nu = mu_1^d,
+    mu_1 p's T coefficient; Delta commutes with T, so Delta^d w = mu_1^d T^d w0
+    and Delta^{d+1} w = 0 mod T^{d+1} (_certify)."""
     model = WModel(k, m, branch)
     if exact_int("d", d) < 0:
         raise DomainError("m and d must be nonnegative")
@@ -210,20 +195,23 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
             "solver requires k<=0 or k-m>1 (L) / k>1 or k+m<1 (R); got k=%d, m=%d, %s"
             % (k, m, branch))
     den0, w0 = _kernel_vector(model)
-    A, B, C = model.matrices()
-    sweep = _layer_sweep(A, w0, branch)
+    diags = model._diagonals()
+    sweep = _layer_sweep(diags[0], w0, branch)
     if sweep is None:
         raise DomainError("w0 lies in the image of A, so no layer is solvable "
                           "(k=%d, m=%d, %s)" % (k, m, branch))
-    minus_bc = [[(j, -x) for j, x in enumerate(b + c) if x] for b, c in zip(B, C)]
+    # diagonals (j, c) of -[B | C], read on 0, u_{t-1}, u_{t-2}, 0 from index j
+    minus_bc = [(s * (m + 1) + o + 1, [-x for x in c]) for s in (0, 1) for o, c in diags[s + 1]]
     layers = [(den0, w0)]   # (den, ints) of u_0, u_1, ...
     mus = []                # (den, [num]) of mu_1, mu_2, ...
     for step in range(1, d + 1):
         (e1, v1), (e2, v2) = layers[-1], layers[-2] if step >= 2 else (1, [0] * (m + 1))
         sums = list(zip(mus, layers[:0:-1]))   # mu_s with u_{step-s}
         den = lcm(e1, e2, *(e * f for (e, _), (f, _) in sums))
-        both = [x * (den // e1) for x in v1] + [x * (den // e2) for x in v2]
-        rest = [sum(x * both[j] for j, x in row) for row in minus_bc]
+        both = [0] + [x * (den // e1) for x in v1] + [x * (den // e2) for x in v2] + [0]
+        rest = [0] * (m + 1)
+        for j, c in minus_bc:
+            rest = [r + x * y for r, x, y in zip(rest, c, both[j:])]
         for (e, (mu,)), (f, v) in sums:
             scale = mu * (den // (e * f))
             rest = [r + scale * x for r, x in zip(rest, v)]
@@ -232,7 +220,8 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
         mus.append(_lowest(e * den, [mu * den0]))
     nu = Fraction(mus[0][1][0], mus[0][0]) ** d if d > 0 else Fraction(1)
     gv = GradedVector(k, m, branch, d, [[Fraction(x, e) for x in v] for e, v in layers], nu)
-    _check_generalized_eigenvector(model, gv)
+    den = lcm(*(e for e, _v in layers))
+    _certify(diags, [[x * (den // e) for x in v] for e, v in layers], nu)
     return gv
 
 
@@ -242,26 +231,27 @@ def _lowest(den: int, v: List[int]) -> Tuple[int, List[int]]:
     return den // g, [x // g for x in v]
 
 
-def _layer_sweep(A: List[List[int]], w0: List[int], branch: str):
-    """The solver of A u - mu w0 = rest, u_m = 0 for the branch's int A and
-    an int w0 spanning ker A: a function of int rest giving ints (u, mu,
-    den), the solution over den; None when w0 is in the image of A.  A's
-    off-diagonal A[r][r+o] (o = 1 on L, -1 on R) has no zero, so from u_s = 0
-    at its start s each row r gives u_{r+o}, held as S_{r+o} u_{r+o} with S
-    the running pivot product so that no step divides; the last row e = m - s
-    leaves S_e times its residual.  The sweep is linear in g = rest + mu w0:
-    the response to w0, taken once, fixes mu, and a multiple of w0 sets
-    u_m = 0 (0 already on R)."""
-    m = len(A) - 1
+def _layer_sweep(band: List[Tuple[int, List[int]]], w0: List[int], branch: str):
+    """The solver of A u - mu w0 = rest, u_m = 0 for the diagonals band of
+    the branch's int A and an int w0 spanning ker A: a function of int rest
+    giving ints (u, mu, den), the solution over den; None when w0 is in the
+    image of A.  A's off-diagonal A[r][r+o] (o = 1 on L, -1 on R) has no
+    zero, so from u_s = 0 at its start s each row r gives u_{r+o}, held as
+    S_{r+o} u_{r+o} with S the running pivot product so that no step divides;
+    the last row e = m - s leaves S_e times its residual.  The sweep is linear
+    in g = rest + mu w0: the response to w0, taken once, fixes mu, and a
+    multiple of w0 sets u_m = 0 (0 already on R)."""
+    m = len(w0) - 1
     o, s = (1, 0) if branch == "L" else (-1, m)
+    diag, up, down = (dict(band).get(j, [0] * (m + 1)) for j in (0, o, -o))  # A[r][r + j]
     e, S, back = m - s, [1] * (m + 1), [0] * (m + 1)   # back[j] = A[j][j-o] A[j-o][j]
     for r in range(s, e, o):
-        S[r + o], back[r + o] = S[r] * A[r][r + o], A[r + o][r] * A[r][r + o]
+        S[r + o], back[r + o] = S[r] * up[r], down[r + o] * up[r]
 
     def sweep(g):
         U = [0] * (m + 2)   # U[m + 1] = U[s - o] is 0, then S_e times the residual
         for r in range(s, e + o, o):
-            U[r + o] = g[r] * S[r] - A[r][r] * U[r] - back[r] * U[r - o]
+            U[r + o] = g[r] * S[r] - diag[r] * U[r] - back[r] * U[r - o]
         return [x * (S[e] // y) for x, y in zip(U, S)], U[m + 1]   # both over S_e
 
     H, h = sweep(w0)
@@ -277,36 +267,42 @@ def _layer_sweep(A: List[List[int]], w0: List[int], branch: str):
 
 
 def _delta_layers(diags, layers: List[List[int]]) -> List[List[int]]:
-    """A u_t + B u_{t-1} + C u_{t-2} in each layer t, from WModel._diagonals()."""
-    out, pad = [], [0] * len(layers[0])
-    for t in range(len(layers)):
-        acc = pad
-        for band, u in zip(diags, layers[t::-1]):
-            u = pad + u + pad
-            for o, c in band:
-                acc = [a + x * y for a, x, y in zip(acc, c, u[len(pad) + o:])]
-        out.append(acc)
-    return out
+    """A u_t + B u_{t-1} + C u_{t-2} in each layer t, from WModel._diagonals():
+    on the layers end to end, diagonal (o, c) of the T^s block adds c, once per
+    layer, times the entries s n - o back (c is 0 where i + o leaves a layer)."""
+    n, T = len(layers[0]), len(layers)
+    flat = [0] * (2 * n + 1) + [x for u in layers for x in u] + [0]
+    acc = [0] * (n * T)
+    for s, band in enumerate(diags):
+        for o, c in band:
+            acc = [a + x * y for a, x, y in zip(acc, c * T, flat[(2 - s) * n + 1 + o:])]
+    return [acc[t * n:(t + 1) * n] for t in range(T)]
 
 
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
-    """Check w0 != 0, Delta^d w = nu T^d w0 and Delta^{d+1} w = 0 exactly, in
-    ints, on w scaled by the lcm den of its layers' denominators.  One pass
-    gives v = Delta w, which must be p(T) w with p(0) = 0: v_0 = 0, and for
-    t = 1..d v_t - sum_{s<t} mu_s w_{t-s} = mu_t w0, mu_t read at w0's first
-    nonzero entry; and nu = mu_1^d.  As Delta commutes with T, Delta^j w =
-    p(T)^j w, and mod T^{d+1} p(T)^d = mu_1^d T^d and p(T)^{d+1} = 0.  Where
-    the solver runs, ker A = span(w0) and w0 is not in the image of A, so every
-    w with both identities has such a p; else d + 1 passes name the one that fails."""
-    if not any(gv.layers[0]):
-        raise AssertionError("iterative solution has w0 = 0")
-    diags = model._diagonals()
+    """_certify on the layers of gv times the lcm of their denominators."""
     den = lcm(*(x.denominator for layer in gv.layers for x in layer))
-    w = [[x.numerator * (den // x.denominator) for x in layer] for layer in gv.layers]
-    v, w0 = _delta_layers(diags, w), w[0]
+    _certify(model._diagonals(), [[x.numerator * (den // x.denominator) for x in layer]
+                                  for layer in gv.layers], gv.preimage_scale)
+
+
+def _certify(diags, w: List[List[int]], nu: Fraction) -> None:
+    """Check w0 != 0, Delta^d w = nu T^d w0 and Delta^{d+1} w = 0 exactly on
+    the int layers w of an int multiple of the chain (both are homogeneous in
+    w), Delta from WModel._diagonals().  One pass gives v = Delta w, which
+    must be p(T) w with p(0) = 0: v_0 = 0, and for t = 1..d v_t -
+    sum_{s<t} mu_s w_{t-s} = mu_t w0, mu_t read at w0's first nonzero entry;
+    and nu = mu_1^d.  As Delta commutes with T, Delta^j w = p(T)^j w, and mod
+    T^{d+1} p(T)^d = mu_1^d T^d and p(T)^{d+1} = 0.  Where the solver runs,
+    ker A = span(w0) and w0 is not in the image of A, so every w with both
+    identities has such a p; else d + 1 passes name the one that fails."""
+    w0, d = w[0], len(w) - 1
+    if not any(w0):
+        raise AssertionError("iterative solution has w0 = 0")
+    v = _delta_layers(diags, w)
     r = next(i for i, x in enumerate(w0) if x)
     D, mus = 1, []   # mu_s = mus[s - 1] / D
-    for t in range(1, gv.d + 1):
+    for t in range(1, d + 1):
         rest = [D * y for y in v[t]]
         for mu, u in zip(mus, w[t - 1:0:-1]):
             rest = [a - mu * z for a, z in zip(rest, u)]
@@ -315,43 +311,40 @@ def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
         q = w0[r] // gcd(rest[r], w0[r])
         D, mus = D * q, [mu * q for mu in mus] + [rest[r] * q // w0[r]]
     else:
-        if not any(v[0]) and gv.preimage_scale == (Fraction(mus[0], D) ** gv.d if mus else 1):
+        if not any(v[0]) and nu == (Fraction(mus[0], D) ** d if mus else 1):
             return
-    for _ in range(gv.d):
+    for _ in range(d):
         w = _delta_layers(diags, w)
-    if w != [[0] * (model.m + 1)] * gv.d + [[den * gv.preimage_scale * x for x in gv.layers[0]]]:
+    if w != [[0] * len(w0)] * d + [[nu * x for x in w0]]:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
     if any(map(any, _delta_layers(diags, w))):
         raise AssertionError("iterative solution fails Delta^{d+1} w = 0")
 
 
 def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
-    """Independent oracle: exact kernel of the stacked Delta^{d+1} matrix
-    on W_d, pinned to layer 0 = w_0 and the zero-v_m gauge."""
+    """Independent oracle: the element x of the kernel of the stacked
+    Delta^{d+1} = D D^d on W_d with layer 0 = w_0 and v_m = 0 above it, by one
+    exact solve of D^{d+1} x = 0 with those pins as rows and its free columns
+    set to zero; D^d x must then be nu T^d w_0 for a scalar nu."""
     model = WModel(k, m, branch)
     if exact_int("d", d) < 0:
         raise DomainError("m and d must be nonnegative")
-    w0 = build_w0(k, m, branch).layers[0]
-    n = m + 1
-    D = model._int_block_delta(d)
+    den0, w0 = _kernel_vector(model)
+    n, D = m + 1, model._int_block_delta(d)
     Dd = D.power(d)
-    K = [v for _c, v in (D @ Dd).kernel()]
-    # solve for the combination with layer 0 = w0 and zero v_m on layers >= 1
-    pinned = list(range(n)) + [t * n + m for t in range(1, d + 1)]
-    coeffs = IntMat([[(j, v[i]) for j, v in enumerate(K) if i in v] for i in pinned], 1,
-                    len(K)).solve(w0 + [0] * d)
-    if coeffs is None:
+    pins = [[(i, den0)] for i in list(range(n)) + [t * n + m for t in range(1, d + 1)]]
+    x = IntMat((D @ Dd).rows + pins, 1, n * (d + 1)).solve([0] * (n * (d + 1)) + w0 + [0] * d)
+    if x is None:
         raise DomainError("oracle: no pinned kernel element (k=%d, m=%d, %s, d=%d)"
                           % (k, m, branch, d))
-    flat = [sum(q * v.get(i, 0) for q, v in zip(coeffs, K)) for i in range(n * (d + 1))]
-    layers = [flat[t * n:(t + 1) * n] for t in range(d + 1)]
-    img = [row[0] for row in (Dd @ IntMat.from_dense([[x] for x in flat], 1)).to_dense()]
-    top = img[d * n:]
-    pivot = next(i for i, x in enumerate(w0) if x)
-    nu = top[pivot] / w0[pivot]
-    if [nu * x for x in w0] != top or any(x != 0 for x in img[:d * n]):
+    den = lcm(*(q.denominator for q in x))
+    X = [q.numerator * (den // q.denominator) for q in x]
+    img = [sum(a * X[j] for j, a in row) for row in Dd.rows]   # den D^d x, as Dd.den = 1
+    top, p = img[d * n:], next(i for i, a in enumerate(w0) if a)
+    if any(img[:d * n]) or any(a * w0[p] != top[p] * b for a, b in zip(top, w0)):
         raise AssertionError("oracle element is not a clean preimage chain")
-    return GradedVector(k, m, branch, d, layers, nu)
+    return GradedVector(k, m, branch, d, [x[t * n:(t + 1) * n] for t in range(d + 1)],
+                        Fraction(top[p] * den0, den * w0[p]))
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +536,8 @@ def _poincare_blocks(m: int) -> Tuple[List[List[int]], ...]:
     return A, B, C
 
 
-def _power_rows(blocks, T: int, d: int) -> List[List[int]]:
-    """The E rows of [P_0 | P_1 | ... | P_T], P_j the S^j block of Lambda^d,
+def _power_rows(blocks, d: int) -> List[List[int]]:
+    """The E rows of [P_0 | P_1 | ... | P_d], P_j the S^j block of Lambda^d,
     Lambda = A + S B + S^2 C for the E x E int blocks, P_j[i][k] at j E + k.
 
     Each row is held as one int with a w-bit slot per entry (Kronecker
@@ -552,12 +545,12 @@ def _power_rows(blocks, T: int, d: int) -> List[List[int]]:
     shift by s E slots, while no slot reaches 2^(w-1) in size; none does,
     as an entry of Lambda^a is at most N^a, N the largest row sum of
     |A| + |B| + |C|.  So each row of Lambda^(a+1) = Lambda Lambda^a is one
-    int sum, cut back to its (T + 1) E slots.  The rows are read out once,
+    int sum, cut back to its (d + 1) E slots.  The rows are read out once,
     2^(w-1) added to each slot so that it reads as an unsigned field."""
     E = len(blocks[0])
     N = max(sum(map(abs, a + b + c)) for a, b, c in zip(*blocks))
     w = 8 * ((d * max(N, 1).bit_length() + 9) // 8)   # whole bytes, two spare bits
-    slots = (T + 1) * E
+    slots = (d + 1) * E
     top, half = 1 << (w * slots), 1 << (w * slots - 1)
     terms = [[(x, s, r) for s, blk in enumerate(blocks) for r, x in enumerate(blk[i]) if x]
              for i in range(E)]
@@ -593,7 +586,7 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
     into the answer; d passes of Lambda certify it."""
     E = len(blocks[0])
     n = (d + 1) * E
-    rows = _power_rows(blocks, d, d)
+    rows = _power_rows(blocks, d)
     tail = [row[E:] for row in rows]   # r(g) = tail g
     P0 = IntMat([[(k, x) for k, x in enumerate(row[:E]) if x] for row in rows], 1, E)
     elim, pivots = _eliminate(dict(row + [(E + i, 1)]) for i, row in enumerate(P0.rows))

@@ -109,6 +109,14 @@ class Family:
             raise DomainError("Poincare family needs a nonzero index")
         if self.kind == INCOHERENT and self.disc is None:
             raise DomainError("incoherent family needs a discriminant")
+        # every spectral atom's hash hashes its family: hash it once
+        object.__setattr__(self, "_hash", hash((self.kind, self.index, self.disc)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):   # string hashes differ between processes: pickle no _hash
+        return (Family, (self.kind, self.index, self.disc))
 
     def is_eisenstein_like(self) -> bool:
         return self.kind in (EISENSTEIN, INCOHERENT)
@@ -167,9 +175,7 @@ class SpectralAtom:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        # rebuild through the constructor: string hashes differ between
-        # processes, so the cached hash must not be pickled
+    def __reduce__(self):   # string hashes differ between processes: pickle no _hash
         return (SpectralAtom, (self.family, self.weight, self.point, self.laurent,
                                self.pending))
 

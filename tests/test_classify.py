@@ -618,8 +618,8 @@ def test_span_self_check_refuses_a_wrong_answer(monkeypatch):
     from polymaass import specsolve
     power_rows = specsolve._power_rows
 
-    def wrong(blocks, top, d):
-        rows = power_rows(blocks, top, d)
+    def wrong(blocks, d):
+        rows = power_rows(blocks, d)
         rows[2][2 * len(blocks[0]) + 2] += 1
         return rows
     monkeypatch.setattr(specsolve, "_power_rows", wrong)

@@ -404,7 +404,7 @@ def test_layer_sweep_matches_the_inverse_of_the_bordered_system(data, branch, m,
     den = math.lcm(*(x.denominator for x in w0))
     w0 = [int(x * den) * scale for x in w0]   # any int vector spanning ker A
     rest = data.draw(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=m + 1, max_size=m + 1))
-    u, mu, den = _layer_sweep(A, w0, branch)(rest)
+    u, mu, den = _layer_sweep(WModel(k, m, branch)._diagonals()[0], w0, branch)(rest)
     assert all(type(x) is int for x in u + [mu, den])
     assert ([Fraction(x, den) for x in u], Fraction(mu, den)) == _bordered_reference(A, w0, rest)
     assert [sum(a * x for a, x in zip(row, u)) - mu * w for row, w in zip(A, w0)] \
@@ -415,9 +415,9 @@ def test_layer_sweep_matches_the_inverse_of_the_bordered_system(data, branch, m,
 def test_layer_sweep_refuses_a_vector_in_the_image_of_A():
     # L: the image of A is v_m = 0; R: the image of A is where
     # alternating_trace vanishes
-    A, _B, _C = WModel(0, 3, "L").matrices()
+    A = WModel(0, 3, "L")._diagonals()[0]
     assert _layer_sweep(A, [1, 2, 3, 0], "L") is None
-    A, _B, _C = WModel(2, 3, "R").matrices()
+    A = WModel(2, 3, "R")._diagonals()[0]
     assert alternating_trace([Fraction(x) for x in (1, 1, 1, 1)]) == 0
     assert _layer_sweep(A, [1, 1, 1, 1], "R") is None
     assert _layer_sweep(A, [1, 1, 1, 2], "R") is not None
@@ -458,6 +458,52 @@ def test_build_w0_grid_is_pinned():
 def test_brute_force_wd_grid_is_pinned():
     points = itertools.product(range(-5, 6), range(6), "LR", range(4))
     assert grid_digest(brute_force_wd, points) == ("41a2fd6bbc7ccc3b", 528, 75)
+
+
+def kernel_oracle(k, m, branch, d):
+    """brute_force_wd as it once ran: the kernel basis of D D^d, the
+    combination with the pinned layer 0 and v_m gauge, then the Fraction
+    sum of the kernel vectors."""
+    model = WModel(k, m, branch)
+    w0 = build_w0(k, m, branch).layers[0]
+    n = m + 1
+    D = model._int_block_delta(d)
+    Dd = D.power(d)
+    K = [v for _c, v in (D @ Dd).kernel()]
+    pinned = list(range(n)) + [t * n + m for t in range(1, d + 1)]
+    coeffs = IntMat([[(j, v[i]) for j, v in enumerate(K) if i in v] for i in pinned], 1,
+                    len(K)).solve(w0 + [0] * d)
+    if coeffs is None:
+        raise DomainError("oracle: no pinned kernel element (k=%d, m=%d, %s, d=%d)"
+                          % (k, m, branch, d))
+    flat = [sum(q * v.get(i, 0) for q, v in zip(coeffs, K)) for i in range(n * (d + 1))]
+    layers = [flat[t * n:(t + 1) * n] for t in range(d + 1)]
+    img = [row[0] for row in (Dd @ IntMat.from_dense([[x] for x in flat], 1)).to_dense()]
+    top = img[d * n:]
+    pivot = next(i for i, x in enumerate(w0) if x)
+    nu = top[pivot] / w0[pivot]
+    if [nu * x for x in w0] != top or any(x != 0 for x in img[:d * n]):
+        raise AssertionError("oracle element is not a clean preimage chain")
+    return GradedVector(k, m, branch, d, layers, nu)
+
+
+def test_brute_force_wd_equals_the_kernel_oracle():
+    # one solve of D^{d+1} x = 0 with the pins as rows sets the same free
+    # columns to zero as the kernel basis and its pinned combination, also
+    # where the pinned system has free columns and where no element exists
+    points = list(itertools.product(range(-8, 9), range(8), "LR", range(4)))
+    got, want = grid_digest(brute_force_wd, points), grid_digest(kernel_oracle, points)
+    assert got == want and got[1:] == (1088, 120)
+    # a shape past the solver whose pinned system has a free column
+    k, m, branch, d = -2, 4, "R", 2
+    n = (m + 1) * (d + 1)
+    w0 = build_w0(k, m, branch).layers[0]
+    pins = [[(i, 1)] for i in list(range(m + 1)) + [t * (m + 1) + m for t in range(1, d + 1)]]
+    D = WModel(k, m, branch)._int_block_delta(d)
+    assert not solver_admissible(k, m, branch)
+    assert IntMat((D @ D.power(d)).rows + pins, 1, n).rank() < n
+    oracle = brute_force_wd(k, m, branch, d)
+    assert oracle == kernel_oracle(k, m, branch, d) and oracle.layers[0] == w0
 
 
 def test_solver_and_cases_call_no_dense_wrapper(monkeypatch):
@@ -685,6 +731,53 @@ def test_graded_vector_is_checked_when_built(mutate, message):
 def test_solver_matrices_are_ints():
     for branch in "LR":
         model = WModel(-3 if branch == "L" else 3, 4, branch)
+        assert all(type(x) is int for M in model.matrices() for row in M for x in row)
+
+
+def dense_matrices(model):
+    """A, B and C as matrices() once built them, entry by entry."""
+    k, m = model.k, model.m
+    n = m + 1
+    A, B, C = ([[0] * n for _ in range(n)] for _ in range(3))
+    for r in range(n):
+        if model.branch == "L":
+            A[r][r] = (m - r) * (m - 2 * r - k)
+            if r >= 1:
+                A[r - 1][r] = -1
+            if r + 1 <= m:
+                A[r + 1][r] = (r + 1) * (m - r) * (m - r - 1) * (m - r - k)
+            B[r][r] = 1 - k
+            if r + 1 <= m:
+                B[r + 1][r] = (r + 1) * (m - r) * (1 - k)
+            C[r][r] = -1
+            if r + 1 <= m:
+                C[r + 1][r] = -(r + 1) * (m - r)
+        else:
+            A[r][r] = -(r * (m - 2 * r - k) + m)
+            if r >= 1:
+                A[r - 1][r] = r * (r - 1 + k)
+            if r + 1 <= m:
+                A[r + 1][r] = -(r + 1) * (m - r)
+            B[r][r] = 1 - k
+            if r >= 1:
+                B[r - 1][r] = 1 - k
+            C[r][r] = -1
+            if r >= 1:
+                C[r - 1][r] = -1
+    return A, B, C
+
+
+def test_diagonals_and_matrices_match_the_dense_formulas():
+    # the nonzero diagonals by increasing offset, 0 off the matrix
+    for k, m, branch in itertools.product(range(-8, 9), range(17), "LR"):
+        model = WModel(k, m, branch)
+        want = dense_matrices(model)
+        bands = [[(o, [M[i][i + o] if 0 <= i + o <= m else 0 for i in range(m + 1)])
+                  for o in sorted({j - i for i, row in enumerate(M) for j, x in enumerate(row)
+                                   if x})] for M in want]
+        assert model._diagonals() == bands, (k, m, branch)
+        assert model.matrices() == want, (k, m, branch)
+        assert all(type(x) is int for band in model._diagonals() for _o, c in band for x in c)
         assert all(type(x) is int for M in model.matrices() for row in M for x in row)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from polymaass.scalars import Scalar
-from polymaass.symcalc import (CONST_ATOM, DomainError, Family, Form, PolyAtom,
+from polymaass.symcalc import (CONST_ATOM, POINCARE, DomainError, Family, Form, PolyAtom,
                                apply_flip, apply_laplace, apply_lowering,
                                apply_mirror, apply_power, apply_raising,
                                atom_E, atom_P, atom_incoherent, expand_pending,
@@ -493,6 +493,17 @@ def test_cached_hash_stays_out_of_repr_eq_and_json():
     data = pickle.dumps(b)
     assert b"_hash" not in data
     assert hash(pickle.loads(data)) == hash(a)
+    # a Family caches the generated hash of its fields too
+    f, g = Family(POINCARE, index=-3), Family(POINCARE, index=-3)
+    object.__setattr__(g, "_hash", hash(f) + 1)
+    assert f == g and repr(f) == repr(g) == "P[n=-3]"
+    assert hash(f) == hash((POINCARE, -3, None)) == hash(dataclasses.replace(g))
+    assert [x.name for x in dataclasses.fields(f)] == ["kind", "index", "disc"]
+    assert form_to_json(form_of(p, SpectralAtom(f, 2, Fraction(1), 0))) \
+        == form_to_json(form_of(p, SpectralAtom(g, 2, Fraction(1), 0)))
+    data = pickle.dumps(g)
+    assert b"_hash" not in data
+    assert hash(pickle.loads(data)) == hash(f) and pickle.loads(data) == f
 
 
 def test_empty_forms_of_any_weight_hash_alike():
