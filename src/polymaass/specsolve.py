@@ -5,11 +5,11 @@ the Laplace operator pulls back to the block operator A + T B + T^2 C,
 whose matrices depend on the branch (products with lowering powers of
 the spectral family, or with raising powers).  The iterative algorithm
 extends a kernel vector w_0 of A layer by layer to a generalized
-eigenvector w_d, normalized so that d Laplace applications of the
-emitted form reproduce the emitted w_0 exactly.  The span of a Poincare
-chain has the same shape in the Laurent order, Lambda = A + S B + S^2 C
-with S lowering it and blocks fixed by k (_poincare_blocks); the chain
-solves there, and delta_preimage_on_span in any Delta-stable span.
+eigenvector w_d with Delta^d w_d = nu T^d w_0, emitted as it is.  The
+span of a Poincare chain has the same shape in the Laurent order, Lambda =
+A + S B + S^2 C with S lowering it, on bands fixed by k (_poincare_blocks):
+with the layers reversed S is T, so the chain is certified as W_d is, and
+delta_preimage_on_span solves in any Delta-stable span.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ class WModel:
 
     def matrices(self) -> Tuple[List[List[int]], ...]:
         """A, B and C with int entries, dense, from _diagonals()."""
-        n, zero = self.m + 1, [0] * (self.m + 1)
-        return tuple([[M.get(j - i, zero)[i] for j in range(n)] for i in range(n)]
-                     for M in map(dict, self._diagonals()))
+        return tuple(_dense(band, self.m + 1) for band in self._diagonals())
 
     def _diagonals(self) -> List[List[Tuple[int, List[int]]]]:
         """The nonzero diagonals (o, c), c[i] = M[i][i + o] (0 off the matrix),
@@ -82,13 +80,18 @@ class WModel:
         return IntMat(rows, 1, n * (d + 1))
 
 
+def _dense(band, n: int) -> List[List[int]]:
+    """The n x n matrix M of the diagonals (o, c), c[i] = M[i][i + o]."""
+    M, zero = dict(band), [0] * n
+    return [[M.get(j - i, zero)[i] for j in range(n)] for i in range(n)]
+
+
 @dataclass
 class GradedVector:
     """Layer t holds the T^t coefficient vector of w_d; layer 0 is w_0.
 
-    preimage_scale is the factor nu with Delta^d w_d = nu * T^d w_0; the
-    emitted form divides by it so that d Laplacians reproduce the emitted
-    w_0 with coefficient one.
+    preimage_scale is the factor nu with Delta^d w_d = nu * T^d w_0; d
+    Laplacians of the emitted form give nu times the emitted w_0.
     """
 
     k: int
@@ -395,9 +398,9 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
     """Realize a graded vector as a form with pending operator powers.
 
     Term (layer t, coordinate r) contributes
-        layers[t][r] / (d-t)! / nu * e_{r,m-r} (x) OP^{m-r or r} Phi^{(d-t)},
+        layers[t][r] / (d-t)! * e_{r,m-r} (x) OP^{m-r or r} Phi^{(d-t)},
     with the orientation sign folded into coefficients of odd derivative
-    orders.  Pending atoms that expand to zero are dropped.
+    orders and no factor of nu.  Pending atoms that expand to zero are dropped.
     """
     if fam.weight != gv.k:
         raise DomainError("family weight %d does not match solver weight %d"
@@ -415,7 +418,7 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
             atom = SpectralAtom(fam.family, fam.weight, fam.point, order, pending)
             if pending is not None and not atoms.image(0, 0, atoms.id(atom), "E")[1]:
                 continue
-            q = coeff / factorial(order) / gv.preimage_scale * (fam.orientation ** order)
+            q = coeff / factorial(order) * (fam.orientation ** order)
             terms[(PolyAtom(m, r), atom)] = Scalar.from_rational(q)
     return Form(gv.k - m if gv.branch == "L" else gv.k + m, terms)
 
@@ -520,25 +523,25 @@ def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
                                 for i, q in enumerate(x) if q})
 
 
-def _poincare_blocks(m: int) -> Tuple[List[List[int]], ...]:
+def _poincare_blocks(m: int) -> List[List[Tuple[int, List[int]]]]:
     """A, B and C of Lambda = A + S B + S^2 C, Delta on the span of the
-    Poincare chain of weight k = 2 - m, with int entries: [r][c] is the
-    coefficient of atom r in Delta of atom c.  Atom (r, t) is
+    Poincare chain of weight k = 2 - m, as WModel._diagonals() gives them:
+    M[r][c] is the coefficient of atom r in Delta of atom c.  Atom (r, t) is
     (4 pi |n|)^{r-m} e_{m,r} (x) F^(t)/t!, F the family of weight
     2 - 2(m - r) at s = 1, and S lowers t; so the blocks depend on k alone."""
-    n = m + 1
-    A, B, C = ([[0] * n for _ in range(n)] for _ in range(3))
-    for r in range(n):
-        A[r][r], B[r][r], C[r][r] = (r - m) * (2 * r - m + 2), -1, -1
-        if r < m:
-            A[r][r + 1], A[r + 1][r] = r + 1 - m, (r + 1) * (m - r) * (m - 2 - r)
-            B[r][r + 1], B[r + 1][r] = -1, -(r + 1) * (m - r)
-    return A, B, C
+    I, up = range(m + 1), [int(i < m) for i in range(m + 1)]
+    bands = ([(-1, [i * (m + 1 - i) * (m - 1 - i) for i in I]),
+              (0, [(i - m) * (2 * i - m + 2) for i in I]),
+              (1, [(i + 1 - m) * u for i, u in zip(I, up)])],
+             [(-1, [-i * (m + 1 - i) for i in I]), (0, [-1] * (m + 1)), (1, [-u for u in up])],
+             [(0, [-1] * (m + 1))])
+    return [[(o, c) for o, c in band if any(c)] for band in bands]
 
 
 def _power_rows(blocks, d: int) -> List[List[int]]:
     """The E rows of [P_0 | P_1 | ... | P_d], P_j the S^j block of Lambda^d,
-    Lambda = A + S B + S^2 C for the E x E int blocks, P_j[i][k] at j E + k.
+    Lambda = A + S B + S^2 C for the diagonals of the E x E int blocks
+    (_poincare_blocks), P_j[i][k] at j E + k.
 
     Each row is held as one int with a w-bit slot per entry (Kronecker
     substitution): sums of rows times ints act slot by slot, and S^s is a
@@ -547,13 +550,13 @@ def _power_rows(blocks, d: int) -> List[List[int]]:
     |A| + |B| + |C|.  So each row of Lambda^(a+1) = Lambda Lambda^a is one
     int sum, cut back to its (d + 1) E slots.  The rows are read out once,
     2^(w-1) added to each slot so that it reads as an unsigned field."""
-    E = len(blocks[0])
-    N = max(sum(map(abs, a + b + c)) for a, b, c in zip(*blocks))
+    E = max(len(c) for band in blocks for _o, c in band)
+    terms = [[(c[i], s, i + o) for s, band in enumerate(blocks) for o, c in band if c[i]]
+             for i in range(E)]
+    N = max(sum(abs(x) for x, _s, _r in t) for t in terms)
     w = 8 * ((d * max(N, 1).bit_length() + 9) // 8)   # whole bytes, two spare bits
     slots = (d + 1) * E
     top, half = 1 << (w * slots), 1 << (w * slots - 1)
-    terms = [[(x, s, r) for s, blk in enumerate(blocks) for r, x in enumerate(blk[i]) if x]
-             for i in range(E)]
     rows = [1 << (w * i) for i in range(E)]   # the identity block, j = 0
     for _ in range(d):
         moved = [rows] + [[v << (s * w * E) for v in rows] for s in (1, 2)]
@@ -583,10 +586,10 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
     K x = b when P_0 w = b0 - r(g).  Each solution of P_0 is an int vector
     over one D0.  The kernel basis reduced with columns from the last pool
     entry to the first has the free columns as its pivots, which turns x
-    into the answer; d passes of Lambda certify it."""
-    E = len(blocks[0])
-    n = (d + 1) * E
+    into the answer.  With the layers reversed, S is T and Lambda is
+    Delta on W_d, so d passes of _delta_layers certify it."""
     rows = _power_rows(blocks, d)
+    E, n = len(rows), (d + 1) * len(rows)
     tail = [row[E:] for row in rows]   # r(g) = tail g
     P0 = IntMat([[(k, x) for k, x in enumerate(row[:E]) if x] for row in rows], 1, E)
     elim, pivots = _eliminate(dict(row + [(E + i, 1)]) for i, row in enumerate(P0.rows))
@@ -644,13 +647,10 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
         for j, v in row.items():
             x[at[j]] -= f * v
     den = D0 * s * L
-    # d passes of Lambda, (Lambda y)_t = [A | B | C] (y_t, y_t+1, y_t+2)
-    ABC = [a + b + c for a, b, c in zip(*blocks)]
-    y, pad = x, [0] * (2 * E)
+    y = [x[t:t + E] for t in range(n - E, -1, -E)]   # layer d first
     for _ in range(d):
-        y = y + pad
-        y = [sum(map(mul, row, y[t:t + 3 * E])) for t in range(0, n, E) for row in ABC]
-    if y[E:] != [0] * (n - E) or y[:E] != [den * v for v in b0]:
+        y = _delta_layers(blocks, y)
+    if y != [[0] * E] * d + [[den * v for v in b0]]:
         raise AssertionError("span preimage fails Delta^d x = target")
     return den, x
 
@@ -688,13 +688,6 @@ def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:
 # the ten case constructions
 
 
-def _chain_from(anchor: SpectralFamily, m: int, branch: str, d: int) -> Form:
-    """The depth-d solver chain on the anchor, at the anchor's weight,
-    emitted and scaled back by nu (emit_form divides by it)."""
-    gv = solve_wd(anchor.weight, m, branch, d)
-    return emit_form(gv, anchor) * gv.preimage_scale
-
-
 def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
                    family: Optional[str] = None) -> Form:
     """Modular realization of a classification case in weight k, depth d.
@@ -725,21 +718,18 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
             raise DomainError("case %s requires weight k < 1" % label)
 
     if label == "Ia":
-        if family == "poincare":
-            anchor = poincare_family(0, index, Fraction(0))
-        else:
-            anchor = eisenstein_family(0, Fraction(0))
-        return _chain_from(anchor, -k, "L", d)
+        anchor = (poincare_family(0, index, Fraction(0)) if family == "poincare"
+                  else eisenstein_family(0, Fraction(0)))
+        return emit_form(solve_wd(0, -k, "L", d), anchor)
     if label == "Ib":
         return poincare_weakly_holomorphic_chain(k, d, index)
     if label == "Ic":
         return apply_flip(poincare_weakly_holomorphic_chain(k, d, index))
     if label == "Id":
-        if family == "poincare":
-            anchor = poincare_family(k - 2, index, 1 - Fraction(k - 2, 2), orientation=-1)
-        else:
-            anchor = eisenstein_family(k - 2, Fraction(3 - k), orientation=-1)
-        return _chain_from(anchor, 2, "R", d)
+        anchor = (poincare_family(k - 2, index, 1 - Fraction(k - 2, 2), orientation=-1)
+                  if family == "poincare" else
+                  eisenstein_family(k - 2, Fraction(3 - k), orientation=-1))
+        return emit_form(solve_wd(k - 2, 2, "R", d), anchor)
     if label == "IIa":
         anchor = poincare_family(1, index, Fraction(1, 2), orientation=-1)
         return preimage_constant_weight(1, d, anchor)
@@ -749,7 +739,7 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
         return apply_power(construct_case("Id", 2 - k, d, index=index, family=family),
                            "R", k - 1)
     if label == "IIIb":
-        return _chain_from(eisenstein_family(2, Fraction(0)), k - 2, "R", d)
+        return emit_form(solve_wd(2, k - 2, "R", d), eisenstein_family(2, Fraction(0)))
     if label == "IIIc":
         return apply_power(construct_case("Ic", 2 - k, d + 1, index=index), "R", k - 1)
     # IIId

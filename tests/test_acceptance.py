@@ -97,9 +97,10 @@ def _preimage_grid(grid, branch):
         fam = eisenstein_family(k, 0)
         base = emit_form(build_w0(k, m, branch), fam)
         assert is_zero(apply_laplace(base)), (k, m, branch)
-        f = emit_form(solve_wd(k, m, branch, d), fam)
-        assert forms_equal(_delta_power(f, d), base), (k, m, branch, d)
-        assert not is_zero(_delta_power(f, d)), (k, m, branch, d)
+        gv = solve_wd(k, m, branch, d)
+        top = _delta_power(emit_form(gv, fam), d)
+        assert forms_equal(top, base * gv.preimage_scale), (k, m, branch, d)
+        assert not is_zero(top), (k, m, branch, d)
 
 
 def test_criterion_02_preimage_identity_L():

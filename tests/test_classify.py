@@ -10,7 +10,7 @@ from polymaass.classify import (BK_TO_REPR, CaseLabel, WeightContext, _laplace_t
                                 classify_bk, exact_depth, expected_dimension_vector)
 from polymaass.linalg import IntMat
 from polymaass.scalars import ZERO, Scalar
-from polymaass.specsolve import (_poincare_blocks, construct_case, delta_matrix_on_span,
+from polymaass.specsolve import (_dense, _poincare_blocks, construct_case, delta_matrix_on_span,
                                  delta_preimage_on_span, poincare_weakly_holomorphic_chain)
 from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, POINCARE,
                                DomainError, Family, Form, PolePointWarning, PolyAtom,
@@ -504,7 +504,8 @@ def test_poincare_blocks_are_delta_on_the_chain_span(k, poles):
     # Lambda from the closed-form blocks, scaled back from the atoms
     # (4 |n|)^{r-m} e_{m,r} (x) F^(t)/t!, is the closure's matrix in pool
     # order: the top atom, then r-major with t <= d; atom (r, t) at pi^{r-m}
-    m, blocks = 2 - k, _poincare_blocks(2 - k)
+    m = 2 - k
+    blocks = [_dense(band, m + 1) for band in _poincare_blocks(m)]
     with using_poles(POLE_TABLES[poles]):
         for index in (-1, -2, -3, -5, -12, -16):
             for d in ((2, 3, 5) if k >= -8 else (2,)):
@@ -620,7 +621,7 @@ def test_span_self_check_refuses_a_wrong_answer(monkeypatch):
 
     def wrong(blocks, d):
         rows = power_rows(blocks, d)
-        rows[2][2 * len(blocks[0]) + 2] += 1
+        rows[2][2 * len(rows) + 2] += 1
         return rows
     monkeypatch.setattr(specsolve, "_power_rows", wrong)
     with pytest.raises(AssertionError, match="^span preimage fails Delta\\^d x = target$"):

@@ -91,26 +91,27 @@ GRID_L = list(itertools.product(range(-6, 1), range(0, 5), range(0, 4)))
 GRID_R = list(itertools.product(range(2, 7), range(0, 5), range(0, 4)))
 
 
-@pytest.mark.parametrize("k,m,d", [(k, m, d) for k, m, d in GRID_L if d <= 2][::3])
+def _assert_preimage_identity(k, m, branch, d):
+    # Delta^d of the emitted chain is nu times the emitted w0, and one more
+    # Laplacian takes it to zero
+    fam = eisenstein_family(k, 0)
+    gv = solve_wd(k, m, branch, d)
+    g = emit_form(gv, fam)
+    for _ in range(d):
+        g = apply_laplace(g)
+    assert forms_equal(g, emit_form(build_w0(k, m, branch), fam) * gv.preimage_scale)
+    assert is_zero(apply_laplace(g))
+
+
+# every depth 0..2 of each grid, 105 points on L and 75 on R
+@pytest.mark.parametrize("k,m,d", [(k, m, d) for k, m, d in GRID_L if d <= 2])
 def test_preimage_identity_L_sample(k, m, d):
-    fam = eisenstein_family(k, 0)
-    f = emit_form(solve_wd(k, m, "L", d), fam)
-    g = f
-    for _ in range(d):
-        g = apply_laplace(g)
-    assert forms_equal(g, emit_form(build_w0(k, m, "L"), fam))
-    assert is_zero(apply_laplace(g))
+    _assert_preimage_identity(k, m, "L", d)
 
 
-@pytest.mark.parametrize("k,m,d", [(k, m, d) for k, m, d in GRID_R if d <= 2][::3])
+@pytest.mark.parametrize("k,m,d", [(k, m, d) for k, m, d in GRID_R if d <= 2])
 def test_preimage_identity_R_sample(k, m, d):
-    fam = eisenstein_family(k, 0)
-    f = emit_form(solve_wd(k, m, "R", d), fam)
-    g = f
-    for _ in range(d):
-        g = apply_laplace(g)
-    assert forms_equal(g, emit_form(build_w0(k, m, "R"), fam))
-    assert is_zero(apply_laplace(g))
+    _assert_preimage_identity(k, m, "R", d)
 
 
 ORACLE_CASES = [(0, 3, "L", 2), (2, 2, "R", 1), (-4, 2, "L", 3), (4, 0, "R", 2),
@@ -125,6 +126,16 @@ def test_oracle_equivalence(k, m, branch, d):
     gv, oracle = solve_wd(k, m, branch, d), brute_force_wd(k, m, branch, d)
     assert gv.layers == oracle.layers
     assert gv.preimage_scale == oracle.preimage_scale
+
+
+def test_oracle_refuses_a_chain_with_a_lower_layer_image(monkeypatch):
+    # at m = 0, d = 1 the pins fix x = (w0, 0) = (1, 0); this nilpotent D takes
+    # it to (1, 1), whose top layer alone would pass as nu T w0 with nu = 1
+    D = IntMat([[(0, 1), (1, -1)], [(0, 1), (1, -1)]], 1, 2)
+    monkeypatch.setattr(WModel, "_int_block_delta", lambda self, d: D)
+    assert (D @ D).rows == [[], []]
+    with pytest.raises(AssertionError, match="^oracle element is not a clean preimage chain$"):
+        brute_force_wd(0, 0, "L", 1)
 
 
 def _test_vector(n, d):
@@ -577,7 +588,7 @@ def emit_form_reference(gv, fam):
             power = (m - r) if gv.branch == "L" else r
             pending = (gv.branch, power) if power > 0 else None
             atom = SpectralAtom(fam.family, fam.weight, fam.point, order, pending)
-            q = coeff / math.factorial(order) / gv.preimage_scale * (fam.orientation ** order)
+            q = coeff / math.factorial(order) * (fam.orientation ** order)
             term = form_of(PolyAtom(m, r), atom, Fraction(q))
             if not is_zero(term):
                 out = out + term
@@ -614,6 +625,29 @@ def test_emit_form_matches_the_per_term_sum(branch):
     # step j of R^p has prefactor j or k + j - 1, and admissibility gives
     # k > 1 or j <= m < 1 - k, so none is zero
     assert (dropped > 0) == (branch == "L")
+
+
+@pytest.mark.parametrize("label", ["Ia", "Id", "IIIb"])
+def test_solver_cases_are_the_emitted_solver_chain(label):
+    # construct_case emits the solver's chain at its anchor as it is, nu kept
+    for k, d, family, index in itertools.product(
+            {"Ia": (-1, -3), "Id": (-1, -2), "IIIb": (3, 4)}[label], range(4),
+            (None, "eisenstein", "poincare") if label != "IIIb" else (None,), (-1, -5)):
+        if label == "Ia":
+            gv = solve_wd(0, -k, "L", d)
+            anchor = (poincare_family(0, index, 0) if family == "poincare"
+                      else eisenstein_family(0, 0))
+        elif label == "Id":
+            gv = solve_wd(k - 2, 2, "R", d)
+            anchor = (poincare_family(k - 2, index, 1 - Fraction(k - 2, 2), orientation=-1)
+                      if family == "poincare" else eisenstein_family(k - 2, 3 - k, orientation=-1))
+        else:
+            gv = solve_wd(2, k - 2, "R", d)
+            anchor = eisenstein_family(2, 0)
+        got = construct_case(label, k, d, index=index, family=family)
+        want = emit_form(gv, anchor)
+        assert got == want and got.weight == want.weight, (label, k, d, family, index)
+        assert list(got.terms) == list(want.terms)
 
 
 @pytest.mark.parametrize("solver", [solve_wd, brute_force_wd])
