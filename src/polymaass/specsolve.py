@@ -14,6 +14,7 @@ delta_preimage_on_span solves in any Delta-stable span.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt, lcm, prod
@@ -108,7 +109,8 @@ class GradedVector:
             exact_int(name, getattr(self, name))
         if self.m < 0 or self.d < 0:
             raise DomainError("m and d must be nonnegative")
-        if len(self.layers) != self.d + 1 or any(len(v) != self.m + 1 for v in self.layers):
+        if not isinstance(self.layers, Sized) or len(self.layers) != self.d + 1 \
+                or any(not isinstance(v, Sized) or len(v) != self.m + 1 for v in self.layers):
             raise DomainError("a graded vector needs d + 1 = %d layers of m + 1 = %d entries"
                               % (self.d + 1, self.m + 1))
         check_exact("layers", self.layers)
@@ -133,9 +135,9 @@ class GradedVector:
                                 json_rational(data.get("preimage_scale", 1)))
 
 
-def _kernel_vector(model: WModel) -> Tuple[int, List[int]]:
-    """The depth-0 kernel vector w_0 of A, with the closed coefficient
-    formulas, as (den, ints) with w_0 = ints / den in lowest terms: each
+def _kernel_vector(model: WModel, A) -> Tuple[int, List[int]]:
+    """The depth-0 kernel vector w_0 of A, given by its diagonals, with the
+    closed formulas, as (den, ints) with w_0 = ints / den in lowest terms: each
     nonzero entry is 1/D_r for an int D_r, so den is the lcm of the |D_r|.
     With the rising factorial (a)_j, D_r is (m-r)! (m-r-k)! (L, m >= k),
     (m-r)! (1-k)_{m-r} (L, m < k), (m-r)! (r+k-1)! (R, m > -k) or
@@ -152,7 +154,7 @@ def _kernel_vector(model: WModel) -> Tuple[int, List[int]]:
         D = {r: factorial(m - r) * prod(range(k, k + r)) for r in range(m + 1)}
     den = lcm(*D.values())
     ints = [den // D[r] if r in D else 0 for r in range(m + 1)]
-    A = model._diagonals()[0]   # A w_0 = 0; c[i] is 0 where i + o leaves the matrix
+    # A w_0 = 0; c[i] is 0 where i + o leaves the matrix
     if any(sum(c[i] * ints[i + o] for o, c in A if c[i]) for i in range(m + 1)):
         raise AssertionError("w0 formula does not lie in ker A (k=%d, m=%d, %s)"
                              % (k, m, model.branch))
@@ -161,7 +163,8 @@ def _kernel_vector(model: WModel) -> Tuple[int, List[int]]:
 
 def build_w0(k: int, m: int, branch: str) -> GradedVector:
     """The depth-0 kernel vector, with the closed coefficient formulas."""
-    den, ints = _kernel_vector(WModel(k, m, branch))
+    model = WModel(k, m, branch)
+    den, ints = _kernel_vector(model, model._diagonals()[0])
     return GradedVector(k, m, branch, 0, [[Fraction(x, den) for x in ints]])
 
 
@@ -197,8 +200,8 @@ def solve_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
         raise DomainError(
             "solver requires k<=0 or k-m>1 (L) / k>1 or k+m<1 (R); got k=%d, m=%d, %s"
             % (k, m, branch))
-    den0, w0 = _kernel_vector(model)
     diags = model._diagonals()
+    den0, w0 = _kernel_vector(model, diags[0])
     sweep = _layer_sweep(diags[0], w0, branch)
     if sweep is None:
         raise DomainError("w0 lies in the image of A, so no layer is solvable "
@@ -325,21 +328,28 @@ def _certify(diags, w: List[List[int]], nu: Fraction) -> None:
 
 
 def brute_force_wd(k: int, m: int, branch: str, d: int) -> GradedVector:
-    """Independent oracle: the element x of the kernel of the stacked
-    Delta^{d+1} = D D^d on W_d with layer 0 = w_0 and v_m = 0 above it, by one
-    exact solve of D^{d+1} x = 0 with those pins as rows and its free columns
-    set to zero; D^d x must then be nu T^d w_0 for a scalar nu."""
+    """Independent oracle: the x in ker Delta^{d+1} = D D^d on W_d with layer
+    0 = w_0 and v_m = 0 above it, by one exact solve of D D^d on its unpinned
+    columns against -(its layer-0 columns) w_0, free columns set to zero.
+    Each pin row's one nonzero is at its pinned column, so the system with
+    the pins appended as rows has the same free columns and gives the same x.
+    D^d x must then be nu T^d w_0 for a scalar nu."""
     model = WModel(k, m, branch)
     if exact_int("d", d) < 0:
         raise DomainError("m and d must be nonnegative")
-    den0, w0 = _kernel_vector(model)
+    den0, w0 = _kernel_vector(model, model._diagonals()[0])
     n, D = m + 1, model._int_block_delta(d)
     Dd = D.power(d)
-    pins = [[(i, den0)] for i in list(range(n)) + [t * n + m for t in range(1, d + 1)]]
-    x = IntMat((D @ Dd).rows + pins, 1, n * (d + 1)).solve([0] * (n * (d + 1)) + w0 + [0] * d)
-    if x is None:
+    col = {t * n + i: (t - 1) * m + i for t in range(1, d + 1) for i in range(m)}
+    K = (D @ Dd).rows
+    y = IntMat([[(col[j], a) for j, a in row if j in col] for row in K], 1, d * m).solve(
+        [Fraction(-sum(a * w0[j] for j, a in row if j < n), den0) for row in K])
+    if y is None:
         raise DomainError("oracle: no pinned kernel element (k=%d, m=%d, %s, d=%d)"
                           % (k, m, branch, d))
+    x = [Fraction(a, den0) for a in w0] + [0] * (d * n)
+    for j, q in zip(col, y):
+        x[j] = q
     den = lcm(*(q.denominator for q in x))
     X = [q.numerator * (den // q.denominator) for q in x]
     img = [sum(a * X[j] for j, a in row) for row in Dd.rows]   # den D^d x, as Dd.den = 1

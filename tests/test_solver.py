@@ -517,6 +517,40 @@ def test_brute_force_wd_equals_the_kernel_oracle():
     assert oracle == kernel_oracle(k, m, branch, d) and oracle.layers[0] == w0
 
 
+def stacked_oracle(k, m, branch, d):
+    """brute_force_wd as it once ran: the pin rows (den_0 at each layer-0
+    coordinate and at each v_m coordinate above it) appended to the rows of
+    D D^d, and one solve of the whole stacked system."""
+    model = WModel(k, m, branch)
+    den0, w0 = specsolve._kernel_vector(model, model._diagonals()[0])
+    n, D = m + 1, model._int_block_delta(d)
+    Dd = D.power(d)
+    pins = [[(i, den0)] for i in list(range(n)) + [t * n + m for t in range(1, d + 1)]]
+    x = IntMat((D @ Dd).rows + pins, 1, n * (d + 1)).solve([0] * (n * (d + 1)) + w0 + [0] * d)
+    if x is None:
+        raise DomainError("oracle: no pinned kernel element (k=%d, m=%d, %s, d=%d)"
+                          % (k, m, branch, d))
+    den = math.lcm(*(q.denominator for q in x))
+    X = [q.numerator * (den // q.denominator) for q in x]
+    img = [sum(a * X[j] for j, a in row) for row in Dd.rows]
+    top, p = img[d * n:], next(i for i, a in enumerate(w0) if a)
+    if any(img[:d * n]) or any(a * w0[p] != top[p] * b for a, b in zip(top, w0)):
+        raise AssertionError("oracle element is not a clean preimage chain")
+    return GradedVector(k, m, branch, d, [x[t * n:(t + 1) * n] for t in range(d + 1)],
+                        Fraction(top[p] * den0, den * w0[p]))
+
+
+@pytest.mark.parametrize("ks,ms,ds,shape", [(range(-8, 9), range(8), range(4), (1088, 120)),
+                                            (range(-10, 11), range(10), range(5, 7), (840, 100))],
+                         ids=["d0-3", "d5-6"])
+def test_brute_force_wd_equals_the_stacked_oracle(ks, ms, ds, shape):
+    # substituting the pins before the solve leaves the free columns, and so
+    # the element, as solving with the pins as rows does; errors included
+    points = list(itertools.product(ks, ms, "LR", ds))
+    got, want = grid_digest(brute_force_wd, points), grid_digest(stacked_oracle, points)
+    assert got == want and got[1:] == shape
+
+
 def test_solver_and_cases_call_no_dense_wrapper(monkeypatch):
     def dense(*args):
         raise AssertionError("a dense linalg wrapper ran")
@@ -692,6 +726,14 @@ def test_graded_vector_rejects_non_int_fields(field, value):
     with pytest.raises(DomainError) as ex:
         GradedVector(**args)
     assert str(ex.value) == "%s must be an int, not %r" % (field, value)
+
+
+@pytest.mark.parametrize("layers", [None, 5, [None], [5], [iter([1, 2])]],
+                         ids=["none", "int", "none-layer", "int-layer", "iterator-layer"])
+def test_graded_vector_refuses_layers_without_a_shape(layers):
+    with pytest.raises(DomainError) as ex:
+        GradedVector(0, 1, "L", 0, layers)
+    assert str(ex.value) == "a graded vector needs d + 1 = 1 layers of m + 1 = 2 entries"
 
 
 def test_graded_vector_keeps_its_fraction_entries():
