@@ -1,12 +1,14 @@
 """Exact depth and Harish-Chandra case label of a symbolic form.
 
-The form is expanded once; L, R and Delta keep it expanded, so each
-vanishing test asks whether a form has no terms, relative to the formal
-independence model documented in symcalc.  The Laplace tower runs in
-integers: Delta of each key of the form's Delta-closure is read once into
-sparse integer rows, and each level Delta^j f is an integer vector over
-(key, pi exponent) with one denominator, which the L and R tests pass to
-symcalc._apply as it is: no Form is built after the one expansion.
+Each vanishing test asks whether the expanded form has no terms, relative
+to the formal independence model documented in symcalc.  The form is read
+once into integer layers on its spectral chains (symcalc._chain_layers):
+Delta^j f is j passes of the chains' Delta bands, and L^a or R^a a passes of
+the bands that map a chain onto the next.  When an atom is constant, a step
+meets a pole-table entry or a vanishing order, or the tower does not vanish,
+the general path runs: Delta of each key of the expanded form's
+Delta-closure is read into sparse integer rows, and the L and R tests pass
+each level, an integer vector over (key, pi exponent), to symcalc._apply.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from math import gcd, lcm
 from typing import Tuple
 
 from . import CYCLIC, GELFAND
-from .symcalc import DomainError, Form, _apply, _laplace_rows, expand_pending
+from .symcalc import (DomainError, Form, _apply, _chain_bands, _chain_layers, _delta_layers,
+                      _laplace_rows, expand_pending)
 
 # the cyclic quiver module (quiver, generator type, case) of each label
 BK_TO_MODULE = {
@@ -104,25 +107,59 @@ def _laplace_tower(f: Form) -> Tuple[list, list]:
                       "Delta-closure; not polyharmonic" % steps)
 
 
+def _tower(f: Form, low: int = 1, high: int = 0):
+    """(levels, vanishes): the levels f, ..., Delta^d f with Delta^{d+1} f = 0,
+    and the test whether op^power of a level is zero, for L up to low and R up
+    to high.  Delta^N f != 0 on chains, N the sum of the sets' sizes, leaves f
+    to the general path: Delta is nilpotent on their span or f is not
+    polyharmonic."""
+    sets, bands = _chain_layers(f, low, high), {}
+
+    def apply(level: dict, op: str) -> dict:
+        out = {}
+        for (chain, e), layers in level.items():
+            if (chain, op) not in bands:
+                bands[chain, op] = _chain_bands(chain, op)
+            diags, image = bands[chain, op]
+            layers = _delta_layers(diags, layers)
+            if any(map(any, layers)):
+                out[image, e] = layers
+        return out
+
+    def on_chains(level: dict, op: str, power: int) -> bool:
+        for _ in range(power):
+            level = apply(level, op)
+        return not level
+
+    if sets is not None:
+        levels, size = [sets], sum(len(v) * len(v[0]) for v in sets.values())
+        while levels[-1] and len(levels) <= size:
+            levels.append(apply(levels[-1], "D"))
+        if not levels[-1]:
+            return levels[:-1] or levels, on_chains
+    f = expand_pending(f)
+    pool, levels = _laplace_tower(f)
+
+    def on_keys(level, op: str, power: int) -> bool:
+        vec, den = level
+        return _apply(((pool[i], e, Fraction(x, den)) for (i, e), x in vec.items()),
+                      f.weight + (-2 if op == "L" else 2) * power, op, power).is_empty()
+    return levels, on_keys
+
+
 def exact_depth(f: Form) -> int:
     """Smallest d with Delta^{d+1} f = 0; DomainError when there is none."""
-    return len(_laplace_tower(expand_pending(f))[1]) - 1
+    return len(_tower(f)[0]) - 1
 
 
 def classify_bk(f: Form) -> CaseLabel:
-    """The ten-case classification by iterated vanishing tests."""
-    f = expand_pending(f)
-    if f.is_empty():
-        raise DomainError("cannot classify the zero form")
+    """The ten-case classification by iterated vanishing tests of L and R
+    powers on the top levels of the Laplace tower."""
     k = f.weight
-    pool, levels = _laplace_tower(f)
+    levels, vanishes = _tower(f, max(1, k), max(0, 1 - k))
+    if vanishes(levels[0], "L", 0):
+        raise DomainError("cannot classify the zero form")
     d, top = len(levels) - 1, levels[-1]
-
-    def vanishes(level, op: str, power: int) -> bool:
-        vec, den = level
-        return _apply(((pool[i], e, Fraction(x, den)) for (i, e), x in vec.items()),
-                      k - 2 * power if op == "L" else k + 2 * power, op, power).is_empty()
-
     if k < 1:
         l_zero = vanishes(top, "L", 1)
         r_zero = vanishes(top, "R", 1 - k)

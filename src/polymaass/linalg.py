@@ -130,9 +130,10 @@ class IntMat:
                         self.den * other.den, other.cols)
 
     def power(self, e: int) -> "IntMat":
-        """M^e for a square M: the integer powers of den*M over den^e."""
-        out = IntMat.identity(self.cols).rows
-        for _ in range(e):
+        """M^e for a square M: the integer powers of den*M over den^e, in
+        e - 1 products from M (the identity at e = 0)."""
+        out = [row[:] for row in self.rows] if e else IntMat.identity(self.cols).rows
+        for _ in range(e - 1):
             out = _int_mul(out, self.rows, self.cols)
         return _reduced(out, self.den ** e, self.cols)
 
@@ -152,14 +153,13 @@ class IntMat:
     def nilpotency_degree(self) -> Optional[int]:
         """Least e with M^e = 0 for a square M, or None when M is not
         nilpotent.  M^e = 0 exactly when (den*M)^e = 0, so the powers are
-        taken in integers."""
-        n = self.cols
-        power = IntMat.identity(n).rows
-        for e in range(n + 1):
-            if not any(power):
-                return e
-            power = _int_mul(power, self.rows, n)
-        return None
+        taken in integers, from M (0 for the empty matrix)."""
+        n, power, e = self.cols, self.rows, 1
+        while any(power):
+            if e == n:
+                return None
+            power, e = _int_mul(power, self.rows, n), e + 1
+        return e if n else 0
 
     def rank(self) -> int:
         """The pivot count of the elimination, with no reduced form built."""

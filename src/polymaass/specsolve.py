@@ -29,8 +29,8 @@ from .linalg import IntMat, Vec, _eliminate, kernel, mat_mul, mat_vec, rref, sol
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, _Atoms, _laplace_rows, apply_flip, apply_power,
-                      atom_incoherent, form_of)
+                      SpectralAtom, _Atoms, _chain_bands, _delta_layers, _laplace_rows,
+                      apply_flip, apply_power, atom_incoherent, form_of)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +270,6 @@ def _layer_sweep(band: List[Tuple[int, List[int]]], w0: List[int], branch: str):
         u = [a * h - x * b for a, b in zip(X, H)]   # h (X + mu H) for mu = -x / h
         return [a * last - u[m] * w for a, w in zip(u, w0)], -x * S[e] * last, h * S[e] * last
     return solve
-
-
-def _delta_layers(diags, layers: List[List[int]]) -> List[List[int]]:
-    """A u_t + B u_{t-1} + C u_{t-2} in each layer t, from WModel._diagonals():
-    on the layers end to end, diagonal (o, c) of the T^s block adds c, once per
-    layer, times the entries s n - o back (c is 0 where i + o leaves a layer)."""
-    n, T = len(layers[0]), len(layers)
-    flat = [0] * (2 * n + 1) + [x for u in layers for x in u] + [0]
-    acc = [0] * (n * T)
-    for s, band in enumerate(diags):
-        for o, c in band:
-            acc = [a + x * y for a, x, y in zip(acc, c * T, flat[(2 - s) * n + 1 + o:])]
-    return [acc[t * n:(t + 1) * n] for t in range(T)]
 
 
 def _check_generalized_eigenvector(model: WModel, gv: GradedVector) -> None:
@@ -538,14 +525,11 @@ def _poincare_blocks(m: int) -> List[List[Tuple[int, List[int]]]]:
     Poincare chain of weight k = 2 - m, as WModel._diagonals() gives them:
     M[r][c] is the coefficient of atom r in Delta of atom c.  Atom (r, t) is
     (4 pi |n|)^{r-m} e_{m,r} (x) F^(t)/t!, F the family of weight
-    2 - 2(m - r) at s = 1, and S lowers t; so the blocks depend on k alone."""
-    I, up = range(m + 1), [int(i < m) for i in range(m + 1)]
-    bands = ([(-1, [i * (m + 1 - i) * (m - 1 - i) for i in I]),
-              (0, [(i - m) * (2 * i - m + 2) for i in I]),
-              (1, [(i + 1 - m) * u for i, u in zip(I, up)])],
-             [(-1, [-i * (m + 1 - i) for i in I]), (0, [-1] * (m + 1)), (1, [-u for u in up])],
-             [(0, [-1] * (m + 1))])
-    return [[(o, c) for o, c in band if any(c)] for band in bands]
+    2 - 2(m - r) at s = 1, and S lowers t; so the blocks are the chain's Delta
+    bands (symcalc._chain_bands) at n = -1, over their den 8, scaled by 4^o at
+    offset o."""
+    bands, _chain = _chain_bands((m, Family(POINCARE, index=-1), 2 - 2 * m, 1, 1), "D")
+    return [[(o, [x * 4 ** (o + 1) // 32 for x in c]) for o, c in band] for band in bands]
 
 
 def _power_rows(blocks, d: int) -> List[List[int]]:

@@ -435,6 +435,102 @@ def _step_rule(fam: Family, w: int, P: int, Q: int, direction: str) -> tuple:
     return w + 2, P, 1, Q, 4 * n * Q, 2 * n * (2 * P + w * Q)
 
 
+def _plain(fam: Family, w: int, p: Fraction) -> bool:
+    """Whether the family member of weight w at the point p has no
+    pole-table entry and no vanishing order."""
+    return (fam, w, p) not in _POLES.get() and not vanishing_order(fam, w, p)
+
+
+# ---------------------------------------------------------------------------
+# spectral chains
+
+
+def _delta_layers(diags, layers: List[List[int]]) -> List[List[int]]:
+    """A u_t + B u_{t-1} + C u_{t-2} in each layer t, for bands A, B (and C)
+    given by their nonzero diagonals (o, c), c[i] = M[i][i + o]: on the
+    layers end to end, diagonal (o, c) of the T^s band adds c, once per
+    layer, times the entries s n - o back (c is 0 where i + o leaves a layer)."""
+    n, T = len(layers[0]), len(layers)
+    flat = [0] * (2 * n + 1) + [x for u in layers for x in u] + [0]
+    acc = [0] * (n * T)
+    for s, band in enumerate(diags):
+        for o, c in band:
+            acc = [a + x * y for a, x, y in zip(acc, c * T, flat[(2 - s) * n + 1 + o:])]
+    return [acc[t * n:(t + 1) * n] for t in range(T)]
+
+
+def _chain_bands(chain: tuple, op: str) -> Tuple[list, tuple]:
+    """op (L, R or D for Delta) on the chain (m, family, w0, P0, Q), whose
+    column r is the member of weight w0 + 2r at (P0 - rQ)/Q (Eisenstein-like)
+    or P0/Q (Poincare): the diagonals of its bands A + S B (+ S^2 C for D),
+    times the product of the steps' den, in the basis Psi_{r,t} = e_{r,m-r}
+    (x) Phi^(t)/t! of the columns, where a step is x + u S over den, S
+    lowering t; and the chain it maps onto.  Delta = -R L at column r takes
+    the L rule at r and the R rules at r and at the L column r - 1."""
+    m, fam, w0, P0, Q = chain
+    E = fam.is_eisenstein_like()
+    rules = {(r, op2): _step_rule(fam, w0 + 2 * r, P0 - r * Q if E else P0, Q, op2)[3:]
+             for r in range(-1, m + 1) for op2 in "LR"}
+    I, c = range(m + 1), [(r + 1) * (m - r) for r in range(m)] + [0]
+    (dL, *_), uL, xL = zip(*(rules[r, "L"] for r in I))
+    (dR, *_), uR, xR = zip(*(rules[r, "R"] for r in range(-1, m + 1)))   # column r at r + 1
+    if op == "L":
+        bands = [[(-1, [0] + [x * dL for x in c[:m]]), (0, xL)], [(0, uL)]]
+    elif op == "R":
+        bands = [[(0, xR[1:]), (1, [dR] * m + [0])], [(0, uR[1:])]]
+    else:   # the entries of Delta Psi_r at r + 1, r and r - 1, as diagonals -1, 0 and 1
+        bands = [[(-1, [0] + [-c[r] * xR[r + 1] * dL for r in range(m)]),
+                  (0, [-(c[r] * dL * dR + xL[r] * xR[r]) for r in I]),
+                  (1, [-x * dR for x in xL[1:]] + [0])],
+                 [(-1, [0] + [-c[r] * uR[r + 1] * dL for r in range(m)]),
+                  (0, [-(xL[r] * uR[r] + uL[r] * xR[r]) for r in I]),
+                  (1, [-u * dR for u in uL[1:]] + [0])],
+                 [(0, [-uL[r] * uR[r] for r in I])]]
+    dw, dP = {"L": (-2, Q), "R": (2, -Q), "D": (0, 0)}[op]
+    return ([[(o, list(v)) for o, v in band if any(v)] for band in bands],
+            (m, fam, w0 + dw, P0 + dP if E else P0, Q))
+
+
+def _chain_layers(f: Form, low: int, high: int) -> Optional[dict]:
+    """f as {(chain, pi class): layers}: layer j of a set holds its
+    coefficients of Psi_{r,T-j}, r = 0..m, over one positive den for f, and
+    no set is all zero; the pi class is the pi exponent, less r on a
+    Poincare chain.  A
+    pending OP^p unfolds as prod (x_i + u_i S)/den_i of its steps, cut at
+    degree t.  None when an atom is constant, or a step of an unfolding or
+    a chain's column -low..m+high is not _plain."""
+    chains, tops, entries = set(), {}, []
+    for (e, a), c in f.terms:
+        fam, w, P, Q, t = a.family, a.weight, a.point.numerator, a.point.denominator, a.laurent
+        if fam.kind == CONSTANT:
+            return None
+        E, r, poly, den, s = fam.is_eisenstein_like(), e.r, [factorial(t)], 1, 0
+        for _ in range(a.pending[1] if a.pending else 0):
+            w, P, s2, d, u, x = _step_rule(fam, w, P, Q, a.pending[0])
+            if not _plain(fam, w, Fraction(P, Q)):
+                return None
+            poly = [x * y + u * z for y, z in zip(poly + [0], [0] + poly)][:t + 1]
+            den, s = den * d, s + s2
+        m, w0, P0 = e.m, w - 2 * r, P + r * Q if E else P
+        chain = (m, fam, w0, P0, Q)
+        if chain not in chains and not all(
+                _plain(fam, w0 + 2 * i, Fraction(P0 - i * Q if E else P0, Q))
+                for i in range(-low, m + high + 1)):
+            return None
+        chains.add(chain)
+        for exp, q in c.terms:
+            key = (chain, exp + s - (0 if E else r))
+            tops[key] = max(tops.get(key, 0), t)
+            entries += [(key, r, t - j, q.numerator * y, q.denominator * den)
+                        for j, y in enumerate(poly) if y]
+    den, sets = lcm(*(d for *_, d in entries)), {}
+    for key, r, t, x, d in entries:
+        if key not in sets:
+            sets[key] = [[0] * (key[0][0] + 1) for _ in range(tops[key] + 1)]
+        sets[key][tops[key] - t][r] += x * (den // d)
+    return {key: v for key, v in sets.items() if any(map(any, v))}
+
+
 # ---------------------------------------------------------------------------
 # form-level operators
 
@@ -463,7 +559,7 @@ class _Atoms:
         key = (fam, w, P, Q)
         if key not in self.columns:
             p = Fraction(P, Q)
-            self.columns[key] = p, (fam, w, p) not in _POLES.get() and not vanishing_order(fam, w, p)
+            self.columns[key] = p, _plain(fam, w, p)
         return self.columns[key]
 
     def id(self, a: SpectralAtom) -> int:
@@ -776,13 +872,15 @@ def form_to_json(f: Form) -> dict:
 
 
 def form_from_json(data: dict) -> Form:
-    acc = {}
+    """The form of the JSON, with one Family object per distinct family."""
+    acc, families = {}, {}
     with malformed_json("form JSON"):
         for term in data["terms"]:
             e = PolyAtom(json_int(term["poly"]["m"]), json_int(term["poly"]["r"]))
             sp = term["spectral"]
             pending = sp.get("pending")
-            a = _atom(_family_from_json(sp["family"]), json_int(sp["weight"]),
+            fam = _family_from_json(sp["family"])
+            a = _atom(families.setdefault(fam, fam), json_int(sp["weight"]),
                       json_number(sp["point"]), json_int(sp["laurent"]),
                       None if pending is None
                       else (pending["dir"], json_int(pending["power"])))

@@ -5,7 +5,7 @@ from math import factorial, gcd
 
 import pytest
 
-from polymaass import BK_CASES
+from polymaass import BK_CASES, classify, specsolve, symcalc
 from polymaass.classify import (BK_TO_REPR, CaseLabel, WeightContext, _laplace_tower,
                                 classify_bk, exact_depth, expected_dimension_vector)
 from polymaass.linalg import IntMat
@@ -16,8 +16,8 @@ from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, POINC
                                DomainError, Family, Form, PolePointWarning, PolyAtom,
                                SpectralAtom, _apply, _laplace_rows, apply_laplace,
                                apply_lowering, apply_power, apply_raising, atom_E, atom_P,
-                               expand_pending, form_of, forms_equal, make_e_atom, pole_table,
-                               using_poles, zero_form)
+                               expand_pending, form_from_json, form_of, form_to_json,
+                               forms_equal, make_e_atom, pole_table, using_poles, zero_form)
 
 
 def laplace_closure(seeds):
@@ -737,3 +737,157 @@ def test_closure_warns_once_per_distinct_spectral_step():
             warnings.simplefilter("always")
             op(f)
         assert [c.category for c in caught] == [PolePointWarning], op
+
+
+# ---------------------------------------------------------------------------
+# the chain path against the general path
+
+
+def _general_classify(f):
+    """classify_bk as it ran before the chain path, on _laplace_tower and
+    _apply called directly, verbatim."""
+    f = expand_pending(f)
+    if f.is_empty():
+        raise DomainError("cannot classify the zero form")
+    k = f.weight
+    pool, levels = _laplace_tower(f)
+    d, top = len(levels) - 1, levels[-1]
+
+    def vanishes(level, op: str, power: int) -> bool:
+        vec, den = level
+        return _apply(((pool[i], e, Fraction(x, den)) for (i, e), x in vec.items()),
+                      k - 2 * power if op == "L" else k + 2 * power, op, power).is_empty()
+
+    if k < 1:
+        l_zero = vanishes(top, "L", 1)
+        r_zero = vanishes(top, "R", 1 - k)
+        bk = {(True, True): "Ia", (True, False): "Ib",
+              (False, True): "Ic", (False, False): "Id"}[(l_zero, r_zero)]
+    elif k == 1:
+        bk = "IIa" if vanishes(top, "L", 1) else "IIb"
+    else:
+        if d >= 1 and vanishes(levels[d - 1], "L", k):
+            return CaseLabel("IIId", d, WeightContext(k))
+        if vanishes(top, "L", 1):
+            bk = "IIIa"
+        elif vanishes(top, "L", k):
+            bk = "IIIb"
+        else:
+            bk = "IIIc"
+    return CaseLabel(bk, d, WeightContext(k))
+
+
+def _general_depth(f):
+    return len(_laplace_tower(expand_pending(f))[1]) - 1
+
+
+def _outcome(fn, f):
+    """fn(f) or its DomainError's text, and the texts of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(f)
+        except DomainError as ex:
+            out = "DomainError: %s" % ex
+    return out, [str(c.message) for c in caught]
+
+
+def _assert_paths_agree(f):
+    """classify_bk and exact_depth give the general path's label, depth,
+    error text and warnings on f; whether f took the chain path."""
+    for fn, reference in ((classify_bk, _general_classify), (exact_depth, _general_depth)):
+        assert _outcome(fn, f) == _outcome(reference, f)
+    k = f.weight
+    return symcalc._chain_layers(f, max(1, k), max(0, 1 - k)) is not None
+
+
+CASE_VARIANTS = {"Ia": [{"family": "eisenstein"}, {"family": "poincare", "index": -3},
+                        {"family": "poincare", "index": -1}],
+                 "IIb": [{"disc": 3}, {"disc": 4}, {"disc": 7}], "IIIb": [{}]}
+CASE_VARIANTS["Id"] = CASE_VARIANTS["IIIa"] = CASE_VARIANTS["Ia"]
+
+
+@pytest.mark.parametrize("poles", sorted(POLE_TABLES))
+@pytest.mark.parametrize("label", BK_CASES)
+def test_chain_path_matches_the_general_path_on_case_forms(label, poles):
+    # k -4..5 where the case lives, d <= 4, three families, indices or
+    # discriminants, the JSON round trip, times 1 + pi, and the sum with the
+    # previous form of the same weight
+    ks = range(2, 6) if label.startswith("III") else [1] if label.startswith("II") \
+        else range(-4, 1)
+    on_chains, previous = 0, {}
+    with using_poles(POLE_TABLES[poles]):
+        for k in ks:
+            for d in range(1 if label == "IIId" else 0, 5):
+                for kw in CASE_VARIANTS.get(label, [{"index": n} for n in (-1, -3, -6)]):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", PolePointWarning)
+                        f = construct_case(label, k, d, **kw)
+                    forms = [f, form_from_json(form_to_json(f)), f * ONE_PLUS_PI]
+                    if k in previous:
+                        forms.append(f + previous[k])
+                    previous[k] = f
+                    on_chains += sum(_assert_paths_agree(g) for g in forms)
+    # IIb's family vanishes at its base point; IIIb's L column below r = 0
+    # is the tabled (E, 0, 1)
+    assert (on_chains == 0) == (label == "IIb" or (label, poles) == ("IIIb", "default"))
+
+
+@pytest.mark.parametrize("w", [-4, -2, 0, 2])
+def test_a_pole_on_a_chain_column_takes_the_general_path(w):
+    # Ib at k = -2 lies on the chain (4, P[-1], -6, 1, 1), columns -1..4
+    # at weights -8..2; a residue there sends it to the general path, which
+    # warns as it did
+    f = construct_case("Ib", -2, 3)
+    assert _assert_paths_agree(f)
+    with using_poles(_chain_pole(w)):
+        assert not _assert_paths_agree(f)
+        assert _outcome(classify_bk, f)[1]
+    # a pole that only a pending power's unfolding steps onto: the chain's
+    # columns -1..1 are at weights -2..2
+    g = form_of(PolyAtom(0, 0), SpectralAtom(P1, 6, Fraction(1), 1, ("L", 3)))
+    assert _assert_paths_agree(g)
+    with using_poles(_chain_pole(4)):
+        assert not _assert_paths_agree(g)
+        assert _outcome(classify_bk, g)[1]
+
+
+def test_chain_path_refuses_a_zero_expansion_and_a_non_polyharmonic_form():
+    # L E^(0)_{4,0} unfolds to zero (its step's x is the point 0), and so
+    # does a form less itself, on the chain path
+    lowered = form_of(PolyAtom(0, 0), SpectralAtom(Family(EISENSTEIN), 4, Fraction(0), 0,
+                                                   ("L", 1)))
+    f = construct_case("Ia", -2, 2)
+    for zero in (lowered, f - f, lowered + zero_form(2)):
+        assert _assert_paths_agree(zero)
+        assert exact_depth(zero) == 0
+        assert _outcome(classify_bk, zero)[0] == "DomainError: cannot classify the zero form"
+    # eigenforms: the chain tower does not vanish, and the general path
+    # names the size of the Delta-closure (L^2 E_{4,-1} is at the tabled pole)
+    for e, atom, poles in ((PolyAtom(2, 1), atom_E(4, -1), "empty"),
+                           (E00, atom_E(0, 2), "default"), (PolyAtom(2, 1), atom_P(2, -1, 3, 1),
+                                                            "default")):
+        with using_poles(POLE_TABLES[poles]):
+            g = form_of(e, atom) * ONE_PLUS_PI
+            assert _assert_paths_agree(g)
+            assert _outcome(exact_depth, g)[0].endswith("not polyharmonic")
+
+
+def test_chain_path_builds_no_form_atom_or_closure(monkeypatch):
+    forms = [construct_case(*shape) for shape in (("Ia", -3, 4), ("Id", -1, 3), ("IIa", 1, 3),
+                                                  ("IIIa", 3, 2), ("IIId", 4, 2))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the general path ran")
+    for name in ("_Atoms", "Form", "SpectralAtom"):
+        monkeypatch.setattr(symcalc, name, refuse)
+    monkeypatch.setattr(classify, "_laplace_tower", refuse)
+    for f, (label, k, d) in zip(forms, (("Ia", -3, 4), ("Id", -1, 3), ("IIa", 1, 3),
+                                         ("IIIa", 3, 2), ("IIId", 4, 2))):
+        assert classify_bk(f) == CaseLabel(label, d, WeightContext(k))
+        assert exact_depth(f) == d
+
+
+def test_delta_layers_is_shared():
+    # the classify verb imports symcalc, not specsolve
+    assert specsolve._delta_layers is symcalc._delta_layers is classify._delta_layers

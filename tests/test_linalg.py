@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymaass
+from polymaass import linalg
 from polymaass.linalg import IntMat, Mat, kernel, mat_mul, mat_vec, rref, solve_linear
 from polymaass.scalars import DomainError
 
@@ -319,6 +320,29 @@ def test_int_mat_power_edge_cases():
     assert nil.power(2) == IntMat.from_dense([[0, 0, 2], [0, 0, 0], [0, 0, 0]])
     d = 4 * 2 ** 15
     assert IntMat.from_dense([[Fraction(1, d)]]).power(9) == IntMat([[(0, 1)]], d ** 9, 1)
+
+
+def test_int_mat_power_and_nilpotency_start_from_the_matrix(monkeypatch):
+    # M^e takes e - 1 products and M^0 none; the nilpotency check takes one
+    # product per power after M and none past M^n
+    products, int_mul = [], linalg._int_mul
+    monkeypatch.setattr(linalg, "_int_mul", lambda *a: products.append(1) or int_mul(*a))
+    m = [[2, 1, 0], [0, 3, Fraction(1, 2)], [1, 0, 0]]
+    v = IntMat.from_dense(m)
+    for e in range(6):
+        want = IntMat.from_dense(repeated_product(m, e), 3)
+        products.clear()
+        assert v.power(e) == want
+        assert len(products) == max(e - 1, 0)
+    once = v.power(1)
+    once.rows[0].append((2, 7))
+    assert once.rows is not v.rows and v == IntMat.from_dense(m)
+    nil = IntMat.from_dense([[0, 1, 5], [0, 0, 2], [0, 0, 0]])
+    for mat, degree, count in ((nil, 3, 2), (v, None, 2), (IntMat.from_dense(zeros(2, 2)), 1, 0),
+                               (IntMat([], 1, 0), 0, 0)):
+        products.clear()
+        assert mat.nilpotency_degree() == degree
+        assert len(products) == count
 
 
 def entry_product(a: Mat, b: Mat, cols: int) -> Mat:

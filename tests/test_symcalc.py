@@ -213,6 +213,27 @@ def test_json_round_trip():
     assert form_from_json(form_to_json(f)) == f
 
 
+def test_json_reader_shares_one_family_per_value():
+    import pickle
+    n3, n5 = Family(POINCARE, index=-3), Family(POINCARE, index=-5)
+    f = (form_of(PolyAtom(2, 0), SpectralAtom(n3, 0, Fraction(1), 1), Fraction(2, 3))
+         + form_of(PolyAtom(2, 1), SpectralAtom(n3, 6, Fraction(1), 0, ("L", 2)))
+         + form_of(PolyAtom(2, 2), SpectralAtom(n5, 4, Fraction(1), 0))
+         + form_of(PolyAtom(2, 2), SpectralAtom(n3, 4, Fraction(1), 2)))
+    data = form_to_json(f)
+    g = form_from_json(data)
+    families = [a.family for (_e, a), _c in g.terms]
+    assert len(families) == 4 and len({id(x) for x in families}) == 2
+    assert sum(x is families[0] for x in families) == 3
+    # one call's sharing shows in no comparison, hash, pickle or JSON
+    h = form_from_json(data)
+    assert all(x is not y for x, y in zip(families, (a.family for (_e, a), _c in h.terms)))
+    assert g == f == h and hash(g) == hash(f) == hash(h)
+    again = pickle.loads(pickle.dumps(g))
+    assert again == f and hash(again) == hash(f)
+    assert form_to_json(g) == form_to_json(again) == data
+
+
 def test_json_rejects_identically_zero_atom():
     # the incoherent weight-1 family vanishes at point 0, as atom_incoherent knows
     f = form_of(PolyAtom(0, 0), atom_incoherent(3, 0))
