@@ -29,7 +29,7 @@ from .linalg import IntMat, Vec, _eliminate, kernel, mat_mul, mat_vec, rref, sol
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, _Atoms, _chain_bands, _delta_layers, _laplace_rows,
+                      SpectralAtom, _Atoms, _Columns, _chain_bands, _delta_layers, _laplace_rows,
                       apply_flip, apply_power, atom_incoherent, form_of)
 
 
@@ -666,10 +666,10 @@ def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:
         raise DomainError("chain defined for weights k <= 0")
     if index >= 0:
         raise DomainError("Poincare index must be negative (principal part)")
-    m, fam, one = 2 - k, Family(POINCARE, index=index), Fraction(1)
+    m, fam, one, columns = 2 - k, Family(POINCARE, index=index), Fraction(1), _Columns()
     grid = [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d + 1) if (r, t) != (m, 0)]
     keys = [(PolyAtom(m, r), SpectralAtom(fam, 2 - 2 * (m - r), one, t)) for r, t in grid]
-    if not all(_Atoms().column(fam, w, 1, 1)[1] for w in range(-2 * m, 3, 2)):
+    if not all(columns[fam, w, 1, 1][1] for w in range(-2 * m, 3, 2)):
         return delta_preimage_on_span(form_of(*keys[0]), keys[1:], d)
     pos = [t * (m + 1) + r for r, t in grid]
     den, x = _layered_preimage(_poincare_blocks(m), d, [0] * m + [1], pos)

@@ -202,8 +202,13 @@ CONST_ATOM = SpectralAtom(CONST_FAMILY, 0, Fraction(0), 0)
 
 
 def vanishing_order(family: Family, weight: int, point: Fraction) -> int:
-    """Known order of vanishing of the family member at the point."""
-    if family.kind == INCOHERENT and weight == 1 and point == 0:
+    """Known order of vanishing of the family member at the point.  The
+    incoherent family vanishes at its base point (1, 0), and so at
+    (1 + 2j, -j) for every j >= 0: R Phi_1(s) = (s + 1) Phi_3(s - 1) vanishes
+    at s = 0 with Phi_1, and s + 1 does not, so Phi_3 vanishes at -1; in
+    general R Phi_{1+2j}(s) = (s + 1 + 2j) Phi_{3+2j}(s - 1), whose factor
+    is j + 1 != 0 at s = -j."""
+    if family.kind == INCOHERENT and weight % 2 and weight >= 1 and 2 * point == 1 - weight:
         return 1
     return 0
 
@@ -435,10 +440,18 @@ def _step_rule(fam: Family, w: int, P: int, Q: int, direction: str) -> tuple:
     return w + 2, P, 1, Q, 4 * n * Q, 2 * n * (2 * P + w * Q)
 
 
-def _plain(fam: Family, w: int, p: Fraction) -> bool:
-    """Whether the family member of weight w at the point p has no
-    pole-table entry and no vanishing order."""
-    return (fam, w, p) not in _POLES.get() and not vanishing_order(fam, w, p)
+class _Columns(dict):
+    """The columns of one call, (family, w, P, Q) -> (P/Q, plain), for the
+    family member of weight w at the point P/Q (in lowest terms): plain when
+    it has no pole-table entry and no vanishing order, so a step onto it
+    warns of nothing, adds no residue and drops no atom.  The one place a
+    column is tested for either."""
+
+    def __missing__(self, key):
+        fam, w, P, Q = key
+        p = Fraction(P, Q)
+        self[key] = out = p, (fam, w, p) not in _POLES.get() and not vanishing_order(fam, w, p)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +508,11 @@ def _chain_layers(f: Form, low: int, high: int) -> Optional[dict]:
     """f as {(chain, pi class): layers}: layer j of a set holds its
     coefficients of Psi_{r,T-j}, r = 0..m, over one positive den for f, and
     no set is all zero; the pi class is the pi exponent, less r on a
-    Poincare chain.  A
-    pending OP^p unfolds as prod (x_i + u_i S)/den_i of its steps, cut at
-    degree t.  None when an atom is constant, or a step of an unfolding or
-    a chain's column -low..m+high is not _plain."""
-    chains, tops, entries = set(), {}, []
+    Poincare chain.  A pending OP^p unfolds as prod (x_i + u_i S)/den_i of
+    its steps, cut at degree t.  None when an atom is constant, or a step of
+    an unfolding or a chain's column -low..m+high is not plain in the call's
+    _Columns."""
+    chains, tops, entries, columns = set(), {}, [], _Columns()
     for (e, a), c in f.terms:
         fam, w, P, Q, t = a.family, a.weight, a.point.numerator, a.point.denominator, a.laurent
         if fam.kind == CONSTANT:
@@ -507,14 +520,14 @@ def _chain_layers(f: Form, low: int, high: int) -> Optional[dict]:
         E, r, poly, den, s = fam.is_eisenstein_like(), e.r, [factorial(t)], 1, 0
         for _ in range(a.pending[1] if a.pending else 0):
             w, P, s2, d, u, x = _step_rule(fam, w, P, Q, a.pending[0])
-            if not _plain(fam, w, Fraction(P, Q)):
+            if not columns[fam, w, P, Q][1]:
                 return None
             poly = [x * y + u * z for y, z in zip(poly + [0], [0] + poly)][:t + 1]
             den, s = den * d, s + s2
         m, w0, P0 = e.m, w - 2 * r, P + r * Q if E else P
         chain = (m, fam, w0, P0, Q)
         if chain not in chains and not all(
-                _plain(fam, w0 + 2 * i, Fraction(P0 - i * Q if E else P0, Q))
+                columns[fam, w0 + 2 * i, P0 - i * Q if E else P0, Q][1]
                 for i in range(-low, m + high + 1)):
             return None
         chains.add(chain)
@@ -545,22 +558,12 @@ class _Atoms:
     pending powers on keys (m, r, atom id).  An expanded atom is interned
     under its integer coordinates (family, weight, P, Q, t) at the point
     P/Q, and a step builds its atoms from them without the checked
-    constructor.  Spectral steps are cached by (atom id, direction) for the
-    call: it warns once per distinct step onto a pole."""
+    constructor; its columns are the call's _Columns.  Spectral steps are
+    cached by (atom id, direction) for the call: it warns once per distinct
+    step onto a pole."""
 
     def __init__(self):
-        self.ids, self.atoms, self.steps, self.columns = {}, [], {}, {}
-
-    def column(self, fam: Family, w: int, P: int, Q: int) -> Tuple[Fraction, bool]:
-        """The point P/Q (in lowest terms) of the family member of weight w,
-        and whether the member is plain there: it has no pole-table entry and
-        no vanishing order, so a step onto it warns of nothing, adds no
-        residue and drops no atom."""
-        key = (fam, w, P, Q)
-        if key not in self.columns:
-            p = Fraction(P, Q)
-            self.columns[key] = p, _plain(fam, w, p)
-        return self.columns[key]
+        self.ids, self.atoms, self.steps, self.columns = {}, [], {}, _Columns()
 
     def id(self, a: SpectralAtom) -> int:
         key = a if a.pending is not None else \
@@ -576,7 +579,7 @@ class _Atoms:
         coordinates come from a step of a checked atom."""
         i = self.ids.setdefault((fam, w, P, Q, t), len(self.atoms))
         if i == len(self.atoms):
-            self.atoms.append(SpectralAtom._make(fam, w, self.column(fam, w, P, Q)[0], t))
+            self.atoms.append(SpectralAtom._make(fam, w, self.columns[fam, w, P, Q][0], t))
         return i
 
     def _step(self, a: SpectralAtom, op: str) -> Tuple[int, list]:
@@ -589,7 +592,7 @@ class _Atoms:
             return 1, []
         P, Q = a.point.numerator, a.point.denominator
         w2, P2, s, den, u, x = _step_rule(fam, a.weight, P, Q, op)
-        p2, plain = self.column(fam, w2, P2, Q)
+        p2, plain = self.columns[fam, w2, P2, Q]
         # off a plain column, _mk_atom warns at a tabled point and drops an
         # atom below the vanishing order
         terms = [((0, self.at(fam, w2, P2, Q, order), s), c)
@@ -613,14 +616,10 @@ class _Atoms:
         a pending atom in the same direction one more power, and one in the
         other direction is unfolded first.  OP^p S unfolds as p passes of OP
         over e_{0,0} (x) S, which has no L or R image, so a residue picked
-        up part-way gets the remaining passes.  D is -R of the image of L:
-        read off atom i's own column in one pass (_delta) when the atom is
-        expanded and not constant and neither its column nor that of its L
-        step has a pole-table entry or a vanishing order, else composed by
-        _then."""
+        up part-way gets the remaining passes.  D is -R of the image of L,
+        composed by _then."""
         if op == "D":
-            img = self._delta(m, r, i)
-            return img if img is not None else self._then(self.image(m, r, i, "L"), m, "R", -1)
+            return self._then(self.image(m, r, i, "L"), m, "R", -1)
         a = self.atoms[i]
         if a.pending is not None and a.pending[0] != op:
             d, p = a.pending
@@ -644,42 +643,6 @@ class _Atoms:
         elif op == "R" and r:
             terms = [((r - 1, i, 0), den)] + terms
         return den, terms
-
-    def _delta(self, m: int, r: int, i: int) -> Optional[Tuple[int, list]]:
-        """Delta of the key (m, r, i) in one pass, or None when _then must
-        compose it (see image).  The terms come in the order _then(image L,
-        m, R, -1) gives: R of L's polynomial term, then for each term b of
-        L's spectral part (order t_b = t, t-1 on the L column) R's
-        polynomial term and the spectral terms of R b, which land on atom
-        i's own column at orders t_b and t_b-1.  Those take the shift s + s2
-        = 0 of R's polynomial term (r, i), and the other keys differ from
-        them in r, so no key holds two shifts out of order."""
-        a = self.atoms[i]
-        fam, w, p, t = a.family, a.weight, a.point, a.laurent
-        if a.pending is not None or fam.kind == CONSTANT:
-            return None
-        P, Q = p.numerator, p.denominator
-        w2, P2, s, den, u, x = _step_rule(fam, w, P, Q, "L")
-        if not (self.column(fam, w, P, Q)[1] and self.column(fam, w2, P2, Q)[1]):
-            return None
-        _w, _P, s2, d_b, u2, x2 = _step_rule(fam, w2, P2, Q, "R")
-        c, d_a, img = (r + 1) * (m - r), 1, ()
-        if c:
-            d_a, img = self.image(m, r + 1, i, "R")
-        bs = [(y, tb) for y, tb in ((x, t), (t * u, t - 1)) if y]
-        d_op = lcm(d_a, d_b if bs else 1)
-        f = -c * den * (d_op // d_a)
-        acc = {key: f * y for key, y in img}
-        for y, tb in bs:
-            f = -y * (d_op // d_b)
-            if r:
-                key = (r - 1, self.at(fam, w2, P2, Q, tb), s)
-                acc[key] = acc.get(key, 0) + f * d_b
-            for z, o in ((x2, tb), (tb * u2, tb - 1)):
-                if z:
-                    key = (r, i if o == t else self.at(fam, w, P, Q, o), s + s2)
-                    acc[key] = acc.get(key, 0) + f * z
-        return den * d_op, [(key, x) for key, x in acc.items() if x]
 
     def _then(self, img: Tuple[int, list], m: int, op: str, sign: int = 1) -> Tuple[int, list]:
         """sign * op on each term of the image img at polynomial degree m,
@@ -763,12 +726,10 @@ def _laplace_rows(seeds) -> Tuple[list, List[List[Tuple[int, int, int]]], int]:
     one (j, s, x) per term q pi^s of the coefficient of pool[j], in the
     order of _Atoms.image, which fixes the basis order of
     delta_matrix_on_span, with x = q * den; den > 0 is the lcm of every q's
-    denominator.  The work runs on keys (m, r, atom id); a key off the pole
-    table and vanishing orders takes Delta in one pass on its own column,
-    any other key -R of its L image, in the same order.  The closure is
-    finite: Delta keeps the polynomial degree, hence the spectral weight
-    bounded; the point moves with it, Laurent indices never rise, and
-    residues add only tabled atoms."""
+    denominator.  The work runs on keys (m, r, atom id), each taking Delta
+    as -R of its L image.  The closure is finite: Delta keeps the
+    polynomial degree, hence the spectral weight bounded; the point moves
+    with it, Laurent indices never rise, and residues add only tabled atoms."""
     atoms = _Atoms()
     pool = list(dict.fromkeys((e.m, e.r, atoms.id(a)) for e, a in seeds))
     index = {key: j for j, key in enumerate(pool)}

@@ -95,6 +95,27 @@ def test_classify_rejects_non_polyharmonic_form(capsys, tmp_path):
     assert err.strip().endswith("not polyharmonic")
 
 
+def test_raising_the_incoherent_seed_drops_the_atom_where_the_family_vanishes(
+        capsys, monkeypatch):
+    # R E-^(0) at the base point is 1 * E-^(0) at (3, -1) plus 1 * the order-0
+    # atom there, which is zero: the family vanishes up its R chain
+    code, out, _ = run(capsys, "construct", "--case", "IIb", "--k=1", "--d=0", "--json")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "apply", "--op", "raising", "--in", "-")
+    assert (code, out.strip()) == (0, "E-^(0)_{D=3}")
+
+
+def test_classify_refuses_an_incoherent_atom_below_its_vanishing_order(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    data = {"weight": 3, "terms": [{"poly": {"m": 0, "r": 0}, "spectral": {
+        "family": {"kind": "incoherent", "disc": 3}, "weight": 3, "point": "-1",
+        "laurent": 0, "pending": None}, "coeff": [{"pi_exp": 0, "num": "1", "den": "1"}]}]}
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "classify", "--in", str(path))
+    assert (code, out, err.strip()) == (2, "", "error: atom is identically zero")
+
+
 def test_classify_has_no_depth_bound_option(capsys, tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(form_to_json(construct_case("Ia", -2, 1))))

@@ -304,6 +304,26 @@ def test_laplace_is_minus_raising_after_lowering(table, f, s):
             _assert_well_formed(g, k)
 
 
+INCOHERENT_3 = Family(INCOHERENT, disc=3)
+
+
+@pytest.mark.parametrize("table", ["default", "empty"])
+@settings(deadline=None, max_examples=200)
+@given(f=forms())
+# the incoherent family vanishes up its R chain, at (3, -1) and (5, -2): R L
+# of an order-1 atom there meets the order-0 atom, which is zero
+@example(f=form_of(E00, SpectralAtom(INCOHERENT_3, 3, Fraction(-1), 1)))
+@example(f=form_of(E00, SpectralAtom(Family(INCOHERENT, disc=4), 3, Fraction(-1), 1)))
+@example(f=form_of(PolyAtom(1, 1), SpectralAtom(INCOHERENT_3, 5, Fraction(-2), 1)))
+@example(f=form_of(PolyAtom(2, 0), SpectralAtom(INCOHERENT_3, 1, Fraction(0), 1, ("R", 1))))
+def test_sl2_relation(table, f):
+    """L R f - R L f = -w f and Delta f = -R L f on a form f of weight w."""
+    with using_poles(TABLES[table]):
+        rl = apply_raising(apply_lowering(f))
+        assert forms_equal(apply_lowering(apply_raising(f)) - rl, f * -f.weight)
+        assert forms_equal(apply_laplace(f), -rl)
+
+
 def test_pole_table_rejects_pending_residues():
     """The "rich" table before residues had to be expanded, verbatim: with
     it, expand_pending(L E_{2,0}) kept the pending atom L E_{2,-1}."""
@@ -413,9 +433,9 @@ CLOSURE_TABLES = {
                 (E00, SpectralAtom(Family(INCOHERENT, disc=3), 1, Fraction(0), 1)),
                 (E00, SpectralAtom(POINCARE_1, 4, Fraction(0), 1, ("L", 1)))],
          coeff=ONE)
-# Delta is composed by _then, not read off the key's own column, when L steps
-# onto the tabled (E, 0, 1), when the key's own column is tabled, and when L
-# steps onto the column where the incoherent family vanishes
+# Delta = -R L meets a pole-table entry or a vanishing order: L steps onto the
+# tabled (E, 0, 1), the key's own column is tabled, and the incoherent family
+# vanishes on the key's column and on that of its L step
 @example(seeds=[(PolyAtom(2, 1), SpectralAtom(EIS, 2, Fraction(0), 1)),
                 (PolyAtom(1, 0), SpectralAtom(EIS, 2, Fraction(0), 2))],
          coeff=ONE)
