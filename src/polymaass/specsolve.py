@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm, prod
+from math import factorial, gcd, isqrt, lcm, perm, prod
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
@@ -29,8 +29,8 @@ from .linalg import IntMat, Vec, _eliminate, kernel, mat_mul, mat_vec, rref, sol
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, _Atoms, _Columns, _chain_bands, _delta_layers, _laplace_rows,
-                      apply_flip, apply_power, atom_incoherent, form_of)
+                      SpectralAtom, _Atoms, _Columns, _chain_bands, _chain_form, _delta_layers,
+                      _laplace_rows, apply_flip, apply_power, atom_incoherent, form_of)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,7 @@ def emit_form(gv: GradedVector, fam: SpectralFamily) -> Form:
             power = (m - r) if gv.branch == "L" else r
             pending = (gv.branch, power) if power > 0 else None
             atom = SpectralAtom(fam.family, fam.weight, fam.point, order, pending)
-            if pending is not None and not atoms.image(0, 0, atoms.id(atom), "E")[1]:
+            if pending is not None and atoms.drops(atom):
                 continue
             q = coeff / factorial(order) * (fam.orientation ** order)
             terms[(PolyAtom(m, r), atom)] = Scalar.from_rational(q)
@@ -664,18 +664,50 @@ def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:
         raise DomainError("depth must be nonnegative")
     if k > 0:
         raise DomainError("chain defined for weights k <= 0")
+    return _poincare_case("Ib", k, d, index)
+
+
+def _poincare_case(label: str, k: int, d: int, index: int) -> Form:
+    """Ib, its flip Ic = mirror(R^{-k} Ib) / (-k)!, and the raisings IIIc =
+    R^{k-1} Ic and IIId = R^{k-1} Ib of weight 2 - k, depth d + 1 or d, from
+    the Ib chain's integer layers: on (m, P[n], 2 - 2m, 1, 1), pi class -m,
+    layer d - t holds x[pos] N^r over den N^m, N = 4 |n|.  R is a band pass
+    (den Q = 1, class + 1); the mirror takes column r of (m, P[n], -2, 1, 1)
+    to m - r of (m, P[-n], 2 - 2m, 1, 1), class -m, times (-1)^(m+1)
+    (m-r)!/r! N^-w, w = 2r - 2.  When a column that the chain, an R pass or
+    the mirror visits is not plain, Ib is solved on its span and the others
+    are composed of Forms (apply_flip, apply_power), warnings included."""
     if index >= 0:
         raise DomainError("Poincare index must be negative (principal part)")
-    m, fam, one, columns = 2 - k, Family(POINCARE, index=index), Fraction(1), _Columns()
-    grid = [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d + 1) if (r, t) != (m, 0)]
-    keys = [(PolyAtom(m, r), SpectralAtom(fam, 2 - 2 * (m - r), one, t)) for r, t in grid]
-    if not all(columns[fam, w, 1, 1][1] for w in range(-2 * m, 3, 2)):
-        return delta_preimage_on_span(form_of(*keys[0]), keys[1:], d)
-    pos = [t * (m + 1) + r for r, t in grid]
-    den, x = _layered_preimage(_poincare_blocks(m), d, [0] * m + [1], pos)
-    N = 4 * abs(index)
-    return Form(k, {key: Scalar.pi_power(r - m, Fraction(x[p], den * factorial(t) * N ** (m - r)))
-                    for key, (r, t), p in zip(keys, grid, pos) if x[p]})
+    k0, d0 = (k, d) if label in ("Ib", "Ic") else (2 - k, d + (label == "IIIc"))
+    m, flip, fam = 2 - k0, label in ("Ic", "IIIc"), Family(POINCARE, index=index)
+    p = m - 2 if flip else k - 1 if label == "IIId" else 0   # R passes before the mirror
+    q = k - 1 if label == "IIIc" else 0                       # and after it
+    grid = [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d0 + 1) if (r, t) != (m, 0)]
+    columns, mirrored = _Columns(), Family(POINCARE, index=-index)
+    spans = [(fam, -2 * m, 2 + 2 * p)] + [(mirrored, 2 - 2 * m, 2 + 2 * q)] * flip
+    if not all(columns[f, w, 1, 1][1] for f, lo, hi in spans for w in range(lo, hi + 1, 2)):
+        if label == "Ib":
+            keys = [(PolyAtom(m, r), SpectralAtom(fam, 2 + 2 * r - 2 * m, 1, t)) for r, t in grid]
+            return delta_preimage_on_span(form_of(*keys[0]), keys[1:], d)
+        if label == "Ic":
+            return apply_flip(_poincare_case("Ib", k, d, index))
+        return apply_power(_poincare_case("Ic" if flip else "Ib", k0, d0, index), "R", k - 1)
+    den, x = _layered_preimage(_poincare_blocks(m), d0, [0] * m + [1],
+                               [t * (m + 1) + r for r, t in grid])
+    N, I = 4 * abs(index), range(m + 1)
+    chain, cls, den = (m, fam, 2 - 2 * m, 1, 1), -m, den * N ** m
+    layers = [[x[t * (m + 1) + r] * N ** r for r in I] for t in range(d0, -1, -1)]
+    for passes, mirror in ((p, flip), (q, False)):
+        for _ in range(passes):
+            diags, chain = _chain_bands(chain, "R")
+            layers, cls = _delta_layers(diags, layers), cls + 1
+        if mirror:
+            f = [(-1) ** (m + 1) * factorial(r) * perm(m, r) * N ** (2 * r) for r in I]
+            layers = [[u[m - r] * f[r] for r in I] for u in layers]
+            chain, cls = (m, mirrored, 2 - 2 * m, 1, 1), -m
+            den *= factorial(m) * N ** (2 * m - 2) * factorial(m - 2)
+    return _chain_form({(chain, cls): layers}, den, k, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +747,8 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
         anchor = (poincare_family(0, index, Fraction(0)) if family == "poincare"
                   else eisenstein_family(0, Fraction(0)))
         return emit_form(solve_wd(0, -k, "L", d), anchor)
-    if label == "Ib":
-        return poincare_weakly_holomorphic_chain(k, d, index)
-    if label == "Ic":
-        return apply_flip(poincare_weakly_holomorphic_chain(k, d, index))
+    if label in ("Ib", "Ic", "IIIc"):
+        return _poincare_case(label, k, d, index)
     if label == "Id":
         anchor = (poincare_family(k - 2, index, 1 - Fraction(k - 2, 2), orientation=-1)
                   if family == "poincare" else
@@ -734,9 +764,7 @@ def construct_case(label: str, k: int, d: int, index: int = -1, disc: int = 3,
                            "R", k - 1)
     if label == "IIIb":
         return emit_form(solve_wd(2, k - 2, "R", d), eisenstein_family(2, Fraction(0)))
-    if label == "IIIc":
-        return apply_power(construct_case("Ic", 2 - k, d + 1, index=index), "R", k - 1)
     # IIId
     if d < 1:
         raise DomainError("case IIId requires depth d >= 1")
-    return apply_power(construct_case("Ib", 2 - k, d, index=index), "R", k - 1)
+    return _poincare_case("IIId", k, d, index)

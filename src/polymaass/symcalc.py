@@ -482,11 +482,11 @@ def _chain_bands(chain: tuple, op: str) -> Tuple[list, tuple]:
     the L rule at r and the R rules at r and at the L column r - 1."""
     m, fam, w0, P0, Q = chain
     E = fam.is_eisenstein_like()
-    rules = {(r, op2): _step_rule(fam, w0 + 2 * r, P0 - r * Q if E else P0, Q, op2)[3:]
-             for r in range(-1, m + 1) for op2 in "LR"}
+    rules = {op2: list(zip(*(_step_rule(fam, w0 + 2 * r, P0 - r * Q if E else P0, Q, op2)[3:]
+                             for r in range(-1, m + 1)))) for op2 in op.replace("D", "LR")}
     I, c = range(m + 1), [(r + 1) * (m - r) for r in range(m)] + [0]
-    (dL, *_), uL, xL = zip(*(rules[r, "L"] for r in I))
-    (dR, *_), uR, xR = zip(*(rules[r, "R"] for r in range(-1, m + 1)))   # column r at r + 1
+    (dL, *_), (_, *uL), (_, *xL) = rules.get("L", [[0]] * 3)   # from column 0
+    (dR, *_), uR, xR = rules.get("R", [[0]] * 3)   # column r at r + 1
     if op == "L":
         bands = [[(-1, [0] + [x * dL for x in c[:m]]), (0, xL)], [(0, uL)]]
     elif op == "R":
@@ -511,7 +511,7 @@ def _chain_layers(f: Form, low: int, high: int) -> Optional[dict]:
     Poincare chain.  A pending OP^p unfolds as prod (x_i + u_i S)/den_i of
     its steps, cut at degree t.  None when an atom is constant, or a step of
     an unfolding or a chain's column -low..m+high is not plain in the call's
-    _Columns."""
+    _Columns.  _chain_form writes such sets back."""
     chains, tops, entries, columns = set(), {}, [], _Columns()
     for (e, a), c in f.terms:
         fam, w, P, Q, t = a.family, a.weight, a.point.numerator, a.point.denominator, a.laurent
@@ -542,6 +542,22 @@ def _chain_layers(f: Form, low: int, high: int) -> Optional[dict]:
             sets[key] = [[0] * (key[0][0] + 1) for _ in range(tops[key] + 1)]
         sets[key][tops[key] - t][r] += x * (den // d)
     return {key: v for key, v in sets.items() if any(map(any, v))}
+
+
+def _chain_form(sets: dict, den: int, weight: int, grid) -> Form:
+    """The inverse of _chain_layers: the Form of the given weight whose
+    chain sets are sets, over the positive den, with the terms of each set
+    in the order of the (r, t) of grid.  A key's pi exponent is its class,
+    plus r on a Poincare chain.  The chains' columns must be plain."""
+    acc = {}
+    for ((m, fam, w0, P0, Q), cls), layers in sets.items():
+        E = fam.is_eisenstein_like()
+        for r, t in grid:
+            if x := layers[len(layers) - 1 - t][r]:
+                a = SpectralAtom._make(fam, w0 + 2 * r, Fraction(P0 - r * Q if E else P0, Q), t)
+                acc.setdefault((PolyAtom(m, r), a), []).append(
+                    (cls + (0 if E else r), Fraction(x, den * factorial(t))))
+    return Form._make(weight, {key: Scalar._make(tuple(sorted(c))) for key, c in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +597,21 @@ class _Atoms:
         if i == len(self.atoms):
             self.atoms.append(SpectralAtom._make(fam, w, self.columns[fam, w, P, Q][0], t))
         return i
+
+    def drops(self, a: SpectralAtom) -> bool:
+        """Whether the pending atom a, of a family that is not constant,
+        unfolds to zero.  On plain columns OP^p Phi^(t) is prod (x_i + u_i S)
+        over its steps' den, cut at degree t, with no u_i = 0: zero exactly
+        when more than t steps have x_i = 0.  From the first column that is
+        not plain, image decides."""
+        fam, w, P, Q = a.family, a.weight, a.point.numerator, a.point.denominator
+        zeros = 0
+        for _ in range(a.pending[1]):
+            w, P, _s, _den, _u, x = _step_rule(fam, w, P, Q, a.pending[0])
+            if not self.columns[fam, w, P, Q][1]:
+                return not self.image(0, 0, self.id(a), "E")[1]
+            zeros += not x
+        return zeros > a.laurent
 
     def _step(self, a: SpectralAtom, op: str) -> Tuple[int, list]:
         """(L or R) a for an expanded atom a by the rules above, in integers:

@@ -3,23 +3,29 @@ bool, a float or a string where it takes an int or a rational, with
 DomainError, as apply_power does for a direction other than L and R; and
 every value that a constructor accepts comes back unchanged from its JSON."""
 
+import itertools
 import json
+import warnings
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polymaass import specsolve, symcalc
 from polymaass.numcheck import EvalConfig
 from polymaass.quiverrep import (CYCLIC, GELFAND, HCFragment, QuiverRep, build_cyclic_module,
                                  cyclic_module_dims, random_fragment)
 from polymaass.scalars import DomainError, Scalar
-from polymaass.specsolve import (GradedVector, WModel, construct_case, eisenstein_family,
+from polymaass.specsolve import (GradedVector, WModel, _layered_preimage, _poincare_blocks,
+                                 construct_case, delta_preimage_on_span, eisenstein_family,
                                  poincare_family, preimage_constant_weight, preimage_incoherent,
                                  solve_wd)
-from polymaass.symcalc import (CONST_ATOM, E00, EISENSTEIN, INCOHERENT, POINCARE, Family,
-                               Form, PolyAtom, SpectralAtom, apply_laplace, apply_power, atom_E,
-                               atom_incoherent, atom_P, form_from_json, form_of, form_to_json,
-                               vanishing_order)
+from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, INCOHERENT, POINCARE,
+                               Family, Form, PolyAtom, SpectralAtom, _Columns, apply_flip,
+                               apply_laplace, apply_power, atom_E, atom_incoherent, atom_P,
+                               form_from_json, form_of, form_to_json, pole_table, pretty,
+                               using_poles, vanishing_order)
 
 E = Family(EISENSTEIN)
 ONE = [[Fraction(1)]]
@@ -234,3 +240,84 @@ def test_quiver_rep_reads_alike_from_dense_rows_and_from_json(data):
     assert read.int_maps == dense.int_maps and read == dense
     assert json.dumps(read.to_json()) == json.dumps(dense.to_json())
     assert read.maps == dense.maps == {name: tuple(map(tuple, m)) for name, m in maps.items()}
+
+
+# ---------------------------------------------------------------------------
+# the Poincare cases on the Ib chain's integer layers
+
+
+def _poincare_case_by_forms(label, k, d, index):
+    """construct_case's Ib, Ic, IIIc and IIId composed of Forms: the Ib chain
+    written into a Form, apply_flip for Ic, apply_power for the raisings."""
+    if label == "IIIc":
+        return apply_power(_poincare_case_by_forms("Ic", 2 - k, d + 1, index), "R", k - 1)
+    if label == "IIId":
+        return apply_power(_poincare_case_by_forms("Ib", 2 - k, d, index), "R", k - 1)
+    if label == "Ic":
+        return apply_flip(_poincare_case_by_forms("Ib", k, d, index))
+    m, fam, one, columns = 2 - k, Family(POINCARE, index=index), Fraction(1), _Columns()
+    grid = [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d + 1) if (r, t) != (m, 0)]
+    keys = [(PolyAtom(m, r), SpectralAtom(fam, 2 - 2 * (m - r), one, t)) for r, t in grid]
+    if not all(columns[fam, w, 1, 1][1] for w in range(-2 * m, 3, 2)):
+        return delta_preimage_on_span(form_of(*keys[0]), keys[1:], d)
+    pos = [t * (m + 1) + r for r, t in grid]
+    den, x = _layered_preimage(_poincare_blocks(m), d, [0] * m + [1], pos)
+    N = 4 * abs(index)
+    return Form(k, {key: Scalar.pi_power(r - m, Fraction(x[p], den * factorial(t) * N ** (m - r)))
+                    for key, (r, t), p in zip(keys, grid, pos) if x[p]})
+
+
+def _built(build, *args):
+    """build(*args), its JSON, its display and the texts of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f = build(*args)
+    return f, json.dumps(form_to_json(f)), pretty(f), [str(c.message) for c in caught]
+
+
+def _p1_pole(index, w):
+    # a rational residue at (P[index], w, 1), of its own family at order 0
+    fam = Family(POINCARE, index=index)
+    return pole_table({(fam, w, Fraction(1)): form_of(E00, atom_P(w, index, 1), Fraction(3, 7))})
+
+
+POINCARE_CASE_KS = {"Ib": range(0, -6, -1), "Ic": range(0, -6, -1), "IIIc": range(2, 8),
+                    "IIId": range(2, 8)}
+
+
+def test_poincare_cases_on_layers_match_the_form_path():
+    for table in (DEFAULT_POLES, pole_table({})):
+        with using_poles(table):
+            for label, ks in POINCARE_CASE_KS.items():
+                for k, d, index in itertools.product(ks, range(label == "IIId", 7),
+                                                     (-1, -2, -3, -6)):
+                    got = _built(construct_case, label, k, d, index)
+                    want = _built(_poincare_case_by_forms, label, k, d, index)
+                    assert got == want, (label, k, d, index)
+                    if label == "Ib":   # in the order of the span's pool
+                        assert list(got[0].terms) == list(want[0].terms)
+    # a pole that only the R passes of Ic at k = -2, d = 3 visit (its chain's
+    # columns are at weights -8..2 and its R passes reach 6), and one that
+    # only its mirror visits (at weights -6..2 of P[1]): the Forms are
+    # composed, with the output of no pole and one warning text
+    plain = _built(construct_case, "Ic", -2, 3, -1)
+    for table in (_p1_pole(-1, 4), _p1_pole(1, -4)):
+        with using_poles(table):
+            got = _built(construct_case, "Ic", -2, 3, -1)
+            assert got == _built(_poincare_case_by_forms, "Ic", -2, 3, -1)
+            for label, k, d in (("Ib", -2, 3), ("IIIc", 4, 2), ("IIId", 4, 3)):
+                assert _built(construct_case, label, k, d, -1) == \
+                    _built(_poincare_case_by_forms, label, k, d, -1)
+        assert got[:3] == plain[:3] and len(set(got[3])) == 1 and got[3] and not plain[3]
+
+
+def test_poincare_cases_build_no_form_operator_or_atom_table(monkeypatch):
+    shapes = [("Ic", -3, 4), ("Ic", 0, 2), ("IIIc", 3, 3), ("IIId", 5, 2), ("Ib", -2, 3)]
+    want = [construct_case(label, k, d, index=-2) for label, k, d in shapes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Form operator ran")
+    for module, name in ((symcalc, "_apply"), (symcalc, "apply_mirror"), (symcalc, "_Atoms"),
+                         (specsolve, "_Atoms")):
+        monkeypatch.setattr(module, name, refuse)
+    assert [construct_case(label, k, d, index=-2) for label, k, d in shapes] == want

@@ -1,9 +1,14 @@
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polymaass import symcalc
 from polymaass.scalars import Scalar
-from polymaass.symcalc import (CONST_ATOM, POINCARE, DomainError, Family, Form, PolyAtom,
+from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, INCOHERENT, POINCARE,
+                               DomainError, Family, Form, PolePointWarning, PolyAtom, _Atoms,
+                               _step_rule, pole_table, using_poles,
                                apply_flip, apply_laplace, apply_lowering,
                                apply_mirror, apply_power, apply_raising,
                                atom_E, atom_P, atom_incoherent, expand_pending,
@@ -722,3 +727,48 @@ def test_expand_pending_through_pole_point():
     g_steps = apply_lowering(apply_lowering(form_of(PolyAtom(0, 0), atom_E(2, 0, 1))))
     assert g_pending == g_steps
     assert forms_equal(g_pending, form_of(PolyAtom(0, 0), atom_E(-2, 2, 0)))
+
+
+# --- the closed-form drop test of a pending atom ----------------------------
+
+@st.composite
+def pending_atoms(draw):
+    """A pending L^p or R^p, p <= 6, on an Eisenstein, Poincare or incoherent
+    atom of weight -6..6 and order t <= 4 at a point of denominator Q <= 3."""
+    kind = draw(st.sampled_from([EISENSTEIN, POINCARE, INCOHERENT]))
+    fam = Family(kind, index=draw(st.sampled_from([-3, -1, 1, 2])) if kind == POINCARE else None,
+                 disc=3 if kind == INCOHERENT else None)
+    point = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 3)))
+    return SpectralAtom(fam, draw(st.integers(-6, 6)), point, draw(st.integers(0, 4)),
+                        (draw(st.sampled_from("LR")), draw(st.integers(1, 6))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=pending_atoms(), table=st.sampled_from(["default", "empty", "unfold"]),
+       step=st.integers(1, 6))
+def test_drop_test_matches_the_unfolding(a, table, step):
+    # "unfold" tables a rational residue at the column of step min(step, p)
+    # of the unfolding, which image then decides from
+    if table == "unfold":
+        (op, p), fam, w, P, Q = a.pending, a.family, a.weight, a.point.numerator, \
+            a.point.denominator
+        for _ in range(min(step, p)):
+            w, P, *_ = _step_rule(fam, w, P, Q, op)
+        column = SpectralAtom(fam, w, Fraction(P, Q), 0)
+        poles = pole_table({(fam, w, column.point): form_of(E00, column, Fraction(3, 7))})
+    else:
+        poles = {"default": DEFAULT_POLES, "empty": pole_table({})}[table]
+    with using_poles(poles), warnings.catch_warnings():
+        warnings.simplefilter("ignore", PolePointWarning)
+        atoms = _Atoms()
+        assert _Atoms().drops(a) == (not atoms.image(0, 0, atoms.id(a), "E")[1])
+
+
+def test_chain_bands_computes_only_the_rules_of_its_directions(monkeypatch):
+    calls, rule = [], symcalc._step_rule
+    monkeypatch.setattr(symcalc, "_step_rule", lambda *args: calls.append(args[-1]) or rule(*args))
+    for chain in ((3, Family(EISENSTEIN), 0, 1, 2), (3, Family(POINCARE, index=-2), -4, 1, 1)):
+        for op, directions in (("L", "L"), ("R", "R"), ("D", "LR")):
+            calls.clear()
+            symcalc._chain_bands(chain, op)
+            assert sorted(calls) == sorted(directions * 5)   # columns -1..3
