@@ -2,13 +2,13 @@
 
 Each vanishing test asks whether the expanded form has no terms, relative
 to the formal independence model documented in symcalc.  The form is read
-once into integer layers on its spectral chains (symcalc._chain_layers):
+once into flat integer layers on its spectral chains (symcalc._chain_layers):
 Delta^j f is j passes of the chains' Delta bands, and L^a or R^a a passes of
-the bands that map a chain onto the next.  When an atom is constant, a step
-meets a pole-table entry or a vanishing order, or the tower does not vanish,
-the general path runs: Delta of each key of the expanded form's
-Delta-closure is read into sparse integer rows, and the L and R tests pass
-each level, an integer vector over (key, pi exponent), to symcalc._apply.
+the bands that map a chain onto the next, less the top orders that vanished.
+When an atom is constant, a step meets a pole-table entry or a vanishing
+order, or the tower does not vanish, the general path runs: Delta of each key
+of the expanded form's Delta-closure is read into sparse integer rows, and the
+L and R tests pass each level, an int vector over (key, pi exponent), to _apply.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from math import gcd, lcm
 from typing import Tuple
 
 from . import CYCLIC, GELFAND
-from .symcalc import (DomainError, Form, _apply, _chain_bands, _chain_layers, _delta_layers,
-                      _laplace_rows, expand_pending)
+from .symcalc import (DomainError, Form, _apply, _band_rows, _chain_bands, _chain_layers,
+                      _delta_layers, _laplace_rows, expand_pending)
 
 # the cyclic quiver module (quiver, generator type, case) of each label
 BK_TO_MODULE = {
@@ -116,14 +116,16 @@ def _tower(f: Form, low: int = 1, high: int = 0):
     sets, bands = _chain_layers(f, low, high), {}
 
     def apply(level: dict, op: str) -> dict:
+        """op on each set, less its image's leading zero layers."""
         out = {}
         for (chain, e), layers in level.items():
             if (chain, op) not in bands:
                 bands[chain, op] = _chain_bands(chain, op)
-            diags, image = bands[chain, op]
-            layers = _delta_layers(diags, layers)
-            if any(map(any, layers)):
-                out[image, e] = layers
+            (diags, image), n = bands[chain, op], chain[0] + 1
+            layers = _delta_layers(_band_rows(diags, n, len(layers) // n), layers)
+            if x := next(filter(None, layers), 0):
+                i = layers.index(x)
+                out[image, e] = layers[i - i % n:]
         return out
 
     def on_chains(level: dict, op: str, power: int) -> bool:
@@ -132,7 +134,7 @@ def _tower(f: Form, low: int = 1, high: int = 0):
         return not level
 
     if sets is not None:
-        levels, size = [sets], sum(len(v) * len(v[0]) for v in sets.values())
+        levels, size = [sets], sum(map(len, sets.values()))
         while levels[-1] and len(levels) <= size:
             levels.append(apply(levels[-1], "D"))
         if not levels[-1]:

@@ -8,7 +8,7 @@ constants like 3/pi stay exact.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -19,16 +19,17 @@ class DomainError(ValueError):
     """Raised when an operation's precondition is violated."""
 
 
-@contextmanager
-def malformed_json(what: str):
-    """Raise a parsing error inside the block as DomainError("malformed
+class malformed_json(AbstractContextManager):
+    """A block whose parsing errors are raised as DomainError("malformed
     <what>: ..."); a DomainError passes through unchanged."""
-    try:
-        yield
-    except DomainError:
-        raise
-    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as ex:
-        raise DomainError("malformed %s: %s" % (what, ex)) from None
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __exit__(self, kind, ex, _tb):
+        if kind and issubclass(kind, (ArithmeticError, AttributeError, LookupError, TypeError,
+                                      ValueError)) and not issubclass(kind, DomainError):
+            raise DomainError("malformed %s: %s" % (self.what, ex)) from None
 
 
 def json_int(x) -> int:

@@ -29,8 +29,9 @@ from .linalg import IntMat, Vec, _eliminate, kernel, mat_mul, mat_vec, rref, sol
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, _Atoms, _Columns, _chain_bands, _chain_form, _delta_layers,
-                      _laplace_rows, apply_flip, apply_power, atom_incoherent, form_of)
+                      SpectralAtom, _Atoms, _Columns, _band_rows, _chain_bands, _chain_form,
+                      _delta_layers, _laplace_rows, apply_flip, apply_power, atom_incoherent,
+                      form_of)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +290,15 @@ def _certify(diags, w: List[List[int]], nu: Fraction) -> None:
     T^{d+1} p(T)^d = mu_1^d T^d and p(T)^{d+1} = 0.  Where the solver runs,
     ker A = span(w0) and w0 is not in the image of A, so every w with both
     identities has such a p; else d + 1 passes name the one that fails."""
-    w0, d = w[0], len(w) - 1
+    w0, d, n = w[0], len(w) - 1, len(w[0])
     if not any(w0):
         raise AssertionError("iterative solution has w0 = 0")
-    v = _delta_layers(diags, w)
+    bands, flat = _band_rows(diags, n, d + 1), [x for u in w for x in u]
+    v = _delta_layers(bands, flat)
     r = next(i for i, x in enumerate(w0) if x)
     D, mus = 1, []   # mu_s = mus[s - 1] / D
     for t in range(1, d + 1):
-        rest = [D * y for y in v[t]]
+        rest = [D * y for y in v[t * n:(t + 1) * n]]
         for mu, u in zip(mus, w[t - 1:0:-1]):
             rest = [a - mu * z for a, z in zip(rest, u)]
         if any(a * w0[r] != b * rest[r] for a, b in zip(rest, w0)):
@@ -304,13 +306,13 @@ def _certify(diags, w: List[List[int]], nu: Fraction) -> None:
         q = w0[r] // gcd(rest[r], w0[r])
         D, mus = D * q, [mu * q for mu in mus] + [rest[r] * q // w0[r]]
     else:
-        if not any(v[0]) and nu == (Fraction(mus[0], D) ** d if mus else 1):
+        if not any(v[:n]) and nu == (Fraction(mus[0], D) ** d if mus else 1):
             return
     for _ in range(d):
-        w = _delta_layers(diags, w)
-    if w != [[0] * len(w0)] * d + [[nu * x for x in w0]]:
+        flat = _delta_layers(bands, flat)
+    if flat != [0] * (d * n) + [nu * x for x in w0]:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
-    if any(map(any, _delta_layers(diags, w))):
+    if any(_delta_layers(bands, flat)):
         raise AssertionError("iterative solution fails Delta^{d+1} w = 0")
 
 
@@ -640,11 +642,11 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
         f = X[at[pc]] * (L // row[pc])
         for j, v in row.items():
             x[at[j]] -= f * v
-    den = D0 * s * L
-    y = [x[t:t + E] for t in range(n - E, -1, -E)]   # layer d first
+    den, bands = D0 * s * L, _band_rows(blocks, E, d + 1)
+    y = [v for t in range(n - E, -1, -E) for v in x[t:t + E]]   # layer d first
     for _ in range(d):
-        y = _delta_layers(blocks, y)
-    if y != [[0] * E] * d + [[den * v for v in b0]]:
+        y = _delta_layers(bands, y)
+    if y != [0] * (d * E) + [den * v for v in b0]:
         raise AssertionError("span preimage fails Delta^d x = target")
     return den, x
 
@@ -697,14 +699,14 @@ def _poincare_case(label: str, k: int, d: int, index: int) -> Form:
                                [t * (m + 1) + r for r, t in grid])
     N, I = 4 * abs(index), range(m + 1)
     chain, cls, den = (m, fam, 2 - 2 * m, 1, 1), -m, den * N ** m
-    layers = [[x[t * (m + 1) + r] * N ** r for r in I] for t in range(d0, -1, -1)]
+    layers = [x[t * (m + 1) + r] * N ** r for t in range(d0, -1, -1) for r in I]
     for passes, mirror in ((p, flip), (q, False)):
         for _ in range(passes):
             diags, chain = _chain_bands(chain, "R")
-            layers, cls = _delta_layers(diags, layers), cls + 1
+            layers, cls = _delta_layers(_band_rows(diags, m + 1, d0 + 1), layers), cls + 1
         if mirror:
             f = [(-1) ** (m + 1) * factorial(r) * perm(m, r) * N ** (2 * r) for r in I]
-            layers = [[u[m - r] * f[r] for r in I] for u in layers]
+            layers = [layers[j + m - r] * f[r] for j in range(0, len(layers), m + 1) for r in I]
             chain, cls = (m, mirrored, 2 - 2 * m, 1, 1), -m
             den *= factorial(m) * N ** (2 * m - 2) * factorial(m - 2)
     return _chain_form({(chain, cls): layers}, den, k, grid)

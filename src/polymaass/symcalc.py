@@ -37,6 +37,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -219,11 +220,15 @@ def _mk_atom(family: Family, weight: int, point: Fraction, laurent: int,
     if laurent < vanishing_order(family, weight, point):
         return None
     if pending is None and (family, weight, point) in _POLES.get():
-        warnings.warn(
-            "atom at tabled pole point (weight %d, point %s); using Laurent "
-            "coefficients of the continued family" % (weight, point),
-            PolePointWarning, stacklevel=3)
+        _pole_warning(weight, point, 3)
     return SpectralAtom(family, weight, point, laurent, pending)
+
+
+def _pole_warning(weight: int, point: Fraction, stacklevel: int) -> None:
+    """Warn of an atom at a tabled pole point, stacklevel frames up (1: the caller)."""
+    warnings.warn("atom at tabled pole point (weight %d, point %s); using Laurent coefficients "
+                  "of the continued family" % (weight, point), PolePointWarning,
+                  stacklevel=stacklevel + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +446,17 @@ def _step_rule(fam: Family, w: int, P: int, Q: int, direction: str) -> tuple:
 
 
 class _Columns(dict):
-    """The columns of one call, (family, w, P, Q) -> (P/Q, plain), for the
-    family member of weight w at the point P/Q (in lowest terms): plain when
-    it has no pole-table entry and no vanishing order, so a step onto it
-    warns of nothing, adds no residue and drops no atom.  The one place a
-    column is tested for either."""
+    """The columns of one call, (family, w, P, Q) -> (P/Q, plain, order,
+    residue), for the member of weight w at the point P/Q (in lowest terms):
+    its vanishing order, its pole-table residue or None, and plain with
+    neither, so a step onto it warns of nothing, adds no residue and drops no
+    atom.  The one place a column is tested for either."""
 
     def __missing__(self, key):
         fam, w, P, Q = key
         p = Fraction(P, Q)
-        self[key] = out = p, (fam, w, p) not in _POLES.get() and not vanishing_order(fam, w, p)
+        order, res = vanishing_order(fam, w, p), _POLES.get().get((fam, w, p))
+        self[key] = out = p, res is None and not order, order, res
         return out
 
 
@@ -458,18 +464,22 @@ class _Columns(dict):
 # spectral chains
 
 
-def _delta_layers(diags, layers: List[List[int]]) -> List[List[int]]:
-    """A u_t + B u_{t-1} + C u_{t-2} in each layer t, for bands A, B (and C)
-    given by their nonzero diagonals (o, c), c[i] = M[i][i + o]: on the
-    layers end to end, diagonal (o, c) of the T^s band adds c, once per
-    layer, times the entries s n - o back (c is 0 where i + o leaves a layer)."""
-    n, T = len(layers[0]), len(layers)
-    flat = [0] * (2 * n + 1) + [x for u in layers for x in u] + [0]
-    acc = [0] * (n * T)
-    for s, band in enumerate(diags):
-        for o, c in band:
-            acc = [a + x * y for a, x, y in zip(acc, c * T, flat[(2 - s) * n + 1 + o:])]
-    return [acc[t * n:(t + 1) * n] for t in range(T)]
+def _band_rows(diags, n: int, T: int) -> Tuple[list, list]:
+    """The pass of _delta_layers on T layers of n entries: (padding, rows)."""
+    return [0] * (2 * n + 1), [((2 - s) * n + 1 + o, c * T)
+                               for s, band in enumerate(diags) for o, c in band]
+
+
+def _delta_layers(bands: Tuple[list, list], flat: List[int]) -> List[int]:
+    """A u_t + B u_{t-1} + C u_{t-2} in each layer t of the layers u_0, u_1,
+    ... end to end, for bands A, B (and C) given by their nonzero diagonals
+    (o, c), c[i] = M[i][i + o] (at least one), as _band_rows lays them out:
+    after 2n + 1 zeros, diagonal (o, c) of the S^s band adds c, once per
+    layer, times the entries from (2 - s) n + 1 + o on, s n - o back (c is 0
+    where i + o leaves a layer); one sum over those rows."""
+    pad, rows = bands
+    p = pad + flat + [0]
+    return list(map(sum, zip(*[map(mul, row, p[start:]) for start, row in rows])))
 
 
 def _chain_bands(chain: tuple, op: str) -> Tuple[list, tuple]:
@@ -505,14 +515,14 @@ def _chain_bands(chain: tuple, op: str) -> Tuple[list, tuple]:
 
 
 def _chain_layers(f: Form, low: int, high: int) -> Optional[dict]:
-    """f as {(chain, pi class): layers}: layer j of a set holds its
-    coefficients of Psi_{r,T-j}, r = 0..m, over one positive den for f, and
-    no set is all zero; the pi class is the pi exponent, less r on a
-    Poincare chain.  A pending OP^p unfolds as prod (x_i + u_i S)/den_i of
+    """f as {(chain, pi class): layers}: the flat layers of a set hold, from
+    j (m + 1) on, its coefficients of Psi_{r,T-j}, r = 0..m, over one positive
+    den for f, and no set is all zero; the pi class is the pi exponent, less r
+    on a Poincare chain.  A pending OP^p unfolds as prod (x_i + u_i S)/den_i of
     its steps, cut at degree t.  None when an atom is constant, or a step of
     an unfolding or a chain's column -low..m+high is not plain in the call's
     _Columns.  _chain_form writes such sets back."""
-    chains, tops, entries, columns = set(), {}, [], _Columns()
+    chains, groups, columns = set(), {}, _Columns()
     for (e, a), c in f.terms:
         fam, w, P, Q, t = a.family, a.weight, a.point.numerator, a.point.denominator, a.laurent
         if fam.kind == CONSTANT:
@@ -532,16 +542,16 @@ def _chain_layers(f: Form, low: int, high: int) -> Optional[dict]:
             return None
         chains.add(chain)
         for exp, q in c.terms:
-            key = (chain, exp + s - (0 if E else r))
-            tops[key] = max(tops.get(key, 0), t)
-            entries += [(key, r, t - j, q.numerator * y, q.denominator * den)
-                        for j, y in enumerate(poly) if y]
-    den, sets = lcm(*(d for *_, d in entries)), {}
-    for key, r, t, x, d in entries:
-        if key not in sets:
-            sets[key] = [[0] * (key[0][0] + 1) for _ in range(tops[key] + 1)]
-        sets[key][tops[key] - t][r] += x * (den // d)
-    return {key: v for key, v in sets.items() if any(map(any, v))}
+            groups.setdefault((chain, exp + s - (0 if E else r)), []).append(
+                (r, t, poly, q.numerator, q.denominator * den))
+    den, sets = lcm(*(d for g in groups.values() for *_, poly, _x, d in g if any(poly))), {}
+    for key, g in groups.items():
+        n, T = key[0][0] + 1, max(t for _r, t, *_ in g)
+        sets[key] = v = [0] * (n * (T + 1))
+        for r, t, poly, x, d in g:
+            for i, y in zip(range((T - t) * n + r, len(v), n), poly):
+                v[i] += x * (den // d) * y
+    return {key: v for key, v in sets.items() if any(v)}
 
 
 def _chain_form(sets: dict, den: int, weight: int, grid) -> Form:
@@ -551,9 +561,9 @@ def _chain_form(sets: dict, den: int, weight: int, grid) -> Form:
     plus r on a Poincare chain.  The chains' columns must be plain."""
     acc = {}
     for ((m, fam, w0, P0, Q), cls), layers in sets.items():
-        E = fam.is_eisenstein_like()
+        E, top = fam.is_eisenstein_like(), len(layers) - m - 1
         for r, t in grid:
-            if x := layers[len(layers) - 1 - t][r]:
+            if x := layers[top - t * (m + 1) + r]:
                 a = SpectralAtom._make(fam, w0 + 2 * r, Fraction(P0 - r * Q if E else P0, Q), t)
                 acc.setdefault((PolyAtom(m, r), a), []).append(
                     (cls + (0 if E else r), Fraction(x, den * factorial(t))))
@@ -623,14 +633,14 @@ class _Atoms:
             return 1, []
         P, Q = a.point.numerator, a.point.denominator
         w2, P2, s, den, u, x = _step_rule(fam, a.weight, P, Q, op)
-        p2, plain = self.columns[fam, w2, P2, Q]
-        # off a plain column, _mk_atom warns at a tabled point and drops an
-        # atom below the vanishing order
-        terms = [((0, self.at(fam, w2, P2, Q, order), s), c)
-                 for c, order in ((x, t), (t * u, t - 1))
-                 if c and (plain or _mk_atom(fam, w2, p2, order) is not None)]
-        res = None if plain or t else _POLES.get().get((fam, w2, p2))
-        if res is None:
+        p2, _plain, order, res = self.columns[fam, w2, P2, Q]
+        # as in _mk_atom, an atom below the vanishing order drops, and each
+        # other atom at a tabled point warns
+        terms = [((0, self.at(fam, w2, P2, Q, o), s), c)
+                 for c, o in ((x, t), (t * u, t - 1)) if c and o >= order]
+        for _ in terms if res is not None else ():
+            _pole_warning(w2, p2, 1)
+        if res is None or t:
             return den, terms
         acc = {b: Scalar.pi_power(s, Fraction(c, den)) for (_r, b, _s), c in terms}
         for (_e0, b), c in res.terms:
@@ -864,18 +874,33 @@ def form_to_json(f: Form) -> dict:
 
 
 def form_from_json(data: dict) -> Form:
-    """The form of the JSON, with one Family object per distinct family."""
-    acc, families = {}, {}
+    """The form of the JSON, with one Family object per distinct family; an
+    expanded atom of a non-constant family on a plain column is built
+    unchecked, any other by _atom."""
+    acc, families, polys, columns = {}, {}, {}, _Columns()
     with malformed_json("form JSON"):
         for term in data["terms"]:
-            e = PolyAtom(json_int(term["poly"]["m"]), json_int(term["poly"]["r"]))
+            m, r = json_int(term["poly"]["m"]), json_int(term["poly"]["r"])
+            e = polys.get((m, r)) or polys.setdefault((m, r), PolyAtom(m, r))
             sp = term["spectral"]
             pending = sp.get("pending")
-            fam = _family_from_json(sp["family"])
-            a = _atom(families.setdefault(fam, fam), json_int(sp["weight"]),
-                      json_number(sp["point"]), json_int(sp["laurent"]),
-                      None if pending is None
-                      else (pending["dir"], json_int(pending["power"])))
+            try:   # a family's fields, with their types, are checked once a call
+                key = frozenset((name, type(v), v) for name, v in sp["family"].items())
+            except (AttributeError, TypeError):   # not a dict of hashable values
+                key = None
+            if key is None or key not in families:
+                fam = _family_from_json(sp["family"])
+                families[key] = families.setdefault(fam, fam)
+            fam = families[key]
+            w = json_int(sp["weight"])
+            q = json_number(sp["point"])
+            col = columns[fam, w, q.numerator, q.denominator]
+            t = json_int(sp["laurent"])
+            if pending is None and col[1] and t >= 0 and fam.kind != CONSTANT:
+                a = SpectralAtom._make(fam, w, col[0], t)
+            else:
+                a = _atom(fam, w, col[0], t, None if pending is None
+                          else (pending["dir"], json_int(pending["power"])))
             c = Scalar.from_json(term["coeff"])
             # a key repeats only in JSON written by hand
             acc[e, a] = acc[e, a] + c if (e, a) in acc else c

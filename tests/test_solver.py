@@ -233,9 +233,10 @@ def test_delta_layers_matches_banded_delta(k, m, branch, d):
     # the self-check applies A, B and C by their diagonals to int layers
     model = WModel(k, m, branch)
     layers = [[int(x * 12) for x in layer] for layer in _test_vector(m + 1, d)]
-    out = specsolve._delta_layers(model._diagonals(), layers)
-    assert [x for layer in out for x in layer] == banded_delta(model, layers)
-    assert all(type(x) is int for layer in out for x in layer)
+    out = specsolve._delta_layers(specsolve._band_rows(model._diagonals(), m + 1, d + 1),
+                                  [x for layer in layers for x in layer])
+    assert out == banded_delta(model, layers)
+    assert all(type(x) is int for x in out)
 
 
 def reference_check(model, gv):
@@ -310,9 +311,9 @@ def test_self_check_of_a_solve_is_one_pass(k, m, branch, d, monkeypatch):
         raise AssertionError("the block operator was built")
     passes = []
 
-    def counted(diags, layers):
-        passes.append(len(layers))
-        return delta_layers(diags, layers)
+    def counted(bands, layers):   # flat layers of m + 1 entries
+        passes.append(len(layers) // (m + 1))
+        return delta_layers(bands, layers)
     delta_layers = specsolve._delta_layers
     monkeypatch.setattr(WModel, "_int_block_delta", block)
     monkeypatch.setattr(specsolve, "_delta_layers", counted)

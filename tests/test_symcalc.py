@@ -1,3 +1,6 @@
+import copy
+import functools
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -413,6 +416,131 @@ def test_case_forms_read_back_as_before(case, k, d):
     assert [(key, c.terms) for key, c in got.terms] == [(key, c.terms) for key, c in want.terms]
 
 
+def _cases_pool():
+    """(label, k, d, keywords) of every form of the benchmark's cases pool:
+    19 shapes with 16 variants each (an Eisenstein anchor and Poincare
+    indices -1..-15 for Ia, Id and IIIa, 16 discriminants for IIb, indices
+    -2^0..-2^15 for Ic and IIIc, -1..-16 otherwise), and IIIb at 28 weights
+    and depths."""
+    shapes = (("Ia", -2, 2), ("Ia", -3, 6), ("Ia", -4, 4), ("Ib", -1, 4), ("Ib", -3, 6),
+              ("Ic", -1, 8), ("Ic", -3, 4), ("Id", -1, 3), ("Id", -3, 8), ("IIa", 1, 1),
+              ("IIa", 1, 7), ("IIb", 1, 3), ("IIb", 1, 8), ("IIIa", 2, 5), ("IIIa", 3, 2),
+              ("IIIc", 2, 6), ("IIIc", 3, 3), ("IIId", 2, 8), ("IIId", 4, 4))
+    pool = []
+    for label, k, d in shapes:
+        if label in ("Ia", "Id", "IIIa"):
+            variants = [{"family": "eisenstein"}] + [{"family": "poincare", "index": -n}
+                                                     for n in range(1, 16)]
+        elif label == "IIb":
+            variants = [{"disc": D} for D in (3, 4, 7, 8, 11, 15, 19, 20, 23, 24, 31, 35, 39,
+                                              40, 43, 47)]
+        else:
+            variants = [{"index": -2 ** e if label in ("Ic", "IIIc") else -1 - e}
+                        for e in range(16)]
+        pool += [(label, k, d, kw) for kw in variants]
+    slots = [(3, d) for d in range(1, 10)] + [(4, d) for d in range(1, 9)] + \
+        [(5, d) for d in range(1, 6)] + [(6, 1), (6, 2), (6, 3), (7, 1), (7, 2), (8, 1)]
+    return pool + [("IIIb", k, d, {}) for k, d in slots]
+
+
+@functools.lru_cache(maxsize=None)
+def _cases_pool_json():
+    from polymaass.specsolve import construct_case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PolePointWarning)
+        return tuple(form_to_json(construct_case(label, k, d, **kw))
+                     for label, k, d, kw in _cases_pool())
+
+
+def _reading(read, data):
+    """read(data) or the type and text of what it raises, and the texts of
+    the PolePointWarnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = _outcome(read, data)
+    return out, [str(c.message) for c in caught if c.category is PolePointWarning]
+
+
+def _assert_reads_as_the_reference(data) -> int:
+    """form_from_json gives the reference's form, with its terms in order,
+    or its exception type and text, and its warnings; their count."""
+    (got, got_warned), (want, want_warned) = (_reading(form_from_json, data),
+                                              _reading(_form_from_json_reference, data))
+    assert type(got) is type(want) and got == want and got_warned == want_warned
+    if type(got) is Form:
+        assert [(key, c.terms) for key, c in got.terms] == \
+            [(key, c.terms) for key, c in want.terms]
+    return len(got_warned)
+
+
+def test_form_reader_matches_the_reference_on_the_cases_pool():
+    # each pool form, under the default table and under one with an entry
+    # at the column of its first expanded term; and each with a form weight
+    # its terms do not have, or that term at laurent index -1
+    warned = 0
+    for data in _cases_pool_json():
+        term = next(t for t in data["terms"] if t["spectral"]["pending"] is None)
+        sp = term["spectral"]
+        fam, w = symcalc._family_from_json(sp["family"]), sp["weight"]
+        entry = pole_table({(fam, w, Fraction(sp["point"])): zero_form(w)})
+        heavy = dict(data, weight=data["weight"] + 2)
+        negative = copy.deepcopy(data)
+        next(t for t in negative["terms"] if t["spectral"]["pending"] is None)[
+            "spectral"]["laurent"] = -1
+        for table in (DEFAULT_POLES, entry):
+            with using_poles(table):
+                for variant in (data, heavy, negative):
+                    warned += _assert_reads_as_the_reference(variant)
+    assert len(_cases_pool_json()) == 332 and warned > 332
+
+
+# family fields as JSON may spell them: valid ones (with a None value, or
+# their fields in another order), and ones the reader refuses
+VALID_FAMILIES = [{"kind": "eisenstein"}, {"kind": "poincare", "index": -1},
+                  {"index": -1, "kind": "poincare"}, {"kind": "poincare", "index": 1},
+                  {"kind": "incoherent", "disc": 3},
+                  {"kind": "eisenstein", "index": None, "disc": None}]
+FAMILY_SPELLINGS = VALID_FAMILIES + [
+    {"kind": "eisenstein", "colour": "red"}, {"kind": "poincare", "index": True},
+    {"kind": "poincare", "index": 1.0}, {"kind": "poincare", "index": -1.5},
+    {"kind": "incoherent", "disc": False}, {"index": -1}, {"kind": None},
+    {"kind": "poincare", "index": None}, {"kind": "poincare", "index": [-1]},
+    {"kind": "poincare", "index": "-1"}, "eisenstein", ["kind"], None]
+
+
+def _term(family, coeff="1"):
+    """e_{0,0} (x) the family's member of weight 2 at 0, order 1."""
+    return {"poly": {"m": 0, "r": 0},
+            "spectral": {"family": family, "weight": 2, "point": "0", "laurent": 1,
+                         "pending": None},
+            "coeff": [{"pi_exp": 0, "num": coeff, "den": "1"}]}
+
+
+@pytest.mark.parametrize("family", FAMILY_SPELLINGS, ids=repr)
+def test_form_reader_reads_family_spellings_as_the_reference(family):
+    # alone, and after and before each valid family (the same value, 1 for
+    # True or 1.0, -1 for "-1", read first)
+    _assert_reads_as_the_reference({"weight": 2, "terms": [_term(family)]})
+    for valid in VALID_FAMILIES:
+        terms = [_term(valid), _term(family, "2"), _term(valid, "3")]
+        _assert_reads_as_the_reference({"weight": 2, "terms": terms})
+
+
+def test_form_reader_checks_each_distinct_family_once(monkeypatch):
+    calls, check = [], symcalc._family_from_json
+    monkeypatch.setattr(symcalc, "_family_from_json", lambda data: calls.append(data) or check(data))
+    p, e = {"kind": "poincare", "index": -1}, {"kind": "eisenstein"}
+    terms = [_term(p), _term(e), _term({"index": -1, "kind": "poincare"}), _term(p), _term(e)]
+    f = form_from_json({"weight": 2, "terms": terms})
+    assert calls == [p, e]
+    assert len({id(a.family) for (_e, a), _c in f.terms}) == 2
+    for data in _cases_pool_json():
+        calls.clear()
+        form_from_json(data)
+        assert len(calls) == len({frozenset(t["spectral"]["family"].items())
+                                  for t in data["terms"]})
+
+
 def _json_with_every_integer_field():
     """Form JSON with a pending power, a Poincare index and an incoherent
     discriminant, so that every integer field of the format is present;
@@ -772,3 +900,142 @@ def test_chain_bands_computes_only_the_rules_of_its_directions(monkeypatch):
             calls.clear()
             symcalc._chain_bands(chain, op)
             assert sorted(calls) == sorted(directions * 5)   # columns -1..3
+
+
+# --- the band pass on flat layers ----------------------------------------------
+
+def _delta_layers_reference(diags, layers):
+    """The band pass as it ran on nested layers, before the flat layers: A
+    u_t + B u_{t-1} + C u_{t-2} in each layer t, for bands A, B (and C)
+    given by their nonzero diagonals (o, c), c[i] = M[i][i + o]."""
+    n, T = len(layers[0]), len(layers)
+    flat = [0] * (2 * n + 1) + [x for u in layers for x in u] + [0]
+    acc = [0] * (n * T)
+    for s, band in enumerate(diags):
+        for o, c in band:
+            acc = [a + x * y for a, x, y in zip(acc, c * T, flat[(2 - s) * n + 1 + o:])]
+    return [acc[t * n:(t + 1) * n] for t in range(T)]
+
+
+BAND_INTS = st.one_of(st.integers(-9, 9), st.integers(-2 ** 300, 2 ** 300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), T=st.integers(1, 10), bands=st.integers(1, 3))
+def test_flat_band_pass_matches_the_nested_one(data, n, T, bands):
+    # diagonals at offsets -1..1 (c is 0 where i + o leaves a layer), under
+    # leading zero layers, which stay zero in the image
+    def diagonal(o):
+        c = data.draw(st.lists(BAND_INTS, min_size=n, max_size=n))
+        return o, [x if 0 <= i + o < n else 0 for i, x in enumerate(c)]
+    offsets = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3, unique=True)
+    diags = [[diagonal(o) for o in sorted(data.draw(offsets))] for _ in range(bands)]
+    lead = data.draw(st.integers(0, T))
+    layers = [[0] * n for _ in range(lead)] + [data.draw(st.lists(BAND_INTS, min_size=n,
+                                                                  max_size=n))
+                                               for _ in range(T - lead)]
+    got = symcalc._delta_layers(symcalc._band_rows(diags, n, T), [x for u in layers for x in u])
+    assert got == [x for u in _delta_layers_reference(diags, layers) for x in u]
+    assert not any(got[:lead * n])
+
+
+def _untrimmed_tower(tower):
+    """classify._tower as its chain path ran before a pass dropped the
+    vanished orders: nested layers, each set through _delta_layers_reference;
+    tower (the real one) where f leaves the chains."""
+    def untrimmed(f, low=1, high=0):
+        sets = symcalc._chain_layers(f, low, high)
+        if sets is None:
+            return tower(f, low, high)
+
+        def apply(level, op):
+            out = {}
+            for (chain, e), layers in level.items():
+                diags, image = symcalc._chain_bands(chain, op)
+                layers = _delta_layers_reference(diags, layers)
+                if any(map(any, layers)):
+                    out[image, e] = layers
+            return out
+
+        def vanishes(level, op, power):
+            for _ in range(power):
+                level = apply(level, op)
+            return not level
+        levels = [{key: [v[i:i + key[0][0] + 1] for i in range(0, len(v), key[0][0] + 1)]
+                   for key, v in sets.items()}]
+        while levels[-1] and len(levels) <= sum(map(len, sets.values())):
+            levels.append(apply(levels[-1], "D"))
+        return (levels[:-1] or levels, vanishes) if not levels[-1] else tower(f, low, high)
+    return untrimmed
+
+
+# (case, k, deepest d) of the benchmark's case forms
+BENCH_DEPTHS = (("Ia", -2, 2), ("Ia", -3, 6), ("Ia", -4, 4), ("Ib", -1, 4), ("Ib", -3, 6),
+                ("Ic", -1, 8), ("Ic", -3, 4), ("Id", -1, 3), ("Id", -3, 8), ("IIa", 1, 7),
+                ("IIb", 1, 8), ("IIIa", 2, 5), ("IIIa", 3, 2), ("IIIb", 3, 9), ("IIIb", 4, 8),
+                ("IIIb", 5, 5), ("IIIb", 6, 3), ("IIIb", 7, 2), ("IIIb", 8, 1), ("IIIc", 2, 6),
+                ("IIIc", 3, 3), ("IIId", 2, 8), ("IIId", 4, 4))
+
+
+@pytest.mark.parametrize("poles", ["default", "empty"])
+def test_trimmed_tower_classifies_as_the_untrimmed_one(poles, monkeypatch):
+    # every case form up to the benchmark's depths, on both anchors where a
+    # case has two: its levels are the untrimmed ones less their leading
+    # zero layers, and classify_bk and exact_depth give the same label,
+    # depth, error and warnings
+    from polymaass import classify
+    from polymaass.specsolve import construct_case
+    untrimmed, forms = _untrimmed_tower(classify._tower), []
+    with using_poles({"default": DEFAULT_POLES, "empty": pole_table({})}[poles]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PolePointWarning)
+            for label, k, depth in BENCH_DEPTHS:
+                for d in range(1 if label == "IIId" else 0, depth + 1):
+                    for kw in ([{}, {"family": "poincare"}] if label in ("Ia", "Id", "IIIa")
+                               else [{}]):
+                        forms.append(construct_case(label, k, d, **kw))
+        trimmed = on_chains = 0
+        for f in forms:
+            low, high = max(1, f.weight), max(0, 1 - f.weight)
+            levels, want = classify._tower(f, low, high)[0], untrimmed(f, low, high)[0]
+            assert len(levels) == len(want)
+            if isinstance(levels[0], dict):
+                on_chains += 1
+                for level, full in zip(levels, want):
+                    assert level.keys() == full.keys()
+                    for key, layers in level.items():
+                        kept = list(itertools.dropwhile(lambda u: not any(u), full[key]))
+                        assert layers == [x for u in kept for x in u]
+                        trimmed += len(kept) < len(full[key])
+        results = [(_reading(classify.classify_bk, f), _reading(classify.exact_depth, f))
+                   for f in forms]
+        monkeypatch.setattr(classify, "_tower", untrimmed)
+        assert results == [(_reading(classify.classify_bk, f), _reading(classify.exact_depth, f))
+                           for f in forms]
+    assert on_chains > len(forms) // 2 and trimmed > on_chains
+
+
+def test_steps_onto_tabled_or_vanishing_columns_build_no_checked_atom(monkeypatch):
+    # L^2 of IIIb forms steps onto the tabled (E, 0, 1), and R of the IIb
+    # seed onto the column where its family vanishes; _Atoms._step drops
+    # and warns from the column record alone, as _mk_atom did
+    from polymaass.specsolve import construct_case
+    forms = [(construct_case("IIIb", k, d), "L", 2) for k, d in ((3, 2), (4, 3))]
+    forms.append((construct_case("IIb", 1, 0), "R", 1))
+
+    def run():
+        out = []
+        for f, op, power in forms:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g = apply_power(f, op, power)
+            out.append((pretty(g), form_to_json(g), [str(c.message) for c in caught]))
+        return out
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked atom was built")
+    monkeypatch.setattr(symcalc, "_mk_atom", refuse)
+    assert run() == want
+    assert [len(w) for *_g, w in want] == [2, 3, 0]
+    assert want[2][0] == "E-^(0)_{D=3}"   # the order-0 atom dropped
