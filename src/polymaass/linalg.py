@@ -169,23 +169,7 @@ class IntMat:
         """Basis of the right kernel: for each free column c, the vector
         with 1 at c and 0 at the other free columns, times the least
         positive integer that clears it, as (c, {column: value})."""
-        rows, pivots = _eliminate(map(dict, self.rows))
-        pivot_set = set(pivots)
-        hits: Dict[int, List[Tuple[int, int, int]]] = {
-            c: [] for c in range(self.cols) if c not in pivot_set}
-        for row, pc in zip(rows, pivots):
-            p = row[pc]
-            for j, x in row.items():
-                if j != pc:
-                    hits[j].append((pc, x, p))
-        basis = []
-        for c, column in hits.items():
-            scale = lcm(*(p for _pc, _x, p in column))
-            v = {c: scale}
-            for pc, x, p in column:
-                v[pc] = -x * (scale // p)
-            basis.append((c, _primitive(v)))
-        return basis
+        return _kernel(*_eliminate(map(dict, self.rows)), self.cols)
 
     def inverse(self) -> Optional["IntMat"]:
         """The inverse of a square M, or None when M is singular.  The
@@ -237,6 +221,27 @@ def _primitive(row: IntRow) -> IntRow:
     """The row divided by the gcd of its entries."""
     g = gcd(*row.values())
     return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _kernel(rows: List[IntRow], pivots: List[int], cols: int) -> List[Tuple[int, IntRow]]:
+    """IntMat.kernel of M, of cols columns, from _eliminate of M or of any
+    [M | N]: rows of the latter with a pivot below cols, cut there, are M's."""
+    pivot_set = set(pivots)
+    hits: Dict[int, List[Tuple[int, int, int]]] = {
+        c: [] for c in range(cols) if c not in pivot_set}
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        for j, x in row.items():
+            if j in hits:
+                hits[j].append((pc, x, p))
+    basis = []
+    for c, column in hits.items():
+        scale = lcm(*(p for _pc, _x, p in column))
+        v = {c: scale}
+        for pc, x, p in column:
+            v[pc] = -x * (scale // p)
+        basis.append((c, _primitive(v)))
+    return basis
 
 
 def _eliminate(rows: Iterable[IntRow]) -> Tuple[List[IntRow], List[int]]:

@@ -8,8 +8,8 @@ extends a kernel vector w_0 of A layer by layer to a generalized
 eigenvector w_d with Delta^d w_d = nu T^d w_0, emitted as it is.  The
 span of a Poincare chain has the same shape in the Laurent order, Lambda =
 A + S B + S^2 C with S lowering it, on bands fixed by k (_poincare_blocks):
-with the layers reversed S is T, so the chain is certified as W_d is, and
-delta_preimage_on_span solves in any Delta-stable span.
+with the layers reversed S is T, so the chain is certified as W_d is; off
+those bands M^d on the span's matrix (delta_matrix_on_span) solves it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import BK_CASES
 
 # none of kernel, mat_mul, mat_vec, rref and solve_linear is called here: the
 # names are kept for the benchmark's tracer alone, which finds them here
-from .linalg import IntMat, Vec, _eliminate, kernel, mat_mul, mat_vec, rref, solve_linear
+from .linalg import IntMat, Vec, _eliminate, _kernel, kernel, mat_mul, mat_vec, rref, solve_linear
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
@@ -500,28 +500,6 @@ def delta_matrix_on_span(seed_atoms) -> Tuple[List[Tuple[PolyAtom, SpectralAtom]
     return pool, IntMat([list(r.items()) for r in M], den, n), exps
 
 
-def delta_preimage_on_span(target: Form, seed_atoms, d: int) -> Form:
-    """Solve Delta^d g = target inside the Delta-stable span of the seeds,
-    by M.power(d).solve(b), M the span's matrix in pool order: the solution
-    whose entries at the free columns of M^d are zero, so output is
-    reproducible."""
-    if exact_int("d", d) < 0:
-        raise DomainError("depth must be nonnegative")
-    pool, M, exps = delta_matrix_on_span([key for key, _c in target.terms] + list(seed_atoms))
-    index = {key: i for i, key in enumerate(pool)}
-    b = [Fraction(0)] * len(pool)
-    for (key, c) in target.terms:
-        i = index[key]
-        if [e for e, _q in c.terms] != [exps[i]]:
-            raise DomainError("target does not live in the scaled span")
-        b[i] = c.terms[0][1]
-    x = M.power(d).solve(b)
-    if x is None:
-        raise DomainError("no Delta^%d preimage in the span" % d)
-    return Form(target.weight, {pool[i]: Scalar.pi_power(exps[i], q)
-                                for i, q in enumerate(x) if q})
-
-
 def _poincare_blocks(m: int) -> List[List[Tuple[int, List[int]]]]:
     """A, B and C of Lambda = A + S B + S^2 C, Delta on the span of the
     Poincare chain of weight k = 2 - m, as WModel._diagonals() gives them:
@@ -580,15 +558,16 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
     conditions of P_0 (at most its corank), its own less those of the
     kernel vectors before it that did not lift.  Likewise x = (w, g) solves
     K x = b when P_0 w = b0 - r(g).  Each solution of P_0 is an int vector
-    over one D0.  The kernel basis reduced with columns from the last pool
-    entry to the first has the free columns as its pivots, which turns x
-    into the answer.  With the layers reversed, S is T and Lambda is
-    Delta on W_d, so d passes of _delta_layers certify it."""
+    over one D0; it and ker P_0 are read off one elimination of [P_0 | I].
+    The kernel basis reduced with columns from the last pool entry to the
+    first has the free columns as its pivots, which turns x into the
+    answer.  With the layers reversed, S is T and Lambda is Delta on W_d,
+    so d passes of _delta_layers certify it."""
     rows = _power_rows(blocks, d)
     E, n = len(rows), (d + 1) * len(rows)
     tail = [row[E:] for row in rows]   # r(g) = tail g
-    P0 = IntMat([[(k, x) for k, x in enumerate(row[:E]) if x] for row in rows], 1, E)
-    elim, pivots = _eliminate(dict(row + [(E + i, 1)]) for i, row in enumerate(P0.rows))
+    elim, pivots = _eliminate({k: x for k, x in enumerate(row[:E] + [0] * i + [1]) if x}
+                              for i, row in enumerate(rows))   # [P_0 | I]
     D0 = lcm(*(row[pc] for row, pc in zip(elim, pivots) if pc < E))
     solver = [(pc, [(j - E, x * (D0 // row[pc])) for j, x in row.items() if j >= E])
               for row, pc in zip(elim, pivots) if pc < E]
@@ -615,7 +594,7 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
                 s *= p
         return g, r, c, s
 
-    basis = [[v.get(i, 0) for i in range(E)] + [0] * (n - E) for _k, v in P0.kernel()]
+    basis = [[v.get(i, 0) for i in range(E)] + [0] * (n - E) for _k, v in _kernel(elim, pivots, E)]
     stored = []   # (pivot, (g, r(g), conditions)) of the kernel vectors that do not lift
     for y in basis:   # which grows by the lifts as it is walked
         if not any(y[n - E:]):   # room above layer d to lift y into
@@ -651,34 +630,21 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
     return den, x
 
 
-def poincare_weakly_holomorphic_chain(k: int, d: int, index: int = -1) -> Form:
-    """Depth-d preimage chain over e_{r,m-r} (x) Poincare atoms anchored at
-    the lowering-killed spectral point of the weight-2 family; the top of
-    the chain is e_{m,0} (x) P^(0), the formal weakly holomorphic seed.
-
-    The span holds the top atom, then (r, t) = e_{m,r} (x) F^(t) for r <= m,
-    t <= d, r-major, at pi^{r-m} and layer-major pos = t (m + 1) + r.  When
-    every column it visits, (P[n], w, 1) for w = -2m, ..., 2, is plain, Delta
-    there is Lambda (_poincare_blocks); else delta_preimage_on_span solves."""
-    for name, x in (("k", k), ("index", index)):
-        exact_int(name, x)
-    if exact_int("d", d) < 0:
-        raise DomainError("depth must be nonnegative")
-    if k > 0:
-        raise DomainError("chain defined for weights k <= 0")
-    return _poincare_case("Ib", k, d, index)
-
-
 def _poincare_case(label: str, k: int, d: int, index: int) -> Form:
-    """Ib, its flip Ic = mirror(R^{-k} Ib) / (-k)!, and the raisings IIIc =
-    R^{k-1} Ic and IIId = R^{k-1} Ib of weight 2 - k, depth d + 1 or d, from
-    the Ib chain's integer layers: on (m, P[n], 2 - 2m, 1, 1), pi class -m,
-    layer d - t holds x[pos] N^r over den N^m, N = 4 |n|.  R is a band pass
-    (den Q = 1, class + 1); the mirror takes column r of (m, P[n], -2, 1, 1)
-    to m - r of (m, P[-n], 2 - 2m, 1, 1), class -m, times (-1)^(m+1)
-    (m-r)!/r! N^-w, w = 2r - 2.  When a column that the chain, an R pass or
-    the mirror visits is not plain, Ib is solved on its span and the others
-    are composed of Forms (apply_flip, apply_power), warnings included."""
+    """Ib, the depth-d chain over the weakly holomorphic seed e_{m,0} (x)
+    P^(0) of weight 2 at s = 1, m = 2 - k; its flip Ic = mirror(R^{-k} Ib) /
+    (-k)!, and the raisings IIIc = R^{k-1} Ic and IIId = R^{k-1} Ib of
+    weight 2 - k, depth d + 1 or d.  The Ib span holds the top atom, then
+    (r, t) = e_{m,r} (x) F^(t), r <= m, t <= d, r-major (grid), at pi^{r-m},
+    layer-major at pos = t (m + 1) + r.  Where Delta there is Lambda
+    (_poincare_blocks) all four are read off its integer layers: on (m, P[n],
+    2 - 2m, 1, 1), pi class -m, layer d - t holds x[pos] N^r over den N^m,
+    N = 4 |n|.  R is a band pass (den Q = 1, class + 1); the mirror takes
+    column r of (m, P[n], -2, 1, 1) to m - r of (m, P[-n], 2 - 2m, 1, 1),
+    class -m, times (-1)^(m+1) (m-r)!/r! N^-w, w = 2r - 2.  When a column that
+    the chain (w = -2m, ..., 2), an R pass or the mirror visits is not plain,
+    Ib solves M^d x = top on the span's matrix M, free columns zero, and the
+    others are composed of Forms (apply_flip, apply_power), warnings included."""
     if index >= 0:
         raise DomainError("Poincare index must be negative (principal part)")
     k0, d0 = (k, d) if label in ("Ib", "Ic") else (2 - k, d + (label == "IIIc"))
@@ -690,8 +656,12 @@ def _poincare_case(label: str, k: int, d: int, index: int) -> Form:
     spans = [(fam, -2 * m, 2 + 2 * p)] + [(mirrored, 2 - 2 * m, 2 + 2 * q)] * flip
     if not all(columns[f, w, 1, 1][1] for f, lo, hi in spans for w in range(lo, hi + 1, 2)):
         if label == "Ib":
-            keys = [(PolyAtom(m, r), SpectralAtom(fam, 2 + 2 * r - 2 * m, 1, t)) for r, t in grid]
-            return delta_preimage_on_span(form_of(*keys[0]), keys[1:], d)
+            pool, M, exps = delta_matrix_on_span(
+                [(PolyAtom(m, r), SpectralAtom(fam, 2 + 2 * r - 2 * m, 1, t)) for r, t in grid])
+            x = M.power(d).solve([1] + [0] * (len(pool) - 1))   # the top: pool[0], at pi^0
+            if x is None:
+                raise DomainError("no Delta^%d preimage in the span" % d)
+            return Form(k, {pool[i]: Scalar.pi_power(exps[i], q) for i, q in enumerate(x) if q})
         if label == "Ic":
             return apply_flip(_poincare_case("Ib", k, d, index))
         return apply_power(_poincare_case("Ic" if flip else "Ib", k0, d0, index), "R", k - 1)

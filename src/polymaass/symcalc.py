@@ -447,15 +447,15 @@ def _step_rule(fam: Family, w: int, P: int, Q: int, direction: str) -> tuple:
 
 class _Columns(dict):
     """The columns of one call, (family, w, P, Q) -> (P/Q, plain, order,
-    residue), for the member of weight w at the point P/Q (in lowest terms):
-    its vanishing order, its pole-table residue or None, and plain with
-    neither, so a step onto it warns of nothing, adds no residue and drops no
-    atom.  The one place a column is tested for either."""
+    residue), for the member of weight w at P/Q in lowest terms: its
+    vanishing order, its pole-table residue (read by the int P at Q = 1, a
+    cheaper hash) or None, and plain with neither, so a step onto it warns of
+    nothing, adds no residue and drops no atom.  No other code tests one."""
 
     def __missing__(self, key):
         fam, w, P, Q = key
         p = Fraction(P, Q)
-        order, res = vanishing_order(fam, w, p), _POLES.get().get((fam, w, p))
+        order, res = vanishing_order(fam, w, p), _POLES.get().get((fam, w, P if Q == 1 else p))
         self[key] = out = p, res is None and not order, order, res
         return out
 

@@ -12,13 +12,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymaass import specsolve, symcalc
+from polymaass import linalg, specsolve, symcalc
 from polymaass.numcheck import EvalConfig
 from polymaass.quiverrep import (CYCLIC, GELFAND, HCFragment, QuiverRep, build_cyclic_module,
                                  cyclic_module_dims, random_fragment)
 from polymaass.scalars import DomainError, Scalar
 from polymaass.specsolve import (GradedVector, WModel, _layered_preimage, _poincare_blocks,
-                                 construct_case, delta_preimage_on_span, eisenstein_family,
+                                 construct_case, delta_matrix_on_span, eisenstein_family,
                                  poincare_family, preimage_constant_weight, preimage_incoherent,
                                  solve_wd)
 from polymaass.symcalc import (CONST_ATOM, DEFAULT_POLES, E00, EISENSTEIN, INCOHERENT, POINCARE,
@@ -259,7 +259,12 @@ def _poincare_case_by_forms(label, k, d, index):
     grid = [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d + 1) if (r, t) != (m, 0)]
     keys = [(PolyAtom(m, r), SpectralAtom(fam, 2 - 2 * (m - r), one, t)) for r, t in grid]
     if not all(columns[fam, w, 1, 1][1] for w in range(-2 * m, 3, 2)):
-        return delta_preimage_on_span(form_of(*keys[0]), keys[1:], d)
+        # M^d on the span's matrix, free columns zero
+        pool, M, exps = delta_matrix_on_span(keys)
+        y = M.power(d).solve([1] + [0] * (len(pool) - 1))
+        if y is None:
+            raise DomainError("no Delta^%d preimage in the span" % d)
+        return Form(k, {pool[i]: Scalar.pi_power(exps[i], q) for i, q in enumerate(y) if q})
     pos = [t * (m + 1) + r for r, t in grid]
     den, x = _layered_preimage(_poincare_blocks(m), d, [0] * m + [1], pos)
     N = 4 * abs(index)
@@ -321,3 +326,20 @@ def test_poincare_cases_build_no_form_operator_or_atom_table(monkeypatch):
                          (specsolve, "_Atoms")):
         monkeypatch.setattr(module, name, refuse)
     assert [construct_case(label, k, d, index=-2) for label, k, d in shapes] == want
+
+
+def test_layered_preimage_eliminates_p0_once(monkeypatch):
+    # one elimination of [P_0 | I] gives P_0's solver, its left conditions
+    # and ker P_0, and one more reduces the kernel basis
+    calls, eliminate = [], linalg._eliminate
+
+    def counted(rows):
+        calls.append(1)
+        return eliminate(rows)
+    for module in (linalg, specsolve):
+        monkeypatch.setattr(module, "_eliminate", counted)
+    for m, d in ((2, 0), (2, 3), (3, 1), (6, 4)):
+        grid = [(m, 0)] + [(r, t) for r in range(m + 1) for t in range(d + 1) if (r, t) != (m, 0)]
+        calls.clear()
+        _layered_preimage(_poincare_blocks(m), d, [0] * m + [1], [t * (m + 1) + r for r, t in grid])
+        assert len(calls) == 2, (m, d)

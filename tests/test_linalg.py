@@ -626,3 +626,13 @@ def test_int_mat_kernel_vectors_are_cleared_public_kernel_vectors(m):
         assert [Fraction(w.get(j, 0), w[c]) for j in range(width(m))] == public
         # the least positive integer multiple: its entries share no factor
         assert gcd(*w.values()) == 1
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(), wide_matrices()))
+def test_kernel_read_off_the_elimination_beside_the_identity_is_the_kernel(m):
+    # the rows of [M | I] with a pivot in M, cut to M's columns, are M's
+    # reduced rows: the kernel read off them is IntMat.kernel's
+    v = IntMat.from_dense(m)
+    rows, pivots = linalg._eliminate(dict(row + [(v.cols + i, 1)]) for i, row in enumerate(v.rows))
+    assert linalg._kernel(rows, pivots, v.cols) == v.kernel()

@@ -1039,3 +1039,18 @@ def test_steps_onto_tabled_or_vanishing_columns_build_no_checked_atom(monkeypatc
     assert run() == want
     assert [len(w) for *_g, w in want] == [2, 3, 0]
     assert want[2][0] == "E-^(0)_{D=3}"   # the order-0 atom dropped
+
+
+def test_columns_find_rational_and_integral_pole_points():
+    # the table is read by the int P at Q = 1, which an entry keyed by the
+    # equal Fraction(1) still answers, and by the Fraction P/Q otherwise
+    fam = Family(POINCARE, index=-1)
+    res0 = form_of(E00, atom_P(0, -1, 1), Fraction(3, 7))
+    res2 = form_of(E00, atom_P(2, -1, Fraction(1, 2)), 5)
+    with using_poles(pole_table({(fam, 0, Fraction(1)): res0, (fam, 2, Fraction(1, 2)): res2})):
+        columns = symcalc._Columns()
+        assert columns[fam, 0, 1, 1] == (1, False, 0, res0)
+        assert columns[fam, 2, 1, 2] == (Fraction(1, 2), False, 0, res2)
+        assert columns[fam, 2, 1, 1] == (1, True, 0, None)
+        assert columns[fam, 0, 1, 2] == (Fraction(1, 2), True, 0, None)
+        assert all(type(p) is Fraction for p, *_rest in columns.values())
