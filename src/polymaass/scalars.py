@@ -107,22 +107,22 @@ class Scalar:
     Instances are immutable.  The term tuple is kept normalized: sorted by
     exponent, exponents distinct, every coefficient a nonzero Fraction.  So
     the zero scalar has an empty tuple and equality is structural.  The
-    public constructor normalizes whatever it is given; the arithmetic
-    builds normalized tuples directly and wraps them with ``_make``.
+    public constructor, the sum, the product and from_json all end in
+    ``_sum``, the one place that normalizes summed terms; ``_make`` wraps a
+    tuple that is already normalized.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, RationalLike] | Iterable[Tuple[int, RationalLike]] = ()):
         items = terms.items() if hasattr(terms, "items") else terms
-        acc: dict[int, Fraction] = {}
+        pairs = []
         for e, q in items:
             exact_int("a pi exponent", e)
             if type(q) is not Fraction:
                 q = exact_rational("a scalar coefficient", q)
-            if q:
-                acc[e] = acc.get(e, Fraction(0)) + q
-        self._terms = tuple(sorted((e, q) for e, q in acc.items() if q))
+            pairs.append((e, q))
+        self._terms = Scalar._sum(pairs)._terms
 
     @staticmethod
     def _make(terms: Tuple[Tuple[int, Fraction], ...]) -> "Scalar":
@@ -130,6 +130,14 @@ class Scalar:
         s = object.__new__(Scalar)
         s._terms = terms
         return s
+
+    @staticmethod
+    def _sum(pairs: Iterable[Tuple[int, Fraction]]) -> "Scalar":
+        """The sum of the terms q*pi^e of the (e, q) pairs, normalized."""
+        acc: dict[int, Fraction] = {}
+        for e, q in pairs:
+            acc[e] = acc[e] + q if e in acc else q
+        return Scalar._make(tuple(sorted((e, q) for e, q in acc.items() if q)))
 
     @staticmethod
     def from_rational(q: RationalLike) -> "Scalar":
@@ -163,29 +171,7 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not b:
-            return self
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ea, qa = a[i]
-            eb, qb = b[j]
-            if ea < eb:
-                out.append(a[i])
-                i += 1
-            elif eb < ea:
-                out.append(b[j])
-                j += 1
-            else:
-                q = qa + qb
-                if q:
-                    out.append((ea, q))
-                i += 1
-                j += 1
-        return Scalar._make(tuple(out) + a[i:] + b[j:])
+        return Scalar._sum(self._terms + other._terms)
 
     def __neg__(self) -> "Scalar":
         return Scalar._make(tuple((e, -q) for e, q in self._terms))
@@ -198,19 +184,7 @@ class Scalar:
             other = Scalar.from_rational(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return ZERO
-        if len(a) == 1 and len(b) == 1:
-            ((ea, qa),), ((eb, qb),) = a, b
-            return Scalar._make(((ea + eb, qa * qb),))
-        acc: dict[int, Fraction] = {}
-        for e1, q1 in a:
-            for e2, q2 in b:
-                e = e1 + e2
-                q = q1 * q2
-                acc[e] = acc[e] + q if e in acc else q
-        return Scalar._make(tuple(sorted((e, q) for e, q in acc.items() if q)))
+        return Scalar._sum((e1 + e2, q1 * q2) for e1, q1 in self._terms for e2, q2 in other._terms)
 
     __rmul__ = __mul__
 
@@ -252,7 +226,7 @@ class Scalar:
     @staticmethod
     def from_json(data: list) -> "Scalar":
         with malformed_json("scalar JSON"):
-            acc: dict[int, Fraction] = {}
+            pairs = []
             for t in data:
                 # plain integer strings are read by int (den nonzero: a zero
                 # den is divided as a Fraction, for that division's error)
@@ -261,10 +235,9 @@ class Scalar:
                     num, den = json_rational(t["num"]), json_rational(t["den"])
                     if num.denominator != 1 or den.denominator != 1:
                         raise ValueError("num and den must be integers")
-                e = json_int(t["pi_exp"])
-                q = Fraction(num, den) if type(num) is int else num / den
-                acc[e] = acc[e] + q if e in acc else q
-            return Scalar._make(tuple(sorted((e, q) for e, q in acc.items() if q)))
+                pairs.append((json_int(t["pi_exp"]),
+                              Fraction(num, den) if type(num) is int else num / den))
+            return Scalar._sum(pairs)
 
 
 ZERO = Scalar()

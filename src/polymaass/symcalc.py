@@ -214,16 +214,6 @@ def vanishing_order(family: Family, weight: int, point: Fraction) -> int:
     return 0
 
 
-def _mk_atom(family: Family, weight: int, point: Fraction, laurent: int,
-             pending=None) -> Optional[SpectralAtom]:
-    """Create an expanded atom, returning None when it is structurally zero."""
-    if laurent < vanishing_order(family, weight, point):
-        return None
-    if pending is None and (family, weight, point) in _POLES.get():
-        _pole_warning(weight, point, 3)
-    return SpectralAtom(family, weight, point, laurent, pending)
-
-
 def _pole_warning(weight: int, point: Fraction, stacklevel: int) -> None:
     """Warn of an atom at a tabled pole point, stacklevel frames up (1: the caller)."""
     warnings.warn("atom at tabled pole point (weight %d, point %s); using Laurent coefficients "
@@ -330,13 +320,16 @@ def make_e_atom(m: int, r: int) -> Form:
 
 
 def _atom(family: Family, weight: int, point, laurent: int, pending=None) -> SpectralAtom:
-    """_mk_atom for an atom named from outside: DomainError when the weight
-    or the Laurent index is not an int, the point is not an int or a
-    Fraction, or the atom is identically zero."""
-    a = _mk_atom(family, exact_int("weight", weight), exact_rational("point", point),
-                 exact_int("laurent", laurent), pending)
-    if a is None:
+    """The checked atom: SpectralAtom's DomainErrors (weight, point, then
+    Laurent index), then "atom is identically zero" below the vanishing order
+    its _Columns record gives; an expanded atom at a tabled point warns."""
+    a = SpectralAtom(family, exact_int("weight", weight), exact_rational("point", point),
+                     exact_int("laurent", laurent), pending)
+    order, res = _Columns()[family, a.weight, a.point.numerator, a.point.denominator][2:]
+    if a.laurent < order:
         raise DomainError("atom is identically zero")
+    if res is not None and pending is None:
+        _pole_warning(a.weight, a.point, 2)
     return a
 
 
@@ -450,7 +443,8 @@ class _Columns(dict):
     residue), for the member of weight w at P/Q in lowest terms: its
     vanishing order, its pole-table residue (read by the int P at Q = 1, a
     cheaper hash) or None, and plain with neither, so a step onto it warns of
-    nothing, adds no residue and drops no atom.  No other code tests one."""
+    nothing, adds no residue and drops no atom.  No other code tests one;
+    _atom reads a record of its own."""
 
     def __missing__(self, key):
         fam, w, P, Q = key
@@ -634,8 +628,8 @@ class _Atoms:
         P, Q = a.point.numerator, a.point.denominator
         w2, P2, s, den, u, x = _step_rule(fam, a.weight, P, Q, op)
         p2, _plain, order, res = self.columns[fam, w2, P2, Q]
-        # as in _mk_atom, an atom below the vanishing order drops, and each
-        # other atom at a tabled point warns
+        # an atom below the vanishing order drops, and each other atom at a
+        # tabled point warns, as _atom refuses and warns
         terms = [((0, self.at(fam, w2, P2, Q, o), s), c)
                  for c, o in ((x, t), (t * u, t - 1)) if c and o >= order]
         for _ in terms if res is not None else ():
@@ -812,10 +806,10 @@ def apply_mirror(f: Form) -> Form:
         if fam.kind == CONSTANT:
             a2, spec_c = a, ONE
         elif fam.kind == EISENSTEIN:
-            a2, spec_c = _mk_atom(fam, -w, p + w, t), ONE
+            a2, spec_c = _atom(fam, -w, p + w, t), ONE
         elif fam.kind == POINCARE:
             n = abs(fam.index)
-            a2 = _mk_atom(Family(POINCARE, index=-fam.index), -w, p, t)
+            a2 = _atom(Family(POINCARE, index=-fam.index), -w, p, t)
             spec_c = Scalar.pi_power(-w, (-1) ** ((1 - w) % 2) * Fraction(4 * n) ** (-w))
         else:
             raise DomainError("mirror is not defined for family %r" % (fam,))
@@ -876,7 +870,8 @@ def form_to_json(f: Form) -> dict:
 def form_from_json(data: dict) -> Form:
     """The form of the JSON, with one Family object per distinct family; an
     expanded atom of a non-constant family on a plain column is built
-    unchecked, any other by _atom."""
+    unchecked, any other atom on a plain column by SpectralAtom, and an atom
+    on a column that is not plain by _atom."""
     acc, families, polys, columns = {}, {}, {}, _Columns()
     with malformed_json("form JSON"):
         for term in data["terms"]:
@@ -896,11 +891,14 @@ def form_from_json(data: dict) -> Form:
             q = json_number(sp["point"])
             col = columns[fam, w, q.numerator, q.denominator]
             t = json_int(sp["laurent"])
-            if pending is None and col[1] and t >= 0 and fam.kind != CONSTANT:
+            if pending is not None:
+                pending = pending["dir"], json_int(pending["power"])
+            if not col[1]:
+                a = _atom(fam, w, col[0], t, pending)
+            elif pending is None and t >= 0 and fam.kind != CONSTANT:
                 a = SpectralAtom._make(fam, w, col[0], t)
-            else:
-                a = _atom(fam, w, col[0], t, None if pending is None
-                          else (pending["dir"], json_int(pending["power"])))
+            else:   # on a plain column _atom would check only the atom's parts
+                a = SpectralAtom(fam, w, col[0], t, pending)
             c = Scalar.from_json(term["coeff"])
             # a key repeats only in JSON written by hand
             acc[e, a] = acc[e, a] + c if (e, a) in acc else c

@@ -154,6 +154,12 @@ def test_iiid_rejected_at_depth_zero():
         CaseLabel("IIId", 0, WeightContext(5))
 
 
+def test_case_label_refuses_an_unknown_bk_label():
+    with pytest.raises(DomainError) as ex:
+        CaseLabel("XX", 0, WeightContext(0))
+    assert str(ex.value) == "unknown BK label 'XX'"
+
+
 def test_label_weight_compatibility():
     with pytest.raises(DomainError):
         construct_case("Ia", 1, 0)

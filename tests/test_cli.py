@@ -116,6 +116,15 @@ def test_classify_refuses_an_incoherent_atom_below_its_vanishing_order(capsys, t
     assert (code, out, err.strip()) == (2, "", "error: atom is identically zero")
 
 
+def test_apply_refuses_a_negative_laurent_index(capsys, monkeypatch):
+    data = {"weight": 2, "terms": [{"poly": {"m": 0, "r": 0}, "spectral": {
+        "family": {"kind": "eisenstein"}, "weight": 2, "point": "0", "laurent": -1,
+        "pending": None}, "coeff": [{"pi_exp": 0, "num": "1", "den": "1"}]}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+    code, out, err = run(capsys, "apply", "--op", "lowering", "--in", "-")
+    assert (code, out, err.strip()) == (2, "", "error: laurent index must be nonnegative, got -1")
+
+
 def test_classify_has_no_depth_bound_option(capsys, tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(form_to_json(construct_case("Ia", -2, 1))))

@@ -226,6 +226,20 @@ def test_config_rejects_invalid_values(field, value):
         EvalConfig(**{field: value})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: eval_eisenstein(0, 2, 0.2 - 1j), "tau must lie in the upper half plane"),
+    (lambda: fd_operator("X", 0, lambda t: 0j, 0.1 + 1.2j), "unknown operator 'X'"),
+    (lambda: verify_identity("mirror", [{"k": 0, "s": 2 + 1j, "tau": 0.1 + 1.2j}]),
+     "mirror check needs a real spectral point"),
+    (lambda: verify_identity("nope", [{"k": 0, "s": 2, "tau": 0.1 + 1.2j}]),
+     "unknown identity 'nope'"),
+])
+def test_numeric_entry_points_refuse_bad_input(build, message):
+    with pytest.raises(DomainError) as ex:
+        build()
+    assert str(ex.value) == message
+
+
 @pytest.mark.parametrize("op, calls", [("Delta", 9), ("L", 8), ("R", 9)])
 def test_fd_operator_evaluates_each_stencil_point_once(op, calls):
     seen = []

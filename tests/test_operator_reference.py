@@ -13,6 +13,7 @@ in the same order, read off the reference's Delta images.
 """
 
 import math
+import warnings
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -22,13 +23,24 @@ from hypothesis import example, given, settings, strategies as st
 from polymaass.scalars import ONE, ZERO, DomainError, Scalar
 from polymaass.symcalc import (CONST_ATOM, CONST_FAMILY, CONSTANT, DEFAULT_POLES, E00,
                                EISENSTEIN, INCOHERENT, POINCARE, _POLES, Family, Form,
-                               PolyAtom, SpectralAtom, _laplace_rows, _mk_atom, apply_laplace,
-                               apply_lowering, apply_power, apply_raising, expand_pending,
-                               form_of, forms_equal, is_zero, pole_table, using_poles,
-                               vanishing_order, zero_form)
+                               PolePointWarning, PolyAtom, SpectralAtom, _laplace_rows,
+                               apply_laplace, apply_lowering, apply_power, apply_raising,
+                               expand_pending, form_of, forms_equal, is_zero, pole_table,
+                               using_poles, vanishing_order, zero_form)
 
 
 # --- the reference ----------------------------------------------------------
+
+def _ref_atom(fam: Family, w: int, p: Fraction, t: int):
+    """The expanded atom of order t at (w, p), or None below the family's
+    vanishing order there; an atom at a tabled point warns."""
+    if t < vanishing_order(fam, w, p):
+        return None
+    if (fam, w, p) in _POLES.get():
+        warnings.warn("atom at tabled pole point (weight %d, point %s); using Laurent "
+                      "coefficients of the continued family" % (w, p), PolePointWarning)
+    return SpectralAtom(fam, w, p, t)
+
 
 def _spectral_step(a: SpectralAtom, direction: str):
     """One application of L or R to an expanded atom.
@@ -59,11 +71,11 @@ def _spectral_step(a: SpectralAtom, direction: str):
     atoms = []
     residues = []
     if not pref.is_zero():
-        sub = _mk_atom(fam, w2, p2, t)
+        sub = _ref_atom(fam, w2, p2, t)
         if sub is not None:
             atoms.append((sub, pref * unit))
     if t >= 1:
-        sub = _mk_atom(fam, w2, p2, t - 1)
+        sub = _ref_atom(fam, w2, p2, t - 1)
         if sub is not None:
             atoms.append((sub, Scalar.from_rational(t) * unit))
     else:  # t == 0: formal residue coefficient of the shifted family

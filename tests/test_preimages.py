@@ -98,6 +98,18 @@ FIELD_DISCS = {s if s % 4 == 3 else 4 * s for s in range(1, 400) if squarefree(s
 BENCH_DISCS = (3, 4, 7, 8, 11, 15, 19, 20, 23, 24, 31, 35, 39, 40, 43, 47)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: preimage_constant_weight(0, 1, eisenstein_family(2, 0)),
+     "family weight 2 does not match k=0"),
+    (lambda: preimage_incoherent(3, -1), "depth must be nonnegative"),
+    (lambda: construct_case("IV", 0, 1), "unknown case label 'IV'"),
+])
+def test_preimage_entry_points_refuse_bad_input(build, message):
+    with pytest.raises(DomainError) as ex:
+        build()
+    assert str(ex.value) == message
+
+
 @pytest.mark.parametrize("disc", [-3, 0, 1, 2, 5, 12, 16, 27])
 def test_incoherent_case_rejects_a_disc_that_is_not_fundamental(disc):
     with pytest.raises(DomainError, match="fundamental discriminant; got D = %d$" % disc):

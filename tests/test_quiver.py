@@ -10,7 +10,7 @@ import pytest
 from polymaass import quiverrep
 from polymaass.classify import BK_TO_MODULE, BK_TO_REPR, CaseLabel, WeightContext, \
     expected_dimension_vector
-from polymaass.quiverrep import (CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
+from polymaass.quiverrep import (ARROWS, CYCLIC, GELFAND, NODES, HCFragment, QuiverRep,
                                  build_cyclic_module, classify_cyclic,
                                  cyclic_module_dims, direct_sum, endomorphism_basis,
                                  has_only_trivial_idempotents, hc_to_quiver,
@@ -336,6 +336,37 @@ def test_fragment_l0():
     rep = hc_to_quiver(frag)
     assert rep.quiver == CYCLIC
     assert rep.loops()["-"] == [[Fraction(0)]]
+
+
+L0_FRAGMENT = dict(z_minus=[[0]], z_plus=[[1]])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: HCFragment(0, z_minus=[[0]]), "l = 0 fragment needs z_minus and z_plus"),
+    (lambda: HCFragment(2, x_minus=[[0]], x_plus=[[1]], y_plus=[[0]], y_minus=[[1]]),
+     "fragment needs 1 interior maps per direction"),
+    (lambda: HCFragment(1, x_minus=[[0]], x_plus=[[1]], y_plus=[[0]]),
+     "fragment needs x_minus, y_minus, x_plus and y_plus"),
+    (lambda: HCFragment(1, x_minus=[[1]], x_plus=[[0]], y_plus=[[0]], y_minus=[[1]]),
+     "lower end composite is not nilpotent"),
+    (lambda: HCFragment(0, z_minus=[[1]], z_plus=[[1]]), "end composite is not nilpotent"),
+    (lambda: second_description(HCFragment(0, **L0_FRAGMENT)), "second description needs l >= 1"),
+    (lambda: iso_two_descriptions(HCFragment(0, **L0_FRAGMENT)),
+     "two descriptions exist only for l >= 1"),
+    (lambda: random_fragment(0, 2), "need l >= 1 and dim >= 1"),
+])
+def test_fragment_inputs_are_refused_by_name(build, message):
+    with pytest.raises(DomainError) as ex:
+        build()
+    assert str(ex.value) == message
+
+
+@pytest.mark.parametrize("quiver, node", [(GELFAND, "*"), (CYCLIC, "+")])
+def test_zero_module_is_cyclic_at_the_first_node_and_certified(quiver, node):
+    rep = QuiverRep(quiver, dict.fromkeys(NODES[quiver], 0),
+                    {name: [] for name, _src, _dst in ARROWS[quiver]})
+    assert is_cyclic(rep) == node
+    assert has_only_trivial_idempotents(rep) is True
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])

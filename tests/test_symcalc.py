@@ -121,6 +121,12 @@ def test_mirror_rejects_pending():
         apply_mirror(form_of(PolyAtom(0, 0), a))
 
 
+def test_mirror_refuses_an_incoherent_atom():
+    with pytest.raises(DomainError) as ex:
+        apply_mirror(form_of(PolyAtom(0, 0), atom_incoherent(3, 0)))
+    assert str(ex.value) == "mirror is not defined for family E-[D=3]"
+
+
 # --- flip ------------------------------------------------------------------
 
 def test_flip_fixes_holomorphic_e_vector():
@@ -264,6 +270,15 @@ def test_json_rejects_identically_zero_atom():
     (lambda: atom_incoherent(3.0, 0), "disc must be an int, not 3.0"),
     (lambda: atom_incoherent(3, True), "order must be an int, not True"),
     (lambda: atom_incoherent(3, 0.5), "order must be an int, not 0.5"),
+    # a negative Laurent index is refused as such, before any vanishing order
+    (lambda: atom_E(2, 0, -1), "laurent index must be nonnegative, got -1"),
+    (lambda: atom_P(2, -1, 1, -1), "laurent index must be nonnegative, got -1"),
+    (lambda: atom_incoherent(3, -2), "laurent index must be nonnegative, got -1"),
+    (lambda: form_from_json({"weight": 2, "terms": [{
+        "poly": {"m": 0, "r": 0}, "coeff": [{"pi_exp": 0, "num": "1", "den": "1"}],
+        "spectral": {"family": {"kind": "eisenstein"}, "weight": 2, "point": "0",
+                     "laurent": -1, "pending": None}}]}),
+     "laurent index must be nonnegative, got -1"),
     (lambda: PolyAtom(1.5, 0), "m must be an int, not 1.5"),
     (lambda: PolyAtom(2, True), "r must be an int, not True"),
     (lambda: Family("poincare", index=-1.0), "index must be an int, not -1.0"),
@@ -1018,7 +1033,7 @@ def test_trimmed_tower_classifies_as_the_untrimmed_one(poles, monkeypatch):
 def test_steps_onto_tabled_or_vanishing_columns_build_no_checked_atom(monkeypatch):
     # L^2 of IIIb forms steps onto the tabled (E, 0, 1), and R of the IIb
     # seed onto the column where its family vanishes; _Atoms._step drops
-    # and warns from the column record alone, as _mk_atom did
+    # and warns from the column record alone, as _atom does
     from polymaass.specsolve import construct_case
     forms = [(construct_case("IIIb", k, d), "L", 2) for k, d in ((3, 2), (4, 3))]
     forms.append((construct_case("IIb", 1, 0), "R", 1))
@@ -1035,7 +1050,7 @@ def test_steps_onto_tabled_or_vanishing_columns_build_no_checked_atom(monkeypatc
 
     def refuse(*args, **kwargs):
         raise AssertionError("a checked atom was built")
-    monkeypatch.setattr(symcalc, "_mk_atom", refuse)
+    monkeypatch.setattr(symcalc, "_atom", refuse)
     assert run() == want
     assert [len(w) for *_g, w in want] == [2, 3, 0]
     assert want[2][0] == "E-^(0)_{D=3}"   # the order-0 atom dropped
