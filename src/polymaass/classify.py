@@ -19,8 +19,8 @@ from math import gcd, lcm
 from typing import Tuple
 
 from . import CYCLIC, GELFAND
-from .symcalc import (DomainError, Form, _apply, _band_rows, _chain_bands, _chain_layers,
-                      _delta_layers, _laplace_rows, expand_pending)
+from .symcalc import (DomainError, Form, _apply, _chain_bands, _chain_layers, _delta_layers,
+                      _laplace_rows, expand_pending)
 
 # the cyclic quiver module (quiver, generator type, case) of each label
 BK_TO_MODULE = {
@@ -122,7 +122,7 @@ def _tower(f: Form, low: int = 1, high: int = 0):
             if (chain, op) not in bands:
                 bands[chain, op] = _chain_bands(chain, op)
             (diags, image), n = bands[chain, op], chain[0] + 1
-            layers = _delta_layers(_band_rows(diags, n, len(layers) // n), layers)
+            layers = _delta_layers(diags, layers)
             if x := next(filter(None, layers), 0):
                 i = layers.index(x)
                 out[image, e] = layers[i - i % n:]

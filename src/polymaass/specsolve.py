@@ -29,9 +29,8 @@ from .linalg import IntMat, Vec, _eliminate, _kernel, kernel, mat_mul, mat_vec, 
 from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
                       malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
-                      SpectralAtom, _Atoms, _Columns, _band_rows, _chain_bands, _chain_form,
-                      _delta_layers, _laplace_rows, apply_flip, apply_power, atom_incoherent,
-                      form_of)
+                      SpectralAtom, _Atoms, _Columns, _chain_bands, _chain_form, _delta_layers,
+                      _laplace_rows, _step_rule, apply_flip, apply_power, atom_incoherent, form_of)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +289,10 @@ def _certify(diags, w: List[List[int]], nu: Fraction) -> None:
     T^{d+1} p(T)^d = mu_1^d T^d and p(T)^{d+1} = 0.  Where the solver runs,
     ker A = span(w0) and w0 is not in the image of A, so every w with both
     identities has such a p; else d + 1 passes name the one that fails."""
-    w0, d, n = w[0], len(w) - 1, len(w[0])
+    w0, d, n, flat = w[0], len(w) - 1, len(w[0]), [x for u in w for x in u]
     if not any(w0):
         raise AssertionError("iterative solution has w0 = 0")
-    bands, flat = _band_rows(diags, n, d + 1), [x for u in w for x in u]
-    v = _delta_layers(bands, flat)
+    v = _delta_layers(diags, flat)
     r = next(i for i, x in enumerate(w0) if x)
     D, mus = 1, []   # mu_s = mus[s - 1] / D
     for t in range(1, d + 1):
@@ -308,11 +306,10 @@ def _certify(diags, w: List[List[int]], nu: Fraction) -> None:
     else:
         if not any(v[:n]) and nu == (Fraction(mus[0], D) ** d if mus else 1):
             return
-    for _ in range(d):
-        flat = _delta_layers(bands, flat)
+    flat = _delta_layers(diags, flat, d)
     if flat != [0] * (d * n) + [nu * x for x in w0]:
         raise AssertionError("iterative solution fails Delta^d w = nu T^d w0")
-    if any(_delta_layers(bands, flat)):
+    if any(_delta_layers(diags, flat)):
         raise AssertionError("iterative solution fails Delta^{d+1} w = 0")
 
 
@@ -370,19 +367,19 @@ class SpectralFamily:
             raise DomainError("orientation must be +1 or -1")
 
     def check_standard(self):
-        """The local Laplace eigenvalue a0 + a1 u - u^2 of the member at
-        s = point + u must be (1 - weight) u in the oriented variable:
-        a0 = 0 and orientation a1 = 1 - weight.  A constant family has
-        eigenvalue 0, with no u^2 term, so it never is."""
-        w, p = self.weight, self.point
-        if self.family.is_eisenstein_like():   # s (1 - w - s)
-            a0, a1 = p * (1 - w - p), 1 - w - 2 * p
-        else:   # Poincare: -(s - w/2)(s - 1 + w/2)
-            a0, a1 = (p - Fraction(w, 2)) * (1 - p - Fraction(w, 2)), 1 - 2 * p
-        if self.family.kind == CONSTANT or a0 != 0 or self.orientation * a1 != 1 - w:
-            raise DomainError(
-                "family at point %s is not in the standard eigenvalue "
-                "normalization for weight %d" % (self.point, self.weight))
+        """The local Laplace eigenvalue a0 + a1 u - u^2 at s = point + u must be
+        (1 - weight) u in the oriented variable.  Delta = -R L, and the L step
+        and the R step back (_step_rule) have prefactors (x_i + u_i u)/d_i with
+        u1 u2 = d1 d2: so x1 x2 = 0 and orientation (x1 u2 + u1 x2) = (weight -
+        1) d1 d2.  A constant family (eigenvalue 0) never is."""
+        fam, w, P, Q = self.family, self.weight, self.point.numerator, self.point.denominator
+        if fam.kind != CONSTANT:
+            w2, P2, _s, d1, u1, x1 = _step_rule(fam, w, P, Q, "L")
+            d2, u2, x2 = _step_rule(fam, w2, P2, Q, "R")[3:]
+            if not x1 * x2 and self.orientation * (x1 * u2 + u1 * x2) == (w - 1) * d1 * d2:
+                return
+        raise DomainError("family at point %s is not in the standard eigenvalue "
+                          "normalization for weight %d" % (self.point, self.weight))
 
 
 def eisenstein_family(weight: int, point, orientation: int = 1) -> SpectralFamily:
@@ -621,11 +618,8 @@ def _layered_preimage(blocks, d: int, b0: List[int], pos: List[int]) -> Tuple[in
         f = X[at[pc]] * (L // row[pc])
         for j, v in row.items():
             x[at[j]] -= f * v
-    den, bands = D0 * s * L, _band_rows(blocks, E, d + 1)
-    y = [v for t in range(n - E, -1, -E) for v in x[t:t + E]]   # layer d first
-    for _ in range(d):
-        y = _delta_layers(bands, y)
-    if y != [0] * (d * E) + [den * v for v in b0]:
+    den, y = D0 * s * L, [v for t in range(n - E, -1, -E) for v in x[t:t + E]]   # layer d first
+    if _delta_layers(blocks, y, d) != [0] * (d * E) + [den * v for v in b0]:
         raise AssertionError("span preimage fails Delta^d x = target")
     return den, x
 
@@ -673,7 +667,7 @@ def _poincare_case(label: str, k: int, d: int, index: int) -> Form:
     for passes, mirror in ((p, flip), (q, False)):
         for _ in range(passes):
             diags, chain = _chain_bands(chain, "R")
-            layers, cls = _delta_layers(_band_rows(diags, m + 1, d0 + 1), layers), cls + 1
+            layers, cls = _delta_layers(diags, layers), cls + 1
         if mirror:
             f = [(-1) ** (m + 1) * factorial(r) * perm(m, r) * N ** (2 * r) for r in I]
             layers = [layers[j + m - r] * f[r] for j in range(0, len(layers), m + 1) for r in I]

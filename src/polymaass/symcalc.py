@@ -319,13 +319,13 @@ def make_e_atom(m: int, r: int) -> Form:
     return form_of(PolyAtom(m, r), CONST_ATOM)
 
 
-def _atom(family: Family, weight: int, point, laurent: int, pending=None) -> SpectralAtom:
+def _atom(columns, family: Family, weight: int, point, laurent: int, pending=None) -> SpectralAtom:
     """The checked atom: SpectralAtom's DomainErrors (weight, point, then
     Laurent index), then "atom is identically zero" below the vanishing order
-    its _Columns record gives; an expanded atom at a tabled point warns."""
+    in the caller's _Columns; an expanded atom at a tabled point warns."""
     a = SpectralAtom(family, exact_int("weight", weight), exact_rational("point", point),
                      exact_int("laurent", laurent), pending)
-    order, res = _Columns()[family, a.weight, a.point.numerator, a.point.denominator][2:]
+    order, res = columns[family, a.weight, a.point.numerator, a.point.denominator][2:]
     if a.laurent < order:
         raise DomainError("atom is identically zero")
     if res is not None and pending is None:
@@ -334,18 +334,17 @@ def _atom(family: Family, weight: int, point, laurent: int, pending=None) -> Spe
 
 
 def atom_E(weight: int, point, laurent: int = 0) -> SpectralAtom:
-    return _atom(Family(EISENSTEIN), weight, point, laurent)
+    return _atom(_Columns(), Family(EISENSTEIN), weight, point, laurent)
 
 
 def atom_P(weight: int, index: int, point, laurent: int = 0) -> SpectralAtom:
-    return _atom(Family(POINCARE, index=index), weight, point, laurent)
+    return _atom(_Columns(), Family(POINCARE, index=index), weight, point, laurent)
 
 
 def atom_incoherent(disc: int, order: int) -> SpectralAtom:
     """The atom printed E^-(order): derivative order+1 of the incoherent
     family at the base point (the family vanishes there)."""
-    return _atom(Family(INCOHERENT, disc=disc), 1, 0,
-                 exact_int("order", order) + 1)
+    return _atom(_Columns(), Family(INCOHERENT, disc=disc), 1, 0, exact_int("order", order) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +403,8 @@ def load_pole_table(path: str) -> PoleTable:
         for entry in data:
             fam = _family_from_json(entry["family"])
             key = (fam, json_int(entry["weight"]), json_rational(entry["point"]))
+            if key in table:
+                raise DomainError("pole table names %s twice" % _pole_key_text(*key))
             if json_int(entry.get("order", 1)) != 1:
                 raise DomainError("pole order capped at 1")
             table[key] = form_from_json(entry["residue_form"])
@@ -444,7 +445,7 @@ class _Columns(dict):
     vanishing order, its pole-table residue (read by the int P at Q = 1, a
     cheaper hash) or None, and plain with neither, so a step onto it warns of
     nothing, adds no residue and drops no atom.  No other code tests one;
-    _atom reads a record of its own."""
+    _atom reads its caller's."""
 
     def __missing__(self, key):
         fam, w, P, Q = key
@@ -458,22 +459,21 @@ class _Columns(dict):
 # spectral chains
 
 
-def _band_rows(diags, n: int, T: int) -> Tuple[list, list]:
-    """The pass of _delta_layers on T layers of n entries: (padding, rows)."""
-    return [0] * (2 * n + 1), [((2 - s) * n + 1 + o, c * T)
-                               for s, band in enumerate(diags) for o, c in band]
-
-
-def _delta_layers(bands: Tuple[list, list], flat: List[int]) -> List[int]:
-    """A u_t + B u_{t-1} + C u_{t-2} in each layer t of the layers u_0, u_1,
-    ... end to end, for bands A, B (and C) given by their nonzero diagonals
-    (o, c), c[i] = M[i][i + o] (at least one), as _band_rows lays them out:
+def _delta_layers(diags, flat: List[int], passes: int = 1) -> List[int]:
+    """The layers u_0, u_1, ... end to end after the given number of passes
+    of A u_t + B u_{t-1} + C u_{t-2} in each layer t, for bands A, B (and C)
+    given by their nonzero diagonals (o, c), c[i] = M[i][i + o] (at least
+    one), whose length n is the layers' width.  The rows are laid out once:
     after 2n + 1 zeros, diagonal (o, c) of the S^s band adds c, once per
     layer, times the entries from (2 - s) n + 1 + o on, s n - o back (c is 0
-    where i + o leaves a layer); one sum over those rows."""
-    pad, rows = bands
-    p = pad + flat + [0]
-    return list(map(sum, zip(*[map(mul, row, p[start:]) for start, row in rows])))
+    where i + o leaves a layer); a pass is one sum over those rows."""
+    n = len(next(c for band in diags for _o, c in band))
+    pad, rows = [0] * (2 * n + 1), [((2 - s) * n + 1 + o, c * (len(flat) // n))
+                                    for s, band in enumerate(diags) for o, c in band]
+    for _ in range(passes):
+        p = pad + flat + [0]
+        flat = list(map(sum, zip(*[map(mul, row, p[start:]) for start, row in rows])))
+    return flat
 
 
 def _chain_bands(chain: tuple, op: str) -> Tuple[list, tuple]:
@@ -568,10 +568,6 @@ def _chain_form(sets: dict, den: int, weight: int, grid) -> Form:
 # form-level operators
 
 
-def _add(acc: dict, key, c: Scalar) -> None:
-    acc[key] = acc.get(key, ZERO) + c
-
-
 class _Atoms:
     """The atoms of one operator call or Laplace closure, each under a small
     int id, and the one integer rule for L, R, Delta and the unfolding of
@@ -620,8 +616,9 @@ class _Atoms:
     def _step(self, a: SpectralAtom, op: str) -> Tuple[int, list]:
         """(L or R) a for an expanded atom a by the rules above, in integers:
         (den, [((0, atom id, pi shift), x)]) for the terms x/den pi^shift, by
-        atom in the order the step names them, shifts rising.  A residue, at
-        t = 0, is summed in Scalars."""
+        atom in the order the step names them, with no zero x.  A residue, at
+        t = 0, joins the terms over den D, D the lcm of its denominators: its
+        term q pi^e at atom b adds u q D at (0, b, s + e)."""
         fam, t = a.family, a.laurent
         if fam.kind == CONSTANT:
             return 1, []
@@ -636,12 +633,13 @@ class _Atoms:
             _pole_warning(w2, p2, 1)
         if res is None or t:
             return den, terms
-        acc = {b: Scalar.pi_power(s, Fraction(c, den)) for (_r, b, _s), c in terms}
+        D = lcm(*(q.denominator for _key, c in res.terms for _e, q in c.terms))
+        acc = {key: x * D for key, x in terms}
         for (_e0, b), c in res.terms:
-            _add(acc, self.id(b), c * Scalar.pi_power(s, Fraction(u, den)))
-        out = [(b, e, q) for b, c in acc.items() for e, q in c.terms]
-        den = lcm(*(q.denominator for _b, _e, q in out))
-        return den, [((0, b, e), q.numerator * (den // q.denominator)) for b, e, q in out]
+            for e, q in c.terms:
+                key = (0, self.id(b), s + e)
+                acc[key] = acc.get(key, 0) + u * q.numerator * (D // q.denominator)
+        return den * D, [(key, x) for key, x in acc.items() if x]
 
     def image(self, m: int, r: int, i: int, op: str) -> Tuple[int, list]:
         """op (e_{r,m-r} (x) atom i), for op one of L, R, D (Delta) and E
@@ -795,7 +793,7 @@ def forms_equal(f: Form, g: Form) -> bool:
 
 def apply_mirror(f: Form) -> Form:
     """y^k conj(.) termwise; requires expanded atoms and rational points."""
-    acc: Dict[Tuple[PolyAtom, SpectralAtom], Scalar] = {}
+    acc, columns = {}, _Columns()
     for (e, a), coeff in f.terms:
         if a.pending is not None:
             raise DomainError("mirror needs expanded atoms; call expand_pending first")
@@ -806,14 +804,14 @@ def apply_mirror(f: Form) -> Form:
         if fam.kind == CONSTANT:
             a2, spec_c = a, ONE
         elif fam.kind == EISENSTEIN:
-            a2, spec_c = _atom(fam, -w, p + w, t), ONE
+            a2, spec_c = _atom(columns, fam, -w, p + w, t), ONE
         elif fam.kind == POINCARE:
             n = abs(fam.index)
-            a2 = _atom(Family(POINCARE, index=-fam.index), -w, p, t)
+            a2 = _atom(columns, Family(POINCARE, index=-fam.index), -w, p, t)
             spec_c = Scalar.pi_power(-w, (-1) ** ((1 - w) % 2) * Fraction(4 * n) ** (-w))
         else:
             raise DomainError("mirror is not defined for family %r" % (fam,))
-        _add(acc, (e2, a2), coeff * poly_c * spec_c)
+        acc[e2, a2] = acc.get((e2, a2), ZERO) + coeff * poly_c * spec_c
     return Form(-f.weight, acc)
 
 
@@ -894,7 +892,7 @@ def form_from_json(data: dict) -> Form:
             if pending is not None:
                 pending = pending["dir"], json_int(pending["power"])
             if not col[1]:
-                a = _atom(fam, w, col[0], t, pending)
+                a = _atom(columns, fam, w, col[0], t, pending)
             elif pending is None and t >= 0 and fam.kind != CONSTANT:
                 a = SpectralAtom._make(fam, w, col[0], t)
             else:   # on a plain column _atom would check only the atom's parts

@@ -495,3 +495,36 @@ def test_laplace_rows_of_case_forms_match_reference(case, k, kwargs, table):
             for g in (f, expand_pending(f)):
                 seeds = [key for key, _c in g.terms]
                 assert _laplace_rows(seeds) == reference_rows(seeds), (case, d)
+
+
+@pytest.mark.parametrize("c, lowered", [(Fraction(-1), 0), (Fraction(-1, 2), Fraction(1, 2)),
+                                        (Fraction(2, 3), Fraction(5, 3))])
+def test_residue_that_meets_the_steps_own_term(c, lowered):
+    """L of E^(0)_{2,1} steps onto (E, 0, 2) with the term E^(0)_{0,2}, and a
+    residue c E^(0)_{0,2} tabled there joins that term: at c = -1 the two
+    cancel and L gives the zero form, at c = -1/2 they merge to 1/2 E^(0)_{0,2}."""
+    a, top = SpectralAtom(EIS, 2, Fraction(1), 0), SpectralAtom(EIS, 0, Fraction(2), 0)
+    f, seeds = form_of(E00, a), [(E00, a), (PolyAtom(2, 1), a)]
+    with using_poles(pole_table({(EIS, 0, Fraction(2)): form_of(E00, top, c)})), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", PolePointWarning)
+        assert apply_lowering(f) == _apply_op(f, "L")
+        assert apply_lowering(f) == (form_of(E00, top, lowered) if lowered else zero_form(0))
+        assert apply_laplace(f) == apply_laplace_reference(f)
+        assert _laplace_rows(seeds) == reference_rows(seeds)
+
+
+def test_a_cancelled_residue_takes_no_further_step():
+    """At c = -1 the step's own term and the residue cancel within the step,
+    so Delta = -R L takes no R step of E^(0)_{0,2}: with (E, 2, 1), where
+    that step would land, tabled too, Delta of E^(0)_{2,1} warns once, for
+    its L step."""
+    a, top = SpectralAtom(EIS, 2, Fraction(1), 0), SpectralAtom(EIS, 0, Fraction(2), 0)
+    table = pole_table({(EIS, 0, Fraction(2)): form_of(E00, top, -1),
+                        (EIS, 2, Fraction(1)): form_of(E00, SpectralAtom(EIS, 2, Fraction(5), 0))})
+    with using_poles(table), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert apply_laplace(form_of(E00, a)).is_empty()
+    assert [str(w.message) for w in caught] == [
+        "atom at tabled pole point (weight 0, point 2); using Laurent coefficients of the "
+        "continued family"]

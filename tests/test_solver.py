@@ -233,8 +233,7 @@ def test_delta_layers_matches_banded_delta(k, m, branch, d):
     # the self-check applies A, B and C by their diagonals to int layers
     model = WModel(k, m, branch)
     layers = [[int(x * 12) for x in layer] for layer in _test_vector(m + 1, d)]
-    out = specsolve._delta_layers(specsolve._band_rows(model._diagonals(), m + 1, d + 1),
-                                  [x for layer in layers for x in layer])
+    out = specsolve._delta_layers(model._diagonals(), [x for layer in layers for x in layer])
     assert out == banded_delta(model, layers)
     assert all(type(x) is int for x in out)
 
@@ -309,16 +308,16 @@ def test_self_check_refuses_a_zero_w0(d):
 def test_self_check_of_a_solve_is_one_pass(k, m, branch, d, monkeypatch):
     def block(*args):
         raise AssertionError("the block operator was built")
-    passes = []
+    calls = []
 
-    def counted(bands, layers):   # flat layers of m + 1 entries
-        passes.append(len(layers) // (m + 1))
-        return delta_layers(bands, layers)
+    def counted(diags, layers, passes=1):   # flat layers of m + 1 entries
+        calls.append((len(layers) // (m + 1), passes))
+        return delta_layers(diags, layers, passes)
     delta_layers = specsolve._delta_layers
     monkeypatch.setattr(WModel, "_int_block_delta", block)
     monkeypatch.setattr(specsolve, "_delta_layers", counted)
     solve_wd(k, m, branch, d)
-    assert passes == [d + 1]
+    assert calls == [(d + 1, 1)]
 
 
 def test_exact_depth_of_emissions():
@@ -590,6 +589,42 @@ def test_standard_anchor_check_is_pinned():
             line = str(e)
         h.update((line + "\n").encode())
     assert (h.hexdigest()[:16], standard) == ("5f3557a113e6d948", 52)
+
+
+def _check_standard_reference(fam, w, p, orientation):
+    """check_standard's message, or "ok", as it read the local eigenvalue
+    a0 + a1 u - u^2 at s = p + u off the family's eigenvalue formula:
+    s (1 - w - s) for an Eisenstein-like family, -(s - w/2)(s - 1 + w/2) for
+    a Poincare family; a constant family is refused first."""
+    if fam.is_eisenstein_like():
+        a0, a1 = p * (1 - w - p), 1 - w - 2 * p
+    else:
+        a0, a1 = (p - Fraction(w, 2)) * (1 - p - Fraction(w, 2)), 1 - 2 * p
+    if fam.kind == CONSTANT or a0 != 0 or orientation * a1 != 1 - w:
+        return ("family at point %s is not in the standard eigenvalue normalization for "
+                "weight %d" % (p, w))
+    return "ok"
+
+
+def test_standard_anchor_check_matches_the_eigenvalue_formulas():
+    # the check reads the eigenvalue off the L and R step rules; over
+    # Eisenstein, Poincare (n = -1, 3), incoherent (D = 3) and constant
+    # families, weights -5..5, points P/Q with |P| <= 10 and Q <= 4, and both
+    # orientations (6050 anchors, 88 standard) it gives the formulas' verdict
+    # and message
+    families = [Family(EISENSTEIN), Family(POINCARE, index=-1), Family(POINCARE, index=3),
+                Family(INCOHERENT, disc=3), Family(CONSTANT)]
+    points = sorted({Fraction(a, q) for a in range(-10, 11) for q in range(1, 5)})
+    standard = 0
+    for fam, w, p, o in itertools.product(families, range(-5, 6), points, (1, -1)):
+        try:
+            SpectralFamily(fam, w, p, o).check_standard()
+            got = "ok"
+        except DomainError as e:
+            got = str(e)
+        assert got == _check_standard_reference(fam, w, p, o), (fam, w, p, o)
+        standard += got == "ok"
+    assert standard == 88
 
 
 def test_emitted_flip_involution():

@@ -121,6 +121,27 @@ def test_mirror_rejects_pending():
         apply_mirror(form_of(PolyAtom(0, 0), a))
 
 
+def test_mirror_reads_each_column_once(monkeypatch):
+    # terms whose mirrored atoms share a column read one _Columns record: two
+    # columns, (E, 0, 3) and (P[n=1], 0, 1/2), over six terms
+    p = atom_P(0, -1, Fraction(1, 2))
+    f = Form(0, {(PolyAtom(2, 1), atom_E(0, 3, t)): Scalar.from_rational(t + 1)
+                 for t in range(3)})
+    f = f + form_of(E00, atom_E(0, 3, 3)) + form_of(E00, p) \
+        + form_of(PolyAtom(2, 1), SpectralAtom(p.family, 0, p.point, 1))
+    calls = []
+
+    def counted(fam, w, point):
+        calls.append((fam, w, point))
+        return vanishing_order(fam, w, point)
+    vanishing_order = symcalc.vanishing_order
+    monkeypatch.setattr(symcalc, "vanishing_order", counted)
+    g = apply_mirror(f)
+    assert len(g.terms) == 6 and len(calls) == 2
+    assert set(calls) == {(Family(EISENSTEIN), 0, 3),
+                          (Family(POINCARE, index=1), 0, Fraction(1, 2))}
+
+
 def test_mirror_refuses_an_incoherent_atom():
     with pytest.raises(DomainError) as ex:
         apply_mirror(form_of(PolyAtom(0, 0), atom_incoherent(3, 0)))
@@ -369,14 +390,14 @@ def _form_from_json_reference(data):
     once: the point by json_rational, each coefficient by the public Scalar
     constructor, and every key added to ZERO."""
     from polymaass.scalars import ZERO, json_int, json_rational, malformed_json
-    from polymaass.symcalc import _atom, _family_from_json
+    from polymaass.symcalc import _Columns, _atom, _family_from_json
     acc = {}
     with malformed_json("form JSON"):
         for term in data["terms"]:
             e = PolyAtom(json_int(term["poly"]["m"]), json_int(term["poly"]["r"]))
             sp = term["spectral"]
             pending = sp.get("pending")
-            a = _atom(_family_from_json(sp["family"]), json_int(sp["weight"]),
+            a = _atom(_Columns(), _family_from_json(sp["family"]), json_int(sp["weight"]),
                       json_rational(sp["point"]), json_int(sp["laurent"]),
                       None if pending is None else (pending["dir"], json_int(pending["power"])))
             with malformed_json("scalar JSON"):
@@ -830,6 +851,22 @@ def test_pole_table_json_refuses_a_pole_of_order_two(tmp_path):
     assert str(err.value) == "pole order capped at 1"
 
 
+@pytest.mark.parametrize("points", [("1", "1"), ("1", "2/2"), (1, "3/3")])
+def test_pole_table_json_refuses_a_key_named_twice(tmp_path, points):
+    # two entries at (E, 0, 1), however the point is spelled, are refused,
+    # not read as the last of them
+    import json as _json
+    from polymaass import symcalc as sc
+    seven = form_of(PolyAtom(0, 0), CONST_ATOM, 7)
+    path = tmp_path / "poles.json"
+    path.write_text(_json.dumps([{"family": {"kind": "eisenstein"}, "weight": 0, "point": p,
+                                  "residue_form": sc.form_to_json(res)}
+                                 for p, res in zip(points, (THREE_OVER_PI, seven))]))
+    with pytest.raises(DomainError) as err:
+        sc.load_pole_table(str(path))
+    assert str(err.value) == "pole table names (E, 0, 1) twice"
+
+
 def test_pole_table_refuses_a_residue_with_a_polynomial_part():
     from polymaass import symcalc as sc
     residue = form_of(PolyAtom(2, 1), CONST_ATOM, Scalar.pi_power(-1, 3))
@@ -936,10 +973,12 @@ BAND_INTS = st.one_of(st.integers(-9, 9), st.integers(-2 ** 300, 2 ** 300))
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), n=st.integers(1, 8), T=st.integers(1, 10), bands=st.integers(1, 3))
-def test_flat_band_pass_matches_the_nested_one(data, n, T, bands):
+@given(data=st.data(), n=st.integers(1, 8), T=st.integers(1, 10), bands=st.integers(1, 3),
+       passes=st.integers(1, 3))
+def test_flat_band_pass_matches_the_nested_one(data, n, T, bands, passes):
     # diagonals at offsets -1..1 (c is 0 where i + o leaves a layer), under
-    # leading zero layers, which stay zero in the image
+    # leading zero layers, which stay zero in the image; passes passes in
+    # one call are that many nested ones
     def diagonal(o):
         c = data.draw(st.lists(BAND_INTS, min_size=n, max_size=n))
         return o, [x if 0 <= i + o < n else 0 for i, x in enumerate(c)]
@@ -949,8 +988,10 @@ def test_flat_band_pass_matches_the_nested_one(data, n, T, bands):
     layers = [[0] * n for _ in range(lead)] + [data.draw(st.lists(BAND_INTS, min_size=n,
                                                                   max_size=n))
                                                for _ in range(T - lead)]
-    got = symcalc._delta_layers(symcalc._band_rows(diags, n, T), [x for u in layers for x in u])
-    assert got == [x for u in _delta_layers_reference(diags, layers) for x in u]
+    got = symcalc._delta_layers(diags, [x for u in layers for x in u], passes)
+    for _ in range(passes):
+        layers = _delta_layers_reference(diags, layers)
+    assert got == [x for u in layers for x in u]
     assert not any(got[:lead * n])
 
 
