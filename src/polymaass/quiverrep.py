@@ -15,12 +15,12 @@ every map once, as a linalg.IntMat in the read-only mapping ``int_maps``:
 every product, inverse, rank and nilpotency check runs on those, and
 to_json writes their integers.  Its dense fields are read-only views
 (tuples of Fraction row tuples), built on first access and kept.  The
-public constructors read dense matrices, and from_json hands them what it
-reads, a plain integer string as an int; the functions below that build
-one pass IntMats to the private ``_make``, which skips only the shape and
-entry checks.  A QuiverRep computes its loops, their nilpotency degrees
-and its top once, when first asked; an HCFragment forms X_*, Y_* and
-their inverses once, when built.
+public constructors read dense matrices, and from_json hands them what
+scalars.json_matrix reads, a plain integer string as an int; the
+functions below that build one pass IntMats to the private ``_make``,
+which skips only the shape and entry checks.  A QuiverRep computes its
+loops, their nilpotency degrees and its top once, when first asked; an
+HCFragment forms X_*, Y_* and their inverses once, when built.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import CYCLIC, GELFAND
 from .linalg import IntMat, Mat
-from .scalars import DomainError, check_exact, exact_int, json_int, json_number, malformed_json
+from .scalars import DomainError, check_exact, exact_int, json_int, json_matrix, malformed_json
 
 NODES = {GELFAND: ("-", "*", "+"), CYCLIC: ("-", "+")}
 # (name, source node, target node) of every arrow
@@ -127,16 +127,8 @@ class QuiverRep:
         with malformed_json("quiver representation"):
             quiver = data["quiver"]
             dims = {k: json_int(v) for k, v in data["dims"].items()}
-            maps = {k: _matrix_from_json(m) for k, m in data["maps"].items()}
+            maps = {k: json_matrix(m) for k, m in data["maps"].items()}
             return QuiverRep(quiver, dims, maps)
-
-
-def _matrix_from_json(m) -> Mat:
-    """A matrix read from JSON: a list of rows, each a list of rationals,
-    read by json_number."""
-    if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
-        raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
-    return [[json_number(x) for x in row] for row in m]
 
 
 def _json_rows(m: IntMat) -> List[List[str]]:
@@ -486,7 +478,7 @@ class HCFragment:
 
     @staticmethod
     def from_json(data: dict) -> "HCFragment":
-        dec = lambda m: None if m is None else _matrix_from_json(m)
+        dec = lambda m: None if m is None else json_matrix(m)
         with malformed_json("fragment JSON"):
             unknown = sorted(set(data) - {"l", *_FRAGMENT_MAPS})
             if unknown:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import AbstractContextManager
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -39,39 +39,28 @@ def json_int(x) -> int:
     return x
 
 
-def json_rational(x) -> Fraction:
-    """The exact rational a JSON field holds: an int, or a string such as
-    "-3", "5/7" or "0.1".  A float or a bool raises TypeError, so that 0.1
-    is never read as the binary fraction nearest to it, nor true as 1."""
+def json_number(x) -> Union[int, Fraction]:
+    """The exact rational a JSON int or string ("-3", "5/7", "0.1") holds,
+    with the value or error that Fraction(x) gives: a plain ASCII integer
+    string (digits after an optional "-") as an int, an ASCII "p/q" as
+    Fraction(int p, int q).  A float or a bool raises TypeError, so that 0.1
+    is never read as the nearest binary fraction, nor true as 1."""
+    if type(x) is str and x.isascii():
+        if (x[1:] if x[:1] == "-" else x).isdigit():
+            return int(x)
+        num, slash, den = x.partition("/")
+        if slash and (num[1:] if num[:1] == "-" else num).isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))
     if not isinstance(x, (int, str)) or isinstance(x, bool):
         raise TypeError("a rational must be an int or a string, not %r" % (x,))
     return Fraction(x)
 
 
-def plain_int(x) -> Optional[int]:
-    """The int that x spells when x is a plain ASCII integer string, digits
-    after an optional "-" ("0", "-3"), which json_rational reads to the same
-    value; None for any other x ("+3", " 3", "3_0", "1/2", non-ASCII
-    digits, an int), which the caller reads as json_rational does."""
-    if type(x) is str and x.isascii() and (x[1:] if x[:1] == "-" else x).isdigit():
-        return int(x)
-    return None
-
-
-def json_number(x) -> Union[int, Fraction]:
-    """json_rational(x)'s value, read without Fraction(str) where it can be:
-    a plain integer string (plain_int) as an int, an ASCII "p/q" ("-1/12")
-    as Fraction(int p, int q), with the errors ("1/0") that Fraction(str)
-    gives, and any other x through json_rational."""
-    v = plain_int(x)
-    if v is not None:
-        return v
-    if type(x) is str:
-        num, slash, den = x.partition("/")
-        p = plain_int(num)
-        if slash and p is not None and den.isascii() and den.isdigit():
-            return Fraction(p, int(den))
-    return json_rational(x)
+def json_matrix(m) -> List[List[Union[int, Fraction]]]:
+    """A matrix read from JSON, a list of row lists, by json_number."""
+    if not isinstance(m, list) or not all(isinstance(row, list) for row in m):
+        raise TypeError("a matrix must be a list of row lists, not %r" % (m,))
+    return [[json_number(x) for x in row] for row in m]
 
 
 def check_exact(what: str, rows: Sequence[Sequence]) -> None:
@@ -228,15 +217,12 @@ class Scalar:
         with malformed_json("scalar JSON"):
             pairs = []
             for t in data:
-                # plain integer strings are read by int (den nonzero: a zero
-                # den is divided as a Fraction, for that division's error)
-                num, den = plain_int(t["num"]), plain_int(t["den"])
-                if num is None or not den:
-                    num, den = json_rational(t["num"]), json_rational(t["den"])
-                    if num.denominator != 1 or den.denominator != 1:
-                        raise ValueError("num and den must be integers")
+                num, den = json_number(t["num"]), json_number(t["den"])
+                if num.denominator != 1 or den.denominator != 1:
+                    raise ValueError("num and den must be integers")
+                # a zero den is divided as a Fraction, for that division's error
                 pairs.append((json_int(t["pi_exp"]),
-                              Fraction(num, den) if type(num) is int else num / den))
+                              Fraction(num, den) if den else num / Fraction(den)))
             return Scalar._sum(pairs)
 
 

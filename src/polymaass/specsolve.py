@@ -26,8 +26,8 @@ from . import BK_CASES
 # none of kernel, mat_mul, mat_vec, rref and solve_linear is called here: the
 # names are kept for the benchmark's tracer alone, which finds them here
 from .linalg import IntMat, Vec, _eliminate, _kernel, kernel, mat_mul, mat_vec, rref, solve_linear
-from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_rational,
-                      malformed_json)
+from .scalars import (Scalar, check_exact, exact_int, exact_rational, json_int, json_matrix,
+                      json_number, malformed_json)
 from .symcalc import (CONSTANT, EISENSTEIN, POINCARE, DomainError, Family, Form, PolyAtom,
                       SpectralAtom, _Atoms, _Columns, _chain_bands, _chain_form, _delta_layers,
                       _laplace_rows, _step_rule, apply_flip, apply_power, atom_incoherent, form_of)
@@ -129,10 +129,9 @@ class GradedVector:
     @staticmethod
     def from_json(data: dict) -> "GradedVector":
         with malformed_json("graded vector JSON"):
-            return GradedVector(json_int(data["k"]), json_int(data["m"]),
-                                data["branch"], json_int(data["d"]),
-                                [[json_rational(x) for x in layer] for layer in data["layers"]],
-                                json_rational(data.get("preimage_scale", 1)))
+            return GradedVector(json_int(data["k"]), json_int(data["m"]), data["branch"],
+                                json_int(data["d"]), json_matrix(data["layers"]),
+                                json_number(data.get("preimage_scale", 1)))
 
 
 def _kernel_vector(model: WModel, A) -> Tuple[int, List[int]]:

@@ -42,7 +42,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .scalars import (DomainError, Scalar, ZERO, ONE, exact_int, exact_rational, json_int,
-                      json_number, json_rational, malformed_json)
+                      json_number, malformed_json)
 
 
 class PolePointWarning(UserWarning):
@@ -401,8 +401,11 @@ def load_pole_table(path: str) -> PoleTable:
     table = {}
     with malformed_json("pole table JSON"):
         for entry in data:
-            fam = _family_from_json(entry["family"])
-            key = (fam, json_int(entry["weight"]), json_rational(entry["point"]))
+            fam = _family_from_json(entry["family"])   # refuses an entry that is not a dict
+            unknown = sorted(set(entry) - {"family", "weight", "point", "order", "residue_form"})
+            if unknown:
+                raise DomainError("pole table entry has unknown keys %s" % (unknown,))
+            key = (fam, json_int(entry["weight"]), Fraction(json_number(entry["point"])))
             if key in table:
                 raise DomainError("pole table names %s twice" % _pole_key_text(*key))
             if json_int(entry.get("order", 1)) != 1:

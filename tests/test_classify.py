@@ -620,6 +620,17 @@ def test_span_self_check_refuses_a_wrong_answer(monkeypatch):
         construct_case("Ib", -1, 3)
 
 
+def test_span_self_check_refuses_a_span_with_no_preimage(monkeypatch):
+    # with every row of Lambda^d zero, no span vector is taken to the top
+    from polymaass import specsolve
+    power_rows = specsolve._power_rows
+    monkeypatch.setattr(specsolve, "_power_rows",
+                        lambda blocks, d: [[0] * len(row) for row in power_rows(blocks, d)])
+    with pytest.raises(AssertionError) as ex:
+        construct_case("Ib", -1, 3)
+    assert str(ex.value) == "span holds no Delta^3 preimage of the chain's top"
+
+
 # every case at d <= 3, the flip cases also at Poincare indices -3 and -5
 CLOSURE_CASES = [
     (label, k, d, index)

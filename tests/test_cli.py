@@ -521,6 +521,13 @@ def test_verify_fast(capsys):
     assert "pass" in out
 
 
+def test_verify_eisenstein_suite(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "eisenstein", "--n", "50")
+    rows = out.splitlines()
+    assert (code, err, len(rows)) == (0, "", 15)
+    assert all(row.endswith("  pass") for row in rows)
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_verify_rejects_invalid_tolerance(capsys, tol):
     code, out, err = run(capsys, "verify", "--suite", "ebasis", "--n", "10", "--tol", tol)

@@ -18,7 +18,7 @@ from polymaass.quiverrep import (ARROWS, CYCLIC, GELFAND, NODES, HCFragment, Qui
                                  iso_two_descriptions, random_fragment,
                                  second_description)
 from polymaass.linalg import IntMat, Mat, mat_mul, rref, solve_linear
-from polymaass.scalars import json_rational
+from polymaass.scalars import json_number
 from polymaass.symcalc import DomainError
 
 
@@ -403,6 +403,17 @@ def test_singular_iso_witness_is_reported(monkeypatch, l):
     with pytest.raises(DomainError) as ex:
         iso_two_descriptions(frag)
     assert str(ex.value) == "isomorphism witness T is singular"
+
+
+def test_non_commuting_square_is_reported(monkeypatch):
+    # cannot happen on a valid fragment (T = p(C_0) for the p of Y_* X_* in
+    # C_1), so force a wrong p to reach the self-check; no such p was found
+    # that passes the (A-) square and fails the (B-) one
+    frag = random_fragment(2, 2, seed=1)
+    monkeypatch.setattr(quiverrep, "_poly_in_matrix", lambda target, base: [2, 1])
+    with pytest.raises(DomainError) as ex:
+        iso_two_descriptions(frag)
+    assert str(ex.value) == "morphism square (A-) does not commute"
 
 
 def reference_poly_in_matrix(target, base):
@@ -881,18 +892,23 @@ def _outcome(read, x):
         return type(ex), str(ex)
 
 
+def _reference_rational(x):
+    """A JSON rational as Fraction reads it, with a float and a bool refused."""
+    if not isinstance(x, (int, str)) or isinstance(x, bool):
+        raise TypeError("a rational must be an int or a string, not %r" % (x,))
+    return Fraction(x)
+
+
 @pytest.mark.parametrize("entry", JSON_ENTRIES, ids=lambda x: repr(x)[:12])
 def test_json_entries_read_as_fraction_does(entry):
-    # json_rational reads a string or an int as Fraction does, and returns
-    # a Fraction; the quiver matrix reader reads a plain integer string by
-    # int and an ASCII p/q by two ints, to the same value or the same error,
-    # and refuses every other entry with the message json_rational gives
-    if isinstance(entry, (str, int)) and not isinstance(entry, bool):
-        want = _outcome(Fraction, entry)
-    else:
-        want = (TypeError, "a rational must be an int or a string, not %r" % (entry,))
-    got = _outcome(json_rational, entry)
-    assert got == want and type(got) is type(want)
+    # json_number reads a string or an int as Fraction does, a plain ASCII
+    # integer string as an int and any other value as a Fraction, and
+    # refuses every other entry with the reference's message; the quiver
+    # matrix reader reads each entry by it
+    want = _outcome(_reference_rational, entry)
+    got = _outcome(json_number, entry)
+    plain = type(entry) is str and re.fullmatch("-?[0-9]+", entry)
+    assert got == want and type(got) is (int if plain and type(want) is Fraction else type(want))
     data = {"quiver": CYCLIC, "dims": {"-": 1, "+": 1}, "maps": {"a": [[entry]], "b": [["0"]]}}
     rep = _outcome(QuiverRep.from_json, data)
     if type(want) is Fraction:

@@ -260,14 +260,21 @@ def test_from_json_rejects_non_integer_num_den(num, den):
         Scalar.from_json([{"pi_exp": 0, "num": num, "den": den}])
 
 
+def _reference_rational(x):
+    """A JSON rational as Fraction reads it, with a float and a bool refused."""
+    if not isinstance(x, (int, str)) or isinstance(x, bool):
+        raise TypeError("a rational must be an int or a string, not %r" % (x,))
+    return Fraction(x)
+
+
 def _reference_from_json(data):
-    """Scalar.from_json as it read num and den before plain_int: through
-    json_rational alone."""
-    from polymaass.scalars import json_int, json_rational, malformed_json
+    """Scalar.from_json as it read num and den before they were read by
+    int where they could be: through Fraction alone."""
+    from polymaass.scalars import json_int, malformed_json
     with malformed_json("scalar JSON"):
         terms = []
         for t in data:
-            num, den = json_rational(t["num"]), json_rational(t["den"])
+            num, den = _reference_rational(t["num"]), _reference_rational(t["den"])
             if num.denominator != 1 or den.denominator != 1:
                 raise ValueError("num and den must be integers")
             terms.append((json_int(t["pi_exp"]), num / den))
@@ -282,8 +289,8 @@ def _outcome(read, *args):
         return type(ex), str(ex)
 
 
-# spellings of num and den: plain ASCII integers, which plain_int reads by
-# int, and every other string, which goes through json_rational
+# spellings of num and den: plain ASCII integers, which json_number reads by
+# int, and every other string, which goes through Fraction(str)
 SPELLINGS = ["3", "-3", "0", "-0", "007", "+3", " 3", "3 ", "3_0", "1/0", "2/4", "0.5", "1e1",
              "\u0663", "-", "", "--3", 7, True, 1.5]
 
@@ -297,17 +304,27 @@ def test_from_json_reads_num_and_den_as_fraction_does(num, den):
         assert got == want and type(got) is type(want)
 
 
-def test_plain_int_reads_only_plain_ascii_integers(monkeypatch):
+def test_json_number_reads_only_plain_ascii_integers_as_ints(monkeypatch):
     from polymaass import scalars
-    from polymaass.scalars import plain_int
-    for x in ("0", "-3", "007", "-0", "9" * 300):
-        assert plain_int(x) == int(x) and type(plain_int(x)) is int
+    from polymaass.scalars import json_number
+    plain = ("0", "-3", "007", "-0", "9" * 300)
+    for x in plain:
+        assert json_number(x) == int(x) and type(json_number(x)) is int
     for x in SPELLINGS[5:]:
-        assert plain_int(x) is None
-    # plain integer strings never reach json_rational
-    monkeypatch.setattr(scalars, "json_rational", None)
-    assert Scalar.from_json([{"pi_exp": 2, "num": "-3", "den": "6"}]) == \
-        Scalar.pi_power(2, Fraction(-1, 2))
+        assert type(_outcome(json_number, x)) is not int
+
+    def no_strings(*args):
+        assert not any(isinstance(a, str) for a in args), args
+        return Fraction(*args)
+
+    # plain integer strings, and the two sides of an ASCII p/q, never reach
+    # Fraction(str)
+    monkeypatch.setattr(scalars, "Fraction", no_strings)
+    for x in plain:
+        assert type(json_number(x)) is int
+    assert json_number("-1/12") == Fraction(-1, 12)
+    assert Scalar.from_json([{"pi_exp": 2, "num": "-3", "den": "6"}]).terms == \
+        ((2, Fraction(-1, 2)),)
 
 
 @pytest.mark.parametrize("pi_exp", [1.5, 1.0, "1"])
@@ -315,3 +332,74 @@ def test_from_json_rejects_non_integer_exponent(pi_exp):
     from polymaass.scalars import DomainError
     with pytest.raises(DomainError, match="^malformed scalar JSON: "):
         Scalar.from_json([{"pi_exp": pi_exp, "num": "1", "den": "1"}])
+
+
+# every JSON input path reads a number as the reference does: the value it
+# gives, or its error text under the path's "malformed ..." prefix
+PATH_SPELLINGS = SPELLINGS + ["-1/12", "6/-4", "1/00", "-0/5", "007/3", "1/", "1/2/3", None]
+
+
+def _read_point(x, tmp_path):
+    from polymaass.symcalc import PolyAtom, form_from_json, form_to_json, atom_E
+    data = form_to_json(form_of(PolyAtom(0, 0), atom_E(0, 2)))
+    data["terms"][0]["spectral"]["point"] = x
+    (_e, atom), = dict(form_from_json(data).terms)
+    return atom.point
+
+
+def _read_pole_point(x, tmp_path):
+    import json
+    from polymaass.symcalc import load_pole_table
+    path = tmp_path / "poles.json"
+    path.write_text(json.dumps([{"family": {"kind": "eisenstein"}, "weight": 0, "point": x,
+                                 "residue_form": {"weight": 0, "terms": []}}]))
+    (_fam, _w, p), = load_pole_table(str(path))
+    return p
+
+
+def _read_layer_entry(x, tmp_path):
+    from polymaass.specsolve import GradedVector
+    data = {"k": 0, "m": 0, "branch": "L", "d": 0, "layers": [[x]]}
+    return GradedVector.from_json(data).layers[0][0]
+
+
+def _read_preimage_scale(x, tmp_path):
+    from polymaass.specsolve import GradedVector
+    data = {"k": 0, "m": 0, "branch": "L", "d": 0, "layers": [["1"]], "preimage_scale": x}
+    return GradedVector.from_json(data).preimage_scale
+
+
+def _read_quiver_entry(x, tmp_path):
+    from polymaass.quiverrep import QuiverRep
+    data = {"quiver": "cyclic", "dims": {"-": 1, "+": 1}, "maps": {"a": [[x]], "b": [["0"]]}}
+    return QuiverRep.from_json(data).maps["a"][0][0]
+
+
+def _read_fragment_entry(x, tmp_path):
+    from polymaass.quiverrep import HCFragment
+    return HCFragment.from_json({"l": 0, "z_minus": [["0"]], "z_plus": [[x]]}).z_plus[0][0]
+
+
+JSON_PATHS = [(_read_point, "malformed form JSON: "),
+              (_read_pole_point, "malformed pole table JSON: "),
+              (_read_layer_entry, "malformed graded vector JSON: "),
+              (_read_preimage_scale, "malformed graded vector JSON: "),
+              (_read_quiver_entry, "malformed quiver representation: "),
+              (_read_fragment_entry, "malformed fragment JSON: ")]
+
+
+@pytest.mark.parametrize("x", PATH_SPELLINGS, ids=repr)
+def test_every_json_input_path_reads_a_number_as_the_reference_does(x, tmp_path):
+    want = _outcome(_reference_rational, x)
+    for read, prefix in JSON_PATHS:
+        got = _outcome(read, x, tmp_path)
+        if type(want) is not Fraction:
+            assert got == (DomainError, prefix + want[1]), read.__name__
+        elif read is _read_preimage_scale and not want:
+            assert got == (DomainError, "preimage_scale must be nonzero")
+        else:
+            assert got == want and type(got) is Fraction, read.__name__
+    # a scalar's num and den, which must also be integers
+    for data in ([{"pi_exp": 0, "num": x, "den": "-2"}], [{"pi_exp": 0, "num": "3", "den": x}]):
+        got, want = _outcome(Scalar.from_json, data), _outcome(_reference_from_json, data)
+        assert got == want and type(got) is type(want)

@@ -138,6 +138,29 @@ def test_oracle_refuses_a_chain_with_a_lower_layer_image(monkeypatch):
         brute_force_wd(0, 0, "L", 1)
 
 
+def test_oracle_refuses_a_block_with_no_pinned_kernel_element(monkeypatch):
+    # with Delta the identity, D D^d x = x = 0 has no solution with layer 0 = w0
+    monkeypatch.setattr(WModel, "_int_block_delta",
+                        lambda self, d: IntMat.identity((d + 1) * (self.m + 1)))
+    with pytest.raises(DomainError) as ex:
+        brute_force_wd(0, 1, "L", 1)
+    assert str(ex.value) == "oracle: no pinned kernel element (k=0, m=1, L, d=1)"
+
+
+def test_kernel_vector_self_check_refuses_a_vector_outside_ker_a():
+    # the diagonal A = I has no kernel, so the closed w0 formula fails the check
+    with pytest.raises(AssertionError) as ex:
+        specsolve._kernel_vector(WModel(0, 3, "L"), [(0, [1, 1, 1, 1])])
+    assert str(ex.value) == "w0 formula does not lie in ker A (k=0, m=3, L)"
+
+
+def test_solve_wd_refuses_a_w0_in_the_image_of_a(monkeypatch):
+    monkeypatch.setattr(specsolve, "_layer_sweep", lambda band, w0, branch: None)
+    with pytest.raises(DomainError) as ex:
+        solve_wd(0, 2, "L", 1)
+    assert str(ex.value) == "w0 lies in the image of A, so no layer is solvable (k=0, m=2, L)"
+
+
 def _test_vector(n, d):
     # deterministic entries with some zeros and one all-zero layer
     layers = [[Fraction((7 * (t * n + r)) % 11 - 5, r % 4 + 1) for r in range(n)]
@@ -812,6 +835,18 @@ def test_graded_vector_json_rejects_booleans(mutate):
     mutate(data)
     with pytest.raises(DomainError, match="^malformed graded vector JSON: "):
         GradedVector.from_json(data)
+
+
+@pytest.mark.parametrize("m, d, layers", [
+    (0, 1, "12"), (1, 0, ["12"]), (1, 0, [{"3": 0, "4": 1}]),
+], ids=["string", "string layer", "dict layer"])
+def test_graded_vector_json_refuses_layers_that_are_not_row_lists(m, d, layers):
+    # each was once read entry by entry, as [[1], [2]], [[1, 2]] and [[3, 4]]
+    data = {"k": 0, "m": m, "branch": "L", "d": d, "layers": layers}
+    with pytest.raises(DomainError) as ex:
+        GradedVector.from_json(data)
+    assert str(ex.value) == ("malformed graded vector JSON: a matrix must be a list of row "
+                             "lists, not %r" % (layers,))
 
 
 @pytest.mark.parametrize("mutate,message", [

@@ -385,11 +385,18 @@ def test_json_parse_errors_are_domain_errors(mutate):
         form_from_json(data)
 
 
+def _reference_rational(x):
+    """A JSON rational as Fraction reads it, with a float and a bool refused."""
+    if not isinstance(x, (int, str)) or isinstance(x, bool):
+        raise TypeError("a rational must be an int or a string, not %r" % (x,))
+    return Fraction(x)
+
+
 def _form_from_json_reference(data):
     """form_from_json as it read a form before it built each coefficient
-    once: the point by json_rational, each coefficient by the public Scalar
+    once: the point by Fraction, each coefficient by the public Scalar
     constructor, and every key added to ZERO."""
-    from polymaass.scalars import ZERO, json_int, json_rational, malformed_json
+    from polymaass.scalars import ZERO, json_int, malformed_json
     from polymaass.symcalc import _Columns, _atom, _family_from_json
     acc = {}
     with malformed_json("form JSON"):
@@ -398,12 +405,12 @@ def _form_from_json_reference(data):
             sp = term["spectral"]
             pending = sp.get("pending")
             a = _atom(_Columns(), _family_from_json(sp["family"]), json_int(sp["weight"]),
-                      json_rational(sp["point"]), json_int(sp["laurent"]),
+                      _reference_rational(sp["point"]), json_int(sp["laurent"]),
                       None if pending is None else (pending["dir"], json_int(pending["power"])))
             with malformed_json("scalar JSON"):
                 terms = []
                 for t in term["coeff"]:
-                    num, den = json_rational(t["num"]), json_rational(t["den"])
+                    num, den = _reference_rational(t["num"]), _reference_rational(t["den"])
                     if num.denominator != 1 or den.denominator != 1:
                         raise ValueError("num and den must be integers")
                     terms.append((json_int(t["pi_exp"]), num / den))
@@ -865,6 +872,27 @@ def test_pole_table_json_refuses_a_key_named_twice(tmp_path, points):
     with pytest.raises(DomainError) as err:
         sc.load_pole_table(str(path))
     assert str(err.value) == "pole table names (E, 0, 1) twice"
+
+
+def test_pole_table_json_refuses_unknown_entry_keys(tmp_path):
+    # a misspelled "order" once turned off the order-1 cap: the entry was
+    # read as a simple pole
+    import json as _json
+    from polymaass import symcalc as sc
+    entry = {"family": {"kind": "eisenstein"}, "weight": 0, "point": "1", "ordr": 2,
+             "residue_form": sc.form_to_json(form_of(PolyAtom(0, 0), CONST_ATOM, 7)), "x": 0}
+    path = tmp_path / "poles.json"
+    path.write_text(_json.dumps([entry]))
+    with pytest.raises(DomainError) as err:
+        sc.load_pole_table(str(path))
+    assert str(err.value) == "pole table entry has unknown keys ['ordr', 'x']"
+    del entry["ordr"], entry["x"]
+    path.write_text(_json.dumps([dict(entry, order=1)]))
+    assert len(sc.load_pole_table(str(path))) == 1
+    # a table written as one entry is malformed, not read key by key as entries
+    path.write_text(_json.dumps(entry))
+    with pytest.raises(DomainError, match="^malformed pole table JSON: string indices"):
+        sc.load_pole_table(str(path))
 
 
 def test_pole_table_refuses_a_residue_with_a_polynomial_part():
